@@ -678,11 +678,9 @@ def check_bialgebroid(
 ) -> CheckReport:
     """d_*[X, Y] = [d_* X, Y] + [X, d_* Y] for the dual pair (L, Lstar).
 
-    Lstar lives on the same chart with positionally dual frames; d_* is the
-    differential of Lstar acting on multisections of L (same sparse data).
-    Checked on frame pairs, coordinate-scaled pairs, the function-level
-    instances of the graded identity (which settle the condition for all
-    polynomial sections), and seeded random section pairs of bounded degree.
+    Lstar lives on the same chart with positionally dual frames.  Both
+    algebroid axiom checks (`side`, `dual_side`) gate the compatibility
+    families of `check_compatibility`.
     """
     if L.chart != Lstar.chart:
         raise ChartMismatch("dual pair must share a chart")
@@ -695,9 +693,31 @@ def check_bialgebroid(
             items.append(failed(label, rep.first_failure.witness))
         else:
             items.append(passed(label))
-    if not all(item.ok for item in items):
-        return CheckReport(tuple(items))
+    axioms = CheckReport(tuple(items))
+    if not axioms.ok:
+        return axioms
+    return axioms.merged_with(
+        check_compatibility(L, Lstar, seed=seed, random_pairs=random_pairs, max_degree=max_degree)
+    )
 
+
+def check_compatibility(
+    L: LieAlgebroid,
+    Lstar: LieAlgebroid,
+    seed: int = 7,
+    random_pairs: int = 4,
+    max_degree: int = 2,
+) -> CheckReport:
+    """The compatibility families of `check_bialgebroid`, for a dual pair
+    whose two algebroid axiom checks are already decided.
+
+    d_* is the differential of Lstar acting on multisections of L (same
+    sparse data).  Checked on frame pairs, coordinate-scaled pairs, the
+    function-level instances of the graded identity (which settle the
+    condition for all polynomial sections), and seeded random section pairs
+    of bounded degree.
+    """
+    items: List[CheckItem] = []
     d_star = lambda ms: differential(Lstar, ms)
 
     def defect(x: Multisection, y: Multisection) -> Multisection:

@@ -51,12 +51,12 @@ _VERBS = {
 def _double_summary(prefix: str, dla: "doublela.DoubleLieAlgebroid") -> ResultEntry:
     """Derived-structure summary: the induced dual pair, the Poisson data on
     the core dual, and the core algebroid."""
-    e_v, dual = doublela.dual_pair_over_core_dual(dla)
+    e_v, dual = dla.dual_pair
     detail: List[str] = []
     detail.extend(format_algebroid_lines("induced_vertical_dual", e_v))
     detail.extend(format_algebroid_lines("induced_horizontal_dual", dual))
     if dla.core_frames:
-        pois = doublela.core_poisson(dla)
+        pois = dla.core_poisson
         names = pois.chart.names
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
@@ -64,7 +64,7 @@ def _double_summary(prefix: str, dla: "doublela.DoubleLieAlgebroid") -> ResultEn
                     detail.append(
                         f"core_dual_poisson({names[i]}, {names[j]}) = {pois.matrix[i][j]}"
                     )
-        detail.extend(format_algebroid_lines("core", doublela.core_algebroid(dla)))
+        detail.extend(format_algebroid_lines("core", dla.core))
     return ResultEntry(f"{prefix}.summary", "pass", detail=tuple(detail))
 
 
@@ -281,7 +281,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         max_degree = int(os.environ.get("DOUBLEALG_MAX_DEGREE", "2"))
     except ValueError:
-        sys.stderr.write("doublealg: error: DOUBLEALG_MAX_DEGREE must be an integer\n")
+        max_degree = -1
+    if max_degree < 0:
+        sys.stderr.write("doublealg: error: DOUBLEALG_MAX_DEGREE must be a non-negative integer\n")
         return 2
     try:
         report = run(args.verb, args.kind, model, digest(data), args.seed, max_degree)

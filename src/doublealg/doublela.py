@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .algebroid import (
@@ -30,7 +31,7 @@ from .algebroid import (
     bracket_sections,
     change_frames,
     check_algebroid,
-    check_bialgebroid,
+    check_compatibility,
     cotangent_algebroid,
     dual_poisson,
     fibre_coordinate,
@@ -38,14 +39,7 @@ from .algebroid import (
 )
 from .dvb import DecomposedDVB
 from .exact import Chart, Polynomial
-from .lavb import (
-    LAVBundle,
-    bundle_fibre_coordinate,
-    induced_dual_algebroid,
-    check_lavb,
-    total_algebroid,
-    unique_names,
-)
+from .lavb import LAVBundle, bundle_fibre_coordinate, check_lavb, unique_names
 from .matched import (
     MatchedPair,
     MatchedPairError,
@@ -109,6 +103,20 @@ class DoubleLieAlgebroid:
             self.chart, self.vertical.bundle_frames, self.side_b.frames, self.core_frames
         )
 
+    # Derived structures, computed on first use and shared by every caller.
+
+    @cached_property
+    def dual_pair(self) -> Tuple[LieAlgebroid, LieAlgebroid]:
+        return dual_pair_over_core_dual(self)
+
+    @cached_property
+    def core_poisson(self) -> PoissonChart:
+        return core_poisson(self)
+
+    @cached_property
+    def core(self) -> LieAlgebroid:
+        return core_algebroid(self)
+
 
 def dual_pair_over_core_dual(
     dla: DoubleLieAlgebroid,
@@ -122,8 +130,8 @@ def dual_pair_over_core_dual(
     linear frame with a minus sign; the second algebroid is rewritten in
     those dual frames so the standard bialgebroid check applies.
     """
-    e_v = induced_dual_algebroid(dla.vertical)
-    e_h = induced_dual_algebroid(dla.horizontal)
+    e_v = dla.vertical.induced_dual
+    e_h = dla.horizontal.induced_dual
     ra = dla.side_a.rank
     rb = dla.side_b.rank
     size = ra + rb
@@ -156,9 +164,12 @@ def check_double(
     items.extend(hor_rep.items)
     if not (vert_rep.ok and hor_rep.ok):
         return CheckReport(tuple(items))
-    e_v, dual = dual_pair_over_core_dual(dla)
-    bial = check_bialgebroid(
-        e_v, dual, seed=seed, random_pairs=random_pairs, max_degree=max_degree
+    # check_lavb has decided both algebroid axiom checks of the pair: e_v is
+    # vertical.induced_dual, and dual is horizontal.induced_dual after an
+    # invertible constant frame change, which preserves the axioms.
+    e_v, dual = dla.dual_pair
+    bial = CheckReport((passed("side"), passed("dual_side"))).merged_with(
+        check_compatibility(e_v, dual, seed=seed, random_pairs=random_pairs, max_degree=max_degree)
     )
     items.extend(bial.prefixed("bialgebroid").items)
     return CheckReport(tuple(items))
@@ -171,7 +182,7 @@ def check_double(
 def core_poisson(dla: DoubleLieAlgebroid) -> PoissonChart:
     """The Poisson structure induced on the core dual by the bialgebroid pair:
     {f, g} = sum_i e(frame_i)(f) * e_*(dual frame_i)(g)."""
-    e_v, dual = dual_pair_over_core_dual(dla)
+    e_v, dual = dla.dual_pair
     chart = e_v.chart
     size = chart.dim
     coords = [Polynomial.coordinate(chart, name) for name in chart.names]
@@ -199,7 +210,7 @@ def core_poisson(dla: DoubleLieAlgebroid) -> PoissonChart:
 def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
     """The algebroid on the core read off the linear Poisson structure on its
     dual; anchor rows come from the mixed brackets {xi_gamma, x^i}."""
-    pois = core_poisson(dla)
+    pois = dla.core_poisson
     base = dla.chart
     n = base.dim
     rc = len(dla.core_frames)
@@ -372,7 +383,7 @@ def _anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> C
     and their vertical lifts) pulled back along the side anchor, and the
     morphism identity is compared coefficient-by-coefficient.
     """
-    dom_alg = total_algebroid(domain)
+    dom_alg = domain.total
     chart_b = dom_alg.chart
     base = domain.chart
     side_a = domain.side  # the target side algebroid (frames being lifted)
@@ -514,7 +525,7 @@ def structural_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
 
     if dla.core_frames:
         try:
-            core = core_algebroid(dla)
+            core = dla.core
         except (DoubleMismatch, ValueError) as exc:
             items.append(failed("core_algebroid", str(exc)))
             core = None

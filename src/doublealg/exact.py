@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -304,17 +304,7 @@ class Polynomial:
     # --- printing -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for k, (exp, coeff) in enumerate(self.terms):
-            sign = "-" if coeff < 0 else "+"
-            mono = _format_monomial(self.chart, exp, abs(coeff))
-            if k == 0:
-                pieces.append(mono if coeff > 0 else f"-{mono}")
-            else:
-                pieces.append(f" {sign} {mono}")
-        return "".join(pieces)
+        return signed_sum((coeff, monomial_atoms(self.chart, exp)) for exp, coeff in self.terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -325,18 +315,33 @@ def _term_key(item: Tuple[Exponent, Fraction]):
     return (sum(exp), exp)
 
 
-def _format_monomial(chart: Chart, exp: Exponent, coeff: Fraction) -> str:
-    factors = []
-    for name, power in zip(chart.names, exp):
-        if power == 1:
-            factors.append(name)
-        elif power > 1:
-            factors.append(f"{name}^{power}")
-    if not factors:
-        return format_rat(coeff)
-    if coeff == 1:
-        return " * ".join(factors)
-    return " * ".join([format_rat(coeff)] + factors)
+def monomial_atoms(chart: Chart, exp: Exponent) -> List[str]:
+    """The factors `x` and `x^k` of one monomial, in chart order."""
+    return [
+        name if power == 1 else f"{name}^{power}"
+        for name, power in zip(chart.names, exp)
+        if power
+    ]
+
+
+def signed_sum(terms: Iterable[Tuple[Fraction, Sequence[str]]]) -> str:
+    """Render (coefficient, atoms) pairs in the text grammar, as in
+    `a - 2 * b + 3/2 * x^2 * c`.
+
+    Zero coefficients are skipped and a unit coefficient is dropped unless
+    the term has no atoms; the empty sum is `0`.
+    """
+    out = []
+    for coeff, atoms in terms:
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        body = " * ".join(([format_rat(mag)] if mag != 1 or not atoms else []) + list(atoms))
+        if out:
+            out.append(f" + {body}" if coeff > 0 else f" - {body}")
+        else:
+            out.append(body if coeff > 0 else f"-{body}")
+    return "".join(out) or "0"
 
 
 def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:

@@ -6,62 +6,25 @@ emitted structures can be pasted back into model files.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Sequence, Tuple
-
 import itertools
+from typing import List, Sequence
 
 from .algebroid import Derivation, LieAlgebroid, VectorField
-from .exact import Polynomial, format_rat
-from .liealg import LieAlgebra, PairedAlgebra
-
-
-def _monomial_atoms(chart, exp) -> List[str]:
-    atoms = []
-    for name, power in zip(chart.names, exp):
-        if power == 1:
-            atoms.append(name)
-        elif power > 1:
-            atoms.append(f"{name}^{power}")
-    return atoms
+from .exact import Polynomial, format_rat, monomial_atoms, signed_sum
+from .liealg import LieAlgebra, PairedAlgebra, format_vector
 
 
 def format_combination(components: Sequence[Polynomial], names: Sequence[str]) -> str:
     """Linear combination of frames, expanded to grammar-level terms."""
-    pieces: List[Tuple[Fraction, List[str]]] = []
-    for poly, frame in zip(components, names):
-        for exp, coeff in poly.terms:
-            pieces.append((coeff, _monomial_atoms(poly.chart, exp) + [frame]))
-    if not pieces:
-        return "0"
-    out = []
-    for k, (coeff, atoms) in enumerate(pieces):
-        mag = abs(coeff)
-        body = " * ".join(([format_rat(mag)] if mag != 1 else []) + atoms)
-        if k == 0:
-            out.append(body if coeff > 0 else f"-{body}")
-        else:
-            out.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(out)
+    return signed_sum(
+        (coeff, monomial_atoms(poly.chart, exp) + [frame])
+        for poly, frame in zip(components, names)
+        for exp, coeff in poly.terms
+    )
 
 
 def format_vector_field(vf: VectorField) -> str:
-    names = [f"d/d{name}" for name in vf.chart.names]
-    pieces: List[Tuple[Fraction, List[str]]] = []
-    for poly, direction in zip(vf.components, names):
-        for exp, coeff in poly.terms:
-            pieces.append((coeff, _monomial_atoms(poly.chart, exp) + [direction]))
-    if not pieces:
-        return "0"
-    out = []
-    for k, (coeff, atoms) in enumerate(pieces):
-        mag = abs(coeff)
-        body = " * ".join(([format_rat(mag)] if mag != 1 else []) + atoms)
-        if k == 0:
-            out.append(body if coeff > 0 else f"-{body}")
-        else:
-            out.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(out)
+    return format_combination(vf.components, [f"d/d{name}" for name in vf.chart.names])
 
 
 def format_algebroid_lines(name: str, L: LieAlgebroid) -> List[str]:
@@ -88,20 +51,10 @@ def format_lie_algebra_lines(name: str, g: LieAlgebra) -> List[str]:
     for i, j in itertools.combinations(range(g.dim), 2):
         vec = g.constants[i][j]
         if any(c != 0 for c in vec):
-            terms = []
-            for k, c in enumerate(vec):
-                if c == 0:
-                    continue
-                mag = abs(c)
-                body = (f"{format_rat(mag)} * " if mag != 1 else "") + g.basis_names[k]
-                terms.append((c > 0, body))
-            text = ""
-            for t, (positive, body) in enumerate(terms):
-                if t == 0:
-                    text = body if positive else f"-{body}"
-                else:
-                    text += f" + {body}" if positive else f" - {body}"
-            lines.append(f"bracket({g.basis_names[i]}, {g.basis_names[j]}) = {text}")
+            lines.append(
+                f"bracket({g.basis_names[i]}, {g.basis_names[j]}) = "
+                f"{format_vector(vec, g.basis_names)}"
+            )
     return lines
 
 

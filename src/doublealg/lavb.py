@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebroid import (
     Derivation,
     LieAlgebroid,
-    Multisection,
-    bracket_sections,
     check_algebroid,
     fibre_coordinate,
     tangent_algebroid,
@@ -134,26 +133,15 @@ class LAVBundle:
     def core_rank(self) -> int:
         return len(self.core_frames)
 
+    # Derived structures, computed on first use and shared by every caller.
 
-@dataclass(frozen=True)
-class LinearSection:
-    """Bundle morphism A -> D over a section of B, in split data:
-    projection components (over B-frames) plus a Hom(A, C) twist."""
+    @cached_property
+    def total(self) -> LieAlgebroid:
+        return total_algebroid(self)
 
-    projection: Tuple[Polynomial, ...]
-    hom_twist: Matrix  # [a][gamma]
-
-    def __init__(self, projection: Sequence[Polynomial], hom_twist: Sequence[Sequence[Polynomial]]):
-        object.__setattr__(self, "projection", tuple(projection))
-        object.__setattr__(self, "hom_twist", tuple(tuple(row) for row in hom_twist))
-
-
-@dataclass(frozen=True)
-class CoreSection:
-    components: Tuple[Polynomial, ...]
-
-    def __init__(self, components: Sequence[Polynomial]):
-        object.__setattr__(self, "components", tuple(components))
+    @cached_property
+    def induced_dual(self) -> LieAlgebroid:
+        return induced_dual_algebroid(self)
 
 
 def total_chart(v: LAVBundle) -> Chart:
@@ -217,51 +205,6 @@ def total_algebroid(v: LAVBundle) -> LieAlgebroid:
 
     frames = v.side.frames + v.core_frames
     return LieAlgebroid(chart, frames, anchor_rows, brackets)
-
-
-def linear_section(v: LAVBundle, beta: int) -> LinearSection:
-    chart = v.chart
-    proj = [Polynomial.zero(chart) for _ in range(v.side.rank)]
-    proj[beta] = Polynomial.constant(chart, 1)
-    zero_mat = [[Polynomial.zero(chart) for _ in range(v.core_rank)] for _ in range(v.bundle_rank)]
-    return LinearSection(proj, zero_mat)
-
-
-def section_to_total(v: LAVBundle, s: LinearSection | CoreSection) -> Multisection:
-    """Express a generator-form section in the total-space frame."""
-    chart = total_chart(v)
-    rb, rc, ra = v.side.rank, v.core_rank, v.bundle_rank
-    comps = [Polynomial.zero(chart) for _ in range(rb + rc)]
-    if isinstance(s, CoreSection):
-        if len(s.components) != rc:
-            raise ValueError("core section has wrong rank")
-        for g, coeff in enumerate(s.components):
-            comps[rb + g] = coeff.lift(chart)
-    else:
-        if len(s.projection) != rb:
-            raise ValueError("linear section projection has wrong rank")
-        u = [Polynomial.coordinate(chart, bundle_fibre_coordinate(f)) for f in v.bundle_frames]
-        for beta, coeff in enumerate(s.projection):
-            comps[beta] = coeff.lift(chart)
-        for a in range(ra):
-            for g in range(rc):
-                t = s.hom_twist[a][g]
-                if t:
-                    comps[rb + g] = comps[rb + g] + t.lift(chart) * u[a]
-    return Multisection.from_vector(rb + rc, comps)
-
-
-def bracket_generators(
-    v: LAVBundle, s1: LinearSection | CoreSection, s2: LinearSection | CoreSection
-) -> Multisection:
-    """Bracket of two generator-form sections, as a total-space section.
-
-    [linear, linear] is linear over the side bracket with the twist as core
-    component, [linear, core] is the core-derivation image, and core pairs
-    bracket to zero.
-    """
-    total = total_algebroid(v)
-    return bracket_sections(total, section_to_total(v, s1), section_to_total(v, s2))
 
 
 def induced_chart(v: LAVBundle) -> Chart:
@@ -395,13 +338,13 @@ def check_lavb(v: LAVBundle) -> CheckReport:
     items.append(failed("base_fields", witness) if witness else passed("base_fields"))
 
     if side_rep.ok and witness is None:
-        total_rep = check_algebroid(total_algebroid(v))
+        total_rep = check_algebroid(v.total)
         items.append(
             passed("generators")
             if total_rep.ok
             else failed("generators", total_rep.first_failure.witness)
         )
-        induced_rep = check_algebroid(induced_dual_algebroid(v))
+        induced_rep = check_algebroid(v.induced_dual)
         items.append(
             passed("induced_dual")
             if induced_rep.ok

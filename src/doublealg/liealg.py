@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import linalg
-from .exact import format_rat, rat
+from .exact import format_rat, rat, signed_sum
 from .verdicts import CheckItem, CheckReport, failed, passed
 
 Vector = Tuple[Fraction, ...]
@@ -45,22 +45,7 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
 
 
 def format_vector(v: Sequence[Fraction], names: Sequence[str]) -> str:
-    pieces = []
-    for coeff, name in zip(v, names):
-        if coeff == 0:
-            continue
-        if coeff == 1:
-            pieces.append(f"+ {name}")
-        elif coeff == -1:
-            pieces.append(f"- {name}")
-        elif coeff > 0:
-            pieces.append(f"+ {format_rat(coeff)} * {name}")
-        else:
-            pieces.append(f"- {format_rat(-coeff)} * {name}")
-    if not pieces:
-        return "0"
-    first = pieces[0][2:] if pieces[0].startswith("+ ") else "-" + pieces[0][2:]
-    return " ".join([first] + pieces[1:])
+    return signed_sum((coeff, [name]) for coeff, name in zip(v, names))
 
 
 @dataclass(frozen=True)
@@ -157,22 +142,7 @@ def _wedge_accumulate(acc: Wedge, u: Sequence[Fraction], v: Sequence[Fraction], 
 
 
 def format_wedge(w: Wedge, names: Sequence[str]) -> str:
-    if not w:
-        return "0"
-    pieces = []
-    for (j, k) in sorted(w):
-        coeff = w[(j, k)]
-        atom = f"{names[j]} ^ {names[k]}"
-        if coeff == 1:
-            pieces.append(f"+ {atom}")
-        elif coeff == -1:
-            pieces.append(f"- {atom}")
-        elif coeff > 0:
-            pieces.append(f"+ {format_rat(coeff)} * {atom}")
-        else:
-            pieces.append(f"- {format_rat(-coeff)} * {atom}")
-    first = pieces[0][2:] if pieces[0].startswith("+ ") else "-" + pieces[0][2:]
-    return " ".join([first] + pieces[1:])
+    return signed_sum((w[(j, k)], [f"{names[j]} ^ {names[k]}"]) for j, k in sorted(w))
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            if a[i][k] == 0:
-                continue
-            for j in range(cols):
-                out[i][j] += a[i][k] * b[k][j]
-    return out
-
-
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     rows = [list(row) for row in matrix]
     if not rows:

@@ -149,9 +149,8 @@ def _parse_terms(
                             _, power, _ = tokens.next()
                             if value not in coord_set:
                                 raise ParseError(f"unknown coordinate {value!r}", pos)
-                            p = Polynomial.coordinate(chart, value)
-                            for _ in range(int(power)):
-                                term.coeff = term.coeff * p
+                            exp = tuple(int(power) if name == value else 0 for name in chart.names)
+                            term.coeff = term.coeff * Polynomial(chart, {exp: 1})
                             # fallthrough to separator handling
                             if not tokens.accept_sym("*"):
                                 break

@@ -1,11 +1,20 @@
 """Ring axioms, calculus rules and grammar round-trips for the exact core."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublealg.exact import Chart, ChartMismatch, Polynomial, UnknownCoordinate, poly_arith
+from doublealg.exact import (
+    Chart,
+    ChartMismatch,
+    Polynomial,
+    UnknownCoordinate,
+    monomial_atoms,
+    poly_arith,
+    signed_sum,
+)
 from doublealg.parsing import ParseError, parse_polynomial
 
 XY = Chart(["x", "y"])
@@ -154,6 +163,16 @@ class TestGrammar:
         assert parse_polynomial("0", XY).is_zero
         assert str(Polynomial.zero(XY)) == "0"
 
+    def test_huge_power_parses_without_repeated_multiplication(self):
+        start = time.perf_counter()
+        got = parse_polynomial("x^99999999", XY)
+        assert time.perf_counter() - start < 1.0
+        assert got == Polynomial(XY, {(99999999, 0): 1})
+
+    def test_powers_build_the_monomial(self):
+        assert P("3 * x^2 * y^0 * y") == Polynomial(XY, {(2, 1): 3})
+        assert P("x^0") == Polynomial.constant(XY, 1)
+
     def test_errors_carry_position(self):
         with pytest.raises(ParseError):
             parse_polynomial("x + * y", XY)
@@ -161,3 +180,21 @@ class TestGrammar:
             parse_polynomial("q + 1", XY)
         with pytest.raises(ParseError):
             parse_polynomial("x ^ y", XY)
+
+
+class TestSignedSum:
+    def test_grammar_example(self):
+        terms = [(Fraction(1), ["a"]), (Fraction(-2), ["b"]), (Fraction(3, 2), ["x^2", "c"])]
+        assert signed_sum(terms) == "a - 2 * b + 3/2 * x^2 * c"
+
+    def test_unit_coefficient_kept_only_without_atoms(self):
+        assert signed_sum([(Fraction(-1), ["a"]), (Fraction(1), [])]) == "-a + 1"
+        assert signed_sum([(Fraction(-1), [])]) == "-1"
+
+    def test_zero_terms_skipped_and_empty_sum(self):
+        assert signed_sum([]) == "0"
+        assert signed_sum([(Fraction(0), ["a"]), (Fraction(-3), ["b"])]) == "-3 * b"
+
+    def test_monomial_atoms(self):
+        assert monomial_atoms(XY, (2, 1)) == ["x^2", "y"]
+        assert monomial_atoms(XY, (0, 0)) == []

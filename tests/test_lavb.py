@@ -7,6 +7,7 @@ from fractions import Fraction
 from doublealg.algebroid import (
     Derivation,
     VectorField,
+    bracket_sections,
     change_frames,
     dual_poisson,
     fibre_coordinate,
@@ -14,15 +15,11 @@ from doublealg.algebroid import (
 )
 from doublealg.exact import Chart, Polynomial
 from doublealg.lavb import (
-    CoreSection,
     LAVBundle,
-    LinearSection,
-    bracket_generators,
     bundle_fibre_coordinate,
     check_lavb,
     dual_lavb,
     induced_dual_algebroid,
-    section_to_total,
     tangent_lavb,
     total_algebroid,
 )
@@ -30,6 +27,14 @@ from doublealg.parsing import parse_polynomial
 
 LINE = Chart(["x"])
 TA = tangent_lavb(LINE, ["f"])
+
+
+def core_section(v, components):
+    """The core section with base-chart components, as a section of v.total
+    (whose frames are the canonical linear sections, then the core)."""
+    total = v.total
+    zero = Polynomial.zero(total.chart)
+    return total.section([zero] * v.side.rank + [c.lift(total.chart) for c in components])
 
 
 class TestTangentExample:
@@ -55,31 +60,26 @@ class TestTangentExample:
         assert matched.structure == reference.structure
 
     def test_core_sections_commute(self):
-        chart = LINE
-        c1 = CoreSection([parse_polynomial("x", chart)])
-        c2 = CoreSection([parse_polynomial("x^2 + 1", chart)])
-        assert bracket_generators(TA, c1, c2).is_zero
+        c1 = core_section(TA, [parse_polynomial("x", LINE)])
+        c2 = core_section(TA, [parse_polynomial("x^2 + 1", LINE)])
+        assert bracket_sections(TA.total, c1, c2).is_zero
 
     def test_linear_core_bracket_is_the_module_action(self):
         # [coordinate lift, vertical lift of g(x) f] = vertical lift of g'(x) f
-        chart = LINE
-        lin = LinearSection([Polynomial.constant(chart, 1)], [[Polynomial.zero(chart)]])
-        core = CoreSection([parse_polynomial("x^2", chart)])
-        got = bracket_generators(TA, lin, core)
-        total = total_algebroid(TA)
+        total = TA.total
+        core = core_section(TA, [parse_polynomial("x^2", LINE)])
+        got = bracket_sections(total, total.frame_section(0), core)
         expected = total.section(
             [Polynomial.zero(total.chart), parse_polynomial("2 * x", total.chart)]
         )
         assert got == expected
 
     def test_module_action_against_commutator_oracle(self):
-        total = total_algebroid(TA)
-        lin = LinearSection([Polynomial.constant(LINE, 1)], [[Polynomial.zero(LINE)]])
-        core = CoreSection([parse_polynomial("x^2", LINE)])
-        s1 = section_to_total(TA, lin)
-        s2 = section_to_total(TA, core)
-        got = bracket_generators(TA, lin, core)
-        oracle = total.anchor_of(s1).commutator(total.anchor_of(s2))
+        total = TA.total
+        lin = total.frame_section(0)
+        core = core_section(TA, [parse_polynomial("x^2", LINE)])
+        got = bracket_sections(total, lin, core)
+        oracle = total.anchor_of(lin).commutator(total.anchor_of(core))
         assert total.anchor_of(got).components == oracle.components
 
 
@@ -257,12 +257,12 @@ class TestZeroStructure:
             {},
         )
         assert check_lavb(v).ok
-        lin1 = LinearSection([Polynomial.constant(chart, 1), zero], [[zero]])
-        lin2 = LinearSection([zero, Polynomial.constant(chart, 1)], [[zero]])
-        core = CoreSection([Polynomial.constant(chart, 1)])
-        assert bracket_generators(v, lin1, lin2).is_zero
-        assert bracket_generators(v, lin1, core).is_zero
-        assert bracket_generators(v, core, core).is_zero
+        total = v.total
+        lin1, lin2 = total.frame_section(0), total.frame_section(1)
+        core = core_section(v, [Polynomial.constant(chart, 1)])
+        assert bracket_sections(total, lin1, lin2).is_zero
+        assert bracket_sections(total, lin1, core).is_zero
+        assert bracket_sections(total, core, core).is_zero
         induced = induced_dual_algebroid(v)
         assert all(p.is_zero for row in induced.anchor for p in row)
         assert all(

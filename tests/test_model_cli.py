@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from doublealg.cli import run
+from doublealg.cli import main, run
 from doublealg.model import ModelError, parse_model
 from doublealg.report import Report, ResultEntry, emit_report
 
@@ -234,6 +234,17 @@ class TestEnvironmentKnobs:
             env=env_bad,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("value", ["-1", "not-a-number"])
+    def test_bad_max_degree_is_a_usage_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("DOUBLEALG_MAX_DEGREE", value)
+        code = main(["check", "double", str(MODELS / "t2m_double.pass")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "doublealg: error: DOUBLEALG_MAX_DEGREE must be a non-negative integer\n"
+        )
 
 
 class TestVerbCoverage:

@@ -8,8 +8,8 @@ extract matched, dualize dvb.  `verify double` is accepted as an alias of
 `check double`.  Exit codes: 0 all checks pass, 1 a check failed (witness
 in the report), 2 usage or parse error.  The environment variable
 DOUBLEALG_MAX_DEGREE caps the degree of randomized property-oracle
-sections (default 2); --seed controls only their generation, and every
-seeded run is reproducible.
+sections (default 2, at most 1000); --seed controls only their generation,
+and every seeded run is reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import algebroid as alg
-from . import doublela, liealg, matched
+from . import doublela, dvb, liealg, matched
 from .formatting import (
     format_algebroid_lines,
     format_derivation_lines,
@@ -29,6 +29,10 @@ from .formatting import (
 )
 from .model import ModelError, ModelFile, parse_model
 from .report import Report, ResultEntry, digest, emit_report, entries_from_check
+
+# random sections draw one exponent step per unit of degree, so the cap keeps
+# a randomized check from running unboundedly
+MAX_DEGREE_CAP = 1000
 
 _VERBS = {
     ("check", "algebroid"),
@@ -225,9 +229,21 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
             )
 
     elif (verb, kind) == ("dualize", "dvb"):
-        for name, (chart, fa, fb, fc) in model.dvbs.items():
+        for name, shape in model.dvbs.items():
+            fa, fb, fc = shape.frames_a, shape.frames_b, shape.frames_c
+            rank = dvb.pairing_rank(shape)
+            if rank != len(fa) + len(fb):
+                results.append(
+                    ResultEntry(
+                        f"dualize.{name}",
+                        "fail",
+                        f"pairing of the two duals over C* has rank {rank}, "
+                        f"expected {len(fa) + len(fb)}",
+                    )
+                )
+                continue
             detail = (
-                f"base = [{', '.join(chart.names)}]",
+                f"base = [{', '.join(shape.chart.names)}]",
                 f"sides A = [{', '.join(fa)}], B = [{', '.join(fb)}], core C = [{', '.join(fc)}]",
                 f"dual over A: sides A, C*; core B*; fibre rank {len(fb) + len(fc)}",
                 f"dual over B: sides B, C*; core A*; fibre rank {len(fa) + len(fc)}",
@@ -284,6 +300,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_degree = -1
     if max_degree < 0:
         sys.stderr.write("doublealg: error: DOUBLEALG_MAX_DEGREE must be a non-negative integer\n")
+        return 2
+    if max_degree > MAX_DEGREE_CAP:
+        sys.stderr.write(
+            f"doublealg: error: DOUBLEALG_MAX_DEGREE must be at most {MAX_DEGREE_CAP}\n"
+        )
         return 2
     try:
         report = run(args.verb, args.kind, model, digest(data), args.seed, max_degree)

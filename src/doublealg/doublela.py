@@ -20,20 +20,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .algebroid import (
     Derivation,
     LieAlgebroid,
     Multisection,
     PoissonChart,
-    VectorField,
     bracket_sections,
     change_frames,
     check_algebroid,
     check_compatibility,
-    cotangent_algebroid,
-    dual_poisson,
     fibre_coordinate,
     require_valid,
 )
@@ -569,122 +566,35 @@ def structural_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
 # the cotangent double of a dual pair
 
 
-def lavb_from_total(
-    total: LieAlgebroid,
+def _cotangent_lavb(
     side: LieAlgebroid,
-    bundle_frames: Sequence[str],
-    core_frames: Sequence[str],
-    linear_positions: Sequence[int],
-    core_positions: Sequence[int],
-    fibre_names: Sequence[str],
+    bundle_frames: Tuple[str, ...],
+    core_frames: Tuple[str, ...],
+    sign: int,
 ) -> LAVBundle:
-    """Extract generator data from an algebroid on a bundle's total space.
+    """One LA-vector bundle structure of the cotangent double over `side`.
 
-    `total` lives on (base chart + `fibre_names`); `linear_positions` mark
-    the frames that are linear sections over the side frames (in order),
-    `core_positions` the core sections.  Degree bookkeeping is enforced:
-    anything that fails the required linearity raises `DoubleMismatch`.
+    This is the generator data of the cotangent algebroid of the linear
+    Poisson structure that `side` induces on its dual, in closed form: the
+    linear generators dxi_beta and the core generators dx^i.  `sign` = -1
+    applies the canonical map, which negates the cotangent-of-base core.
     """
-    base = side.chart
-    ra = len(bundle_frames)
-    rb = side.rank
-    rc = len(core_frames)
-    if len(linear_positions) != rb or len(core_positions) != rc:
-        raise ValueError("generator position lists have the wrong lengths")
-    fibre_names = list(fibre_names)
-    chart = total.chart
-
-    def base_part(p: Polynomial) -> Polynomial:
-        return p.restrict(base)
-
-    def linear_part(p: Polynomial) -> List[Polynomial]:
-        """Coefficients along the fibre coordinates; remainder must vanish."""
-        out = []
-        rem = p
-        for name in fibre_names:
-            coeff = p.coefficient_of(name)
-            out.append(coeff.restrict(base))
-            rem = rem - coeff * Polynomial.coordinate(chart, name)
-        if rem:
-            raise DoubleMismatch(f"expected fibrewise-linear expression, got {p}")
-        return out
-
-    anchor_ders: List[Derivation] = []
-    core_ders: List[Derivation] = []
-    for beta, pos in enumerate(linear_positions):
-        row = total.anchor[pos]
-        base_components = [base_part(row[chart.index(n)]) for n in base.names]
-        base_field = VectorField(base, base_components)
-        expected = side.anchor_field(beta)
-        if base_field.components != expected.components:
-            raise DoubleMismatch(
-                f"linear generator over {side.frames[beta]} has base field "
-                f"{base_field}, expected {expected}"
-            )
-        matrix = [[Polynomial.zero(base) for _ in range(ra)] for _ in range(ra)]
-        for a, name in enumerate(fibre_names):
-            coeffs = linear_part(row[chart.index(name)])
-            for b in range(ra):
-                matrix[b][a] = -coeffs[b]
-        anchor_ders.append(Derivation(base_field, matrix))
-
-        q_matrix = [[Polynomial.zero(base) for _ in range(rc)] for _ in range(rc)]
-        for gamma, cpos in enumerate(core_positions):
-            vec = total.structure[pos][cpos]
-            for k, entry in enumerate(vec):
-                if not entry:
-                    continue
-                if k in core_positions:
-                    q_matrix[gamma][core_positions.index(k)] = base_part(entry)
-                else:
-                    raise DoubleMismatch(
-                        f"[linear, core] leaks outside the core at frame {total.frames[k]}"
-                    )
-        core_ders.append(Derivation(base_field, q_matrix))
-
-    core_anchor = []
-    for gamma, pos in enumerate(core_positions):
-        row = total.anchor[pos]
-        for n in base.names:
-            if row[chart.index(n)]:
-                raise DoubleMismatch(
-                    f"core generator {total.frames[pos]} has a nonvertical anchor"
-                )
-        vec = []
-        for name in fibre_names:
-            vec.append(base_part(row[chart.index(name)]))
-        core_anchor.append(vec)
-
-    twist = {}
-    for b1, b2 in itertools.combinations(range(rb), 2):
-        vec = total.structure[linear_positions[b1]][linear_positions[b2]]
-        mat = [[Polynomial.zero(base) for _ in range(rc)] for _ in range(ra)]
-        for k, entry in enumerate(vec):
-            if not entry:
-                continue
-            if k in linear_positions:
-                got = base_part(entry)
-                expect = side.structure[b1][b2][linear_positions.index(k)]
-                if got - expect:
-                    raise DoubleMismatch(
-                        f"linear bracket component {got} does not match the side "
-                        f"structure {expect}"
-                    )
-            elif k in core_positions:
-                coeffs = linear_part(entry)
-                for a in range(ra):
-                    mat[a][core_positions.index(k)] = coeffs[a]
-            else:
-                raise DoubleMismatch("bracket leaks outside the generator set")
-        twist[(b1, b2)] = mat
-    for c1, c2 in itertools.combinations(range(rc), 2):
-        vec = total.structure[core_positions[c1]][core_positions[c2]]
-        if any(entry for entry in vec):
-            raise DoubleMismatch("core sections do not commute")
-
-    return LAVBundle(
-        side, tuple(bundle_frames), tuple(core_frames), anchor_ders, core_ders, core_anchor, twist
-    )
+    names = side.chart.names
+    n, r = len(names), side.rank
+    anchor_ders = []
+    core_ders = []
+    for beta in range(r):
+        field = side.anchor_field(beta)
+        m = [[-side.structure[beta][a][b] for a in range(r)] for b in range(r)]
+        q = [[side.anchor[beta][gamma].partial(x) for x in names] for gamma in range(n)]
+        anchor_ders.append(Derivation(field, m))
+        core_ders.append(Derivation(field, q))
+    core_anchor = [[side.anchor[a][gamma].scale(-sign) for a in range(r)] for gamma in range(n)]
+    twist = {
+        (b1, b2): [[side.structure[b1][b2][a].partial(x).scale(sign) for x in names] for a in range(r)]
+        for b1, b2 in itertools.combinations(range(r), 2)
+    }
+    return LAVBundle(side, bundle_frames, core_frames, anchor_ders, core_ders, core_anchor, twist)
 
 
 def build_cotangent_double(L: LieAlgebroid, Lstar: LieAlgebroid) -> DoubleLieAlgebroid:
@@ -694,49 +604,22 @@ def build_cotangent_double(L: LieAlgebroid, Lstar: LieAlgebroid) -> DoubleLieAlg
     structure that Lstar induces on the bundle of L.  Horizontal structure:
     the cotangent algebroid of the Poisson structure L induces on the dual,
     carried over by the canonical map (which fixes both sides and negates
-    the cotangent-of-base core).  Validity is decided by `check_double`;
-    by the duality criterion it passes exactly when (L, Lstar) is a dual
-    pair in the bialgebroid sense.
+    the cotangent-of-base core).  Both are written down in closed form from
+    the anchors and structure functions; the linear Poisson structures are
+    Poisson because both inputs are valid algebroids.  Validity of the
+    double is decided by `check_double`; by the duality criterion it passes
+    exactly when (L, Lstar) is a dual pair in the bialgebroid sense.
     """
     require_valid(L, "primary algebroid")
     require_valid(Lstar, "dual algebroid")
     if L.chart != Lstar.chart or L.rank != Lstar.rank:
         raise DoubleMismatch("inputs are not structures on a dual pair of bundles")
-    base = L.chart
-    n, r = base.dim, L.rank
     core_frames = unique_names(
-        [f"d{name}" for name in base.names],
-        L.frames + Lstar.frames + base.names,
+        [f"d{name}" for name in L.chart.names],
+        L.frames + Lstar.frames + L.chart.names,
     )
-
-    vertical_total = cotangent_algebroid(dual_poisson(Lstar))
-    vert = lavb_from_total(
-        vertical_total,
-        side=Lstar,
-        bundle_frames=L.frames,
-        core_frames=core_frames,
-        linear_positions=list(range(n, n + r)),
-        core_positions=list(range(n)),
-        fibre_names=[fibre_coordinate(f) for f in Lstar.frames],
-    )
-
-    horizontal_total = cotangent_algebroid(dual_poisson(L))
-    size = n + r
-    sign = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(n):
-        sign[i][i] = Fraction(-1)
-    for a in range(r):
-        sign[n + a][n + a] = Fraction(1)
-    transported = change_frames(horizontal_total, sign, horizontal_total.frames)
-    hor = lavb_from_total(
-        transported,
-        side=L,
-        bundle_frames=Lstar.frames,
-        core_frames=core_frames,
-        linear_positions=list(range(n, n + r)),
-        core_positions=list(range(n)),
-        fibre_names=[fibre_coordinate(f) for f in L.frames],
-    )
+    vert = _cotangent_lavb(Lstar, L.frames, core_frames, 1)
+    hor = _cotangent_lavb(L, Lstar.frames, core_frames, -1)
     return DoubleLieAlgebroid(vert, hor)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+from . import linalg
 from .exact import Chart, rat
 
 Vec = Tuple[Fraction, ...]
@@ -211,6 +212,21 @@ def pair(phi: DualDVBElement, psi: DualDVBElement, core_choice: Sequence | None 
     core = _vec(core_choice) if core_choice is not None else _zero(rc)
     d = DVBElement(phi.dvb, phi.point, phi.side, psi.side, core)
     return evaluate(phi, d) - evaluate(psi, d)
+
+
+def pairing_rank(dvb: DecomposedDVB) -> int:
+    """Exact rank of the pairing of the two duals over C* on one fibre.
+
+    Both duals are spanned at the origin with kappa = 0 by the unit vectors
+    of their (side, covector) parts; the pairing is nondegenerate exactly
+    when the Gram matrix of these bases has rank ra + rb.
+    """
+    ra, rb, rc = dvb.ranks
+    point, kappa = _zero(dvb.chart.dim), _zero(rc)
+    units = [tuple(Fraction(int(j == i)) for j in range(ra + rb)) for i in range(ra + rb)]
+    duals_a = [dvb.dual_a(point, v[:ra], v[ra:], kappa) for v in units]
+    duals_b = [dvb.dual_b(point, v[:rb], v[rb:], kappa) for v in units]
+    return linalg.rank([[pair(phi, psi) for psi in duals_b] for phi in duals_a])
 
 
 def z_iso(element: DualDVBElement, which: str) -> DualDVBElement:

@@ -170,18 +170,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        i = self.chart.index(name)
-        if not self.terms:
-            return -1
-        return max(e[i] for e, _ in self.terms)
-
     # --- calculus -----------------------------------------------------
 
     def partial(self, name: str) -> "Polynomial":
@@ -293,12 +281,6 @@ class Polynomial:
             new = list(exp)
             new[i] = 0
             acc[tuple(new)] = coeff
-        return Polynomial(self.chart, acc)
-
-    def constant_part_in(self, names: Iterable[str]) -> "Polynomial":
-        """Terms of degree 0 in every coordinate of `names`."""
-        idx = [self.chart.index(n) for n in names]
-        acc = {e: c for e, c in self.terms if all(e[i] == 0 for i in idx)}
         return Polynomial(self.chart, acc)
 
     # --- printing -------------------------------------------------------

@@ -79,9 +79,6 @@ class LieAlgebra:
             raise ValueError("basis names must be distinct and match dim")
         object.__setattr__(self, "basis_names", names)
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.constants[i][j]
-
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         out = _zero_vector(self.dim)
         for i, ci in enumerate(u):

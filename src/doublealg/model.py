@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import Derivation, LieAlgebroid, VectorField
 from .doublela import DoubleLieAlgebroid
+from .dvb import DecomposedDVB
 from .exact import Chart, Polynomial
 from .lavb import LAVBundle
 from .liealg import Bialgebra, Cobracket, LieAlgebra
@@ -122,7 +123,7 @@ class ModelFile:
     bialgebras: Dict[str, Bialgebra]
     algebroids: Dict[str, LieAlgebroid]
     dual_pairs: Dict[str, str]  # algebroid name -> name of the algebroid it is dual to
-    dvbs: Dict[str, Tuple[Chart, Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]]
+    dvbs: Dict[str, DecomposedDVB]
     lavbs: Dict[str, LAVBundle]
     matched_pairs: Dict[str, MatchedPair]
     doubles: Dict[str, DoubleLieAlgebroid]
@@ -217,7 +218,7 @@ def parse_model(text: str) -> ModelFile:
     bialgebras: Dict[str, Bialgebra] = {}
     algebroids: Dict[str, LieAlgebroid] = {}
     dual_pairs: Dict[str, str] = {}
-    dvbs: Dict[str, Tuple[Chart, Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {}
+    dvbs: Dict[str, DecomposedDVB] = {}
     lavbs: Dict[str, LAVBundle] = {}
     matched_pairs: Dict[str, MatchedPair] = {}
     doubles: Dict[str, DoubleLieAlgebroid] = {}
@@ -388,14 +389,17 @@ def parse_model(text: str) -> ModelFile:
                             f"need frames_{side} or a ranks entry for {side}", block.line
                         )
                     triples.append(names)
-                dvbs[block.name] = (chart, triples[0], triples[1], triples[2])
+                dvbs[block.name] = DecomposedDVB(chart, *triples)
 
             elif block.kind == "lavb":
                 block.known_keys(["dvb", "side", "lambda", "q", "del", "twist"])
                 dvb_name, line = block.single("dvb", required=True)
                 if dvb_name not in dvbs:
                     raise ModelError(f"unresolved dvb reference {dvb_name!r}", line)
-                chart, frames_a, frames_b, frames_c = dvbs[dvb_name]
+                shape = dvbs[dvb_name]
+                chart, frames_a, frames_b, frames_c = (
+                    shape.chart, shape.frames_a, shape.frames_b, shape.frames_c
+                )
                 side_name, line = block.single("side", required=True)
                 if side_name not in algebroids:
                     raise ModelError(f"unresolved algebroid reference {side_name!r}", line)

@@ -3,7 +3,10 @@ decides the bialgebroid condition exactly as `check_bialgebroid` does.
 
 `check_double` skips the two algebroid axiom checks of the induced dual
 pair, since `check_lavb` has already decided them; the full
-`check_bialgebroid` on the same pair stays here as the oracle.
+`check_bialgebroid` on the same pair stays here as the oracle.  Likewise
+`build_cotangent_double` writes both LA-vector bundles down in closed form;
+the cotangent algebroids of the two linear Poisson structures, which prove
+[pi, pi] = 0 with the Schouten bracket, stay here as their oracle.
 """
 
 import contextlib
@@ -19,9 +22,11 @@ from doublealg import algebroid, catalog, cli, doublela, lavb
 from doublealg.algebroid import (
     LieAlgebroid,
     PoissonChart,
+    bialgebra_to_dual_pair,
     change_frames,
     check_bialgebroid,
     cotangent_algebroid,
+    dual_poisson,
     tangent_algebroid,
 )
 from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
@@ -145,12 +150,11 @@ COUNTED = (
 )
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Count calls of the derivations wherever a package module binds them."""
+def count_calls(monkeypatch, targets):
+    """Count calls of the functions `targets` wherever a package module binds them."""
     counts = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("doublealg.")]
-    for owner, name in COUNTED:
+    for owner, name in targets:
         fn = getattr(owner, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -163,6 +167,11 @@ def calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    return count_calls(monkeypatch, COUNTED)
+
+
 def test_check_double_cli_computes_each_derivation_once(calls):
     with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
         assert cli.main(["check", "double", str(MODELS / "t2m_double.pass")]) == 0
@@ -173,3 +182,79 @@ def test_check_double_cli_computes_each_derivation_once(calls):
         "core_poisson": 1,
         "check_algebroid": 7,
     }
+
+
+# --- the closed-form cotangent double against the cotangent algebroids
+
+
+def assert_is_cotangent_algebroid(v, sign):
+    """`v.total` is the cotangent algebroid of the linear Poisson structure
+    `v.side` induces on its dual: rename xi_<side frame> to u_<bundle frame>,
+    move the linear frames d(xi) in front of the core frames d(x), and scale
+    each core frame by `sign`."""
+    expected = cotangent_algebroid(dual_poisson(v.side))
+    total = v.total
+    n, r = v.chart.dim, v.side.rank
+    mapping = dict(zip(expected.chart.names[n:], total.chart.names[n:]))
+    order = list(range(n, n + r)) + list(range(n))
+    scale = [1] * r + [sign] * n
+
+    def moved(p, s):
+        return p.rename(total.chart, mapping).scale(s)
+
+    assert total.chart.names[:n] == expected.chart.names[:n]
+    assert total.anchor == tuple(
+        tuple(moved(p, scale[i]) for p in expected.anchor[order[i]]) for i in range(n + r)
+    )
+    assert total.structure == tuple(
+        tuple(
+            tuple(
+                moved(expected.structure[order[i]][order[j]][order[k]], scale[i] * scale[j] * scale[k])
+                for k in range(n + r)
+            )
+            for j in range(n + r)
+        )
+        for i in range(n + r)
+    )
+    # `total` does not carry the base fields of the core derivations
+    assert check_lavb(v).ok
+
+
+SO3_POISSON = dual_poisson(catalog.broken_dual_pair_so3()[0])  # Lie-Poisson on so(3)*
+
+ORACLE_PAIRS = [
+    ("tangent_cotangent_pair", catalog.tangent_cotangent_pair()),
+    ("broken_dual_pair_point", catalog.broken_dual_pair_point()),
+    ("broken_dual_pair_chart", catalog.broken_dual_pair_chart()),
+    ("broken_dual_pair_so3", catalog.broken_dual_pair_so3()),
+    ("solvable2", bialgebra_to_dual_pair(catalog.solvable2_bialgebra())),
+    ("so3_lie_poisson", (tangent_algebroid(SO3_POISSON.chart), cotangent_algebroid(SO3_POISSON))),
+]
+
+
+def assert_cotangent_double_oracle(L, Lstar):
+    dla = build_cotangent_double(L, Lstar)
+    assert_is_cotangent_algebroid(dla.vertical, 1)
+    # the canonical map negates the cotangent-of-base core
+    assert_is_cotangent_algebroid(dla.horizontal, -1)
+
+
+@pytest.mark.parametrize("pair", [p for _, p in ORACLE_PAIRS], ids=[n for n, _ in ORACLE_PAIRS])
+def test_cotangent_double_matches_cotangent_algebroids(pair):
+    assert_cotangent_double_oracle(*pair)
+
+
+@given(dual_pairs)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_cotangent_double_matches_cotangent_algebroids_on_random_pairs(pair):
+    assert_cotangent_double_oracle(*pair)
+
+
+def test_cotangent_double_build_proves_no_poisson_identity(monkeypatch):
+    pair = catalog.tangent_cotangent_pair()
+    counts = count_calls(
+        monkeypatch,
+        ((algebroid, "schouten"), (algebroid, "dual_poisson"), (algebroid, "cotangent_algebroid")),
+    )
+    build_cotangent_double(*pair)
+    assert counts == Counter()

@@ -17,6 +17,7 @@ from doublealg.dvb import (
     dual_add,
     evaluate,
     pair,
+    pairing_rank,
     r_map,
     tangent_dvb,
     tangent_pairing,
@@ -151,6 +152,13 @@ class TestPairing:
                     row.append(pair(phi, psi))
                 matrix.append(row)
             assert linalg.is_invertible(matrix)
+
+
+    def test_pairing_rank_is_full(self):
+        assert pairing_rank(D) == 3
+        assert pairing_rank(tangent_dvb(Chart(["x", "y"]), ["e1"])) == 3
+        assert pairing_rank(cotangent_dvb(CH, ["e1", "e2"])) == 4
+        assert pairing_rank(DecomposedDVB(CH, (), (), ("c1",))) == 0
 
 
 class TestZIso:

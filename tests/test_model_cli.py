@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from doublealg import dvb
 from doublealg.cli import main, run
 from doublealg.model import ModelError, parse_model
 from doublealg.report import Report, ResultEntry, emit_report
@@ -245,6 +246,34 @@ class TestEnvironmentKnobs:
         assert captured.err == (
             "doublealg: error: DOUBLEALG_MAX_DEGREE must be a non-negative integer\n"
         )
+
+
+    @pytest.mark.parametrize("value", ["1001", "100000000"])
+    def test_max_degree_above_cap_is_a_usage_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("DOUBLEALG_MAX_DEGREE", value)
+        code = main(["check", "bialgebroid", str(MODELS / "tangent_cotangent_pair.pass")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "doublealg: error: DOUBLEALG_MAX_DEGREE must be at most 1000\n"
+
+
+class TestDualizeDvb:
+    def test_repeated_frame_names_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "m.model"
+        path.write_text("[dvb D]\nbase = [x]\nframes_A = [a]\nframes_B = [a]\nframes_C = [c]\n")
+        code = main(["dualize", "dvb", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "side and core frame names must be distinct" in captured.err
+
+    def test_degenerate_pairing_fails_with_its_rank(self, monkeypatch, capsys):
+        monkeypatch.setattr(dvb, "pairing_rank", lambda shape: 2)
+        code = main(["dualize", "dvb", str(MODELS / "dvb_shape.pass")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "pairing of the two duals over C* has rank 2, expected 3" in captured.out
 
 
 class TestVerbCoverage:

@@ -2,14 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .exact import Chart, Polynomial, poly_arith, partial, rat, format_rat  # noqa: F401
+from .exact import Chart, Polynomial, rat, format_rat  # noqa: F401
 from .verdicts import CheckItem, CheckReport  # noqa: F401
 
 __all__ = [
     "Chart",
     "Polynomial",
-    "poly_arith",
-    "partial",
     "rat",
     "format_rat",
     "CheckItem",

@@ -13,6 +13,7 @@ components indexed by strictly increasing frame multi-indices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -212,9 +213,6 @@ class Multisection:
             atom = " ^ ".join(frame_names[i] for i in idx) if idx else "1"
             pieces.append(f"({poly}) {atom}" if idx else f"({poly})")
         return " + ".join(pieces)
-
-
-Form = Multisection  # forms use the same sparse exterior representation
 
 
 def _permutation_sign(idx: Sequence[int]) -> int:
@@ -712,88 +710,92 @@ def check_compatibility(
     whose two algebroid axiom checks are already decided.
 
     d_* is the differential of Lstar acting on multisections of L (same
-    sparse data).  Checked on frame pairs, coordinate-scaled pairs, the
-    function-level instances of the graded identity (which settle the
-    condition for all polynomial sections), and seeded random section pairs
-    of bounded degree.
+    sparse data).  Every family reads one defect
+    D(X, Y) = d_*[X, Y] - [d_*X, Y] - [X, d_*Y], where Y is a section or a
+    function.  `frames` evaluates it on frame pairs and `function_pairs` on
+    (frame, coordinate) pairs; with `symmetric_part` these decide the
+    condition for all polynomial sections.  `scaled` is read off the first
+    two by the Leibniz rule D(X, fY) = f D(X, Y) + D(X, f) ^ Y, an exact
+    identity of the Leibniz rules built into `bracket_sections`,
+    `differential` and `schouten` (Jacobi is not needed).  `random` draws
+    seeded section pairs of bounded degree.  Each family reports its first
+    nonzero defect.
     """
-    items: List[CheckItem] = []
+    rank, frames, names = L.rank, L.frames, L.chart.names
+    coords = [Polynomial.coordinate(L.chart, name) for name in names]
+    functions = [Multisection.function(rank, c) for c in coords]
     d_star = lambda ms: differential(Lstar, ms)
 
     def defect(x: Multisection, y: Multisection) -> Multisection:
-        return (
-            d_star(bracket_sections(L, x, y))
-            - schouten(L, d_star(x), y)
-            - schouten(L, x, d_star(y))
+        return d_star(schouten(L, x, y)) - schouten(L, d_star(x), y) - schouten(L, x, d_star(y))
+
+    @functools.cache
+    def frame_defect(a: int, b: int) -> Multisection:
+        if a == b:
+            return Multisection.zero(rank, 2)
+        if a > b:
+            return frame_defect(b, a).scale(-1)
+        return defect(L.frame_section(a), L.frame_section(b))
+
+    @functools.cache
+    def function_defect(a: int, i: int) -> Multisection:
+        return defect(L.frame_section(a), functions[i])
+
+    def scaled_defect(a: int, b: int, i: int) -> Multisection:
+        return frame_defect(a, b).scale_by(coords[i]) + function_defect(a, i).wedge(
+            L.frame_section(b)
         )
 
-    witness = None
-    for a, b in itertools.combinations(range(L.rank), 2):
-        d = defect(L.frame_section(a), L.frame_section(b))
-        if not d.is_zero:
-            witness = f"pair ({L.frames[a]}, {L.frames[b]}): defect = {d.format(L.frames)}"
-            break
-    items.append(failed("frames", witness) if witness else passed("frames"))
+    def random_defects():
+        rng = random.Random(seed)
+        for trial in range(random_pairs):
+            x = random_section(rng, L, max_degree)
+            y = random_section(rng, L, max_degree)
+            where = f"random trial {trial}: X = {x.format(frames)}, Y = {y.format(frames)}, "
+            yield where, defect(x, y)
 
-    witness = None
-    for a in range(L.rank):
-        if witness:
-            break
-        for b in range(L.rank):
-            if witness:
-                break
-            for name in L.chart.names:
-                y = L.frame_section(b).scale_by(Polynomial.coordinate(L.chart, name))
-                d = defect(L.frame_section(a), y)
-                if not d.is_zero:
-                    witness = (
-                        f"pair ({L.frames[a]}, {name} * {L.frames[b]}): "
-                        f"defect = {d.format(L.frames)}"
-                    )
-                    break
-    items.append(failed("scaled", witness) if witness else passed("scaled"))
-
-    # Function-level instances: d_*(a(X) f) = [d_*X, f] + [X, d_*f] and the
-    # symmetric part a(d_*f)(g) + a(d_*g)(f) = 0.  Together with the frame
-    # checks these decide the identity for arbitrary polynomial sections.
-    witness = None
-    for a in range(L.rank):
-        if witness:
-            break
-        for name in L.chart.names:
-            f = Multisection.function(L.rank, Polynomial.coordinate(L.chart, name))
-            x = L.frame_section(a)
-            d = d_star(schouten(L, x, f)) - schouten(L, d_star(x), f) - schouten(L, x, d_star(f))
+    def first_nonzero(check_id: str, cases) -> CheckItem:
+        for where, d in cases:
             if not d.is_zero:
-                witness = f"pair ({L.frames[a]}, {name}): defect = {d.format(L.frames)}"
-                break
-    items.append(failed("function_pairs", witness) if witness else passed("function_pairs"))
+                return failed(check_id, f"{where}defect = {d.format(frames)}")
+        return passed(check_id)
 
+    items = [
+        first_nonzero(
+            "frames",
+            (
+                (f"pair ({frames[a]}, {frames[b]}): ", frame_defect(a, b))
+                for a, b in itertools.combinations(range(rank), 2)
+            ),
+        ),
+        first_nonzero(
+            "scaled",
+            (
+                (f"pair ({frames[a]}, {names[i]} * {frames[b]}): ", scaled_defect(a, b, i))
+                for a, b in itertools.product(range(rank), repeat=2)
+                for i in range(len(names))
+            ),
+        ),
+        first_nonzero(
+            "function_pairs",
+            (
+                (f"pair ({frames[a]}, {names[i]}): ", function_defect(a, i))
+                for a in range(rank)
+                for i in range(len(names))
+            ),
+        ),
+    ]
+
+    # the symmetric part a(d_*f)(g) + a(d_*g)(f) = 0 on coordinate functions
+    flow = functools.cache(lambda i: L.anchor_of(d_star(functions[i])))
     witness = None
-    for ni, nj in itertools.combinations_with_replacement(L.chart.names, 2):
-        f = Multisection.function(L.rank, Polynomial.coordinate(L.chart, ni))
-        g = Multisection.function(L.rank, Polynomial.coordinate(L.chart, nj))
-        value = L.anchor_of(d_star(f)).apply(Polynomial.coordinate(L.chart, nj)) + L.anchor_of(
-            d_star(g)
-        ).apply(Polynomial.coordinate(L.chart, ni))
+    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+        value = flow(i).apply(coords[j]) + flow(j).apply(coords[i])
         if value:
-            witness = f"functions ({ni}, {nj}): a(d_*f)(g) + a(d_*g)(f) = {value}"
+            witness = f"functions ({names[i]}, {names[j]}): a(d_*f)(g) + a(d_*g)(f) = {value}"
             break
     items.append(failed("symmetric_part", witness) if witness else passed("symmetric_part"))
-
-    rng = random.Random(seed)
-    witness = None
-    for trial in range(random_pairs):
-        x = random_section(rng, L, max_degree)
-        y = random_section(rng, L, max_degree)
-        d = defect(x, y)
-        if not d.is_zero:
-            witness = (
-                f"random trial {trial}: X = {x.format(L.frames)}, "
-                f"Y = {y.format(L.frames)}, defect = {d.format(L.frames)}"
-            )
-            break
-    items.append(failed("random", witness) if witness else passed("random"))
+    items.append(first_nonzero("random", random_defects()))
     return CheckReport(tuple(items))
 
 

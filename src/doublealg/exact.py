@@ -184,45 +184,6 @@ class Polynomial:
             acc[tuple(new)] = coeff * exp[i]
         return Polynomial(self.chart, acc)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != self.chart.dim:
-            raise ValueError("point dimension does not match chart")
-        total = ZERO
-        for exp, coeff in self.terms:
-            term = coeff
-            for value, power in zip(point, exp):
-                for _ in range(power):
-                    term *= value
-            total += term
-        return total
-
-    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Substitute coordinates by polynomials (all on one target chart).
-
-        Coordinates absent from `images` must exist on the target chart and
-        map to themselves.
-        """
-        if not images:
-            return self
-        target = next(iter(images.values())).chart
-        lookup = []
-        for name in self.chart.names:
-            if name in images:
-                img = images[name]
-                if img.chart != target:
-                    raise ChartMismatch("substitution images on mixed charts")
-                lookup.append(img)
-            else:
-                lookup.append(Polynomial.coordinate(target, name))
-        result = Polynomial.zero(target)
-        for exp, coeff in self.terms:
-            term = Polynomial.constant(target, coeff)
-            for img, power in zip(lookup, exp):
-                for _ in range(power):
-                    term = term * img
-            result = result + term
-        return result
-
     def restrict(self, target: Chart) -> "Polynomial":
         """Project onto a subchart; raises if a dropped coordinate occurs."""
         keep = {name: target.index(name) for name in self.chart.names if name in set(target.names)}
@@ -325,15 +286,3 @@ def signed_sum(terms: Iterable[Tuple[Fraction, Sequence[str]]]) -> str:
             out.append(body if coeff > 0 else f"-{body}")
     return "".join(out) or "0"
 
-
-def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    """Ring operation dispatch: op in {'add', 'mul'}."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
-def partial(p: Polynomial, coord: str) -> Polynomial:
-    return p.partial(coord)

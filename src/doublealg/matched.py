@@ -108,6 +108,40 @@ class MatchedPair:
         return self.algebroid_a.chart
 
 
+def _derivation_identity(
+    acting: LieAlgebroid,
+    target: LieAlgebroid,
+    act: RepresentationMap,
+    back: RepresentationMap,
+    number: int,
+) -> CheckItem:
+    """Identity 1 (acting A, act rho, back sigma) or its mirror 2, on frames:
+    act_X([Y1, Y2]) = [act_X Y1, Y2] + [Y1, act_X Y2]
+                      + act_{back_{Y2} X}(Y1) - act_{back_{Y1} X}(Y2).
+    """
+    chart = target.chart
+    for alpha in range(acting.rank):
+        x = acting.frame_section(alpha).vector(chart)
+        for t1, t2 in itertools.combinations(range(target.rank), 2):
+            y1, y2 = target.frame_section(t1), target.frame_section(t2)
+            v1, v2 = y1.vector(chart), y2.vector(chart)
+            lhs = act.apply(alpha, target.frame_bracket(t1, t2).vector(chart))
+            rhs = bracket_sections(target, target.section(act.apply(alpha, v1)), y2)
+            rhs = rhs + bracket_sections(target, y1, target.section(act.apply(alpha, v2)))
+            back_2 = act.of_section(acting, acting.section(back.apply(t2, x)))
+            back_1 = act.of_section(acting, acting.section(back.apply(t1, x)))
+            rhs = rhs + target.section(back_2.apply(v1))
+            rhs = rhs - target.section(back_1.apply(v2))
+            defect = target.section(lhs) - rhs
+            if not defect.is_zero:
+                return failed(
+                    f"identity_{number}",
+                    f"identity {number} at ({acting.frames[alpha]}; {target.frames[t1]}, "
+                    f"{target.frames[t2]}): defect = {defect.format(target.frames)}",
+                )
+    return passed(f"identity_{number}")
+
+
 def check_matched(mp: MatchedPair) -> CheckReport:
     """The two mixed derivation identities plus the anchor identity, on frames.
 
@@ -124,68 +158,8 @@ def check_matched(mp: MatchedPair) -> CheckReport:
     if not all(i.ok for i in items):
         return CheckReport(tuple(items))
 
-    def rho_of(section: Multisection) -> Derivation:
-        return mp.rho.of_section(a_alg, section)
-
-    def sigma_of(section: Multisection) -> Derivation:
-        return mp.sigma.of_section(b_alg, section)
-
-    # identity 1: rho_X([Y1, Y2]) = [rho_X Y1, Y2] + [Y1, rho_X Y2]
-    #             + rho_{sigma_{Y2} X}(Y1) - rho_{sigma_{Y1} X}(Y2)
-    witness = None
-    for alpha in range(a_alg.rank):
-        if witness:
-            break
-        for b1, b2 in itertools.combinations(range(b_alg.rank), 2):
-            y1, y2 = b_alg.frame_section(b1), b_alg.frame_section(b2)
-            lhs = mp.rho.apply(alpha, b_alg.frame_bracket(b1, b2).vector(b_alg.chart))
-            rhs = bracket_sections(
-                b_alg, b_alg.section(mp.rho.apply(alpha, y1.vector(b_alg.chart))), y2
-            )
-            rhs = rhs + bracket_sections(
-                b_alg, y1, b_alg.section(mp.rho.apply(alpha, y2.vector(b_alg.chart)))
-            )
-            x = a_alg.frame_section(alpha)
-            sig2_x = a_alg.section(mp.sigma.apply(b2, x.vector(a_alg.chart)))
-            sig1_x = a_alg.section(mp.sigma.apply(b1, x.vector(a_alg.chart)))
-            rhs = rhs + b_alg.section(rho_of(sig2_x).apply(y1.vector(b_alg.chart)))
-            rhs = rhs - b_alg.section(rho_of(sig1_x).apply(y2.vector(b_alg.chart)))
-            defect = b_alg.section(lhs) - rhs
-            if not defect.is_zero:
-                witness = (
-                    f"identity 1 at ({a_alg.frames[alpha]}; {b_alg.frames[b1]}, "
-                    f"{b_alg.frames[b2]}): defect = {defect.format(b_alg.frames)}"
-                )
-                break
-    items.append(failed("identity_1", witness) if witness else passed("identity_1"))
-
-    # identity 2: the sigma mirror
-    witness = None
-    for beta in range(b_alg.rank):
-        if witness:
-            break
-        for a1, a2 in itertools.combinations(range(a_alg.rank), 2):
-            x1, x2 = a_alg.frame_section(a1), a_alg.frame_section(a2)
-            lhs = mp.sigma.apply(beta, a_alg.frame_bracket(a1, a2).vector(a_alg.chart))
-            rhs = bracket_sections(
-                a_alg, a_alg.section(mp.sigma.apply(beta, x1.vector(a_alg.chart))), x2
-            )
-            rhs = rhs + bracket_sections(
-                a_alg, x1, a_alg.section(mp.sigma.apply(beta, x2.vector(a_alg.chart)))
-            )
-            y = b_alg.frame_section(beta)
-            rho2_y = b_alg.section(mp.rho.apply(a2, y.vector(b_alg.chart)))
-            rho1_y = b_alg.section(mp.rho.apply(a1, y.vector(b_alg.chart)))
-            rhs = rhs + a_alg.section(sigma_of(rho2_y).apply(x1.vector(a_alg.chart)))
-            rhs = rhs - a_alg.section(sigma_of(rho1_y).apply(x2.vector(a_alg.chart)))
-            defect = a_alg.section(lhs) - rhs
-            if not defect.is_zero:
-                witness = (
-                    f"identity 2 at ({b_alg.frames[beta]}; {a_alg.frames[a1]}, "
-                    f"{a_alg.frames[a2]}): defect = {defect.format(a_alg.frames)}"
-                )
-                break
-    items.append(failed("identity_2", witness) if witness else passed("identity_2"))
+    items.append(_derivation_identity(a_alg, b_alg, mp.rho, mp.sigma, 1))
+    items.append(_derivation_identity(b_alg, a_alg, mp.sigma, mp.rho, 2))
 
     # identity 3: a(sigma_Y X) - b(rho_X Y) = [b(Y), a(X)]
     witness = None

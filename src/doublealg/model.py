@@ -83,10 +83,19 @@ _BLOCK_TYPES = (
 )
 
 
+# Largest dimension or rank a model file may give as a number.
+MAX_COUNT = 64
+
+
 class ModelError(ValueError):
     def __init__(self, message: str, line: int = 0):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
+
+
+def _check_count(label: str, value: int, line: int) -> None:
+    if not 0 <= value <= MAX_COUNT:
+        raise ModelError(f"{label} must be between 0 and {MAX_COUNT}, got {value}", line)
 
 
 @dataclass
@@ -245,6 +254,7 @@ def parse_model(text: str) -> ModelFile:
                     dim = int(dim_text)
                 except ValueError:
                     raise ModelError(f"dim must be an integer, got {dim_text!r}", dim_line)
+                _check_count("dim", dim, dim_line)
                 basis_entry = block.single("basis")
                 names = (
                     _parse_name_list(*basis_entry)
@@ -371,6 +381,7 @@ def parse_model(text: str) -> ModelFile:
                         if key not in defaults:
                             raise ModelError(f"ranks keys are A, B, C; got {key!r}", line)
                         rank_map[key] = int(num)
+                        _check_count(f"ranks[{key}]", rank_map[key], line)
                 for side in ("A", "B", "C"):
                     entry = block.single(f"frames_{side}")
                     if entry:
@@ -502,6 +513,8 @@ def parse_model(text: str) -> ModelFile:
                 rho_ders = [Derivation(a_alg.anchor_field(i), [[Polynomial.zero(a_alg.chart)] * b_alg.rank for _ in range(b_alg.rank)]) for i in range(a_alg.rank)]
                 for args, value, line in block.calls("rho"):
                     which = _split_args(args)
+                    if len(which) != 1:
+                        raise ModelError("rho takes one frame name", line)
                     i = _frame_indices(a_alg.frames, which, line)[0]
                     rho_ders[i] = _parse_derivation_value(
                         value, a_alg.chart, a_alg.anchor_field(i), b_alg.frames, line
@@ -509,6 +522,8 @@ def parse_model(text: str) -> ModelFile:
                 sigma_ders = [Derivation(b_alg.anchor_field(j), [[Polynomial.zero(a_alg.chart)] * a_alg.rank for _ in range(a_alg.rank)]) for j in range(b_alg.rank)]
                 for args, value, line in block.calls("sigma"):
                     which = _split_args(args)
+                    if len(which) != 1:
+                        raise ModelError("sigma takes one frame name", line)
                     j = _frame_indices(b_alg.frames, which, line)[0]
                     sigma_ders[j] = _parse_derivation_value(
                         value, b_alg.chart, b_alg.anchor_field(j), a_alg.frames, line

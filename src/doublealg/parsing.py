@@ -85,6 +85,8 @@ def _parse_rational(tokens: Tokens) -> Fraction:
         kind, den, pos = tokens.next()
         if kind != "int":
             raise ParseError(f"expected denominator, got {den!r}", pos)
+        if int(den) == 0:
+            raise ParseError("zero denominator", pos)
         return Fraction(num, int(den))
     return Fraction(num)
 

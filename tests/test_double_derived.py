@@ -6,12 +6,16 @@ pair, since `check_lavb` has already decided them; the full
 `check_bialgebroid` on the same pair stays here as the oracle.  Likewise
 `build_cotangent_double` writes both LA-vector bundles down in closed form;
 the cotangent algebroids of the two linear Poisson structures, which prove
-[pi, pi] = 0 with the Schouten bracket, stay here as their oracle.
+[pi, pi] = 0 with the Schouten bracket, stay here as their oracle.  The
+`scaled` family of `check_compatibility` is read off the frame and function
+defects by the Leibniz rule; the loop that computes every scaled defect in
+full stays here as its oracle.
 """
 
 import contextlib
 import io
 import pathlib
+import random
 import sys
 from collections import Counter
 
@@ -23,14 +27,20 @@ from doublealg.algebroid import (
     LieAlgebroid,
     PoissonChart,
     bialgebra_to_dual_pair,
+    bracket_sections,
     change_frames,
     check_bialgebroid,
+    check_compatibility,
     cotangent_algebroid,
+    differential,
     dual_poisson,
+    random_polynomial,
+    schouten,
     tangent_algebroid,
 )
 from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial
+from doublealg.verdicts import failed, passed
 from doublealg.lavb import check_lavb
 from doublealg.model import parse_model
 
@@ -258,3 +268,100 @@ def test_cotangent_double_build_proves_no_poisson_identity(monkeypatch):
     )
     build_cotangent_double(*pair)
     assert counts == Counter()
+
+
+# --- the scaled family against the full defect on every scaled frame pair
+
+
+def brute_scaled(L, Lstar):
+    """The `scaled` item computed in full: the defect
+    d_*[X, Y] - [d_*X, Y] - [X, d_*Y] on X = e_a, Y = x_i e_b for every a, b
+    and coordinate x_i, first failure reported."""
+
+    def defect(x, y):
+        d_star = lambda ms: differential(Lstar, ms)
+        return (
+            d_star(bracket_sections(L, x, y))
+            - schouten(L, d_star(x), y)
+            - schouten(L, x, d_star(y))
+        )
+
+    for a in range(L.rank):
+        for b in range(L.rank):
+            for name in L.chart.names:
+                y = L.frame_section(b).scale_by(Polynomial.coordinate(L.chart, name))
+                d = defect(L.frame_section(a), y)
+                if not d.is_zero:
+                    return failed(
+                        "scaled",
+                        f"pair ({L.frames[a]}, {name} * {L.frames[b]}): "
+                        f"defect = {d.format(L.frames)}",
+                    )
+    return passed("scaled")
+
+
+def assert_scaled_matches_oracle(L, Lstar):
+    """Compare the `scaled` item with the oracle and return its verdict."""
+    (item,) = (i for i in check_compatibility(L, Lstar).items if i.check_id == "scaled")
+    assert item == brute_scaled(L, Lstar)
+    return item.ok
+
+
+def corpus_dual_pairs():
+    """The dual pair of every corpus double whose LA-vector bundles pass,
+    both ways round."""
+    out = []
+    for name, dla in CORPUS:
+        if check_lavb(dla.vertical).ok and check_lavb(dla.horizontal).ok:
+            L, Lstar = dla.dual_pair
+            out += [(name, (L, Lstar)), (f"{name}:reversed", (Lstar, L))]
+    return out
+
+
+SCALED_PAIRS = corpus_dual_pairs() + [ORACLE_PAIRS[-1]]
+
+
+@pytest.mark.parametrize("pair", [p for _, p in SCALED_PAIRS], ids=[n for n, _ in SCALED_PAIRS])
+def test_scaled_matches_full_defects(pair):
+    assert_scaled_matches_oracle(*pair)
+
+
+def test_scaled_corpus_has_passing_and_failing_items():
+    verdicts = Counter(assert_scaled_matches_oracle(*p) for _, p in SCALED_PAIRS)
+    assert verdicts[True] >= 3 and verdicts[False] >= 3
+
+
+@given(dual_pairs)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_scaled_matches_full_defects_on_random_pairs(pair):
+    assert_scaled_matches_oracle(*pair)
+    assert_scaled_matches_oracle(*reversed(pair))
+
+
+def random_bracket(rng, frames):
+    """A rank-3 bundle on (x, y) with random anchor and bracket; Jacobi and
+    the anchor morphism generally fail."""
+    anchor = [[random_polynomial(rng, XY, 1) for _ in range(2)] for _ in range(3)]
+    brackets = {
+        (a, b): tuple(random_polynomial(rng, XY, 1) for _ in range(3))
+        for a in range(3)
+        for b in range(a + 1, 3)
+    }
+    return LieAlgebroid(XY, frames, anchor, brackets)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scaled_matches_full_defects_without_jacobi(seed):
+    rng = random.Random(seed)
+    L, Lstar = random_bracket(rng, ("e1", "e2", "e3")), random_bracket(rng, ("f1", "f2", "f3"))
+    assert not algebroid.check_algebroid(L).ok
+    assert_scaled_matches_oracle(L, Lstar)
+
+
+def test_scaled_computes_no_defect_of_its_own(monkeypatch):
+    counts = count_calls(monkeypatch, ((algebroid, "differential"),))
+    assert check_bialgebroid(*catalog.tangent_cotangent_pair()).ok
+    # 1 frame, 4 function and 4 random defects at three d_* each, plus one
+    # per coordinate in symmetric_part: 29; computing the 8 scaled defects
+    # in full would add 24
+    assert counts["differential"] <= 33

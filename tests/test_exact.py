@@ -12,7 +12,6 @@ from doublealg.exact import (
     Polynomial,
     UnknownCoordinate,
     monomial_atoms,
-    poly_arith,
     signed_sum,
 )
 from doublealg.parsing import ParseError, parse_polynomial
@@ -74,13 +73,6 @@ class TestRing:
         assert p + q == q + p
         assert p * q == q * p
 
-    def test_poly_arith_dispatch(self):
-        p, q = P("x"), P("y")
-        assert poly_arith(p, q, "add") == P("x + y")
-        assert poly_arith(p, q, "mul") == P("x * y")
-        with pytest.raises(ValueError):
-            poly_arith(p, q, "sub")
-
     def test_chart_mismatch_rejected(self):
         with pytest.raises(ChartMismatch):
             P("x") + parse_polynomial("x", Chart(["x"]))
@@ -123,10 +115,6 @@ class TestChartAndValues:
         with pytest.raises(ValueError):
             Chart(["x", "x"])
 
-    def test_evaluate(self):
-        p = P("x^2 + y - 1/2")
-        assert p.evaluate([Fraction(2), Fraction(1, 3)]) == Fraction(4) + Fraction(1, 3) - Fraction(1, 2)
-
     def test_lift_restrict_roundtrip(self):
         big = Chart(["x", "y", "z"])
         p = P("x * y + 2")
@@ -134,13 +122,6 @@ class TestChartAndValues:
         assert lifted.restrict(XY) == p
         with pytest.raises(ValueError):
             parse_polynomial("z", big).restrict(XY)
-
-    def test_substitute(self):
-        target = Chart(["u", "v"])
-        image = parse_polynomial("u + v", target)
-        p = P("x^2 + y")
-        got = p.substitute({"x": image, "y": parse_polynomial("u * v", target)})
-        assert got == parse_polynomial("u^2 + 2 * u * v + v^2 + u * v", target)
 
     def test_coefficient_of(self):
         p = P("2 * x * y + y + 3")

@@ -74,6 +74,13 @@ bracket(e2, e1) = e2
         L = parse_model(text).algebroids["A"]
         assert str(L.structure[0][1][1]) == "-1"
 
+    @pytest.mark.parametrize("call", ["rho()", "sigma(f1, f1)"])
+    def test_representation_takes_one_frame_name(self, call):
+        text = (MODELS / "line_action_matched.pass").read_text()
+        text += f"\n{call} = derivation{{}}\n"
+        with pytest.raises(ModelError, match="takes one frame name"):
+            parse_model(text)
+
     def test_duplicate_block_names_rejected(self):
         with pytest.raises(ModelError, match="duplicate"):
             parse_model("[chart M]\ncoords = []\n[chart M]\ncoords = []\n")
@@ -308,3 +315,39 @@ class TestVerbCoverage:
             text=True,
         )
         assert proc.returncode == expected, proc.stdout + proc.stderr
+
+
+class TestHostileNumbers:
+    """Numbers a model file cannot mean end with exit 2 and a parse error."""
+
+    def run_model(self, tmp_path, capsys, verb, kind, text):
+        path = tmp_path / "m.model"
+        path.write_text(text)
+        code = main([verb, kind, str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_zero_denominator_is_a_parse_error(self, tmp_path, capsys):
+        text = (MODELS / "t2m_double.pass").read_text()
+        text = text.replace("anchor(b1) = d/dx", "anchor(b1) = 1/0 * d/dx")
+        code, err = self.run_model(tmp_path, capsys, "check", "double", text)
+        assert code == 2
+        assert err == "doublealg: parse error: line 11: zero denominator (at column 3)\n"
+
+    def test_negative_rank_is_a_parse_error(self, tmp_path, capsys):
+        text = "[dvb D]\nbase = [x]\nranks = {A: -3, B: 1, C: 1}\n"
+        code, err = self.run_model(tmp_path, capsys, "dualize", "dvb", text)
+        assert code == 2
+        assert err == "doublealg: parse error: line 3: ranks[A] must be between 0 and 64, got -3\n"
+
+    def test_huge_dim_is_a_parse_error(self, tmp_path, capsys):
+        text = "[lie_algebra g]\ndim = 99999999\n"
+        code, err = self.run_model(tmp_path, capsys, "check", "manin", text)
+        assert code == 2
+        assert err == "doublealg: parse error: line 2: dim must be between 0 and 64, got 99999999\n"
+
+    def test_counts_at_the_bound_are_accepted(self):
+        model = parse_model("[lie_algebra g]\ndim = 64\n[dvb D]\nbase = [x]\nranks = {A: 0, B: 64, C: 1}\n")
+        assert model.lie_algebras["g"].dim == 64
+        assert len(model.dvbs["D"].frames_b) == 64

@@ -57,12 +57,23 @@ class VectorField:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "components", components)
 
+    @classmethod
+    def _from_components(cls, chart: Chart, components: Tuple[Polynomial, ...]) -> "VectorField":
+        """Trusted constructor: one component per coordinate, all on `chart`."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "chart", chart)
+        object.__setattr__(field, "components", components)
+        return field
+
     @staticmethod
     def zero(chart: Chart) -> "VectorField":
-        return VectorField(chart, tuple(Polynomial.zero(chart) for _ in chart.names))
+        zero = Polynomial.zero(chart)
+        return VectorField._from_components(chart, (zero,) * chart.dim)
 
     def apply(self, f: Polynomial) -> Polynomial:
         out = Polynomial.zero(self.chart)
+        if not f:
+            return out
         for name, comp in zip(self.chart.names, self.components):
             if comp:
                 out = out + comp * f.partial(name)
@@ -73,16 +84,18 @@ class VectorField:
             self.apply(yc) - other.apply(xc)
             for xc, yc in zip(self.components, other.components)
         )
-        return VectorField(self.chart, comps)
+        return VectorField._from_components(self.chart, comps)
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
+        comps = tuple(a + b for a, b in zip(self.components, other.components))
+        return VectorField._from_components(self.chart, comps)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.chart, tuple(a - b for a, b in zip(self.components, other.components)))
+        comps = tuple(a - b for a, b in zip(self.components, other.components))
+        return VectorField._from_components(self.chart, comps)
 
     def scale_by(self, f: Polynomial) -> "VectorField":
-        return VectorField(self.chart, tuple(f * c for c in self.components))
+        return VectorField._from_components(self.chart, tuple(f * c for c in self.components))
 
     @property
     def is_zero(self) -> bool:
@@ -144,11 +157,12 @@ class Multisection:
     def from_vector(rank: int, comps: Sequence[Polynomial]) -> "Multisection":
         return Multisection(rank, 1, {(i,): p for i, p in enumerate(comps)})
 
+    @functools.cached_property
+    def _table(self) -> Dict[Index, Polynomial]:
+        return dict(self.components)
+
     def component(self, idx: Index) -> Polynomial:
-        table = dict(self.components)
-        if idx in table:
-            return table[idx]
-        raise KeyError(idx)
+        return self._table[idx]
 
     def component_general(self, idx: Index, chart: Chart) -> Polynomial:
         """Antisymmetric lookup: signed component for an arbitrary index tuple."""
@@ -156,8 +170,7 @@ class Multisection:
             return Polynomial.zero(chart)
         order = tuple(sorted(idx))
         sign = _permutation_sign(idx)
-        table = dict(self.components)
-        poly = table.get(order)
+        poly = self._table.get(order)
         if poly is None:
             return Polynomial.zero(chart)
         return poly if sign == 1 else -poly
@@ -165,8 +178,8 @@ class Multisection:
     def vector(self, chart: Chart) -> Tuple[Polynomial, ...]:
         if self.degree != 1:
             raise ValueError("vector() requires degree 1")
-        table = dict(self.components)
-        return tuple(table.get((i,), Polynomial.zero(chart)) for i in range(self.rank))
+        table, zero = self._table, Polynomial.zero(chart)
+        return tuple(table.get((i,), zero) for i in range(self.rank))
 
     def __add__(self, other: "Multisection") -> "Multisection":
         if (self.rank, self.degree) != (other.rank, other.degree):
@@ -370,8 +383,13 @@ class LieAlgebroid:
     def zero_poly(self) -> Polynomial:
         return Polynomial.zero(self.chart)
 
+    @functools.cached_property
+    def anchor_fields(self) -> Tuple[VectorField, ...]:
+        """The anchors a(e_alpha) as vector fields, built once."""
+        return tuple(VectorField(self.chart, row) for row in self.anchor)
+
     def anchor_field(self, alpha: int) -> VectorField:
-        return VectorField(self.chart, self.anchor[alpha])
+        return self.anchor_fields[alpha]
 
     def anchor_of(self, x: Multisection) -> VectorField:
         comps = x.vector(self.chart)

@@ -284,7 +284,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     try:
-        data = open(args.model, "rb").read()
+        with open(args.model, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         sys.stderr.write(f"doublealg: error: {exc}\n")
         return 2

@@ -7,18 +7,23 @@ downstream are exact.
 A polynomial lives on a `Chart` (an ordered tuple of coordinate names, possibly
 empty for a point base) and is stored sparsely:
 
-    terms: Dict[Tuple[int, ...], Fraction]
+    terms: Tuple[Tuple[Tuple[int, ...], Fraction], ...]
 
-mapping an exponent tuple (one entry per chart coordinate) to a nonzero
-coefficient.  The zero polynomial is the empty dict.  Canonical printing
-orders monomials by descending (total degree, exponent tuple), and the text
-grammar round-trips bit-exactly with the parser in `parsing`.
+pairs of an exponent tuple (one entry per chart coordinate) and a nonzero
+coefficient, in canonical order: descending (total degree, exponent tuple).
+The zero polynomial has no terms.  Printing follows the same order, and the
+text grammar round-trips bit-exactly with the parser in `parsing`.
+
+`Polynomial(chart, terms)` validates its input; the kernel's own results
+are built by `Polynomial._from_terms`, which trusts them and only drops
+zero coefficients and sorts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -80,7 +85,6 @@ class Chart:
         return f"Chart({', '.join(self.names)})"
 
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -109,43 +113,59 @@ class Polynomial:
                     raise ValueError(f"negative exponent in {exp}")
                 if coeff != 0:
                     cleaned[tuple(exp)] = coeff
-        ordered = tuple(sorted(cleaned.items(), key=_term_key, reverse=True))
-        object.__setattr__(self, "terms", ordered)
+        object.__setattr__(self, "terms", _canonical(list(cleaned.items())))
+
+    @classmethod
+    def _from_terms(cls, chart: Chart, acc: Mapping[Exponent, Fraction]) -> "Polynomial":
+        """Trusted constructor for results of the operations below.
+
+        `acc` must map exponent tuples of the chart's length with no
+        negative entry to `Fraction`s; only zero coefficients are dropped.
+        Input from outside the kernel goes through `Polynomial(chart, terms)`.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "chart", chart)
+        object.__setattr__(poly, "terms", _canonical([t for t in acc.items() if t[1]]))
+        return poly
 
     # --- constructors -------------------------------------------------
 
     @staticmethod
     def zero(chart: Chart) -> "Polynomial":
-        return Polynomial(chart, {})
+        return Polynomial._from_terms(chart, {})
 
     @staticmethod
     def constant(chart: Chart, value) -> "Polynomial":
         c = rat(value)
         if c == 0:
             return Polynomial.zero(chart)
-        return Polynomial(chart, {(0,) * chart.dim: c})
+        return Polynomial._from_terms(chart, {(0,) * chart.dim: c})
 
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "Polynomial":
         i = chart.index(name)
         exp = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return Polynomial(chart, {exp: ONE})
+        return Polynomial._from_terms(chart, {exp: ONE})
 
     # --- ring structure -----------------------------------------------
 
     def _require_same_chart(self, other: "Polynomial") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch(f"charts differ: {self.chart} vs {other.chart}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_chart(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc: Dict[Exponent, Fraction] = dict(self.terms)
         for exp, coeff in other.terms:
-            acc[exp] = acc.get(exp, ZERO) + coeff
-        return Polynomial(self.chart, acc)
+            acc[exp] = acc[exp] + coeff if exp in acc else coeff
+        return Polynomial._from_terms(self.chart, acc)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.chart, {e: -c for e, c in self.terms})
+        return Polynomial._from_terms(self.chart, {e: -c for e, c in self.terms})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -155,13 +175,13 @@ class Polynomial:
         acc: Dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc[exp] = acc.get(exp, ZERO) + c1 * c2
-        return Polynomial(self.chart, acc)
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = acc[exp] + c1 * c2 if exp in acc else c1 * c2
+        return Polynomial._from_terms(self.chart, acc)
 
     def scale(self, value) -> "Polynomial":
         c = rat(value)
-        return Polynomial(self.chart, {e: c * k for e, k in self.terms})
+        return Polynomial._from_terms(self.chart, {e: c * k for e, k in self.terms})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -182,7 +202,7 @@ class Polynomial:
             new = list(exp)
             new[i] -= 1
             acc[tuple(new)] = coeff * exp[i]
-        return Polynomial(self.chart, acc)
+        return Polynomial._from_terms(self.chart, acc)
 
     def restrict(self, target: Chart) -> "Polynomial":
         """Project onto a subchart; raises if a dropped coordinate occurs."""
@@ -197,7 +217,7 @@ class Polynomial:
                     raise ValueError(f"coordinate {name!r} survives restriction")
                 new[keep[name]] = power
             acc[tuple(new)] = coeff
-        return Polynomial(target, acc)
+        return Polynomial._from_terms(target, acc)
 
     def lift(self, target: Chart) -> "Polynomial":
         """Reinterpret on a chart containing this chart's coordinates."""
@@ -208,7 +228,7 @@ class Polynomial:
             for name, power in zip(self.chart.names, exp):
                 new[index[name]] = power
             acc[tuple(new)] = coeff
-        return Polynomial(target, acc)
+        return Polynomial._from_terms(target, acc)
 
     def rename(self, target: Chart, mapping: Mapping[str, str]) -> "Polynomial":
         """Transport to `target`, renaming coordinates via `mapping`.
@@ -225,7 +245,7 @@ class Polynomial:
             for name, power in zip(self.chart.names, exp):
                 new[index[name]] += power
             acc[tuple(new)] = coeff
-        return Polynomial(target, acc)
+        return Polynomial._from_terms(target, acc)
 
     def coefficient_of(self, name: str) -> "Polynomial":
         """Coefficient of the degree-1 part in `name` (a polynomial in the rest).
@@ -242,7 +262,7 @@ class Polynomial:
             new = list(exp)
             new[i] = 0
             acc[tuple(new)] = coeff
-        return Polynomial(self.chart, acc)
+        return Polynomial._from_terms(self.chart, acc)
 
     # --- printing -------------------------------------------------------
 
@@ -256,6 +276,13 @@ class Polynomial:
 def _term_key(item: Tuple[Exponent, Fraction]):
     exp, _ = item
     return (sum(exp), exp)
+
+
+def _canonical(terms: List[Tuple[Exponent, Fraction]]) -> Tuple[Tuple[Exponent, Fraction], ...]:
+    """`terms`, sorted in place by descending (total degree, exponent tuple)."""
+    if len(terms) > 1:
+        terms.sort(key=_term_key, reverse=True)
+    return tuple(terms)
 
 
 def monomial_atoms(chart: Chart, exp: Exponent) -> List[str]:

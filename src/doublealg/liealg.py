@@ -352,12 +352,19 @@ def check_manin(p: PairedAlgebra) -> CheckReport:
     n2 = g.dim
     items: List[CheckItem] = []
 
+    # <[z_i, z_j], z_k> + <z_j, [z_i, z_k]> = sum_m c_ij^m P[m][k] + c_ik^m P[j][m],
+    # summed over the nonzero structure constants only
+    pairing = p.pairing
+    support = [
+        [[(m, c) for m, c in enumerate(g.constants[i][j]) if c] for j in range(n2)]
+        for i in range(n2)
+    ]
     invariance_fail = None
     for i in range(n2):
         for j in range(n2):
             for k in range(n2):
-                value = p.pair(g.constants[i][j], _basis(n2, k)) + p.pair(
-                    _basis(n2, j), g.constants[i][k]
+                value = sum(c * pairing[m][k] for m, c in support[i][j]) + sum(
+                    c * pairing[j][m] for m, c in support[i][k]
                 )
                 if value != 0:
                     invariance_fail = (

@@ -18,6 +18,7 @@ from doublealg.algebroid import (
     Multisection,
     NotPoisson,
     PoissonChart,
+    VectorField,
     bialgebra_to_dual_pair,
     bracket_sections,
     change_frames,
@@ -34,7 +35,7 @@ from doublealg.algebroid import (
     schouten,
     tangent_algebroid,
 )
-from doublealg.exact import Chart, Polynomial
+from doublealg.exact import Chart, ChartMismatch, Polynomial
 from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, check_cocycle
 from doublealg.parsing import parse_polynomial
 
@@ -55,6 +56,46 @@ def random_multisection(rng, L, degree, max_degree=2):
     for idx in itertools.combinations(range(L.rank), degree):
         comps[idx] = random_polynomial(rng, L.chart, max_degree)
     return Multisection(L.rank, degree, comps)
+
+
+class TestValidatingBoundary:
+    """The public constructors check their input; derived values and the
+    caches read from them do not change equality or hashing."""
+
+    def test_vector_field_rejects_wrong_component_count(self):
+        with pytest.raises(ValueError, match="component count"):
+            VectorField(XY, [P("x")])
+
+    def test_vector_field_rejects_component_on_another_chart(self):
+        with pytest.raises(ChartMismatch):
+            VectorField(XY, [P("x"), P("x", Chart(["x", "z"]))])
+
+    def test_algebroid_equal_and_hash_equal_after_anchor_fields_are_cached(self):
+        L = cotangent_algebroid(catalog.poisson_chart_xy())
+        assert L.anchor_field(0) is L.anchor_field(0)
+        check_algebroid(L)
+        fresh = cotangent_algebroid(catalog.poisson_chart_xy())
+        assert "anchor_fields" in vars(L) and "anchor_fields" not in vars(fresh)
+        assert L == fresh and fresh == L
+        assert hash(L) == hash(fresh)
+        assert L.anchor_fields == fresh.anchor_fields
+
+    def test_multisection_equal_and_hash_equal_after_component_table_is_filled(self):
+        m = Multisection(3, 2, {(0, 1): P("x"), (1, 2): P("y^2 - 1")})
+        assert m.component((0, 1)) == P("x")
+        assert m.component_general((2, 1), XY) == -P("y^2 - 1")
+        assert m.component_general((0, 2), XY).is_zero
+        v = sec(TM, "x", "0")
+        assert v.vector(XY) == (P("x"), Polynomial.zero(XY))
+        with pytest.raises(KeyError):
+            v.component((1,))
+        for filled, fresh in (
+            (m, Multisection(3, 2, {(1, 2): P("y^2 - 1"), (0, 1): P("x")})),
+            (v, sec(TM, "x", "0")),
+        ):
+            assert "_table" in vars(filled) and "_table" not in vars(fresh)
+            assert filled == fresh and fresh == filled
+            assert hash(filled) == hash(fresh)
 
 
 class TestBracketSections:

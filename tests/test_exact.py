@@ -29,6 +29,11 @@ coeffs = st.builds(
 )
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(lambda d: Polynomial(XY, d))
+# degree <= 1 in y, the domain of `coefficient_of("y")`
+linear_in_y = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 1)), coeffs, max_size=5
+).map(lambda d: Polynomial(XY, d))
+scalars = st.one_of(st.integers(-3, 3), coeffs, st.sampled_from(["0", "3/4", "-2"]))
 
 
 def brute_force_product(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -128,6 +133,71 @@ class TestChartAndValues:
         assert p.coefficient_of("x") == P("2 * y")
         with pytest.raises(ValueError):
             P("x^2").coefficient_of("x")
+
+
+def assert_canonical(r: Polynomial) -> None:
+    """`r` is what the validating constructor makes of its own terms."""
+    rebuilt = Polynomial(r.chart, dict(r.terms))
+    assert rebuilt.chart == r.chart
+    assert rebuilt.terms == r.terms
+    for exp, coeff in r.terms:
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(exp) is tuple and all(type(e) is int for e in exp)
+
+
+class TestCanonicalResults:
+    """Kernel results are built without re-validation; they must still be
+    in the canonical form the public constructor produces."""
+
+    @given(polys, polys, linear_in_y, scalars)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_every_operation_returns_canonical_terms(self, p, q, r, c):
+        results = [
+            p + q,
+            p + p.scale(-1),
+            p - q,
+            p - p,
+            p * q,
+            -p,
+            p.scale(c),
+            p.partial("x"),
+            p.partial("y"),
+            r.coefficient_of("y"),
+            p.lift(Chart(["y", "t", "x"])),
+        ]
+        for result in results:
+            assert_canonical(result)
+
+    def test_constructors_are_canonical(self):
+        for value in (0, 2, "5/3", Fraction(-1, 2)):
+            assert_canonical(Polynomial.constant(XY, value))
+        assert_canonical(Polynomial.coordinate(XY, "y"))
+        assert_canonical(Polynomial.zero(POINT))
+
+    def test_adding_zero_returns_the_other_operand(self):
+        p = P("x * y - 2")
+        zero = Polynomial.zero(XY)
+        assert p + zero is p
+        assert zero + p is p
+
+
+class TestValidatingBoundary:
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(XY, {(1, -1): 1})
+
+    def test_wrong_length_exponent_rejected(self):
+        with pytest.raises(ValueError, match="does not fit chart"):
+            Polynomial(XY, {(1,): 1})
+        with pytest.raises(ValueError, match="does not fit chart"):
+            Polynomial(XY, {(1, 0, 0): 1})
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            Polynomial(XY, {(1, 0): 0.5})
+
+    def test_equal_charts_built_apart_are_compatible(self):
+        assert P("x") + P("y", Chart(["x", "y"])) == P("x + y")
 
 
 class TestGrammar:

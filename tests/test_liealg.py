@@ -4,7 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from doublealg import linalg
 from doublealg.catalog import (
     abelian_bialgebra,
     heisenberg_noncocycle_bialgebra,
@@ -23,6 +25,7 @@ from doublealg.liealg import (
     dual_bracket,
     hyperbolic_pairing,
 )
+from doublealg.exact import format_rat
 
 
 def basis(n, i):
@@ -202,6 +205,99 @@ class TestDrinfeldDouble:
                 brackets[(i, n + j)] = g_part + d_part
         candidate = LieAlgebra(2 * n, brackets)
         assert jacobiator_oracle(candidate) != []
+
+
+def invariance_oracle(p: PairedAlgebra):
+    """The dense invariance loop: two basis vectors and two `pair` calls per
+    triple (i, j, k) in lexicographic order; the first witness, or None."""
+    g = p.algebra
+    n2, names = g.dim, g.basis_names
+    for i, j, k in itertools.product(range(n2), repeat=3):
+        value = p.pair(g.constants[i][j], basis(n2, k)) + p.pair(basis(n2, j), g.constants[i][k])
+        if value != 0:
+            return (
+                f"triple ({names[i]}, {names[j]}, {names[k]}): "
+                f"<[z1,z2],z3> + <z2,[z1,z3]> = {format_rat(value)}"
+            )
+    return None
+
+
+def assert_invariance_matches_oracle(p: PairedAlgebra) -> bool:
+    item = check_manin(p).items[0]
+    expected = invariance_oracle(p)
+    assert item.check_id == "invariance"
+    assert item.ok == (expected is None)
+    assert item.witness == (expected or "")
+    return item.ok
+
+
+def with_pairing(p: PairedAlgebra, pairing) -> PairedAlgebra:
+    return PairedAlgebra(p.algebra, tuple(tuple(row) for row in pairing), p.marked1, p.marked2)
+
+
+def halves(n2):
+    return (
+        tuple(basis(n2, i) for i in range(n2 // 2)),
+        tuple(basis(n2, i) for i in range(n2 // 2, n2)),
+    )
+
+
+small = st.integers(-2, 2).map(Fraction)
+
+
+@st.composite
+def random_paired_algebras(draw):
+    """Random constants (Jacobi not required) with a random symmetric
+    nondegenerate pairing on dim 4; most fail invariance, abelian ones pass."""
+    n2 = 4
+    pairs = list(itertools.combinations(range(n2), 2))
+    brackets = draw(
+        st.dictionaries(st.sampled_from(pairs), st.lists(small, min_size=n2, max_size=n2), max_size=3)
+    )
+    upper = {(i, j): draw(small) for i in range(n2) for j in range(i, n2)}
+    pairing = [[upper[min(i, j), max(i, j)] for j in range(n2)] for i in range(n2)]
+    assume(linalg.is_invertible(pairing))
+    marked1, marked2 = halves(n2)
+    return PairedAlgebra(
+        LieAlgebra(n2, brackets), tuple(tuple(row) for row in pairing), marked1, marked2
+    )
+
+
+class TestInvarianceAgainstDenseOracle:
+    """`check_manin` sums the invariance identity over nonzero structure
+    constants; the dense loop it replaced is the oracle."""
+
+    def test_fixed_corpus_of_passing_and_failing_pairings(self):
+        doubles = [
+            drinfeld_double(b)
+            for b in (
+                solvable2_bialgebra(),
+                dual_bialgebra(solvable2_bialgebra()),
+                abelian_bialgebra(2),
+                abelian_bialgebra(3),
+            )
+        ]
+        corpus = list(doubles)
+        for d in doubles:
+            n2 = d.algebra.dim
+            scaled = [[2 * c for c in row] for row in d.pairing]
+            corpus.append(with_pairing(d, scaled))
+            skewed = [list(row) for row in d.pairing]
+            skewed[0][0] += 1
+            corpus.append(with_pairing(d, skewed))
+            shifted = [list(row) for row in d.pairing]
+            shifted[1][n2 - 1] += Fraction(1, 3)
+            shifted[n2 - 1][1] += Fraction(1, 3)
+            corpus.append(with_pairing(d, shifted))
+        bare = LieAlgebra(4, {(0, 1): (0, 1, 0, 0)})
+        corpus.append(PairedAlgebra(bare, hyperbolic_pairing(2), *halves(4)))
+        verdicts = [assert_invariance_matches_oracle(p) for p in corpus]
+        assert True in verdicts and False in verdicts
+
+    @given(random_paired_algebras())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_paired_algebras(self, p):
+        assert_invariance_matches_oracle(p)
 
 
 class TestManin:

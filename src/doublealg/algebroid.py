@@ -664,6 +664,8 @@ def lie_derivative_form(L: LieAlgebroid, x: Multisection, omega: Multisection) -
 # ---------------------------------------------------------------------------
 # dual-pair compatibility (bialgebroid condition)
 
+RANDOM_PAIRS = 4  # seeded section pairs drawn by the `random` family
+
 
 def random_polynomial(rng: random.Random, chart: Chart, max_degree: int = 2) -> Polynomial:
     terms: Dict[Index, Fraction] = {}
@@ -689,7 +691,6 @@ def check_bialgebroid(
     L: LieAlgebroid,
     Lstar: LieAlgebroid,
     seed: int = 7,
-    random_pairs: int = 4,
     max_degree: int = 2,
 ) -> CheckReport:
     """d_*[X, Y] = [d_* X, Y] + [X, d_* Y] for the dual pair (L, Lstar).
@@ -713,7 +714,7 @@ def check_bialgebroid(
     if not axioms.ok:
         return axioms
     return axioms.merged_with(
-        check_compatibility(L, Lstar, seed=seed, random_pairs=random_pairs, max_degree=max_degree)
+        check_compatibility(L, Lstar, seed=seed, max_degree=max_degree)
     )
 
 
@@ -721,7 +722,6 @@ def check_compatibility(
     L: LieAlgebroid,
     Lstar: LieAlgebroid,
     seed: int = 7,
-    random_pairs: int = 4,
     max_degree: int = 2,
 ) -> CheckReport:
     """The compatibility families of `check_bialgebroid`, for a dual pair
@@ -766,7 +766,7 @@ def check_compatibility(
 
     def random_defects():
         rng = random.Random(seed)
-        for trial in range(random_pairs):
+        for trial in range(RANDOM_PAIRS):
             x = random_section(rng, L, max_degree)
             y = random_section(rng, L, max_degree)
             where = f"random trial {trial}: X = {x.format(frames)}, Y = {y.format(frames)}, "

@@ -149,9 +149,7 @@ def dual_pair_over_core_dual(
     return e_v, dual
 
 
-def check_double(
-    dla: DoubleLieAlgebroid, seed: int = 7, random_pairs: int = 4, max_degree: int = 2
-) -> CheckReport:
+def check_double(dla: DoubleLieAlgebroid, seed: int = 7, max_degree: int = 2) -> CheckReport:
     """The defining check: both sides are LA-vector bundles and the two
     induced algebroids over the core dual form a Lie bialgebroid."""
     items: List[CheckItem] = []
@@ -166,7 +164,7 @@ def check_double(
     # invertible constant frame change, which preserves the axioms.
     e_v, dual = dla.dual_pair
     bial = CheckReport((passed("side"), passed("dual_side"))).merged_with(
-        check_compatibility(e_v, dual, seed=seed, random_pairs=random_pairs, max_degree=max_degree)
+        check_compatibility(e_v, dual, seed=seed, max_degree=max_degree)
     )
     items.extend(bial.prefixed("bialgebroid").items)
     return CheckReport(tuple(items))

@@ -230,23 +230,6 @@ class Polynomial:
             acc[tuple(new)] = coeff
         return Polynomial._from_terms(target, acc)
 
-    def rename(self, target: Chart, mapping: Mapping[str, str]) -> "Polynomial":
-        """Transport to `target`, renaming coordinates via `mapping`.
-
-        Coordinates not mentioned keep their name; every (renamed) coordinate
-        must exist on the target chart.
-        """
-        index = {}
-        for name in self.chart.names:
-            index[name] = target.index(mapping.get(name, name))
-        acc: Dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms:
-            new = [0] * target.dim
-            for name, power in zip(self.chart.names, exp):
-                new[index[name]] += power
-            acc[tuple(new)] = coeff
-        return Polynomial._from_terms(target, acc)
-
     def coefficient_of(self, name: str) -> "Polynomial":
         """Coefficient of the degree-1 part in `name` (a polynomial in the rest).
 

@@ -333,9 +333,7 @@ def build_semidirects(mp: MatchedPair) -> Tuple[LieAlgebroid, LieAlgebroid]:
     return semidirect, opposite
 
 
-def check_cor_sdp(
-    mp: MatchedPair, seed: int = 7, random_pairs: int = 4, max_degree: int = 2
-) -> CheckReport:
+def check_cor_sdp(mp: MatchedPair) -> CheckReport:
     """The semidirect pair is a dual pair; run the bialgebroid check on it.
 
     By the semidirect correspondence this verdict must coincide with
@@ -347,7 +345,5 @@ def check_cor_sdp(
     if not all(i.ok for i in items):
         return CheckReport(tuple(items))
     semidirect, opposite = build_semidirects(mp)
-    rep = check_bialgebroid(
-        semidirect, opposite, seed=seed, random_pairs=random_pairs, max_degree=max_degree
-    )
+    rep = check_bialgebroid(semidirect, opposite)
     return CheckReport(tuple(items) + rep.prefixed("sdp").items)

@@ -14,7 +14,6 @@ full stays here as its oracle.
 
 import contextlib
 import io
-import pathlib
 import random
 import sys
 from collections import Counter
@@ -38,13 +37,12 @@ from doublealg.algebroid import (
     schouten,
     tangent_algebroid,
 )
-from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
+from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial
 from doublealg.verdicts import failed, passed
 from doublealg.lavb import check_lavb
-from doublealg.model import parse_model
+from support import MODELS, double_corpus, rename
 
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 XY = Chart(("x", "y"))
 
 
@@ -65,28 +63,7 @@ def assert_matches_oracle(dla):
     return oracle.ok
 
 
-def corpus():
-    """Bundled doubles, vacant doubles of bundled matched pairs (matched or
-    not), and cotangent doubles of valid and broken dual pairs."""
-    out = []
-    for path in sorted(MODELS.glob("*")):
-        model = parse_model(path.read_text())
-        out.extend((f"{path.name}:{n}", d) for n, d in model.doubles.items())
-        out.extend(
-            (f"{path.name}:{n}:vacant", assemble_vacant_double(mp))
-            for n, mp in model.matched_pairs.items()
-        )
-    for name in (
-        "tangent_cotangent_pair",
-        "broken_dual_pair_point",
-        "broken_dual_pair_chart",
-        "broken_dual_pair_so3",
-    ):
-        out.append((name, build_cotangent_double(*getattr(catalog, name)())))
-    return out
-
-
-CORPUS = corpus()
+CORPUS = double_corpus()
 
 
 @pytest.mark.parametrize("dla", [d for _, d in CORPUS], ids=[n for n, _ in CORPUS])
@@ -190,7 +167,7 @@ def test_check_double_cli_computes_each_derivation_once(calls):
         "induced_dual_algebroid": 2,
         "total_algebroid": 2,
         "core_poisson": 1,
-        "check_algebroid": 7,
+        "check_algebroid": 5,
     }
 
 
@@ -210,7 +187,7 @@ def assert_is_cotangent_algebroid(v, sign):
     scale = [1] * r + [sign] * n
 
     def moved(p, s):
-        return p.rename(total.chart, mapping).scale(s)
+        return rename(p, total.chart, mapping).scale(s)
 
     assert total.chart.names[:n] == expected.chart.names[:n]
     assert total.anchor == tuple(

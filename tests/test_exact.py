@@ -15,6 +15,7 @@ from doublealg.exact import (
     signed_sum,
 )
 from doublealg.parsing import ParseError, parse_polynomial
+from support import rename
 
 XY = Chart(["x", "y"])
 POINT = Chart([])
@@ -143,6 +144,20 @@ def assert_canonical(r: Polynomial) -> None:
     for exp, coeff in r.terms:
         assert type(coeff) is Fraction and coeff != 0
         assert type(exp) is tuple and all(type(e) is int for e in exp)
+
+
+class TestRenameHelper:
+    """The test helper that transports a polynomial to a renamed chart."""
+
+    def test_merged_coordinates_add_up(self):
+        z = Chart(["z"])
+        assert rename(P("x + y"), z, {"x": "z", "y": "z"}) == P("2 * z", z)
+        assert rename(P("x - y"), z, {"x": "z", "y": "z"}).is_zero
+
+    def test_swap_and_widen(self):
+        xyu = Chart(["x", "y", "u"])
+        got = rename(P("x^2 * y + 3"), xyu, {"x": "y", "y": "u"})
+        assert got == P("y^2 * u + 3", xyu)
 
 
 class TestCanonicalResults:

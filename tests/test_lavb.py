@@ -1,14 +1,24 @@
 """LA-vector bundles: the tangent-prolongation example, the induced dual
-algebroid, generator brackets, reciprocity and the Poisson-route cross-check."""
+algebroid, generator brackets, reciprocity and the Poisson-route cross-check.
+
+`check_lavb` reports `induced_dual` without a check when `generators`
+passes, by duality; the full `check_algebroid` of the induced dual stays
+here as its oracle, on a corpus with failing bundles.
+"""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from doublealg import lavb
 from doublealg.algebroid import (
     Derivation,
     VectorField,
     bracket_sections,
     change_frames,
+    check_algebroid,
     dual_poisson,
     fibre_coordinate,
     tangent_algebroid,
@@ -23,7 +33,10 @@ from doublealg.lavb import (
     tangent_lavb,
     total_algebroid,
 )
+from doublealg.model import parse_model
 from doublealg.parsing import parse_polynomial
+from doublealg.verdicts import failed, passed
+from support import MODELS, lavb_corpus, rename
 
 LINE = Chart(["x"])
 TA = tangent_lavb(LINE, ["f"])
@@ -151,15 +164,15 @@ class TestReciprocity:
     def test_double_dual_returns_total_structure(self):
         again = induced_dual_algebroid(dual_lavb(TA))
         total = total_algebroid(TA)
-        rename = {again.chart.names[1]: total.chart.names[1]}
+        mapping = {again.chart.names[1]: total.chart.names[1]}
         assert again.chart.names[0] == "x"
         got_anchor = tuple(
-            tuple(p.rename(total.chart, rename) for p in row) for row in again.anchor
+            tuple(rename(p, total.chart, mapping) for p in row) for row in again.anchor
         )
         assert got_anchor == total.anchor
         got_structure = tuple(
             tuple(
-                tuple(p.rename(total.chart, rename) for p in vec) for vec in row
+                tuple(rename(p, total.chart, mapping) for p in vec) for vec in row
             )
             for row in again.structure
         )
@@ -178,41 +191,81 @@ class TestReciprocity:
                 assert comps[beta] == side_bracket.vector(v.chart)[beta].lift(induced.chart)
 
 
+LAVB_CORPUS = lavb_corpus()
+
+
+def assert_dual_poisson_route(v):
+    """Realize the fibrewise-linear functions of `v.induced_dual` on the
+    dual-Poisson chart of `v.total` and compare the Poisson brackets and
+    anchors with the induced algebroid.
+
+    The transposed linear frame beta is the coordinate xi_<side frame beta>
+    and the core frame a is u_<bundle frame a>; the base coordinates
+    (x, xi_<core frame>) of the induced dual keep their names.
+    """
+    pois = dual_poisson(v.total)  # chart (x, u_a, xi_<side frame>, xi_<core frame>)
+    induced = v.induced_dual  # frames (side, core from A*) over (x, xi_<core frame>)
+    big = pois.chart
+    ell = [Polynomial.coordinate(big, fibre_coordinate(f)) for f in v.side.frames] + [
+        Polynomial.coordinate(big, bundle_fibre_coordinate(f)) for f in v.bundle_frames
+    ]
+
+    def realize(section):
+        out = Polynomial.zero(big)
+        for coeff, l in zip(section.vector(induced.chart), ell):
+            out = out + coeff.lift(big) * l
+        return out
+
+    for i, j in itertools.combinations(range(induced.rank), 2):
+        assert pois.bracket(ell[i], ell[j]) == realize(induced.frame_bracket(i, j))
+
+    # anchors through the same dictionary: e(g)(G) o gamma = {l_g, G o gamma}
+    for i in range(induced.rank):
+        for name in induced.chart.names:
+            lhs = pois.bracket(ell[i], Polynomial.coordinate(big, name))
+            rhs = induced.anchor_field(i).apply(Polynomial.coordinate(induced.chart, name))
+            assert lhs == rhs.lift(big)
+
+
 class TestPoissonRoute:
     def test_dual_poisson_route_agrees_on_generator_pairs(self):
-        # realize the fibrewise-linear functions of the induced algebroid on
-        # the dual-Poisson chart of the total-space structure, and compare
-        # the Poisson brackets with the direct construction
-        total = total_algebroid(TA)  # frames (del_x, f_c) over (x, u_f)
-        pois = dual_poisson(total)  # chart (x, u_f, xi_del_x, xi_f_c)
-        induced = induced_dual_algebroid(TA)  # frames (del_x, f_d) over (x, xi_f_c)
-        big = pois.chart
+        assert dual_poisson(TA.total).chart.names == ("x", "u_f", "xi_del_x", "xi_f_c")
+        assert_dual_poisson_route(TA)
 
-        ell = {
-            0: Polynomial.coordinate(big, fibre_coordinate("del_x")),
-            1: Polynomial.coordinate(big, bundle_fibre_coordinate("f")),
-        }
+    @pytest.mark.parametrize("v", [v for _, v in LAVB_CORPUS], ids=[n for n, _ in LAVB_CORPUS])
+    def test_dual_poisson_route_matches_induced_dual(self, v):
+        assert_dual_poisson_route(v)
 
-        def realize(section):
-            comps = section.vector(induced.chart)
-            out = Polynomial.zero(big)
-            for i, coeff in enumerate(comps):
-                out = out + coeff.lift(big) * ell[i]
-            return out
 
-        for i, j in itertools.combinations(range(induced.rank), 2):
-            lhs = pois.bracket(ell[i], ell[j])
-            rhs = realize(induced.frame_bracket(i, j))
-            assert lhs == rhs
+def item(check_id, report):
+    return passed(check_id) if report.ok else failed(check_id, report.first_failure.witness)
 
-        # anchors through the same dictionary: e(g)(G) o gamma = {l_g, G o gamma}
-        for i in range(induced.rank):
-            for base_coord, big_coord in (("x", "x"), (fibre_coordinate("f_c"), fibre_coordinate("f_c"))):
-                lhs = pois.bracket(ell[i], Polynomial.coordinate(big, big_coord))
-                rhs = induced.anchor_field(i).apply(
-                    Polynomial.coordinate(induced.chart, base_coord)
-                ).lift(big)
-                assert lhs == rhs
+
+class TestImpliedInducedDual:
+    @pytest.mark.parametrize("v", [v for _, v in LAVB_CORPUS], ids=[n for n, _ in LAVB_CORPUS])
+    def test_items_match_checking_every_derived_algebroid(self, v):
+        items = check_lavb(v).items
+        assert [i.check_id for i in items] == ["side", "base_fields", "generators", "induced_dual"]
+        assert items[2:] == (
+            item("generators", check_algebroid(v.total)),
+            item("induced_dual", check_algebroid(v.induced_dual)),
+        )
+
+    def test_corpus_has_passing_and_failing_induced_duals(self):
+        verdicts = Counter(check_algebroid(v.induced_dual).ok for _, v in LAVB_CORPUS)
+        assert verdicts[True] >= 3 and verdicts[False] >= 3
+
+    def test_corpus_covers_every_kind_of_failing_generator_data(self):
+        failing = {n.rsplit(":", 1)[1] for n, v in LAVB_CORPUS if not check_lavb(v).ok}
+        assert failing == {"twist", "core_anchor", "anchor_derivation", "core_derivation"}
+
+    def test_passing_bundle_checks_side_and_total_only(self, monkeypatch):
+        seen = []
+        real = lavb.check_algebroid
+        monkeypatch.setattr(lavb, "check_algebroid", lambda L: seen.append(L) or real(L))
+        v = parse_model((MODELS / "t2m_double.pass").read_text()).doubles["T2M"].vertical
+        assert check_lavb(v).ok
+        assert seen == [v.side, v.total]
 
 
 class TestCrossModuleRepresentationCheck:

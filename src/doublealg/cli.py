@@ -140,7 +140,7 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
             rep = matched.check_matched(mp)
             results.extend(entries_from_check(f"bowtie.{name}.matched", rep))
             if rep.ok:
-                bow = matched.build_bowtie(mp)
+                bow = matched.assemble_bowtie(mp)
                 results.append(
                     ResultEntry(
                         f"bowtie.{name}",

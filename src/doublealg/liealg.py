@@ -393,12 +393,11 @@ def check_manin(p: PairedAlgebra) -> CheckReport:
         items.append(failed(label, witness) if witness else passed(label))
 
     for label, basis in (("closure.marked1", p.marked1), ("closure.marked2", p.marked2)):
-        span = [list(v) for v in basis]
-        base_rank = linalg.rank(span)
+        echelon = linalg.row_echelon(basis)
         witness = None
         for u, v in itertools.combinations(basis, 2):
             w = g.bracket(u, v)
-            if linalg.rank(span + [list(w)]) > base_rank:
+            if any(linalg.reduce(w, echelon)):
                 witness = (
                     f"[{format_vector(u, names)}, {format_vector(v, names)}] = "
                     f"{format_vector(w, names)} leaves the subspace"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 
@@ -12,13 +12,16 @@ def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+def row_echelon(matrix: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination: the nonzero
+    rows and their pivot columns.  Every routine here eliminates through it."""
     rows = [list(row) for row in matrix]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    r = 0
+    cols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
     for c in range(cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
@@ -29,10 +32,23 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def reduce(vector: Sequence[Fraction], echelon: Tuple[Matrix, List[int]]) -> List[Fraction]:
+    """The remainder of `vector` against a `row_echelon` form; it is zero
+    exactly when the vector lies in the row space."""
+    out = list(vector)
+    for row, c in zip(*echelon):
+        if out[c] != 0:
+            factor = out[c]
+            out = [x - factor * y for x, y in zip(out, row)]
+    return out
+
+
+def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    return len(row_echelon(matrix)[1])
 
 
 def is_invertible(matrix: Sequence[Sequence[Fraction]]) -> bool:
@@ -42,21 +58,12 @@ def is_invertible(matrix: Sequence[Sequence[Fraction]]) -> bool:
 
 def inverse(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
     n = len(matrix)
-    aug = [list(row) + ident_row for row, ident_row in zip(matrix, identity(n))]
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix not invertible")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
+    rows, pivots = row_echelon(
+        [list(row) + ident_row for row, ident_row in zip(matrix, identity(n))]
+    )
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in rows[:n]]
 
 
 def transpose(matrix: Sequence[Sequence[Fraction]]) -> Matrix:

@@ -1,14 +1,16 @@
-"""Shared test helpers: coordinate renaming and the corpus of doubles and
-LA-vector bundles, with failing instances, used by the oracle tests."""
+"""Shared test helpers: coordinate renaming, the corpus of doubles and
+LA-vector bundles, with failing instances, and the matched-pair oracle,
+used by the oracle tests."""
 
 import pathlib
 import random
 
 from doublealg import catalog
-from doublealg.algebroid import Derivation, random_polynomial
-from doublealg.doublela import assemble_vacant_double, build_cotangent_double
+from doublealg.algebroid import Derivation, check_algebroid, random_polynomial
+from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
 from doublealg.exact import Polynomial
 from doublealg.lavb import LAVBundle
+from doublealg.matched import assemble_bowtie, check_matched
 from doublealg.model import parse_model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -27,6 +29,17 @@ def rename(p, target, mapping):
         key = tuple(new)
         acc[key] = acc.get(key, 0) + coeff
     return Polynomial(target, acc)
+
+
+def assert_matched_decides_bowtie_and_double(mp):
+    """`check_matched` decides the two checks that `build_bowtie` and
+    `vacant_from_matched` no longer run: the bowtie's axioms and the vacant
+    double.  Holds for pairs whose derivations sit over the anchors, as
+    every parsed or catalog pair does.  Returns the shared verdict."""
+    verdict = check_matched(mp).ok
+    assert check_algebroid(assemble_bowtie(mp)).ok is verdict
+    assert check_double(assemble_vacant_double(mp)).ok is verdict
+    return verdict
 
 
 def double_corpus():

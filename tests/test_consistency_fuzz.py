@@ -31,6 +31,7 @@ from doublealg.liealg import (
 )
 from doublealg.matched import MatchedPair, RepresentationMap, check_cor_sdp, check_matched
 from doublealg.parsing import parse_polynomial
+from support import assert_matched_decides_bowtie_and_double
 
 
 def random_cobracket(rng: random.Random, dim: int) -> Cobracket:
@@ -130,3 +131,14 @@ class TestMatchedRoutesAgree:
             else:
                 seen_fail += 1
         assert seen_pass >= 5 and seen_fail >= 5
+
+    def test_check_matched_decides_bowtie_and_vacant_double(self):
+        # the same thirty pairs, both halves (sigma zero and sigma random)
+        rng = random.Random(99)
+        verdicts = [
+            assert_matched_decides_bowtie_and_double(
+                self.random_action_pair(rng, break_anchor=trial % 2 == 1)[0]
+            )
+            for trial in range(30)
+        ]
+        assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5

@@ -21,7 +21,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublealg import algebroid, catalog, cli, doublela, lavb
+from doublealg import algebroid, catalog, cli, doublela, lavb, matched
 from doublealg.algebroid import (
     LieAlgebroid,
     PoissonChart,
@@ -169,6 +169,25 @@ def test_check_double_cli_computes_each_derivation_once(calls):
         "core_poisson": 1,
         "check_algebroid": 5,
     }
+
+
+# `check_matched` is the one check of a matched pair: the vacant double and
+# the bowtie it implies are not re-checked (the oracle is in
+# `support.assert_matched_decides_bowtie_and_double`).
+@pytest.mark.parametrize(
+    "kind,expected",
+    [
+        ("double", {"check_matched": 1, "check_algebroid": 6}),
+        ("bowtie", {"check_matched": 1, "check_algebroid": 2}),
+    ],
+)
+def test_build_cli_checks_the_matched_pair_once(monkeypatch, kind, expected):
+    counts = count_calls(
+        monkeypatch, ((matched, "check_matched"), (algebroid, "check_algebroid"))
+    )
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+        assert cli.main(["build", kind, str(MODELS / "coadjoint_solvable2.pass")]) == 0
+    assert counts == expected
 
 
 # --- the closed-form cotangent double against the cotangent algebroids

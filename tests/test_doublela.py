@@ -31,7 +31,14 @@ from doublealg.doublela import (
 from doublealg.exact import Chart, Polynomial
 from doublealg.lavb import LAVBundle, tangent_lavb
 from doublealg.liealg import drinfeld_double
-from doublealg.matched import MatchedPair, MatchedPairError, check_cor_sdp, check_matched
+from doublealg.matched import (
+    MatchedPair,
+    MatchedPairError,
+    RepresentationMap,
+    check_cor_sdp,
+    check_matched,
+)
+from support import assert_matched_decides_bowtie_and_double
 
 
 def double_tangent(chart: Chart) -> DoubleLieAlgebroid:
@@ -211,8 +218,6 @@ class TestDiagonal:
 
 class TestVacantEquivalence:
     def catalog_pairs(self):
-        from doublealg.matched import RepresentationMap
-
         def scaled(mp, k):
             scale = Polynomial.constant(mp.chart, k)
             return MatchedPair(
@@ -244,6 +249,23 @@ class TestVacantEquivalence:
             assert not check_matched(mp).ok
             assert not check_double(assemble_vacant_double(mp)).ok
             assert not check_cor_sdp(mp).ok
+
+    def test_check_matched_decides_bowtie_and_vacant_double(self):
+        passing, failing = self.catalog_pairs()
+        mp = catalog.coadjoint_pair(catalog.solvable2_bialgebra())
+        two = Polynomial.constant(mp.chart, 2)
+        # rho scaled by 2 is no longer flat
+        rho_not_flat = MatchedPair(
+            mp.algebroid_a,
+            mp.algebroid_b,
+            RepresentationMap([d.scale_by(two) for d in mp.rho.derivations]),
+            mp.sigma,
+        )
+        assert check_matched(rho_not_flat).first_failure.check_id == "rho.flat"
+        for pair in passing:
+            assert assert_matched_decides_bowtie_and_double(pair)
+        for pair in failing + [rho_not_flat]:
+            assert not assert_matched_decides_bowtie_and_double(pair)
 
     def test_round_trips_are_identities(self):
         passing, _ = self.catalog_pairs()

@@ -23,6 +23,7 @@ from doublealg.liealg import (
     drinfeld_double,
     dual_bialgebra,
     dual_bracket,
+    format_vector,
     hyperbolic_pairing,
 )
 from doublealg.exact import format_rat
@@ -298,6 +299,121 @@ class TestInvarianceAgainstDenseOracle:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_random_paired_algebras(self, p):
         assert_invariance_matches_oracle(p)
+
+
+def closure_oracle(p: PairedAlgebra, basis):
+    """The per-pair rank loop: one `linalg.rank` of the marked span plus the
+    bracket for each pair of marked vectors in order; the first witness, or
+    None."""
+    g = p.algebra
+    span = [list(v) for v in basis]
+    base_rank = linalg.rank(span)
+    for u, v in itertools.combinations(basis, 2):
+        w = g.bracket(u, v)
+        if linalg.rank(span + [list(w)]) > base_rank:
+            names = g.basis_names
+            return (
+                f"[{format_vector(u, names)}, {format_vector(v, names)}] = "
+                f"{format_vector(w, names)} leaves the subspace"
+            )
+    return None
+
+
+def assert_closure_matches_oracle(p: PairedAlgebra) -> bool:
+    items = check_manin(p).items[-2:]
+    labels = ("closure.marked1", "closure.marked2")
+    for item, label, basis in zip(items, labels, (p.marked1, p.marked2)):
+        expected = closure_oracle(p, basis)
+        assert item.check_id == label
+        assert item.ok == (expected is None)
+        assert item.witness == (expected or "")
+    return all(item.ok for item in items)
+
+
+def with_marked(p: PairedAlgebra, marked1, marked2) -> PairedAlgebra:
+    return PairedAlgebra(p.algebra, p.pairing, tuple(marked1), tuple(marked2))
+
+
+@st.composite
+def random_marked_algebras(draw):
+    """Random constants (Jacobi not required) on dim 4 with a random split
+    of the space into two marked halves; brackets inside one half pass
+    closure, most others fail."""
+    n2 = 4
+    pairs = list(itertools.combinations(range(n2), 2))
+    brackets = draw(
+        st.dictionaries(
+            st.sampled_from(pairs), st.lists(small, min_size=n2, max_size=n2), max_size=2
+        )
+    )
+    rows = [tuple(draw(st.lists(small, min_size=n2, max_size=n2))) for _ in range(n2)]
+    assume(linalg.is_invertible(rows))
+    return PairedAlgebra(
+        LieAlgebra(n2, brackets), hyperbolic_pairing(2), tuple(rows[:2]), tuple(rows[2:])
+    )
+
+
+class TestClosureAgainstRankOracle:
+    """`check_manin` reduces each bracket against one echelon form per
+    marked half; the per-pair rank loop it replaced is the oracle."""
+
+    def test_fixed_corpus_of_passing_and_failing_closures(self):
+        corpus = []
+        for b in (
+            solvable2_bialgebra(),
+            dual_bialgebra(solvable2_bialgebra()),
+            abelian_bialgebra(2),
+        ):
+            d = drinfeld_double(b)
+            n2 = d.algebra.dim
+            n = n2 // 2
+            z = [basis(n2, i) for i in range(n2)]
+            corpus.append(d)
+            # wrongly split: the first basis vectors of g and of g* swapped
+            corpus.append(with_marked(d, [z[n]] + z[1:n], [z[0]] + z[n + 1 :]))
+            # skewed: each half sheared by a vector of the other half
+            sheared = [tuple(x + y for x, y in zip(z[0], z[n2 - 1]))] + z[1:n]
+            corpus.append(with_marked(d, sheared, z[n:]))
+            sheared = [tuple(x - y for x, y in zip(z[n], z[1]))] + z[n + 1 :]
+            corpus.append(with_marked(d, z[:n], sheared))
+            # the same halves in another basis still close
+            doubled = [tuple(2 * x for x in v) for v in z[n:]]
+            corpus.append(with_marked(d, list(reversed(z[:n])), doubled))
+        verdicts = [assert_closure_matches_oracle(p) for p in corpus]
+        assert True in verdicts and False in verdicts
+
+    @given(random_marked_algebras())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_marked_halves(self, p):
+        assert_closure_matches_oracle(p)
+
+
+class TestEchelon:
+    """`row_echelon` is the one elimination behind `rank`, `inverse` and the
+    closure test."""
+
+    @given(st.lists(st.lists(small, min_size=3, max_size=3), max_size=4))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_reduced_form_spans_the_rows(self, matrix):
+        rows, pivots = linalg.row_echelon(matrix)
+        assert len(rows) == len(pivots) == linalg.rank(matrix)
+        assert pivots == sorted(set(pivots))
+        for row, c in zip(rows, pivots):
+            assert [r[c] for r in rows] == [Fraction(int(other is row)) for other in rows]
+            assert not any(row[:c])
+        for original in matrix:
+            assert not any(linalg.reduce(original, (rows, pivots)))
+
+    @given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_inverse(self, matrix):
+        if not linalg.is_invertible(matrix):
+            with pytest.raises(ValueError):
+                linalg.inverse(matrix)
+            return
+        inv = linalg.inverse(matrix)
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in matrix]
+        assert product == linalg.identity(3)
 
 
 class TestManin:

@@ -2,12 +2,14 @@
 products on the duals, and the equivalence with the bialgebroid route."""
 
 import itertools
+import pathlib
 
 import pytest
 
 from doublealg import catalog
 from doublealg.algebroid import (
     Derivation,
+    LieAlgebroid,
     algebroid_to_lie_algebra,
     check_algebroid,
     tangent_algebroid,
@@ -26,6 +28,9 @@ from doublealg.matched import (
     check_representation,
     extract_actions,
 )
+from doublealg.model import parse_model
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def scaled_sigma_pair(mp: MatchedPair, factor: int) -> MatchedPair:
@@ -167,6 +172,106 @@ class TestExtractActions:
             extract_actions(total, 1)
 
 
+def dual_names(frames, taken):
+    """`<frame>_d` for each frame, with apostrophes appended until it is free."""
+    used, out = set(taken), []
+    for frame in frames:
+        name = f"{frame}_d"
+        while name in used:
+            name += "'"
+        used.add(name)
+        out.append(name)
+    return tuple(out)
+
+
+def unit(chart, rank, k):
+    return tuple(Polynomial.constant(chart, int(i == k)) for i in range(rank))
+
+
+def semidirect_tables(mp):
+    """Frames, anchors and frame brackets of the two semidirect products,
+    written out from the formulas in the `build_semidirects` docstring.
+
+    The dual actions are paired with frames directly:
+    <sigma*_Y phi, X> = b(Y)<phi, X> - <phi, sigma_Y X>, whose first term
+    vanishes on constant frames, and likewise for rho*.
+    """
+    a_alg, b_alg, chart = mp.algebroid_a, mp.algebroid_b, mp.chart
+    ra, rb = a_alg.rank, b_alg.rank
+    zero = Polynomial.zero(chart)
+
+    def zeros(k):
+        return (zero,) * k
+
+    def sigma_dual(j, p):  # sigma*_{Y_j} phi_p along phi_1 .. phi_ra
+        return tuple(-mp.sigma.apply(j, unit(chart, ra, c))[p] for c in range(ra))
+
+    def rho_dual(i, q):  # rho*_{X_i} psi_q along psi_1 .. psi_rb
+        return tuple(-mp.rho.apply(i, unit(chart, rb, d))[q] for d in range(rb))
+
+    # A* + B: anchor (phi + Y) -> b(Y);
+    # [phi1 + Y1, phi2 + Y2] = {sigma*_{Y1} phi2 - sigma*_{Y2} phi1} + [Y1, Y2]
+    frames = dual_names(a_alg.frames, b_alg.frames + chart.names) + b_alg.frames
+    anchor = [zeros(chart.dim)] * ra + [b_alg.anchor[j] for j in range(rb)]
+    brackets = {(p, q): zeros(ra + rb) for p, q in itertools.combinations(range(ra), 2)}
+    for p in range(ra):
+        for j in range(rb):  # phi1 = phi_p, Y2 = Y_j
+            brackets[(p, ra + j)] = tuple(-c for c in sigma_dual(j, p)) + zeros(rb)
+    for i, j in itertools.combinations(range(rb), 2):
+        brackets[(ra + i, ra + j)] = zeros(ra) + b_alg.structure[i][j]
+    semidirect = (frames, anchor, brackets)
+
+    # A^op + B*: anchor (X + psi) -> -a(X);
+    # [X1 + psi1, X2 + psi2] = [X2, X1] + {rho*_{X2} psi1 - rho*_{X1} psi2}
+    frames = a_alg.frames + dual_names(b_alg.frames, a_alg.frames + chart.names)
+    anchor = [tuple(-p for p in a_alg.anchor[i]) for i in range(ra)] + [zeros(chart.dim)] * rb
+    brackets = {
+        (i, k): tuple(-p for p in a_alg.structure[i][k]) + zeros(rb)
+        for i, k in itertools.combinations(range(ra), 2)
+    }
+    for i in range(ra):
+        for q in range(rb):  # X1 = X_i, psi2 = psi_q
+            brackets[(i, ra + q)] = zeros(ra) + tuple(-c for c in rho_dual(i, q))
+    for p, q in itertools.combinations(range(rb), 2):
+        brackets[(ra + p, ra + q)] = zeros(ra + rb)
+    opposite = (frames, anchor, brackets)
+    return semidirect, opposite
+
+
+def name_clash_pair():
+    """A matched pair where the dual frame names of A clash with a B-frame
+    and those of B with a chart coordinate, so both get an apostrophe."""
+    chart = Chart(["x", "b_d"])
+    zero, one = Polynomial.zero(chart), Polynomial.constant(chart, 1)
+    a_alg = LieAlgebroid(chart, ("a",), [[one, zero]], {})
+    b_alg = LieAlgebroid(chart, ("a_d", "b"), [[zero, zero], [zero, zero]], {})
+    x = Polynomial.coordinate(chart, "x")
+    rho = RepresentationMap([Derivation(a_alg.anchor_field(0), [[zero, x], [one, zero]])])
+    sigma = RepresentationMap([Derivation(b_alg.anchor_field(j), [[zero]]) for j in range(2)])
+    return MatchedPair(a_alg, b_alg, rho, sigma)
+
+
+def bundled_matched_pairs():
+    return [
+        mp
+        for path in sorted(MODELS.glob("*"))
+        for mp in parse_model(path.read_text()).matched_pairs.values()
+    ]
+
+
+SEMIDIRECT_CORPUS = bundled_matched_pairs() + [
+    catalog.coadjoint_pair(catalog.solvable2_bialgebra()),
+    catalog.coadjoint_pair(catalog.abelian_bialgebra()),
+    catalog.coadjoint_pair(catalog.heisenberg_noncocycle_bialgebra()),
+    catalog.abelian_matched_pair(2, 3),
+    catalog.line_action_pair(),
+    catalog.line_action_pair(sigma_coeff="x"),
+    catalog.line_action_pair(sigma_coeff="1"),
+    FAILING[0],  # sigma is not flat
+    name_clash_pair(),
+]
+
+
 class TestSemidirects:
     def test_zero_actions_give_product_structures(self):
         mp = catalog.abelian_matched_pair(2, 1)
@@ -175,6 +280,27 @@ class TestSemidirects:
         assert all(
             p.is_zero for row in semidirect.structure for vec in row for p in vec
         )
+
+    def test_corpus_has_both_verdicts(self):
+        verdicts = {check_matched(mp).ok for mp in SEMIDIRECT_CORPUS}
+        assert verdicts == {True, False}
+        assert not check_representation(FAILING[0].algebroid_b, FAILING[0].sigma, "sigma").ok
+
+    @pytest.mark.parametrize("mp", SEMIDIRECT_CORPUS)
+    def test_full_tables_match_the_docstring_formulas(self, mp):
+        built = build_semidirects(mp)
+        for got, (frames, anchor, brackets) in zip(built, semidirect_tables(mp)):
+            assert got.frames == frames
+            for k, row in enumerate(anchor):
+                assert got.anchor[k] == tuple(row), k
+            for (k, l), vec in brackets.items():
+                assert got.structure[k][l] == vec, (k, l)
+            assert got == LieAlgebroid(mp.chart, frames, anchor, brackets)
+
+    def test_name_clashes_get_apostrophes(self):
+        semidirect, opposite = build_semidirects(name_clash_pair())
+        assert semidirect.frames == ("a_d'", "a_d", "b")
+        assert opposite.frames == ("a", "a_d_d", "b_d'")
 
     def test_dual_action_bracket_formula(self):
         # [0 + Y, phi + 0] = sigma*_Y(phi) + 0 on frames

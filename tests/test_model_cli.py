@@ -351,3 +351,31 @@ class TestHostileNumbers:
         model = parse_model("[lie_algebra g]\ndim = 64\n[dvb D]\nbase = [x]\nranks = {A: 0, B: 64, C: 1}\n")
         assert model.lie_algebras["g"].dim == 64
         assert len(model.dvbs["D"].frames_b) == 64
+
+
+class TestSharedFrameNames:
+    """A matched pair whose two algebroids share a frame name lays out
+    neither a vacant double nor a direct sum: every build verb exits 2."""
+
+    TEXT = (
+        "[chart M]\ncoords = [x]\n\n"
+        "[algebroid TM]\nbase = M\nframe = [v1]\nanchor(v1) = d/dx\n\n"
+        "[matched_pair self]\nA = TM\nB = TM\n"
+    )
+
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("semidirects", "side, bundle and core frame names must be distinct"),
+            ("double", "side, bundle and core frame names must be distinct"),
+            ("bowtie", "frame names must be distinct"),
+        ],
+    )
+    def test_build_exits_two(self, tmp_path, capsys, kind, message):
+        path = tmp_path / "m.model"
+        path.write_text(self.TEXT)
+        code = main(["build", kind, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"doublealg: error: {message}\n"

@@ -736,7 +736,10 @@ def check_compatibility(
     two by the Leibniz rule D(X, fY) = f D(X, Y) + D(X, f) ^ Y, an exact
     identity of the Leibniz rules built into `bracket_sections`,
     `differential` and `schouten` (Jacobi is not needed).  `random` draws
-    seeded section pairs of bounded degree.  Each family reports its first
+    seeded section pairs of bounded degree, but only when one of the other
+    four families fails: once they all pass, every trial defect is zero, so
+    `random` is reported as passed without drawing.  The tests keep the
+    trial loop on every pair as its oracle.  Each family reports its first
     nonzero defect.
     """
     rank, frames, names = L.rank, L.frames, L.chart.names
@@ -813,7 +816,16 @@ def check_compatibility(
             witness = f"functions ({names[i]}, {names[j]}): a(d_*f)(g) + a(d_*g)(f) = {value}"
             break
     items.append(failed("symmetric_part", witness) if witness else passed("symmetric_part"))
-    items.append(first_nonzero("random", random_defects()))
+    # D is antisymmetric, D(X, gY) = g D(X, Y) + D(X, g) ^ Y, D(e_a, g) =
+    # sum_i d_i g * function_defect(a, i), and D(fX, g) = f D(X, g) +
+    # S(f, g) X with S the symmetric part above (a biderivation, so fixed by
+    # its values on coordinates).  D at any polynomial pair is therefore a
+    # combination of frame defects, function defects and S(x_i, x_j), and
+    # the trials can only fail when one of those families has.
+    if all(item.ok for item in items):
+        items.append(passed("random"))
+    else:
+        items.append(first_nonzero("random", random_defects()))
     return CheckReport(tuple(items))
 
 

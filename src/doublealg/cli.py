@@ -157,7 +157,8 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
             if rep.ok:
                 diag = doublela.structural_diagnostics(dla)
                 results.extend(entries_from_check(f"vacant.{name}.diagnostics", diag))
-                diagonal = doublela.diagonal_structure(dla)
+                # a passing vacant double means `mp` is matched (the paper's last theorem)
+                diagonal = matched.assemble_bowtie(mp)
                 results.append(
                     ResultEntry(
                         f"vacant.{name}.diagonal",
@@ -206,7 +207,7 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
                 )
                 continue
             try:
-                mp = doublela.matched_from_vacant(dla)
+                mp, rep = doublela._checked_actions(dla)
             except matched.MatchedPairError as exc:
                 results.append(ResultEntry(f"extract.{name}", "fail", str(exc)))
                 continue
@@ -224,9 +225,7 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
                     )
                 )
             results.append(ResultEntry(f"extract.{name}", "pass", detail=tuple(detail)))
-            results.extend(
-                entries_from_check(f"extract.{name}.matched", matched.check_matched(mp))
-            )
+            results.extend(entries_from_check(f"extract.{name}.matched", rep))
 
     elif (verb, kind) == ("dualize", "dvb"):
         for name, shape in model.dvbs.items():

@@ -647,8 +647,9 @@ def vacant_from_matched(mp: MatchedPair) -> DoubleLieAlgebroid:
     return assemble_vacant_double(mp)
 
 
-def matched_from_vacant(dla: DoubleLieAlgebroid) -> MatchedPair:
-    """Read the two actions off a vacant double; the result is validated."""
+def _checked_actions(dla: DoubleLieAlgebroid) -> Tuple[MatchedPair, CheckReport]:
+    """The two actions of a vacant double and their passing `check_matched`
+    report; raises when they are not matched."""
     if not dla.is_vacant:
         raise DoubleMismatch("double has a nonzero core")
     mp = MatchedPair(
@@ -662,7 +663,12 @@ def matched_from_vacant(dla: DoubleLieAlgebroid) -> MatchedPair:
         raise MatchedPairError(
             f"extracted actions are not matched: {rep.first_failure.witness}"
         )
-    return mp
+    return mp, rep
+
+
+def matched_from_vacant(dla: DoubleLieAlgebroid) -> MatchedPair:
+    """Read the two actions off a vacant double; the result is validated."""
+    return _checked_actions(dla)[0]
 
 
 def diagonal_structure(dla: DoubleLieAlgebroid) -> LieAlgebroid:

@@ -47,7 +47,7 @@ from doublealg.matched import MatchedPair, RepresentationMap, check_cor_sdp, che
 def _report(number: int, budget: float, started: float, description: str) -> None:
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE {number}: pass ({elapsed:.2f}s < {budget:.0f}s) - {description}")
-    assert elapsed < budget
+    assert elapsed < budget, f"criterion {number} took {elapsed:.2f}s, budget {budget:.0f}s"
 
 
 def _rvec(rng, n):

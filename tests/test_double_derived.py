@@ -9,7 +9,9 @@ the cotangent algebroids of the two linear Poisson structures, which prove
 [pi, pi] = 0 with the Schouten bracket, stay here as their oracle.  The
 `scaled` family of `check_compatibility` is read off the frame and function
 defects by the Leibniz rule; the loop that computes every scaled defect in
-full stays here as its oracle.
+full stays here as its oracle.  The `random` family draws its seeded trials
+only when one of the other four families fails; the trial loop, run on
+every pair, stays here as its oracle.
 """
 
 import contextlib
@@ -34,6 +36,7 @@ from doublealg.algebroid import (
     differential,
     dual_poisson,
     random_polynomial,
+    random_section,
     schouten,
     tangent_algebroid,
 )
@@ -177,7 +180,7 @@ def test_check_double_cli_computes_each_derivation_once(calls):
 @pytest.mark.parametrize(
     "kind,expected",
     [
-        ("double", {"check_matched": 1, "check_algebroid": 6}),
+        ("double", {"check_matched": 0, "check_algebroid": 4}),
         ("bowtie", {"check_matched": 1, "check_algebroid": 2}),
     ],
 )
@@ -187,7 +190,14 @@ def test_build_cli_checks_the_matched_pair_once(monkeypatch, kind, expected):
     )
     with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
         assert cli.main(["build", kind, str(MODELS / "coadjoint_solvable2.pass")]) == 0
-    assert counts == expected
+    assert counts == Counter(expected)
+
+
+def test_extract_cli_checks_the_matched_pair_once(monkeypatch):
+    counts = count_calls(monkeypatch, ((matched, "check_matched"),))
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+        assert cli.main(["extract", "matched", str(MODELS / "vacant_line_action.pass")]) == 0
+    assert counts == {"check_matched": 1}
 
 
 # --- the closed-form cotangent double against the cotangent algebroids
@@ -314,16 +324,16 @@ def corpus_dual_pairs():
     return out
 
 
-SCALED_PAIRS = corpus_dual_pairs() + [ORACLE_PAIRS[-1]]
+CORPUS_PAIRS = corpus_dual_pairs() + [ORACLE_PAIRS[-1]]
 
 
-@pytest.mark.parametrize("pair", [p for _, p in SCALED_PAIRS], ids=[n for n, _ in SCALED_PAIRS])
+@pytest.mark.parametrize("pair", [p for _, p in CORPUS_PAIRS], ids=[n for n, _ in CORPUS_PAIRS])
 def test_scaled_matches_full_defects(pair):
     assert_scaled_matches_oracle(*pair)
 
 
 def test_scaled_corpus_has_passing_and_failing_items():
-    verdicts = Counter(assert_scaled_matches_oracle(*p) for _, p in SCALED_PAIRS)
+    verdicts = Counter(assert_scaled_matches_oracle(*p) for _, p in CORPUS_PAIRS)
     assert verdicts[True] >= 3 and verdicts[False] >= 3
 
 
@@ -335,13 +345,14 @@ def test_scaled_matches_full_defects_on_random_pairs(pair):
 
 
 def random_bracket(rng, frames):
-    """A rank-3 bundle on (x, y) with random anchor and bracket; Jacobi and
-    the anchor morphism generally fail."""
-    anchor = [[random_polynomial(rng, XY, 1) for _ in range(2)] for _ in range(3)]
+    """A bundle on (x, y) with random anchor and bracket; Jacobi and the
+    anchor morphism generally fail."""
+    r = len(frames)
+    anchor = [[random_polynomial(rng, XY, 1) for _ in range(2)] for _ in range(r)]
     brackets = {
-        (a, b): tuple(random_polynomial(rng, XY, 1) for _ in range(3))
-        for a in range(3)
-        for b in range(a + 1, 3)
+        (a, b): tuple(random_polynomial(rng, XY, 1) for _ in range(r))
+        for a in range(r)
+        for b in range(a + 1, r)
     }
     return LieAlgebroid(XY, frames, anchor, brackets)
 
@@ -357,7 +368,138 @@ def test_scaled_matches_full_defects_without_jacobi(seed):
 def test_scaled_computes_no_defect_of_its_own(monkeypatch):
     counts = count_calls(monkeypatch, ((algebroid, "differential"),))
     assert check_bialgebroid(*catalog.tangent_cotangent_pair()).ok
-    # 1 frame, 4 function and 4 random defects at three d_* each, plus one
-    # per coordinate in symmetric_part: 29; computing the 8 scaled defects
-    # in full would add 24
+    # 1 frame and 4 function defects at three d_* each, plus one per
+    # coordinate in symmetric_part: 17 (a passing pair draws no random
+    # trial); computing the 8 scaled defects in full would add 24
     assert counts["differential"] <= 33
+
+
+# --- the random family against its seeded trial loop
+
+
+def brute_random(L, Lstar, seed=7, max_degree=2):
+    """The `random` item computed on every pair: the defect
+    d_*[X, Y] - [d_*X, Y] - [X, d_*Y] on RANDOM_PAIRS seeded section pairs,
+    first failure reported."""
+    d_star = lambda ms: differential(Lstar, ms)
+    rng = random.Random(seed)
+    for trial in range(algebroid.RANDOM_PAIRS):
+        x = random_section(rng, L, max_degree)
+        y = random_section(rng, L, max_degree)
+        d = d_star(schouten(L, x, y)) - schouten(L, d_star(x), y) - schouten(L, x, d_star(y))
+        if not d.is_zero:
+            return failed(
+                "random",
+                f"random trial {trial}: X = {x.format(L.frames)}, Y = {y.format(L.frames)}, "
+                f"defect = {d.format(L.frames)}",
+            )
+    return passed("random")
+
+
+def assert_random_matches_oracle(L, Lstar, seed=7, max_degree=2):
+    """Compare the `random` item with the oracle; return the report."""
+    report = check_compatibility(L, Lstar, seed=seed, max_degree=max_degree)
+    (item,) = (i for i in report.items if i.check_id == "random")
+    assert item == brute_random(L, Lstar, seed, max_degree)
+    return report
+
+
+def sparse_polynomial(rng, degree):
+    return random_polynomial(rng, XY, degree) if rng.random() < 0.5 else Polynomial.zero(XY)
+
+
+def valid_rank2_pair(seed):
+    """The first pair of sparse random rank-2 brackets on (x, y) that are
+    both Lie algebroids."""
+    rng = random.Random(seed)
+
+    def draw(frames):
+        anchor = [[sparse_polynomial(rng, 1) for _ in range(2)] for _ in range(2)]
+        bracket = tuple(sparse_polynomial(rng, 1) for _ in range(2))
+        return LieAlgebroid(XY, frames, anchor, {(0, 1): bracket})
+
+    while True:
+        L, Lstar = draw(("e1", "e2")), draw(("f1", "f2"))
+        if algebroid.check_algebroid(L).ok and algebroid.check_algebroid(Lstar).ok:
+            return L, Lstar
+
+
+def abelian_extension(rng, frames):
+    """A rank-3 Lie algebroid on (x, y): the third frame has a random anchor
+    and acts on the abelian span of the first two by a random polynomial
+    matrix, which satisfies Jacobi for any entries."""
+    zero = Polynomial.zero(XY)
+    m = [[sparse_polynomial(rng, 1) for _ in range(2)] for _ in range(2)]
+    anchor = [[zero, zero], [zero, zero], [sparse_polynomial(rng, 1), sparse_polynomial(rng, 1)]]
+    brackets = {(0, 2): (-m[0][0], -m[1][0], zero), (1, 2): (-m[0][1], -m[1][1], zero)}
+    return LieAlgebroid(XY, frames, anchor, brackets)
+
+
+def bracket_pairs():
+    """Random rank-2 and rank-3 pairs on (x, y), with and without Jacobi."""
+    out = []
+    for seed in range(24):
+        out.append((f"rank2_jacobi_{seed}", valid_rank2_pair(seed)))
+    for seed in range(12):
+        rng = random.Random(seed)
+        pair = abelian_extension(rng, ("e1", "e2", "e3")), abelian_extension(rng, ("f1", "f2", "f3"))
+        out.append((f"rank3_jacobi_{seed}", pair))
+    for rank in (2, 3):
+        for seed in range(4):
+            rng = random.Random(seed)
+            pair = tuple(random_bracket(rng, tuple(f"{c}{i + 1}" for i in range(rank))) for c in "ef")
+            out.append((f"rank{rank}_no_jacobi_{seed}", pair))
+    return out
+
+
+BRACKET_PAIRS = bracket_pairs()
+RANDOM_ORACLE_PAIRS = CORPUS_PAIRS + BRACKET_PAIRS
+
+
+@pytest.mark.parametrize(
+    "pair", [p for _, p in RANDOM_ORACLE_PAIRS], ids=[n for n, _ in RANDOM_ORACLE_PAIRS]
+)
+def test_random_matches_trial_loop(pair):
+    assert_random_matches_oracle(*pair)
+
+
+def test_random_corpus_has_passing_and_failing_items():
+    """The oracle corpus reaches every case of the decision: all four
+    families pass, and `symmetric_part` fails with and without another
+    family.  With `random` failing on some pairs, a `random` that always
+    passes is caught by the oracle."""
+    verdicts = Counter()
+    for _, pair in RANDOM_ORACLE_PAIRS:
+        failing = {i.check_id for i in assert_random_matches_oracle(*pair).items if not i.ok}
+        verdicts[frozenset(failing)] += 1
+    assert verdicts[frozenset()] >= 3
+    assert sum(n for f, n in verdicts.items() if "random" in f) >= 3
+    assert verdicts[frozenset({"symmetric_part", "random"})] >= 1
+    assert sum(n for f, n in verdicts.items() if "symmetric_part" in f and len(f) > 2) >= 1
+
+
+PASSING_PAIRS = [
+    (name, pair) for name, pair in RANDOM_ORACLE_PAIRS if check_compatibility(*pair).ok
+]
+
+
+@pytest.mark.parametrize("pair", [p for _, p in PASSING_PAIRS], ids=[n for n, _ in PASSING_PAIRS])
+@pytest.mark.parametrize("seed,max_degree", [(0, 2), (11, 3), (12345, 3)])
+def test_random_matches_trial_loop_at_other_seeds(pair, seed, max_degree):
+    assert assert_random_matches_oracle(*pair, seed=seed, max_degree=max_degree).ok
+
+
+@given(dual_pairs)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_random_matches_trial_loop_on_random_pairs(pair):
+    assert_random_matches_oracle(*pair)
+    assert_random_matches_oracle(*reversed(pair))
+
+
+def test_passing_pair_draws_no_random_trial(monkeypatch):
+    counts = count_calls(
+        monkeypatch, ((algebroid, "random_section"), (algebroid, "differential"))
+    )
+    assert check_bialgebroid(*catalog.tangent_cotangent_pair()).ok
+    assert counts["random_section"] == 0
+    assert counts["differential"] <= 17

@@ -379,3 +379,18 @@ class TestSharedFrameNames:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"doublealg: error: {message}\n"
+
+
+def test_extract_matched_reports_unmatched_actions(tmp_path, capsys):
+    """Actions read off a vacant double that fail the matched-pair identities
+    give one fail line carrying the first failing identity."""
+    text = (MODELS / "vacant_line_action.pass").read_text()
+    path = tmp_path / "m.model"
+    path.write_text(text.replace("side = triv\n", "side = triv\nlambda(f1; v1) = x * v1\n"))
+    assert main(["extract", "matched", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4:] == [
+        "result extract.vac: FAIL",
+        "  witness: extracted actions are not matched: identity 3 at (v1, f1): defect = (x) d/dx",
+        "summary: fail",
+    ]

@@ -12,6 +12,10 @@ Also here: the structural consequences used as redundant oracles (core
 anchor coincidence, the induced algebroid on the core, anchor morphism
 compatibility at a generic point and on generators), the cotangent double
 of a dual pair of algebroids, and the diagonal structure of vacant doubles.
+The anchor of D is written from generator data in one place,
+`lavb._generator_algebroid`; the anchor items of the diagnostics read it
+off the two total algebroids `vertical.total` and `horizontal.total`, and
+the core-anchor items compose the core anchors with the side anchors.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .algebroid import (
     LieAlgebroid,
     Multisection,
     PoissonChart,
+    VectorField,
     bracket_sections,
     change_frames,
     check_algebroid,
@@ -237,39 +242,17 @@ def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
     return LieAlgebroid(base, dla.core_frames, anchor, brackets)
 
 
-def _compose_anchor(side: LieAlgebroid, core_anchor) -> List[List[Polynomial]]:
-    """(anchor of side) o (core map): matrix with one row per core frame."""
-    base = side.chart
-    n = base.dim
-    rows = []
-    for row in core_anchor:
-        out = [Polynomial.zero(base) for _ in range(n)]
-        for alpha, coeff in enumerate(row):
-            if coeff:
-                for i in range(n):
-                    if side.anchor[alpha][i]:
-                        out[i] = out[i] + coeff * side.anchor[alpha][i]
-        rows.append(out)
-    return rows
-
-
 def _bracket_preserving(
     side: LieAlgebroid, core: LieAlgebroid, core_map, label: str
 ) -> CheckItem:
     """core_map([c, c']) = [core_map c, core_map c'] on core frames."""
-    base = side.chart
+    images = [side.section(row) for row in core_map]
     for g1, g2 in itertools.combinations(range(core.rank), 2):
-        image_of_bracket = [Polynomial.zero(base) for _ in range(side.rank)]
+        lhs = Multisection.zero(side.rank, 1)
         for g3, coeff in enumerate(core.structure[g1][g2]):
             if coeff:
-                for alpha in range(side.rank):
-                    if core_map[g3][alpha]:
-                        image_of_bracket[alpha] = image_of_bracket[alpha] + coeff * core_map[g3][alpha]
-        lhs = side.section(image_of_bracket)
-        rhs = bracket_sections(
-            side, side.section(list(core_map[g1])), side.section(list(core_map[g2]))
-        )
-        defect = lhs - rhs
+                lhs = lhs + images[g3].scale_by(coeff)
+        defect = lhs - bracket_sections(side, images[g1], images[g2])
         if not defect.is_zero:
             return failed(
                 label,
@@ -279,192 +262,106 @@ def _bracket_preserving(
     return passed(label)
 
 
-def _generic_anchor_identity(dla: DoubleLieAlgebroid) -> CheckItem:
+def _generic_anchor(total: LieAlgebroid, joint: Chart) -> VectorField:
+    """The anchor of D at a generic point, sum_k u_k a(e_k) over the frames
+    e_k of `total`, with u_k the fibre coordinate of frame k in `joint`."""
+    comps = dict.fromkeys(joint.names, Polynomial.zero(joint))
+    for frame, row in zip(total.frames, total.anchor):
+        u = Polynomial.coordinate(joint, bundle_fibre_coordinate(frame))
+        for name, entry in zip(total.chart.names, row):
+            if entry:
+                comps[name] = comps[name] + u * entry.lift(joint)
+    return VectorField(joint, [comps[name] for name in joint.names])
+
+
+def _anchor_compat(base: Chart, x_v: VectorField, x_h: VectorField) -> CheckItem:
     """Second-order anchor compatibility at a generic point.
 
     Both anchors D -> TA and D -> TB, pushed through the tangent of the side
-    anchors, must give the same second-order velocity; expanded as an exact
-    polynomial identity in base, side and core fibre coordinates.
+    anchors, must give the same second-order velocity: the base part of the
+    commutator [X_v, X_h] of the generic anchors vanishes.
     """
-    base = dla.chart
-    side_a, side_b = dla.side_a, dla.side_b
-    vert, hor = dla.vertical, dla.horizontal
-    a_frames, b_frames, c_frames = (
-        vert.bundle_frames,
-        hor.bundle_frames,
-        dla.core_frames,
-    )
-    big = base.extend(
-        [bundle_fibre_coordinate(f) for f in a_frames]
-        + [bundle_fibre_coordinate(f) for f in b_frames]
-        + [bundle_fibre_coordinate(f) for f in c_frames]
-    )
-    ua = [Polynomial.coordinate(big, bundle_fibre_coordinate(f)) for f in a_frames]
-    ub = [Polynomial.coordinate(big, bundle_fibre_coordinate(f)) for f in b_frames]
-    uc = [Polynomial.coordinate(big, bundle_fibre_coordinate(f)) for f in c_frames]
-    n, ra, rb, rc = base.dim, len(a_frames), len(b_frames), len(c_frames)
-
-    def lifted(p: Polynomial) -> Polynomial:
-        return p.lift(big)
-
-    v = [Polynomial.zero(big) for _ in range(n)]
-    for beta in range(rb):
-        for i in range(n):
-            if side_b.anchor[beta][i]:
-                v[i] = v[i] + lifted(side_b.anchor[beta][i]) * ub[beta]
-    w = [Polynomial.zero(big) for _ in range(n)]
-    for alpha in range(ra):
-        for i in range(n):
-            if side_a.anchor[alpha][i]:
-                w[i] = w[i] + lifted(side_a.anchor[alpha][i]) * ua[alpha]
-
-    adot = [Polynomial.zero(big) for _ in range(ra)]
-    for beta in range(rb):
-        der = vert.anchor_derivations[beta]
-        for b in range(ra):
-            for a in range(ra):
-                entry = der.matrix[b][a]
-                if entry:
-                    adot[a] = adot[a] - lifted(entry) * ub[beta] * ua[b]
-    for gamma in range(rc):
-        for a in range(ra):
-            if vert.core_anchor[gamma][a]:
-                adot[a] = adot[a] + lifted(vert.core_anchor[gamma][a]) * uc[gamma]
-
-    bdot = [Polynomial.zero(big) for _ in range(rb)]
-    for alpha in range(ra):
-        der = hor.anchor_derivations[alpha]
-        for b in range(rb):
-            for c in range(rb):
-                entry = der.matrix[b][c]
-                if entry:
-                    bdot[c] = bdot[c] - lifted(entry) * ua[alpha] * ub[b]
-    for gamma in range(rc):
-        for b in range(rb):
-            if hor.core_anchor[gamma][b]:
-                bdot[b] = bdot[b] + lifted(hor.core_anchor[gamma][b]) * uc[gamma]
-
-    for i in range(n):
-        lhs = Polynomial.zero(big)
-        for alpha in range(ra):
-            for j, name in enumerate(base.names):
-                d = side_a.anchor[alpha][i].partial(name)
-                if d:
-                    lhs = lhs + lifted(d) * v[j] * ua[alpha]
-            if side_a.anchor[alpha][i]:
-                lhs = lhs + lifted(side_a.anchor[alpha][i]) * adot[alpha]
-        rhs = Polynomial.zero(big)
-        for beta in range(rb):
-            for j, name in enumerate(base.names):
-                d = side_b.anchor[beta][i].partial(name)
-                if d:
-                    rhs = rhs + lifted(d) * w[j] * ub[beta]
-            if side_b.anchor[beta][i]:
-                rhs = rhs + lifted(side_b.anchor[beta][i]) * bdot[beta]
-        if lhs - rhs:
-            return failed(
-                "anchor_compat",
-                f"second-order defect on d/d{base.names[i]}: {lhs - rhs}",
-            )
+    for i, name in enumerate(base.names):
+        defect = x_v.apply(x_h.components[i]) - x_h.apply(x_v.components[i])
+        if defect:
+            return failed("anchor_compat", f"second-order defect on d/d{name}: {defect}")
     return passed("anchor_compat")
 
 
-def _anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> CheckItem:
+def _anchor_bracket_compat(
+    delta: LAVBundle, x_delta: VectorField, domain: LAVBundle, label: str
+) -> CheckItem:
     """Bracket part of the anchor-morphism condition at generator level.
 
-    `delta` holds the anchor data being mapped through (D -> TA for the
-    vertical structure), `domain` the opposite structure whose total-space
-    algebroid is the source.  Images of generators are decomposed against
-    the tangent-prolongation generators (tangent lifts of the side frames
-    and their vertical lifts) pulled back along the side anchor, and the
-    morphism identity is compared coefficient-by-coefficient.
+    `delta` holds the anchor being mapped through (D -> TA for the vertical
+    structure) and `x_delta` is its generic anchor; `domain` is the opposite
+    structure whose total-space algebroid is the source.  Images of
+    generators are decomposed against the tangent-prolongation generators
+    (tangent lifts of the side frames and their vertical lifts) pulled back
+    along the side anchor, and the morphism identity is compared
+    coefficient-by-coefficient.
     """
     dom_alg = domain.total
     chart_b = dom_alg.chart
-    base = domain.chart
+    joint = x_delta.chart
     side_a = domain.side  # the target side algebroid (frames being lifted)
-    side_b = delta.side
     ra = side_a.rank
-    rb = len(domain.bundle_frames)
-    u_b = [
-        Polynomial.coordinate(chart_b, bundle_fibre_coordinate(f))
-        for f in domain.bundle_frames
+    one, zero = Polynomial.constant(chart_b, 1), Polynomial.zero(chart_b)
+    lift_rows = [
+        x_delta.components[joint.index(bundle_fibre_coordinate(f))] for f in delta.bundle_frames
     ]
 
-    def lift(p: Polynomial) -> Polynomial:
-        return p.lift(chart_b)
+    # decomposition of the anchor image of each domain frame: 2*ra
+    # coefficients, first the tangent lifts then the vertical lifts, which
+    # are the derivatives of the generic anchor along the frame's coordinate
+    def frame_decomposition(k: int) -> List[Polynomial]:
+        u = bundle_fibre_coordinate(dom_alg.frames[k])
+        return [one if j == k else zero for j in range(ra)] + [
+            row.partial(u).restrict(chart_b) for row in lift_rows
+        ]
 
-    # decomposition of the anchor image of each domain frame:
-    # 2*ra coefficients, first the tangent lifts then the vertical lifts
-    def frame_decomposition(i: int) -> List[Polynomial]:
-        coeffs = [Polynomial.zero(chart_b) for _ in range(2 * ra)]
-        if i < ra:
-            coeffs[i] = Polynomial.constant(chart_b, 1)
-            for a in range(ra):
-                entry = Polynomial.zero(chart_b)
-                for beta in range(rb):
-                    m = delta.anchor_derivations[beta].matrix[i][a]
-                    if m:
-                        entry = entry - lift(m) * u_b[beta]
-                coeffs[ra + a] = entry
-        else:
-            gamma = i - ra
-            for a in range(ra):
-                if delta.core_anchor[gamma][a]:
-                    coeffs[ra + a] = lift(delta.core_anchor[gamma][a])
-        return coeffs
+    decompositions = [frame_decomposition(k) for k in range(dom_alg.rank)]
 
     def section_decomposition(section: Multisection) -> List[Polynomial]:
-        comps = section.vector(chart_b)
-        out = [Polynomial.zero(chart_b) for _ in range(2 * ra)]
-        for i, coeff in enumerate(comps):
+        out = [zero] * (2 * ra)
+        for i, coeff in enumerate(section.vector(chart_b)):
             if not coeff:
                 continue
-            for k, val in enumerate(frame_decomposition(i)):
+            for k, val in enumerate(decompositions[i]):
                 if val:
                     out[k] = out[k] + coeff * val
         return out
 
-    # pullback of the derivative function of a base polynomial:
-    # fdot(x, xdot) = sum_j d_j f * xdot^j with xdot = side_b anchor of u_b
+    # pullback of the derivative function of a base polynomial along the
+    # generic anchor: fdot = X_delta(f)
     def derivative_function(f: Polynomial) -> Polynomial:
-        out = Polynomial.zero(chart_b)
-        for j, name in enumerate(base.names):
-            d = f.partial(name)
-            if not d:
-                continue
-            xdot = Polynomial.zero(chart_b)
-            for beta in range(rb):
-                if side_b.anchor[beta][j]:
-                    xdot = xdot + lift(side_b.anchor[beta][j]) * u_b[beta]
-            out = out + lift(d) * xdot
-        return out
+        return x_delta.apply(f.lift(joint)).restrict(chart_b)
 
     def target_bracket(j: int, k: int) -> List[Polynomial]:
-        out = [Polynomial.zero(chart_b) for _ in range(2 * ra)]
+        out = [zero] * (2 * ra)
         if j < ra and k < ra:
             for gamma, coeff in enumerate(side_a.structure[j][k]):
                 if coeff:
-                    out[gamma] = out[gamma] + lift(coeff)
+                    out[gamma] = out[gamma] + coeff.lift(chart_b)
                     out[ra + gamma] = out[ra + gamma] + derivative_function(coeff)
         elif j < ra <= k:
             for gamma, coeff in enumerate(side_a.structure[j][k - ra]):
                 if coeff:
-                    out[ra + gamma] = out[ra + gamma] + lift(coeff)
+                    out[ra + gamma] = out[ra + gamma] + coeff.lift(chart_b)
         elif k < ra <= j:
             for gamma, coeff in enumerate(side_a.structure[j - ra][k]):
                 if coeff:
-                    out[ra + gamma] = out[ra + gamma] - lift(coeff)
+                    out[ra + gamma] = out[ra + gamma] - coeff.lift(chart_b)
         return out
 
     gen_names = [f"T({name})" for name in side_a.frames] + [
         f"lift({name})" for name in side_a.frames
     ]
     for i, j in itertools.combinations(range(dom_alg.rank), 2):
-        u_coeffs = frame_decomposition(i)
-        v_coeffs = frame_decomposition(j)
+        u_coeffs = decompositions[i]
+        v_coeffs = decompositions[j]
         lhs = section_decomposition(dom_alg.frame_bracket(i, j))
-        rhs = [Polynomial.zero(chart_b) for _ in range(2 * ra)]
+        rhs = [zero] * (2 * ra)
         for p in range(2 * ra):
             if not u_coeffs[p]:
                 continue
@@ -488,6 +385,12 @@ def _anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> C
     return passed(label)
 
 
+def _first_difference(rows, other_rows, dim: int):
+    """The first (row, coordinate) at which two anchor matrices differ."""
+    cells = itertools.product(range(len(rows)), range(dim))
+    return next(((g, i) for g, i in cells if rows[g][i] - other_rows[g][i]), None)
+
+
 def structural_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
     """Consequences of the double axioms, re-verified as redundant oracles.
 
@@ -497,27 +400,36 @@ def structural_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
     (iii) both anchors are algebroid morphisms over the opposite side anchor
          (second-order generic-point identity plus the generator-level
          bracket condition for each direction).
-    Any failure on a double that passed `check_double` indicates an
-    internal inconsistency, not a property of the input.
+
+    The items of (iii) read the anchor of D off the total algebroids
+    `dla.vertical.total` and `dla.horizontal.total` that `check_lavb`
+    builds, through their generic anchors X_v and X_h (`_generic_anchor`,
+    on the joint chart (x, u_A, u_B, u_C)); `lavb._generator_algebroid` is
+    the one writer of that anchor.  Its base components are the base fields
+    of the anchor derivations, which agree with the side anchors whenever
+    `check_lavb`'s `base_fields` item passes; on other inputs `check_double`
+    fails first.  Any failure on a double that passed `check_double`
+    indicates an internal inconsistency, not a property of the input.
     """
     items: List[CheckItem] = []
     side_a, side_b = dla.side_a, dla.side_b
+    vert, hor = dla.vertical, dla.horizontal
     base = dla.chart
 
-    a_core = _compose_anchor(side_a, dla.vertical.core_anchor)
-    b_core = _compose_anchor(side_b, dla.horizontal.core_anchor)
-    witness = None
-    for gamma in range(len(dla.core_frames)):
-        for i in range(base.dim):
-            if a_core[gamma][i] - b_core[gamma][i]:
-                witness = (
-                    f"core frame {dla.core_frames[gamma]}, d/d{base.names[i]}: "
-                    f"{a_core[gamma][i]} vs {b_core[gamma][i]}"
-                )
-                break
-        if witness:
-            break
-    items.append(failed("core_anchor_match", witness) if witness else passed("core_anchor_match"))
+    a_core = [side_a.anchor_of(side_a.section(row)).components for row in vert.core_anchor]
+    b_core = [side_b.anchor_of(side_b.section(row)).components for row in hor.core_anchor]
+    hit = _first_difference(a_core, b_core, base.dim)
+    if hit:
+        gamma, i = hit
+        items.append(
+            failed(
+                "core_anchor_match",
+                f"core frame {dla.core_frames[gamma]}, d/d{base.names[i]}: "
+                f"{a_core[gamma][i]} vs {b_core[gamma][i]}",
+            )
+        )
+    else:
+        items.append(passed("core_anchor_match"))
 
     if dla.core_frames:
         try:
@@ -532,32 +444,29 @@ def structural_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
                 if rep.ok
                 else failed("core_algebroid", rep.first_failure.witness)
             )
-            witness = None
-            for gamma in range(core.rank):
-                for i in range(base.dim):
-                    if core.anchor[gamma][i] - a_core[gamma][i]:
-                        witness = (
-                            f"core frame {core.frames[gamma]}: induced anchor "
-                            f"{core.anchor[gamma][i]} vs composite {a_core[gamma][i]}"
-                        )
-                        break
-                if witness:
-                    break
-            items.append(
-                failed("core_anchor_induced", witness)
-                if witness
-                else passed("core_anchor_induced")
-            )
-            items.append(
-                _bracket_preserving(side_a, core, dla.vertical.core_anchor, "core_map_A")
-            )
-            items.append(
-                _bracket_preserving(side_b, core, dla.horizontal.core_anchor, "core_map_B")
-            )
+            hit = _first_difference(core.anchor, a_core, base.dim)
+            if hit:
+                gamma, i = hit
+                items.append(
+                    failed(
+                        "core_anchor_induced",
+                        f"core frame {core.frames[gamma]}: induced anchor "
+                        f"{core.anchor[gamma][i]} vs composite {a_core[gamma][i]}",
+                    )
+                )
+            else:
+                items.append(passed("core_anchor_induced"))
+            items.append(_bracket_preserving(side_a, core, vert.core_anchor, "core_map_A"))
+            items.append(_bracket_preserving(side_b, core, hor.core_anchor, "core_map_B"))
 
-    items.append(_generic_anchor_identity(dla))
-    items.append(_anchor_bracket_compat(dla.vertical, dla.horizontal, "anchor_brackets_A"))
-    items.append(_anchor_bracket_compat(dla.horizontal, dla.vertical, "anchor_brackets_B"))
+    joint = base.extend(
+        bundle_fibre_coordinate(f)
+        for f in vert.bundle_frames + hor.bundle_frames + dla.core_frames
+    )
+    x_v, x_h = _generic_anchor(vert.total, joint), _generic_anchor(hor.total, joint)
+    items.append(_anchor_compat(base, x_v, x_h))
+    items.append(_anchor_bracket_compat(vert, x_v, hor, "anchor_brackets_A"))
+    items.append(_anchor_bracket_compat(hor, x_h, vert, "anchor_brackets_B"))
     return CheckReport(tuple(items))
 
 

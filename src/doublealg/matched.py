@@ -28,7 +28,6 @@ from .algebroid import (
     bracket_sections,
     change_frames,
     check_algebroid,
-    check_bialgebroid,
 )
 from .exact import Chart, ChartMismatch, Polynomial
 from .lavb import LAVBundle
@@ -334,19 +333,3 @@ def build_semidirects(mp: MatchedPair) -> Tuple[LieAlgebroid, LieAlgebroid]:
     negate = [[Fraction(signs[k] if i == k else 0) for k in range(size)] for i in range(size)]
     opposite = change_frames(e_h, negate, e_h.frames)
     return semidirect, opposite
-
-
-def check_cor_sdp(mp: MatchedPair) -> CheckReport:
-    """The semidirect pair is a dual pair; run the bialgebroid check on it.
-
-    By the semidirect correspondence this verdict must coincide with
-    `check_matched` on every input (both truth values).
-    """
-    items: List[CheckItem] = []
-    items.extend(check_representation(mp.algebroid_a, mp.rho, "rho").items)
-    items.extend(check_representation(mp.algebroid_b, mp.sigma, "sigma").items)
-    if not all(i.ok for i in items):
-        return CheckReport(tuple(items))
-    semidirect, opposite = build_semidirects(mp)
-    rep = check_bialgebroid(semidirect, opposite)
-    return CheckReport(tuple(items) + rep.prefixed("sdp").items)

@@ -98,6 +98,14 @@ def _check_count(label: str, value: int, line: int) -> None:
         raise ModelError(f"{label} must be between 0 and {MAX_COUNT}, got {value}", line)
 
 
+def _parsed(line: int, parse, *args):
+    """`parse(*args)`, with a parse error reported at model line `line`."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        raise ModelError(str(exc), line) from exc
+
+
 @dataclass
 class RawBlock:
     kind: str
@@ -211,10 +219,7 @@ def _parse_derivation_value(
             frame_name, combo = part.split(":", 1)
             frame_name = frame_name.strip()
             idx = _frame_indices(frames, [frame_name], line)[0]
-            try:
-                combo_map = parse_combination(combo.strip(), chart, frames)
-            except ParseError as exc:
-                raise ModelError(str(exc), line) from exc
+            combo_map = _parsed(line, parse_combination, combo.strip(), chart, frames)
             for j, name in enumerate(frames):
                 matrix[idx][j] = matrix[idx][j] + combo_map[name]
     return Derivation(base_field, matrix)
@@ -276,10 +281,7 @@ def parse_model(text: str) -> ModelFile:
                             "(diagonal brackets are identically zero)",
                             line,
                         )
-                    try:
-                        combo = parse_combination(value, point, names)
-                    except ParseError as exc:
-                        raise ModelError(str(exc), line) from exc
+                    combo = _parsed(line, parse_combination, value, point, names)
                     vec = []
                     for name in names:
                         table = dict(combo[name].terms)
@@ -302,10 +304,7 @@ def parse_model(text: str) -> ModelFile:
                     if len(which) != 1:
                         raise ModelError("delta takes one basis name", line)
                     i = _frame_indices(algebra.basis_names, which, line)[0]
-                    try:
-                        images[i] = parse_wedge_combination(value, algebra.basis_names)
-                    except ParseError as exc:
-                        raise ModelError(str(exc), line) from exc
+                    images[i] = _parsed(line, parse_wedge_combination, value, algebra.basis_names)
                 bialgebras[block.name] = Bialgebra(algebra, Cobracket(algebra.dim, images))
 
             elif block.kind == "algebroid":
@@ -323,10 +322,7 @@ def parse_model(text: str) -> ModelFile:
                     if len(which) != 1:
                         raise ModelError("anchor takes one frame name", line)
                     i = _frame_indices(frames, which, line)[0]
-                    try:
-                        anchor[i] = parse_vector_field(value, chart)
-                    except ParseError as exc:
-                        raise ModelError(str(exc), line) from exc
+                    anchor[i] = _parsed(line, parse_vector_field, value, chart)
                 brackets = {}
                 for args, value, line in block.calls("bracket"):
                     pair = _split_args(args)
@@ -339,10 +335,7 @@ def parse_model(text: str) -> ModelFile:
                             "(diagonal brackets are identically zero)",
                             line,
                         )
-                    try:
-                        combo = parse_combination(value, chart, frames)
-                    except ParseError as exc:
-                        raise ModelError(str(exc), line) from exc
+                    combo = _parsed(line, parse_combination, value, chart, frames)
                     vec = tuple(combo[name] for name in frames)
                     if i < j:
                         brackets[(i, j)] = vec
@@ -442,10 +435,7 @@ def parse_model(text: str) -> ModelFile:
                         raise ModelError("lambda takes (side frame; bundle frame)", line)
                     beta = _frame_indices(frames_b, [which[0]], line)[0]
                     a = _frame_indices(frames_a, [which[1]], line)[0]
-                    try:
-                        combo = parse_combination(value, chart, frames_a)
-                    except ParseError as exc:
-                        raise ModelError(str(exc), line) from exc
+                    combo = _parsed(line, parse_combination, value, chart, frames_a)
                     lam[beta][a] = [combo[name] for name in frames_a]
                 q = [[[zero for _ in range(rc)] for _ in range(rc)] for _ in range(rb)]
                 for args, value, line in block.calls("q"):
@@ -454,10 +444,7 @@ def parse_model(text: str) -> ModelFile:
                         raise ModelError("q takes (side frame; core frame)", line)
                     beta = _frame_indices(frames_b, [which[0]], line)[0]
                     g = _frame_indices(frames_c, [which[1]], line)[0]
-                    try:
-                        combo = parse_combination(value, chart, frames_c)
-                    except ParseError as exc:
-                        raise ModelError(str(exc), line) from exc
+                    combo = _parsed(line, parse_combination, value, chart, frames_c)
                     q[beta][g] = [combo[name] for name in frames_c]
                 core_anchor = [[zero for _ in range(ra)] for _ in range(rc)]
                 for args, value, line in block.calls("del"):
@@ -465,10 +452,7 @@ def parse_model(text: str) -> ModelFile:
                     if len(which) != 1:
                         raise ModelError("del takes one core frame", line)
                     g = _frame_indices(frames_c, which, line)[0]
-                    try:
-                        combo = parse_combination(value, chart, frames_a)
-                    except ParseError as exc:
-                        raise ModelError(str(exc), line) from exc
+                    combo = _parsed(line, parse_combination, value, chart, frames_a)
                     core_anchor[g] = [combo[name] for name in frames_a]
                 twist = {}
                 for args, value, line in block.calls("twist"):
@@ -480,10 +464,7 @@ def parse_model(text: str) -> ModelFile:
                     a = _frame_indices(frames_a, [which[2]], line)[0]
                     if b1 == b2:
                         raise ModelError("twist pair must be distinct (antisymmetry)", line)
-                    try:
-                        combo = parse_combination(value, chart, frames_c)
-                    except ParseError as exc:
-                        raise ModelError(str(exc), line) from exc
+                    combo = _parsed(line, parse_combination, value, chart, frames_c)
                     key = (b1, b2) if b1 < b2 else (b2, b1)
                     sign = 1 if b1 < b2 else -1
                     mat = twist.setdefault(

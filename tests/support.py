@@ -1,17 +1,25 @@
 """Shared test helpers: coordinate renaming, the corpus of doubles and
-LA-vector bundles, with failing instances, and the matched-pair oracle,
+LA-vector bundles, with failing instances, and the matched-pair oracles,
 used by the oracle tests."""
 
 import pathlib
 import random
+from typing import List
 
 from doublealg import catalog
-from doublealg.algebroid import Derivation, check_algebroid, random_polynomial
+from doublealg.algebroid import Derivation, check_algebroid, check_bialgebroid, random_polynomial
 from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
 from doublealg.exact import Polynomial
 from doublealg.lavb import LAVBundle
-from doublealg.matched import assemble_bowtie, check_matched
+from doublealg.matched import (
+    MatchedPair,
+    assemble_bowtie,
+    build_semidirects,
+    check_matched,
+    check_representation,
+)
 from doublealg.model import parse_model
+from doublealg.verdicts import CheckItem, CheckReport
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -40,6 +48,22 @@ def assert_matched_decides_bowtie_and_double(mp):
     assert check_algebroid(assemble_bowtie(mp)).ok is verdict
     assert check_double(assemble_vacant_double(mp)).ok is verdict
     return verdict
+
+
+def check_cor_sdp(mp: MatchedPair) -> CheckReport:
+    """The semidirect pair is a dual pair; run the bialgebroid check on it.
+
+    By the semidirect correspondence this verdict must coincide with
+    `check_matched` on every input (both truth values).
+    """
+    items: List[CheckItem] = []
+    items.extend(check_representation(mp.algebroid_a, mp.rho, "rho").items)
+    items.extend(check_representation(mp.algebroid_b, mp.sigma, "sigma").items)
+    if not all(i.ok for i in items):
+        return CheckReport(tuple(items))
+    semidirect, opposite = build_semidirects(mp)
+    rep = check_bialgebroid(semidirect, opposite)
+    return CheckReport(tuple(items) + rep.prefixed("sdp").items)
 
 
 def double_corpus():

@@ -41,7 +41,8 @@ from doublealg.dvb import DecomposedDVB, cotangent_dvb, pair, r_map, tangent_dvb
 from doublealg.exact import Chart
 from doublealg.lavb import bundle_fibre_coordinate, induced_dual_algebroid, tangent_lavb, total_algebroid
 from doublealg.liealg import BialgebraError, check_manin, drinfeld_double
-from doublealg.matched import MatchedPair, RepresentationMap, check_cor_sdp, check_matched
+from doublealg.matched import MatchedPair, RepresentationMap, check_matched
+from support import check_cor_sdp
 
 
 def _report(number: int, budget: float, started: float, description: str) -> None:

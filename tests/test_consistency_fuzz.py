@@ -29,9 +29,9 @@ from doublealg.liealg import (
     drinfeld_double,
     dual_bracket,
 )
-from doublealg.matched import MatchedPair, RepresentationMap, check_cor_sdp, check_matched
+from doublealg.matched import MatchedPair, RepresentationMap, check_matched
 from doublealg.parsing import parse_polynomial
-from support import assert_matched_decides_bowtie_and_double
+from support import assert_matched_decides_bowtie_and_double, check_cor_sdp
 
 
 def random_cobracket(rng: random.Random, dim: int) -> Cobracket:

@@ -35,10 +35,9 @@ from doublealg.matched import (
     MatchedPair,
     MatchedPairError,
     RepresentationMap,
-    check_cor_sdp,
     check_matched,
 )
-from support import assert_matched_decides_bowtie_and_double
+from support import assert_matched_decides_bowtie_and_double, check_cor_sdp
 
 
 def double_tangent(chart: Chart) -> DoubleLieAlgebroid:

@@ -23,12 +23,12 @@ from doublealg.matched import (
     assemble_bowtie,
     build_bowtie,
     build_semidirects,
-    check_cor_sdp,
     check_matched,
     check_representation,
     extract_actions,
 )
 from doublealg.model import parse_model
+from support import check_cor_sdp
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 

@@ -16,11 +16,14 @@ text grammar round-trips bit-exactly with the parser in `parsing`.
 
 `Polynomial(chart, terms)` validates its input; the kernel's own results
 are built by `Polynomial._from_terms`, which trusts them and only drops
-zero coefficients and sorts.
+zero coefficients and sorts.  Each chart holds one shared zero polynomial,
+and the ring operations return an operand unchanged where the result
+equals it (adding or subtracting zero, multiplying by zero).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -81,6 +84,14 @@ class Chart:
         """Adjoin fibre coordinates; duplicates raise."""
         return Chart(self.names + tuple(extra))
 
+    @functools.cached_property
+    def _zero(self) -> "Polynomial":
+        """The zero polynomial of `Polynomial.zero`, built once per chart.
+
+        A cached property is not a dataclass field, so it stays out of
+        `==`, `hash` and `repr`."""
+        return Polynomial._from_terms(self, {})
+
     def __repr__(self) -> str:
         return f"Chart({', '.join(self.names)})"
 
@@ -132,7 +143,7 @@ class Polynomial:
 
     @staticmethod
     def zero(chart: Chart) -> "Polynomial":
-        return Polynomial._from_terms(chart, {})
+        return chart._zero
 
     @staticmethod
     def constant(chart: Chart, value) -> "Polynomial":
@@ -168,10 +179,20 @@ class Polynomial:
         return Polynomial._from_terms(self.chart, {e: -c for e, c in self.terms})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._require_same_chart(other)
+        if not other.terms:
+            return self
+        acc: Dict[Exponent, Fraction] = dict(self.terms)
+        for exp, coeff in other.terms:
+            acc[exp] = acc[exp] - coeff if exp in acc else -coeff
+        return Polynomial._from_terms(self.chart, acc)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_chart(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         acc: Dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:

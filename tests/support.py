@@ -1,15 +1,29 @@
 """Shared test helpers: coordinate renaming, the corpus of doubles and
-LA-vector bundles, with failing instances, and the matched-pair oracles,
-used by the oracle tests."""
+LA-vector bundles, with failing instances, the Lie-Poisson ladder, random
+brackets, and the oracles kept from replaced production code (the
+matched-pair checks and the gathering Cartan differential)."""
 
+import itertools
 import pathlib
 import random
-from typing import List
+from typing import Dict, List
 
 from doublealg import catalog
-from doublealg.algebroid import Derivation, check_algebroid, check_bialgebroid, random_polynomial
+from doublealg.algebroid import (
+    Derivation,
+    LieAlgebroid,
+    Multisection,
+    check_algebroid,
+    check_bialgebroid,
+    cotangent_algebroid,
+    dual_poisson,
+    lie_algebra_to_algebroid,
+    random_polynomial,
+    tangent_algebroid,
+)
 from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
-from doublealg.exact import Polynomial
+from doublealg.exact import Chart, Polynomial
+from doublealg.liealg import LieAlgebra
 from doublealg.lavb import LAVBundle
 from doublealg.matched import (
     MatchedPair,
@@ -22,6 +36,7 @@ from doublealg.model import parse_model
 from doublealg.verdicts import CheckItem, CheckReport
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+XY = Chart(("x", "y"))
 
 
 def rename(p, target, mapping):
@@ -158,3 +173,78 @@ def lavb_corpus():
         if name.startswith(("t2m_double.pass", "tangent_cotangent_pair")):
             out += perturbations(name, v, seed)
     return out
+
+
+def gl(n):
+    """gl(n) on E_11, E_12, ..., E_nn with [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    basis = [(i, j) for i in range(n) for j in range(n)]
+    brackets = {}
+    for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(basis), 2):
+        vec = [0] * len(basis)
+        if j == k:
+            vec[basis.index((i, l))] += 1
+        if l == i:
+            vec[basis.index((k, j))] -= 1
+        if any(vec):
+            brackets[(a, b)] = tuple(vec)
+    return LieAlgebra(n * n, brackets)
+
+
+SO3 = LieAlgebra(3, {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)})
+
+
+def ladder_pair(g):
+    """(TM, T*M_pi) for pi the Lie-Poisson structure on g*."""
+    pi = dual_poisson(lie_algebra_to_algebroid(g))
+    return tangent_algebroid(pi.chart), cotangent_algebroid(pi)
+
+
+def ladder_doubles():
+    """The cotangent doubles of the Lie-Poisson structures on so(3)* and
+    gl(2)*."""
+    return [
+        (name, build_cotangent_double(*ladder_pair(g))) for name, g in (("so3", SO3), ("gl2", gl(2)))
+    ]
+
+
+def random_bracket(rng, frames):
+    """A bundle on (x, y) with random anchor and bracket; Jacobi and the
+    anchor morphism generally fail."""
+    r = len(frames)
+    anchor = [[random_polynomial(rng, XY, 1) for _ in range(2)] for _ in range(r)]
+    brackets = {
+        (a, b): tuple(random_polynomial(rng, XY, 1) for _ in range(r))
+        for a in range(r)
+        for b in range(a + 1, r)
+    }
+    return LieAlgebroid(XY, frames, anchor, brackets)
+
+
+def gather_differential(L, omega):
+    """The Cartan differential gathered over every (k+1)-subset of frames,
+    each component looked up with its sign: the oracle for the scattering
+    `algebroid.differential`."""
+    if omega.rank != L.rank:
+        raise ValueError("form rank does not match algebroid")
+    k = omega.degree
+    if k >= L.rank + 1:
+        return Multisection.zero(L.rank, k + 1)
+    acc: Dict = {}
+    for target in itertools.combinations(range(L.rank), k + 1):
+        total = Polynomial.zero(L.chart)
+        for i, frame in enumerate(target):
+            rest = target[:i] + target[i + 1 :]
+            part = omega.component_general(rest, L.chart)
+            term = L.anchor_field(frame).apply(part)
+            total = total + (term if i % 2 == 0 else -term)
+        for i, j in itertools.combinations(range(k + 1), 2):
+            rest = tuple(t for pos, t in enumerate(target) if pos not in (i, j))
+            bracket = L.structure[target[i]][target[j]]
+            term = Polynomial.zero(L.chart)
+            for gamma, coeff in enumerate(bracket):
+                if coeff:
+                    term = term + coeff * omega.component_general((gamma,) + rest, L.chart)
+            total = total + (term if (i + j) % 2 == 0 else -term)
+        if total:
+            acc[target] = total
+    return Multisection(L.rank, k + 1, acc)

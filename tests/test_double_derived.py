@@ -44,7 +44,7 @@ from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial
 from doublealg.verdicts import failed, passed
 from doublealg.lavb import check_lavb
-from support import MODELS, double_corpus, rename
+from support import MODELS, double_corpus, random_bracket, rename
 
 XY = Chart(("x", "y"))
 
@@ -342,19 +342,6 @@ def test_scaled_corpus_has_passing_and_failing_items():
 def test_scaled_matches_full_defects_on_random_pairs(pair):
     assert_scaled_matches_oracle(*pair)
     assert_scaled_matches_oracle(*reversed(pair))
-
-
-def random_bracket(rng, frames):
-    """A bundle on (x, y) with random anchor and bracket; Jacobi and the
-    anchor morphism generally fail."""
-    r = len(frames)
-    anchor = [[random_polynomial(rng, XY, 1) for _ in range(2)] for _ in range(r)]
-    brackets = {
-        (a, b): tuple(random_polynomial(rng, XY, 1) for _ in range(r))
-        for a in range(r)
-        for b in range(a + 1, r)
-    }
-    return LieAlgebroid(XY, frames, anchor, brackets)
 
 
 @pytest.mark.parametrize("seed", range(4))

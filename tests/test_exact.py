@@ -35,6 +35,8 @@ linear_in_y = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 1)), coeffs, max_size=5
 ).map(lambda d: Polynomial(XY, d))
 scalars = st.one_of(st.integers(-3, 3), coeffs, st.sampled_from(["0", "3/4", "-2"]))
+# the shared zero of the chart, a zero built apart, or a drawn polynomial
+zero_or_polys = st.one_of(st.just(Polynomial.zero(XY)), st.just(Polynomial(XY, {})), polys)
 
 
 def brute_force_product(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -164,15 +166,19 @@ class TestCanonicalResults:
     """Kernel results are built without re-validation; they must still be
     in the canonical form the public constructor produces."""
 
-    @given(polys, polys, linear_in_y, scalars)
+    @given(polys, polys, linear_in_y, scalars, zero_or_polys)
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_every_operation_returns_canonical_terms(self, p, q, r, c):
+    def test_every_operation_returns_canonical_terms(self, p, q, r, c, z):
         results = [
             p + q,
             p + p.scale(-1),
             p - q,
             p - p,
+            p - z,
+            z - p,
             p * q,
+            p * z,
+            z * p,
             -p,
             p.scale(c),
             p.partial("x"),
@@ -194,6 +200,54 @@ class TestCanonicalResults:
         zero = Polynomial.zero(XY)
         assert p + zero is p
         assert zero + p is p
+
+    def test_subtracting_or_multiplying_by_zero_returns_an_operand(self):
+        p = P("x * y - 2")
+        zero = Polynomial.zero(XY)
+        assert p - zero is p
+        assert zero - p == -p
+        assert p * zero is zero
+        assert zero * p is zero
+
+    @given(zero_or_polys, zero_or_polys)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_zero_operands_match_the_oracles(self, p, q):
+        assert p - q == p + (-q)
+        assert p * q == brute_force_product(p, q)
+
+
+class TestSharedZero:
+    """`Polynomial.zero(chart)` is built once per chart and kept on it."""
+
+    def test_zero_is_shared(self):
+        chart = Chart(["x", "y"])
+        assert Polynomial.zero(chart) is Polynomial.zero(chart)
+        assert Polynomial.constant(chart, 0) is Polynomial.zero(chart)
+
+    def test_zeros_on_equal_charts_built_apart_are_equal(self):
+        a, b = Chart(["x", "y"]), Chart(["x", "y"])
+        assert a is not b
+        za, zb = Polynomial.zero(a), Polynomial.zero(b)
+        assert za is not zb
+        assert za == zb and hash(za) == hash(zb)
+        assert za == Polynomial(a, {}) and hash(za) == hash(Polynomial(b, {}))
+        assert za != Polynomial.zero(Chart(["y", "x"]))
+
+    def test_filling_the_zero_leaves_the_chart_unchanged(self):
+        chart, twin = Chart(["x", "y"]), Chart(["x", "y"])
+        before = (chart == twin, hash(chart), repr(chart))
+        Polynomial.zero(chart)
+        assert "_zero" in vars(chart) and "_zero" not in vars(twin)
+        assert (chart == twin, hash(chart), repr(chart)) == before
+        assert {chart: 1}[twin] == 1
+
+    def test_shared_zero_keeps_its_chart_checks(self):
+        with pytest.raises(ChartMismatch):
+            Polynomial.zero(XY) - Polynomial.zero(POINT)
+        with pytest.raises(ChartMismatch):
+            P("x") * Polynomial.zero(POINT)
+        with pytest.raises(ChartMismatch):
+            Polynomial.zero(POINT) * P("x")
 
 
 class TestValidatingBoundary:

@@ -1,0 +1,251 @@
+"""The sparse calculus against the dense code it replaced.
+
+`differential` scatters from the nonzero components of a form and the
+nonzero structure constants; the gathering differential, which visits
+every (k+1)-subset of frames, is kept in `support.gather_differential` as
+its oracle, on algebroids that fail Jacobi as well as valid ones.
+`PoissonChart.is_poisson` decides [pi, pi] = 0 by the closed-form cyclic
+sum; the Schouten `jacobiator` is its oracle and still writes the
+`NotPoisson` witness.  The gl(3)* rung, whose 18-coordinate, rank-18
+total algebroids no benchmark workload reaches, is pinned by the sha256 of
+its report lines.
+"""
+
+import hashlib
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from doublealg import algebroid, catalog
+from doublealg.algebroid import (
+    Multisection,
+    NotPoisson,
+    PoissonChart,
+    check_algebroid,
+    check_bialgebroid,
+    cotangent_algebroid,
+    differential,
+    random_polynomial,
+    tangent_algebroid,
+)
+from doublealg.doublela import build_cotangent_double, check_double, core_algebroid, structural_diagnostics
+from doublealg.exact import Chart, Polynomial
+from doublealg.formatting import format_algebroid_lines
+from support import (
+    SO3,
+    XY,
+    double_corpus,
+    gather_differential,
+    gl,
+    ladder_doubles,
+    ladder_pair,
+    perturbations,
+    random_bracket,
+)
+
+# --- the scattering differential against the gathering one
+
+
+def differential_corpus():
+    """TM and Poisson cotangents, random brackets without Jacobi, the sides
+    of the broken dual pairs, the totals of the perturbed LA-vector bundles,
+    and the ladder rungs with the totals of their doubles."""
+    zero = Polynomial.zero(XY)
+    f = Polynomial(XY, {(1, 1): 1, (0, 2): -2, (0, 0): 3})
+    out = [
+        ("TM", tangent_algebroid(XY)),
+        ("cotangent_xy", cotangent_algebroid(PoissonChart(XY, [[zero, f], [-f, zero]]))),
+    ]
+    for seed in range(4):
+        rng = random.Random(seed)
+        out.append((f"random_bracket_2:{seed}", random_bracket(rng, ("e1", "e2"))))
+        out.append((f"random_bracket_3:{seed}", random_bracket(rng, ("e1", "e2", "e3"))))
+    for name in ("broken_dual_pair_point", "broken_dual_pair_chart", "broken_dual_pair_so3"):
+        side, dual = getattr(catalog, name)()
+        out += [(f"{name}:side", side), (f"{name}:dual_side", dual)]
+    for seed, (name, dla) in enumerate(double_corpus()):
+        for side, v in (("vertical", dla.vertical), ("horizontal", dla.horizontal)):
+            out += [(f"{label}:total", w.total) for label, w in perturbations(f"{name}:{side}", v, seed)]
+    for name, g in (("so3", SO3), ("gl2", gl(2))):
+        tangent, cotangent = ladder_pair(g)
+        out += [(f"{name}:tangent", tangent), (f"{name}:cotangent", cotangent)]
+    for name, dla in ladder_doubles():
+        out += [(f"{name}:vertical.total", dla.vertical.total), (f"{name}:horizontal.total", dla.horizontal.total)]
+    return out
+
+
+CORPUS = differential_corpus()
+
+
+def random_form(rng, L, degree):
+    """A seeded form with up to four nonzero components; the zero form
+    when degree exceeds the rank."""
+    indices = list(itertools.combinations(range(L.rank), degree))
+    picked = rng.sample(indices, min(len(indices), rng.randint(1, 4)))
+    return Multisection(L.rank, degree, {idx: random_polynomial(rng, L.chart, 2) for idx in picked})
+
+
+@pytest.mark.parametrize("L", [L for _, L in CORPUS], ids=[n for n, _ in CORPUS])
+def test_differential_matches_gather(L):
+    rng = random.Random(L.rank)
+    for degree in range(L.rank + 2):
+        for _ in range(3):
+            omega = random_form(rng, L, degree)
+            assert differential(L, omega) == gather_differential(L, omega)
+
+
+def test_differential_corpus_has_valid_and_broken_algebroids():
+    verdicts = Counter(check_algebroid(L).ok for _, L in CORPUS)
+    assert verdicts[True] >= 10 and verdicts[False] >= 10
+
+
+def test_differential_matches_gather_on_dense_forms():
+    """Every component nonzero, so that scattered terms meet on each target."""
+    rng = random.Random(5)
+    L = random_bracket(rng, ("e1", "e2", "e3", "e4"))
+    for degree in range(L.rank + 1):
+        omega = Multisection(
+            L.rank,
+            degree,
+            {
+                idx: random_polynomial(rng, L.chart, 2) or Polynomial.constant(L.chart, 1)
+                for idx in itertools.combinations(range(L.rank), degree)
+            },
+        )
+        assert differential(L, omega) == gather_differential(L, omega)
+
+
+def test_differential_looks_up_no_component(monkeypatch):
+    """`differential` reads the nonzero components only; the gathering
+    oracle made one signed lookup per (target, term)."""
+    depth, lookups = [0], Counter()
+    inner_differential, inner_lookup = algebroid.differential, Multisection.component_general
+
+    def counted_differential(*args):
+        depth[0] += 1
+        try:
+            return inner_differential(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_lookup(self, *args):
+        lookups["in differential" if depth[0] else "elsewhere"] += 1
+        return inner_lookup(self, *args)
+
+    monkeypatch.setattr(algebroid, "differential", counted_differential)
+    monkeypatch.setattr(Multisection, "component_general", counted_lookup)
+    assert check_bialgebroid(*catalog.tangent_cotangent_pair()).ok
+    assert lookups["in differential"] == 0
+    assert lookups["elsewhere"] > 0  # `schouten` still reads functions this way
+
+
+# --- the closed-form Poisson test against the Schouten jacobiator
+
+
+def jacobiator_cotangent_algebroid(P):
+    """`cotangent_algebroid` deciding [pi, pi] = 0 through `jacobiator`."""
+    jac = P.jacobiator()
+    if not jac.is_zero:
+        frames = tuple(f"del_{n}" for n in P.chart.names)
+        raise NotPoisson(f"[pi, pi] = {jac.format(frames)}")
+    return cotangent_algebroid(P)
+
+
+def outcome(build, P):
+    try:
+        return "algebroid", build(P)
+    except NotPoisson as exc:
+        return "NotPoisson", str(exc)
+
+
+def random_bivector(rng, chart, max_degree=2):
+    n = chart.dim
+    zero = Polynomial.zero(chart)
+    matrix = [[zero] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.7:
+            matrix[i][j] = random_polynomial(rng, chart, max_degree)
+            matrix[j][i] = -matrix[i][j]
+    return PoissonChart(chart, matrix)
+
+
+def surface_bivector(rng, chart):
+    """f d/dx ^ d/dy on a chart with more coordinates: always Poisson."""
+    n = chart.dim
+    zero = Polynomial.zero(chart)
+    f = random_polynomial(rng, chart, 2)
+    matrix = [[zero] * n for _ in range(n)]
+    matrix[0][1], matrix[1][0] = f, -f
+    return PoissonChart(chart, matrix)
+
+
+CHARTS = (Chart(("x", "y", "z")), Chart(("x", "y", "z", "w")))
+
+
+def bivector_corpus():
+    out = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        chart = CHARTS[seed % 2]
+        out.append(random_bivector(rng, chart, 1 + seed % 2))
+        out.append(surface_bivector(rng, chart))
+    out.append(algebroid.dual_poisson(algebroid.lie_algebra_to_algebroid(SO3)))
+    return out
+
+
+BIVECTORS = bivector_corpus()
+
+
+def test_closed_form_poisson_test_matches_jacobiator():
+    verdicts = Counter()
+    for P in BIVECTORS:
+        assert P.is_poisson() is P.jacobiator().is_zero
+        new, old = outcome(cotangent_algebroid, P), outcome(jacobiator_cotangent_algebroid, P)
+        assert new == old
+        verdicts[new[0]] += 1
+    assert verdicts["NotPoisson"] >= 20 and verdicts["algebroid"] >= 20
+
+
+def test_rejecting_a_bivector_computes_the_jacobiator_once(monkeypatch):
+    calls = Counter()
+    inner = PoissonChart.jacobiator
+
+    def counted(self):
+        calls["jacobiator"] += 1
+        return inner(self)
+
+    monkeypatch.setattr(PoissonChart, "jacobiator", counted)
+    rejected = [P for P in BIVECTORS if not P.is_poisson()]
+    accepted = [P for P in BIVECTORS if P.is_poisson()]
+    for P in accepted:
+        cotangent_algebroid(P)
+    assert calls["jacobiator"] == 0
+    with pytest.raises(NotPoisson):
+        cotangent_algebroid(rejected[0])
+    assert calls["jacobiator"] == 1
+
+
+# --- the gl(3)* rung, pinned
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_gl3_cotangent_double_reports_are_pinned():
+    """The report lines of the gl(3)* rung, as the ladder golden pins those
+    of so(3)* and gl(2)*: every `check_double` item passes (so its digest
+    equals gl(2)*'s), and the diagnostics and the core algebroid are
+    pinned byte for byte."""
+    dla = build_cotangent_double(*ladder_pair(gl(3)))
+    assert dla.vertical.total.rank == 18 and dla.vertical.total.chart.dim == 18
+    report = check_double(dla)
+    assert report.ok and len(report.items) == 15
+    assert digest(report.lines()) == "10997bd4f074b8ef17b114d3d1b8450cc07900aee918721aef87fd142ff3572c"
+    diagnostics = structural_diagnostics(dla)
+    assert diagnostics.ok
+    assert digest(diagnostics.lines()) == "fb2b52dfef7dd0490849ada7e825d00bca4e170d10d1cabc7962a05cf8e186ee"
+    core = format_algebroid_lines("core", core_algebroid(dla))
+    assert digest(core) == "05a494105fea0c8cbf6226e1e9d33ea474c5a1fa087740240be3897cd0cec0c3"

@@ -15,26 +15,12 @@ from typing import List
 
 import pytest
 
-from doublealg.algebroid import (
-    LieAlgebroid,
-    bracket_sections,
-    check_algebroid,
-    cotangent_algebroid,
-    dual_poisson,
-    lie_algebra_to_algebroid,
-    tangent_algebroid,
-)
-from doublealg.doublela import (
-    DoubleLieAlgebroid,
-    DoubleMismatch,
-    build_cotangent_double,
-    structural_diagnostics,
-)
+from doublealg.algebroid import LieAlgebroid, bracket_sections, check_algebroid
+from doublealg.doublela import DoubleLieAlgebroid, DoubleMismatch, structural_diagnostics
 from doublealg.exact import Polynomial
 from doublealg.lavb import LAVBundle, bundle_fibre_coordinate
-from doublealg.liealg import LieAlgebra
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
-from support import double_corpus, perturbations, rebuilt
+from support import double_corpus, ladder_doubles, perturbations, rebuilt
 
 
 # --- the oracle: the anchor of D expanded by hand from the generator data
@@ -329,27 +315,6 @@ def oracle_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
 
 
 # --- the corpus: bundled and catalog doubles, their perturbations, the ladder
-
-
-def ladder_doubles():
-    """The cotangent doubles of the Lie-Poisson structures on so(3)* and
-    gl(2)*."""
-    so3 = LieAlgebra(3, {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)})
-    gl2 = LieAlgebra(
-        4,
-        {
-            (0, 1): (0, 1, 0, 0),
-            (0, 2): (0, 0, -1, 0),
-            (1, 2): (1, 0, 0, -1),
-            (1, 3): (0, 1, 0, 0),
-            (2, 3): (0, 0, -1, 0),
-        },
-    )
-    out = []
-    for name, g in (("so3", so3), ("gl2", gl2)):
-        pi = dual_poisson(lie_algebra_to_algebroid(g))
-        out.append((name, build_cotangent_double(tangent_algebroid(pi.chart), cotangent_algebroid(pi))))
-    return out
 
 
 def diagnostics_corpus():

@@ -239,24 +239,6 @@ def _permutation_sign(idx: Sequence[int]) -> int:
     return sign
 
 
-def contract(chart: Chart, x_components: Sequence[Polynomial], omega: Multisection) -> Multisection:
-    """Interior product of a frame vector (components) into a form."""
-    if omega.degree == 0:
-        return Multisection.zero(omega.rank, 0)
-    acc: Dict[Index, Polynomial] = {}
-    for idx, poly in omega.components:
-        for pos, frame in enumerate(idx):
-            coeff = x_components[frame]
-            if not coeff:
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = coeff * poly
-            if pos % 2 == 1:
-                term = -term
-            acc[rest] = acc[rest] + term if rest in acc else term
-    return Multisection(omega.rank, omega.degree - 1, acc)
-
-
 # ---------------------------------------------------------------------------
 # derivations on a framed bundle
 
@@ -697,14 +679,6 @@ def cotangent_algebroid(P: PoissonChart) -> LieAlgebroid:
     return LieAlgebroid(P.chart, frames, anchor, brackets)
 
 
-def lie_derivative_form(L: LieAlgebroid, x: Multisection, omega: Multisection) -> Multisection:
-    """Cartan magic formula: L_X omega = i_X d omega + d i_X omega."""
-    xs = x.vector(L.chart)
-    return contract(L.chart, xs, differential(L, omega)) + differential(
-        L, contract(L.chart, xs, omega)
-    )
-
-
 # ---------------------------------------------------------------------------
 # dual-pair compatibility (bialgebroid condition)
 
@@ -925,19 +899,6 @@ def lie_algebra_to_algebroid(g: LieAlgebra) -> LieAlgebroid:
             Polynomial.constant(chart, c) for c in g.constants[a][b]
         )
     return LieAlgebroid(chart, g.basis_names, anchor, brackets)
-
-
-def algebroid_to_lie_algebra(L: LieAlgebroid) -> LieAlgebra:
-    if L.chart.dim != 0:
-        raise ValueError("needs a point base")
-    brackets = {}
-    for a, b in itertools.combinations(range(L.rank), 2):
-        vec = []
-        for poly in L.structure[a][b]:
-            table = dict(poly.terms)
-            vec.append(table.get((), Fraction(0)))
-        brackets[(a, b)] = tuple(vec)
-    return LieAlgebra(L.rank, brackets, basis_names=L.frames)
 
 
 def bialgebra_to_dual_pair(b: Bialgebra) -> Tuple[LieAlgebroid, LieAlgebroid]:

@@ -33,7 +33,6 @@ from .algebroid import (
     LieAlgebroid,
     check_algebroid,
     fibre_coordinate,
-    tangent_algebroid,
 )
 from .exact import Chart, Polynomial
 from .verdicts import CheckItem, CheckReport, failed, passed
@@ -317,30 +316,3 @@ def check_lavb(v: LAVBundle) -> CheckReport:
             else failed("induced_dual", induced_rep.first_failure.witness)
         )
     return CheckReport(tuple(items))
-
-
-def tangent_lavb(chart: Chart, bundle_frames: Sequence[str], core_frames: Sequence[str] | None = None) -> LAVBundle:
-    """The tangent prolongation structure of a trivialized bundle.
-
-    D = TA over side TM: linear sections are the coordinate lifts, core
-    sections are the vertical lifts, the core anchor is the identity and
-    all twists vanish.
-    """
-    side = tangent_algebroid(chart)
-    bundle_frames = tuple(bundle_frames)
-    if core_frames is None:
-        core_frames = tuple(f"{f}_c" for f in bundle_frames)
-    core_frames = tuple(core_frames)
-    ra = len(bundle_frames)
-    anchor_ders = []
-    core_ders = []
-    for beta in range(chart.dim):
-        base = side.anchor_field(beta)
-        zero = Polynomial.zero(chart)
-        anchor_ders.append(Derivation(base, [[zero] * ra for _ in range(ra)]))
-        core_ders.append(Derivation(base, [[zero] * ra for _ in range(ra)]))
-    ident = [
-        [Polynomial.constant(chart, 1 if i == j else 0) for j in range(ra)]
-        for i in range(ra)
-    ]
-    return LAVBundle(side, bundle_frames, core_frames, anchor_ders, core_ders, ident, {})

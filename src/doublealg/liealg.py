@@ -225,21 +225,6 @@ def dual_bracket(b: Bialgebra) -> LieAlgebra:
     return dual
 
 
-def dual_bialgebra(b: Bialgebra) -> Bialgebra:
-    """Swap roles: the dual bracket with the original bracket as cobracket."""
-    dual = dual_bracket(b)
-    n = b.dim
-    images = {}
-    for k in range(n):
-        w: Wedge = {}
-        for i, j in itertools.combinations(range(n), 2):
-            c = b.algebra.constants[i][j][k]
-            if c != 0:
-                w[(i, j)] = c
-        images[k] = w
-    return Bialgebra(dual, Cobracket(n, images))
-
-
 def check_cocycle(b: Bialgebra) -> CheckReport:
     """delta([e_i, e_j]) = ad_{e_i} delta(e_j) - ad_{e_j} delta(e_i) on all pairs."""
     n = b.dim
@@ -406,18 +391,3 @@ def check_manin(p: PairedAlgebra) -> CheckReport:
         items.append(failed(label, witness) if witness else passed(label))
 
     return CheckReport(tuple(items))
-
-
-def coadjoint_rho_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
-    """Action of e_i on the dual basis: rho_{e_i}(eps^j) = -sum_k c^j_{ik} eps^k.
-
-    Returned as matrix[j][k] = coefficient of eps^k in rho_{e_i}(eps^j).
-    """
-    n = b.dim
-    return [[-b.algebra.constants[i][k][j] for k in range(n)] for j in range(n)]
-
-
-def coadjoint_sigma_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
-    """Action of eps^i on g: sigma_{eps^i}(e_j) = -sum_k delta^{ik}_j e_k."""
-    n = b.dim
-    return [[-b.cobracket.component(j, i, k) for k in range(n)] for j in range(n)]

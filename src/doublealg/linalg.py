@@ -64,9 +64,3 @@ def inverse(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in rows[:n]]
-
-
-def transpose(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
-    if not matrix:
-        return []
-    return [[matrix[i][j] for i in range(len(matrix))] for j in range(len(matrix[0]))]

@@ -7,11 +7,14 @@ checked precondition, never assumed.  The three compatibility identities
 are expanded exactly on frames with polynomial coefficients.
 
 Matched pairs correspond to vacant double Lie algebroids (the paper's last
-theorem).  `vacant_lavbundles` assembles the two LA-vector bundles of that
-double.  Their induced duals over the zero core dual are the semidirect
-products on A* + B and A^op + B* (Mokri, "Matched pairs of Lie
-algebroids", Glasgow Math. J. 39, 1997), so `build_semidirects` reads them
-off by constant frame changes and writes out no anchor or bracket itself.
+theorem), so `check_matched` is the one check of a pair: `assemble_bowtie`
+and the vacant double are built without validity gating, and the tests keep
+their own checks as oracles.  `vacant_lavbundles` assembles the two
+LA-vector bundles of that double.  Their induced duals over the zero core
+dual are the semidirect products on A* + B and A^op + B* (Mokri, "Matched
+pairs of Lie algebroids", Glasgow Math. J. 39, 1997), so
+`build_semidirects` reads them off by constant frame changes and writes
+out no anchor or bracket itself.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .verdicts import CheckItem, CheckReport, failed, passed
 
 
 class MatchedPairError(ValueError):
-    """A construction was fed a pair failing its validity precondition."""
+    """Actions read off a vacant double are not a matched pair."""
 
 
 @dataclass(frozen=True)
@@ -212,78 +215,6 @@ def assemble_bowtie(mp: MatchedPair) -> LieAlgebroid:
             rho_part = mp.rho.apply(i, y.vector(chart))
             brackets[(i, ra + j)] = tuple(-p for p in sigma_part) + tuple(rho_part)
     return LieAlgebroid(chart, frames, anchor, brackets)
-
-
-def build_bowtie(mp: MatchedPair) -> LieAlgebroid:
-    """The bowtie algebroid on the direct sum A + B.
-
-    Runs one check, `check_matched`, as input validation and raises on a
-    failing pair.  The result is not re-checked: the bowtie bracket is a Lie
-    algebroid exactly when the pair is matched (Mokri 1997), and the tests
-    keep `check_algebroid(assemble_bowtie(mp))` as the oracle.
-    """
-    report = check_matched(mp)
-    if not report.ok:
-        raise MatchedPairError(f"not a matched pair: {report.first_failure.witness}")
-    return assemble_bowtie(mp)
-
-
-def extract_actions(total: LieAlgebroid, split: int) -> MatchedPair:
-    """Read a matched pair off an algebroid on a marked direct sum A + B.
-
-    Frames [0, split) are A, the rest B; both marked subbundles must be
-    closed under the bracket.  The actions come from the mixed bracket
-    [X + 0, 0 + Y] = -sigma_Y(X) + rho_X(Y); the round trip with
-    `assemble_bowtie` is the identity on the data.
-    """
-    ra = split
-    rb = total.rank - split
-    chart = total.chart
-    for i, j in itertools.combinations(range(ra), 2):
-        bad = [g for g in range(ra, total.rank) if total.structure[i][j][g]]
-        if bad:
-            raise MatchedPairError(
-                f"A-block not closed: [{total.frames[i]}, {total.frames[j]}] leaks into "
-                f"{total.frames[bad[0]]}"
-            )
-    for i, j in itertools.combinations(range(ra, total.rank), 2):
-        bad = [g for g in range(ra) if total.structure[i][j][g]]
-        if bad:
-            raise MatchedPairError(
-                f"B-block not closed: [{total.frames[i]}, {total.frames[j]}] leaks into "
-                f"{total.frames[bad[0]]}"
-            )
-    a_alg = LieAlgebroid(
-        chart,
-        total.frames[:ra],
-        [total.anchor[i] for i in range(ra)],
-        {
-            (i, j): tuple(total.structure[i][j][:ra])
-            for i, j in itertools.combinations(range(ra), 2)
-        },
-    )
-    b_alg = LieAlgebroid(
-        chart,
-        total.frames[ra:],
-        [total.anchor[ra + i] for i in range(rb)],
-        {
-            (i, j): tuple(total.structure[ra + i][ra + j][ra:])
-            for i, j in itertools.combinations(range(rb), 2)
-        },
-    )
-    rho_ders = []
-    for i in range(ra):
-        matrix = [
-            tuple(total.structure[i][ra + j][ra:]) for j in range(rb)
-        ]
-        rho_ders.append(Derivation(a_alg.anchor_field(i), matrix))
-    sigma_ders = []
-    for j in range(rb):
-        matrix = [
-            tuple(-p for p in total.structure[i][ra + j][:ra]) for i in range(ra)
-        ]
-        sigma_ders.append(Derivation(b_alg.anchor_field(j), matrix))
-    return MatchedPair(a_alg, b_alg, RepresentationMap(rho_ders), RepresentationMap(sigma_ders))
 
 
 def vacant_lavbundles(mp: MatchedPair) -> Tuple[LAVBundle, LAVBundle]:

@@ -190,18 +190,6 @@ def _parse_terms(
             return terms
 
 
-def parse_polynomial(text: str, chart: Chart) -> Polynomial:
-    tokens = Tokens(text)
-    terms = _parse_terms(tokens, chart, (), allow_wedge=False, allow_vector_field=False)
-    tokens.expect_done()
-    total = Polynomial.zero(chart)
-    for term in terms:
-        if term.frame is not None or term.wedge is not None:
-            raise ParseError("frame atom in a scalar polynomial")
-        total = total + term.coeff
-    return total
-
-
 def parse_combination(text: str, chart: Chart, frames: Tuple[str, ...]) -> Dict[str, Polynomial]:
     """Linear combination of frames with polynomial coefficients.
 

@@ -52,10 +52,6 @@ class CheckReport:
         return tuple(item.line() for item in self.items)
 
 
-def single(check_id: str, ok: bool, witness: str = "") -> CheckReport:
-    return CheckReport((CheckItem(check_id, ok, witness if not ok else ""),))
-
-
 def passed(check_id: str) -> CheckItem:
     return CheckItem(check_id, True)
 

@@ -1,4 +1,5 @@
-"""Canonical instances shared by the test suite and the bundled models.
+"""Canonical instances shared by the test suite; the bundled models repeat
+some of them as model files.
 
 Passing and failing inputs are both first-class: every equivalence theorem
 is exercised in both truth values.
@@ -6,9 +7,10 @@ is exercised in both truth values.
 
 from __future__ import annotations
 
-from typing import Tuple
+from fractions import Fraction
+from typing import List, Tuple
 
-from .algebroid import (
+from doublealg.algebroid import (
     Derivation,
     LieAlgebroid,
     PoissonChart,
@@ -18,16 +20,9 @@ from .algebroid import (
     lie_algebra_to_algebroid,
     tangent_algebroid,
 )
-from .exact import Chart, Polynomial
-from .liealg import (
-    Bialgebra,
-    Cobracket,
-    LieAlgebra,
-    coadjoint_rho_matrix,
-    coadjoint_sigma_matrix,
-    dual_bracket,
-)
-from .matched import MatchedPair, RepresentationMap
+from doublealg.exact import Chart, Polynomial
+from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, dual_bracket
+from doublealg.matched import MatchedPair, RepresentationMap
 
 
 def solvable2_bialgebra() -> Bialgebra:
@@ -45,6 +40,21 @@ def heisenberg_noncocycle_bialgebra() -> Bialgebra:
     on the pair (e1, e2)."""
     algebra = LieAlgebra(3, {(0, 1): (0, 0, 1)})
     return Bialgebra(algebra, Cobracket(3, {2: {(0, 1): 1}}))
+
+
+def coadjoint_rho_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
+    """Action of e_i on the dual basis: rho_{e_i}(eps^j) = -sum_k c^j_{ik} eps^k.
+
+    Returned as matrix[j][k] = coefficient of eps^k in rho_{e_i}(eps^j).
+    """
+    n = b.dim
+    return [[-b.algebra.constants[i][k][j] for k in range(n)] for j in range(n)]
+
+
+def coadjoint_sigma_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
+    """Action of eps^i on g: sigma_{eps^i}(e_j) = -sum_k delta^{ik}_j e_k."""
+    n = b.dim
+    return [[-b.cobracket.component(j, i, k) for k in range(n)] for j in range(n)]
 
 
 def coadjoint_pair(b: Bialgebra) -> MatchedPair:
@@ -97,7 +107,7 @@ def line_action_pair(action_coeff: str = "x", sigma_coeff: str | None = None) ->
     chart = Chart(("x",))
     a_alg = tangent_algebroid(chart)
     b_alg = LieAlgebroid(chart, ("f1",), [[Polynomial.zero(chart)]], {})
-    from .parsing import parse_polynomial
+    from support import parse_polynomial  # support imports this module
 
     rho = RepresentationMap(
         [Derivation(a_alg.anchor_field(0), [[parse_polynomial(action_coeff, chart)]])]

@@ -1,14 +1,17 @@
 """Shared test helpers: coordinate renaming, the corpus of doubles and
 LA-vector bundles, with failing instances, the Lie-Poisson ladder, random
-brackets, and the oracles kept from replaced production code (the
-matched-pair checks and the gathering Cartan differential)."""
+brackets, the oracles kept from replaced production code (the
+matched-pair checks and the gathering Cartan differential), and the
+constructions only the tests use (scalar polynomials in the model grammar,
+the tangent prolongation, the Lie algebra of a point-based algebroid)."""
 
 import itertools
 import pathlib
 import random
-from typing import Dict, List
+from fractions import Fraction
+from typing import Dict, List, Sequence
 
-from doublealg import catalog
+import catalog
 from doublealg.algebroid import (
     Derivation,
     LieAlgebroid,
@@ -33,6 +36,7 @@ from doublealg.matched import (
     check_representation,
 )
 from doublealg.model import parse_model
+from doublealg.parsing import ParseError, Tokens, _parse_terms
 from doublealg.verdicts import CheckItem, CheckReport
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -54,10 +58,61 @@ def rename(p, target, mapping):
     return Polynomial(target, acc)
 
 
+def parse_polynomial(text: str, chart: Chart) -> Polynomial:
+    """A scalar polynomial in the model-file grammar (no frame atoms)."""
+    tokens = Tokens(text)
+    terms = _parse_terms(tokens, chart, (), allow_wedge=False, allow_vector_field=False)
+    tokens.expect_done()
+    total = Polynomial.zero(chart)
+    for term in terms:
+        if term.frame is not None or term.wedge is not None:
+            raise ParseError("frame atom in a scalar polynomial")
+        total = total + term.coeff
+    return total
+
+
+def tangent_lavb(chart: Chart, bundle_frames: Sequence[str], core_frames: Sequence[str] | None = None) -> LAVBundle:
+    """The tangent prolongation structure of a trivialized bundle.
+
+    D = TA over side TM: linear sections are the coordinate lifts, core
+    sections are the vertical lifts, the core anchor is the identity and
+    all twists vanish.
+    """
+    side = tangent_algebroid(chart)
+    bundle_frames = tuple(bundle_frames)
+    if core_frames is None:
+        core_frames = tuple(f"{f}_c" for f in bundle_frames)
+    core_frames = tuple(core_frames)
+    ra = len(bundle_frames)
+    zero = Polynomial.zero(chart)
+    ders = [
+        Derivation(side.anchor_field(beta), [[zero] * ra for _ in range(ra)])
+        for beta in range(chart.dim)
+    ]
+    ident = [
+        [Polynomial.constant(chart, 1 if i == j else 0) for j in range(ra)]
+        for i in range(ra)
+    ]
+    return LAVBundle(side, bundle_frames, core_frames, ders, ders, ident, {})
+
+
+def algebroid_to_lie_algebra(L: LieAlgebroid) -> LieAlgebra:
+    """The Lie algebra of an algebroid over the point."""
+    if L.chart.dim != 0:
+        raise ValueError("needs a point base")
+    brackets = {}
+    for a, b in itertools.combinations(range(L.rank), 2):
+        vec = []
+        for poly in L.structure[a][b]:
+            table = dict(poly.terms)
+            vec.append(table.get((), Fraction(0)))
+        brackets[(a, b)] = tuple(vec)
+    return LieAlgebra(L.rank, brackets, basis_names=L.frames)
+
+
 def assert_matched_decides_bowtie_and_double(mp):
-    """`check_matched` decides the two checks that `build_bowtie` and
-    `vacant_from_matched` no longer run: the bowtie's axioms and the vacant
-    double.  Holds for pairs whose derivations sit over the anchors, as
+    """`check_matched` decides the two checks that the product does not run
+    after it: the bowtie's axioms and the vacant double.  Holds for pairs whose derivations sit over the anchors, as
     every parsed or catalog pair does.  Returns the shared verdict."""
     verdict = check_matched(mp).ok
     assert check_algebroid(assemble_bowtie(mp)).ok is verdict

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from doublealg import catalog
+import catalog
 from doublealg.algebroid import (
     LieAlgebroid,
     Multisection,
@@ -29,7 +29,6 @@ from doublealg.algebroid import (
     dual_poisson,
     fibre_coordinate,
     lie_algebra_to_algebroid,
-    lie_derivative_form,
     random_polynomial,
     random_section,
     schouten,
@@ -37,10 +36,34 @@ from doublealg.algebroid import (
 )
 from doublealg.exact import Chart, ChartMismatch, Polynomial
 from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, check_cocycle
-from doublealg.parsing import parse_polynomial
+from support import parse_polynomial
 
 XY = Chart(["x", "y"])
 TM = tangent_algebroid(XY)
+
+
+def contract(x_components, omega: Multisection) -> Multisection:
+    """Interior product of a frame vector (components) into a form."""
+    if omega.degree == 0:
+        return Multisection.zero(omega.rank, 0)
+    acc = {}
+    for idx, poly in omega.components:
+        for pos, frame in enumerate(idx):
+            coeff = x_components[frame]
+            if not coeff:
+                continue
+            rest = idx[:pos] + idx[pos + 1 :]
+            term = coeff * poly
+            if pos % 2 == 1:
+                term = -term
+            acc[rest] = acc[rest] + term if rest in acc else term
+    return Multisection(omega.rank, omega.degree - 1, acc)
+
+
+def lie_derivative_form(L: LieAlgebroid, x: Multisection, omega: Multisection) -> Multisection:
+    """Cartan magic formula: L_X omega = i_X d omega + d i_X omega."""
+    xs = x.vector(L.chart)
+    return contract(xs, differential(L, omega)) + differential(L, contract(xs, omega))
 
 
 def P(text, chart=XY):

@@ -7,12 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from doublealg import catalog
 from doublealg.algebroid import (
     Derivation,
     LieAlgebroid,
     VectorField,
-    bialgebra_to_dual_pair,
     check_bialgebroid,
     lie_algebra_to_algebroid,
     tangent_algebroid,
@@ -30,8 +28,7 @@ from doublealg.liealg import (
     dual_bracket,
 )
 from doublealg.matched import MatchedPair, RepresentationMap, check_matched
-from doublealg.parsing import parse_polynomial
-from support import assert_matched_decides_bowtie_and_double, check_cor_sdp
+from support import assert_matched_decides_bowtie_and_double, check_cor_sdp, parse_polynomial
 
 
 def random_cobracket(rng: random.Random, dim: int) -> Cobracket:

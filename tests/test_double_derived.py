@@ -23,7 +23,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublealg import algebroid, catalog, cli, doublela, lavb, matched
+import catalog
+from doublealg import algebroid, cli, doublela, lavb, matched
 from doublealg.algebroid import (
     LieAlgebroid,
     PoissonChart,

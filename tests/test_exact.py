@@ -14,8 +14,8 @@ from doublealg.exact import (
     monomial_atoms,
     signed_sum,
 )
-from doublealg.parsing import ParseError, parse_polynomial
-from support import rename
+from doublealg.parsing import ParseError
+from support import parse_polynomial, rename
 
 XY = Chart(["x", "y"])
 POINT = Chart([])

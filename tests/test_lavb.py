@@ -30,13 +30,11 @@ from doublealg.lavb import (
     check_lavb,
     dual_lavb,
     induced_dual_algebroid,
-    tangent_lavb,
     total_algebroid,
 )
 from doublealg.model import parse_model
-from doublealg.parsing import parse_polynomial
 from doublealg.verdicts import failed, passed
-from support import MODELS, lavb_corpus, rename
+from support import MODELS, lavb_corpus, parse_polynomial, rename, tangent_lavb
 
 LINE = Chart(["x"])
 TA = tangent_lavb(LINE, ["f"])

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from doublealg import linalg
-from doublealg.catalog import (
+from catalog import (
     abelian_bialgebra,
     heisenberg_noncocycle_bialgebra,
     solvable2_bialgebra,
 )
+from doublealg import linalg
 from doublealg.liealg import (
     Bialgebra,
     BialgebraError,
@@ -21,12 +21,26 @@ from doublealg.liealg import (
     check_cocycle,
     check_manin,
     drinfeld_double,
-    dual_bialgebra,
     dual_bracket,
     format_vector,
     hyperbolic_pairing,
 )
 from doublealg.exact import format_rat
+
+
+def dual_bialgebra(b: Bialgebra) -> Bialgebra:
+    """Swap roles: the dual bracket with the original bracket as cobracket."""
+    dual = dual_bracket(b)
+    n = b.dim
+    images = {}
+    for k in range(n):
+        w = {}
+        for i, j in itertools.combinations(range(n), 2):
+            c = b.algebra.constants[i][j][k]
+            if c != 0:
+                w[(i, j)] = c
+        images[k] = w
+    return Bialgebra(dual, Cobracket(n, images))
 
 
 def basis(n, i):

@@ -6,11 +6,10 @@ import pathlib
 
 import pytest
 
-from doublealg import catalog
+import catalog
 from doublealg.algebroid import (
     Derivation,
     LieAlgebroid,
-    algebroid_to_lie_algebra,
     check_algebroid,
     tangent_algebroid,
 )
@@ -21,14 +20,12 @@ from doublealg.matched import (
     MatchedPairError,
     RepresentationMap,
     assemble_bowtie,
-    build_bowtie,
     build_semidirects,
     check_matched,
     check_representation,
-    extract_actions,
 )
 from doublealg.model import parse_model
-from support import check_cor_sdp
+from support import algebroid_to_lie_algebra, check_cor_sdp
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -81,9 +78,71 @@ class TestCheckMatched:
         assert check_representation(tm, rep, "rho").ok
 
 
+def bowtie(mp: MatchedPair) -> LieAlgebroid:
+    """The bowtie of a pair that `check_matched` accepts."""
+    assert check_matched(mp).ok
+    return assemble_bowtie(mp)
+
+
+def extract_actions(total: LieAlgebroid, split: int) -> MatchedPair:
+    """Read a matched pair off an algebroid on a marked direct sum A + B.
+
+    Frames [0, split) are A, the rest B; both marked subbundles must be
+    closed under the bracket.  The actions come from the mixed bracket
+    [X + 0, 0 + Y] = -sigma_Y(X) + rho_X(Y); the round trip with
+    `assemble_bowtie` is the identity on the data.  This is the route
+    independent of the vacant double, which `doublela.matched_from_vacant`
+    reads the actions off.
+    """
+    ra = split
+    rb = total.rank - split
+    chart = total.chart
+    for i, j in itertools.combinations(range(ra), 2):
+        bad = [g for g in range(ra, total.rank) if total.structure[i][j][g]]
+        if bad:
+            raise MatchedPairError(
+                f"A-block not closed: [{total.frames[i]}, {total.frames[j]}] leaks into "
+                f"{total.frames[bad[0]]}"
+            )
+    for i, j in itertools.combinations(range(ra, total.rank), 2):
+        bad = [g for g in range(ra) if total.structure[i][j][g]]
+        if bad:
+            raise MatchedPairError(
+                f"B-block not closed: [{total.frames[i]}, {total.frames[j]}] leaks into "
+                f"{total.frames[bad[0]]}"
+            )
+    a_alg = LieAlgebroid(
+        chart,
+        total.frames[:ra],
+        [total.anchor[i] for i in range(ra)],
+        {
+            (i, j): tuple(total.structure[i][j][:ra])
+            for i, j in itertools.combinations(range(ra), 2)
+        },
+    )
+    b_alg = LieAlgebroid(
+        chart,
+        total.frames[ra:],
+        [total.anchor[ra + i] for i in range(rb)],
+        {
+            (i, j): tuple(total.structure[ra + i][ra + j][ra:])
+            for i, j in itertools.combinations(range(rb), 2)
+        },
+    )
+    rho_ders = []
+    for i in range(ra):
+        matrix = [tuple(total.structure[i][ra + j][ra:]) for j in range(rb)]
+        rho_ders.append(Derivation(a_alg.anchor_field(i), matrix))
+    sigma_ders = []
+    for j in range(rb):
+        matrix = [tuple(-p for p in total.structure[i][ra + j][:ra]) for i in range(ra)]
+        sigma_ders.append(Derivation(b_alg.anchor_field(j), matrix))
+    return MatchedPair(a_alg, b_alg, RepresentationMap(rho_ders), RepresentationMap(sigma_ders))
+
+
 class TestBowtie:
     def test_abelian_direct_sum(self):
-        bow = build_bowtie(catalog.abelian_matched_pair())
+        bow = bowtie(catalog.abelian_matched_pair())
         assert check_algebroid(bow).ok
         assert all(
             p.is_zero for row in bow.structure for vec in row for p in vec
@@ -91,7 +150,7 @@ class TestBowtie:
 
     def test_mixed_bracket_formula_on_frames(self):
         mp = catalog.coadjoint_pair(catalog.solvable2_bialgebra())
-        bow = build_bowtie(mp)
+        bow = bowtie(mp)
         ra = mp.algebroid_a.rank
         for i in range(ra):
             for j in range(mp.algebroid_b.rank):
@@ -104,7 +163,7 @@ class TestBowtie:
 
     def test_coadjoint_bowtie_equals_drinfeld_double(self):
         b = catalog.solvable2_bialgebra()
-        bow = build_bowtie(catalog.coadjoint_pair(b))
+        bow = bowtie(catalog.coadjoint_pair(b))
         assert (
             algebroid_to_lie_algebra(bow).constants
             == drinfeld_double(b).algebra.constants
@@ -112,22 +171,21 @@ class TestBowtie:
 
     def test_summand_restrictions(self):
         mp = catalog.line_action_pair()
-        bow = build_bowtie(mp)
+        bow = bowtie(mp)
         ra = mp.algebroid_a.rank
         for i, j in itertools.combinations(range(ra), 2):
             assert bow.structure[i][j][:ra] == mp.algebroid_a.structure[i][j]
 
     def test_failing_pair_rejected_and_assembly_fails_axioms(self):
         bad = catalog.line_action_pair(sigma_coeff="x")
-        with pytest.raises(MatchedPairError):
-            build_bowtie(bad)
+        assert check_matched(bad).ok is False
         assembled = assemble_bowtie(bad)
         assert not check_algebroid(assembled).ok
 
 
 class TestExtractActions:
     def test_abelian_sum_gives_zero_actions(self):
-        bow = build_bowtie(catalog.abelian_matched_pair())
+        bow = bowtie(catalog.abelian_matched_pair())
         mp = extract_actions(bow, 1)
         assert all(
             all(p.is_zero for p in row)
@@ -137,7 +195,7 @@ class TestExtractActions:
 
     def test_round_trip_on_catalog(self):
         for mp in PASSING:
-            bow = build_bowtie(mp)
+            bow = bowtie(mp)
             again = extract_actions(bow, mp.algebroid_a.rank)
             assert again.algebroid_a.structure == mp.algebroid_a.structure
             assert again.algebroid_b.structure == mp.algebroid_b.structure
@@ -145,7 +203,7 @@ class TestExtractActions:
                 assert d1.equals(d2)
             for d1, d2 in zip(again.sigma.derivations, mp.sigma.derivations):
                 assert d1.equals(d2)
-            rebuilt = build_bowtie(again)
+            rebuilt = bowtie(again)
             assert rebuilt.structure == bow.structure
             assert rebuilt.anchor == bow.anchor
 

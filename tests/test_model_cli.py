@@ -1,5 +1,6 @@
 """Model-file parsing, CLI dispatch, report determinism, bundled contracts."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -7,7 +8,6 @@ import sys
 
 import pytest
 
-from doublealg import dvb
 from doublealg.cli import main, run
 from doublealg.model import ModelError, parse_model
 from doublealg.report import Report, ResultEntry, emit_report
@@ -275,12 +275,52 @@ class TestDualizeDvb:
         assert captured.out == ""
         assert "side and core frame names must be distinct" in captured.err
 
-    def test_degenerate_pairing_fails_with_its_rank(self, monkeypatch, capsys):
-        monkeypatch.setattr(dvb, "pairing_rank", lambda shape: 2)
-        code = main(["dualize", "dvb", str(MODELS / "dvb_shape.pass")])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "pairing of the two duals over C* has rank 2, expected 3" in captured.out
+    # sha256 of the text and JSON reports, recorded while `dualize dvb` still
+    # computed the rank of the pairing; the shapes are the edges of the
+    # split form, next to the bundled `dvb_shape.pass`
+    EDGE_SHAPES = {
+        "no_a": (
+            "[dvb D]\nbase = [x]\nranks = {A: 0, B: 2, C: 1}\n",
+            "b7845ee54d9f3a2e8e864603fed5d7aed3558d758f1c036dea2c4de050333e80",
+            "56f31ed872d0d25c5f7d4c27bc31351020a735c7aa140e273978fe0cbbaa9e5a",
+        ),
+        "no_b": (
+            "[dvb D]\nbase = [x]\nranks = {A: 2, B: 0, C: 1}\n",
+            "f0af4eaecf6c27cbb355012f9a154807d0f020d2fdd9a9bae3c029928edab7da",
+            "1a3f488a2849388c85b2bf9c6dcc342fbe08ff39c629fc73e12d156b7f5962ad",
+        ),
+        "no_core": (
+            "[dvb D]\nbase = [x, y]\nranks = {A: 2, B: 1, C: 0}\n",
+            "5928600ebd7ceca0ccaf9d9ba5f20136957cd9965d1aa29243557e42fcfea141",
+            "aa7d55169ca8795cc90290e18df78cf766b523cf974e6eff1f1e8cbdf5600803",
+        ),
+        "all_zero": (
+            "[dvb D]\nbase = [x]\nranks = {A: 0, B: 0, C: 0}\n",
+            "85db0e7ac46fb6b6018d393f896342430f7bd2d2cfb3d56cc741c5107c713d64",
+            "aeb4096f04d8f59c744a82f2c71a3ff659360153c322d80d1ab80c7717a5a520",
+        ),
+        "point_base": (
+            "[dvb D]\nbase = []\nranks = {A: 1, B: 1, C: 1}\n",
+            "6f74672f0b4168781ecd3b223a5a59f16f927f29f641bb20650088a9b80848ae",
+            "796f83a5a55bc49b0eb9d60254e5db03569299713ab45c160d64951dd628fb08",
+        ),
+        "dvb_shape.pass": (
+            (MODELS / "dvb_shape.pass").read_text(),
+            "060e78b38a42acbed387a09467f834b8fa37524a409d6767968b47506b5d0a50",
+            "f8b013903bbd18654b87b71858887a1c5a16f6102bc1f2e898ef8c0fe47cfe9a",
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(EDGE_SHAPES))
+    def test_edge_shapes_keep_their_report_bytes(self, shape, tmp_path, capsysbinary):
+        text, *digests = self.EDGE_SHAPES[shape]
+        path = tmp_path / "m.model"
+        path.write_text(text)
+        for fmt, expected in zip(("text", "json"), digests):
+            assert main(["dualize", "dvb", str(path), "--format", fmt]) == 0
+            captured = capsysbinary.readouterr()
+            assert captured.err == b""
+            assert hashlib.sha256(captured.out).hexdigest() == expected, fmt
 
 
 class TestVerbCoverage:

@@ -1,0 +1,159 @@
+"""The package ships only what the product uses.
+
+Every public top-level function and class of `src/doublealg` must be
+referenced somewhere outside its own definition: by another part of the
+package, by a file of the benchmark harness in `perfbench/`, or by an
+import in the README's Library snippet.  Helpers that only the tests call
+live in `tests/` (`catalog`, `dvb_model`, `support` and the test modules).
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "doublealg"
+
+# Names that no package code uses and that stay public for the harness or
+# the README.  Keep this short: each entry is a promise to outside callers.
+EXTERNAL_ONLY = {"algebroid.cotangent_algebroid", "algebroid.dual_poisson"}
+
+
+def public_definitions():
+    """(module, name) of every public top-level function and class."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out.add((path.stem, node.name))
+    return out
+
+
+def _package_module(module, level):
+    """The package module an import names, '' for the package itself, or
+    None when the import is not from the package."""
+    if level == 1:
+        return module or ""
+    if module == "doublealg":
+        return ""
+    if module and module.startswith("doublealg."):
+        return module.split(".", 1)[1]
+    return None
+
+
+def references(tree, own_module=None):
+    """(module, name) pairs of package definitions that `tree` refers to,
+    each with the top-level statement it occurs in."""
+    modules = {}  # local alias -> package module
+    names = {}  # local alias -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _package_module(node.module, node.level)
+            if source is None:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source == "":
+                    modules[local] = alias.name
+                else:
+                    names[local] = (source, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                source = _package_module(alias.name, 0)
+                if source and alias.asname:
+                    modules[alias.asname] = source
+    out = []
+    for statement in tree.body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.ImportFrom):
+                source = _package_module(node.module, node.level)
+                if source:
+                    out.extend(((source, a.name), statement) for a in node.names)
+            elif isinstance(node, ast.Name):
+                if node.id in names:
+                    out.append((names[node.id], statement))
+                elif own_module is not None:
+                    out.append(((own_module, node.id), statement))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    out.append(((modules[node.value.id], node.attr), statement))
+    return out
+
+
+def outside_own_definition(refs, module):
+    """The references of `refs`, a `references` result for `module`, that
+    do not sit inside the definition they name."""
+    return {
+        ref
+        for ref, statement in refs
+        if not (
+            isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+            and ref == (module, statement.name)
+        )
+    }
+
+
+def package_references():
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        refs = references(ast.parse(path.read_text()), path.stem)
+        out |= outside_own_definition(refs, path.stem)
+    return out
+
+
+def harness_references():
+    out = set()
+    for path in (ROOT / "perfbench").rglob("*.py"):
+        out.update(ref for ref, _ in references(ast.parse(path.read_text())))
+    return out
+
+
+def library_snippet():
+    """The python block under the README's `## Library` heading."""
+    text = (ROOT / "README.md").read_text()
+    match = re.search(r"^## Library\n+```python\n(.*?)^```", text, re.M | re.S)
+    assert match, "README has no python block under ## Library"
+    return match.group(1)
+
+
+def readme_references():
+    tree = ast.parse(library_snippet())
+    return {
+        (_package_module(node.module, node.level), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and _package_module(node.module, node.level)
+        for alias in node.names
+    }
+
+
+def dotted(pairs):
+    return sorted(f"{module}.{name}" for module, name in pairs)
+
+
+def test_every_public_definition_is_used_by_the_product():
+    used = package_references() | harness_references() | readme_references()
+    assert dotted(public_definitions() - used) == []
+
+
+def test_only_the_listed_names_are_kept_for_outside_callers():
+    outside_only = public_definitions() - package_references()
+    assert set(dotted(outside_only)) == EXTERNAL_ONLY
+
+
+def test_the_guard_sees_an_unused_definition():
+    """A definition that only its own body mentions is reported; one that
+    another module imports is not."""
+    tree = ast.parse(
+        "from .exact import Chart\n"
+        "def lonely(n):\n    return lonely(n - 1)\n"
+        "def used():\n    return Chart(())\n"
+        "def caller():\n    return used()\n"
+    )
+    refs = outside_own_definition(references(tree, "m"), "m")
+    assert ("m", "used") in refs and ("exact", "Chart") in refs
+    assert ("m", "lonely") not in refs
+
+
+def test_readme_library_snippet_runs():
+    """The documented API still imports and its assertions hold."""
+    exec(compile(library_snippet(), "README.md:Library", "exec"), {})

@@ -18,7 +18,8 @@ from collections import Counter
 
 import pytest
 
-from doublealg import algebroid, catalog
+import catalog
+from doublealg import algebroid
 from doublealg.algebroid import (
     Multisection,
     NotPoisson,

@@ -338,10 +338,59 @@ def test_diagnostics_match_hand_built_anchors(dla):
     assert structural_diagnostics(dla).items == oracle_diagnostics(dla).items
 
 
+def scaled_core_anchors(dla, factor):
+    """`dla` with both core anchors multiplied by `factor`."""
+
+    def scaled(v):
+        rows = [[entry.scale(factor) for entry in row] for row in v.core_anchor]
+        return rebuilt(v, core_anchor=rows)
+
+    return DoubleLieAlgebroid(scaled(dla.vertical), scaled(dla.horizontal))
+
+
+SCALED = [
+    (f"{name}:core_anchors*{factor}", scaled_core_anchors(dla, factor))
+    for name, dla in double_corpus()
+    if dla.core_frames
+    for factor in (2, -1)
+]
+
+
+@pytest.mark.parametrize("dla", [d for _, d in SCALED], ids=[n for n, _ in SCALED])
+def test_diagnostics_match_on_scaled_core_anchors(dla):
+    assert structural_diagnostics(dla).items == oracle_diagnostics(dla).items
+
+
+def test_induced_core_anchor_is_the_composite_by_construction():
+    """`structural_diagnostics` reports `core_anchor_induced` without
+    computing it.  On every double whose core algebroid is built, the
+    induced anchor of c_gamma is sum_a d_A[gamma][a] times the base field of
+    the horizontal core derivation of e_a, whatever those base fields are;
+    they are the side anchors whenever `check_lavb` passes."""
+    built = 0
+    for _, dla in CORPUS + SCALED:
+        if not dla.core_frames:
+            continue
+        try:
+            core = dla.core
+        except (DoubleMismatch, ValueError):
+            continue
+        base = dla.chart
+        fields = [d.base_field.components for d in dla.horizontal.core_derivations]
+        for gamma, row in enumerate(dla.vertical.core_anchor):
+            expected = [Polynomial.zero(base) for _ in range(base.dim)]
+            for a, coeff in enumerate(row):
+                for i in range(base.dim):
+                    expected[i] = expected[i] + coeff * fields[a][i]
+            assert list(core.anchor[gamma]) == expected
+        built += 1
+    assert built == 23
+
+
 def test_corpus_has_failing_anchor_items():
     """Each item whose computation moved onto the total algebroids fails
     somewhere in the corpus and passes somewhere.  (`core_anchor_induced`
-    passes on every double of the corpus whose core algebroid is built.)"""
+    holds by construction on every double whose core algebroid is built.)"""
     verdicts = Counter()
     for _, dla in CORPUS:
         for item in oracle_diagnostics(dla).items:

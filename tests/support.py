@@ -1,7 +1,8 @@
 """Shared test helpers: coordinate renaming, the corpus of doubles and
 LA-vector bundles, with failing instances, the Lie-Poisson ladder, random
 brackets, the oracles kept from replaced production code (the
-matched-pair checks and the gathering Cartan differential), and the
+matched-pair checks, the gathering Cartan differential and the frame-loop
+algebroid check), and the
 constructions only the tests use (scalar polynomials in the model grammar,
 the tangent prolongation, the Lie algebra of a point-based algebroid)."""
 
@@ -16,6 +17,7 @@ from doublealg.algebroid import (
     Derivation,
     LieAlgebroid,
     Multisection,
+    bracket_sections,
     check_algebroid,
     check_bialgebroid,
     cotangent_algebroid,
@@ -37,7 +39,7 @@ from doublealg.matched import (
 )
 from doublealg.model import parse_model
 from doublealg.parsing import ParseError, Tokens, _parse_terms
-from doublealg.verdicts import CheckItem, CheckReport
+from doublealg.verdicts import CheckItem, CheckReport, failed, passed
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 XY = Chart(("x", "y"))
@@ -303,3 +305,36 @@ def gather_differential(L, omega):
         if total:
             acc[target] = total
     return Multisection(L.rank, k + 1, acc)
+
+
+def frame_loop_check_algebroid(L: LieAlgebroid) -> CheckReport:
+    """The algebroid axioms through `bracket_sections` on frame sections:
+    the anchor morphism on frame pairs and the Jacobiator, three brackets
+    per frame triple.  The oracle for the closed-form
+    `algebroid.check_algebroid`."""
+    items: List[CheckItem] = []
+    witness = None
+    for a, b in itertools.combinations(range(L.rank), 2):
+        lhs = L.anchor_of(L.frame_bracket(a, b))
+        rhs = L.anchor_field(a).commutator(L.anchor_field(b))
+        defect = lhs - rhs
+        if not defect.is_zero:
+            witness = (
+                f"pair ({L.frames[a]}, {L.frames[b]}): a([.,.]) - [a(.), a(.)] = {defect}"
+            )
+            break
+    items.append(failed("anchor_morphism", witness) if witness else passed("anchor_morphism"))
+
+    witness = None
+    for a, b, c in itertools.combinations(range(L.rank), 3):
+        jac = bracket_sections(L, L.frame_bracket(a, b), L.frame_section(c))
+        jac = jac + bracket_sections(L, L.frame_bracket(b, c), L.frame_section(a))
+        jac = jac + bracket_sections(L, L.frame_bracket(c, a), L.frame_section(b))
+        if not jac.is_zero:
+            witness = (
+                f"triple ({L.frames[a]}, {L.frames[b]}, {L.frames[c]}): "
+                f"jacobiator = {jac.format(L.frames)}"
+            )
+            break
+    items.append(failed("jacobi", witness) if witness else passed("jacobi"))
+    return CheckReport(tuple(items))

@@ -45,7 +45,16 @@ from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial
 from doublealg.verdicts import failed, passed
 from doublealg.lavb import check_lavb
-from support import MODELS, double_corpus, random_bracket, rename
+from support import (
+    MODELS,
+    double_corpus,
+    frame_loop_check_algebroid,
+    gl,
+    ladder_doubles,
+    ladder_pair,
+    random_bracket,
+    rename,
+)
 
 XY = Chart(("x", "y"))
 
@@ -142,7 +151,8 @@ COUNTED = (
 
 
 def count_calls(monkeypatch, targets):
-    """Count calls of the functions `targets` wherever a package module binds them."""
+    """Count calls of the functions `targets` wherever a package module binds
+    them, and of the methods `targets` names on a class."""
     counts = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("doublealg.")]
     for owner, name in targets:
@@ -152,6 +162,8 @@ def count_calls(monkeypatch, targets):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, counted)
         for module in modules:
             if vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counted)
@@ -199,6 +211,37 @@ def test_extract_cli_checks_the_matched_pair_once(monkeypatch):
     with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
         assert cli.main(["extract", "matched", str(MODELS / "vacant_line_action.pass")]) == 0
     assert counts == {"check_matched": 1}
+
+
+# `check_algebroid` reads both axioms off the structure functions and the
+# anchor fields; the frame loop it replaced (the oracle in
+# `support.frame_loop_check_algebroid`) made three brackets per triple.
+FRAME_CALCULUS = (
+    (algebroid, "bracket_sections"),
+    (LieAlgebroid, "anchor_of"),
+    (LieAlgebroid, "frame_bracket"),
+)
+
+
+def ladder_algebroids():
+    """The sides and the totals of the so(3)*, gl(2)* and gl(3)* rungs."""
+    rungs = ladder_doubles() + [("gl3", build_cotangent_double(*ladder_pair(gl(3))))]
+    return [
+        L
+        for _, dla in rungs
+        for v in (dla.vertical, dla.horizontal)
+        for L in (v.side, v.total)
+    ]
+
+
+def test_passing_algebroid_check_builds_no_bracket(monkeypatch):
+    algebroids = ladder_algebroids()
+    counts = count_calls(monkeypatch, FRAME_CALCULUS)
+    assert all(algebroid.check_algebroid(L).ok for L in algebroids)
+    assert counts == Counter()
+    # the counters see the frame loop's calls
+    assert frame_loop_check_algebroid(algebroids[0]).ok
+    assert counts["anchor_of"] and counts["frame_bracket"]
 
 
 # --- the closed-form cotangent double against the cotangent algebroids

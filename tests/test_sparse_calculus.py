@@ -6,9 +6,12 @@ every (k+1)-subset of frames, is kept in `support.gather_differential` as
 its oracle, on algebroids that fail Jacobi as well as valid ones.
 `PoissonChart.is_poisson` decides [pi, pi] = 0 by the closed-form cyclic
 sum; the Schouten `jacobiator` is its oracle and still writes the
-`NotPoisson` witness.  The gl(3)* rung, whose 18-coordinate, rank-18
-total algebroids no benchmark workload reaches, is pinned by the sha256 of
-its report lines.
+`NotPoisson` witness.  `check_algebroid` reads the anchor defect and the
+frame Jacobiator off the nonzero structure functions; the frame loop
+through `bracket_sections` is kept in `support.frame_loop_check_algebroid`
+as its oracle, compared report for report, witnesses included.  The
+gl(3)* rung, whose 18-coordinate, rank-18 total algebroids no benchmark
+workload reaches, is pinned by the sha256 of its report lines.
 """
 
 import hashlib
@@ -21,6 +24,7 @@ import pytest
 import catalog
 from doublealg import algebroid
 from doublealg.algebroid import (
+    LieAlgebroid,
     Multisection,
     NotPoisson,
     PoissonChart,
@@ -38,6 +42,7 @@ from support import (
     SO3,
     XY,
     double_corpus,
+    frame_loop_check_algebroid,
     gather_differential,
     gl,
     ladder_doubles,
@@ -97,9 +102,17 @@ def test_differential_matches_gather(L):
             assert differential(L, omega) == gather_differential(L, omega)
 
 
+def failing_items(report):
+    return tuple(item.check_id for item in report.items if not item.ok)
+
+
 def test_differential_corpus_has_valid_and_broken_algebroids():
-    verdicts = Counter(check_algebroid(L).ok for _, L in CORPUS)
+    reports = [check_algebroid(L) for _, L in CORPUS]
+    verdicts = Counter(report.ok for report in reports)
     assert verdicts[True] >= 10 and verdicts[False] >= 10
+    failures = Counter(failing_items(report) for report in reports)
+    assert len(CORPUS) == 64 and verdicts[False] == 34
+    assert failures[("anchor_morphism",)] and failures[("jacobi",)]
 
 
 def test_differential_matches_gather_on_dense_forms():
@@ -140,6 +153,47 @@ def test_differential_looks_up_no_component(monkeypatch):
     assert check_bialgebroid(*catalog.tangent_cotangent_pair()).ok
     assert lookups["in differential"] == 0
     assert lookups["elsewhere"] > 0  # `schouten` still reads functions this way
+
+
+# --- the closed-form algebroid check against the frame loop
+
+
+def sparse_polynomial(rng, chart, density):
+    return random_polynomial(rng, chart, 1) if rng.random() < density else Polynomial.zero(chart)
+
+
+def random_algebroid(seed):
+    """Rank 2 to 4 on 0 to 2 coordinates, with random polynomial anchors
+    and brackets at one of three densities; Jacobi and the anchor
+    morphism hold for some and fail for others, each alone and both."""
+    rng = random.Random(seed)
+    chart = Chart(("x", "y")[: rng.randint(0, 2)])
+    frames = tuple(f"e{i}" for i in range(rng.randint(2, 4)))
+    density = rng.choice((0.2, 0.4, 0.7))
+    anchor = [[sparse_polynomial(rng, chart, density / 2) for _ in chart.names] for _ in frames]
+    brackets = {
+        (a, b): tuple(sparse_polynomial(rng, chart, density) for _ in frames)
+        for a, b in itertools.combinations(range(len(frames)), 2)
+    }
+    return LieAlgebroid(chart, frames, anchor, brackets)
+
+
+@pytest.mark.parametrize("L", [L for _, L in CORPUS], ids=[n for n, _ in CORPUS])
+def test_check_algebroid_matches_frame_loop(L):
+    assert check_algebroid(L) == frame_loop_check_algebroid(L)
+
+
+def test_check_algebroid_matches_frame_loop_on_random_algebroids():
+    failures = Counter()
+    for seed in range(300):
+        L = random_algebroid(seed)
+        report = check_algebroid(L)
+        assert report == frame_loop_check_algebroid(L), seed
+        failures[failing_items(report)] += 1
+    # the Jacobi witness path needs many failures, many of them alone
+    assert failures[()] >= 100
+    assert failures[("jacobi",)] >= 60 and failures[("anchor_morphism", "jacobi")] >= 40
+    assert failures[("anchor_morphism",)] >= 10
 
 
 # --- the closed-form Poisson test against the Schouten jacobiator

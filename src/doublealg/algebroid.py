@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from . import linalg
 from .exact import Chart, ChartMismatch, Polynomial, rat
 from .liealg import Bialgebra, LieAlgebra, dual_bracket
 from .verdicts import CheckItem, CheckReport, failed, passed
@@ -393,8 +392,14 @@ class LieAlgebroid:
                 out = out + self.anchor_field(alpha).scale_by(coeff)
         return out
 
+    @functools.cached_property
+    def frame_sections(self) -> Tuple[Multisection, ...]:
+        """The frames e_alpha as degree-1 sections, built once."""
+        one = Polynomial.constant(self.chart, 1)
+        return tuple(Multisection(self.rank, 1, {(alpha,): one}) for alpha in range(self.rank))
+
     def frame_section(self, alpha: int) -> Multisection:
-        return Multisection(self.rank, 1, {(alpha,): Polynomial.constant(self.chart, 1)})
+        return self.frame_sections[alpha]
 
     def frame_bracket(self, a: int, b: int) -> Multisection:
         return Multisection(self.rank, 1, {(g,): p for g, p in enumerate(self.structure[a][b]) if p})
@@ -870,40 +875,32 @@ def check_compatibility(
 
 
 def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Fraction]], new_names: Sequence[str]) -> LieAlgebroid:
-    """Constant frame change; column j of `matrix` is new frame j in old frames."""
+    """Relabel and re-sign the frames by a signed permutation matrix.
+
+    Column j of `matrix` is new frame j in old frames; its one nonzero entry
+    s_j = +-1 sits in row p(j), so new frame j is s_j e_{p(j)} and old frame
+    p(m) is s_m times new frame m.  Hence the new anchor of frame j is
+    s_j a_{p(j)} and the new structure functions are
+    c'^m_{ab} = s_a s_b s_m c^{p(m)}_{p(a) p(b)}.  Raises `ValueError` on
+    any other matrix; every frame change the package makes is of this kind.
+    """
     r = L.rank
-    cols = [[rat(matrix[i][j]) for i in range(r)] for j in range(r)]
-    inv = linalg.inverse([[rat(matrix[i][j]) for j in range(r)] for i in range(r)])
-    zero = L.zero_poly()
-    anchor = []
+    perm: List[int] = []
+    signs: List[Fraction] = []
     for j in range(r):
-        row = [zero for _ in range(L.chart.dim)]
-        for i in range(r):
-            if cols[j][i] == 0:
-                continue
-            row = [acc + entry.scale(cols[j][i]) for acc, entry in zip(row, L.anchor[i])]
-        anchor.append(tuple(row))
+        column = [(i, rat(matrix[i][j])) for i in range(r) if matrix[i][j] != 0]
+        if len(column) != 1 or abs(column[0][1]) != 1:
+            break
+        perm.append(column[0][0])
+        signs.append(column[0][1])
+    if len(perm) != r or len(set(perm)) != r:
+        raise ValueError("frame change must be a signed permutation matrix")
+    anchor = [tuple(entry.scale(s) for entry in L.anchor[p]) for p, s in zip(perm, signs)]
     brackets = {}
     for a, b in itertools.combinations(range(r), 2):
-        old_vec = [zero for _ in range(r)]
-        for i in range(r):
-            if cols[a][i] == 0:
-                continue
-            for j in range(r):
-                if cols[b][j] == 0:
-                    continue
-                coeff = cols[a][i] * cols[b][j]
-                old_vec = [
-                    acc + entry.scale(coeff) for acc, entry in zip(old_vec, L.structure[i][j])
-                ]
-        new_vec = [zero for _ in range(r)]
-        for k in range(r):
-            if not old_vec[k]:
-                continue
-            for m in range(r):
-                if inv[m][k] != 0:
-                    new_vec[m] = new_vec[m] + old_vec[k].scale(inv[m][k])
-        brackets[(a, b)] = tuple(new_vec)
+        old = L.structure[perm[a]][perm[b]]
+        sign = signs[a] * signs[b]
+        brackets[(a, b)] = tuple(old[p].scale(sign * s) for p, s in zip(perm, signs))
     return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)
 
 

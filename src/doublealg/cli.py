@@ -7,11 +7,13 @@ build drinfeld|bowtie|double|vacant|cotangent-double|semidirects,
 extract matched, dualize dvb.  `verify double` is accepted as an alias of
 `check double`.  `dualize dvb` prints the shapes of the two duals; in split
 form their pairing over the core dual is nondegenerate by construction, so
-it is stated, not recomputed.  Exit codes: 0 all checks pass, 1 a check
-failed (witness in the report), 2 usage or parse error.  The environment
-variable DOUBLEALG_MAX_DEGREE caps the degree of randomized property-oracle
-sections (default 2, at most 1000); --seed controls only their generation,
-and every seeded run is reproducible.
+it is stated, not recomputed; likewise `check manin` and `build drinfeld`
+state the Manin-triple items of every double `drinfeld_double` builds.
+Exit codes: 0 all checks pass, 1 a check failed (witness in the report),
+2 usage or parse error.  The environment variable DOUBLEALG_MAX_DEGREE caps
+the degree of randomized property-oracle sections (default 2, at most
+1000); --seed controls only their generation, and every seeded run is
+reproducible.
 """
 
 from __future__ import annotations
@@ -107,12 +109,12 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
     elif (verb, kind) == ("check", "manin"):
         for name, b in model.bialgebras.items():
             try:
-                double = liealg.drinfeld_double(b)
+                liealg.drinfeld_double(b)
             except liealg.BialgebraError as exc:
                 results.append(ResultEntry(f"manin.{name}.double", "fail", str(exc)))
                 continue
             results.append(ResultEntry(f"manin.{name}.double", "pass"))
-            results.extend(entries_from_check(f"manin.{name}", liealg.check_manin(double)))
+            results.extend(entries_from_check(f"manin.{name}", liealg.check_manin()))
 
     elif (verb, kind) == ("check", "double"):
         for name, dla in model.doubles.items():
@@ -131,11 +133,11 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
                 results.append(ResultEntry(f"drinfeld.{name}", "fail", str(exc)))
                 continue
             detail = tuple(
-                format_lie_algebra_lines(f"{name}_double", double.algebra)
+                format_lie_algebra_lines(f"{name}_double", double)
                 + format_pairing_lines(double)
             )
             results.append(ResultEntry(f"drinfeld.{name}", "pass", detail=detail))
-            results.extend(entries_from_check(f"drinfeld.{name}.manin", liealg.check_manin(double)))
+            results.extend(entries_from_check(f"drinfeld.{name}.manin", liealg.check_manin()))
 
     elif (verb, kind) == ("build", "bowtie"):
         for name, mp in model.matched_pairs.items():

@@ -1,7 +1,9 @@
 """Deterministic printers for report details.
 
 Everything prints in the model-file grammar (signed monomial terms), so
-emitted structures can be pasted back into model files.
+emitted structures can be pasted back into model files.  The pairing rows
+of a Drinfel'd double are the hyperbolic pairing, printed from its
+dimension alone.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ import itertools
 from typing import List, Sequence
 
 from .algebroid import Derivation, LieAlgebroid, VectorField
-from .exact import Polynomial, format_rat, monomial_atoms, signed_sum
-from .liealg import LieAlgebra, PairedAlgebra, format_vector
+from .exact import Polynomial, monomial_atoms, signed_sum
+from .liealg import LieAlgebra, format_vector
 
 
 def format_combination(components: Sequence[Polynomial], names: Sequence[str]) -> str:
@@ -58,13 +60,16 @@ def format_lie_algebra_lines(name: str, g: LieAlgebra) -> List[str]:
     return lines
 
 
-def format_pairing_lines(p: PairedAlgebra) -> List[str]:
-    names = p.algebra.basis_names
-    lines = []
-    for i in range(p.algebra.dim):
-        row = ", ".join(format_rat(v) for v in p.pairing[i])
-        lines.append(f"pairing({names[i]}) = [{row}]")
-    return lines
+def format_pairing_lines(double: LieAlgebra) -> List[str]:
+    """The hyperbolic pairing of a Drinfel'd double (basis g then g*), one
+    row per basis vector: the row of the i-th vector of either half has its
+    one 1 at the i-th vector of the other half."""
+    size = double.dim
+    n = size // 2
+    return [
+        f"pairing({name}) = [{', '.join('1' if j == (i + n) % size else '0' for j in range(size))}]"
+        for i, name in enumerate(double.basis_names)
+    ]
 
 
 def format_derivation_lines(prefix: str, d: Derivation, frames: Sequence[str]) -> List[str]:

@@ -45,14 +45,17 @@ Line-oriented named blocks with cross-references:
     horizontal = V2
 
 Every block validates against its schema before any computation; the first
-error is reported with its line number.  `#` starts a comment.
+error is reported with its line number.  `#` starts a comment.  A block
+gives each call-style entry at most once: a second anchor(e1), delta(e2),
+lambda(b1; a1), ... is an error at its line, and bracket(e2, e1) or
+twist(b2, b1; a1) repeats bracket(e1, e2) or twist(b1, b2; a1).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebroid import Derivation, LieAlgebroid, VectorField
 from .doublela import DoubleLieAlgebroid
@@ -124,8 +127,25 @@ class RawBlock:
             return None
         return hits[0]
 
-    def calls(self, key: str) -> List[Tuple[str, str, int]]:
-        return [(a, v, ln) for k, a, v, ln in self.entries if k == key and a is not None]
+    def calls(self, key: str, unordered_pair: bool = False) -> Iterator[Tuple[str, str, int]]:
+        """The `key(args) = value` entries in order.  An entry whose
+        arguments repeat an earlier entry's is an error at its line; with
+        `unordered_pair` the first two arguments are compared in either
+        order, since bracket(a, b) and bracket(b, a) state one value."""
+        seen: Dict[Tuple[str, ...], int] = {}
+        for k, a, v, ln in self.entries:
+            if k != key or a is None:
+                continue
+            args = _split_args(a)
+            if unordered_pair:
+                args[:2] = sorted(args[:2])
+            ident = tuple(args)
+            if ident in seen:
+                raise ModelError(
+                    f"duplicate entry {key}({a.strip()}), first given at line {seen[ident]}", ln
+                )
+            seen[ident] = ln
+            yield a, v, ln
 
     def known_keys(self, allowed: Sequence[str]) -> None:
         for k, a, _, ln in self.entries:
@@ -270,7 +290,7 @@ def parse_model(text: str) -> ModelFile:
                     raise ModelError("basis length does not match dim", block.line)
                 point = Chart(())
                 brackets = {}
-                for args, value, line in block.calls("bracket"):
+                for args, value, line in block.calls("bracket", unordered_pair=True):
                     pair = _split_args(args)
                     if len(pair) != 2:
                         raise ModelError("bracket takes two basis names", line)
@@ -324,7 +344,7 @@ def parse_model(text: str) -> ModelFile:
                     i = _frame_indices(frames, which, line)[0]
                     anchor[i] = _parsed(line, parse_vector_field, value, chart)
                 brackets = {}
-                for args, value, line in block.calls("bracket"):
+                for args, value, line in block.calls("bracket", unordered_pair=True):
                     pair = _split_args(args)
                     if len(pair) != 2:
                         raise ModelError("bracket takes two frame names", line)
@@ -455,7 +475,7 @@ def parse_model(text: str) -> ModelFile:
                     combo = _parsed(line, parse_combination, value, chart, frames_a)
                     core_anchor[g] = [combo[name] for name in frames_a]
                 twist = {}
-                for args, value, line in block.calls("twist"):
+                for args, value, line in block.calls("twist", unordered_pair=True):
                     which = _split_args(args)
                     if len(which) != 3:
                         raise ModelError("twist takes (side, side; bundle frame)", line)

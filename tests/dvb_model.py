@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from doublealg import linalg
+import linalg
 from doublealg.dvb import DecomposedDVB
 from doublealg.exact import Chart, rat
 

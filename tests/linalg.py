@@ -1,4 +1,8 @@
-"""Small exact linear algebra over Fraction matrices (lists of lists)."""
+"""Small exact linear algebra over Fraction matrices (lists of lists).
+
+The package eliminates nowhere; the test oracles and models that need a
+rank, an inverse or a span test (the Manin check, the general frame
+change, the Gram matrices of `dvb_model`) use this module."""
 
 from __future__ import annotations
 

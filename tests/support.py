@@ -1,8 +1,8 @@
 """Shared test helpers: coordinate renaming, the corpus of doubles and
 LA-vector bundles, with failing instances, the Lie-Poisson ladder, random
 brackets, the oracles kept from replaced production code (the
-matched-pair checks, the gathering Cartan differential and the frame-loop
-algebroid check), and the
+matched-pair checks, the gathering Cartan differential, the frame-loop
+algebroid check and the frame change by any invertible matrix), and the
 constructions only the tests use (scalar polynomials in the model grammar,
 the tangent prolongation, the Lie algebra of a point-based algebroid)."""
 
@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence
 
 import catalog
+import linalg
 from doublealg.algebroid import (
     Derivation,
     LieAlgebroid,
@@ -27,7 +28,7 @@ from doublealg.algebroid import (
     tangent_algebroid,
 )
 from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
-from doublealg.exact import Chart, Polynomial
+from doublealg.exact import Chart, Polynomial, rat
 from doublealg.liealg import LieAlgebra
 from doublealg.lavb import LAVBundle
 from doublealg.matched import (
@@ -338,3 +339,43 @@ def frame_loop_check_algebroid(L: LieAlgebroid) -> CheckReport:
             break
     items.append(failed("jacobi", witness) if witness else passed("jacobi"))
     return CheckReport(tuple(items))
+
+
+def general_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
+    """Constant frame change by any invertible matrix; column j of `matrix`
+    is new frame j in old frames.  The oracle for `algebroid.change_frames`,
+    which accepts only signed permutation matrices."""
+    r = L.rank
+    cols = [[rat(matrix[i][j]) for i in range(r)] for j in range(r)]
+    inv = linalg.inverse([[rat(matrix[i][j]) for j in range(r)] for i in range(r)])
+    zero = L.zero_poly()
+    anchor = []
+    for j in range(r):
+        row = [zero for _ in range(L.chart.dim)]
+        for i in range(r):
+            if cols[j][i] == 0:
+                continue
+            row = [acc + entry.scale(cols[j][i]) for acc, entry in zip(row, L.anchor[i])]
+        anchor.append(tuple(row))
+    brackets = {}
+    for a, b in itertools.combinations(range(r), 2):
+        old_vec = [zero for _ in range(r)]
+        for i in range(r):
+            if cols[a][i] == 0:
+                continue
+            for j in range(r):
+                if cols[b][j] == 0:
+                    continue
+                coeff = cols[a][i] * cols[b][j]
+                old_vec = [
+                    acc + entry.scale(coeff) for acc, entry in zip(old_vec, L.structure[i][j])
+                ]
+        new_vec = [zero for _ in range(r)]
+        for k in range(r):
+            if not old_vec[k]:
+                continue
+            for m in range(r):
+                if inv[m][k] != 0:
+                    new_vec[m] = new_vec[m] + old_vec[k].scale(inv[m][k])
+        brackets[(a, b)] = tuple(new_vec)
+    return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)

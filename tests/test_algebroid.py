@@ -327,7 +327,7 @@ class TestCotangentAlgebroid:
         assert all(
             p.is_zero for row in ct.structure for vec in row for p in vec
         )
-        from doublealg import linalg
+        import linalg
 
         table = dict(ct.anchor[0][0].terms), dict(ct.anchor[0][1].terms)
         matrix = [

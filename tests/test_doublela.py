@@ -205,7 +205,7 @@ class TestDiagonal:
         diag = diagonal(dla)
         assert (
             algebroid_to_lie_algebra(diag).constants
-            == drinfeld_double(b).algebra.constants
+            == drinfeld_double(b).constants
         )
 
     def test_abelian_diagonal_abelian(self):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from doublealg import linalg
+import linalg
 from doublealg.dvb import DecomposedDVB
 from doublealg.exact import Chart
 from dvb_model import (

@@ -1,31 +1,43 @@
 """Bialgebras, doubles and Manin conditions, tested against independent oracles."""
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import linalg
 from catalog import (
     abelian_bialgebra,
     heisenberg_noncocycle_bialgebra,
     solvable2_bialgebra,
 )
-from doublealg import linalg
+from doublealg.exact import format_rat
+from doublealg.formatting import format_pairing_lines
+from doublealg.model import parse_model
 from doublealg.liealg import (
     Bialgebra,
     BialgebraError,
     Cobracket,
     LieAlgebra,
-    PairedAlgebra,
     check_cocycle,
     check_manin,
     drinfeld_double,
     dual_bracket,
     format_vector,
-    hyperbolic_pairing,
 )
-from doublealg.exact import format_rat
+from manin_oracle import (
+    PairedAlgebra,
+    basis,
+    check_paired,
+    formula_double,
+    halves,
+    hyperbolic_pairing,
+    paired_double,
+)
+from support import MODELS
 
 
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:
@@ -41,10 +53,6 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
                 w[(i, j)] = c
         images[k] = w
     return Bialgebra(dual, Cobracket(n, images))
-
-
-def basis(n, i):
-    return tuple(Fraction(1 if t == i else 0) for t in range(n))
 
 
 def wedge_pairing_oracle(i, j, w, n):
@@ -163,27 +171,35 @@ class TestCocycle:
         g = LieAlgebra(2, {(0, 1): (0, 1)})
         perturbed = Bialgebra(g, Cobracket(2, {0: {(0, 1): 1}, 1: {(0, 1): 1}}))
         assert check_cocycle(perturbed).ok
-        assert drinfeld_double(perturbed).algebra.jacobi_report().ok
+        assert drinfeld_double(perturbed).jacobi_report().ok
 
 
 class TestDrinfeldDouble:
     def test_abelian_double_is_abelian_with_hyperbolic_pairing(self):
         double = drinfeld_double(abelian_bialgebra(2))
-        assert jacobiator_oracle(double.algebra) == []
-        assert double.pairing == hyperbolic_pairing(2)
+        assert jacobiator_oracle(double) == []
         assert all(
-            all(c == 0 for c in double.algebra.constants[i][j])
+            all(c == 0 for c in double.constants[i][j])
             for i in range(4)
             for j in range(4)
         )
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_pairing_lines_print_the_hyperbolic_matrix(self, n):
+        double = drinfeld_double(abelian_bialgebra(n))
+        expected = [
+            f"pairing({name}) = [{', '.join(format_rat(v) for v in row)}]"
+            for name, row in zip(double.basis_names, hyperbolic_pairing(n))
+        ]
+        assert format_pairing_lines(double) == expected
+
     def test_solvable2_double_jacobi_on_all_triples(self):
         double = drinfeld_double(solvable2_bialgebra())
-        assert double.algebra.dim == 4
-        assert jacobiator_oracle(double.algebra) == []
+        assert double.dim == 4
+        assert jacobiator_oracle(double) == []
 
     def test_marked_halves_isotropic(self):
-        double = drinfeld_double(solvable2_bialgebra())
+        double = paired_double(drinfeld_double(solvable2_bialgebra()))
         for basis_vecs in (double.marked1, double.marked2):
             for u, v in itertools.product(basis_vecs, repeat=2):
                 assert double.pair(u, v) == 0
@@ -194,10 +210,10 @@ class TestDrinfeldDouble:
         dual = dual_bracket(b)
         n = b.dim
         for i, j in itertools.combinations(range(n), 2):
-            assert double.algebra.constants[i][j][:n] == b.algebra.constants[i][j]
-            assert all(c == 0 for c in double.algebra.constants[i][j][n:])
-            assert double.algebra.constants[n + i][n + j][n:] == dual.constants[i][j]
-            assert all(c == 0 for c in double.algebra.constants[n + i][n + j][:n])
+            assert double.constants[i][j][:n] == b.algebra.constants[i][j]
+            assert all(c == 0 for c in double.constants[i][j][n:])
+            assert double.constants[n + i][n + j][n:] == dual.constants[i][j]
+            assert all(c == 0 for c in double.constants[n + i][n + j][:n])
 
     def test_non_cocycle_input_rejected_with_witness(self):
         with pytest.raises(BialgebraError, match="cocycle"):
@@ -206,19 +222,7 @@ class TestDrinfeldDouble:
     def test_rejection_is_justified_by_jacobi_failure(self):
         # assembling the would-be double of the non-cocycle input by the same
         # formulas must produce a Jacobi violation
-        b = heisenberg_noncocycle_bialgebra()
-        n = b.dim
-        brackets = {}
-        for i, j in itertools.combinations(range(n), 2):
-            brackets[(i, j)] = tuple(b.algebra.constants[i][j]) + (Fraction(0),) * n
-            vec = tuple(b.cobracket.component(k, i, j) for k in range(n))
-            brackets[(n + i, n + j)] = (Fraction(0),) * n + vec
-        for i in range(n):
-            for j in range(n):
-                g_part = tuple(b.cobracket.component(i, j, k) for k in range(n))
-                d_part = tuple(-b.algebra.constants[i][k][j] for k in range(n))
-                brackets[(i, n + j)] = g_part + d_part
-        candidate = LieAlgebra(2 * n, brackets)
+        candidate = formula_double(heisenberg_noncocycle_bialgebra())
         assert jacobiator_oracle(candidate) != []
 
 
@@ -238,7 +242,7 @@ def invariance_oracle(p: PairedAlgebra):
 
 
 def assert_invariance_matches_oracle(p: PairedAlgebra) -> bool:
-    item = check_manin(p).items[0]
+    item = check_paired(p).items[0]
     expected = invariance_oracle(p)
     assert item.check_id == "invariance"
     assert item.ok == (expected is None)
@@ -248,13 +252,6 @@ def assert_invariance_matches_oracle(p: PairedAlgebra) -> bool:
 
 def with_pairing(p: PairedAlgebra, pairing) -> PairedAlgebra:
     return PairedAlgebra(p.algebra, tuple(tuple(row) for row in pairing), p.marked1, p.marked2)
-
-
-def halves(n2):
-    return (
-        tuple(basis(n2, i) for i in range(n2 // 2)),
-        tuple(basis(n2, i) for i in range(n2 // 2, n2)),
-    )
 
 
 small = st.integers(-2, 2).map(Fraction)
@@ -279,12 +276,12 @@ def random_paired_algebras(draw):
 
 
 class TestInvarianceAgainstDenseOracle:
-    """`check_manin` sums the invariance identity over nonzero structure
-    constants; the dense loop it replaced is the oracle."""
+    """`check_paired` sums the invariance identity over nonzero structure
+    constants; the dense loop it replaced is its oracle."""
 
     def test_fixed_corpus_of_passing_and_failing_pairings(self):
         doubles = [
-            drinfeld_double(b)
+            paired_double(drinfeld_double(b))
             for b in (
                 solvable2_bialgebra(),
                 dual_bialgebra(solvable2_bialgebra()),
@@ -334,7 +331,7 @@ def closure_oracle(p: PairedAlgebra, basis):
 
 
 def assert_closure_matches_oracle(p: PairedAlgebra) -> bool:
-    items = check_manin(p).items[-2:]
+    items = check_paired(p).items[-2:]
     labels = ("closure.marked1", "closure.marked2")
     for item, label, basis in zip(items, labels, (p.marked1, p.marked2)):
         expected = closure_oracle(p, basis)
@@ -368,8 +365,8 @@ def random_marked_algebras(draw):
 
 
 class TestClosureAgainstRankOracle:
-    """`check_manin` reduces each bracket against one echelon form per
-    marked half; the per-pair rank loop it replaced is the oracle."""
+    """`check_paired` reduces each bracket against one echelon form per
+    marked half; the per-pair rank loop it replaced is its oracle."""
 
     def test_fixed_corpus_of_passing_and_failing_closures(self):
         corpus = []
@@ -378,7 +375,7 @@ class TestClosureAgainstRankOracle:
             dual_bialgebra(solvable2_bialgebra()),
             abelian_bialgebra(2),
         ):
-            d = drinfeld_double(b)
+            d = paired_double(drinfeld_double(b))
             n2 = d.algebra.dim
             n = n2 // 2
             z = [basis(n2, i) for i in range(n2)]
@@ -431,9 +428,12 @@ class TestEchelon:
 
 
 class TestManin:
+    """The dense check of `manin_oracle` on paired algebras; it must fail
+    where the Manin conditions fail, so the gate below is not vacuous."""
+
     def test_double_of_every_passing_bialgebra_passes(self):
         for b in (solvable2_bialgebra(), abelian_bialgebra(2), abelian_bialgebra(3)):
-            assert check_manin(drinfeld_double(b)).ok
+            assert check_paired(paired_double(drinfeld_double(b))).ok
 
     def test_hyperbolic_pairing_on_abelian_passes(self):
         g = LieAlgebra(4, {})
@@ -443,7 +443,7 @@ class TestManin:
             (basis(4, 0), basis(4, 1)),
             (basis(4, 2), basis(4, 3)),
         )
-        assert check_manin(p).ok
+        assert check_paired(p).ok
 
     def test_identity_pairing_fails_isotropy(self):
         g = LieAlgebra(4, {})
@@ -451,7 +451,7 @@ class TestManin:
         p = PairedAlgebra(
             g, ident, (basis(4, 0), basis(4, 1)), (basis(4, 2), basis(4, 3))
         )
-        report = check_manin(p)
+        report = check_paired(p)
         assert not report.ok
         assert report.first_failure.check_id == "isotropy.marked1"
 
@@ -467,7 +467,7 @@ class TestManin:
             (basis(4, 0), basis(4, 1)),
             (basis(4, 2), basis(4, 3)),
         )
-        report = check_manin(p)
+        report = check_paired(p)
         assert not report.ok
         assert report.first_failure.check_id == "invariance"
 
@@ -476,3 +476,71 @@ class TestManin:
         zero = tuple(tuple(Fraction(0) for _ in range(2)) for _ in range(2))
         with pytest.raises(ValueError):
             PairedAlgebra(g, zero, (basis(2, 0),), (basis(2, 1),))
+
+
+def random_bialgebra(rng: random.Random, dim: int) -> Bialgebra:
+    """Random constants and cobracket with small entries, built without
+    the gates: neither Jacobi, co-Jacobi nor the cocycle condition is
+    required, and from dim 3 on most draws fail one of them."""
+    pairs = list(itertools.combinations(range(dim), 2))
+    brackets = {
+        pair: tuple(Fraction(rng.choice((0, 0, 1, -1))) for _ in range(dim))
+        for pair in pairs
+        if rng.random() < 0.5
+    }
+    images = {i: {pair: rng.choice((1, -1, 2)) for pair in pairs if rng.random() < 0.3} for i in range(dim)}
+    return Bialgebra(LieAlgebra(dim, brackets), Cobracket(dim, images))
+
+
+def manin_corpus():
+    """(label, bialgebra): the bundled cobrackets, the catalog bialgebras
+    and 320 seeded random pairs, 64 of each dim 0-4."""
+    out = []
+    for path in sorted(MODELS.glob("*")):
+        for name, b in parse_model(path.read_text()).bialgebras.items():
+            out.append((f"{path.name}:{name}", b))
+    out += [
+        ("solvable2", solvable2_bialgebra()),
+        ("abelian2", abelian_bialgebra(2)),
+        ("abelian3", abelian_bialgebra(3)),
+        ("heisenberg_noncocycle", heisenberg_noncocycle_bialgebra()),
+    ]
+    rng = random.Random(1313)
+    out += [(f"random{dim}:{k}", random_bialgebra(rng, dim)) for dim in range(5) for k in range(64)]
+    return out
+
+
+class TestManinByConstruction:
+    """`check_manin` states the five Manin items of every double that
+    `drinfeld_double` builds.  The dense oracle passes them on the double
+    the same formula builds without the gates, whatever the input, and
+    where the gates pass the two doubles are equal."""
+
+    def test_stated_items(self):
+        report = check_manin()
+        assert report.ok
+        assert [item.check_id for item in report.items] == [
+            "invariance",
+            "isotropy.marked1",
+            "isotropy.marked2",
+            "closure.marked1",
+            "closure.marked2",
+        ]
+
+    def test_oracle_passes_every_formula_built_double(self):
+        stated = check_manin().items
+        verdicts = Counter()
+        for label, b in manin_corpus():
+            formula = formula_double(b)
+            assert check_paired(paired_double(formula)).items == stated, label
+            try:
+                double = drinfeld_double(b)
+            except BialgebraError:
+                verdicts[label.startswith("random"), "gate fails"] += 1
+                continue
+            verdicts[label.startswith("random"), "gates pass"] += 1
+            assert double == formula, label
+        assert sum(n for (random_pair, _), n in verdicts.items() if random_pair) == 320
+        assert verdicts[True, "gate fails"] >= 100
+        assert verdicts[True, "gates pass"] >= 100
+        assert verdicts[False, "gate fails"] and verdicts[False, "gates pass"]

@@ -166,7 +166,7 @@ class TestBowtie:
         bow = bowtie(catalog.coadjoint_pair(b))
         assert (
             algebroid_to_lie_algebra(bow).constants
-            == drinfeld_double(b).algebra.constants
+            == drinfeld_double(b).constants
         )
 
     def test_summand_restrictions(self):
@@ -213,7 +213,7 @@ class TestExtractActions:
         double = drinfeld_double(b)
         from doublealg.algebroid import lie_algebra_to_algebroid
 
-        total = lie_algebra_to_algebroid(double.algebra)
+        total = lie_algebra_to_algebroid(double)
         again = extract_actions(total, b.dim)
         for d1, d2 in zip(again.rho.derivations, mp.rho.derivations):
             assert d1.equals(d2)
@@ -225,7 +225,7 @@ class TestExtractActions:
         b = catalog.solvable2_bialgebra()
         from doublealg.algebroid import lie_algebra_to_algebroid
 
-        total = lie_algebra_to_algebroid(drinfeld_double(b).algebra)
+        total = lie_algebra_to_algebroid(drinfeld_double(b))
         with pytest.raises(MatchedPairError):
             extract_actions(total, 1)
 

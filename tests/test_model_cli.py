@@ -434,3 +434,76 @@ def test_extract_matched_reports_unmatched_actions(tmp_path, capsys):
         "  witness: extracted actions are not matched: identity 3 at (v1, f1): defect = (x) d/dx",
         "summary: fail",
     ]
+
+
+class TestDuplicateEntries:
+    """A block gives each call-style entry once; a repeat, in either order
+    of a bracket's or twist's pair, exits 2 with a parse error at its line."""
+
+    ALGEBRA = "[lie_algebra g]\ndim = 2\n"
+    COBRACKET = ALGEBRA + "[cobracket d]\nalgebra = g\n"
+    ALGEBROID = "[chart M]\ncoords = [x]\n[algebroid A]\nbase = M\nframe = [e1, e2]\n"
+    LAVB = (
+        "[chart M]\ncoords = [x]\n"
+        "[algebroid S]\nbase = M\nframe = [b1, b2]\nanchor(b1) = d/dx\n"
+        "[dvb D]\nbase = M\nframes_A = [a1]\nframes_B = [b1, b2]\nframes_C = [c1]\n"
+        "[lavb V]\ndvb = D\nside = S\n"
+    )
+    MATCHED = (
+        "[chart M]\ncoords = [x]\n"
+        "[algebroid TM]\nbase = M\nframe = [v1]\nanchor(v1) = d/dx\n"
+        "[algebroid triv]\nbase = M\nframe = [f1]\n"
+        "[matched_pair act]\nA = TM\nB = triv\n"
+    )
+
+    CASES = [
+        (ALGEBRA, "bracket(e1, e2) = e2", "bracket(e2, e1) = e1"),
+        (COBRACKET, "delta(e2) = e1 ^ e2", "delta(e2) = 2 * e1 ^ e2"),
+        (ALGEBROID, "anchor(e1) = d/dx", "anchor(e1) = x * d/dx"),
+        (ALGEBROID, "bracket(e1, e2) = e1", "bracket(e1, e2) = e2"),
+        (LAVB, "lambda(b1; a1) = a1", "lambda(b1; a1) = x * a1"),
+        (LAVB, "q(b2; c1) = c1", "q(b2; c1) = 2 * c1"),
+        (LAVB, "del(c1) = a1", "del(c1) = 2 * a1"),
+        (LAVB, "twist(b1, b2; a1) = c1", "twist(b2, b1; a1) = c1"),
+        (MATCHED, "rho(v1) = derivation{f1: x * f1}", "rho(v1) = derivation{}"),
+        (MATCHED, "sigma(f1) = derivation{}", "sigma(f1) = derivation{v1: v1}"),
+    ]
+
+    @pytest.mark.parametrize(
+        "base,first,repeat", CASES, ids=[f"{c[1].split('(')[0]}:{i}" for i, c in enumerate(CASES)]
+    )
+    def test_repeat_exits_two_at_its_line(self, tmp_path, capsys, base, first, repeat):
+        path = tmp_path / "m.model"
+        path.write_text(f"{base}{first}\n{repeat}\n")
+        line = base.count("\n") + 2
+        assert main(["check", "algebroid", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        call = repeat.split(" = ")[0]
+        assert captured.err == (
+            f"doublealg: parse error: line {line}: duplicate entry {call}, "
+            f"first given at line {line - 1}\n"
+        )
+
+    def test_distinct_arguments_are_distinct_entries(self):
+        model = parse_model(
+            self.LAVB
+            + "lambda(b1; a1) = a1\nlambda(b2; a1) = x * a1\n"
+            + "q(b1; c1) = c1\nq(b2; c1) = c1\ntwist(b1, b2; a1) = c1\n"
+        )
+        assert str(model.lavbs["V"].twist[0][1][0][0]) == "1"
+
+
+def test_dual_name_taken_by_a_basis_name_exits_two(tmp_path, capsys):
+    """`build drinfeld` and `check manin` name the dual basis name that the
+    basis already holds."""
+    path = tmp_path / "m.model"
+    path.write_text(
+        "[lie_algebra g]\ndim = 2\nbasis = [a, a_d]\nbracket(a, a_d) = a_d\n\n"
+        "[cobracket d]\nalgebra = g\ndelta(a_d) = a ^ a_d\n"
+    )
+    for verb, kind in (("check", "manin"), ("build", "drinfeld")):
+        assert main([verb, kind, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "doublealg: error: dual basis name 'a_d' is already a basis name\n"

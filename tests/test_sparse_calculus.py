@@ -12,22 +12,28 @@ through `bracket_sections` is kept in `support.frame_loop_check_algebroid`
 as its oracle, compared report for report, witnesses included.  The
 gl(3)* rung, whose 18-coordinate, rank-18 total algebroids no benchmark
 workload reaches, is pinned by the sha256 of its report lines.
+`change_frames` relabels and re-signs frames by a signed permutation; the
+frame change by any invertible matrix, through its inverse, is kept in
+`support.general_change_frames` as its oracle.
 """
 
 import hashlib
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import catalog
+import linalg
 from doublealg import algebroid
 from doublealg.algebroid import (
     LieAlgebroid,
     Multisection,
     NotPoisson,
     PoissonChart,
+    change_frames,
     check_algebroid,
     check_bialgebroid,
     cotangent_algebroid,
@@ -44,6 +50,7 @@ from support import (
     double_corpus,
     frame_loop_check_algebroid,
     gather_differential,
+    general_change_frames,
     gl,
     ladder_doubles,
     ladder_pair,
@@ -100,6 +107,36 @@ def test_differential_matches_gather(L):
         for _ in range(3):
             omega = random_form(rng, L, degree)
             assert differential(L, omega) == gather_differential(L, omega)
+
+
+def random_signed_permutation(rng, r):
+    perm = rng.sample(range(r), r)
+    return [[Fraction(rng.choice((1, -1)) if i == perm[j] else 0) for j in range(r)] for i in range(r)]
+
+
+@pytest.mark.parametrize("L", [L for _, L in CORPUS], ids=[n for n, _ in CORPUS])
+def test_change_frames_matches_the_general_frame_change(L):
+    rng = random.Random(L.rank)
+    for _ in range(3):
+        matrix = random_signed_permutation(rng, L.rank)
+        names = rng.sample(L.frames, L.rank)
+        assert change_frames(L, matrix, names) == general_change_frames(L, matrix, names)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+        [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, -1], [1, 0, 1]],
+        [[0, Fraction(1, 2), 0], [2, 0, 0], [0, 0, 1]],
+    ],
+)
+def test_change_frames_rejects_an_invertible_matrix_that_is_no_signed_permutation(matrix):
+    L = random_bracket(random.Random(0), ("e1", "e2", "e3"))
+    assert linalg.is_invertible(matrix)
+    with pytest.raises(ValueError, match="signed permutation"):
+        change_frames(L, matrix, L.frames)
 
 
 def failing_items(report):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .exact import Chart, ChartMismatch, Polynomial, rat
-from .liealg import Bialgebra, LieAlgebra, dual_bracket
+from .liealg import Bialgebra, LieAlgebra, dual_algebra
 from .verdicts import CheckItem, CheckReport, failed, passed
 
 Index = Tuple[int, ...]
@@ -917,5 +917,6 @@ def lie_algebra_to_algebroid(g: LieAlgebra) -> LieAlgebroid:
 
 
 def bialgebra_to_dual_pair(b: Bialgebra) -> Tuple[LieAlgebroid, LieAlgebroid]:
-    """(g, g*) as a dual pair of algebroids over the point."""
-    return lie_algebra_to_algebroid(b.algebra), lie_algebra_to_algebroid(dual_bracket(b))
+    """(g, g*) as a dual pair of algebroids over the point, unchecked: the
+    checks the pair goes to report a co-Jacobi failure of g*."""
+    return lie_algebra_to_algebroid(b.algebra), lie_algebra_to_algebroid(dual_algebra(b))

@@ -8,7 +8,11 @@ extract matched, dualize dvb.  `verify double` is accepted as an alias of
 `check double`.  `dualize dvb` prints the shapes of the two duals; in split
 form their pairing over the core dual is nondegenerate by construction, so
 it is stated, not recomputed; likewise `check manin` and `build drinfeld`
-state the Manin-triple items of every double `drinfeld_double` builds.
+state the Manin-triple items of every double `drinfeld_double` builds, and
+`check double`, `build double` and `build cotangent-double` state the
+structural diagnostics of every double that passed `check_double`.  A
+cobracket whose dual bracket fails Jacobi is a failed entry of `check
+bialgebroid` and `build cotangent-double`, not an error.
 Exit codes: 0 all checks pass, 1 a check failed (witness in the report),
 2 usage or parse error.  The environment variable DOUBLEALG_MAX_DEGREE caps
 the degree of randomized property-oracle sections (default 2, at most

@@ -208,19 +208,24 @@ class Bialgebra:
         return tuple(f"{name}_d" for name in self.algebra.basis_names)
 
 
-def dual_bracket(b: Bialgebra) -> LieAlgebra:
+def dual_algebra(b: Bialgebra) -> LieAlgebra:
     """Bracket on the dual induced by the cobracket via the determinant pairing.
 
-    [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k.  Raises `BialgebraError`
-    with a witness if the result fails Jacobi (the cobracket is then not a
-    Lie cobracket).
+    [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k.  It satisfies Jacobi
+    exactly when the cobracket satisfies co-Jacobi; this builder does not
+    check it (`dual_bracket` does).
     """
     n = b.dim
     brackets = {}
     for i, j in itertools.combinations(range(n), 2):
-        vec = tuple(b.cobracket.component(k, i, j) for k in range(n))
-        brackets[(i, j)] = vec
-    dual = LieAlgebra(n, brackets, basis_names=b.dual_names())
+        brackets[(i, j)] = tuple(b.cobracket.component(k, i, j) for k in range(n))
+    return LieAlgebra(n, brackets, basis_names=b.dual_names())
+
+
+def dual_bracket(b: Bialgebra) -> LieAlgebra:
+    """`dual_algebra(b)`, raising `BialgebraError` with a witness if it fails
+    Jacobi (the cobracket is then not a Lie cobracket)."""
+    dual = dual_algebra(b)
     report = dual.jacobi_report()
     if not report.ok:
         raise BialgebraError(f"dual bracket fails Jacobi: {report.first_failure.witness}")

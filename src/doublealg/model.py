@@ -41,6 +41,7 @@ Line-oriented named blocks with cross-references:
     sigma(f1) = derivation{}
 
     [double DD]
+    dvb = D                  # optional: the dvb that both lavb blocks use
     vertical = V1
     horizontal = V2
 
@@ -48,7 +49,9 @@ Every block validates against its schema before any computation; the first
 error is reported with its line number.  `#` starts a comment.  A block
 gives each call-style entry at most once: a second anchor(e1), delta(e2),
 lambda(b1; a1), ... is an error at its line, and bracket(e2, e1) or
-twist(b2, b1; a1) repeats bracket(e1, e2) or twist(b1, b2; a1).
+twist(b2, b1; a1) repeats bracket(e1, e2) or twist(b1, b2; a1).  Inside a
+value, a frame repeated in derivation{...} or a side repeated in
+ranks = {...} is an error at its line too.
 """
 
 from __future__ import annotations
@@ -233,15 +236,18 @@ def _parse_derivation_value(
     rank = len(frames)
     matrix = [[Polynomial.zero(chart) for _ in range(rank)] for _ in range(rank)]
     if inner:
+        seen = set()
         for part in inner.split(","):
             if ":" not in part:
                 raise ModelError(f"bad derivation entry {part!r}", line)
             frame_name, combo = part.split(":", 1)
             frame_name = frame_name.strip()
             idx = _frame_indices(frames, [frame_name], line)[0]
+            if idx in seen:
+                raise ModelError(f"duplicate frame {frame_name!r} in derivation{{...}}", line)
+            seen.add(idx)
             combo_map = _parsed(line, parse_combination, combo.strip(), chart, frames)
-            for j, name in enumerate(frames):
-                matrix[idx][j] = matrix[idx][j] + combo_map[name]
+            matrix[idx] = [combo_map[name] for name in frames]
     return Derivation(base_field, matrix)
 
 
@@ -254,6 +260,7 @@ def parse_model(text: str) -> ModelFile:
     dual_pairs: Dict[str, str] = {}
     dvbs: Dict[str, DecomposedDVB] = {}
     lavbs: Dict[str, LAVBundle] = {}
+    lavb_dvbs: Dict[str, str] = {}  # lavb name -> name of the dvb it uses
     matched_pairs: Dict[str, MatchedPair] = {}
     doubles: Dict[str, DoubleLieAlgebroid] = {}
 
@@ -393,6 +400,8 @@ def parse_model(text: str) -> ModelFile:
                         key = key.strip()
                         if key not in defaults:
                             raise ModelError(f"ranks keys are A, B, C; got {key!r}", line)
+                        if key in rank_map:
+                            raise ModelError(f"duplicate ranks key {key!r}", line)
                         rank_map[key] = int(num)
                         _check_count(f"ranks[{key}]", rank_map[key], line)
                 for side in ("A", "B", "C"):
@@ -501,6 +510,7 @@ def parse_model(text: str) -> ModelFile:
                 lavbs[block.name] = LAVBundle(
                     side, frames_a, frames_c, anchor_ders, core_ders, core_anchor, twist
                 )
+                lavb_dvbs[block.name] = dvb_name
 
             elif block.kind == "matched_pair":
                 block.known_keys(["A", "B", "rho", "sigma"])
@@ -541,6 +551,17 @@ def parse_model(text: str) -> ModelFile:
                     raise ModelError(f"unresolved lavb reference {vert_name!r}", line)
                 if hor_name not in lavbs:
                     raise ModelError(f"unresolved lavb reference {hor_name!r}", line_h)
+                dvb_entry = block.single("dvb")
+                if dvb_entry:
+                    dvb_name, line_d = dvb_entry
+                    if dvb_name not in dvbs:
+                        raise ModelError(f"unresolved dvb reference {dvb_name!r}", line_d)
+                    for name in (vert_name, hor_name):
+                        if lavb_dvbs[name] != dvb_name:
+                            raise ModelError(
+                                f"lavb {name!r} uses dvb {lavb_dvbs[name]!r}, not {dvb_name!r}",
+                                line_d,
+                            )
                 doubles[block.name] = DoubleLieAlgebroid(lavbs[vert_name], lavbs[hor_name])
 
         except (ValueError, KeyError) as exc:

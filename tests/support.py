@@ -1,10 +1,12 @@
 """Shared test helpers: coordinate renaming, the corpus of doubles and
-LA-vector bundles, with failing instances, the Lie-Poisson ladder, random
-brackets, the oracles kept from replaced production code (the
-matched-pair checks, the gathering Cartan differential, the frame-loop
-algebroid check and the frame change by any invertible matrix), and the
-constructions only the tests use (scalar polynomials in the model grammar,
-the tangent prolongation, the Lie algebra of a point-based algebroid)."""
+LA-vector bundles, with failing instances, the Lie-Poisson ladder, the
+cotangent doubles of the benchmark sweep's families, a model text with a
+cobracket failing co-Jacobi, random brackets, the oracles kept from
+replaced production code (the matched-pair checks, the gathering Cartan
+differential, the frame-loop algebroid check and the frame change by any
+invertible matrix), and the constructions only the tests use (scalar
+polynomials in the model grammar, the tangent prolongation, the Lie
+algebra of a point-based algebroid)."""
 
 import itertools
 import pathlib
@@ -18,7 +20,9 @@ from doublealg.algebroid import (
     Derivation,
     LieAlgebroid,
     Multisection,
+    PoissonChart,
     bracket_sections,
+    change_frames,
     check_algebroid,
     check_bialgebroid,
     cotangent_algebroid,
@@ -44,6 +48,37 @@ from doublealg.verdicts import CheckItem, CheckReport, failed, passed
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 XY = Chart(("x", "y"))
+
+
+# A model text with a cobracket whose dual bracket fails Jacobi beside a
+# valid dual pair.
+CO_JACOBI_MODEL = """\
+[lie_algebra g]
+dim = 3
+
+[cobracket bad]
+algebra = g
+delta(e1) = e1 ^ e2
+delta(e2) = e2 ^ e3
+delta(e3) = e1 ^ e3
+
+[chart M]
+coords = [x, y]
+
+[algebroid TM]
+base = M
+frame = [v1, v2]
+anchor(v1) = d/dx
+anchor(v2) = d/dy
+
+[algebroid Tstar]
+base = M
+frame = [w1, w2]
+anchor(w1) = x * d/dy
+anchor(w2) = -x * d/dx
+bracket(w1, w2) = w1
+dual_of = TM
+"""
 
 
 def rename(p, target, mapping):
@@ -263,6 +298,53 @@ def ladder_doubles():
     return [
         (name, build_cotangent_double(*ladder_pair(g))) for name, g in (("so3", SO3), ("gl2", gl(2)))
     ]
+
+
+def cotangent(f, frames=None):
+    """T*M on (x, y) for pi = f d/dx ^ d/dy (every bivector on a surface is
+    Poisson), with its frames renamed to `frames` if given."""
+    zero = Polynomial.zero(XY)
+    L = cotangent_algebroid(PoissonChart(XY, [[zero, f], [-f, zero]]))
+    return change_frames(L, [[1, 0], [0, 1]], frames) if frames else L
+
+
+def constant_bundle(c):
+    """A rank-2 bundle on (x, y) with zero anchor and constant bracket c."""
+    zero = Polynomial.zero(XY)
+    bracket = tuple(Polynomial.constant(XY, v) for v in c)
+    return LieAlgebroid(XY, ("ph1", "ph2"), [[zero, zero], [zero, zero]], {(0, 1): bracket})
+
+
+SWEEP_FAMILIES = ("tangent_cotangent", "cotangent_tangent", "cotangent_pair", "constant_bundle")
+
+
+def sweep_doubles(seeds):
+    """The cotangent doubles of the benchmark sweep's families on (x, y):
+    for each seed, two dual pairs of each family in a seeded order, with
+    random polynomials of degree 3.  (TM, T*M_pi) and (T*M_pi, TM) pass;
+    TM against a constant bracket c passes exactly when c = 0; a pair of
+    cotangent algebroids mostly fails."""
+    tm = tangent_algebroid(XY)
+    out = []
+    for seed in seeds:
+        rng = random.Random(seed)
+
+        def f():
+            return random_polynomial(rng, XY, 3)
+
+        families = [family for family in SWEEP_FAMILIES for _ in range(2)]
+        rng.shuffle(families)
+        for k, family in enumerate(families):
+            if family == "tangent_cotangent":
+                pair = (tm, cotangent(f()))
+            elif family == "cotangent_tangent":
+                pair = (cotangent(f()), tm)
+            elif family == "cotangent_pair":
+                pair = (cotangent(f()), cotangent(f(), ("ex", "ey")))
+            else:
+                pair = (tm, constant_bundle([rng.randint(-2, 2), rng.randint(-2, 2)]))
+            out.append((f"sweep{seed}:{k}:{family}", build_cotangent_double(*pair)))
+    return out
 
 
 def random_bracket(rng, frames):

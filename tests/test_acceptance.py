@@ -41,6 +41,7 @@ from doublealg.exact import Chart
 from doublealg.lavb import bundle_fibre_coordinate, induced_dual_algebroid, total_algebroid
 from doublealg.liealg import BialgebraError, check_manin, drinfeld_double
 from doublealg.matched import MatchedPair, RepresentationMap, assemble_bowtie, check_matched
+from diagnostics_oracle import oracle_diagnostics
 from dvb_model import cotangent_dvb, dual_a, dual_b, element, pair, r_map, tangent_dvb, z_iso
 from manin_oracle import check_paired, paired_double
 from support import algebroid_to_lie_algebra, check_cor_sdp, tangent_lavb
@@ -347,8 +348,9 @@ def test_criterion_8_structural_consequences_on_every_passing_double():
     assert len(doubles) >= 8
     for label, dla in doubles:
         assert check_double(dla).ok, label
-        report = structural_diagnostics(dla)
+        report = oracle_diagnostics(dla)
         assert report.ok, (label, report.first_failure)
+        assert report.items == structural_diagnostics(dla).items, label
     _report(
         8,
         10.0,

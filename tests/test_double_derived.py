@@ -27,10 +27,8 @@ import catalog
 from doublealg import algebroid, cli, doublela, lavb, matched
 from doublealg.algebroid import (
     LieAlgebroid,
-    PoissonChart,
     bialgebra_to_dual_pair,
     bracket_sections,
-    change_frames,
     check_bialgebroid,
     check_compatibility,
     cotangent_algebroid,
@@ -42,11 +40,14 @@ from doublealg.algebroid import (
     tangent_algebroid,
 )
 from doublealg.doublela import build_cotangent_double, check_double
-from doublealg.exact import Chart, Polynomial
+from doublealg.exact import Polynomial
 from doublealg.verdicts import failed, passed
 from doublealg.lavb import check_lavb
 from support import (
     MODELS,
+    XY,
+    constant_bundle,
+    cotangent,
     double_corpus,
     frame_loop_check_algebroid,
     gl,
@@ -55,8 +56,6 @@ from support import (
     random_bracket,
     rename,
 )
-
-XY = Chart(("x", "y"))
 
 
 def bialgebroid_items(report):
@@ -96,18 +95,6 @@ polys = st.dictionaries(
     st.integers(-2, 2),
     max_size=3,
 ).map(lambda d: Polynomial(XY, d))
-
-
-def cotangent(f, frames=None):
-    zero = Polynomial.zero(XY)
-    L = cotangent_algebroid(PoissonChart(XY, [[zero, f], [-f, zero]]))
-    return change_frames(L, [[1, 0], [0, 1]], frames) if frames else L
-
-
-def constant_bundle(c):
-    zero = Polynomial.zero(XY)
-    bracket = tuple(Polynomial.constant(XY, v) for v in c)
-    return LieAlgebroid(XY, ("ph1", "ph2"), [[zero, zero], [zero, zero]], {(0, 1): bracket})
 
 
 TM = tangent_algebroid(XY)
@@ -183,8 +170,27 @@ def test_check_double_cli_computes_each_derivation_once(calls):
         "induced_dual_algebroid": 2,
         "total_algebroid": 2,
         "core_poisson": 1,
-        "check_algebroid": 5,
+        "check_algebroid": 4,
     }
+
+
+def test_structural_diagnostics_computes_nothing(monkeypatch):
+    """On a passing cored double the diagnostics are stated: no bracket,
+    vector field, algebroid check or core structure is computed for them."""
+    dla = build_cotangent_double(*catalog.tangent_cotangent_pair())
+    assert dla.core_frames and check_double(dla).ok
+    counts = count_calls(
+        monkeypatch,
+        (
+            (algebroid, "bracket_sections"),
+            (algebroid.VectorField, "apply"),
+            (algebroid, "check_algebroid"),
+            (doublela, "core_algebroid"),
+            (doublela, "core_poisson"),
+        ),
+    )
+    assert doublela.structural_diagnostics(dla).ok
+    assert counts == {}
 
 
 # `check_matched` is the one check of a matched pair: the vacant double and

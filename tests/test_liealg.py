@@ -14,6 +14,7 @@ from catalog import (
     heisenberg_noncocycle_bialgebra,
     solvable2_bialgebra,
 )
+from doublealg.algebroid import bialgebra_to_dual_pair, check_algebroid
 from doublealg.exact import format_rat
 from doublealg.formatting import format_pairing_lines
 from doublealg.model import parse_model
@@ -25,6 +26,7 @@ from doublealg.liealg import (
     check_cocycle,
     check_manin,
     drinfeld_double,
+    dual_algebra,
     dual_bracket,
     format_vector,
 )
@@ -123,6 +125,9 @@ class TestDualBracket:
         b = Bialgebra(LieAlgebra(3, {}), delta)
         with pytest.raises(BialgebraError):
             dual_bracket(b)
+        # the ungated builder returns the same bracket, failing Jacobi
+        assert not dual_algebra(b).jacobi_report().ok
+        assert not check_algebroid(bialgebra_to_dual_pair(b)[1]).ok
 
 
 class TestCocycle:

@@ -11,6 +11,7 @@ import pytest
 from doublealg.cli import main, run
 from doublealg.model import ModelError, parse_model
 from doublealg.report import Report, ResultEntry, emit_report
+from support import CO_JACOBI_MODEL
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -507,3 +508,97 @@ def test_dual_name_taken_by_a_basis_name_exits_two(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "doublealg: error: dual basis name 'a_d' is already a basis name\n"
+
+
+class TestRepeatedKeysInsideValues:
+    """A frame repeated inside derivation{...} or a side repeated inside
+    ranks = {...} exits 2 with a parse error at its line, instead of
+    summing the two values or keeping the last."""
+
+    def run(self, tmp_path, capsys, text):
+        path = tmp_path / "m.model"
+        path.write_text(text)
+        assert main(["check", "matched", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_derivation_frame(self, tmp_path, capsys):
+        base = TestDuplicateEntries.MATCHED
+        text = base + "rho(v1) = derivation{f1: x * f1, f1: f1}\n"
+        assert self.run(tmp_path, capsys, text) == (
+            f"doublealg: parse error: line {base.count(chr(10)) + 1}: "
+            "duplicate frame 'f1' in derivation{...}\n"
+        )
+
+    def test_ranks_side(self, tmp_path, capsys):
+        text = "[chart M]\ncoords = [x]\n[dvb D]\nbase = M\nranks = {A: 1, A: 3, B: 1, C: 1}\n"
+        assert self.run(tmp_path, capsys, text) == (
+            "doublealg: parse error: line 5: duplicate ranks key 'A'\n"
+        )
+
+
+class TestDoubleDvbKey:
+    """The optional `dvb` key of a [double] block names a declared [dvb],
+    the one that both of its [lavb] blocks use."""
+
+    T2M = (MODELS / "t2m_double.pass").read_text()
+
+    def with_double_dvb(self, name, extra=""):
+        head, double = self.T2M.split("[double T2M]")
+        return head + extra + "[double T2M]" + double.replace("dvb = D", f"dvb = {name}")
+
+    @pytest.mark.parametrize(
+        "name,extra,line,message",
+        [
+            ("NOPE", "", 35, "unresolved dvb reference 'NOPE'"),
+            (
+                "E",
+                "[dvb E]\nbase = M\nframes_A = [a1]\nframes_B = [b1]\nframes_C = [c1]\n\n",
+                41,
+                "lavb 'V' uses dvb 'D', not 'E'",
+            ),
+        ],
+        ids=["undeclared", "not_the_lavb_dvb"],
+    )
+    def test_other_dvb_exits_two(self, tmp_path, capsys, name, extra, line, message):
+        path = tmp_path / "m.model"
+        path.write_text(self.with_double_dvb(name, extra))
+        assert main(["check", "double", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"doublealg: parse error: line {line}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "verb,kind,failure,valid",
+    [
+        (
+            "check",
+            "bialgebroid",
+            "result bialgebroid.bad.dual_side: FAIL",
+            "bialgebroid.TM:Tstar.random: pass",
+        ),
+        (
+            "build",
+            "cotangent-double",
+            "result cotangent_double.bad: FAIL",
+            "cotangent_double.TM:Tstar.summary: pass",
+        ),
+    ],
+    ids=["check_bialgebroid", "build_cotangent_double"],
+)
+def test_co_jacobi_failure_is_a_failed_item(tmp_path, capsys, verb, kind, failure, valid):
+    """The dual bracket of the cobracket fails Jacobi: that is the failure
+    of its own entry, exit 1, and the valid dual pair is still reported."""
+    path = tmp_path / "m.model"
+    path.write_text(CO_JACOBI_MODEL)
+    assert main([verb, kind, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    witness = lines[lines.index(failure) + 1]
+    assert witness.endswith(
+        "triple (e1_d, e2_d, e3_d): jacobiator = (-1) e1_d + (1) e2_d + (1) e3_d"
+    )
+    assert f"result {valid}" in lines

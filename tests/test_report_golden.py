@@ -9,7 +9,11 @@ intended change of report bytes, re-record with
 
 `check manin` and `build drinfeld` are also pinned on model texts kept
 here, outside `models/`: the solvable family at dim 0, 1 and 8 and a basis
-that already holds a dual basis name.
+that already holds a dual basis name.  So are `build cotangent-double` on
+the so(3)* Lie-Poisson dual pair, a double with a core whose stated
+diagnostics lines are then pinned through the CLI, and `check bialgebroid`,
+`build cotangent-double`, `check manin` and `build drinfeld` on a cobracket
+that fails co-Jacobi beside a valid dual pair (`support.CO_JACOBI_MODEL`).
 """
 
 import contextlib
@@ -22,6 +26,7 @@ import sys
 import pytest
 
 from doublealg import cli
+from support import CO_JACOBI_MODEL
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -88,10 +93,37 @@ GENERATED = {
         "[lie_algebra g]\ndim = 2\nbasis = [a, a_d]\nbracket(a, a_d) = a_d\n\n"
         "[cobracket d]\nalgebra = g\ndelta(a_d) = a ^ a_d\n"
     ),
+    # TM against T*M_pi for the Lie-Poisson structure pi on so(3)*
+    "so3_lie_poisson": """\
+[chart M]
+coords = [x, y, z]
+
+[algebroid TM]
+base = M
+frame = [v1, v2, v3]
+anchor(v1) = d/dx
+anchor(v2) = d/dy
+anchor(v3) = d/dz
+
+[algebroid Tstar]
+base = M
+frame = [w1, w2, w3]
+anchor(w1) = z * d/dy - y * d/dz
+anchor(w2) = -z * d/dx + x * d/dz
+anchor(w3) = y * d/dx - x * d/dy
+bracket(w1, w2) = w3
+bracket(w1, w3) = -w2
+bracket(w2, w3) = w1
+dual_of = TM
+""",
+    "co_jacobi": CO_JACOBI_MODEL,
 }
 
 # The solvable cases were recorded while the Manin items were still computed,
-# so they show that stating them changed no byte.
+# so they show that stating them changed no byte.  Likewise the so(3)* case
+# was recorded while the diagnostics were still computed, and the co-Jacobi
+# `check manin` and `build drinfeld` cases before that failure became a
+# failed item of `check bialgebroid` and `build cotangent-double`.
 GENERATED_GOLDEN = """\
 solvable0 check manin text 0 d9710fdd6412ab50582673a0dc0d88a1b63cfac6c2a4ed53350e1f86460eb537
 solvable0 check manin json 0 c150c79f6e337038810f05dcd67b5e6542ab3eb1232098961cd8879cd6151769
@@ -109,6 +141,16 @@ collision check manin text 2 0e002b09e926718f2772c2b50f4362b41292fc537a888f1c079
 collision check manin json 2 0e002b09e926718f2772c2b50f4362b41292fc537a888f1c0794e1e1f8fddcd4
 collision build drinfeld text 2 0e002b09e926718f2772c2b50f4362b41292fc537a888f1c0794e1e1f8fddcd4
 collision build drinfeld json 2 0e002b09e926718f2772c2b50f4362b41292fc537a888f1c0794e1e1f8fddcd4
+so3_lie_poisson build cotangent-double text 0 9c45a0b155f14bf59d19a01df789e39226f3816ea9bf672a73b9cac11b84b91b
+so3_lie_poisson build cotangent-double json 0 529763843b6b57318f143fc8fa23083a5826c23f2aa0dc276a588d240f1cef85
+co_jacobi check manin text 1 c4a86f4dc46f7a5831476e6119c96ca39ae2e4d305aa62ced9dd38503f411d28
+co_jacobi check manin json 1 094f787fe807b9261fafbb765c9f3299b7b219d5f18142d6250141e237a7b6a4
+co_jacobi build drinfeld text 1 b088f4af2c4f90cae083c5dc0e3ebab48fc814e0b273d90f6dae940957e06165
+co_jacobi build drinfeld json 1 6b4c1768d0211d967d2e739f6c7c9a0e840c4cf774eb52cbef5e3517d920dda9
+co_jacobi check bialgebroid text 1 92f0d0c921e27ad3b79b0d878c893ba8236777aa8760b6460cfd083a499fecf2
+co_jacobi check bialgebroid json 1 1fb001ccca3d166cefe4d4c9f99072d6a8cdfe1562573cc22ac5bd9a9a31ded3
+co_jacobi build cotangent-double text 1 8d31f6057306a613b6b313ac08508f92224d74a442621fbf2e3eff82eedb2ffe
+co_jacobi build cotangent-double json 1 1d67b8b640c570693d0513e0a5d741956cdd1c4922b7554ec2a0633771426022
 """
 
 

@@ -8,8 +8,9 @@ intended change of report bytes, re-record with
     PYTHONPATH=src python tests/test_report_golden.py --record
 
 `check manin` and `build drinfeld` are also pinned on model texts kept
-here, outside `models/`: the solvable family at dim 0, 1 and 8 and a basis
-that already holds a dual basis name.  So are `build cotangent-double` on
+here, outside `models/`: the solvable family at dim 0, 1, 8 and 16, a basis
+that already holds a dual basis name, an algebra that fails Jacobi and a
+cobracket whose cocycle defect has several terms of mixed sign.  So are `build cotangent-double` on
 the so(3)* Lie-Poisson dual pair, a double with a core whose stated
 diagnostics lines are then pinned through the CLI, and `check bialgebroid`,
 `build cotangent-double`, `check manin` and `build drinfeld` on a cobracket
@@ -89,6 +90,7 @@ GENERATED = {
     "solvable0": solvable_text(0),
     "solvable1": solvable_text(1),
     "solvable8": solvable_text(8),
+    "solvable16": solvable_text(16),
     "collision": (
         "[lie_algebra g]\ndim = 2\nbasis = [a, a_d]\nbracket(a, a_d) = a_d\n\n"
         "[cobracket d]\nalgebra = g\ndelta(a_d) = a ^ a_d\n"
@@ -117,13 +119,29 @@ bracket(w2, w3) = w1
 dual_of = TM
 """,
     "co_jacobi": CO_JACOBI_MODEL,
+    # fails Jacobi on (e1, e2, e3); its cobracket also fails co-Jacobi,
+    # which must not be reported first
+    "jacobi_fail": (
+        "[lie_algebra g]\ndim = 3\nbracket(e1, e2) = e2\nbracket(e1, e3) = e2 + e3\n"
+        "bracket(e2, e3) = e1 - e2\n\n[cobracket bad]\nalgebra = g\n"
+        "delta(e1) = e1 ^ e2\ndelta(e2) = e2 ^ e3\ndelta(e3) = e1 ^ e3\n"
+    ),
+    # the cocycle defect on (e1, e2) is e1 ^ e3 + 1/2 * e1 ^ e4 - 5/2 * e3 ^ e4
+    "cocycle_mixed": (
+        "[lie_algebra g]\ndim = 4\nbracket(e1, e2) = -e1 + 2 * e2 + e3\n\n"
+        "[cobracket d]\nalgebra = g\ndelta(e2) = e2 ^ e3 + 1/2 * e2 ^ e4 - e3 ^ e4\n"
+    ),
 }
 
 # The solvable cases were recorded while the Manin items were still computed,
 # so they show that stating them changed no byte.  Likewise the so(3)* case
 # was recorded while the diagnostics were still computed, and the co-Jacobi
 # `check manin` and `build drinfeld` cases before that failure became a
-# failed item of `check bialgebroid` and `build cotangent-double`.
+# failed item of `check bialgebroid` and `build cotangent-double`.  The
+# solvable16, jacobi_fail and cocycle_mixed cases were recorded while
+# `drinfeld_double` still decided its three gates by dense code of its own,
+# so they show that deciding them on the dual pair over a point changed no
+# byte.
 GENERATED_GOLDEN = """\
 solvable0 check manin text 0 d9710fdd6412ab50582673a0dc0d88a1b63cfac6c2a4ed53350e1f86460eb537
 solvable0 check manin json 0 c150c79f6e337038810f05dcd67b5e6542ab3eb1232098961cd8879cd6151769
@@ -151,6 +169,18 @@ co_jacobi check bialgebroid text 1 92f0d0c921e27ad3b79b0d878c893ba8236777aa8760b
 co_jacobi check bialgebroid json 1 1fb001ccca3d166cefe4d4c9f99072d6a8cdfe1562573cc22ac5bd9a9a31ded3
 co_jacobi build cotangent-double text 1 8d31f6057306a613b6b313ac08508f92224d74a442621fbf2e3eff82eedb2ffe
 co_jacobi build cotangent-double json 1 1d67b8b640c570693d0513e0a5d741956cdd1c4922b7554ec2a0633771426022
+solvable16 check manin text 0 adbf256cb28e5b0bd80b7caf38c2f5b250f4984db1f79b08c1e6369fb52d9e88
+solvable16 check manin json 0 fdb45608ae3bad8e24a64b7456b4ab727546493284f0f6598636911acb4763f4
+solvable16 build drinfeld text 0 62f0c5d43f7510a7eafbb00b3e63d8881079d8cca49a6f65692c1c33a735749a
+solvable16 build drinfeld json 0 61bef6ca7f2bd7b38f07c51913b7a93838271ac1453314ec92612cdcedb86c2f
+jacobi_fail check manin text 1 6383a83eb5b722b3664910c761085b00b3ce46f680939814870b61aa6c2c9585
+jacobi_fail check manin json 1 3f6f0965ac993bc53a27b531d11ebaff825220903f58504d2768de93b4bd49b7
+jacobi_fail build drinfeld text 1 bc20d77d7752a12bc463b28cc4c88402b94dc8ad86c2554169274f47d9d130f8
+jacobi_fail build drinfeld json 1 611d3d9f356be9dc47b123b83256d31bc866947eca9803427fe7231ba9a10c54
+cocycle_mixed check manin text 1 5a512b61993c743a099f55426ef13257d97ee8ba7c623ccf7d230b7cffe85722
+cocycle_mixed check manin json 1 ca8bd1e53b51cbd755f93b7d1d8cc7b96f76aba1bf5f87a29e3959aa14e48c71
+cocycle_mixed build drinfeld text 1 302e93a694f37fbea9edfa3c6b2b422ab019693b8cb595522b830b4031438465
+cocycle_mixed build drinfeld json 1 b2629daa0010f46bab5dd1e20390cd67078afb4d55cb0169cd13f002ca1ed3ef
 """
 
 

@@ -19,11 +19,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from .exact import Chart, ChartMismatch, Polynomial, rat
-from .liealg import Bialgebra, LieAlgebra, dual_algebra
 from .verdicts import CheckItem, CheckReport, failed, passed
+
+if TYPE_CHECKING:
+    from .liealg import LieAlgebra
 
 Index = Tuple[int, ...]
 
@@ -362,9 +364,6 @@ class LieAlgebroid:
     def rank(self) -> int:
         return len(self.frames)
 
-    def zero_poly(self) -> Polynomial:
-        return Polynomial.zero(self.chart)
-
     @functools.cached_property
     def anchor_fields(self) -> Tuple[VectorField, ...]:
         """The anchors a(e_alpha) as vector fields, built once."""
@@ -372,6 +371,15 @@ class LieAlgebroid:
 
     def anchor_field(self, alpha: int) -> VectorField:
         return self.anchor_fields[alpha]
+
+    @functools.cached_property
+    def nonzero_structure(self) -> Tuple[Tuple[Tuple[Tuple[int, Polynomial], ...], ...], ...]:
+        """For each frame pair (a, b), the nonzero c^g_{ab} as (g, c^g_{ab}),
+        built once."""
+        return tuple(
+            tuple(tuple((g, p) for g, p in enumerate(entry) if p) for entry in row)
+            for row in self.structure
+        )
 
     @functools.cached_property
     def brackets_by_gamma(self) -> Tuple[Tuple[Tuple[int, int, Polynomial], ...], ...]:
@@ -461,11 +469,10 @@ def check_algebroid(L: LieAlgebroid) -> CheckReport:
     same vector field or multisection the frame loop through
     `bracket_sections` computes (kept in the tests as the oracle).
     """
-    rank, fields = L.rank, L.anchor_fields
-    nonzero = [[[(g, p) for g, p in enumerate(entry) if p] for entry in row] for row in L.structure]
+    fields, nonzero = L.anchor_fields, L.nonzero_structure
     items: List[CheckItem] = []
     witness = None
-    for a, b in itertools.combinations(range(rank), 2):
+    for a, b in itertools.combinations(range(L.rank), 2):
         fa, fb = fields[a], fields[b]
         defect = [fb.apply(pa) - fa.apply(pb) for pa, pb in zip(fa.components, fb.components)]
         for g, coeff in nonzero[a][b]:
@@ -476,8 +483,24 @@ def check_algebroid(L: LieAlgebroid) -> CheckReport:
             break
     items.append(failed("anchor_morphism", witness) if witness else passed("anchor_morphism"))
 
+    found = first_jacobiator(L)
     witness = None
-    for a, b, c in itertools.combinations(range(rank), 3):
+    if found:
+        (a, b, c), section = found
+        witness = (
+            f"triple ({L.frames[a]}, {L.frames[b]}, {L.frames[c]}): "
+            f"jacobiator = {section.format(L.frames)}"
+        )
+    items.append(failed("jacobi", witness) if witness else passed("jacobi"))
+    return CheckReport(tuple(items))
+
+
+def first_jacobiator(L: LieAlgebroid) -> Tuple[Index, Multisection] | None:
+    """The first frame triple a < b < c, in `itertools.combinations` order,
+    whose Jacobiator (the structure equation of `check_algebroid`) is
+    nonzero, with that Jacobiator; None when Jacobi holds."""
+    fields, nonzero = L.anchor_fields, L.nonzero_structure
+    for a, b, c in itertools.combinations(range(L.rank), 3):
         jac: Dict[int, Polynomial] = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             for g, coeff in nonzero[x][y]:
@@ -488,14 +511,8 @@ def check_algebroid(L: LieAlgebroid) -> CheckReport:
                 if term:
                     jac[g] = jac[g] - term if g in jac else -term
         if any(jac.values()):
-            section = Multisection(rank, 1, {(k,): poly for k, poly in jac.items()})
-            witness = (
-                f"triple ({L.frames[a]}, {L.frames[b]}, {L.frames[c]}): "
-                f"jacobiator = {section.format(L.frames)}"
-            )
-            break
-    items.append(failed("jacobi", witness) if witness else passed("jacobi"))
-    return CheckReport(tuple(items))
+            return (a, b, c), Multisection(L.rank, 1, {(k,): poly for k, poly in jac.items()})
+    return None
 
 
 def require_valid(L: LieAlgebroid, label: str = "algebroid") -> None:
@@ -608,18 +625,6 @@ class PoissonChart:
                     raise ValueError("bivector matrix must be antisymmetric")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "matrix", matrix)
-
-    def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.chart)
-        names = self.chart.names
-        for i, ni in enumerate(names):
-            dfi = f.partial(ni)
-            if not dfi:
-                continue
-            for j, nj in enumerate(names):
-                if self.matrix[i][j]:
-                    out = out + self.matrix[i][j] * dfi * g.partial(nj)
-        return out
 
     def bivector(self) -> Multisection:
         """As a degree-2 multisection of the tangent algebroid of the chart."""
@@ -759,6 +764,16 @@ def check_bialgebroid(
     )
 
 
+def compatibility_defect(
+    L: LieAlgebroid, Lstar: LieAlgebroid, x: Multisection, y: Multisection
+) -> Multisection:
+    """D(X, Y) = d_*[X, Y] - [d_*X, Y] - [X, d_*Y], with d_* the differential
+    of Lstar acting on multisections of L and [ , ] the Schouten bracket of
+    L; Y is a section or a function."""
+    d_star = lambda ms: differential(Lstar, ms)
+    return d_star(schouten(L, x, y)) - schouten(L, d_star(x), y) - schouten(L, x, d_star(y))
+
+
 def check_compatibility(
     L: LieAlgebroid,
     Lstar: LieAlgebroid,
@@ -768,12 +783,11 @@ def check_compatibility(
     """The compatibility families of `check_bialgebroid`, for a dual pair
     whose two algebroid axiom checks are already decided.
 
-    d_* is the differential of Lstar acting on multisections of L (same
-    sparse data).  Every family reads one defect
-    D(X, Y) = d_*[X, Y] - [d_*X, Y] - [X, d_*Y], where Y is a section or a
-    function.  `frames` evaluates it on frame pairs and `function_pairs` on
-    (frame, coordinate) pairs; with `symmetric_part` these decide the
-    condition for all polynomial sections.  `scaled` is read off the first
+    Every family reads one defect, D(X, Y) =
+    `compatibility_defect(L, Lstar, X, Y)`.  `frames` evaluates it on
+    frame pairs and `function_pairs` on (frame, coordinate) pairs; with
+    `symmetric_part` these decide the condition for all polynomial
+    sections.  `scaled` is read off the first
     two by the Leibniz rule D(X, fY) = f D(X, Y) + D(X, f) ^ Y, an exact
     identity of the Leibniz rules built into `bracket_sections`,
     `differential` and `schouten` (Jacobi is not needed).  `random` draws
@@ -786,10 +800,7 @@ def check_compatibility(
     rank, frames, names = L.rank, L.frames, L.chart.names
     coords = [Polynomial.coordinate(L.chart, name) for name in names]
     functions = [Multisection.function(rank, c) for c in coords]
-    d_star = lambda ms: differential(Lstar, ms)
-
-    def defect(x: Multisection, y: Multisection) -> Multisection:
-        return d_star(schouten(L, x, y)) - schouten(L, d_star(x), y) - schouten(L, x, d_star(y))
+    defect = functools.partial(compatibility_defect, L, Lstar)
 
     @functools.cache
     def frame_defect(a: int, b: int) -> Multisection:
@@ -849,7 +860,7 @@ def check_compatibility(
     ]
 
     # the symmetric part a(d_*f)(g) + a(d_*g)(f) = 0 on coordinate functions
-    flow = functools.cache(lambda i: L.anchor_of(d_star(functions[i])))
+    flow = functools.cache(lambda i: L.anchor_of(differential(Lstar, functions[i])))
     witness = None
     for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
         value = flow(i).apply(coords[j]) + flow(j).apply(coords[i])
@@ -915,8 +926,3 @@ def lie_algebra_to_algebroid(g: LieAlgebra) -> LieAlgebroid:
         )
     return LieAlgebroid(chart, g.basis_names, anchor, brackets)
 
-
-def bialgebra_to_dual_pair(b: Bialgebra) -> Tuple[LieAlgebroid, LieAlgebroid]:
-    """(g, g*) as a dual pair of algebroids over the point, unchecked: the
-    checks the pair goes to report a co-Jacobi failure of g*."""
-    return lie_algebra_to_algebroid(b.algebra), lie_algebra_to_algebroid(dual_algebra(b))

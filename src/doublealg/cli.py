@@ -86,7 +86,7 @@ def _dual_pair_sources(model: ModelFile):
     for name, partner in model.dual_pairs.items():
         out.append((f"{partner}:{name}", model.algebroids[partner], model.algebroids[name]))
     for name, b in model.bialgebras.items():
-        pair = alg.bialgebra_to_dual_pair(b)
+        pair = liealg.bialgebra_to_dual_pair(b)
         out.append((name, pair[0], pair[1]))
     return out
 

@@ -2,10 +2,16 @@
 
 Structure constants are exact.  The Drinfel'd double of a bialgebra is
 built from the two coadjoint actions once the algebra passes Jacobi, its
-dual bracket passes Jacobi and the cobracket is a 1-cocycle; the
-Manin-triple conditions of the double (invariant hyperbolic pairing,
-isotropic halves g and g*, both halves subalgebras) then hold by
-construction, and `check_manin` states them.
+dual bracket passes Jacobi and the cobracket is a 1-cocycle.  A Lie
+bialgebra is a Lie bialgebroid over a point (Mackenzie & Xu 1994, Lie
+bialgebroids and Poisson groupoids, Duke Math. J. 73), so these three
+gates are decided on the dual pair `bialgebra_to_dual_pair` by the code
+of `algebroid` that `check_algebroid` and `check_compatibility` run:
+`first_jacobiator` on each side and `compatibility_defect` on frame
+pairs.  This module only renders their witnesses.  The Manin-triple
+conditions of the double (invariant hyperbolic pairing, isotropic halves
+g and g*, both halves subalgebras) then hold by construction, and
+`check_manin` states them.
 
 Conventions pinned here and relied on throughout the package:
 
@@ -21,8 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .exact import rat, signed_sum
-from .verdicts import CheckReport, failed, passed
+from .algebroid import (
+    LieAlgebroid,
+    compatibility_defect,
+    first_jacobiator,
+    lie_algebra_to_algebroid,
+)
+from .exact import Polynomial, rat, signed_sum
+from .verdicts import CheckReport, passed
 
 Vector = Tuple[Fraction, ...]
 Wedge = Dict[Tuple[int, int], Fraction]  # keys j < k
@@ -33,7 +45,7 @@ class BialgebraError(ValueError):
 
 
 def _zero_vector(n: int) -> Vector:
-    return tuple(Fraction(0) for _ in range(n))
+    return (Fraction(0),) * n
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -41,9 +53,6 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in v)
 
 
 def format_vector(v: Sequence[Fraction], names: Sequence[str]) -> str:
@@ -81,64 +90,6 @@ class LieAlgebra:
             raise ValueError("basis names must be distinct and match dim")
         object.__setattr__(self, "basis_names", names)
 
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        out = _zero_vector(self.dim)
-        for i, ci in enumerate(u):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(v):
-                if cj == 0:
-                    continue
-                out = vec_add(out, vec_scale(ci * cj, self.constants[i][j]))
-        return out
-
-    def ad_wedge(self, x: Sequence[Fraction], w: Wedge) -> Wedge:
-        """Adjoint action extended as a derivation of the exterior square."""
-        out: Wedge = {}
-        for (j, k), coeff in w.items():
-            ej = tuple(Fraction(1 if t == j else 0) for t in range(self.dim))
-            ek = tuple(Fraction(1 if t == k else 0) for t in range(self.dim))
-            _wedge_accumulate(out, self.bracket(x, ej), ek, coeff)
-            _wedge_accumulate(out, ej, self.bracket(x, ek), coeff)
-        return {key: c for key, c in out.items() if c != 0}
-
-    def jacobi_report(self) -> CheckReport:
-        """Jacobi on all basis triples; witness = first failing triple."""
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            defect = vec_add(
-                vec_add(
-                    self.bracket(self.constants[i][j], _basis(self.dim, k)),
-                    self.bracket(self.constants[j][k], _basis(self.dim, i)),
-                ),
-                self.bracket(self.constants[k][i], _basis(self.dim, j)),
-            )
-            if any(c != 0 for c in defect):
-                names = self.basis_names
-                witness = (
-                    f"triple ({names[i]}, {names[j]}, {names[k]}): "
-                    f"jacobiator = {format_vector(defect, names)}"
-                )
-                return CheckReport((failed("jacobi", witness),))
-        return CheckReport((passed("jacobi"),))
-
-
-def _basis(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if t == i else 0) for t in range(n))
-
-
-def _wedge_accumulate(acc: Wedge, u: Sequence[Fraction], v: Sequence[Fraction], scale: Fraction) -> None:
-    for j, a in enumerate(u):
-        if a == 0:
-            continue
-        for k, b in enumerate(v):
-            if b == 0 or j == k:
-                continue
-            coeff = scale * a * b
-            if j < k:
-                acc[(j, k)] = acc.get((j, k), Fraction(0)) + coeff
-            else:
-                acc[(k, j)] = acc.get((k, j), Fraction(0)) - coeff
-
 
 def format_wedge(w: Wedge, names: Sequence[str]) -> str:
     return signed_sum((w[(j, k)], [f"{names[j]} ^ {names[k]}"]) for j, k in sorted(w))
@@ -171,24 +122,12 @@ class Cobracket:
             table.append(tuple(sorted((p, c) for p, c in cleaned.items() if c != 0)))
         object.__setattr__(self, "images", tuple(table))
 
-    def image(self, i: int) -> Wedge:
-        return dict(self.images[i])
-
     def component(self, i: int, j: int, k: int) -> Fraction:
         """Full antisymmetric component delta^{jk}_i."""
         if j == k:
             return Fraction(0)
         w = dict(self.images[i])
         return w.get((j, k), Fraction(0)) if j < k else -w.get((k, j), Fraction(0))
-
-    def image_of(self, x: Sequence[Fraction]) -> Wedge:
-        out: Wedge = {}
-        for i, coeff in enumerate(x):
-            if coeff == 0:
-                continue
-            for pair, c in self.images[i]:
-                out[pair] = out.get(pair, Fraction(0)) + coeff * c
-        return {p: c for p, c in out.items() if c != 0}
 
 
 @dataclass(frozen=True)
@@ -213,7 +152,7 @@ def dual_algebra(b: Bialgebra) -> LieAlgebra:
 
     [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k.  It satisfies Jacobi
     exactly when the cobracket satisfies co-Jacobi; this builder does not
-    check it (`dual_bracket` does).
+    check it (`drinfeld_double` does).
     """
     n = b.dim
     brackets = {}
@@ -222,35 +161,27 @@ def dual_algebra(b: Bialgebra) -> LieAlgebra:
     return LieAlgebra(n, brackets, basis_names=b.dual_names())
 
 
-def dual_bracket(b: Bialgebra) -> LieAlgebra:
-    """`dual_algebra(b)`, raising `BialgebraError` with a witness if it fails
-    Jacobi (the cobracket is then not a Lie cobracket)."""
-    dual = dual_algebra(b)
-    report = dual.jacobi_report()
-    if not report.ok:
-        raise BialgebraError(f"dual bracket fails Jacobi: {report.first_failure.witness}")
-    return dual
+def bialgebra_to_dual_pair(b: Bialgebra) -> Tuple[LieAlgebroid, LieAlgebroid]:
+    """(g, g*) as a dual pair of algebroids over the point, unchecked: the
+    checks the pair goes to report a co-Jacobi failure of g*."""
+    return lie_algebra_to_algebroid(b.algebra), lie_algebra_to_algebroid(dual_algebra(b))
 
 
-def check_cocycle(b: Bialgebra) -> CheckReport:
-    """delta([e_i, e_j]) = ad_{e_i} delta(e_j) - ad_{e_j} delta(e_i) on all pairs."""
-    n = b.dim
-    names = b.algebra.basis_names
-    for i, j in itertools.combinations(range(n), 2):
-        lhs = b.cobracket.image_of(b.algebra.constants[i][j])
-        rhs: Wedge = dict(b.algebra.ad_wedge(_basis(n, i), b.cobracket.image(j)))
-        for pair, coeff in b.algebra.ad_wedge(_basis(n, j), b.cobracket.image(i)).items():
-            rhs[pair] = rhs.get(pair, Fraction(0)) - coeff
-        defect = dict(lhs)
-        for pair, coeff in rhs.items():
-            defect[pair] = defect.get(pair, Fraction(0)) - coeff
-        defect = {p: c for p, c in defect.items() if c != 0}
-        if defect:
-            witness = (
-                f"pair ({names[i]}, {names[j]}): defect = {format_wedge(defect, names)}"
-            )
-            return CheckReport((failed("cocycle", witness),))
-    return CheckReport((passed("cocycle"),))
+def _value(p: Polynomial) -> Fraction:
+    """The value of a polynomial on the point chart."""
+    return p.terms[0][1] if p.terms else Fraction(0)
+
+
+def _require_jacobi(side: LieAlgebroid, label: str) -> None:
+    found = first_jacobiator(side)
+    if found:
+        (i, j, k), jac = found
+        names = side.frames
+        vector = tuple(_value(p) for p in jac.vector(side.chart))
+        raise BialgebraError(
+            f"{label} fails Jacobi: triple ({names[i]}, {names[j]}, {names[k]}): "
+            f"jacobiator = {format_vector(vector, names)}"
+        )
 
 
 def drinfeld_double(b: Bialgebra) -> LieAlgebra:
@@ -259,32 +190,42 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebra:
     basis order: e_1..e_n then the dual basis.  Mixed bracket:
     [e_i, eps^j] = sum_k delta^{jk}_i e_k - sum_k c^j_{ik} eps^k.
     Rejects input failing Jacobi, co-Jacobi or the cocycle condition, since
-    the double would then violate Jacobi.  Raises `ValueError` when a dual
+    the double would then violate Jacobi.  These are decided on the dual
+    pair (g, g*) over a point, where they are the Jacobi items of
+    `check_algebroid` on each side and the `frames` family of
+    `check_compatibility`: there d_* = -delta, so the cocycle defect
+    delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i) is minus
+    `compatibility_defect` on (e_i, e_j).  Raises `ValueError` when a dual
     basis name <name>_d is already a basis name.
     """
-    jac = b.algebra.jacobi_report()
-    if not jac.ok:
-        raise BialgebraError(f"algebra fails Jacobi: {jac.first_failure.witness}")
-    dual = dual_bracket(b)  # raises on co-Jacobi failure
-    coc = check_cocycle(b)
-    if not coc.ok:
-        raise BialgebraError(f"cocycle condition fails: {coc.first_failure.witness}")
-    clash = next((name for name in b.dual_names() if name in b.algebra.basis_names), None)
+    g, dual = bialgebra_to_dual_pair(b)
+    _require_jacobi(g, "algebra")
+    _require_jacobi(dual, "dual bracket")
+    names = b.algebra.basis_names
+    for i, j in itertools.combinations(range(b.dim), 2):
+        defect = compatibility_defect(g, dual, g.frame_section(i), g.frame_section(j))
+        if not defect.is_zero:
+            wedge = {idx: -_value(p) for idx, p in defect.components}
+            raise BialgebraError(
+                f"cocycle condition fails: pair ({names[i]}, {names[j]}): "
+                f"defect = {format_wedge(wedge, names)}"
+            )
+    clash = next((name for name in b.dual_names() if name in names), None)
     if clash is not None:
         raise ValueError(f"dual basis name {clash!r} is already a basis name")
 
     n = b.dim
-    size = 2 * n
+    zero = _zero_vector(n)
     brackets: Dict[Tuple[int, int], Vector] = {}
     for i, j in itertools.combinations(range(n), 2):
-        brackets[(i, j)] = tuple(b.algebra.constants[i][j]) + _zero_vector(n)
-        brackets[(n + i, n + j)] = _zero_vector(n) + tuple(dual.constants[i][j])
+        brackets[(i, j)] = tuple(b.algebra.constants[i][j]) + zero
+        brackets[(n + i, n + j)] = zero + tuple(_value(p) for p in dual.structure[i][j])
     for i in range(n):
         for j in range(n):
             g_part = tuple(b.cobracket.component(i, j, k) for k in range(n))
             dual_part = tuple(-b.algebra.constants[i][k][j] for k in range(n))
             brackets[(i, n + j)] = g_part + dual_part
-    return LieAlgebra(size, brackets, basis_names=b.algebra.basis_names + b.dual_names())
+    return LieAlgebra(2 * n, brackets, basis_names=names + b.dual_names())
 
 
 def check_manin() -> CheckReport:

@@ -15,14 +15,14 @@ from doublealg.algebroid import (
     LieAlgebroid,
     PoissonChart,
     VectorField,
-    bialgebra_to_dual_pair,
     cotangent_algebroid,
     lie_algebra_to_algebroid,
     tangent_algebroid,
 )
 from doublealg.exact import Chart, Polynomial
-from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, dual_bracket
+from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, bialgebra_to_dual_pair
 from doublealg.matched import MatchedPair, RepresentationMap
+from manin_oracle import dual_bracket
 
 
 def solvable2_bialgebra() -> Bialgebra:

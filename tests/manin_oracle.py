@@ -1,4 +1,5 @@
-"""The Manin-triple check kept from replaced production code.
+"""The Manin-triple check and the dense bialgebra gates kept from replaced
+production code.
 
 `liealg.check_manin` states the five Manin items of a Drinfel'd double
 without computing them.  This module keeps the computation: a 2n-dim
@@ -6,6 +7,12 @@ algebra with a symmetric nondegenerate pairing and two marked halves
 (`PairedAlgebra`), the hyperbolic pairing of g + g*, the double bracket
 assembled by the formula of `drinfeld_double` without its gates, and the
 dense check of invariance, isotropy and closure (`check_paired`).
+
+`liealg.drinfeld_double` decides Jacobi, co-Jacobi and the cocycle
+condition on the dual pair over a point.  This module keeps the dense
+vector code that decided them before (`jacobi_report`, `dual_bracket`,
+`check_cocycle`) and the double it guarded (`dense_drinfeld_double`), with
+the same witness texts, as their oracle.
 """
 
 import itertools
@@ -15,7 +22,17 @@ from typing import Dict, List, Sequence, Tuple
 
 import linalg
 from doublealg.exact import format_rat
-from doublealg.liealg import Bialgebra, LieAlgebra, format_vector
+from doublealg.liealg import (
+    Bialgebra,
+    BialgebraError,
+    Cobracket,
+    LieAlgebra,
+    Wedge,
+    dual_algebra,
+    format_vector,
+    format_wedge,
+    vec_add,
+)
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
 
 Vector = Tuple[Fraction, ...]
@@ -23,6 +40,137 @@ Vector = Tuple[Fraction, ...]
 
 def basis(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if t == i else 0) for t in range(n))
+
+
+def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
+    return tuple(c * a for a in v)
+
+
+def bracket(g: LieAlgebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    """[u, v] of two coordinate vectors, bilinear in the structure constants."""
+    out = (Fraction(0),) * g.dim
+    for i, ci in enumerate(u):
+        if ci == 0:
+            continue
+        for j, cj in enumerate(v):
+            if cj == 0:
+                continue
+            out = vec_add(out, vec_scale(ci * cj, g.constants[i][j]))
+    return out
+
+
+def ad_wedge(g: LieAlgebra, x: Sequence[Fraction], w: Wedge) -> Wedge:
+    """Adjoint action extended as a derivation of the exterior square."""
+    out: Wedge = {}
+    for (j, k), coeff in w.items():
+        ej = basis(g.dim, j)
+        ek = basis(g.dim, k)
+        _wedge_accumulate(out, bracket(g, x, ej), ek, coeff)
+        _wedge_accumulate(out, ej, bracket(g, x, ek), coeff)
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _wedge_accumulate(acc: Wedge, u: Sequence[Fraction], v: Sequence[Fraction], scale: Fraction) -> None:
+    for j, a in enumerate(u):
+        if a == 0:
+            continue
+        for k, b in enumerate(v):
+            if b == 0 or j == k:
+                continue
+            coeff = scale * a * b
+            if j < k:
+                acc[(j, k)] = acc.get((j, k), Fraction(0)) + coeff
+            else:
+                acc[(k, j)] = acc.get((k, j), Fraction(0)) - coeff
+
+
+def jacobi_report(g: LieAlgebra) -> CheckReport:
+    """Jacobi on all basis triples; witness = first failing triple."""
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        defect = vec_add(
+            vec_add(
+                bracket(g, g.constants[i][j], basis(g.dim, k)),
+                bracket(g, g.constants[j][k], basis(g.dim, i)),
+            ),
+            bracket(g, g.constants[k][i], basis(g.dim, j)),
+        )
+        if any(c != 0 for c in defect):
+            names = g.basis_names
+            witness = (
+                f"triple ({names[i]}, {names[j]}, {names[k]}): "
+                f"jacobiator = {format_vector(defect, names)}"
+            )
+            return CheckReport((failed("jacobi", witness),))
+    return CheckReport((passed("jacobi"),))
+
+
+def image(delta: Cobracket, i: int) -> Wedge:
+    """delta(e_i)."""
+    return dict(delta.images[i])
+
+
+def image_of(delta: Cobracket, x: Sequence[Fraction]) -> Wedge:
+    """delta(x) of a coordinate vector."""
+    out: Wedge = {}
+    for i, coeff in enumerate(x):
+        if coeff == 0:
+            continue
+        for pair, c in delta.images[i]:
+            out[pair] = out.get(pair, Fraction(0)) + coeff * c
+    return {p: c for p, c in out.items() if c != 0}
+
+
+def dual_bracket(b: Bialgebra) -> LieAlgebra:
+    """`dual_algebra(b)`, raising `BialgebraError` with a witness if it fails
+    Jacobi (the cobracket is then not a Lie cobracket)."""
+    dual = dual_algebra(b)
+    report = jacobi_report(dual)
+    if not report.ok:
+        raise BialgebraError(f"dual bracket fails Jacobi: {report.first_failure.witness}")
+    return dual
+
+
+def cocycle_defect(b: Bialgebra, i: int, j: int) -> Wedge:
+    """delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i), nonzero
+    components only."""
+    n = b.dim
+    lhs = image_of(b.cobracket, b.algebra.constants[i][j])
+    rhs: Wedge = dict(ad_wedge(b.algebra, basis(n, i), image(b.cobracket, j)))
+    for pair, coeff in ad_wedge(b.algebra, basis(n, j), image(b.cobracket, i)).items():
+        rhs[pair] = rhs.get(pair, Fraction(0)) - coeff
+    defect = dict(lhs)
+    for pair, coeff in rhs.items():
+        defect[pair] = defect.get(pair, Fraction(0)) - coeff
+    return {p: c for p, c in defect.items() if c != 0}
+
+
+def check_cocycle(b: Bialgebra) -> CheckReport:
+    """delta([e_i, e_j]) = ad_{e_i} delta(e_j) - ad_{e_j} delta(e_i) on all pairs."""
+    names = b.algebra.basis_names
+    for i, j in itertools.combinations(range(b.dim), 2):
+        defect = cocycle_defect(b, i, j)
+        if defect:
+            witness = (
+                f"pair ({names[i]}, {names[j]}): defect = {format_wedge(defect, names)}"
+            )
+            return CheckReport((failed("cocycle", witness),))
+    return CheckReport((passed("cocycle"),))
+
+
+def dense_drinfeld_double(b: Bialgebra) -> LieAlgebra:
+    """`liealg.drinfeld_double` with its three gates decided by the dense
+    code above, in the same order and with the same error texts."""
+    jac = jacobi_report(b.algebra)
+    if not jac.ok:
+        raise BialgebraError(f"algebra fails Jacobi: {jac.first_failure.witness}")
+    dual_bracket(b)  # raises on co-Jacobi failure
+    coc = check_cocycle(b)
+    if not coc.ok:
+        raise BialgebraError(f"cocycle condition fails: {coc.first_failure.witness}")
+    clash = next((name for name in b.dual_names() if name in b.algebra.basis_names), None)
+    if clash is not None:
+        raise ValueError(f"dual basis name {clash!r} is already a basis name")
+    return formula_double(b)
 
 
 def halves(n2: int):
@@ -155,7 +303,7 @@ def check_paired(p: PairedAlgebra) -> CheckReport:
         echelon = linalg.row_echelon(marked)
         witness = None
         for u, v in itertools.combinations(marked, 2):
-            w = g.bracket(u, v)
+            w = bracket(g, u, v)
             if any(linalg.reduce(w, echelon)):
                 witness = (
                     f"[{format_vector(u, names)}, {format_vector(v, names)}] = "

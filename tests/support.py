@@ -109,6 +109,20 @@ def parse_polynomial(text: str, chart: Chart) -> Polynomial:
     return total
 
 
+def poisson_bracket(P: PoissonChart, f: Polynomial, g: Polynomial) -> Polynomial:
+    """{f, g} = sum_ij pi^ij d_i f d_j g on the chart of P."""
+    out = Polynomial.zero(P.chart)
+    names = P.chart.names
+    for i, ni in enumerate(names):
+        dfi = f.partial(ni)
+        if not dfi:
+            continue
+        for j, nj in enumerate(names):
+            if P.matrix[i][j]:
+                out = out + P.matrix[i][j] * dfi * g.partial(nj)
+    return out
+
+
 def tangent_lavb(chart: Chart, bundle_frames: Sequence[str], core_frames: Sequence[str] | None = None) -> LAVBundle:
     """The tangent prolongation structure of a trivialized bundle.
 
@@ -430,7 +444,7 @@ def general_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
     r = L.rank
     cols = [[rat(matrix[i][j]) for i in range(r)] for j in range(r)]
     inv = linalg.inverse([[rat(matrix[i][j]) for j in range(r)] for i in range(r)])
-    zero = L.zero_poly()
+    zero = Polynomial.zero(L.chart)
     anchor = []
     for j in range(r):
         row = [zero for _ in range(L.chart.dim)]

@@ -19,7 +19,6 @@ from doublealg.algebroid import (
     NotPoisson,
     PoissonChart,
     VectorField,
-    bialgebra_to_dual_pair,
     bracket_sections,
     change_frames,
     check_algebroid,
@@ -35,8 +34,9 @@ from doublealg.algebroid import (
     tangent_algebroid,
 )
 from doublealg.exact import Chart, ChartMismatch, Polynomial
-from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, check_cocycle
-from support import parse_polynomial
+from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, bialgebra_to_dual_pair
+from manin_oracle import check_cocycle
+from support import parse_polynomial, poisson_bracket
 
 XY = Chart(["x", "y"])
 TM = tangent_algebroid(XY)
@@ -276,7 +276,7 @@ class TestDualPoisson:
         pois = dual_poisson(L)
         xi1 = Polynomial.coordinate(pois.chart, fibre_coordinate("e1"))
         xi2 = Polynomial.coordinate(pois.chart, fibre_coordinate("e2"))
-        assert pois.bracket(xi1, xi2) == xi2
+        assert poisson_bracket(pois, xi1, xi2) == xi2
         assert pois.is_poisson()
 
     def test_tangent_line_gives_canonical_bracket(self):
@@ -285,7 +285,7 @@ class TestDualPoisson:
         pois = dual_poisson(tm)
         xi = Polynomial.coordinate(pois.chart, fibre_coordinate("del_x"))
         x = Polynomial.coordinate(pois.chart, "x")
-        assert pois.bracket(xi, x) == Polynomial.constant(pois.chart, 1)
+        assert poisson_bracket(pois, xi, x) == Polynomial.constant(pois.chart, 1)
 
     def test_valid_algebroid_gives_poisson_invalid_does_not(self):
         ct = cotangent_algebroid(catalog.poisson_chart_xy())
@@ -393,7 +393,7 @@ class TestCotangentAlgebroid:
             g = random_polynomial(rng, XY)
             df = Multisection(2, 1, {(i,): f.partial(n) for i, n in enumerate(XY.names)})
             dg = Multisection(2, 1, {(i,): g.partial(n) for i, n in enumerate(XY.names)})
-            fg = pois.bracket(f, g)
+            fg = poisson_bracket(pois, f, g)
             dfg = Multisection(2, 1, {(i,): fg.partial(n) for i, n in enumerate(XY.names)})
             assert bracket_sections(ct, df, dg) == dfg
 

@@ -22,13 +22,11 @@ from doublealg.liealg import (
     BialgebraError,
     Cobracket,
     LieAlgebra,
-    check_cocycle,
     check_manin,
     drinfeld_double,
-    dual_bracket,
 )
 from doublealg.matched import MatchedPair, RepresentationMap, check_matched
-from manin_oracle import check_paired, paired_double
+from manin_oracle import check_cocycle, check_paired, dual_bracket, jacobi_report, paired_double
 from support import assert_matched_decides_bowtie_and_double, check_cor_sdp, parse_polynomial
 
 
@@ -54,7 +52,7 @@ class TestBialgebraRoutesAgree:
         rng = random.Random(20240809)
         seen_pass = seen_fail = 0
         for algebra in (HEISENBERG, SOLVABLE3, LieAlgebra(3, {})):
-            assert algebra.jacobi_report().ok
+            assert jacobi_report(algebra).ok
             for _ in range(25):
                 b = Bialgebra(algebra, random_cobracket(rng, 3))
                 try:
@@ -78,7 +76,7 @@ class TestBialgebraRoutesAgree:
                 if cocycle_ok:
                     seen_pass += 1
                     double = drinfeld_double(b)
-                    assert double.jacobi_report().ok
+                    assert jacobi_report(double).ok
                     assert check_paired(paired_double(double)).items == check_manin().items
                 else:
                     seen_fail += 1

@@ -27,7 +27,6 @@ import catalog
 from doublealg import algebroid, cli, doublela, lavb, matched
 from doublealg.algebroid import (
     LieAlgebroid,
-    bialgebra_to_dual_pair,
     bracket_sections,
     check_bialgebroid,
     check_compatibility,
@@ -43,6 +42,7 @@ from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Polynomial
 from doublealg.verdicts import failed, passed
 from doublealg.lavb import check_lavb
+from doublealg.liealg import bialgebra_to_dual_pair
 from support import (
     MODELS,
     XY,

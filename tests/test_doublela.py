@@ -135,7 +135,7 @@ class TestCotangentDoubles:
     )
 
     def passing_pairs(self):
-        from doublealg.algebroid import bialgebra_to_dual_pair
+        from doublealg.liealg import bialgebra_to_dual_pair
 
         return [
             bialgebra_to_dual_pair(catalog.solvable2_bialgebra()),
@@ -160,7 +160,7 @@ class TestCotangentDoubles:
 
     def test_bialgebra_case_is_vacant_with_coadjoint_actions(self):
         b = catalog.solvable2_bialgebra()
-        from doublealg.algebroid import bialgebra_to_dual_pair
+        from doublealg.liealg import bialgebra_to_dual_pair
 
         dla = build_cotangent_double(*bialgebra_to_dual_pair(b))
         assert dla.is_vacant
@@ -201,7 +201,7 @@ def diagonal(dla):
 class TestDiagonal:
     def test_bialgebra_diagonal_equals_drinfeld(self):
         b = catalog.solvable2_bialgebra()
-        from doublealg.algebroid import bialgebra_to_dual_pair
+        from doublealg.liealg import bialgebra_to_dual_pair
 
         dla = build_cotangent_double(*bialgebra_to_dual_pair(b))
         diag = diagonal(dla)

@@ -14,7 +14,7 @@ from catalog import (
     heisenberg_noncocycle_bialgebra,
     solvable2_bialgebra,
 )
-from doublealg.algebroid import bialgebra_to_dual_pair, check_algebroid
+from doublealg.algebroid import check_algebroid, compatibility_defect, first_jacobiator
 from doublealg.exact import format_rat
 from doublealg.formatting import format_pairing_lines
 from doublealg.model import parse_model
@@ -23,20 +23,27 @@ from doublealg.liealg import (
     BialgebraError,
     Cobracket,
     LieAlgebra,
-    check_cocycle,
+    bialgebra_to_dual_pair,
     check_manin,
     drinfeld_double,
     dual_algebra,
-    dual_bracket,
     format_vector,
 )
 from manin_oracle import (
     PairedAlgebra,
     basis,
+    bracket,
+    check_cocycle,
     check_paired,
+    cocycle_defect,
+    dense_drinfeld_double,
+    dual_bracket,
     formula_double,
     halves,
     hyperbolic_pairing,
+    image,
+    image_of,
+    jacobi_report,
     paired_double,
 )
 from support import MODELS
@@ -75,17 +82,17 @@ def jacobiator_oracle(g: LieAlgebra):
     n = g.dim
     worst = []
     for i, j, k in itertools.combinations(range(n), 3):
-        value = g.bracket(g.bracket(basis(n, i), basis(n, j)), basis(n, k))
+        value = bracket(g, bracket(g, basis(n, i), basis(n, j)), basis(n, k))
         value = tuple(
             a + b
             for a, b in zip(
-                value, g.bracket(g.bracket(basis(n, j), basis(n, k)), basis(n, i))
+                value, bracket(g, bracket(g, basis(n, j), basis(n, k)), basis(n, i))
             )
         )
         value = tuple(
             a + b
             for a, b in zip(
-                value, g.bracket(g.bracket(basis(n, k), basis(n, i)), basis(n, j))
+                value, bracket(g, bracket(g, basis(n, k), basis(n, i)), basis(n, j))
             )
         )
         if any(v != 0 for v in value):
@@ -108,7 +115,7 @@ class TestDualBracket:
         # oracle: <[eps^i, eps^j]_*, e_k> = <eps^i ^ eps^j, delta(e_k)>
         for i, j in itertools.combinations(range(2), 2):
             for k in range(2):
-                expected = wedge_pairing_oracle(i, j, b.cobracket.image(k), 2)
+                expected = wedge_pairing_oracle(i, j, image(b.cobracket, k), 2)
                 assert dual.constants[i][j][k] == expected
         # explicitly: [eps1, eps2]_* = eps2
         assert dual.constants[0][1] == (Fraction(0), Fraction(1))
@@ -126,7 +133,7 @@ class TestDualBracket:
         with pytest.raises(BialgebraError):
             dual_bracket(b)
         # the ungated builder returns the same bracket, failing Jacobi
-        assert not dual_algebra(b).jacobi_report().ok
+        assert not jacobi_report(dual_algebra(b)).ok
         assert not check_algebroid(bialgebra_to_dual_pair(b)[1]).ok
 
 
@@ -139,7 +146,7 @@ class TestCocycle:
         b = solvable2_bialgebra()
         assert check_cocycle(b).ok
         # independent oracle: expand both sides of the identity on (e1, e2)
-        lhs = b.cobracket.image_of(b.algebra.constants[0][1])
+        lhs = image_of(b.cobracket, b.algebra.constants[0][1])
         def ad_oracle(x_index, w):
             out = {}
             for (a, c), coeff in w.items():
@@ -158,8 +165,8 @@ class TestCocycle:
                                 coeff * val if a < k else -coeff * val
                             )
             return {p: v for p, v in out.items() if v != 0}
-        rhs = ad_oracle(0, b.cobracket.image(1))
-        for pair, coeff in ad_oracle(1, b.cobracket.image(0)).items():
+        rhs = ad_oracle(0, image(b.cobracket, 1))
+        for pair, coeff in ad_oracle(1, image(b.cobracket, 0)).items():
             rhs[pair] = rhs.get(pair, Fraction(0)) - coeff
         rhs = {p: v for p, v in rhs.items() if v != 0}
         assert lhs == rhs
@@ -176,7 +183,7 @@ class TestCocycle:
         g = LieAlgebra(2, {(0, 1): (0, 1)})
         perturbed = Bialgebra(g, Cobracket(2, {0: {(0, 1): 1}, 1: {(0, 1): 1}}))
         assert check_cocycle(perturbed).ok
-        assert drinfeld_double(perturbed).jacobi_report().ok
+        assert jacobi_report(drinfeld_double(perturbed)).ok
 
 
 class TestDrinfeldDouble:
@@ -325,7 +332,7 @@ def closure_oracle(p: PairedAlgebra, basis):
     span = [list(v) for v in basis]
     base_rank = linalg.rank(span)
     for u, v in itertools.combinations(basis, 2):
-        w = g.bracket(u, v)
+        w = bracket(g, u, v)
         if linalg.rank(span + [list(w)]) > base_rank:
             names = g.basis_names
             return (
@@ -483,17 +490,23 @@ class TestManin:
             PairedAlgebra(g, zero, (basis(2, 0),), (basis(2, 1),))
 
 
-def random_bialgebra(rng: random.Random, dim: int) -> Bialgebra:
+def random_bialgebra(
+    rng: random.Random, dim: int, bracket_density: float = 0.5, cobracket_density: float = 0.3
+) -> Bialgebra:
     """Random constants and cobracket with small entries, built without
     the gates: neither Jacobi, co-Jacobi nor the cocycle condition is
-    required, and from dim 3 on most draws fail one of them."""
+    required, and from dim 3 on most draws fail one of them.  Each bracket
+    and each cobracket component is drawn with the given probability."""
     pairs = list(itertools.combinations(range(dim), 2))
     brackets = {
         pair: tuple(Fraction(rng.choice((0, 0, 1, -1))) for _ in range(dim))
         for pair in pairs
-        if rng.random() < 0.5
+        if rng.random() < bracket_density
     }
-    images = {i: {pair: rng.choice((1, -1, 2)) for pair in pairs if rng.random() < 0.3} for i in range(dim)}
+    images = {
+        i: {pair: rng.choice((1, -1, 2)) for pair in pairs if rng.random() < cobracket_density}
+        for i in range(dim)
+    }
     return Bialgebra(LieAlgebra(dim, brackets), Cobracket(dim, images))
 
 
@@ -549,3 +562,59 @@ class TestManinByConstruction:
         assert verdicts[True, "gate fails"] >= 100
         assert verdicts[True, "gates pass"] >= 100
         assert verdicts[False, "gate fails"] and verdicts[False, "gates pass"]
+
+
+def gate_corpus():
+    """400 seeded random bialgebras, dims 2-5, at three bracket and three
+    cobracket densities, none of the axioms imposed."""
+    rng = random.Random(5)
+    return [
+        random_bialgebra(rng, 2 + k % 4, (0.15, 0.35, 0.6)[k // 4 % 3], (0.1, 0.25, 0.45)[k // 12 % 3])
+        for k in range(400)
+    ]
+
+
+def gate_outcome(build, b):
+    """('double', constants, basis names) or ('error', message)."""
+    try:
+        double = build(b)
+    except BialgebraError as exc:
+        return ("error", str(exc))
+    return ("double", double.constants, double.basis_names)
+
+
+class TestGatesAgainstDenseOracle:
+    """`drinfeld_double` decides Jacobi, co-Jacobi and the cocycle condition
+    on the dual pair over a point; `manin_oracle.dense_drinfeld_double`
+    decides them with the dense vector code that did it before.  Both must
+    raise the same `BialgebraError` text or build the same double."""
+
+    def test_same_error_text_or_same_double(self):
+        verdicts = Counter()
+        for b in gate_corpus():
+            expected = gate_outcome(dense_drinfeld_double, b)
+            assert gate_outcome(drinfeld_double, b) == expected, b
+            verdicts[expected[1].split(":")[0] if expected[0] == "error" else "double"] += 1
+        # seed 5 gives 162, 90, 14 and 134
+        assert verdicts["algebra fails Jacobi"] >= 120
+        assert verdicts["dual bracket fails Jacobi"] >= 65
+        assert verdicts["cocycle condition fails"] >= 10
+        assert verdicts["double"] >= 100
+
+    def test_compatibility_defect_is_minus_the_cocycle_defect(self):
+        """On every frame pair, Jacobi or not: the sign that lets
+        `drinfeld_double` read the cocycle defect off the compatibility
+        defect."""
+        nonzero = Counter()
+        for b in gate_corpus():
+            g, dual = bialgebra_to_dual_pair(b)
+            gated = first_jacobiator(g) is None and first_jacobiator(dual) is None
+            for i, j in itertools.combinations(range(b.dim), 2):
+                defect = compatibility_defect(g, dual, g.frame_section(i), g.frame_section(j))
+                minus = {idx: -poly.terms[0][1] for idx, poly in defect.components}
+                assert minus == cocycle_defect(b, i, j)
+                nonzero[gated] += not defect.is_zero
+        # seed 5 gives 1229 pairs where a Jacobi gate fails first and 21
+        # where both pass, so that `drinfeld_double` reads them
+        assert nonzero[False] >= 900
+        assert nonzero[True] >= 15

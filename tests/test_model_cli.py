@@ -35,7 +35,7 @@ class TestParseModel:
         model = parse_model(SOLVABLE)
         b = model.bialgebras["d"]
         assert b.algebra.constants[0][1] == (0, 1)
-        assert b.cobracket.image(1) == {(0, 1): 1}
+        assert dict(b.cobracket.images[1]) == {(0, 1): 1}
 
     def test_antisymmetry_schema_error(self):
         bad = "[lie_algebra g]\ndim = 2\nbracket(e1, e1) = e2\n"

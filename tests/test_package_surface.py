@@ -3,7 +3,9 @@
 Every public top-level function and class of `src/doublealg` must be
 referenced somewhere outside its own definition: by another part of the
 package, by a file of the benchmark harness in `perfbench/`, or by an
-import in the README's Library snippet.  Helpers that only the tests call
+import in the README's Library snippet.  Every public method of a package
+class must have its name read as an attribute somewhere in those sources
+outside the method's own definition.  Helpers that only the tests call
 live in `tests/` (`catalog`, `dvb_model`, `support` and the test modules).
 """
 
@@ -126,6 +128,61 @@ def readme_references():
     }
 
 
+def public_methods(tree, module):
+    """(module, class, name) of every public method of a top-level class."""
+    return {
+        (module, node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
+def attribute_reads(tree, module):
+    """(attribute name, enclosing definition path) of every attribute read
+    in `tree`; the path starts with `module`, then the names of the
+    enclosing classes and functions."""
+    out = set()
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            path = path + (node.name,)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add((node.attr, path))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(tree, (module,))
+    return out
+
+
+def unread_methods(methods, reads):
+    """The methods of `methods` whose name no read of `reads` takes outside
+    the method's own definition."""
+    return {
+        method
+        for method in methods
+        if not any(name == method[2] and path[:3] != method for name, path in reads)
+    }
+
+
+def package_trees():
+    return [(path.stem, ast.parse(path.read_text())) for path in PACKAGE.glob("*.py")]
+
+
+def product_trees():
+    """(label, tree) of every package module, every perfbench file and the
+    README's Library snippet."""
+    out = package_trees()
+    out += [
+        (f"perfbench/{path.name}", ast.parse(path.read_text()))
+        for path in (ROOT / "perfbench").rglob("*.py")
+    ]
+    out.append(("README.md", ast.parse(library_snippet())))
+    return out
+
+
 def dotted(pairs):
     return sorted(f"{module}.{name}" for module, name in pairs)
 
@@ -152,6 +209,27 @@ def test_the_guard_sees_an_unused_definition():
     refs = outside_own_definition(references(tree, "m"), "m")
     assert ("m", "used") in refs and ("exact", "Chart") in refs
     assert ("m", "lonely") not in refs
+
+
+def test_every_public_method_is_used_by_the_product():
+    methods = set().union(*(public_methods(tree, module) for module, tree in package_trees()))
+    reads = set().union(*(attribute_reads(tree, label) for label, tree in product_trees()))
+    assert sorted(".".join(m) for m in unread_methods(methods, reads)) == []
+
+
+def test_the_guard_sees_an_unused_method():
+    """A method that only its own body reads is reported; one that another
+    method or a module function reads is not."""
+    tree = ast.parse(
+        "class Thing:\n"
+        "    def lonely(self, n):\n        return self.lonely(n - 1)\n"
+        "    def used(self):\n        return 1\n"
+        "    def caller(self):\n        return self.used()\n"
+        "def outside(thing):\n    return thing.caller()\n"
+    )
+    methods = public_methods(tree, "m")
+    assert methods == {("m", "Thing", "lonely"), ("m", "Thing", "used"), ("m", "Thing", "caller")}
+    assert unread_methods(methods, attribute_reads(tree, "m")) == {("m", "Thing", "lonely")}
 
 
 def test_readme_library_snippet_runs():

@@ -1,6 +1,7 @@
 """Shared test helpers: coordinate renaming, the corpus of doubles and
-LA-vector bundles, with failing instances, the Lie-Poisson ladder, the
-cotangent doubles of the benchmark sweep's families, a model text with a
+LA-vector bundles, with failing instances, and its dual pairs, the
+Lie-Poisson ladder, the dual pairs of the benchmark sweep's families and
+their cotangent doubles, seeded bialgebras, a model text with a
 cobracket failing co-Jacobi, random brackets, the oracles kept from
 replaced production code (the matched-pair checks, the gathering Cartan
 differential, the frame-loop algebroid check and the frame change by any
@@ -33,8 +34,8 @@ from doublealg.algebroid import (
 )
 from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial, rat
-from doublealg.liealg import LieAlgebra
-from doublealg.lavb import LAVBundle
+from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra
+from doublealg.lavb import LAVBundle, check_lavb
 from doublealg.matched import (
     MatchedPair,
     assemble_bowtie,
@@ -332,12 +333,12 @@ def constant_bundle(c):
 SWEEP_FAMILIES = ("tangent_cotangent", "cotangent_tangent", "cotangent_pair", "constant_bundle")
 
 
-def sweep_doubles(seeds):
-    """The cotangent doubles of the benchmark sweep's families on (x, y):
-    for each seed, two dual pairs of each family in a seeded order, with
-    random polynomials of degree 3.  (TM, T*M_pi) and (T*M_pi, TM) pass;
-    TM against a constant bracket c passes exactly when c = 0; a pair of
-    cotangent algebroids mostly fails."""
+def sweep_pairs(seeds):
+    """The dual pairs of the benchmark sweep's families on (x, y): for each
+    seed, two of each family in a seeded order, with random polynomials of
+    degree 3.  (TM, T*M_pi) and (T*M_pi, TM) are bialgebroids; TM against a
+    constant bracket c is one exactly when c = 0; a pair of cotangent
+    algebroids is mostly not."""
     tm = tangent_algebroid(XY)
     out = []
     for seed in seeds:
@@ -357,8 +358,54 @@ def sweep_doubles(seeds):
                 pair = (cotangent(f()), cotangent(f(), ("ex", "ey")))
             else:
                 pair = (tm, constant_bundle([rng.randint(-2, 2), rng.randint(-2, 2)]))
-            out.append((f"sweep{seed}:{k}:{family}", build_cotangent_double(*pair)))
+            out.append((f"sweep{seed}:{k}:{family}", pair))
     return out
+
+
+def sweep_doubles(seeds):
+    """The cotangent doubles of `sweep_pairs(seeds)`."""
+    return [(name, build_cotangent_double(*pair)) for name, pair in sweep_pairs(seeds)]
+
+
+def corpus_dual_pairs(corpus):
+    """The dual pair of every double of `corpus` (a `double_corpus` result)
+    whose LA-vector bundles pass, both ways round."""
+    out = []
+    for name, dla in corpus:
+        if check_lavb(dla.vertical).ok and check_lavb(dla.horizontal).ok:
+            L, Lstar = dla.dual_pair
+            out += [(name, (L, Lstar)), (f"{name}:reversed", (Lstar, L))]
+    return out
+
+
+def random_bialgebra(
+    rng: random.Random, dim: int, bracket_density: float = 0.5, cobracket_density: float = 0.3
+) -> Bialgebra:
+    """Random constants and cobracket with small entries, built without
+    the gates: neither Jacobi, co-Jacobi nor the cocycle condition is
+    required, and from dim 3 on most draws fail one of them.  Each bracket
+    and each cobracket component is drawn with the given probability."""
+    pairs = list(itertools.combinations(range(dim), 2))
+    brackets = {
+        pair: tuple(Fraction(rng.choice((0, 0, 1, -1))) for _ in range(dim))
+        for pair in pairs
+        if rng.random() < bracket_density
+    }
+    images = {
+        i: {pair: rng.choice((1, -1, 2)) for pair in pairs if rng.random() < cobracket_density}
+        for i in range(dim)
+    }
+    return Bialgebra(LieAlgebra(dim, brackets), Cobracket(dim, images))
+
+
+def gate_corpus():
+    """400 seeded random bialgebras, dims 2-5, at three bracket and three
+    cobracket densities, none of the axioms imposed."""
+    rng = random.Random(5)
+    return [
+        random_bialgebra(rng, 2 + k % 4, (0.15, 0.35, 0.6)[k // 4 % 3], (0.1, 0.25, 0.45)[k // 12 % 3])
+        for k in range(400)
+    ]
 
 
 def random_bracket(rng, frames):

@@ -47,6 +47,7 @@ from support import (
     MODELS,
     XY,
     constant_bundle,
+    corpus_dual_pairs,
     cotangent,
     double_corpus,
     frame_loop_check_algebroid,
@@ -363,18 +364,7 @@ def assert_scaled_matches_oracle(L, Lstar):
     return item.ok
 
 
-def corpus_dual_pairs():
-    """The dual pair of every corpus double whose LA-vector bundles pass,
-    both ways round."""
-    out = []
-    for name, dla in CORPUS:
-        if check_lavb(dla.vertical).ok and check_lavb(dla.horizontal).ok:
-            L, Lstar = dla.dual_pair
-            out += [(name, (L, Lstar)), (f"{name}:reversed", (Lstar, L))]
-    return out
-
-
-CORPUS_PAIRS = corpus_dual_pairs() + [ORACLE_PAIRS[-1]]
+CORPUS_PAIRS = corpus_dual_pairs(CORPUS) + [ORACLE_PAIRS[-1]]
 
 
 @pytest.mark.parametrize("pair", [p for _, p in CORPUS_PAIRS], ids=[n for n, _ in CORPUS_PAIRS])

@@ -46,7 +46,7 @@ from manin_oracle import (
     jacobi_report,
     paired_double,
 )
-from support import MODELS
+from support import MODELS, gate_corpus, random_bialgebra
 
 
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:
@@ -490,26 +490,6 @@ class TestManin:
             PairedAlgebra(g, zero, (basis(2, 0),), (basis(2, 1),))
 
 
-def random_bialgebra(
-    rng: random.Random, dim: int, bracket_density: float = 0.5, cobracket_density: float = 0.3
-) -> Bialgebra:
-    """Random constants and cobracket with small entries, built without
-    the gates: neither Jacobi, co-Jacobi nor the cocycle condition is
-    required, and from dim 3 on most draws fail one of them.  Each bracket
-    and each cobracket component is drawn with the given probability."""
-    pairs = list(itertools.combinations(range(dim), 2))
-    brackets = {
-        pair: tuple(Fraction(rng.choice((0, 0, 1, -1))) for _ in range(dim))
-        for pair in pairs
-        if rng.random() < bracket_density
-    }
-    images = {
-        i: {pair: rng.choice((1, -1, 2)) for pair in pairs if rng.random() < cobracket_density}
-        for i in range(dim)
-    }
-    return Bialgebra(LieAlgebra(dim, brackets), Cobracket(dim, images))
-
-
 def manin_corpus():
     """(label, bialgebra): the bundled cobrackets, the catalog bialgebras
     and 320 seeded random pairs, 64 of each dim 0-4."""
@@ -562,16 +542,6 @@ class TestManinByConstruction:
         assert verdicts[True, "gate fails"] >= 100
         assert verdicts[True, "gates pass"] >= 100
         assert verdicts[False, "gate fails"] and verdicts[False, "gates pass"]
-
-
-def gate_corpus():
-    """400 seeded random bialgebras, dims 2-5, at three bracket and three
-    cobracket densities, none of the axioms imposed."""
-    rng = random.Random(5)
-    return [
-        random_bialgebra(rng, 2 + k % 4, (0.15, 0.35, 0.6)[k // 4 % 3], (0.1, 0.25, 0.45)[k // 12 % 3])
-        for k in range(400)
-    ]
 
 
 def gate_outcome(build, b):

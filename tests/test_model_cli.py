@@ -388,6 +388,15 @@ class TestHostileNumbers:
         assert code == 2
         assert err == "doublealg: parse error: line 2: dim must be between 0 and 64, got 99999999\n"
 
+    def test_repeated_basis_name_is_a_parse_error(self, tmp_path, capsys):
+        text = "[lie_algebra g]\ndim = 2\nbasis = [a, a]\n"
+        code, err = self.run_model(tmp_path, capsys, "check", "manin", text)
+        assert code == 2
+        assert err == (
+            "doublealg: parse error: line 1: in [lie_algebra g]: "
+            "basis names must be distinct and match dim\n"
+        )
+
     def test_counts_at_the_bound_are_accepted(self):
         model = parse_model("[lie_algebra g]\ndim = 64\n[dvb D]\nbase = [x]\nranks = {A: 0, B: 64, C: 1}\n")
         assert model.lie_algebras["g"].dim == 64

@@ -19,13 +19,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .exact import Chart, ChartMismatch, Polynomial, rat
 from .verdicts import CheckItem, CheckReport, failed, passed
-
-if TYPE_CHECKING:
-    from .liealg import LieAlgebra
 
 Index = Tuple[int, ...]
 
@@ -162,9 +159,6 @@ class Multisection:
     @functools.cached_property
     def _table(self) -> Dict[Index, Polynomial]:
         return dict(self.components)
-
-    def component(self, idx: Index) -> Polynomial:
-        return self._table[idx]
 
     def component_general(self, idx: Index, chart: Chart) -> Polynomial:
         """Antisymmetric lookup: signed component for an arbitrary index tuple."""
@@ -319,12 +313,19 @@ class Derivation:
 
 @dataclass(frozen=True)
 class LieAlgebroid:
-    """Frame presentation: anchor rows and antisymmetric structure functions."""
+    """Frame presentation: anchor rows and antisymmetric structure functions.
+
+    The structure functions are stored sparsely and only once:
+    nonzero_structure[a][b] holds the nonzero c^g_{ab} as (g, c^g_{ab}) in
+    increasing g, for every frame pair; the diagonal is empty and the b < a
+    half is the negation of the a < b half.  A Lie algebra is the case of
+    the point chart, `Chart(())`, with constant structure functions.
+    """
 
     chart: Chart
     frames: Tuple[str, ...]
     anchor: Tuple[Tuple[Polynomial, ...], ...]  # anchor[alpha][i]
-    structure: Tuple[Tuple[Tuple[Polynomial, ...], ...], ...]  # [a][b][gamma]
+    nonzero_structure: Tuple[Tuple[Tuple[Tuple[int, Polynomial], ...], ...], ...]
 
     def __init__(
         self,
@@ -342,23 +343,23 @@ class LieAlgebroid:
         anchor = tuple(tuple(row) for row in anchor)
         if len(anchor) != r or any(len(row) != n for row in anchor):
             raise ValueError("anchor must be rank x dim")
-        zero_vec = tuple(Polynomial.zero(chart) for _ in range(r))
-        table = [[zero_vec for _ in range(r)] for _ in range(r)]
+        table: List[List[Tuple[Tuple[int, Polynomial], ...]]] = [[()] * r for _ in range(r)]
         if brackets:
             for (a, b), comps in brackets.items():
-                comps = tuple(comps)
                 if a == b:
                     raise ValueError("bracket(e_a, e_a) must be omitted (it is 0)")
                 if a > b:
                     raise ValueError("provide brackets with a < b only")
                 if len(comps) != r:
                     raise ValueError("bracket value has wrong rank")
-                table[a][b] = comps
-                table[b][a] = tuple(-p for p in comps)
+                entry = tuple((g, p) for g, p in enumerate(comps) if p)
+                if entry:
+                    table[a][b] = entry
+                    table[b][a] = tuple((g, -p) for g, p in entry)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "structure", tuple(tuple(row) for row in table))
+        object.__setattr__(self, "nonzero_structure", tuple(tuple(row) for row in table))
 
     @property
     def rank(self) -> int:
@@ -373,22 +374,13 @@ class LieAlgebroid:
         return self.anchor_fields[alpha]
 
     @functools.cached_property
-    def nonzero_structure(self) -> Tuple[Tuple[Tuple[Tuple[int, Polynomial], ...], ...], ...]:
-        """For each frame pair (a, b), the nonzero c^g_{ab} as (g, c^g_{ab}),
-        built once."""
-        return tuple(
-            tuple(tuple((g, p) for g, p in enumerate(entry) if p) for entry in row)
-            for row in self.structure
-        )
-
-    @functools.cached_property
     def brackets_by_gamma(self) -> Tuple[Tuple[Tuple[int, int, Polynomial], ...], ...]:
         """For each frame gamma, the nonzero c^gamma_{ab} with a < b as
         (a, b, c^gamma_{ab}), built once."""
         out: List[List[Tuple[int, int, Polynomial]]] = [[] for _ in range(self.rank)]
-        for a, b in itertools.combinations(range(self.rank), 2):
-            for gamma, coeff in enumerate(self.structure[a][b]):
-                if coeff:
+        for a, row in enumerate(self.nonzero_structure):
+            for b in range(a + 1, self.rank):
+                for gamma, coeff in row[b]:
                     out[gamma].append((a, b, coeff))
         return tuple(tuple(row) for row in out)
 
@@ -410,7 +402,7 @@ class LieAlgebroid:
         return self.frame_sections[alpha]
 
     def frame_bracket(self, a: int, b: int) -> Multisection:
-        return Multisection(self.rank, 1, {(g,): p for g, p in enumerate(self.structure[a][b]) if p})
+        return Multisection(self.rank, 1, {(g,): p for g, p in self.nonzero_structure[a][b]})
 
     def section(self, comps: Sequence[Polynomial]) -> Multisection:
         return Multisection.from_vector(self.rank, comps)
@@ -444,9 +436,8 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
         for b, gb in enumerate(ys):
             if not gb:
                 continue
-            for k, c in enumerate(L.structure[a][b]):
-                if c:
-                    add(k, fa * gb * c)
+            for k, c in L.nonzero_structure[a][b]:
+                add(k, fa * gb * c)
     ax, ay = L.anchor_of(x), L.anchor_of(y)
     for k in range(L.rank):
         add(k, ax.apply(ys[k]) - ay.apply(xs[k]))
@@ -677,11 +668,10 @@ def dual_poisson(L: LieAlgebroid) -> PoissonChart:
             matrix[i][n + a] = -entry
         for b in range(a + 1, r):
             entry = Polynomial.zero(ext)
-            for g, coeff in enumerate(L.structure[a][b]):
-                if coeff:
-                    entry = entry + coeff.lift(ext) * Polynomial.coordinate(
-                        ext, fibre_coordinate(L.frames[g])
-                    )
+            for g, coeff in L.nonzero_structure[a][b]:
+                entry = entry + coeff.lift(ext) * Polynomial.coordinate(
+                    ext, fibre_coordinate(L.frames[g])
+                )
             matrix[n + a][n + b] = entry
             matrix[n + b][n + a] = -entry
     return PoissonChart(ext, matrix)
@@ -907,22 +897,23 @@ def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Fraction]], new_nam
     if len(perm) != r or len(set(perm)) != r:
         raise ValueError("frame change must be a signed permutation matrix")
     anchor = [tuple(entry.scale(s) for entry in L.anchor[p]) for p, s in zip(perm, signs)]
+    new_index = {p: m for m, p in enumerate(perm)}
+    zero = Polynomial.zero(L.chart)
     brackets = {}
     for a, b in itertools.combinations(range(r), 2):
-        old = L.structure[perm[a]][perm[b]]
-        sign = signs[a] * signs[b]
-        brackets[(a, b)] = tuple(old[p].scale(sign * s) for p, s in zip(perm, signs))
+        old = L.nonzero_structure[perm[a]][perm[b]]
+        if old:
+            vec = [zero] * r
+            for p, coeff in old:
+                m = new_index[p]
+                vec[m] = coeff.scale(signs[a] * signs[b] * signs[m])
+            brackets[(a, b)] = vec
     return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)
 
 
-def lie_algebra_to_algebroid(g: LieAlgebra) -> LieAlgebroid:
-    """A Lie algebra is an algebroid over the empty chart."""
-    chart = Chart(())
-    anchor = [[] for _ in range(g.dim)]
-    brackets = {}
-    for a, b in itertools.combinations(range(g.dim), 2):
-        brackets[(a, b)] = tuple(
-            Polynomial.constant(chart, c) for c in g.constants[a][b]
-        )
-    return LieAlgebroid(chart, g.basis_names, anchor, brackets)
+def lie_algebra_to_algebroid(g: LieAlgebroid) -> LieAlgebroid:
+    """`g` itself: `liealg.LieAlgebra` already builds a Lie algebra as the
+    algebroid over the point chart it is.  Kept for the benchmark harness,
+    which calls it on the Lie algebras of its ladder."""
+    return g
 

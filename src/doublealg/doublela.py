@@ -295,19 +295,27 @@ def _cotangent_lavb(
     """
     names = side.chart.names
     n, r = len(names), side.rank
+    zero = Polynomial.zero(side.chart)
+    nonzero = side.nonzero_structure
     anchor_ders = []
     core_ders = []
     for beta in range(r):
         field = side.anchor_field(beta)
-        m = [[-side.structure[beta][a][b] for a in range(r)] for b in range(r)]
+        m = [[zero] * r for _ in range(r)]
+        for a in range(r):
+            for b, coeff in nonzero[beta][a]:
+                m[b][a] = -coeff
         q = [[side.anchor[beta][gamma].partial(x) for x in names] for gamma in range(n)]
         anchor_ders.append(Derivation(field, m))
         core_ders.append(Derivation(field, q))
     core_anchor = [[side.anchor[a][gamma].scale(-sign) for a in range(r)] for gamma in range(n)]
-    twist = {
-        (b1, b2): [[side.structure[b1][b2][a].partial(x).scale(sign) for x in names] for a in range(r)]
-        for b1, b2 in itertools.combinations(range(r), 2)
-    }
+    twist = {}
+    for b1, b2 in itertools.combinations(range(r), 2):
+        if nonzero[b1][b2]:
+            rows = [[zero] * n for _ in range(r)]
+            for a, coeff in nonzero[b1][b2]:
+                rows[a] = [coeff.partial(x).scale(sign) for x in names]
+            twist[(b1, b2)] = rows
     return LAVBundle(side, bundle_frames, core_frames, anchor_ders, core_ders, core_anchor, twist)
 
 

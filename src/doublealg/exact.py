@@ -18,7 +18,8 @@ text grammar round-trips bit-exactly with the parser in `parsing`.
 are built by `Polynomial._from_terms`, which trusts them and only drops
 zero coefficients and sorts.  Each chart holds one shared zero polynomial,
 and the ring operations return an operand unchanged where the result
-equals it (adding or subtracting zero, multiplying by zero).
+equals it (adding or subtracting zero, multiplying by zero, negating
+zero).
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ class Polynomial:
         return Polynomial._from_terms(self.chart, acc)
 
     def __neg__(self) -> "Polynomial":
+        if not self.terms:
+            return self
         return Polynomial._from_terms(self.chart, {e: -c for e, c in self.terms})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":

@@ -8,12 +8,10 @@ dimension alone.
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Sequence
 
 from .algebroid import Derivation, LieAlgebroid, VectorField
 from .exact import Polynomial, monomial_atoms, signed_sum
-from .liealg import LieAlgebra, format_vector
 
 
 def format_combination(components: Sequence[Polynomial], names: Sequence[str]) -> str:
@@ -29,6 +27,18 @@ def format_vector_field(vf: VectorField) -> str:
     return format_combination(vf.components, [f"d/d{name}" for name in vf.chart.names])
 
 
+def _bracket_lines(L: LieAlgebroid) -> List[str]:
+    """bracket(e_a, e_b) = ... for every a < b with a nonzero bracket."""
+    frames = L.frames
+    return [
+        f"bracket({frames[a]}, {frames[b]}) = "
+        f"{format_combination([p for _, p in entry], [frames[g] for g, _ in entry])}"
+        for a, row in enumerate(L.nonzero_structure)
+        for b, entry in enumerate(row)
+        if a < b and entry
+    ]
+
+
 def format_algebroid_lines(name: str, L: LieAlgebroid) -> List[str]:
     lines = [f"[algebroid {name}]"]
     lines.append(f"base = [{', '.join(L.chart.names)}]")
@@ -37,38 +47,25 @@ def format_algebroid_lines(name: str, L: LieAlgebroid) -> List[str]:
         field = L.anchor_field(alpha)
         if not field.is_zero:
             lines.append(f"anchor({L.frames[alpha]}) = {format_vector_field(field)}")
-    for a, b in itertools.combinations(range(L.rank), 2):
-        vec = L.structure[a][b]
-        if any(vec):
-            lines.append(
-                f"bracket({L.frames[a]}, {L.frames[b]}) = "
-                f"{format_combination(vec, L.frames)}"
-            )
-    return lines
+    return lines + _bracket_lines(L)
 
 
-def format_lie_algebra_lines(name: str, g: LieAlgebra) -> List[str]:
-    lines = [f"[lie_algebra {name}]", f"dim = {g.dim}"]
-    lines.append(f"basis = [{', '.join(g.basis_names)}]")
-    for i, j in itertools.combinations(range(g.dim), 2):
-        vec = g.constants[i][j]
-        if any(c != 0 for c in vec):
-            lines.append(
-                f"bracket({g.basis_names[i]}, {g.basis_names[j]}) = "
-                f"{format_vector(vec, g.basis_names)}"
-            )
-    return lines
+def format_lie_algebra_lines(name: str, g: LieAlgebroid) -> List[str]:
+    """A Lie algebra, an algebroid over the point, as a [lie_algebra] block."""
+    lines = [f"[lie_algebra {name}]", f"dim = {g.rank}"]
+    lines.append(f"basis = [{', '.join(g.frames)}]")
+    return lines + _bracket_lines(g)
 
 
-def format_pairing_lines(double: LieAlgebra) -> List[str]:
+def format_pairing_lines(double: LieAlgebroid) -> List[str]:
     """The hyperbolic pairing of a Drinfel'd double (basis g then g*), one
     row per basis vector: the row of the i-th vector of either half has its
     one 1 at the i-th vector of the other half."""
-    size = double.dim
+    size = double.rank
     n = size // 2
     return [
         f"pairing({name}) = [{', '.join('1' if j == (i + n) % size else '0' for j in range(size))}]"
-        for i, name in enumerate(double.basis_names)
+        for i, name in enumerate(double.frames)
     ]
 
 

@@ -212,9 +212,8 @@ def _generator_algebroid(
     brackets: Dict[Tuple[int, int], Tuple[Polynomial, ...]] = {}
     for al, be in itertools.combinations(range(rb), 2):
         vec = [zero for _ in range(rb + rc)]
-        for g, coeff in enumerate(v.side.structure[al][be]):
-            if coeff:
-                vec[g] = coeff.lift(chart)
+        for g, coeff in v.side.nonzero_structure[al][be]:
+            vec[g] = coeff.lift(chart)
         for g in range(rc):
             entry = zero
             for a in range(ra):

@@ -1,14 +1,20 @@
 """Finite-dimensional Lie algebras and Lie bialgebras over the rationals.
 
-Structure constants are exact.  The Drinfel'd double of a bialgebra is
-built from the two coadjoint actions once the algebra passes Jacobi, its
-dual bracket passes Jacobi and the cobracket is a 1-cocycle.  A Lie
-bialgebra is a Lie bialgebroid over a point (Mackenzie & Xu 1994, Lie
-bialgebroids and Poisson groupoids, Duke Math. J. 73), so these three
-gates are decided on the dual pair `bialgebra_to_dual_pair` by the code
-of `algebroid` that `check_algebroid` and `check_compatibility` run:
+A Lie algebra is a Lie algebroid over a point: `LieAlgebra` builds the
+`LieAlgebroid` on the point chart `Chart(())` with constant structure
+functions, so its structure constants are exact and stored once, only
+the nonzero ones.  The Drinfel'd double of a bialgebra is the same kind of
+algebroid, scattered from the nonzero entries of g, g* and the cobracket
+images.  It is built from the two coadjoint actions once the algebra
+passes Jacobi, its dual bracket passes Jacobi and the cobracket is a
+1-cocycle.  A Lie bialgebra is a Lie bialgebroid over a point (Mackenzie
+& Xu 1994, Lie bialgebroids and Poisson groupoids, Duke Math. J. 73), so
+these three gates are decided on the dual pair `bialgebra_to_dual_pair`
+by the code of `algebroid` that `check_algebroid` and
+`check_compatibility` run:
 `first_jacobiator` on each side and `compatibility_defect` on frame
-pairs.  This module only renders their witnesses.  The Manin-triple
+pairs.  This module only renders their witnesses, through
+`formatting.format_combination` and `format_wedge`.  The Manin-triple
 conditions of the double (invariant hyperbolic pairing, isotropic halves
 g and g*, both halves subalgebras) then hold by construction, and
 `check_manin` states them.
@@ -27,16 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .algebroid import (
-    LieAlgebroid,
-    compatibility_defect,
-    first_jacobiator,
-    lie_algebra_to_algebroid,
-)
-from .exact import Polynomial, rat, signed_sum
+from .algebroid import LieAlgebroid, compatibility_defect, first_jacobiator
+from .exact import Chart, Polynomial, rat, signed_sum
+from .formatting import format_combination
 from .verdicts import CheckReport, passed
 
-Vector = Tuple[Fraction, ...]
 Wedge = Dict[Tuple[int, int], Fraction]  # keys j < k
 
 
@@ -44,51 +45,32 @@ class BialgebraError(ValueError):
     """Input fails a required bialgebra axiom; carries the witness text."""
 
 
-def _zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def format_vector(v: Sequence[Fraction], names: Sequence[str]) -> str:
-    return signed_sum((coeff, [name]) for coeff, name in zip(v, names))
-
-
-@dataclass(frozen=True)
-class LieAlgebra:
-    """dim n with exact structure constants c^k_{ij}, antisymmetric in (i, j)."""
-
-    dim: int
-    constants: Tuple[Tuple[Vector, ...], ...]  # constants[i][j] = [e_i, e_j]
-    basis_names: Tuple[str, ...]
-
-    def __init__(
-        self,
-        dim: int,
-        brackets: Mapping[Tuple[int, int], Sequence] | None = None,
-        basis_names: Sequence[str] | None = None,
-    ):
-        object.__setattr__(self, "dim", dim)
-        table = [[_zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
-        if brackets:
-            for (i, j), vec in brackets.items():
-                if i == j:
-                    raise ValueError("bracket(e_i, e_i) must be omitted (it is 0)")
-                v = tuple(rat(x) for x in vec)
-                if len(v) != dim:
-                    raise ValueError("bracket value has wrong dimension")
-                table[i][j] = vec_add(table[i][j], v)
-                table[j][i] = vec_sub(table[j][i], v)
-        object.__setattr__(self, "constants", tuple(tuple(row) for row in table))
-        names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
-        if len(names) != dim or len(set(names)) != dim:
-            raise ValueError("basis names must be distinct and match dim")
-        object.__setattr__(self, "basis_names", names)
+def LieAlgebra(
+    dim: int,
+    brackets: Mapping[Tuple[int, int], Sequence] | None = None,
+    basis_names: Sequence[str] | None = None,
+) -> LieAlgebroid:
+    """The Lie algebra with [e_i, e_j] = brackets[(i, j)], a vector of dim
+    rationals or point-chart polynomials, as the algebroid over the point
+    `Chart(())` it is.  Omitted pairs are zero; a pair given as (j, i) with
+    j > i gives [e_i, e_j] its negative.  The basis defaults to e1..en."""
+    names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
+    if len(names) != dim or len(set(names)) != dim:
+        raise ValueError("basis names must be distinct and match dim")
+    point = Chart(())
+    table: Dict[Tuple[int, int], List[Polynomial]] = {}
+    for (i, j), vec in (brackets or {}).items():
+        if i == j:
+            raise ValueError("bracket(e_i, e_i) must be omitted (it is 0)")
+        if len(vec) != dim:
+            raise ValueError("bracket value has wrong dimension")
+        vec = [c if isinstance(c, Polynomial) else Polynomial.constant(point, c) for c in vec]
+        if i > j:
+            i, j, vec = j, i, [-c for c in vec]
+        if (i, j) in table:
+            vec = [a + c for a, c in zip(table[(i, j)], vec)]
+        table[(i, j)] = vec
+    return LieAlgebroid(point, names, [()] * dim, table)
 
 
 def format_wedge(w: Wedge, names: Sequence[str]) -> str:
@@ -97,7 +79,8 @@ def format_wedge(w: Wedge, names: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class Cobracket:
-    """delta(e_i) as an exterior-square element, antisymmetric components."""
+    """delta(e_i) as an exterior-square element: images[i] holds its nonzero
+    components ((j, k), delta^{jk}_i) with j < k, in increasing (j, k)."""
 
     dim: int
     images: Tuple[Tuple[Tuple[Tuple[int, int], Fraction], ...], ...]
@@ -122,49 +105,49 @@ class Cobracket:
             table.append(tuple(sorted((p, c) for p, c in cleaned.items() if c != 0)))
         object.__setattr__(self, "images", tuple(table))
 
-    def component(self, i: int, j: int, k: int) -> Fraction:
-        """Full antisymmetric component delta^{jk}_i."""
-        if j == k:
-            return Fraction(0)
-        w = dict(self.images[i])
-        return w.get((j, k), Fraction(0)) if j < k else -w.get((k, j), Fraction(0))
-
 
 @dataclass(frozen=True)
 class Bialgebra:
-    algebra: LieAlgebra
+    algebra: LieAlgebroid  # a Lie algebra: an algebroid over the point
     cobracket: Cobracket
 
     def __post_init__(self):
-        if self.algebra.dim != self.cobracket.dim:
+        if self.algebra.rank != self.cobracket.dim:
             raise ValueError("algebra and cobracket dimensions differ")
 
     @property
     def dim(self) -> int:
-        return self.algebra.dim
+        return self.algebra.rank
 
     def dual_names(self) -> Tuple[str, ...]:
-        return tuple(f"{name}_d" for name in self.algebra.basis_names)
+        return tuple(f"{name}_d" for name in self.algebra.frames)
 
 
-def dual_algebra(b: Bialgebra) -> LieAlgebra:
-    """Bracket on the dual induced by the cobracket via the determinant pairing.
-
-    [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k.  It satisfies Jacobi
-    exactly when the cobracket satisfies co-Jacobi; this builder does not
-    check it (`drinfeld_double` does).
-    """
-    n = b.dim
-    brackets = {}
-    for i, j in itertools.combinations(range(n), 2):
-        brackets[(i, j)] = tuple(b.cobracket.component(k, i, j) for k in range(n))
-    return LieAlgebra(n, brackets, basis_names=b.dual_names())
+def _scattered(size: int, entries) -> Dict[Tuple[int, int], List[Polynomial]]:
+    """Bracket vectors of length `size` on the point chart from the nonzero
+    entries (a, b, k, c^k_{ab}) with a < b, each (a, b, k) at most once."""
+    zero = Polynomial.zero(Chart(()))
+    out: Dict[Tuple[int, int], List[Polynomial]] = {}
+    for a, b, k, value in entries:
+        if (a, b) not in out:
+            out[(a, b)] = [zero] * size
+        out[(a, b)][k] = value
+    return out
 
 
 def bialgebra_to_dual_pair(b: Bialgebra) -> Tuple[LieAlgebroid, LieAlgebroid]:
     """(g, g*) as a dual pair of algebroids over the point, unchecked: the
-    checks the pair goes to report a co-Jacobi failure of g*."""
-    return lie_algebra_to_algebroid(b.algebra), lie_algebra_to_algebroid(dual_algebra(b))
+    checks the pair goes to report a co-Jacobi failure of g*.  The bracket
+    of g* is the transpose of the cobracket under the determinant pairing,
+    [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k."""
+    n, point = b.dim, b.algebra.chart
+    entries = (
+        (i, j, k, Polynomial.constant(point, c))
+        for k, image in enumerate(b.cobracket.images)
+        for (i, j), c in image
+    )
+    dual = LieAlgebroid(point, b.dual_names(), [()] * n, _scattered(n, entries))
+    return b.algebra, dual
 
 
 def _value(p: Polynomial) -> Fraction:
@@ -177,15 +160,15 @@ def _require_jacobi(side: LieAlgebroid, label: str) -> None:
     if found:
         (i, j, k), jac = found
         names = side.frames
-        vector = tuple(_value(p) for p in jac.vector(side.chart))
         raise BialgebraError(
             f"{label} fails Jacobi: triple ({names[i]}, {names[j]}, {names[k]}): "
-            f"jacobiator = {format_vector(vector, names)}"
+            f"jacobiator = {format_combination(jac.vector(side.chart), names)}"
         )
 
 
-def drinfeld_double(b: Bialgebra) -> LieAlgebra:
-    """The double bracket on g + g* from the two coadjoint actions.
+def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
+    """The double bracket on g + g* from the two coadjoint actions, as a
+    Lie algebra over the point.
 
     basis order: e_1..e_n then the dual basis.  Mixed bracket:
     [e_i, eps^j] = sum_k delta^{jk}_i e_k - sum_k c^j_{ik} eps^k.
@@ -196,12 +179,13 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebra:
     `check_compatibility`: there d_* = -delta, so the cocycle defect
     delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i) is minus
     `compatibility_defect` on (e_i, e_j).  Raises `ValueError` when a dual
-    basis name <name>_d is already a basis name.
+    basis name <name>_d is already a basis name.  The bracket is scattered
+    from the nonzero entries of g, g* and the cobracket images.
     """
     g, dual = bialgebra_to_dual_pair(b)
     _require_jacobi(g, "algebra")
     _require_jacobi(dual, "dual bracket")
-    names = b.algebra.basis_names
+    names = g.frames
     for i, j in itertools.combinations(range(b.dim), 2):
         defect = compatibility_defect(g, dual, g.frame_section(i), g.frame_section(j))
         if not defect.is_zero:
@@ -215,17 +199,23 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebra:
         raise ValueError(f"dual basis name {clash!r} is already a basis name")
 
     n = b.dim
-    zero = _zero_vector(n)
-    brackets: Dict[Tuple[int, int], Vector] = {}
-    for i, j in itertools.combinations(range(n), 2):
-        brackets[(i, j)] = tuple(b.algebra.constants[i][j]) + zero
-        brackets[(n + i, n + j)] = zero + tuple(_value(p) for p in dual.structure[i][j])
-    for i in range(n):
-        for j in range(n):
-            g_part = tuple(b.cobracket.component(i, j, k) for k in range(n))
-            dual_part = tuple(-b.algebra.constants[i][k][j] for k in range(n))
-            brackets[(i, n + j)] = g_part + dual_part
-    return LieAlgebra(2 * n, brackets, basis_names=names + b.dual_names())
+
+    def entries():
+        for offset, side in ((0, g), (n, dual)):
+            for i, row in enumerate(side.nonzero_structure):
+                for j in range(i + 1, n):
+                    for k, c in row[j]:
+                        yield offset + i, offset + j, offset + k, c
+        for i, image in enumerate(b.cobracket.images):
+            for (j, k), c in image:
+                yield i, n + j, k, Polynomial.constant(g.chart, c)
+                yield i, n + k, j, Polynomial.constant(g.chart, -c)
+        for i, row in enumerate(g.nonzero_structure):
+            for k, pairs in enumerate(row):
+                for j, c in pairs:
+                    yield i, n + j, n + k, -c
+
+    return LieAlgebroid(g.chart, names + b.dual_names(), [()] * (2 * n), _scattered(2 * n, entries()))
 
 
 def check_manin() -> CheckReport:

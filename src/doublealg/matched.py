@@ -202,11 +202,13 @@ def assemble_bowtie(mp: MatchedPair) -> LieAlgebroid:
     zero = Polynomial.zero(chart)
     frames = a_alg.frames + b_alg.frames
     anchor = [tuple(a_alg.anchor[i]) for i in range(ra)] + [tuple(b_alg.anchor[j]) for j in range(rb)]
-    brackets: Dict[Tuple[int, int], Tuple[Polynomial, ...]] = {}
-    for i, j in itertools.combinations(range(ra), 2):
-        brackets[(i, j)] = tuple(a_alg.structure[i][j]) + tuple(zero for _ in range(rb))
-    for i, j in itertools.combinations(range(rb), 2):
-        brackets[(ra + i, ra + j)] = tuple(zero for _ in range(ra)) + tuple(b_alg.structure[i][j])
+    brackets: Dict[Tuple[int, int], List[Polynomial]] = {}
+    for offset, side in ((0, a_alg), (ra, b_alg)):
+        for i, j in itertools.combinations(range(side.rank), 2):
+            if side.nonzero_structure[i][j]:
+                vec = brackets[(offset + i, offset + j)] = [zero] * (ra + rb)
+                for g, coeff in side.nonzero_structure[i][j]:
+                    vec[offset + g] = coeff
     for i in range(ra):
         x = a_alg.frame_section(i)
         for j in range(rb):

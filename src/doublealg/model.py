@@ -159,7 +159,7 @@ class RawBlock:
 @dataclass
 class ModelFile:
     charts: Dict[str, Chart]
-    lie_algebras: Dict[str, LieAlgebra]
+    lie_algebras: Dict[str, LieAlgebroid]  # Lie algebras: algebroids over the point
     bialgebras: Dict[str, Bialgebra]
     algebroids: Dict[str, LieAlgebroid]
     dual_pairs: Dict[str, str]  # algebroid name -> name of the algebroid it is dual to
@@ -254,7 +254,7 @@ def _parse_derivation_value(
 def parse_model(text: str) -> ModelFile:
     blocks = _raw_blocks(text)
     charts: Dict[str, Chart] = {}
-    lie_algebras: Dict[str, LieAlgebra] = {}
+    lie_algebras: Dict[str, LieAlgebroid] = {}
     bialgebras: Dict[str, Bialgebra] = {}
     algebroids: Dict[str, LieAlgebroid] = {}
     dual_pairs: Dict[str, str] = {}
@@ -309,14 +309,7 @@ def parse_model(text: str) -> ModelFile:
                             line,
                         )
                     combo = _parsed(line, parse_combination, value, point, names)
-                    vec = []
-                    for name in names:
-                        table = dict(combo[name].terms)
-                        vec.append(table.get((), 0))
-                    if i < j:
-                        brackets[(i, j)] = tuple(vec)
-                    else:
-                        brackets[(j, i)] = tuple(-v for v in vec)
+                    brackets[(i, j)] = tuple(combo[name] for name in names)
                 lie_algebras[block.name] = LieAlgebra(dim, brackets, names)
 
             elif block.kind == "cobracket":
@@ -330,9 +323,9 @@ def parse_model(text: str) -> ModelFile:
                     which = _split_args(args)
                     if len(which) != 1:
                         raise ModelError("delta takes one basis name", line)
-                    i = _frame_indices(algebra.basis_names, which, line)[0]
-                    images[i] = _parsed(line, parse_wedge_combination, value, algebra.basis_names)
-                bialgebras[block.name] = Bialgebra(algebra, Cobracket(algebra.dim, images))
+                    i = _frame_indices(algebra.frames, which, line)[0]
+                    images[i] = _parsed(line, parse_wedge_combination, value, algebra.frames)
+                bialgebras[block.name] = Bialgebra(algebra, Cobracket(algebra.rank, images))
 
             elif block.kind == "algebroid":
                 block.known_keys(["base", "frame", "anchor", "bracket", "dual_of"])

@@ -16,13 +16,11 @@ from doublealg.algebroid import (
     PoissonChart,
     VectorField,
     cotangent_algebroid,
-    lie_algebra_to_algebroid,
     tangent_algebroid,
 )
 from doublealg.exact import Chart, Polynomial
 from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, bialgebra_to_dual_pair
 from doublealg.matched import MatchedPair, RepresentationMap
-from manin_oracle import dual_bracket
 
 
 def solvable2_bialgebra() -> Bialgebra:
@@ -47,14 +45,18 @@ def coadjoint_rho_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
 
     Returned as matrix[j][k] = coefficient of eps^k in rho_{e_i}(eps^j).
     """
-    n = b.dim
-    return [[-b.algebra.constants[i][k][j] for k in range(n)] for j in range(n)]
+    from support import constants  # support imports this module
+
+    n, c = b.dim, constants(b.algebra)
+    return [[-c[i][k][j] for k in range(n)] for j in range(n)]
 
 
 def coadjoint_sigma_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
     """Action of eps^i on g: sigma_{eps^i}(e_j) = -sum_k delta^{ik}_j e_k."""
+    from support import component  # support imports this module
+
     n = b.dim
-    return [[-b.cobracket.component(j, i, k) for k in range(n)] for j in range(n)]
+    return [[-component(b.cobracket, j, i, k) for k in range(n)] for j in range(n)]
 
 
 def coadjoint_pair(b: Bialgebra) -> MatchedPair:
@@ -90,8 +92,8 @@ def coadjoint_pair(b: Bialgebra) -> MatchedPair:
 
 def abelian_matched_pair(rank_a: int = 1, rank_b: int = 1) -> MatchedPair:
     chart = Chart(())
-    a_alg = lie_algebra_to_algebroid(LieAlgebra(rank_a, {}, [f"a{i+1}" for i in range(rank_a)]))
-    b_alg = lie_algebra_to_algebroid(LieAlgebra(rank_b, {}, [f"b{i+1}" for i in range(rank_b)]))
+    a_alg = LieAlgebra(rank_a, {}, [f"a{i+1}" for i in range(rank_a)])
+    b_alg = LieAlgebra(rank_b, {}, [f"b{i+1}" for i in range(rank_b)])
     rho = RepresentationMap([Derivation.zero(chart, rank_b) for _ in range(rank_a)])
     sigma = RepresentationMap([Derivation.zero(chart, rank_a) for _ in range(rank_b)])
     return MatchedPair(a_alg, b_alg, rho, sigma)
@@ -137,8 +139,7 @@ def broken_dual_pair_point() -> Tuple[LieAlgebroid, LieAlgebroid]:
     """Both sides valid Lie algebras, but not a bialgebra pair:
     the 3-dim Heisenberg algebra against the dual of its non-cocycle
     cobracket."""
-    b = heisenberg_noncocycle_bialgebra()
-    return lie_algebra_to_algebroid(b.algebra), lie_algebra_to_algebroid(dual_bracket(b))
+    return bialgebra_to_dual_pair(heisenberg_noncocycle_bialgebra())
 
 
 def broken_dual_pair_chart() -> Tuple[LieAlgebroid, LieAlgebroid]:
@@ -165,10 +166,6 @@ def broken_dual_pair_so3() -> Tuple[LieAlgebroid, LieAlgebroid]:
     (The 2-dim solvable algebra cannot serve here: its exterior square is a
     line on which every antisymmetric map is a cocycle.)
     """
-    so3 = lie_algebra_to_algebroid(
-        LieAlgebra(3, {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)})
-    )
-    dual = lie_algebra_to_algebroid(
-        LieAlgebra(3, {(1, 2): (1, 0, 0)}, ("e1_d", "e2_d", "e3_d"))
-    )
+    so3 = LieAlgebra(3, {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)})
+    dual = LieAlgebra(3, {(1, 2): (1, 0, 0)}, ("e1_d", "e2_d", "e3_d"))
     return so3, dual

@@ -29,6 +29,7 @@ from doublealg.doublela import DoubleLieAlgebroid, DoubleMismatch
 from doublealg.exact import Polynomial
 from doublealg.lavb import LAVBundle, bundle_fibre_coordinate
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
+from support import dense_structure
 
 
 def compose_anchor(side: LieAlgebroid, core_anchor) -> List[List[Polynomial]]:
@@ -50,9 +51,10 @@ def compose_anchor(side: LieAlgebroid, core_anchor) -> List[List[Polynomial]]:
 def bracket_preserving(side, core, core_map, label) -> CheckItem:
     """core_map([c, c']) = [core_map c, core_map c'] on core frames."""
     base = side.chart
+    structure = dense_structure(core)
     for g1, g2 in itertools.combinations(range(core.rank), 2):
         image_of_bracket = [Polynomial.zero(base) for _ in range(side.rank)]
-        for g3, coeff in enumerate(core.structure[g1][g2]):
+        for g3, coeff in enumerate(structure[g1][g2]):
             if coeff:
                 for alpha in range(side.rank):
                     if core_map[g3][alpha]:
@@ -163,6 +165,7 @@ def anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> Ch
     side_a = domain.side
     side_b = delta.side
     ra = side_a.rank
+    structure_a = dense_structure(side_a)
     rb = len(domain.bundle_frames)
     u_b = [
         Polynomial.coordinate(chart_b, bundle_fibre_coordinate(f))
@@ -217,16 +220,16 @@ def anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> Ch
     def target_bracket(j, k):
         out = [Polynomial.zero(chart_b) for _ in range(2 * ra)]
         if j < ra and k < ra:
-            for gamma, coeff in enumerate(side_a.structure[j][k]):
+            for gamma, coeff in enumerate(structure_a[j][k]):
                 if coeff:
                     out[gamma] = out[gamma] + lift(coeff)
                     out[ra + gamma] = out[ra + gamma] + derivative_function(coeff)
         elif j < ra <= k:
-            for gamma, coeff in enumerate(side_a.structure[j][k - ra]):
+            for gamma, coeff in enumerate(structure_a[j][k - ra]):
                 if coeff:
                     out[ra + gamma] = out[ra + gamma] + lift(coeff)
         elif k < ra <= j:
-            for gamma, coeff in enumerate(side_a.structure[j - ra][k]):
+            for gamma, coeff in enumerate(structure_a[j - ra][k]):
                 if coeff:
                     out[ra + gamma] = out[ra + gamma] - lift(coeff)
         return out

@@ -13,6 +13,11 @@ condition on the dual pair over a point.  This module keeps the dense
 vector code that decided them before (`jacobi_report`, `dual_bracket`,
 `check_cocycle`) and the double it guarded (`dense_drinfeld_double`), with
 the same witness texts, as their oracle.
+
+A Lie algebra is an algebroid over the point; this code reads it through
+the dense structure constants `support.constants` and a cobracket through
+its dense components `support.component`, as the package did before it
+kept only nonzero entries.
 """
 
 import itertools
@@ -21,21 +26,29 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import linalg
-from doublealg.exact import format_rat
+from doublealg.algebroid import LieAlgebroid
+from doublealg.exact import format_rat, signed_sum
 from doublealg.liealg import (
     Bialgebra,
     BialgebraError,
     Cobracket,
     LieAlgebra,
     Wedge,
-    dual_algebra,
-    format_vector,
     format_wedge,
-    vec_add,
 )
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
+from support import component, constants
 
 Vector = Tuple[Fraction, ...]
+Table = Tuple[Tuple[Vector, ...], ...]  # Table[i][j] = [e_i, e_j]
+
+
+def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def format_vector(v: Sequence[Fraction], names: Sequence[str]) -> str:
+    return signed_sum((coeff, [name]) for coeff, name in zip(v, names))
 
 
 def basis(n: int, i: int) -> Vector:
@@ -46,27 +59,29 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
     return tuple(c * a for a in v)
 
 
-def bracket(g: LieAlgebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    """[u, v] of two coordinate vectors, bilinear in the structure constants."""
-    out = (Fraction(0),) * g.dim
+def bracket(table: Table, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    """[u, v] of two coordinate vectors, bilinear in the structure constants
+    `table` (a `support.constants` result)."""
+    out = (Fraction(0),) * len(table)
     for i, ci in enumerate(u):
         if ci == 0:
             continue
         for j, cj in enumerate(v):
             if cj == 0:
                 continue
-            out = vec_add(out, vec_scale(ci * cj, g.constants[i][j]))
+            out = vec_add(out, vec_scale(ci * cj, table[i][j]))
     return out
 
 
-def ad_wedge(g: LieAlgebra, x: Sequence[Fraction], w: Wedge) -> Wedge:
+def ad_wedge(table: Table, x: Sequence[Fraction], w: Wedge) -> Wedge:
     """Adjoint action extended as a derivation of the exterior square."""
     out: Wedge = {}
+    n = len(table)
     for (j, k), coeff in w.items():
-        ej = basis(g.dim, j)
-        ek = basis(g.dim, k)
-        _wedge_accumulate(out, bracket(g, x, ej), ek, coeff)
-        _wedge_accumulate(out, ej, bracket(g, x, ek), coeff)
+        ej = basis(n, j)
+        ek = basis(n, k)
+        _wedge_accumulate(out, bracket(table, x, ej), ek, coeff)
+        _wedge_accumulate(out, ej, bracket(table, x, ek), coeff)
     return {key: c for key, c in out.items() if c != 0}
 
 
@@ -84,18 +99,16 @@ def _wedge_accumulate(acc: Wedge, u: Sequence[Fraction], v: Sequence[Fraction], 
                 acc[(k, j)] = acc.get((k, j), Fraction(0)) - coeff
 
 
-def jacobi_report(g: LieAlgebra) -> CheckReport:
+def jacobi_report(g: LieAlgebroid) -> CheckReport:
     """Jacobi on all basis triples; witness = first failing triple."""
-    for i, j, k in itertools.combinations(range(g.dim), 3):
+    c, n = constants(g), g.rank
+    for i, j, k in itertools.combinations(range(n), 3):
         defect = vec_add(
-            vec_add(
-                bracket(g, g.constants[i][j], basis(g.dim, k)),
-                bracket(g, g.constants[j][k], basis(g.dim, i)),
-            ),
-            bracket(g, g.constants[k][i], basis(g.dim, j)),
+            vec_add(bracket(c, c[i][j], basis(n, k)), bracket(c, c[j][k], basis(n, i))),
+            bracket(c, c[k][i], basis(n, j)),
         )
-        if any(c != 0 for c in defect):
-            names = g.basis_names
+        if any(x != 0 for x in defect):
+            names = g.frames
             witness = (
                 f"triple ({names[i]}, {names[j]}, {names[k]}): "
                 f"jacobiator = {format_vector(defect, names)}"
@@ -120,7 +133,17 @@ def image_of(delta: Cobracket, x: Sequence[Fraction]) -> Wedge:
     return {p: c for p, c in out.items() if c != 0}
 
 
-def dual_bracket(b: Bialgebra) -> LieAlgebra:
+def dual_algebra(b: Bialgebra) -> LieAlgebroid:
+    """Bracket on the dual induced by the cobracket via the determinant
+    pairing, [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k, built densely."""
+    n = b.dim
+    brackets = {}
+    for i, j in itertools.combinations(range(n), 2):
+        brackets[(i, j)] = tuple(component(b.cobracket, k, i, j) for k in range(n))
+    return LieAlgebra(n, brackets, basis_names=b.dual_names())
+
+
+def dual_bracket(b: Bialgebra) -> LieAlgebroid:
     """`dual_algebra(b)`, raising `BialgebraError` with a witness if it fails
     Jacobi (the cobracket is then not a Lie cobracket)."""
     dual = dual_algebra(b)
@@ -133,10 +156,10 @@ def dual_bracket(b: Bialgebra) -> LieAlgebra:
 def cocycle_defect(b: Bialgebra, i: int, j: int) -> Wedge:
     """delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i), nonzero
     components only."""
-    n = b.dim
-    lhs = image_of(b.cobracket, b.algebra.constants[i][j])
-    rhs: Wedge = dict(ad_wedge(b.algebra, basis(n, i), image(b.cobracket, j)))
-    for pair, coeff in ad_wedge(b.algebra, basis(n, j), image(b.cobracket, i)).items():
+    n, c = b.dim, constants(b.algebra)
+    lhs = image_of(b.cobracket, c[i][j])
+    rhs: Wedge = dict(ad_wedge(c, basis(n, i), image(b.cobracket, j)))
+    for pair, coeff in ad_wedge(c, basis(n, j), image(b.cobracket, i)).items():
         rhs[pair] = rhs.get(pair, Fraction(0)) - coeff
     defect = dict(lhs)
     for pair, coeff in rhs.items():
@@ -146,7 +169,7 @@ def cocycle_defect(b: Bialgebra, i: int, j: int) -> Wedge:
 
 def check_cocycle(b: Bialgebra) -> CheckReport:
     """delta([e_i, e_j]) = ad_{e_i} delta(e_j) - ad_{e_j} delta(e_i) on all pairs."""
-    names = b.algebra.basis_names
+    names = b.algebra.frames
     for i, j in itertools.combinations(range(b.dim), 2):
         defect = cocycle_defect(b, i, j)
         if defect:
@@ -157,7 +180,7 @@ def check_cocycle(b: Bialgebra) -> CheckReport:
     return CheckReport((passed("cocycle"),))
 
 
-def dense_drinfeld_double(b: Bialgebra) -> LieAlgebra:
+def dense_drinfeld_double(b: Bialgebra) -> LieAlgebroid:
     """`liealg.drinfeld_double` with its three gates decided by the dense
     code above, in the same order and with the same error texts."""
     jac = jacobi_report(b.algebra)
@@ -167,7 +190,7 @@ def dense_drinfeld_double(b: Bialgebra) -> LieAlgebra:
     coc = check_cocycle(b)
     if not coc.ok:
         raise BialgebraError(f"cocycle condition fails: {coc.first_failure.witness}")
-    clash = next((name for name in b.dual_names() if name in b.algebra.basis_names), None)
+    clash = next((name for name in b.dual_names() if name in b.algebra.frames), None)
     if clash is not None:
         raise ValueError(f"dual basis name {clash!r} is already a basis name")
     return formula_double(b)
@@ -186,13 +209,13 @@ class PairedAlgebra:
     """A 2n-dim algebra with a symmetric nondegenerate pairing and two marked
     half-dimensional subspaces (given by bases)."""
 
-    algebra: LieAlgebra
+    algebra: LieAlgebroid
     pairing: Tuple[Vector, ...]
     marked1: Tuple[Vector, ...]
     marked2: Tuple[Vector, ...]
 
     def __post_init__(self):
-        n2 = self.algebra.dim
+        n2 = self.algebra.rank
         pairing = [list(row) for row in self.pairing]
         if len(pairing) != n2 or any(len(row) != n2 for row in pairing):
             raise ValueError("pairing matrix has wrong shape")
@@ -231,29 +254,29 @@ def hyperbolic_pairing(n: int) -> Tuple[Vector, ...]:
     return tuple(rows)
 
 
-def formula_double(b: Bialgebra) -> LieAlgebra:
+def formula_double(b: Bialgebra) -> LieAlgebroid:
     """The double bracket of `drinfeld_double` on g + g* without its gates:
     [e_i, e_j] = c_ij, [eps^i, eps^j] = sum_k delta^{ij}_k eps^k and
     [e_i, eps^j] = sum_k delta^{jk}_i e_k - sum_k c^j_{ik} eps^k, for any
     constants and cobracket (Jacobi is not required)."""
-    n = b.dim
+    n, c = b.dim, constants(b.algebra)
     zero = (Fraction(0),) * n
     brackets: Dict[Tuple[int, int], Vector] = {}
     for i, j in itertools.combinations(range(n), 2):
-        brackets[(i, j)] = tuple(b.algebra.constants[i][j]) + zero
-        vec = tuple(b.cobracket.component(k, i, j) for k in range(n))
+        brackets[(i, j)] = tuple(c[i][j]) + zero
+        vec = tuple(component(b.cobracket, k, i, j) for k in range(n))
         brackets[(n + i, n + j)] = zero + vec
     for i in range(n):
         for j in range(n):
-            g_part = tuple(b.cobracket.component(i, j, k) for k in range(n))
-            d_part = tuple(-b.algebra.constants[i][k][j] for k in range(n))
+            g_part = tuple(component(b.cobracket, i, j, k) for k in range(n))
+            d_part = tuple(-c[i][k][j] for k in range(n))
             brackets[(i, n + j)] = g_part + d_part
-    return LieAlgebra(2 * n, brackets, basis_names=b.algebra.basis_names + b.dual_names())
+    return LieAlgebra(2 * n, brackets, basis_names=b.algebra.frames + b.dual_names())
 
 
-def paired_double(double: LieAlgebra) -> PairedAlgebra:
+def paired_double(double: LieAlgebroid) -> PairedAlgebra:
     """A double on g + g* with the hyperbolic pairing and the halves g, g*."""
-    return PairedAlgebra(double, hyperbolic_pairing(double.dim // 2), *halves(double.dim))
+    return PairedAlgebra(double, hyperbolic_pairing(double.rank // 2), *halves(double.rank))
 
 
 def check_paired(p: PairedAlgebra) -> CheckReport:
@@ -261,15 +284,16 @@ def check_paired(p: PairedAlgebra) -> CheckReport:
     the five items `liealg.check_manin` states, each with its first
     witness."""
     g = p.algebra
-    names = g.basis_names
-    n2 = g.dim
+    names = g.frames
+    n2 = g.rank
+    table = constants(g)
     items: List[CheckItem] = []
 
     # <[z_i, z_j], z_k> + <z_j, [z_i, z_k]> = sum_m c_ij^m P[m][k] + c_ik^m P[j][m],
     # summed over the nonzero structure constants only
     pairing = p.pairing
     support = [
-        [[(m, c) for m, c in enumerate(g.constants[i][j]) if c] for j in range(n2)]
+        [[(m, c) for m, c in enumerate(table[i][j]) if c] for j in range(n2)]
         for i in range(n2)
     ]
     invariance_fail = None
@@ -303,7 +327,7 @@ def check_paired(p: PairedAlgebra) -> CheckReport:
         echelon = linalg.row_echelon(marked)
         witness = None
         for u, v in itertools.combinations(marked, 2):
-            w = bracket(g, u, v)
+            w = bracket(table, u, v)
             if any(linalg.reduce(w, echelon)):
                 witness = (
                     f"[{format_vector(u, names)}, {format_vector(v, names)}] = "

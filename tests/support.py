@@ -5,9 +5,9 @@ their cotangent doubles, seeded bialgebras, a model text with a
 cobracket failing co-Jacobi, random brackets, the oracles kept from
 replaced production code (the matched-pair checks, the gathering Cartan
 differential, the frame-loop algebroid check and the frame change by any
-invertible matrix), and the constructions only the tests use (scalar
-polynomials in the model grammar, the tangent prolongation, the Lie
-algebra of a point-based algebroid)."""
+invertible matrix), the dense structure tables the sparse store replaced,
+and the constructions only the tests use (scalar polynomials in the model
+grammar, the tangent prolongation)."""
 
 import itertools
 import pathlib
@@ -28,7 +28,6 @@ from doublealg.algebroid import (
     check_bialgebroid,
     cotangent_algebroid,
     dual_poisson,
-    lie_algebra_to_algebroid,
     random_polynomial,
     tangent_algebroid,
 )
@@ -149,18 +148,39 @@ def tangent_lavb(chart: Chart, bundle_frames: Sequence[str], core_frames: Sequen
     return LAVBundle(side, bundle_frames, core_frames, ders, ders, ident, {})
 
 
-def algebroid_to_lie_algebra(L: LieAlgebroid) -> LieAlgebra:
-    """The Lie algebra of an algebroid over the point."""
-    if L.chart.dim != 0:
+def dense_structure(L: LieAlgebroid):
+    """The dense table the store replaced: structure[a][b][g] = c^g_{ab}
+    for every frame pair, zeros included."""
+    zero = Polynomial.zero(L.chart)
+    table = []
+    for row in L.nonzero_structure:
+        dense_row = []
+        for entry in row:
+            vec = [zero] * L.rank
+            for g, p in entry:
+                vec[g] = p
+            dense_row.append(tuple(vec))
+        table.append(tuple(dense_row))
+    return tuple(table)
+
+
+def constants(g: LieAlgebroid):
+    """The dense structure constants of a Lie algebra, an algebroid over the
+    point: constants[i][j][k] = c^k_{ij} as a Fraction, zeros included."""
+    if g.chart.dim != 0:
         raise ValueError("needs a point base")
-    brackets = {}
-    for a, b in itertools.combinations(range(L.rank), 2):
-        vec = []
-        for poly in L.structure[a][b]:
-            table = dict(poly.terms)
-            vec.append(table.get((), Fraction(0)))
-        brackets[(a, b)] = tuple(vec)
-    return LieAlgebra(L.rank, brackets, basis_names=L.frames)
+    return tuple(
+        tuple(tuple(p.terms[0][1] if p else Fraction(0) for p in vec) for vec in row)
+        for row in dense_structure(g)
+    )
+
+
+def component(delta: Cobracket, i: int, j: int, k: int) -> Fraction:
+    """The full antisymmetric component delta^{jk}_i of a cobracket."""
+    if j == k:
+        return Fraction(0)
+    w = dict(delta.images[i])
+    return w.get((j, k), Fraction(0)) if j < k else -w.get((k, j), Fraction(0))
 
 
 def assert_matched_decides_bowtie_and_double(mp):
@@ -303,7 +323,7 @@ SO3 = LieAlgebra(3, {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)})
 
 def ladder_pair(g):
     """(TM, T*M_pi) for pi the Lie-Poisson structure on g*."""
-    pi = dual_poisson(lie_algebra_to_algebroid(g))
+    pi = dual_poisson(g)
     return tangent_algebroid(pi.chart), cotangent_algebroid(pi)
 
 
@@ -430,6 +450,7 @@ def gather_differential(L, omega):
     k = omega.degree
     if k >= L.rank + 1:
         return Multisection.zero(L.rank, k + 1)
+    structure = dense_structure(L)
     acc: Dict = {}
     for target in itertools.combinations(range(L.rank), k + 1):
         total = Polynomial.zero(L.chart)
@@ -440,7 +461,7 @@ def gather_differential(L, omega):
             total = total + (term if i % 2 == 0 else -term)
         for i, j in itertools.combinations(range(k + 1), 2):
             rest = tuple(t for pos, t in enumerate(target) if pos not in (i, j))
-            bracket = L.structure[target[i]][target[j]]
+            bracket = structure[target[i]][target[j]]
             term = Polynomial.zero(L.chart)
             for gamma, coeff in enumerate(bracket):
                 if coeff:
@@ -500,6 +521,7 @@ def general_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
                 continue
             row = [acc + entry.scale(cols[j][i]) for acc, entry in zip(row, L.anchor[i])]
         anchor.append(tuple(row))
+    structure = dense_structure(L)
     brackets = {}
     for a, b in itertools.combinations(range(r), 2):
         old_vec = [zero for _ in range(r)]
@@ -511,7 +533,7 @@ def general_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
                     continue
                 coeff = cols[a][i] * cols[b][j]
                 old_vec = [
-                    acc + entry.scale(coeff) for acc, entry in zip(old_vec, L.structure[i][j])
+                    acc + entry.scale(coeff) for acc, entry in zip(old_vec, structure[i][j])
                 ]
         new_vec = [zero for _ in range(r)]
         for k in range(r):

@@ -26,8 +26,6 @@ from doublealg.liealg import (
     bialgebra_to_dual_pair,
     check_manin,
     drinfeld_double,
-    dual_algebra,
-    format_vector,
 )
 from manin_oracle import (
     PairedAlgebra,
@@ -37,7 +35,9 @@ from manin_oracle import (
     check_paired,
     cocycle_defect,
     dense_drinfeld_double,
+    dual_algebra,
     dual_bracket,
+    format_vector,
     formula_double,
     halves,
     hyperbolic_pairing,
@@ -46,7 +46,7 @@ from manin_oracle import (
     jacobi_report,
     paired_double,
 )
-from support import MODELS, gate_corpus, random_bialgebra
+from support import MODELS, constants, gate_corpus, random_bialgebra
 
 
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:
@@ -57,7 +57,7 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
     for k in range(n):
         w = {}
         for i, j in itertools.combinations(range(n), 2):
-            c = b.algebra.constants[i][j][k]
+            c = constants(b.algebra)[i][j][k]
             if c != 0:
                 w[(i, j)] = c
         images[k] = w
@@ -77,22 +77,22 @@ def wedge_pairing_oracle(i, j, w, n):
     return total
 
 
-def jacobiator_oracle(g: LieAlgebra):
+def jacobiator_oracle(g):
     """Independent brute force over all basis triples, using only bracket()."""
-    n = g.dim
+    n, c = g.rank, constants(g)
     worst = []
     for i, j, k in itertools.combinations(range(n), 3):
-        value = bracket(g, bracket(g, basis(n, i), basis(n, j)), basis(n, k))
+        value = bracket(c, bracket(c, basis(n, i), basis(n, j)), basis(n, k))
         value = tuple(
             a + b
             for a, b in zip(
-                value, bracket(g, bracket(g, basis(n, j), basis(n, k)), basis(n, i))
+                value, bracket(c, bracket(c, basis(n, j), basis(n, k)), basis(n, i))
             )
         )
         value = tuple(
             a + b
             for a, b in zip(
-                value, bracket(g, bracket(g, basis(n, k), basis(n, i)), basis(n, j))
+                value, bracket(c, bracket(c, basis(n, k), basis(n, i)), basis(n, j))
             )
         )
         if any(v != 0 for v in value):
@@ -104,7 +104,7 @@ class TestDualBracket:
     def test_abelian_cobracket_gives_abelian_dual(self):
         dual = dual_bracket(abelian_bialgebra(3))
         assert all(
-            all(c == 0 for c in dual.constants[i][j])
+            all(c == 0 for c in constants(dual)[i][j])
             for i in range(3)
             for j in range(3)
         )
@@ -116,14 +116,14 @@ class TestDualBracket:
         for i, j in itertools.combinations(range(2), 2):
             for k in range(2):
                 expected = wedge_pairing_oracle(i, j, image(b.cobracket, k), 2)
-                assert dual.constants[i][j][k] == expected
+                assert constants(dual)[i][j][k] == expected
         # explicitly: [eps1, eps2]_* = eps2
-        assert dual.constants[0][1] == (Fraction(0), Fraction(1))
+        assert constants(dual)[0][1] == (Fraction(0), Fraction(1))
 
     def test_biduality(self):
         for b in (solvable2_bialgebra(), abelian_bialgebra(2)):
             again = dual_bracket(dual_bialgebra(b))
-            assert again.constants == b.algebra.constants
+            assert constants(again) == constants(b.algebra)
 
     def test_non_cojacobi_rejected(self):
         # delta whose dual bracket violates Jacobi: [eps1,eps2]=eps3,
@@ -146,18 +146,18 @@ class TestCocycle:
         b = solvable2_bialgebra()
         assert check_cocycle(b).ok
         # independent oracle: expand both sides of the identity on (e1, e2)
-        lhs = image_of(b.cobracket, b.algebra.constants[0][1])
+        lhs = image_of(b.cobracket, constants(b.algebra)[0][1])
         def ad_oracle(x_index, w):
             out = {}
             for (a, c), coeff in w.items():
-                for k, val in enumerate(b.algebra.constants[x_index][a]):
+                for k, val in enumerate(constants(b.algebra)[x_index][a]):
                     if val:
                         pair = (k, c) if k < c else (c, k)
                         if k != c:
                             out[pair] = out.get(pair, Fraction(0)) + (
                                 coeff * val if k < c else -coeff * val
                             )
-                for k, val in enumerate(b.algebra.constants[x_index][c]):
+                for k, val in enumerate(constants(b.algebra)[x_index][c]):
                     if val:
                         pair = (a, k) if a < k else (k, a)
                         if a != k:
@@ -191,7 +191,7 @@ class TestDrinfeldDouble:
         double = drinfeld_double(abelian_bialgebra(2))
         assert jacobiator_oracle(double) == []
         assert all(
-            all(c == 0 for c in double.constants[i][j])
+            all(c == 0 for c in constants(double)[i][j])
             for i in range(4)
             for j in range(4)
         )
@@ -201,13 +201,13 @@ class TestDrinfeldDouble:
         double = drinfeld_double(abelian_bialgebra(n))
         expected = [
             f"pairing({name}) = [{', '.join(format_rat(v) for v in row)}]"
-            for name, row in zip(double.basis_names, hyperbolic_pairing(n))
+            for name, row in zip(double.frames, hyperbolic_pairing(n))
         ]
         assert format_pairing_lines(double) == expected
 
     def test_solvable2_double_jacobi_on_all_triples(self):
         double = drinfeld_double(solvable2_bialgebra())
-        assert double.dim == 4
+        assert double.rank == 4
         assert jacobiator_oracle(double) == []
 
     def test_marked_halves_isotropic(self):
@@ -222,10 +222,10 @@ class TestDrinfeldDouble:
         dual = dual_bracket(b)
         n = b.dim
         for i, j in itertools.combinations(range(n), 2):
-            assert double.constants[i][j][:n] == b.algebra.constants[i][j]
-            assert all(c == 0 for c in double.constants[i][j][n:])
-            assert double.constants[n + i][n + j][n:] == dual.constants[i][j]
-            assert all(c == 0 for c in double.constants[n + i][n + j][:n])
+            assert constants(double)[i][j][:n] == constants(b.algebra)[i][j]
+            assert all(c == 0 for c in constants(double)[i][j][n:])
+            assert constants(double)[n + i][n + j][n:] == constants(dual)[i][j]
+            assert all(c == 0 for c in constants(double)[n + i][n + j][:n])
 
     def test_non_cocycle_input_rejected_with_witness(self):
         with pytest.raises(BialgebraError, match="cocycle"):
@@ -242,9 +242,9 @@ def invariance_oracle(p: PairedAlgebra):
     """The dense invariance loop: two basis vectors and two `pair` calls per
     triple (i, j, k) in lexicographic order; the first witness, or None."""
     g = p.algebra
-    n2, names = g.dim, g.basis_names
+    n2, names, c = g.rank, g.frames, constants(g)
     for i, j, k in itertools.product(range(n2), repeat=3):
-        value = p.pair(g.constants[i][j], basis(n2, k)) + p.pair(basis(n2, j), g.constants[i][k])
+        value = p.pair(c[i][j], basis(n2, k)) + p.pair(basis(n2, j), c[i][k])
         if value != 0:
             return (
                 f"triple ({names[i]}, {names[j]}, {names[k]}): "
@@ -303,7 +303,7 @@ class TestInvarianceAgainstDenseOracle:
         ]
         corpus = list(doubles)
         for d in doubles:
-            n2 = d.algebra.dim
+            n2 = d.algebra.rank
             scaled = [[2 * c for c in row] for row in d.pairing]
             corpus.append(with_pairing(d, scaled))
             skewed = [list(row) for row in d.pairing]
@@ -332,9 +332,9 @@ def closure_oracle(p: PairedAlgebra, basis):
     span = [list(v) for v in basis]
     base_rank = linalg.rank(span)
     for u, v in itertools.combinations(basis, 2):
-        w = bracket(g, u, v)
+        w = bracket(constants(g), u, v)
         if linalg.rank(span + [list(w)]) > base_rank:
-            names = g.basis_names
+            names = g.frames
             return (
                 f"[{format_vector(u, names)}, {format_vector(v, names)}] = "
                 f"{format_vector(w, names)} leaves the subspace"
@@ -388,7 +388,7 @@ class TestClosureAgainstRankOracle:
             abelian_bialgebra(2),
         ):
             d = paired_double(drinfeld_double(b))
-            n2 = d.algebra.dim
+            n2 = d.algebra.rank
             n = n2 // 2
             z = [basis(n2, i) for i in range(n2)]
             corpus.append(d)
@@ -550,7 +550,7 @@ def gate_outcome(build, b):
         double = build(b)
     except BialgebraError as exc:
         return ("error", str(exc))
-    return ("double", double.constants, double.basis_names)
+    return ("double", constants(double), double.frames)
 
 
 class TestGatesAgainstDenseOracle:

@@ -1,7 +1,8 @@
 """The package ships only what the product uses.
 
-Every public top-level function and class of `src/doublealg` must be
-referenced somewhere outside its own definition: by another part of the
+Every public top-level function, class and module-level name (a type
+alias or a constant) of `src/doublealg` must be referenced somewhere
+outside its own definition or assignment: by another part of the
 package, by a file of the benchmark harness in `perfbench/`, or by an
 import in the README's Library snippet.  Every public method of a package
 class must have its name read as an attribute somewhere in those sources
@@ -18,17 +19,36 @@ PACKAGE = ROOT / "src" / "doublealg"
 
 # Names that no package code uses and that stay public for the harness or
 # the README.  Keep this short: each entry is a promise to outside callers.
-EXTERNAL_ONLY = {"algebroid.cotangent_algebroid", "algebroid.dual_poisson"}
+EXTERNAL_ONLY = {
+    "algebroid.cotangent_algebroid",
+    "algebroid.dual_poisson",
+    "algebroid.lie_algebra_to_algebroid",
+}
 
 
-def public_definitions():
-    """(module, name) of every public top-level function and class."""
-    out = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                out.add((path.stem, node.name))
-    return out
+def defined_names(statement):
+    """The names a top-level statement defines: a function or class, or
+    the plain names an assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, ast.Assign):
+        return {t.id for t in statement.targets if isinstance(t, ast.Name)}
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return {statement.target.id}
+    return set()
+
+
+def public_definitions(trees=None):
+    """(module, name) of every public top-level function, class and
+    module-level name of `trees`, (module, tree) pairs that default to the
+    package."""
+    return {
+        (module, name)
+        for module, tree in (package_trees() if trees is None else trees)
+        for statement in tree.body
+        for name in defined_names(statement)
+        if not name.startswith("_")
+    }
 
 
 def _package_module(module, level):
@@ -84,14 +104,11 @@ def references(tree, own_module=None):
 
 def outside_own_definition(refs, module):
     """The references of `refs`, a `references` result for `module`, that
-    do not sit inside the definition they name."""
+    do not sit inside the definition or assignment they name."""
     return {
         ref
         for ref, statement in refs
-        if not (
-            isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-            and ref == (module, statement.name)
-        )
+        if not (ref[0] == module and ref[1] in defined_names(statement))
     }
 
 
@@ -209,6 +226,26 @@ def test_the_guard_sees_an_unused_definition():
     refs = outside_own_definition(references(tree, "m"), "m")
     assert ("m", "used") in refs and ("exact", "Chart") in refs
     assert ("m", "lonely") not in refs
+
+
+def test_the_guard_sees_an_unread_module_level_name():
+    """A type alias or constant that only its own assignment mentions is
+    reported; one that another statement reads is not, and private names
+    are not checked."""
+    tree = ast.parse(
+        "from typing import Tuple\n"
+        "Lonely = Tuple[int, ...]\n"
+        "LIMIT: int = 3\n"
+        "COUNT = COUNT_BASE = 2\n"
+        "_private = 1\n"
+        "def sized(n: int = LIMIT):\n    return (n,) * COUNT\n"
+    )
+    assert public_definitions([("m", tree)]) == {
+        ("m", "Lonely"), ("m", "LIMIT"), ("m", "COUNT"), ("m", "COUNT_BASE"), ("m", "sized")
+    }
+    refs = outside_own_definition(references(tree, "m"), "m")
+    unread = public_definitions([("m", tree)]) - refs
+    assert unread == {("m", "Lonely"), ("m", "COUNT_BASE"), ("m", "sized")}
 
 
 def test_every_public_method_is_used_by_the_product():

@@ -283,7 +283,7 @@ def bivector_corpus():
         chart = CHARTS[seed % 2]
         out.append(random_bivector(rng, chart, 1 + seed % 2))
         out.append(surface_bivector(rng, chart))
-    out.append(algebroid.dual_poisson(algebroid.lie_algebra_to_algebroid(SO3)))
+    out.append(algebroid.dual_poisson(SO3))
     return out
 
 

@@ -32,10 +32,10 @@ def _bracket_lines(L: LieAlgebroid) -> List[str]:
     frames = L.frames
     return [
         f"bracket({frames[a]}, {frames[b]}) = "
-        f"{format_combination([p for _, p in entry], [frames[g] for g, _ in entry])}"
+        f"{format_combination([p for _, p in row[b]], [frames[g] for g, _ in row[b]])}"
         for a, row in enumerate(L.nonzero_structure)
-        for b, entry in enumerate(row)
-        if a < b and entry
+        for b in range(a + 1, L.rank)
+        if row[b]
     ]
 
 

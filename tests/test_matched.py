@@ -77,6 +77,36 @@ class TestCheckMatched:
         )
         assert check_representation(tm, rep, "rho").ok
 
+    def test_off_anchor_report_is_pinned(self):
+        """No model text reaches `rho.base_fields`: the parser puts every
+        derivation over its frame's anchor.  So this report is pinned here;
+        it was recorded while flatness was still decided by commutators of
+        derivations, over their own base fields."""
+        report = check_matched(off_anchor_pair())
+        assert [(i.check_id, i.ok, i.witness) for i in report.items] == [
+            ("algebroid_A", True, ""),
+            ("algebroid_B", True, ""),
+            ("rho.base_fields", False, "rho(del_x) sits over (1) d/dy, expected the anchor (1) d/dx"),
+            ("rho.flat", False, "flatness fails on (del_x, del_y)"),
+            ("sigma.base_fields", True, ""),
+            ("sigma.flat", True, ""),
+        ]
+
+
+def off_anchor_pair() -> MatchedPair:
+    """TM on (x, y) acting on a line bundle by derivations over the swapped
+    coordinate fields, x * f1 under del_x and 0 under del_y."""
+    chart = Chart(("x", "y"))
+    tm = tangent_algebroid(chart)
+    zero = Polynomial.zero(chart)
+    line = LieAlgebroid(chart, ("f1",), [[zero, zero]], {})
+    x = Polynomial.coordinate(chart, "x")
+    rho = RepresentationMap(
+        [Derivation(tm.anchor_field(1), [[x]]), Derivation(tm.anchor_field(0), [[zero]])]
+    )
+    sigma = RepresentationMap([Derivation(line.anchor_field(0), [[zero, zero], [zero, zero]])])
+    return MatchedPair(tm, line, rho, sigma)
+
 
 def bowtie(mp: MatchedPair) -> LieAlgebroid:
     """The bowtie of a pair that `check_matched` accepts."""

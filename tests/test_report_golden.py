@@ -14,7 +14,9 @@ cobracket whose cocycle defect has several terms of mixed sign.  So are `build c
 the so(3)* Lie-Poisson dual pair, a double with a core whose stated
 diagnostics lines are then pinned through the CLI, and `check bialgebroid`,
 `build cotangent-double`, `check manin` and `build drinfeld` on a cobracket
-that fails co-Jacobi beside a valid dual pair (`support.CO_JACOBI_MODEL`).
+that fails co-Jacobi beside a valid dual pair (`support.CO_JACOBI_MODEL`),
+and `check matched` on pairs failing `sigma.flat`, `identity_1` and
+`identity_2` and on a pair whose A and B name their frames alike.
 """
 
 import contextlib
@@ -131,6 +133,87 @@ dual_of = TM
         "[lie_algebra g]\ndim = 4\nbracket(e1, e2) = -e1 + 2 * e2 + e3\n\n"
         "[cobracket d]\nalgebra = g\ndelta(e2) = e2 ^ e3 + 1/2 * e2 ^ e4 - e3 ^ e4\n"
     ),
+    # the coadjoint pair of solvable2 with sigma scaled by 2: fails sigma.flat
+    "matched_sigma_flat": """\
+[chart pt]
+coords = []
+
+[algebroid g]
+base = pt
+frame = [e1, e2]
+bracket(e1, e2) = e2
+
+[algebroid gdual]
+base = pt
+frame = [f1, f2]
+bracket(f1, f2) = f2
+
+[matched_pair coadjoint]
+A = g
+B = gdual
+rho(e1) = derivation{f2: -f2}
+rho(e2) = derivation{f2: f1}
+sigma(f1) = derivation{e2: -2 * e2}
+sigma(f2) = derivation{e2: 2 * e1}
+""",
+    # rho(a1) is not a derivation of the bracket of B: fails identity_1
+    "matched_identity_1": """\
+[chart M]
+coords = [x]
+
+[algebroid A]
+base = M
+frame = [a1]
+
+[algebroid B]
+base = M
+frame = [b1, b2]
+bracket(b1, b2) = b2
+
+[matched_pair act]
+A = A
+B = B
+rho(a1) = derivation{b1: x * b1 + b2, b2: b1 - 2 * b2}
+""",
+    # the mirror (B, A, sigma, rho) of matched_identity_1: fails identity_2
+    "matched_identity_2": """\
+[chart M]
+coords = [x]
+
+[algebroid A]
+base = M
+frame = [a1]
+
+[algebroid B]
+base = M
+frame = [b1, b2]
+bracket(b1, b2) = b2
+
+[matched_pair act]
+A = B
+B = A
+sigma(a1) = derivation{b1: x * b1 + b2, b2: b1 - 2 * b2}
+""",
+    # A and B both name their frame f1; fails identity_3
+    "matched_same_frame": """\
+[chart M]
+coords = [x]
+
+[algebroid TM]
+base = M
+frame = [f1]
+anchor(f1) = d/dx
+
+[algebroid triv]
+base = M
+frame = [f1]
+
+[matched_pair act]
+A = TM
+B = triv
+rho(f1) = derivation{f1: x * f1}
+sigma(f1) = derivation{f1: x * f1}
+""",
 }
 
 # The solvable cases were recorded while the Manin items were still computed,
@@ -142,6 +225,10 @@ dual_of = TM
 # `drinfeld_double` still decided its three gates by dense code of its own,
 # so they show that deciding them on the dual pair over a point changed no
 # byte.
+# The matched_* cases were recorded while `check_matched` still decided
+# flatness and the three identities through derivation commutators and
+# brackets of sections, so they show that reading them off the bowtie's
+# structure equations changed no byte.
 GENERATED_GOLDEN = """\
 solvable0 check manin text 0 d9710fdd6412ab50582673a0dc0d88a1b63cfac6c2a4ed53350e1f86460eb537
 solvable0 check manin json 0 c150c79f6e337038810f05dcd67b5e6542ab3eb1232098961cd8879cd6151769
@@ -181,6 +268,14 @@ cocycle_mixed check manin text 1 5a512b61993c743a099f55426ef13257d97ee8ba7c623cc
 cocycle_mixed check manin json 1 ca8bd1e53b51cbd755f93b7d1d8cc7b96f76aba1bf5f87a29e3959aa14e48c71
 cocycle_mixed build drinfeld text 1 302e93a694f37fbea9edfa3c6b2b422ab019693b8cb595522b830b4031438465
 cocycle_mixed build drinfeld json 1 b2629daa0010f46bab5dd1e20390cd67078afb4d55cb0169cd13f002ca1ed3ef
+matched_sigma_flat check matched text 1 e1cabbba824081bff074dde3c074aedff5d3a42f3a6f3aa1e5bc17d0be7eab32
+matched_sigma_flat check matched json 1 48b2b1e3587e36827afd99c0d18cf15f44a2911f1136fc08069cc4fea386054e
+matched_identity_1 check matched text 1 5c9721ea0ff4617fa2a9e516a3ab6fe2d2f4e73c98a0776c69b23d173e226ebf
+matched_identity_1 check matched json 1 ee8fe8c09be871155d3e06519957d2719212587793c6cf9f11406e03ce82f691
+matched_identity_2 check matched text 1 5c1e4222bd74858b0ca8c4272f43eb9b699ff45416518e37f1e2cbc011c5c405
+matched_identity_2 check matched json 1 47741c5fecb278048e61ec1a9534db361cd4dd2dd68fc4b7fa0291fc7fab0a68
+matched_same_frame check matched text 1 e17c43727042a0e3bb75e1f12214e19a3a97a562f537be28a616fa9b22275ba4
+matched_same_frame check matched json 1 c3a6e8e50dc2527b72e1c4a3a62b2627e23591f9f3cc274d5362a167839d5e1f
 """
 
 

@@ -25,6 +25,8 @@ from .exact import Chart, ChartMismatch, Polynomial, rat
 from .verdicts import CheckItem, CheckReport, failed, passed
 
 Index = Tuple[int, ...]
+# per frame pair (a, b), the nonzero c^g_{ab} as (g, c^g_{ab}) in increasing g
+Structure = Tuple[Tuple[Tuple[Tuple[int, Polynomial], ...], ...], ...]
 
 
 class NotPoisson(ValueError):
@@ -78,19 +80,8 @@ class VectorField:
                 out = out + comp * f.partial(name)
         return out
 
-    def commutator(self, other: "VectorField") -> "VectorField":
-        comps = tuple(
-            self.apply(yc) - other.apply(xc)
-            for xc, yc in zip(self.components, other.components)
-        )
-        return VectorField._from_components(self.chart, comps)
-
     def __add__(self, other: "VectorField") -> "VectorField":
         comps = tuple(a + b for a, b in zip(self.components, other.components))
-        return VectorField._from_components(self.chart, comps)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        comps = tuple(a - b for a, b in zip(self.components, other.components))
         return VectorField._from_components(self.chart, comps)
 
     def scale_by(self, f: Polynomial) -> "VectorField":
@@ -256,55 +247,11 @@ class Derivation:
     def bundle_rank(self) -> int:
         return len(self.matrix)
 
-    @staticmethod
-    def zero(chart: Chart, rank: int) -> "Derivation":
-        z = Polynomial.zero(chart)
-        return Derivation(VectorField.zero(chart), tuple(tuple(z for _ in range(rank)) for _ in range(rank)))
-
-    def apply(self, comps: Sequence[Polynomial]) -> Tuple[Polynomial, ...]:
-        chart = self.base_field.chart
-        out = [self.base_field.apply(c) for c in comps]
-        for a, coeff in enumerate(comps):
-            if not coeff:
-                continue
-            for b in range(len(out)):
-                if self.matrix[a][b]:
-                    out[b] = out[b] + coeff * self.matrix[a][b]
-        return tuple(out)
-
-    def commutator(self, other: "Derivation") -> "Derivation":
-        rank = self.bundle_rank
-        chart = self.base_field.chart
-        rows = []
-        for a in range(rank):
-            unit = [Polynomial.zero(chart) for _ in range(rank)]
-            unit[a] = Polynomial.constant(chart, 1)
-            first = self.apply(other.apply(unit))
-            second = other.apply(self.apply(unit))
-            rows.append(tuple(f - s for f, s in zip(first, second)))
-        return Derivation(self.base_field.commutator(other.base_field), rows)
-
     def contragredient(self) -> "Derivation":
         """Dual derivation: <D* phi, mu> = X<phi, mu> - <phi, D mu>."""
         rank = self.bundle_rank
         rows = [tuple(-self.matrix[a][b] for a in range(rank)) for b in range(rank)]
         return Derivation(self.base_field, rows)
-
-    def __add__(self, other: "Derivation") -> "Derivation":
-        rows = tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.matrix, other.matrix)
-        )
-        return Derivation(self.base_field + other.base_field, rows)
-
-    def scale_by(self, f: Polynomial) -> "Derivation":
-        rows = tuple(tuple(f * entry for entry in row) for row in self.matrix)
-        return Derivation(self.base_field.scale_by(f), rows)
-
-    def equals(self, other: "Derivation") -> bool:
-        return (
-            self.base_field.components == other.base_field.components
-            and self.matrix == other.matrix
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +272,7 @@ class LieAlgebroid:
     chart: Chart
     frames: Tuple[str, ...]
     anchor: Tuple[Tuple[Polynomial, ...], ...]  # anchor[alpha][i]
-    nonzero_structure: Tuple[Tuple[Tuple[Tuple[int, Polynomial], ...], ...], ...]
+    nonzero_structure: Structure
 
     def __init__(
         self,
@@ -343,23 +290,10 @@ class LieAlgebroid:
         anchor = tuple(tuple(row) for row in anchor)
         if len(anchor) != r or any(len(row) != n for row in anchor):
             raise ValueError("anchor must be rank x dim")
-        table: List[List[Tuple[Tuple[int, Polynomial], ...]]] = [[()] * r for _ in range(r)]
-        if brackets:
-            for (a, b), comps in brackets.items():
-                if a == b:
-                    raise ValueError("bracket(e_a, e_a) must be omitted (it is 0)")
-                if a > b:
-                    raise ValueError("provide brackets with a < b only")
-                if len(comps) != r:
-                    raise ValueError("bracket value has wrong rank")
-                entry = tuple((g, p) for g, p in enumerate(comps) if p)
-                if entry:
-                    table[a][b] = entry
-                    table[b][a] = tuple((g, -p) for g, p in entry)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "nonzero_structure", tuple(tuple(row) for row in table))
+        object.__setattr__(self, "nonzero_structure", structure_table(r, brackets))
 
     @property
     def rank(self) -> int:
@@ -401,11 +335,28 @@ class LieAlgebroid:
     def frame_section(self, alpha: int) -> Multisection:
         return self.frame_sections[alpha]
 
-    def frame_bracket(self, a: int, b: int) -> Multisection:
-        return Multisection(self.rank, 1, {(g,): p for g, p in self.nonzero_structure[a][b]})
-
     def section(self, comps: Sequence[Polynomial]) -> Multisection:
         return Multisection.from_vector(self.rank, comps)
+
+
+def structure_table(
+    rank: int, brackets: Mapping[Tuple[int, int], Sequence[Polynomial]] | None
+) -> Structure:
+    """The sparse store `LieAlgebroid.nonzero_structure` of `rank` frames
+    whose brackets are given on pairs a < b as full component vectors."""
+    table: List[List[Tuple[Tuple[int, Polynomial], ...]]] = [[()] * rank for _ in range(rank)]
+    for (a, b), comps in (brackets or {}).items():
+        if a == b:
+            raise ValueError("bracket(e_a, e_a) must be omitted (it is 0)")
+        if a > b:
+            raise ValueError("provide brackets with a < b only")
+        if len(comps) != rank:
+            raise ValueError("bracket value has wrong rank")
+        entry = tuple((g, p) for g, p in enumerate(comps) if p)
+        if entry:
+            table[a][b] = entry
+            table[b][a] = tuple((g, -p) for g, p in entry)
+    return tuple(tuple(row) for row in table)
 
 
 def tangent_algebroid(chart: Chart) -> LieAlgebroid:
@@ -444,6 +395,36 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
     return Multisection(L.rank, 1, acc)
 
 
+def anchor_defect(
+    nonzero: Structure, fields: Sequence[VectorField], a: int, b: int
+) -> Tuple[Polynomial, ...]:
+    """a([e_a, e_b]) - [a_a, a_b] per coordinate, the first structure
+    equation of `check_algebroid`, for the sparse store `nonzero` and the
+    anchors `fields` of a frame."""
+    fa, fb = fields[a], fields[b]
+    defect = [fb.apply(pa) - fa.apply(pb) for pa, pb in zip(fa.components, fb.components)]
+    for g, coeff in nonzero[a][b]:
+        defect = [d + coeff * p if p else d for d, p in zip(defect, fields[g].components)]
+    return tuple(defect)
+
+
+def jacobiator(
+    nonzero: Structure, fields: Sequence[VectorField], a: int, b: int, c: int
+) -> Dict[int, Polynomial]:
+    """Jac(e_a, e_b, e_c) by the second structure equation of
+    `check_algebroid`, as components by frame; some may be zero."""
+    jac: Dict[int, Polynomial] = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for g, coeff in nonzero[x][y]:
+            for k, other in nonzero[g][z]:
+                term = coeff * other
+                jac[k] = jac[k] + term if k in jac else term
+            term = fields[z].apply(coeff)
+            if term:
+                jac[g] = jac[g] - term if g in jac else -term
+    return jac
+
+
 def check_algebroid(L: LieAlgebroid) -> CheckReport:
     """Anchor morphism on frame pairs, Jacobi on frame triples, read off
     the nonzero structure functions c^g_{ab} and the anchors a_a = a(e_a)
@@ -458,18 +439,16 @@ def check_algebroid(L: LieAlgebroid) -> CheckReport:
     vanishing decides the axioms for all polynomial sections.  Only the
     first failing pair or triple of each item builds its witness, the
     same vector field or multisection the frame loop through
-    `bracket_sections` computes (kept in the tests as the oracle).
+    `bracket_sections` computes (kept in the tests as the oracle).  The
+    two defects are `anchor_defect` and `jacobiator`, which
+    `matched.check_matched` also reads on the bowtie of a pair.
     """
-    fields, nonzero = L.anchor_fields, L.nonzero_structure
     items: List[CheckItem] = []
     witness = None
     for a, b in itertools.combinations(range(L.rank), 2):
-        fa, fb = fields[a], fields[b]
-        defect = [fb.apply(pa) - fa.apply(pb) for pa, pb in zip(fa.components, fb.components)]
-        for g, coeff in nonzero[a][b]:
-            defect = [d + coeff * p if p else d for d, p in zip(defect, L.anchor[g])]
+        defect = anchor_defect(L.nonzero_structure, L.anchor_fields, a, b)
         if any(defect):
-            field = VectorField._from_components(L.chart, tuple(defect))
+            field = VectorField._from_components(L.chart, defect)
             witness = f"pair ({L.frames[a]}, {L.frames[b]}): a([.,.]) - [a(.), a(.)] = {field}"
             break
     items.append(failed("anchor_morphism", witness) if witness else passed("anchor_morphism"))
@@ -488,19 +467,10 @@ def check_algebroid(L: LieAlgebroid) -> CheckReport:
 
 def first_jacobiator(L: LieAlgebroid) -> Tuple[Index, Multisection] | None:
     """The first frame triple a < b < c, in `itertools.combinations` order,
-    whose Jacobiator (the structure equation of `check_algebroid`) is
-    nonzero, with that Jacobiator; None when Jacobi holds."""
-    fields, nonzero = L.anchor_fields, L.nonzero_structure
+    whose Jacobiator is nonzero, with that Jacobiator; None when Jacobi
+    holds."""
     for a, b, c in itertools.combinations(range(L.rank), 3):
-        jac: Dict[int, Polynomial] = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for g, coeff in nonzero[x][y]:
-                for k, other in nonzero[g][z]:
-                    term = coeff * other
-                    jac[k] = jac[k] + term if k in jac else term
-                term = fields[z].apply(coeff)
-                if term:
-                    jac[g] = jac[g] - term if g in jac else -term
+        jac = jacobiator(L.nonzero_structure, L.anchor_fields, a, b, c)
         if any(jac.values()):
             return (a, b, c), Multisection(L.rank, 1, {(k,): poly for k, poly in jac.items()})
     return None

@@ -169,29 +169,17 @@ def check_double(dla: DoubleLieAlgebroid, seed: int = 7, max_degree: int = 2) ->
 
 def core_poisson(dla: DoubleLieAlgebroid) -> PoissonChart:
     """The Poisson structure induced on the core dual by the bialgebroid pair:
-    {f, g} = sum_i e(frame_i)(f) * e_*(dual frame_i)(g)."""
+    {f, g} = sum_i e(frame_i)(f) * e_*(dual frame_i)(g), on the coordinates
+    sum_i a^u_i a_*^w_i, read off the anchor rows.  `PoissonChart` checks
+    its antisymmetry, a consequence of the double axioms."""
     e_v, dual = dla.dual_pair
     chart = e_v.chart
-    size = chart.dim
-    coords = [Polynomial.coordinate(chart, name) for name in chart.names]
-    matrix = [[Polynomial.zero(chart) for _ in range(size)] for _ in range(size)]
-    for u in range(size):
-        for w in range(size):
-            entry = Polynomial.zero(chart)
-            for i in range(e_v.rank):
-                left = e_v.anchor_field(i).apply(coords[u])
-                if left:
-                    right = dual.anchor_field(i).apply(coords[w])
-                    if right:
-                        entry = entry + left * right
-            matrix[u][w] = entry
-    # antisymmetry is a consequence of the double axioms; surface any defect
-    for u in range(size):
-        for w in range(size):
-            if matrix[u][w] + matrix[w][u]:
-                raise DoubleMismatch(
-                    f"induced bracket not antisymmetric at ({chart.names[u]}, {chart.names[w]})"
-                )
+    matrix = [[Polynomial.zero(chart)] * chart.dim for _ in range(chart.dim)]
+    for left, right in zip(e_v.anchor, dual.anchor):
+        for u, a in enumerate(left):
+            for w, b in enumerate(right):
+                if a and b:
+                    matrix[u][w] = matrix[u][w] + a * b
     return PoissonChart(chart, matrix)
 
 
@@ -336,9 +324,13 @@ def build_cotangent_double(L: LieAlgebroid, Lstar: LieAlgebroid) -> DoubleLieAlg
     require_valid(Lstar, "dual algebroid")
     if L.chart != Lstar.chart or L.rank != Lstar.rank:
         raise DoubleMismatch("inputs are not structures on a dual pair of bundles")
+    # the induced duals add the fibre coordinate xi_<core frame> to the
+    # chart, so a core frame must not be named after one already there
+    prefix = fibre_coordinate("")
+    fibre_named = tuple(name[len(prefix) :] for name in L.chart.names if name.startswith(prefix))
     core_frames = unique_names(
         [f"d{name}" for name in L.chart.names],
-        L.frames + Lstar.frames + L.chart.names,
+        L.frames + Lstar.frames + L.chart.names + fibre_named,
     )
     vert = _cotangent_lavb(Lstar, L.frames, core_frames, 1)
     hor = _cotangent_lavb(L, Lstar.frames, core_frames, -1)

@@ -94,8 +94,10 @@ def abelian_matched_pair(rank_a: int = 1, rank_b: int = 1) -> MatchedPair:
     chart = Chart(())
     a_alg = LieAlgebra(rank_a, {}, [f"a{i+1}" for i in range(rank_a)])
     b_alg = LieAlgebra(rank_b, {}, [f"b{i+1}" for i in range(rank_b)])
-    rho = RepresentationMap([Derivation.zero(chart, rank_b) for _ in range(rank_a)])
-    sigma = RepresentationMap([Derivation.zero(chart, rank_a) for _ in range(rank_b)])
+    from support import zero_derivation  # support imports this module
+
+    rho = RepresentationMap([zero_derivation(chart, rank_b) for _ in range(rank_a)])
+    sigma = RepresentationMap([zero_derivation(chart, rank_a) for _ in range(rank_b)])
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 

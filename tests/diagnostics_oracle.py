@@ -29,7 +29,7 @@ from doublealg.doublela import DoubleLieAlgebroid, DoubleMismatch
 from doublealg.exact import Polynomial
 from doublealg.lavb import LAVBundle, bundle_fibre_coordinate
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
-from support import dense_structure
+from support import dense_structure, frame_bracket
 
 
 def compose_anchor(side: LieAlgebroid, core_anchor) -> List[List[Polynomial]]:
@@ -240,7 +240,7 @@ def anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> Ch
     for i, j in itertools.combinations(range(dom_alg.rank), 2):
         u_coeffs = frame_decomposition(i)
         v_coeffs = frame_decomposition(j)
-        lhs = section_decomposition(dom_alg.frame_bracket(i, j))
+        lhs = section_decomposition(frame_bracket(dom_alg, i, j))
         rhs = [Polynomial.zero(chart_b) for _ in range(2 * ra)]
         for p in range(2 * ra):
             if not u_coeffs[p]:

@@ -3,9 +3,12 @@ LA-vector bundles, with failing instances, and its dual pairs, the
 Lie-Poisson ladder, the dual pairs of the benchmark sweep's families and
 their cotangent doubles, seeded bialgebras, a model text with a
 cobracket failing co-Jacobi, random brackets, the oracles kept from
-replaced production code (the matched-pair checks, the gathering Cartan
-differential, the frame-loop algebroid check and the frame change by any
-invertible matrix), the dense structure tables the sparse store replaced,
+replaced production code (the matched-pair checks, among them the check
+of a pair through derivation commutators and brackets of sections with
+the operator algebra it needs, the gathering Cartan differential, the
+frame-loop algebroid check, the core Poisson structure through anchor
+fields and the frame change by any invertible matrix), the dense
+structure tables the sparse store replaced,
 and the constructions only the tests use (scalar polynomials in the model
 grammar, the tangent prolongation)."""
 
@@ -22,6 +25,7 @@ from doublealg.algebroid import (
     LieAlgebroid,
     Multisection,
     PoissonChart,
+    VectorField,
     bracket_sections,
     change_frames,
     check_algebroid,
@@ -31,16 +35,21 @@ from doublealg.algebroid import (
     random_polynomial,
     tangent_algebroid,
 )
-from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
+from doublealg.doublela import (
+    DoubleMismatch,
+    assemble_vacant_double,
+    build_cotangent_double,
+    check_double,
+)
 from doublealg.exact import Chart, Polynomial, rat
 from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra
 from doublealg.lavb import LAVBundle, check_lavb
 from doublealg.matched import (
     MatchedPair,
+    RepresentationMap,
     assemble_bowtie,
     build_semidirects,
     check_matched,
-    check_representation,
 )
 from doublealg.model import parse_model
 from doublealg.parsing import ParseError, Tokens, _parse_terms
@@ -191,6 +200,198 @@ def assert_matched_decides_bowtie_and_double(mp):
     assert check_algebroid(assemble_bowtie(mp)).ok is verdict
     assert check_double(assemble_vacant_double(mp)).ok is verdict
     return verdict
+
+
+# --- vector fields and derivations as operators on sections, and the
+# matched-pair check built on them: the oracle of `matched.check_matched`
+
+
+def commutator(x: VectorField, y: VectorField) -> VectorField:
+    """[X, Y] of two vector fields."""
+    return VectorField(
+        x.chart, [x.apply(yc) - y.apply(xc) for xc, yc in zip(x.components, y.components)]
+    )
+
+
+def difference(x: VectorField, y: VectorField) -> VectorField:
+    return VectorField(x.chart, [a - b for a, b in zip(x.components, y.components)])
+
+
+def frame_bracket(L: LieAlgebroid, a: int, b: int) -> Multisection:
+    """[e_a, e_b] as a section."""
+    return Multisection(L.rank, 1, {(g,): p for g, p in L.nonzero_structure[a][b]})
+
+
+def zero_derivation(chart: Chart, rank: int) -> Derivation:
+    zero = Polynomial.zero(chart)
+    return Derivation(VectorField.zero(chart), [[zero] * rank for _ in range(rank)])
+
+
+def apply_derivation(d: Derivation, comps):
+    """D applied to the section with components `comps`."""
+    out = [d.base_field.apply(c) for c in comps]
+    for a, coeff in enumerate(comps):
+        if coeff:
+            for b, entry in enumerate(d.matrix[a]):
+                if entry:
+                    out[b] = out[b] + coeff * entry
+    return tuple(out)
+
+
+def derivation_commutator(d: Derivation, e: Derivation) -> Derivation:
+    """[D, E] = DE - ED, applied to unit vectors."""
+    chart, rank = d.base_field.chart, d.bundle_rank
+    rows = []
+    for a in range(rank):
+        unit = [Polynomial.constant(chart, int(a == b)) for b in range(rank)]
+        first = apply_derivation(d, apply_derivation(e, unit))
+        second = apply_derivation(e, apply_derivation(d, unit))
+        rows.append([f - s for f, s in zip(first, second)])
+    return Derivation(commutator(d.base_field, e.base_field), rows)
+
+
+def add_derivations(d: Derivation, e: Derivation) -> Derivation:
+    rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(d.matrix, e.matrix)]
+    return Derivation(d.base_field + e.base_field, rows)
+
+
+def scale_derivation(d: Derivation, f: Polynomial) -> Derivation:
+    """f D, over the base field f X."""
+    return Derivation(d.base_field.scale_by(f), [[f * entry for entry in row] for row in d.matrix])
+
+
+def of_section(rep: RepresentationMap, acting: LieAlgebroid, section: Multisection) -> Derivation:
+    """The derivation of `rep` for a polynomial-coefficient acting section."""
+    rank = rep.derivations[0].bundle_rank if rep.derivations else 0
+    out = zero_derivation(acting.chart, rank)
+    for alpha, coeff in enumerate(section.vector(acting.chart)):
+        if coeff:
+            out = add_derivations(out, scale_derivation(rep.derivations[alpha], coeff))
+    return out
+
+
+def check_representation(acting: LieAlgebroid, rep: RepresentationMap, label: str) -> CheckReport:
+    """Base fields match the anchor; the bracket of two frames acts as the
+    commutator of their derivations."""
+    items: List[CheckItem] = []
+    witness = None
+    for alpha in range(acting.rank):
+        d = rep.derivations[alpha]
+        if d.base_field.components != acting.anchor_field(alpha).components:
+            witness = (
+                f"{label}({acting.frames[alpha]}) sits over {d.base_field}, "
+                f"expected the anchor {acting.anchor_field(alpha)}"
+            )
+            break
+    items.append(failed(f"{label}.base_fields", witness) if witness else passed(f"{label}.base_fields"))
+
+    witness = None
+    for a, b in itertools.combinations(range(acting.rank), 2):
+        commuted = derivation_commutator(rep.derivations[a], rep.derivations[b])
+        if commuted != of_section(rep, acting, frame_bracket(acting, a, b)):
+            witness = f"flatness fails on ({acting.frames[a]}, {acting.frames[b]})"
+            break
+    items.append(failed(f"{label}.flat", witness) if witness else passed(f"{label}.flat"))
+    return CheckReport(tuple(items))
+
+
+def derivation_identity(
+    acting: LieAlgebroid,
+    target: LieAlgebroid,
+    act: RepresentationMap,
+    back: RepresentationMap,
+    number: int,
+) -> CheckItem:
+    """Identity 1 (acting A, act rho, back sigma) or its mirror 2, on frames:
+    act_X([Y1, Y2]) = [act_X Y1, Y2] + [Y1, act_X Y2]
+                      + act_{back_{Y2} X}(Y1) - act_{back_{Y1} X}(Y2).
+    """
+    chart = target.chart
+    for alpha in range(acting.rank):
+        x = acting.frame_section(alpha).vector(chart)
+        for t1, t2 in itertools.combinations(range(target.rank), 2):
+            y1, y2 = target.frame_section(t1), target.frame_section(t2)
+            v1, v2 = y1.vector(chart), y2.vector(chart)
+            d = act.derivations[alpha]
+            lhs = apply_derivation(d, frame_bracket(target, t1, t2).vector(chart))
+            rhs = bracket_sections(target, target.section(apply_derivation(d, v1)), y2)
+            rhs = rhs + bracket_sections(target, y1, target.section(apply_derivation(d, v2)))
+            back_2 = of_section(act, acting, acting.section(apply_derivation(back.derivations[t2], x)))
+            back_1 = of_section(act, acting, acting.section(apply_derivation(back.derivations[t1], x)))
+            rhs = rhs + target.section(apply_derivation(back_2, v1))
+            rhs = rhs - target.section(apply_derivation(back_1, v2))
+            defect = target.section(lhs) - rhs
+            if not defect.is_zero:
+                return failed(
+                    f"identity_{number}",
+                    f"identity {number} at ({acting.frames[alpha]}; {target.frames[t1]}, "
+                    f"{target.frames[t2]}): defect = {defect.format(target.frames)}",
+                )
+    return passed(f"identity_{number}")
+
+
+def section_check_matched(mp: MatchedPair) -> CheckReport:
+    """The matched-pair check through derivation commutators and brackets
+    of sections: the oracle of `matched.check_matched`, which reads the
+    same items off the bowtie's structure equations."""
+    a_alg, b_alg = mp.algebroid_a, mp.algebroid_b
+    items: List[CheckItem] = []
+    for label, alg in (("A", a_alg), ("B", b_alg)):
+        rep = check_algebroid(alg)
+        items.append(passed(f"algebroid_{label}") if rep.ok else failed(f"algebroid_{label}", rep.first_failure.witness))
+    items.extend(check_representation(a_alg, mp.rho, "rho").items)
+    items.extend(check_representation(b_alg, mp.sigma, "sigma").items)
+    if not all(i.ok for i in items):
+        return CheckReport(tuple(items))
+
+    items.append(derivation_identity(a_alg, b_alg, mp.rho, mp.sigma, 1))
+    items.append(derivation_identity(b_alg, a_alg, mp.sigma, mp.rho, 2))
+
+    # identity 3: a(sigma_Y X) - b(rho_X Y) = [b(Y), a(X)]
+    witness = None
+    for alpha, beta in itertools.product(range(a_alg.rank), range(b_alg.rank)):
+        x = a_alg.frame_section(alpha).vector(a_alg.chart)
+        y = b_alg.frame_section(beta).vector(b_alg.chart)
+        lhs = a_alg.anchor_of(a_alg.section(apply_derivation(mp.sigma.derivations[beta], x)))
+        lhs = difference(lhs, b_alg.anchor_of(b_alg.section(apply_derivation(mp.rho.derivations[alpha], y))))
+        defect = difference(lhs, commutator(b_alg.anchor_field(beta), a_alg.anchor_field(alpha)))
+        if not defect.is_zero:
+            witness = (
+                f"identity 3 at ({a_alg.frames[alpha]}, {b_alg.frames[beta]}): "
+                f"defect = {defect}"
+            )
+            break
+    items.append(failed("identity_3", witness) if witness else passed("identity_3"))
+    return CheckReport(tuple(items))
+
+
+def applied_core_poisson(dla) -> PoissonChart:
+    """The Poisson structure on the core dual by applying the anchor fields
+    of the induced dual pair to the coordinates, with its antisymmetry
+    checked: the oracle of `doublela.core_poisson`, which reads the same
+    products off the anchor rows."""
+    e_v, dual = dla.dual_pair
+    chart = e_v.chart
+    size = chart.dim
+    coords = [Polynomial.coordinate(chart, name) for name in chart.names]
+    matrix = [[Polynomial.zero(chart) for _ in range(size)] for _ in range(size)]
+    for u in range(size):
+        for w in range(size):
+            entry = Polynomial.zero(chart)
+            for i in range(e_v.rank):
+                left = e_v.anchor_field(i).apply(coords[u])
+                if left:
+                    right = dual.anchor_field(i).apply(coords[w])
+                    if right:
+                        entry = entry + left * right
+            matrix[u][w] = entry
+    for u in range(size):
+        for w in range(size):
+            if matrix[u][w] + matrix[w][u]:
+                raise DoubleMismatch(
+                    f"induced bracket not antisymmetric at ({chart.names[u]}, {chart.names[w]})"
+                )
+    return PoissonChart(chart, matrix)
 
 
 def check_cor_sdp(mp: MatchedPair) -> CheckReport:
@@ -480,9 +681,8 @@ def frame_loop_check_algebroid(L: LieAlgebroid) -> CheckReport:
     items: List[CheckItem] = []
     witness = None
     for a, b in itertools.combinations(range(L.rank), 2):
-        lhs = L.anchor_of(L.frame_bracket(a, b))
-        rhs = L.anchor_field(a).commutator(L.anchor_field(b))
-        defect = lhs - rhs
+        lhs = L.anchor_of(frame_bracket(L, a, b))
+        defect = difference(lhs, commutator(L.anchor_field(a), L.anchor_field(b)))
         if not defect.is_zero:
             witness = (
                 f"pair ({L.frames[a]}, {L.frames[b]}): a([.,.]) - [a(.), a(.)] = {defect}"
@@ -492,9 +692,9 @@ def frame_loop_check_algebroid(L: LieAlgebroid) -> CheckReport:
 
     witness = None
     for a, b, c in itertools.combinations(range(L.rank), 3):
-        jac = bracket_sections(L, L.frame_bracket(a, b), L.frame_section(c))
-        jac = jac + bracket_sections(L, L.frame_bracket(b, c), L.frame_section(a))
-        jac = jac + bracket_sections(L, L.frame_bracket(c, a), L.frame_section(b))
+        jac = bracket_sections(L, frame_bracket(L, a, b), L.frame_section(c))
+        jac = jac + bracket_sections(L, frame_bracket(L, b, c), L.frame_section(a))
+        jac = jac + bracket_sections(L, frame_bracket(L, c, a), L.frame_section(b))
         if not jac.is_zero:
             witness = (
                 f"triple ({L.frames[a]}, {L.frames[b]}, {L.frames[c]}): "

@@ -11,7 +11,9 @@ the cotangent algebroids of the two linear Poisson structures, which prove
 defects by the Leibniz rule; the loop that computes every scaled defect in
 full stays here as its oracle.  The `random` family draws its seeded trials
 only when one of the other four families fails; the trial loop, run on
-every pair, stays here as its oracle.
+every pair, stays here as its oracle.  `core_poisson` reads the Poisson
+structure on the core dual off the anchor rows of the induced pair; the
+version that applies the anchor fields to coordinates is its oracle.
 """
 
 import contextlib
@@ -46,6 +48,7 @@ from doublealg.liealg import bialgebra_to_dual_pair
 from support import (
     MODELS,
     XY,
+    applied_core_poisson,
     constant_bundle,
     corpus_dual_pairs,
     dense_structure,
@@ -57,6 +60,7 @@ from support import (
     ladder_pair,
     random_bracket,
     rename,
+    sweep_doubles,
 )
 
 
@@ -227,7 +231,6 @@ def test_extract_cli_checks_the_matched_pair_once(monkeypatch):
 FRAME_CALCULUS = (
     (algebroid, "bracket_sections"),
     (LieAlgebroid, "anchor_of"),
-    (LieAlgebroid, "frame_bracket"),
 )
 
 
@@ -249,7 +252,7 @@ def test_passing_algebroid_check_builds_no_bracket(monkeypatch):
     assert counts == Counter()
     # the counters see the frame loop's calls
     assert frame_loop_check_algebroid(algebroids[0]).ok
-    assert counts["anchor_of"] and counts["frame_bracket"]
+    assert counts["anchor_of"]
 
 
 # --- the closed-form cotangent double against the cotangent algebroids
@@ -531,3 +534,46 @@ def test_passing_pair_draws_no_random_trial(monkeypatch):
     assert check_bialgebroid(*catalog.tangent_cotangent_pair()).ok
     assert counts["random_section"] == 0
     assert counts["differential"] <= 17
+
+
+# --- the Poisson structure on the core dual, read off the anchor rows
+
+
+def core_poisson_doubles():
+    """The corpus doubles, the sweep doubles at seeds 501-508 and the
+    so(3)*, gl(2)* and gl(3)* rungs, each with its `check_double` verdict."""
+    doubles = double_corpus() + sweep_doubles(range(501, 509)) + ladder_doubles()
+    doubles.append(("gl3", build_cotangent_double(*ladder_pair(gl(3)))))
+    return [(name, dla, check_double(dla).ok) for name, dla in doubles]
+
+
+def test_core_poisson_equals_the_applied_anchor_fields():
+    """Equal matrices on every passing double.  A failing double may induce
+    a bracket that is not antisymmetric, which both reject."""
+    seen = Counter()
+    for name, dla, ok in core_poisson_doubles():
+        try:
+            got = doublela.core_poisson(dla)
+        except ValueError:
+            got = None
+        try:
+            expected = applied_core_poisson(dla)
+        except ValueError:
+            expected = None
+        assert got == expected, name
+        assert expected is not None or not ok, name
+        seen[ok, expected is not None] += 1
+    assert seen[True, True] >= 44 and seen[False, True] >= 15 and seen[False, False] >= 10
+
+
+def test_core_poisson_applies_no_vector_field(monkeypatch):
+    doubles = [dla for _, dla, ok in core_poisson_doubles() if ok]
+    for dla in doubles:
+        dla.dual_pair
+    counts = count_calls(monkeypatch, ((algebroid.VectorField, "apply"),))
+    for dla in doubles:
+        doublela.core_poisson(dla)
+    assert counts == Counter()
+    # the counter sees the oracle's calls
+    applied_core_poisson(doubles[-1])
+    assert counts["apply"]

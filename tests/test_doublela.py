@@ -43,6 +43,7 @@ from support import (
     check_cor_sdp,
     constants,
     dense_structure,
+    scale_derivation,
     tangent_lavb,
 )
 
@@ -159,6 +160,22 @@ class TestCotangentDoubles:
             assert not check_bialgebroid(L, Ls).ok
             assert not check_double(build_cotangent_double(L, Ls)).ok
 
+    def test_criterion_on_a_chart_with_fibre_coordinates(self):
+        """The induced dual pairs of the cotangent doubles of these two pairs
+        live on (x, y, xi_dx', xi_dy') and on (x, y, xi_dx, xi_dy).  Their
+        own cotangent doubles must pick core frames whose fibre coordinates
+        xi_<core frame> are not on the chart yet."""
+        for name, expected, core in (
+            ("tangent_cotangent_pair", True, ("dx''", "dy''", "dxi_dx'", "dxi_dy'")),
+            ("broken_dual_pair_chart", False, ("dx'", "dy'", "dxi_dx", "dxi_dy")),
+        ):
+            L, Ls = build_cotangent_double(*getattr(catalog, name)()).dual_pair
+            for pair in ((L, Ls), (Ls, L)):
+                dla = build_cotangent_double(*pair)
+                assert dla.core_frames == core
+                assert check_bialgebroid(*pair).ok is expected
+                assert check_double(dla).ok is expected
+
     def test_bialgebra_case_is_vacant_with_coadjoint_actions(self):
         b = catalog.solvable2_bialgebra()
         from doublealg.liealg import bialgebra_to_dual_pair
@@ -168,9 +185,9 @@ class TestCotangentDoubles:
         mp, _ = matched_from_vacant(dla)
         reference = catalog.coadjoint_pair(b)
         for d1, d2 in zip(mp.rho.derivations, reference.rho.derivations):
-            assert d1.equals(d2)
+            assert d1 == d2
         for d1, d2 in zip(mp.sigma.derivations, reference.sigma.derivations):
-            assert d1.equals(d2)
+            assert d1 == d2
 
     def test_plane_double_diagnostics(self):
         tm, ct = catalog.tangent_cotangent_pair()
@@ -233,7 +250,7 @@ class TestVacantEquivalence:
                 mp.algebroid_a,
                 mp.algebroid_b,
                 mp.rho,
-                RepresentationMap([d.scale_by(scale) for d in mp.sigma.derivations]),
+                RepresentationMap([scale_derivation(d, scale) for d in mp.sigma.derivations]),
             )
 
         passing = [
@@ -267,7 +284,7 @@ class TestVacantEquivalence:
         rho_not_flat = MatchedPair(
             mp.algebroid_a,
             mp.algebroid_b,
-            RepresentationMap([d.scale_by(two) for d in mp.rho.derivations]),
+            RepresentationMap([scale_derivation(d, two) for d in mp.rho.derivations]),
             mp.sigma,
         )
         assert check_matched(rho_not_flat).first_failure.check_id == "rho.flat"
@@ -284,9 +301,9 @@ class TestVacantEquivalence:
             assert dense_structure(again.algebroid_a) == dense_structure(mp.algebroid_a)
             assert dense_structure(again.algebroid_b) == dense_structure(mp.algebroid_b)
             for d1, d2 in zip(again.rho.derivations, mp.rho.derivations):
-                assert d1.equals(d2)
+                assert d1 == d2
             for d1, d2 in zip(again.sigma.derivations, mp.sigma.derivations):
-                assert d1.equals(d2)
+                assert d1 == d2
             rebuilt = assemble_vacant_double(again)
             assert rebuilt.vertical.core_anchor == dla.vertical.core_anchor
             assert rebuilt.vertical.twist == dla.vertical.twist

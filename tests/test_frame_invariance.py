@@ -74,8 +74,7 @@ def verdicts(L, Lstar):
     try:
         double = check_double(build_cotangent_double(L, Lstar)).ok
     except ValueError as exc:
-        # `InvalidAlgebroid` for an invalid side; a plain `ValueError` where
-        # the induced dual pair of the double repeats a coordinate name
+        # `InvalidAlgebroid`, a `ValueError`, for an invalid side
         double = type(exc).__name__
     return report.ok, sides, double
 
@@ -115,10 +114,10 @@ def test_sweep_families():
 
 def test_corpus_dual_pairs():
     seen = assert_frame_invariant(corpus_dual_pairs(double_corpus()), seed=2, rounds=2)
-    # 8 passing and 8 failing pairs, and 4 whose double the package cannot
-    # build under their frame names
-    assert seen[True, (True, True), True] >= 6
-    assert seen[False, (True, True), False] >= 6
+    # 10 passing and 10 failing pairs, among them the induced pairs on
+    # (x, y, xi_dx, xi_dy) and their mirrors
+    assert seen[True, (True, True), True] >= 10
+    assert seen[False, (True, True), False] >= 10
 
 
 @pytest.mark.parametrize("name,g", [("so3", SO3), ("gl2", gl(2))])

@@ -15,8 +15,9 @@ the so(3)* Lie-Poisson dual pair, a double with a core whose stated
 diagnostics lines are then pinned through the CLI, and `check bialgebroid`,
 `build cotangent-double`, `check manin` and `build drinfeld` on a cobracket
 that fails co-Jacobi beside a valid dual pair (`support.CO_JACOBI_MODEL`),
-and `check matched` on pairs failing `sigma.flat`, `identity_1` and
-`identity_2` and on a pair whose A and B name their frames alike.
+`check matched` on pairs failing `sigma.flat`, `identity_1` and
+`identity_2` and on a pair whose A and B name their frames alike, and
+`build cotangent-double` on a chart that already holds `xi_dx` and `xi_dy`.
 """
 
 import contextlib
@@ -214,6 +215,29 @@ B = triv
 rho(f1) = derivation{f1: x * f1}
 sigma(f1) = derivation{f1: x * f1}
 """,
+    # a chart that already holds xi_dx and xi_dy: the core frames dx and
+    # dy of the cotangent double would give the induced duals those
+    # coordinates a second time
+    "xi_chart": """\
+[chart M]
+coords = [x, y, xi_dx, xi_dy]
+
+[algebroid TM]
+base = M
+frame = [v1, v2, v3, v4]
+anchor(v1) = d/dx
+anchor(v2) = d/dy
+anchor(v3) = d/dxi_dx
+anchor(v4) = d/dxi_dy
+
+[algebroid Tstar]
+base = M
+frame = [w1, w2, w3, w4]
+anchor(w1) = x * d/dy
+anchor(w2) = -x * d/dx
+bracket(w1, w2) = w1
+dual_of = TM
+""",
 }
 
 # The solvable cases were recorded while the Manin items were still computed,
@@ -229,6 +253,9 @@ sigma(f1) = derivation{f1: x * f1}
 # flatness and the three identities through derivation commutators and
 # brackets of sections, so they show that reading them off the bowtie's
 # structure equations changed no byte.
+# The xi_chart case exited 2 with `chart coordinates not distinct` until
+# the cotangent double refused core frame names whose fibre coordinate is
+# already on the chart; it was recorded with that fix.
 GENERATED_GOLDEN = """\
 solvable0 check manin text 0 d9710fdd6412ab50582673a0dc0d88a1b63cfac6c2a4ed53350e1f86460eb537
 solvable0 check manin json 0 c150c79f6e337038810f05dcd67b5e6542ab3eb1232098961cd8879cd6151769
@@ -276,6 +303,8 @@ matched_identity_2 check matched text 1 5c1e4222bd74858b0ca8c4272f43eb9b699ff454
 matched_identity_2 check matched json 1 47741c5fecb278048e61ec1a9534db361cd4dd2dd68fc4b7fa0291fc7fab0a68
 matched_same_frame check matched text 1 e17c43727042a0e3bb75e1f12214e19a3a97a562f537be28a616fa9b22275ba4
 matched_same_frame check matched json 1 c3a6e8e50dc2527b72e1c4a3a62b2627e23591f9f3cc274d5362a167839d5e1f
+xi_chart build cotangent-double text 0 e46684a8cd576e40fad1e4176509cbf8ab2511b0c8b551a34aef3ed4c049321b
+xi_chart build cotangent-double json 0 1b497926400ad5818d0d91c693f1cd233051b041d41e9b49d07abf02031bb49d
 """
 
 

@@ -148,22 +148,23 @@ def check_matched(mp: MatchedPair) -> CheckReport:
     fields = tuple(d.base_field for d in mp.rho.derivations + mp.sigma.derivations)
     jac = functools.cache(lambda a, b, c: jacobiator(nonzero, fields, a, b, c))
 
-    def minus_part(a: int, b: int, c: int, frames: range) -> Dict[Tuple[int], Polynomial]:
-        """Minus the components of Jac(a, b, c) along `frames`, renumbered from 0."""
-        return {(k - frames.start,): -p for k, p in jac(a, b, c).items() if k in frames and p}
+    def minus_part(triple: Tuple[int, int, int], frames: range) -> Dict[Tuple[int], Polynomial]:
+        """Minus the components along `frames` of the Jacobiator of the
+        frames `triple`, taken in increasing order, renumbered from 0."""
+        return {(k - frames.start,): -p for k, p in jac(*sorted(triple)).items() if k in frames and p}
 
-    def flat(label: str, own: range, other: range, triple) -> CheckItem:
+    def flat(label: str, own: range, other: range) -> CheckItem:
         for x, y in itertools.combinations(own, 2):
             if any(anchor_defect(nonzero, fields, x, y)) or any(
-                minus_part(*triple(x, y, z), other) for z in other
+                minus_part((x, y, z), other) for z in other
             ):
                 return failed(f"{label}.flat", f"flatness fails on ({names[x]}, {names[y]})")
         return passed(f"{label}.flat")
 
-    def identity(number: int, acting: range, target: range, triple) -> CheckItem:
+    def identity(number: int, acting: range, target: range) -> CheckItem:
         for x in acting:
             for y1, y2 in itertools.combinations(target, 2):
-                defect = minus_part(*triple(x, y1, y2), target)
+                defect = minus_part((x, y1, y2), target)
                 if defect:
                     section = Multisection(len(target), 1, defect)
                     return failed(
@@ -178,14 +179,14 @@ def check_matched(mp: MatchedPair) -> CheckReport:
         rep = check_algebroid(alg)
         items.append(passed(f"algebroid_{label}") if rep.ok else failed(f"algebroid_{label}", rep.first_failure.witness))
     items.append(_base_fields(a_alg, mp.rho, "rho"))
-    items.append(flat("rho", in_a, in_b, lambda a, b, t: (a, b, t)))
+    items.append(flat("rho", in_a, in_b))
     items.append(_base_fields(b_alg, mp.sigma, "sigma"))
-    items.append(flat("sigma", in_b, in_a, lambda s, t, a: (a, s, t)))
+    items.append(flat("sigma", in_b, in_a))
     if not all(i.ok for i in items):
         return CheckReport(tuple(items))
 
-    items.append(identity(1, in_a, in_b, lambda a, s, t: (a, s, t)))
-    items.append(identity(2, in_b, in_a, lambda s, a, b: (a, b, s)))
+    items.append(identity(1, in_a, in_b))
+    items.append(identity(2, in_b, in_a))
     witness = None
     for a, s in itertools.product(in_a, in_b):
         defect = anchor_defect(nonzero, fields, a, s)

@@ -9,11 +9,11 @@ import functools
 import random
 from collections import Counter
 
+import catalog
 from doublealg import algebroid
 from doublealg.algebroid import Derivation, LieAlgebroid, VectorField, random_polynomial
 from doublealg.exact import Chart, Polynomial
 from doublealg.matched import MatchedPair, RepresentationMap, check_matched
-import catalog
 from support import XY, cotangent, gate_corpus, section_check_matched
 from test_double_derived import count_calls
 from test_matched import SEMIDIRECT_CORPUS
@@ -133,7 +133,7 @@ def test_reports_equal_the_section_level_oracle():
 
 def test_a_passing_check_brackets_no_section(monkeypatch):
     """Flatness and the identities are read off the structure functions:
-    a passing check applies no derivation and brackets no section."""
+    a passing check brackets no section and takes no anchor of one."""
     passing = [mp for mp in gate_pairs() if check_matched(mp).ok]
     assert len(passing) >= 300
     counts = count_calls(

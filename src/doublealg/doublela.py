@@ -28,6 +28,7 @@ from .algebroid import (
     Derivation,
     LieAlgebroid,
     PoissonChart,
+    anchor_products,
     change_frames,
     check_compatibility,
     fibre_coordinate,
@@ -170,17 +171,11 @@ def check_double(dla: DoubleLieAlgebroid, seed: int = 7, max_degree: int = 2) ->
 def core_poisson(dla: DoubleLieAlgebroid) -> PoissonChart:
     """The Poisson structure induced on the core dual by the bialgebroid pair:
     {f, g} = sum_i e(frame_i)(f) * e_*(dual frame_i)(g), on the coordinates
-    sum_i a^u_i a_*^w_i, read off the anchor rows.  `PoissonChart` checks
-    its antisymmetry, a consequence of the double axioms."""
+    sum_i a^u_i a_*^w_i, read off the anchor rows (`anchor_products`).
+    `PoissonChart` checks its antisymmetry, a consequence of the double
+    axioms."""
     e_v, dual = dla.dual_pair
-    chart = e_v.chart
-    matrix = [[Polynomial.zero(chart)] * chart.dim for _ in range(chart.dim)]
-    for left, right in zip(e_v.anchor, dual.anchor):
-        for u, a in enumerate(left):
-            for w, b in enumerate(right):
-                if a and b:
-                    matrix[u][w] = matrix[u][w] + a * b
-    return PoissonChart(chart, matrix)
+    return PoissonChart(e_v.chart, anchor_products(e_v, dual))
 
 
 def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:

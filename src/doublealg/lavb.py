@@ -150,11 +150,14 @@ def total_algebroid(v: LAVBundle) -> LieAlgebroid:
     """The algebroid D -> A written over the total-space chart (x, u_a).
 
     Frames: the canonical linear sections (one per B-frame, zero twist)
-    followed by the core sections.
+    followed by the core sections.  A fibre coordinate u_a already on the
+    chart or named like a frame gets apostrophes (`unique_names`).
     """
-    return _generator_algebroid(
-        v, [bundle_fibre_coordinate(f) for f in v.bundle_frames], v.core_frames
+    fibre = unique_names(
+        [bundle_fibre_coordinate(f) for f in v.bundle_frames],
+        v.chart.names + v.side.frames + v.core_frames,
     )
+    return _generator_algebroid(v, fibre, v.core_frames)
 
 
 def induced_dual_algebroid(v: LAVBundle) -> LieAlgebroid:

@@ -11,9 +11,9 @@ passes Jacobi, its dual bracket passes Jacobi and the cobracket is a
 & Xu 1994, Lie bialgebroids and Poisson groupoids, Duke Math. J. 73), so
 these three gates are decided on the dual pair `bialgebra_to_dual_pair`
 by the code of `algebroid` that `check_algebroid` and
-`check_compatibility` run:
-`first_jacobiator` on each side and `compatibility_defect` on frame
-pairs.  This module only renders their witnesses, through
+`check_compatibility` run: `first_jacobiator` on each side and
+`frame_defect`, the compatibility defect in closed form, on frame pairs.
+This module only renders their witnesses, through
 `formatting.format_combination` and `format_wedge`.  The Manin-triple
 conditions of the double (invariant hyperbolic pairing, isotropic halves
 g and g*, both halves subalgebras) then hold by construction, and
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .algebroid import LieAlgebroid, compatibility_defect, first_jacobiator
+from .algebroid import LieAlgebroid, first_jacobiator, frame_defect
 from .exact import Chart, Polynomial, rat, signed_sum
 from .formatting import format_combination
 from .verdicts import CheckReport, passed
@@ -178,7 +178,7 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
     `check_algebroid` on each side and the `frames` family of
     `check_compatibility`: there d_* = -delta, so the cocycle defect
     delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i) is minus
-    `compatibility_defect` on (e_i, e_j).  Raises `ValueError` when a dual
+    `frame_defect` on (e_i, e_j).  Raises `ValueError` when a dual
     basis name <name>_d is already a basis name.  The bracket is scattered
     from the nonzero entries of g, g* and the cobracket images.
     """
@@ -187,9 +187,9 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
     _require_jacobi(dual, "dual bracket")
     names = g.frames
     for i, j in itertools.combinations(range(b.dim), 2):
-        defect = compatibility_defect(g, dual, g.frame_section(i), g.frame_section(j))
-        if not defect.is_zero:
-            wedge = {idx: -_value(p) for idx, p in defect.components}
+        defect = frame_defect(g, dual, i, j)
+        if any(defect.values()):
+            wedge = {idx: -_value(p) for idx, p in defect.items() if p}
             raise BialgebraError(
                 f"cocycle condition fails: pair ({names[i]}, {names[j]}): "
                 f"defect = {format_wedge(wedge, names)}"

@@ -12,6 +12,7 @@ structure tables the sparse store replaced,
 and the constructions only the tests use (scalar polynomials in the model
 grammar, the tangent prolongation)."""
 
+import functools
 import itertools
 import pathlib
 import random
@@ -21,6 +22,7 @@ from typing import Dict, List, Sequence
 import catalog
 import linalg
 from doublealg.algebroid import (
+    RANDOM_PAIRS,
     Derivation,
     LieAlgebroid,
     Multisection,
@@ -30,9 +32,12 @@ from doublealg.algebroid import (
     change_frames,
     check_algebroid,
     check_bialgebroid,
+    compatibility_defect,
     cotangent_algebroid,
+    differential,
     dual_poisson,
     random_polynomial,
+    random_section,
     tangent_algebroid,
 )
 from doublealg.doublela import (
@@ -217,6 +222,16 @@ def difference(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.chart, [a - b for a, b in zip(x.components, y.components)])
 
 
+def frame_section(L: LieAlgebroid, alpha: int) -> Multisection:
+    """The frame e_alpha as a degree-1 section."""
+    return Multisection(L.rank, 1, {(alpha,): Polynomial.constant(L.chart, 1)})
+
+
+def scale_section(x: Multisection, f: Polynomial) -> Multisection:
+    """f X, componentwise."""
+    return Multisection(x.rank, x.degree, {i: f * p for i, p in x.components})
+
+
 def frame_bracket(L: LieAlgebroid, a: int, b: int) -> Multisection:
     """[e_a, e_b] as a section."""
     return Multisection(L.rank, 1, {(g,): p for g, p in L.nonzero_structure[a][b]})
@@ -308,9 +323,9 @@ def derivation_identity(
     """
     chart = target.chart
     for alpha in range(acting.rank):
-        x = acting.frame_section(alpha).vector(chart)
+        x = frame_section(acting, alpha).vector(chart)
         for t1, t2 in itertools.combinations(range(target.rank), 2):
-            y1, y2 = target.frame_section(t1), target.frame_section(t2)
+            y1, y2 = frame_section(target, t1), frame_section(target, t2)
             v1, v2 = y1.vector(chart), y2.vector(chart)
             d = act.derivations[alpha]
             lhs = apply_derivation(d, frame_bracket(target, t1, t2).vector(chart))
@@ -350,8 +365,8 @@ def section_check_matched(mp: MatchedPair) -> CheckReport:
     # identity 3: a(sigma_Y X) - b(rho_X Y) = [b(Y), a(X)]
     witness = None
     for alpha, beta in itertools.product(range(a_alg.rank), range(b_alg.rank)):
-        x = a_alg.frame_section(alpha).vector(a_alg.chart)
-        y = b_alg.frame_section(beta).vector(b_alg.chart)
+        x = frame_section(a_alg, alpha).vector(a_alg.chart)
+        y = frame_section(b_alg, beta).vector(b_alg.chart)
         lhs = a_alg.anchor_of(a_alg.section(apply_derivation(mp.sigma.derivations[beta], x)))
         lhs = difference(lhs, b_alg.anchor_of(b_alg.section(apply_derivation(mp.rho.derivations[alpha], y))))
         defect = difference(lhs, commutator(b_alg.anchor_field(beta), a_alg.anchor_field(alpha)))
@@ -588,6 +603,15 @@ def sweep_doubles(seeds):
     return [(name, build_cotangent_double(*pair)) for name, pair in sweep_pairs(seeds)]
 
 
+def tt_pair(n):
+    """TM on the coordinates x1..xn against a dual with zero anchor and zero
+    bracket on the frames w1..wn: the pair of the `tt<n>` model."""
+    chart = Chart(tuple(f"x{i + 1}" for i in range(n)))
+    zero = Polynomial.zero(chart)
+    dual = LieAlgebroid(chart, tuple(f"w{i + 1}" for i in range(n)), [[zero] * n] * n, {})
+    return tangent_algebroid(chart), dual
+
+
 def corpus_dual_pairs(corpus):
     """The dual pair of every double of `corpus` (a `double_corpus` result)
     whose LA-vector bundles pass, both ways round."""
@@ -692,9 +716,9 @@ def frame_loop_check_algebroid(L: LieAlgebroid) -> CheckReport:
 
     witness = None
     for a, b, c in itertools.combinations(range(L.rank), 3):
-        jac = bracket_sections(L, frame_bracket(L, a, b), L.frame_section(c))
-        jac = jac + bracket_sections(L, frame_bracket(L, b, c), L.frame_section(a))
-        jac = jac + bracket_sections(L, frame_bracket(L, c, a), L.frame_section(b))
+        jac = bracket_sections(L, frame_bracket(L, a, b), frame_section(L, c))
+        jac = jac + bracket_sections(L, frame_bracket(L, b, c), frame_section(L, a))
+        jac = jac + bracket_sections(L, frame_bracket(L, c, a), frame_section(L, b))
         if not jac.is_zero:
             witness = (
                 f"triple ({L.frames[a]}, {L.frames[b]}, {L.frames[c]}): "
@@ -744,3 +768,86 @@ def general_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
                     new_vec[m] = new_vec[m] + old_vec[k].scale(inv[m][k])
         brackets[(a, b)] = tuple(new_vec)
     return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)
+
+
+def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, max_degree=2) -> CheckReport:
+    """The compatibility families through the section calculus: every
+    frame and function defect is `compatibility_defect` on sections, three
+    `schouten` and three `differential` calls each, and the symmetric part
+    applies the anchor of d_* x_i to x_j.  The oracle of
+    `algebroid.check_compatibility`, which scatters the same values from
+    the structure functions and the anchor rows."""
+    rank, frames, names = L.rank, L.frames, L.chart.names
+    coords = [Polynomial.coordinate(L.chart, name) for name in names]
+    functions = [Multisection.function(rank, c) for c in coords]
+    defect = functools.partial(compatibility_defect, L, Lstar)
+
+    @functools.cache
+    def frame_defect(a, b):
+        if a == b:
+            return Multisection.zero(rank, 2)
+        if a > b:
+            return frame_defect(b, a).scale(-1)
+        return defect(frame_section(L, a), frame_section(L, b))
+
+    @functools.cache
+    def function_defect(a, i):
+        return defect(frame_section(L, a), functions[i])
+
+    def scaled_defect(a, b, i):
+        return scale_section(frame_defect(a, b), coords[i]) + function_defect(a, i).wedge(
+            frame_section(L, b)
+        )
+
+    def random_defects():
+        rng = random.Random(seed)
+        for trial in range(RANDOM_PAIRS):
+            x = random_section(rng, L, max_degree)
+            y = random_section(rng, L, max_degree)
+            where = f"random trial {trial}: X = {x.format(frames)}, Y = {y.format(frames)}, "
+            yield where, defect(x, y)
+
+    def first_nonzero(check_id, cases):
+        for where, d in cases:
+            if not d.is_zero:
+                return failed(check_id, f"{where}defect = {d.format(frames)}")
+        return passed(check_id)
+
+    items = [
+        first_nonzero(
+            "frames",
+            (
+                (f"pair ({frames[a]}, {frames[b]}): ", frame_defect(a, b))
+                for a, b in itertools.combinations(range(rank), 2)
+            ),
+        ),
+        first_nonzero(
+            "scaled",
+            (
+                (f"pair ({frames[a]}, {names[i]} * {frames[b]}): ", scaled_defect(a, b, i))
+                for a, b in itertools.product(range(rank), repeat=2)
+                for i in range(len(names))
+            ),
+        ),
+        first_nonzero(
+            "function_pairs",
+            (
+                (f"pair ({frames[a]}, {names[i]}): ", function_defect(a, i))
+                for a in range(rank)
+                for i in range(len(names))
+            ),
+        ),
+    ]
+    flow = functools.cache(lambda i: L.anchor_of(differential(Lstar, functions[i])))
+    witness = None
+    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+        value = flow(i).apply(coords[j]) + flow(j).apply(coords[i])
+        if value:
+            witness = f"functions ({names[i]}, {names[j]}): a(d_*f)(g) + a(d_*g)(f) = {value}"
+            break
+    items.append(failed("symmetric_part", witness) if witness else passed("symmetric_part"))
+    if all(item.ok for item in items):
+        items.append(passed("random"))
+    else:
+        items.append(first_nonzero("random", random_defects()))
+    return CheckReport(tuple(items))

@@ -40,6 +40,7 @@ from support import (
     constants,
     dense_structure,
     frame_bracket,
+    frame_section,
     parse_polynomial,
     poisson_bracket,
 )
@@ -130,7 +131,7 @@ class TestValidatingBoundary:
 class TestBracketSections:
     def test_abelian_zero_anchor_frames_commute(self):
         L = LieAlgebra(2, {})
-        assert bracket_sections(L, L.frame_section(0), L.frame_section(1)).is_zero
+        assert bracket_sections(L, frame_section(L, 0), frame_section(L, 1)).is_zero
 
     def test_tangent_example_against_commutator_oracle(self):
         line = Chart(["x"])
@@ -384,7 +385,7 @@ class TestCotangentAlgebroid:
                     pairing = pairing + pois.matrix[i][j] * a[i] * b[j]
             return first - second - differential(TM, Multisection.function(2, pairing))
 
-        forms = [ct.frame_section(0), ct.frame_section(1)] + [
+        forms = [frame_section(ct, 0), frame_section(ct, 1)] + [
             random_multisection(rng, ct, 1) for _ in range(10)
         ]
         for alpha, beta in itertools.combinations(forms, 2):

@@ -1,0 +1,139 @@
+"""`check_compatibility` scatters the frame defects, the function defects
+and the symmetric part from the structure functions and the anchor rows;
+the section calculus it replaced (`support.section_check_compatibility`,
+three `schouten` and three `differential` calls per defect) is the
+oracle.  The two must give equal reports, witnesses included, on a corpus
+where every family fails often.  A passing check then makes no call of
+the section calculus at all.
+"""
+
+import functools
+import random
+from collections import Counter
+
+import catalog
+from doublealg import algebroid
+from doublealg.algebroid import check_bialgebroid, check_compatibility, first_jacobiator
+from doublealg.doublela import build_cotangent_double, check_double
+from doublealg.liealg import BialgebraError, bialgebra_to_dual_pair, drinfeld_double
+from support import (
+    SO3,
+    corpus_dual_pairs,
+    double_corpus,
+    gate_corpus,
+    gl,
+    ladder_pair,
+    random_bracket,
+    section_check_compatibility,
+    sweep_doubles,
+    sweep_pairs,
+    tt_pair,
+)
+from test_double_derived import count_calls
+
+FAMILIES = ("frames", "scaled", "function_pairs", "symmetric_part")
+SECTION_CALCULUS = (
+    (algebroid, "schouten"),
+    (algebroid, "differential"),
+    (algebroid, "bracket_sections"),
+    (algebroid, "compatibility_defect"),
+)
+
+
+def both_ways(named_pairs):
+    return [
+        entry for name, (L, Lstar) in named_pairs
+        for entry in ((name, (L, Lstar)), (f"{name}:reversed", (Lstar, L)))
+    ]
+
+
+def jacobi_failing_pairs(count, seed):
+    """Seeded rank-3 pairs of `random_bracket` algebroids on (x, y) where
+    at least one side fails Jacobi."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        pair = random_bracket(rng, ("e1", "e2", "e3")), random_bracket(rng, ("f1", "f2", "f3"))
+        if any(first_jacobiator(side) for side in pair):
+            out.append((f"random_bracket{len(out)}", pair))
+    return out
+
+
+@functools.cache
+def gate_pairs():
+    """The corpus dual pairs, the sweep pairs at seeds 1-8 and the dual
+    pairs of their cotangent doubles, the 400 seeded bialgebras as point
+    pairs, the so(3)*, gl(2)* and gl(3)* rungs, `tt<n>` for n <= 4 and the
+    dual pairs of their cotangent doubles, and 40 pairs failing Jacobi, all
+    but the corpus pairs (already both ways) taken both ways round."""
+    pairs = corpus_dual_pairs(double_corpus())
+    more = sweep_pairs(range(1, 9))
+    more += [(f"{name}:double", dla.dual_pair) for name, dla in sweep_doubles(range(1, 9))]
+    more += [(f"gate{k}", bialgebra_to_dual_pair(b)) for k, b in enumerate(gate_corpus())]
+    for name, g in (("so3", SO3), ("gl2", gl(2)), ("gl3", gl(3))):
+        more.append((name, build_cotangent_double(*ladder_pair(g)).dual_pair))
+    for n in range(1, 5):
+        more += [(f"tt{n}", tt_pair(n)), (f"tt{n}:double", build_cotangent_double(*tt_pair(n)).dual_pair)]
+    more += jacobi_failing_pairs(40, seed=3)
+    return tuple(pairs + both_ways(more))
+
+
+def test_reports_equal_the_section_calculus_oracle():
+    pairs = gate_pairs()
+    assert len(pairs) >= 1000
+    failures = Counter()
+    for name, (L, Lstar) in pairs:
+        report = check_compatibility(L, Lstar)
+        assert report == section_check_compatibility(L, Lstar), name
+        failures.update(item.check_id for item in report.items if not item.ok)
+        failures["pass" if report.ok else "fail"] += 1
+    # 1178 pairs: 522 pass and 656 fail; frames fails 570 times, scaled
+    # and function_pairs 204 each (scaled has no case over a point) and
+    # symmetric_part 138
+    assert failures["pass"] >= 450 and failures["fail"] >= 550
+    assert failures["frames"] >= 500
+    assert failures["scaled"] >= 150 and failures["function_pairs"] >= 150
+    assert failures["symmetric_part"] >= 100
+
+
+def test_other_seeds_and_degrees_equal_the_oracle():
+    """The `random` family draws its trials from `seed` and `max_degree`."""
+    for name, (L, Lstar) in gate_pairs()[::25]:
+        for seed, max_degree in ((0, 1), (11, 3)):
+            expected = section_check_compatibility(L, Lstar, seed, max_degree)
+            assert check_compatibility(L, Lstar, seed, max_degree) == expected, name
+
+
+def passing_doubles():
+    doubles = [build_cotangent_double(*ladder_pair(g)) for g in (SO3, gl(2))]
+    doubles += [build_cotangent_double(*tt_pair(n)) for n in (2, 3)]
+    doubles += [dla for _, dla in sweep_doubles(range(1, 3))]
+    return [dla for dla in doubles if check_double(dla).ok]
+
+
+def test_a_passing_check_makes_no_section_calculus_call(monkeypatch):
+    pairs = [pair for _, pair in gate_pairs() if check_bialgebroid(*pair).ok]
+    doubles = passing_doubles()
+    assert len(pairs) >= 300 and len(doubles) >= 6
+    for dla in doubles:
+        dla.dual_pair
+    counts = count_calls(monkeypatch, SECTION_CALCULUS)
+    assert all(check_bialgebroid(*pair).ok for pair in pairs)
+    assert all(check_double(dla).ok for dla in doubles)
+    assert counts == Counter()
+    # the counters see the oracle's calls
+    assert section_check_compatibility(*catalog.tangent_cotangent_pair()).ok
+    assert counts["schouten"] and counts["differential"] and counts["bracket_sections"]
+
+
+def test_drinfeld_double_makes_no_compatibility_defect_call(monkeypatch):
+    counts = count_calls(monkeypatch, SECTION_CALCULUS)
+    outcomes = Counter()
+    for b in gate_corpus():
+        try:
+            drinfeld_double(b)
+            outcomes["double"] += 1
+        except BialgebraError as exc:
+            outcomes[str(exc).split(":")[0]] += 1
+    assert outcomes["double"] >= 100 and outcomes["cocycle condition fails"] >= 10
+    assert counts == Counter()

@@ -10,6 +10,8 @@ import pytest
 import catalog
 from doublealg.algebroid import (
     Derivation,
+    LieAlgebroid,
+    change_frames,
     check_algebroid,
     check_bialgebroid,
     tangent_algebroid,
@@ -175,6 +177,18 @@ class TestCotangentDoubles:
                 assert dla.core_frames == core
                 assert check_bialgebroid(*pair).ok is expected
                 assert check_double(dla).ok is expected
+
+    def test_fibre_coordinates_avoid_the_chart(self):
+        """On a chart that already holds u_v1, the total algebroid of the
+        vertical LA-vector bundle (bundle frames v1, v2) must not name its
+        fibre coordinates u_v1 and u_v2."""
+        chart = Chart(("x", "u_v1"))
+        zero = Polynomial.zero(chart)
+        tm = change_frames(tangent_algebroid(chart), [[1, 0], [0, 1]], ("v1", "v2"))
+        dual = LieAlgebroid(chart, ("w1", "w2"), [[zero, zero], [zero, zero]], {})
+        dla = build_cotangent_double(tm, dual)
+        assert dla.vertical.total.chart.names == ("x", "u_v1", "u_v1'", "u_v2")
+        assert check_bialgebroid(tm, dual).ok and check_double(dla).ok
 
     def test_bialgebra_case_is_vacant_with_coadjoint_actions(self):
         b = catalog.solvable2_bialgebra()

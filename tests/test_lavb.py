@@ -40,6 +40,7 @@ from support import (
     commutator,
     dense_structure,
     frame_bracket,
+    frame_section,
     lavb_corpus,
     parse_polynomial,
     poisson_bracket,
@@ -90,7 +91,7 @@ class TestTangentExample:
         # [coordinate lift, vertical lift of g(x) f] = vertical lift of g'(x) f
         total = TA.total
         core = core_section(TA, [parse_polynomial("x^2", LINE)])
-        got = bracket_sections(total, total.frame_section(0), core)
+        got = bracket_sections(total, frame_section(total, 0), core)
         expected = total.section(
             [Polynomial.zero(total.chart), parse_polynomial("2 * x", total.chart)]
         )
@@ -98,7 +99,7 @@ class TestTangentExample:
 
     def test_module_action_against_commutator_oracle(self):
         total = TA.total
-        lin = total.frame_section(0)
+        lin = frame_section(total, 0)
         core = core_section(TA, [parse_polynomial("x^2", LINE)])
         got = bracket_sections(total, lin, core)
         oracle = commutator(total.anchor_of(lin), total.anchor_of(core))
@@ -320,7 +321,7 @@ class TestZeroStructure:
         )
         assert check_lavb(v).ok
         total = v.total
-        lin1, lin2 = total.frame_section(0), total.frame_section(1)
+        lin1, lin2 = frame_section(total, 0), frame_section(total, 1)
         core = core_section(v, [Polynomial.constant(chart, 1)])
         assert bracket_sections(total, lin1, lin2).is_zero
         assert bracket_sections(total, lin1, core).is_zero

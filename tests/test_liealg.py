@@ -14,7 +14,13 @@ from catalog import (
     heisenberg_noncocycle_bialgebra,
     solvable2_bialgebra,
 )
-from doublealg.algebroid import check_algebroid, compatibility_defect, first_jacobiator
+from doublealg.algebroid import (
+    Multisection,
+    check_algebroid,
+    compatibility_defect,
+    first_jacobiator,
+    frame_defect,
+)
 from doublealg.exact import format_rat
 from doublealg.formatting import format_pairing_lines
 from doublealg.model import parse_model
@@ -46,7 +52,7 @@ from manin_oracle import (
     jacobi_report,
     paired_double,
 )
-from support import MODELS, constants, gate_corpus, random_bialgebra
+from support import MODELS, constants, frame_section, gate_corpus, random_bialgebra
 
 
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:
@@ -574,13 +580,14 @@ class TestGatesAgainstDenseOracle:
     def test_compatibility_defect_is_minus_the_cocycle_defect(self):
         """On every frame pair, Jacobi or not: the sign that lets
         `drinfeld_double` read the cocycle defect off the compatibility
-        defect."""
+        defect, and the closed-form `frame_defect` it reads is that defect."""
         nonzero = Counter()
         for b in gate_corpus():
             g, dual = bialgebra_to_dual_pair(b)
             gated = first_jacobiator(g) is None and first_jacobiator(dual) is None
             for i, j in itertools.combinations(range(b.dim), 2):
-                defect = compatibility_defect(g, dual, g.frame_section(i), g.frame_section(j))
+                defect = compatibility_defect(g, dual, frame_section(g, i), frame_section(g, j))
+                assert Multisection(b.dim, 2, frame_defect(g, dual, i, j)) == defect
                 minus = {idx: -poly.terms[0][1] for idx, poly in defect.components}
                 assert minus == cocycle_defect(b, i, j)
                 nonzero[gated] += not defect.is_zero

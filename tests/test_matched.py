@@ -30,6 +30,7 @@ from support import (
     check_representation,
     constants,
     dense_structure,
+    frame_section,
     scale_derivation,
 )
 
@@ -191,8 +192,8 @@ class TestBowtie:
         ra = mp.algebroid_a.rank
         for i in range(ra):
             for j in range(mp.algebroid_b.rank):
-                x = mp.algebroid_a.frame_section(i).vector(mp.chart)
-                y = mp.algebroid_b.frame_section(j).vector(mp.chart)
+                x = frame_section(mp.algebroid_a, i).vector(mp.chart)
+                y = frame_section(mp.algebroid_b, j).vector(mp.chart)
                 expected = tuple(-p for p in apply_derivation(mp.sigma.derivations[j], x)) + tuple(
                     apply_derivation(mp.rho.derivations[i], y)
                 )

@@ -17,7 +17,8 @@ diagnostics lines are then pinned through the CLI, and `check bialgebroid`,
 that fails co-Jacobi beside a valid dual pair (`support.CO_JACOBI_MODEL`),
 `check matched` on pairs failing `sigma.flat`, `identity_1` and
 `identity_2` and on a pair whose A and B name their frames alike, and
-`build cotangent-double` on a chart that already holds `xi_dx` and `xi_dy`.
+`build cotangent-double` on a chart that already holds `xi_dx` and `xi_dy`
+and on one that already holds `u_v1`.
 """
 
 import contextlib
@@ -238,6 +239,23 @@ anchor(w2) = -x * d/dx
 bracket(w1, w2) = w1
 dual_of = TM
 """,
+    # a chart that already holds u_v1: the vertical total algebroid of the
+    # cotangent double would give its chart that coordinate a second time
+    "u_chart": """\
+[chart M]
+coords = [x, u_v1]
+
+[algebroid TM]
+base = M
+frame = [v1, v2]
+anchor(v1) = d/dx
+anchor(v2) = d/du_v1
+
+[algebroid Tstar]
+base = M
+frame = [w1, w2]
+dual_of = TM
+""",
 }
 
 # The solvable cases were recorded while the Manin items were still computed,
@@ -255,7 +273,9 @@ dual_of = TM
 # structure equations changed no byte.
 # The xi_chart case exited 2 with `chart coordinates not distinct` until
 # the cotangent double refused core frame names whose fibre coordinate is
-# already on the chart; it was recorded with that fix.
+# already on the chart; it was recorded with that fix.  Likewise the
+# u_chart case exited 2 until the total algebroid of an LA-vector bundle
+# disambiguated its fibre coordinates u_<frame> against the chart.
 GENERATED_GOLDEN = """\
 solvable0 check manin text 0 d9710fdd6412ab50582673a0dc0d88a1b63cfac6c2a4ed53350e1f86460eb537
 solvable0 check manin json 0 c150c79f6e337038810f05dcd67b5e6542ab3eb1232098961cd8879cd6151769
@@ -305,6 +325,8 @@ matched_same_frame check matched text 1 e17c43727042a0e3bb75e1f12214e19a3a97a562
 matched_same_frame check matched json 1 c3a6e8e50dc2527b72e1c4a3a62b2627e23591f9f3cc274d5362a167839d5e1f
 xi_chart build cotangent-double text 0 e46684a8cd576e40fad1e4176509cbf8ab2511b0c8b551a34aef3ed4c049321b
 xi_chart build cotangent-double json 0 1b497926400ad5818d0d91c693f1cd233051b041d41e9b49d07abf02031bb49d
+u_chart build cotangent-double text 0 272117c35a85dd996a94167555d84109107ec600b97a05cc3c4f7664d2791c82
+u_chart build cotangent-double json 0 563e1d7f5cb384e4820bdfbd52f50b785fa0e56fe51a01443e648dc603aee50b
 """
 
 

@@ -35,7 +35,6 @@ from doublealg.algebroid import (
     PoissonChart,
     change_frames,
     check_algebroid,
-    check_bialgebroid,
     cotangent_algebroid,
     differential,
     random_polynomial,
@@ -56,6 +55,7 @@ from support import (
     ladder_pair,
     perturbations,
     random_bracket,
+    section_check_compatibility,
 )
 
 # --- the scattering differential against the gathering one
@@ -170,7 +170,9 @@ def test_differential_matches_gather_on_dense_forms():
 
 def test_differential_looks_up_no_component(monkeypatch):
     """`differential` reads the nonzero components only; the gathering
-    oracle made one signed lookup per (target, term)."""
+    oracle made one signed lookup per (target, term).  Driven by the
+    section-calculus oracle of `check_compatibility`, which still takes
+    d_* of frames, functions and brackets."""
     depth, lookups = [0], Counter()
     inner_differential, inner_lookup = algebroid.differential, Multisection.component_general
 
@@ -187,7 +189,7 @@ def test_differential_looks_up_no_component(monkeypatch):
 
     monkeypatch.setattr(algebroid, "differential", counted_differential)
     monkeypatch.setattr(Multisection, "component_general", counted_lookup)
-    assert check_bialgebroid(*catalog.tangent_cotangent_pair()).ok
+    assert section_check_compatibility(*catalog.tangent_cotangent_pair()).ok
     assert lookups["in differential"] == 0
     assert lookups["elsewhere"] > 0  # `schouten` still reads functions this way
 

@@ -18,7 +18,11 @@ that fails co-Jacobi beside a valid dual pair (`support.CO_JACOBI_MODEL`),
 `check matched` on pairs failing `sigma.flat`, `identity_1` and
 `identity_2` and on a pair whose A and B name their frames alike, and
 `build cotangent-double` on a chart that already holds `xi_dx` and `xi_dy`
-and on one that already holds `u_v1`.
+and on one that already holds `u_v1`.  Reports that print proper
+fractions are pinned on a bialgebroid over pi = 1/2 * x d/dx ^ d/dy, a
+3/4 bracket that fails with fractional witnesses, a bracket whose two
+halves sum to an integer and the solvable2 bialgebra with a halved
+cobracket.
 """
 
 import contextlib
@@ -256,6 +260,70 @@ base = M
 frame = [w1, w2]
 dual_of = TM
 """,
+    # the tangent algebroid of (x, y) against the cotangent algebroid of
+    # pi = 1/2 * x d/dx ^ d/dy: a bialgebroid whose structure functions are
+    # proper fractions
+    "half_pi": """\
+[chart M]
+coords = [x, y]
+
+[algebroid TM]
+base = M
+frame = [v1, v2]
+anchor(v1) = d/dx
+anchor(v2) = d/dy
+
+[algebroid Tstar]
+base = M
+frame = [w1, w2]
+anchor(w1) = 1/2 * x * d/dy
+anchor(w2) = -1/2 * x * d/dx
+bracket(w1, w2) = 1/2 * w1
+dual_of = TM
+""",
+    # a 3/4 bracket on T*M with zero anchor: fails scaled, function_pairs
+    # and the random trials, whose witnesses print proper fractions
+    "three_quarter_bracket": """\
+[chart M]
+coords = [x, y]
+
+[algebroid TM]
+base = M
+frame = [v1, v2]
+anchor(v1) = d/dx
+anchor(v2) = d/dy
+
+[algebroid Tstar]
+base = M
+frame = [w1, w2]
+bracket(w1, w2) = 3/4 * x * w1
+dual_of = TM
+""",
+    # the bracket of tangent_cotangent_pair written as 1/2 * w1 + 1/2 * w1:
+    # the two fractions sum to the integer 1
+    "half_cancel": """\
+[chart M]
+coords = [x, y]
+
+[algebroid TM]
+base = M
+frame = [v1, v2]
+anchor(v1) = d/dx
+anchor(v2) = d/dy
+
+[algebroid Tstar]
+base = M
+frame = [w1, w2]
+anchor(w1) = x * d/dy
+anchor(w2) = -x * d/dx
+bracket(w1, w2) = 1/2 * w1 + 1/2 * w1
+dual_of = TM
+""",
+    # the bundled solvable2 bialgebra with its cobracket halved
+    "half_bialgebra": (
+        "[lie_algebra g]\ndim = 2\nbracket(e1, e2) = e2\n\n"
+        "[cobracket d]\nalgebra = g\ndelta(e2) = 1/2 * e1 ^ e2\n"
+    ),
 }
 
 # The solvable cases were recorded while the Manin items were still computed,
@@ -276,6 +344,10 @@ dual_of = TM
 # already on the chart; it was recorded with that fix.  Likewise the
 # u_chart case exited 2 until the total algebroid of an LA-vector bundle
 # disambiguated its fibre coordinates u_<frame> against the chart.
+# The half_pi, three_quarter_bracket, half_cancel and half_bialgebra cases
+# were recorded while the kernel still stored every coefficient as a
+# `Fraction`, so they show that storing integral ones as `int`s changed no
+# byte of a report that prints proper fractions.
 GENERATED_GOLDEN = """\
 solvable0 check manin text 0 d9710fdd6412ab50582673a0dc0d88a1b63cfac6c2a4ed53350e1f86460eb537
 solvable0 check manin json 0 c150c79f6e337038810f05dcd67b5e6542ab3eb1232098961cd8879cd6151769
@@ -327,6 +399,22 @@ xi_chart build cotangent-double text 0 e46684a8cd576e40fad1e4176509cbf8ab2511b0c
 xi_chart build cotangent-double json 0 1b497926400ad5818d0d91c693f1cd233051b041d41e9b49d07abf02031bb49d
 u_chart build cotangent-double text 0 272117c35a85dd996a94167555d84109107ec600b97a05cc3c4f7664d2791c82
 u_chart build cotangent-double json 0 563e1d7f5cb384e4820bdfbd52f50b785fa0e56fe51a01443e648dc603aee50b
+half_pi check bialgebroid text 0 26f5decdf655801d0b320581834236dbaa34bb09703f588214743c515e0044c7
+half_pi check bialgebroid json 0 1a7a0e041858b3fb789fd95aefbb4fdb38d438169abd9accbc72fa61aa96e001
+half_pi build cotangent-double text 0 eb7d4b10df7e0af119b1fa1b5347418d4097088002a8be8e8e5f3fc0e9e73d8f
+half_pi build cotangent-double json 0 3b8abc01d10aa7cc50270dbd939c806eb6be123020b41c45c4d95561c5d721f8
+three_quarter_bracket check bialgebroid text 1 f315a891dda7ef4bb4dcf3ffbc1555fd17ce3df43d98e163e2bcea3f1931a683
+three_quarter_bracket check bialgebroid json 1 bdc96ca170409de80c9e786fada2982c36031bfe28f6b500235ec5a0033213fe
+three_quarter_bracket build cotangent-double text 1 d286a99c35b5f00c015c1787f538b302a2a8a1b03e1d8c08e3487879363490ee
+three_quarter_bracket build cotangent-double json 1 840309b2958118c339f7dce2c4d676f0386e4b3b40124b407d77ac5f67cc6d10
+half_cancel check bialgebroid text 0 7b45d3598909d6fe10ff7e393a914342a990bfdb2d94c1162ad8efbf32bae23e
+half_cancel check bialgebroid json 0 d3c6f803d139a00bc73fcb9a8b738a9983b1a6c34e456255c48434281d2c1acf
+half_cancel build cotangent-double text 0 19410d7fb344b66e66e4cb043c914f476ca3296a051faa0dee6632d3c9044a3a
+half_cancel build cotangent-double json 0 7aae27acfbdddd8d819544a6160bef59e85ca15f100f2ff3b7bb52cefaee4270
+half_bialgebra check manin text 0 91b4c500e0ac9ac7a8e76d113ff882250eb1e37c552e07f39d670872de28aafd
+half_bialgebra check manin json 0 1e83ecf8665ef272dc6326602611cb3f6740780448cd942396d2ae9859647b10
+half_bialgebra build drinfeld text 0 9cd7123740a833d9a037b3c81efaab63040d08174e0ae60d73480f17b56977a1
+half_bialgebra build drinfeld json 0 784e9f70ea47c3c8d406e12c2f95ba1f4b88594708c105f81e79d599231e3767
 """
 
 

@@ -397,6 +397,42 @@ class TestHostileNumbers:
             "basis names must be distinct and match dim\n"
         )
 
+    @pytest.fixture
+    def default_digit_limit(self):
+        """Python's default 4300-digit limit on int <-> str conversion."""
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oversized_literal_is_a_parse_error(self, tmp_path, capsys, default_digit_limit, fmt):
+        text = (MODELS / "tangent_cotangent_pair.pass").read_text()
+        text = text.replace("bracket(w1, w2) = w1", f"bracket(w1, w2) = {'1' * 5000} * w1")
+        path = tmp_path / "m.model"
+        path.write_text(text)
+        code = main(["check", "bialgebroid", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("doublealg: parse error: line 14: in [algebroid Tstar]: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oversized_witness_is_an_error(self, tmp_path, capsys, default_digit_limit, fmt):
+        """A 4000-digit anchor and bracket coefficient parses, but its square
+        in the anchor-defect witness exceeds the limit while printing."""
+        big = "7" * 4000
+        text = (MODELS / "tangent_cotangent_pair.pass").read_text()
+        text = text.replace("bracket(w1, w2) = w1", f"bracket(w1, w2) = {big} * w1")
+        text = text.replace("anchor(w1) = x * d/dy", f"anchor(w1) = {big} * x * d/dy")
+        path = tmp_path / "m.model"
+        path.write_text(text)
+        code = main(["check", "bialgebroid", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("doublealg: error: Exceeds the limit (4300 digits)")
+        assert captured.err.count("\n") == 1
+
     def test_counts_at_the_bound_are_accepted(self):
         model = parse_model("[lie_algebra g]\ndim = 64\n[dvb D]\nbase = [x]\nranks = {A: 0, B: 64, C: 1}\n")
         assert model.lie_algebras["g"].rank == 64

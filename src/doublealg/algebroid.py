@@ -18,10 +18,9 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .exact import Chart, ChartMismatch, Polynomial, rat
+from .exact import Chart, ChartMismatch, Coefficient, Polynomial, rat
 from .verdicts import CheckItem, CheckReport, failed, passed
 
 Index = Tuple[int, ...]
@@ -177,7 +176,7 @@ class Multisection:
         return Multisection(self.rank, self.degree, acc)
 
     def __sub__(self, other: "Multisection") -> "Multisection":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, value) -> "Multisection":
         c = rat(value)
@@ -536,14 +535,14 @@ def schouten(L: LieAlgebroid, p: Multisection, q: Multisection) -> Multisection:
         return bracket_sections(L, p, q)
     if dq >= 2:
         result = Multisection.zero(L.rank, out_degree)
-        sign = Fraction(-1) ** ((dp - 1) % 2)
+        sign = (-1) ** ((dp - 1) % 2)
         for idx, poly in q.components:
             head = Multisection(L.rank, 1, {(idx[0],): poly})
             tail = Multisection(L.rank, dq - 1, {idx[1:]: Polynomial.constant(L.chart, 1)})
             result = result + schouten(L, p, head).wedge(tail)
             result = result + head.wedge(schouten(L, p, tail)).scale(sign)
         return result
-    swap_sign = Fraction(-1) ** (((dp - 1) * (dq - 1) + 1) % 2)
+    swap_sign = (-1) ** (((dp - 1) * (dq - 1) + 1) % 2)
     return schouten(L, q, p).scale(swap_sign)
 
 
@@ -662,7 +661,7 @@ RANDOM_PAIRS = 4  # seeded section pairs drawn by the `random` family
 
 
 def random_polynomial(rng: random.Random, chart: Chart, max_degree: int = 2) -> Polynomial:
-    terms: Dict[Index, Fraction] = {}
+    terms: Dict[Index, Coefficient] = {}
     n = chart.dim
     for _ in range(rng.randint(1, 3)):
         exp = [0] * n
@@ -671,9 +670,9 @@ def random_polynomial(rng: random.Random, chart: Chart, max_degree: int = 2) -> 
             if n == 0:
                 break
             exp[rng.randrange(n)] += 1
-        coeff = Fraction(rng.randint(-3, 3))
+        coeff = rng.randint(-3, 3)
         key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     return Polynomial(chart, terms)
 
 
@@ -935,7 +934,7 @@ def check_compatibility(
 # frame changes and bridges to the finite-dimensional layer
 
 
-def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Fraction]], new_names: Sequence[str]) -> LieAlgebroid:
+def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Coefficient]], new_names: Sequence[str]) -> LieAlgebroid:
     """Relabel and re-sign the frames by a signed permutation matrix.
 
     Column j of `matrix` is new frame j in old frames; its one nonzero entry
@@ -947,7 +946,7 @@ def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Fraction]], new_nam
     """
     r = L.rank
     perm: List[int] = []
-    signs: List[Fraction] = []
+    signs: List[Coefficient] = []
     for j in range(r):
         column = [(i, rat(matrix[i][j])) for i in range(r) if matrix[i][j] != 0]
         if len(column) != 1 or abs(column[0][1]) != 1:

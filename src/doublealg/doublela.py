@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Tuple
 
@@ -126,17 +125,17 @@ def dual_pair_over_core_dual(
     ra = dla.side_a.rank
     rb = dla.side_b.rank
     size = ra + rb
-    matrix = [[Fraction(0)] * size for _ in range(size)]
+    matrix = [[0] * size for _ in range(size)]
     names: List[str] = []
     # dual of transposed-linear frame beta (position beta in e_v) is the
     # core frame psi_beta of e_h (position ra + beta), coefficient +1
     for beta in range(rb):
-        matrix[ra + beta][beta] = Fraction(1)
+        matrix[ra + beta][beta] = 1
         names.append(e_h.frames[ra + beta])
     # dual of core frame a (position rb + a in e_v) is minus the transposed
     # linear frame eta_a of e_h (position a)
     for a in range(ra):
-        matrix[a][rb + a] = Fraction(-1)
+        matrix[a][rb + a] = -1
         names.append(f"{e_h.frames[a]}_op")
     names = list(unique_names(names, e_h.chart.names))
     dual = change_frames(e_h, matrix, names)

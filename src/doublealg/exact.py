@@ -1,25 +1,28 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Every coefficient in this package is a `fractions.Fraction`; nothing is ever
-rounded, so equality of canonical forms is decidable and all axiom checks
-downstream are exact.
+Every coefficient in this package is an exact rational: an `int` when its
+value is integral and a `fractions.Fraction` with denominator greater than 1
+otherwise.  Nothing is ever rounded, so equality of canonical forms is
+decidable and all axiom checks downstream are exact; integral models never
+leave `int` arithmetic.
 
 A polynomial lives on a `Chart` (an ordered tuple of coordinate names, possibly
 empty for a point base) and is stored sparsely:
 
-    terms: Tuple[Tuple[Tuple[int, ...], Fraction], ...]
+    terms: Tuple[Tuple[Tuple[int, ...], Coefficient], ...]
 
 pairs of an exponent tuple (one entry per chart coordinate) and a nonzero
-coefficient, in canonical order: descending (total degree, exponent tuple).
+coefficient (an `int`, or a `Fraction` whose denominator exceeds 1), in
+canonical order: descending (total degree, exponent tuple).
 The zero polynomial has no terms.  Printing follows the same order, and the
 text grammar round-trips bit-exactly with the parser in `parsing`.
 
 `Polynomial(chart, terms)` validates its input; the kernel's own results
 are built by `Polynomial._from_terms`, which trusts them and only drops
-zero coefficients and sorts.  Each chart holds one shared zero polynomial,
-and the ring operations return an operand unchanged where the result
-equals it (adding or subtracting zero, multiplying by zero, negating
-zero).
+zero coefficients, turns an integral `Fraction` into its numerator and
+sorts.  Each chart holds one shared zero polynomial, and the ring
+operations return an operand unchanged where the result equals it (adding
+or subtracting zero, multiplying by zero, negating zero).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
+Coefficient = int | Fraction
 
 
 class ChartMismatch(ValueError):
@@ -41,18 +45,20 @@ class UnknownCoordinate(KeyError):
     """Raised when a coordinate name is not part of a chart."""
 
 
-def rat(value) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def rat(value) -> Coefficient:
+    """Coerce ints, strings like '3/4', and Fractions to an exact rational
+    in canonical form: an `int` when the value is integral, else a
+    `Fraction` with denominator greater than 1."""
     if isinstance(value, str):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rat(value: Fraction) -> str:
+def format_rat(value: Coefficient) -> str:
     """Print a rational as `p` or `p/q`."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -97,22 +103,20 @@ class Chart:
         return f"Chart({', '.join(self.names)})"
 
 
-ONE = Fraction(1)
-
-
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse polynomial on a chart with Fraction coefficients.
+    """Sparse polynomial on a chart with exact rational coefficients.
 
     Immutable; all operations return new values.  Two polynomials are equal
-    iff their charts and term maps are equal (canonical form stores no zero
-    coefficients).
+    iff their charts and term maps are equal: canonical form stores no zero
+    coefficient, and each coefficient is an `int` when integral and a
+    `Fraction` with denominator greater than 1 otherwise.
     """
 
     chart: Chart
-    terms: Tuple[Tuple[Exponent, Fraction], ...]
+    terms: Tuple[Tuple[Exponent, Coefficient], ...]
 
-    def __init__(self, chart: Chart, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, chart: Chart, terms: Mapping[Exponent, Coefficient] | None = None):
         object.__setattr__(self, "chart", chart)
         cleaned = {}
         if terms:
@@ -128,16 +132,23 @@ class Polynomial:
         object.__setattr__(self, "terms", _canonical(list(cleaned.items())))
 
     @classmethod
-    def _from_terms(cls, chart: Chart, acc: Mapping[Exponent, Fraction]) -> "Polynomial":
+    def _from_terms(cls, chart: Chart, acc: Mapping[Exponent, Coefficient]) -> "Polynomial":
         """Trusted constructor for results of the operations below.
 
         `acc` must map exponent tuples of the chart's length with no
-        negative entry to `Fraction`s; only zero coefficients are dropped.
-        Input from outside the kernel goes through `Polynomial(chart, terms)`.
+        negative entry to `int`s and `Fraction`s; zero coefficients are
+        dropped and a `Fraction` with denominator 1, as in 1/2 + 1/2, is
+        replaced by its numerator.  Input from outside the kernel goes
+        through `Polynomial(chart, terms)`.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "chart", chart)
-        object.__setattr__(poly, "terms", _canonical([t for t in acc.items() if t[1]]))
+        terms = [
+            (e, c.numerator) if type(c) is Fraction and c.denominator == 1 else (e, c)
+            for e, c in acc.items()
+            if c
+        ]
+        object.__setattr__(poly, "terms", _canonical(terms))
         return poly
 
     # --- constructors -------------------------------------------------
@@ -157,7 +168,7 @@ class Polynomial:
     def coordinate(chart: Chart, name: str) -> "Polynomial":
         i = chart.index(name)
         exp = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return Polynomial._from_terms(chart, {exp: ONE})
+        return Polynomial._from_terms(chart, {exp: 1})
 
     # --- ring structure -----------------------------------------------
 
@@ -171,7 +182,7 @@ class Polynomial:
             return self
         if not self.terms:
             return other
-        acc: Dict[Exponent, Fraction] = dict(self.terms)
+        acc: Dict[Exponent, Coefficient] = dict(self.terms)
         for exp, coeff in other.terms:
             acc[exp] = acc[exp] + coeff if exp in acc else coeff
         return Polynomial._from_terms(self.chart, acc)
@@ -185,7 +196,7 @@ class Polynomial:
         self._require_same_chart(other)
         if not other.terms:
             return self
-        acc: Dict[Exponent, Fraction] = dict(self.terms)
+        acc: Dict[Exponent, Coefficient] = dict(self.terms)
         for exp, coeff in other.terms:
             acc[exp] = acc[exp] - coeff if exp in acc else -coeff
         return Polynomial._from_terms(self.chart, acc)
@@ -196,7 +207,7 @@ class Polynomial:
             return self
         if not other.terms:
             return other
-        acc: Dict[Exponent, Fraction] = {}
+        acc: Dict[Exponent, Coefficient] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 exp = tuple(map(add, e1, e2))
@@ -219,7 +230,7 @@ class Polynomial:
     def partial(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to a chart coordinate."""
         i = self.chart.index(name)
-        acc: Dict[Exponent, Fraction] = {}
+        acc: Dict[Exponent, Coefficient] = {}
         for exp, coeff in self.terms:
             if exp[i] == 0:
                 continue
@@ -231,7 +242,7 @@ class Polynomial:
     def restrict(self, target: Chart) -> "Polynomial":
         """Project onto a subchart; raises if a dropped coordinate occurs."""
         keep = {name: target.index(name) for name in self.chart.names if name in set(target.names)}
-        acc: Dict[Exponent, Fraction] = {}
+        acc: Dict[Exponent, Coefficient] = {}
         for exp, coeff in self.terms:
             new = [0] * target.dim
             for name, power in zip(self.chart.names, exp):
@@ -246,7 +257,7 @@ class Polynomial:
     def lift(self, target: Chart) -> "Polynomial":
         """Reinterpret on a chart containing this chart's coordinates."""
         index = {name: target.index(name) for name in self.chart.names}
-        acc: Dict[Exponent, Fraction] = {}
+        acc: Dict[Exponent, Coefficient] = {}
         for exp, coeff in self.terms:
             new = [0] * target.dim
             for name, power in zip(self.chart.names, exp):
@@ -260,7 +271,7 @@ class Polynomial:
         Requires the polynomial to have degree <= 1 in `name`.
         """
         i = self.chart.index(name)
-        acc: Dict[Exponent, Fraction] = {}
+        acc: Dict[Exponent, Coefficient] = {}
         for exp, coeff in self.terms:
             if exp[i] == 0:
                 continue
@@ -280,12 +291,12 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _term_key(item: Tuple[Exponent, Fraction]):
+def _term_key(item: Tuple[Exponent, Coefficient]):
     exp, _ = item
     return (sum(exp), exp)
 
 
-def _canonical(terms: List[Tuple[Exponent, Fraction]]) -> Tuple[Tuple[Exponent, Fraction], ...]:
+def _canonical(terms: List[Tuple[Exponent, Coefficient]]) -> Tuple[Tuple[Exponent, Coefficient], ...]:
     """`terms`, sorted in place by descending (total degree, exponent tuple)."""
     if len(terms) > 1:
         terms.sort(key=_term_key, reverse=True)
@@ -301,7 +312,7 @@ def monomial_atoms(chart: Chart, exp: Exponent) -> List[str]:
     ]
 
 
-def signed_sum(terms: Iterable[Tuple[Fraction, Sequence[str]]]) -> str:
+def signed_sum(terms: Iterable[Tuple[Coefficient, Sequence[str]]]) -> str:
     """Render (coefficient, atoms) pairs in the text grammar, as in
     `a - 2 * b + 3/2 * x^2 * c`.
 

@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebroid import LieAlgebroid, first_jacobiator, frame_defect
-from .exact import Chart, Polynomial, rat, signed_sum
+from .exact import Chart, Coefficient, Polynomial, rat, signed_sum
 from .formatting import format_combination
 from .verdicts import CheckReport, passed
 
-Wedge = Dict[Tuple[int, int], Fraction]  # keys j < k
+Wedge = Dict[Tuple[int, int], Coefficient]  # keys j < k
 
 
 class BialgebraError(ValueError):
@@ -83,11 +82,11 @@ class Cobracket:
     components ((j, k), delta^{jk}_i) with j < k, in increasing (j, k)."""
 
     dim: int
-    images: Tuple[Tuple[Tuple[Tuple[int, int], Fraction], ...], ...]
+    images: Tuple[Tuple[Tuple[Tuple[int, int], Coefficient], ...], ...]
 
     def __init__(self, dim: int, images: Mapping[int, Wedge] | None = None):
         object.__setattr__(self, "dim", dim)
-        table: List[Tuple[Tuple[Tuple[int, int], Fraction], ...]] = []
+        table: List[Tuple[Tuple[Tuple[int, int], Coefficient], ...]] = []
         source = images or {}
         for i in range(dim):
             w = source.get(i, {})
@@ -99,9 +98,9 @@ class Cobracket:
                 if j == k:
                     raise ValueError("wedge of a basis vector with itself")
                 if j < k:
-                    cleaned[(j, k)] = cleaned.get((j, k), Fraction(0)) + coeff
+                    cleaned[(j, k)] = cleaned.get((j, k), 0) + coeff
                 else:
-                    cleaned[(k, j)] = cleaned.get((k, j), Fraction(0)) - coeff
+                    cleaned[(k, j)] = cleaned.get((k, j), 0) - coeff
             table.append(tuple(sorted((p, c) for p, c in cleaned.items() if c != 0)))
         object.__setattr__(self, "images", tuple(table))
 
@@ -150,9 +149,9 @@ def bialgebra_to_dual_pair(b: Bialgebra) -> Tuple[LieAlgebroid, LieAlgebroid]:
     return b.algebra, dual
 
 
-def _value(p: Polynomial) -> Fraction:
+def _value(p: Polynomial) -> Coefficient:
     """The value of a polynomial on the point chart."""
-    return p.terms[0][1] if p.terms else Fraction(0)
+    return p.terms[0][1] if p.terms else 0
 
 
 def _require_jacobi(side: LieAlgebroid, label: str) -> None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .algebroid import (
@@ -244,12 +243,12 @@ def build_semidirects(mp: MatchedPair) -> Tuple[LieAlgebroid, LieAlgebroid]:
     # the vertical induced dual has frames B + A*; new frame k is old order[k]
     e_v = vertical.induced_dual
     order = list(range(rb, size)) + list(range(rb))
-    reorder = [[Fraction(int(i == order[k])) for k in range(size)] for i in range(size)]
+    reorder = [[int(i == order[k]) for k in range(size)] for i in range(size)]
     semidirect = change_frames(e_v, reorder, [e_v.frames[k] for k in order])
 
     # the horizontal induced dual has frames A + B*
     e_h = horizontal.induced_dual
     signs = [-1] * ra + [1] * rb
-    negate = [[Fraction(signs[k] if i == k else 0) for k in range(size)] for i in range(size)]
+    negate = [[signs[k] if i == k else 0 for k in range(size)] for i in range(size)]
     opposite = change_frames(e_h, negate, e_h.frames)
     return semidirect, opposite

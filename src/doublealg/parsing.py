@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exact import Chart, Polynomial
+from .exact import Chart, Coefficient, Polynomial
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^/(),;:=\[\]{}]))"
@@ -76,7 +76,7 @@ class Tokens:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
 
 
-def _parse_rational(tokens: Tokens) -> Fraction:
+def _parse_rational(tokens: Tokens) -> Coefficient:
     kind, value, pos = tokens.next()
     if kind != "int":
         raise ParseError(f"expected number, got {value!r}", pos)
@@ -88,7 +88,7 @@ def _parse_rational(tokens: Tokens) -> Fraction:
         if int(den) == 0:
             raise ParseError("zero denominator", pos)
         return Fraction(num, int(den))
-    return Fraction(num)
+    return num
 
 
 class _Term:
@@ -110,9 +110,9 @@ def _parse_terms(
     coord_set = set(chart.names)
     frame_set = set(frames)
     terms: List[_Term] = []
-    sign = Fraction(1)
+    sign = 1
     if tokens.accept_sym("-"):
-        sign = Fraction(-1)
+        sign = -1
     while True:
         term = _Term()
         term.coeff = Polynomial.constant(chart, sign)
@@ -183,9 +183,9 @@ def _parse_terms(
                 break
         terms.append(term)
         if tokens.accept_sym("+"):
-            sign = Fraction(1)
+            sign = 1
         elif tokens.accept_sym("-"):
-            sign = Fraction(-1)
+            sign = -1
         else:
             return terms
 
@@ -226,17 +226,17 @@ def parse_vector_field(text: str, chart: Chart) -> List[Polynomial]:
 
 def parse_wedge_combination(
     text: str, frames: Tuple[str, ...]
-) -> Dict[Tuple[int, int], Fraction]:
+) -> Dict[Tuple[int, int], Coefficient]:
     """`c * e_j ^ e_k` sums -> antisymmetric coefficients keyed by j < k."""
     chart = Chart(())
     tokens = Tokens(text)
     terms = _parse_terms(tokens, chart, frames, allow_wedge=True, allow_vector_field=False)
     tokens.expect_done()
-    out: Dict[Tuple[int, int], Fraction] = {}
+    out: Dict[Tuple[int, int], Coefficient] = {}
     index = {name: i for i, name in enumerate(frames)}
     for term in terms:
         constant = Polynomial.constant(chart, 0) + term.coeff
-        coeff = dict(constant.terms).get((), Fraction(0))
+        coeff = dict(constant.terms).get((), 0)
         if term.wedge is None:
             if coeff == 0:
                 continue
@@ -247,7 +247,7 @@ def parse_wedge_combination(
                 raise ParseError(f"wedge of a frame with itself: {term.wedge[0]}")
             continue
         if i < j:
-            out[(i, j)] = out.get((i, j), Fraction(0)) + coeff
+            out[(i, j)] = out.get((i, j), 0) + coeff
         else:
-            out[(j, i)] = out.get((j, i), Fraction(0)) - coeff
+            out[(j, i)] = out.get((j, i), 0) - coeff
     return {key: value for key, value in out.items() if value != 0}

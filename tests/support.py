@@ -10,7 +10,8 @@ frame-loop algebroid check, the core Poisson structure through anchor
 fields and the frame change by any invertible matrix), the dense
 structure tables the sparse store replaced,
 and the constructions only the tests use (scalar polynomials in the model
-grammar, the tangent prolongation)."""
+grammar, the tangent prolongation), and the `Fraction`-only reference
+polynomial the exact kernel is compared with."""
 
 import functools
 import itertools
@@ -121,6 +122,91 @@ def parse_polynomial(text: str, chart: Chart) -> Polynomial:
             raise ParseError("frame atom in a scalar polynomial")
         total = total + term.coeff
     return total
+
+
+class FractionPolynomial:
+    """Reference for the exact kernel: a polynomial kept as a dict from
+    exponent tuple to nonzero coefficient, every coefficient a `Fraction`
+    whatever its value, each operation written out term by term."""
+
+    def __init__(self, names: Sequence[str], terms):
+        self.names = tuple(names)
+        self.terms = {tuple(exp): Fraction(c) for exp, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, p: Polynomial) -> "FractionPolynomial":
+        return cls(p.chart.names, dict(p.terms))
+
+    def matches(self, p: Polynomial) -> bool:
+        """`p` has this chart and these coefficient values."""
+        return p.chart.names == self.names and dict(p.terms) == self.terms
+
+    def _combine(self, other, sign: int) -> "FractionPolynomial":
+        acc = dict(self.terms)
+        for exp, c in other.terms.items():
+            acc[exp] = acc.get(exp, Fraction(0)) + sign * c
+        return FractionPolynomial(self.names, acc)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __mul__(self, other):
+        acc: Dict[tuple, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exp = tuple(a + b for a, b in zip(e1, e2))
+                acc[exp] = acc.get(exp, Fraction(0)) + c1 * c2
+        return FractionPolynomial(self.names, acc)
+
+    def scale(self, value) -> "FractionPolynomial":
+        return FractionPolynomial(self.names, {e: Fraction(value) * c for e, c in self.terms.items()})
+
+    def partial(self, name: str) -> "FractionPolynomial":
+        i = self.names.index(name)
+        acc = {}
+        for exp, c in self.terms.items():
+            if exp[i]:
+                acc[exp[:i] + (exp[i] - 1,) + exp[i + 1 :]] = c * exp[i]
+        return FractionPolynomial(self.names, acc)
+
+    def lift(self, names: Sequence[str]) -> "FractionPolynomial":
+        powers = [dict(zip(self.names, exp)) for exp in self.terms]
+        return FractionPolynomial(
+            names,
+            {tuple(pw.get(n, 0) for n in names): c for pw, c in zip(powers, self.terms.values())},
+        )
+
+    def restrict(self, names: Sequence[str]) -> "FractionPolynomial":
+        for exp in self.terms:
+            assert all(n in names for n, k in zip(self.names, exp) if k)
+        return self.lift(names)
+
+    def coefficient_of(self, name: str) -> "FractionPolynomial":
+        i = self.names.index(name)
+        return FractionPolynomial(
+            self.names,
+            {exp[:i] + (0,) + exp[i + 1 :]: c for exp, c in self.terms.items() if exp[i] == 1},
+        )
+
+    def __str__(self) -> str:
+        out = []
+        for exp in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            c = self.terms[exp]
+            atoms = [n if k == 1 else f"{n}^{k}" for n, k in zip(self.names, exp) if k]
+            mag = abs(c)
+            number = f"{mag.numerator}" if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+            body = " * ".join(([number] if mag != 1 or not atoms else []) + atoms)
+            if out:
+                out.append(f" + {body}" if c > 0 else f" - {body}")
+            else:
+                out.append(body if c > 0 else f"-{body}")
+        return "".join(out) or "0"
 
 
 def poisson_bracket(P: PoissonChart, f: Polynomial, g: Polynomial) -> Polynomial:

@@ -12,10 +12,11 @@ from doublealg.exact import (
     Polynomial,
     UnknownCoordinate,
     monomial_atoms,
+    rat,
     signed_sum,
 )
 from doublealg.parsing import ParseError
-from support import parse_polynomial, rename
+from support import FractionPolynomial, parse_polynomial, rename
 
 XY = Chart(["x", "y"])
 POINT = Chart([])
@@ -37,6 +38,30 @@ linear_in_y = st.dictionaries(
 scalars = st.one_of(st.integers(-3, 3), coeffs, st.sampled_from(["0", "3/4", "-2"]))
 # the shared zero of the chart, a zero built apart, or a drawn polynomial
 zero_or_polys = st.one_of(st.just(Polynomial.zero(XY)), st.just(Polynomial(XY, {})), polys)
+# ints and proper fractions, as the canonical form stores them
+mixed_coeffs = st.one_of(
+    st.integers(-40, 40), st.builds(Fraction, st.integers(-40, 40), st.integers(2, 8))
+)
+mixed_polys = st.dictionaries(exponents, mixed_coeffs, max_size=5).map(lambda d: Polynomial(XY, d))
+mixed_linear_in_y = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 1)), mixed_coeffs, max_size=5
+).map(lambda d: Polynomial(XY, d))
+mixed_scalars = st.one_of(
+    mixed_coeffs, st.sampled_from(["0", "3/4", "-2", "6/3", Fraction(4, 2), Fraction(2, 3)])
+)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(p, q) where q shares some monomials of p with a coefficient that
+    sums with p's to a small integer, zero included, as 1/2 + 1/2 or
+    1/3 - 1/3 do."""
+    p = draw(mixed_polys)
+    q_terms = draw(st.dictionaries(exponents, mixed_coeffs, max_size=3))
+    for exp, coeff in p.terms:
+        if draw(st.booleans()):
+            q_terms[exp] = draw(st.integers(-2, 2)) - coeff
+    return p, Polynomial(XY, q_terms)
 
 
 def brute_force_product(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -144,7 +169,8 @@ def assert_canonical(r: Polynomial) -> None:
     assert rebuilt.chart == r.chart
     assert rebuilt.terms == r.terms
     for exp, coeff in r.terms:
-        assert type(coeff) is Fraction and coeff != 0
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
         assert type(exp) is tuple and all(type(e) is int for e in exp)
 
 
@@ -214,6 +240,57 @@ class TestCanonicalResults:
     def test_zero_operands_match_the_oracles(self, p, q):
         assert p - q == p + (-q)
         assert p * q == brute_force_product(p, q)
+
+
+class TestIntegralCoefficients:
+    """An integral coefficient is stored as an `int`, a proper fraction as
+    a `Fraction`; the kernel agrees with a `Fraction`-only reference."""
+
+    def test_rat_returns_an_int_for_an_integral_value(self):
+        for value, expected in ((Fraction(4, 2), 2), ("6/3", 2), (3, 3), (True, 1), ("-0", 0)):
+            got = rat(value)
+            assert type(got) is int and got == expected
+        assert rat("3/4") == Fraction(3, 4) and type(rat("-6/4")) is Fraction
+
+    def test_fractions_summing_to_an_integer_leave_an_int(self):
+        half = P("1/2 * x")
+        assert (half + half).terms == (((1, 0), 1),)
+        assert type((half + half).terms[0][1]) is int
+        assert type((P("2/3 * y") * P("3/2 * x")).terms[0][1]) is int
+        assert type(P("3/4 * x^2").partial("x").scale(Fraction(2, 3)).terms[0][1]) is int
+        assert (half - half).is_zero
+        assert str(half + half) == "x"
+
+    def test_int_and_fraction_coefficients_compare_and_hash_alike(self):
+        a = Polynomial(XY, {(1, 0): 2})
+        b = Polynomial._from_terms(XY, {(1, 0): Fraction(2)})
+        assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2 * x"
+
+    @given(cancelling_pairs(), mixed_linear_in_y, mixed_scalars)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_kernel_matches_the_fraction_reference(self, pq, r, c):
+        p, q = pq
+        fp, fq, fr = (FractionPolynomial.of(x) for x in (p, q, r))
+        big = Chart(["y", "t", "x"])
+        pairs = [
+            (p + q, fp + fq),
+            (p - q, fp - fq),
+            (q - p, fq - fp),
+            (p - p, fp - fp),
+            (p * q, fp * fq),
+            (-p, -fp),
+            (p.scale(c), fp.scale(c)),
+            (q.scale(c), fq.scale(c)),
+            (p.partial("x"), fp.partial("x")),
+            ((p * q).partial("y"), (fp * fq).partial("y")),
+            (p.lift(big), fp.lift(big.names)),
+            ((p + q).lift(big).restrict(XY), (fp + fq).lift(big.names).restrict(XY.names)),
+            (r.coefficient_of("y"), fr.coefficient_of("y")),
+        ]
+        for got, want in pairs:
+            assert_canonical(got)
+            assert want.matches(got)
+            assert str(got) == str(want)
 
 
 class TestSharedZero:

@@ -11,6 +11,7 @@ from doublealg.exact import (
     ChartMismatch,
     Polynomial,
     UnknownCoordinate,
+    format_rat,
     monomial_atoms,
     rat,
     signed_sum,
@@ -261,10 +262,13 @@ class TestIntegralCoefficients:
         assert (half - half).is_zero
         assert str(half + half) == "x"
 
-    def test_int_and_fraction_coefficients_compare_and_hash_alike(self):
-        a = Polynomial(XY, {(1, 0): 2})
-        b = Polynomial._from_terms(XY, {(1, 0): Fraction(2)})
-        assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2 * x"
+    def test_an_int_prints_compares_and_hashes_as_the_equal_fraction(self):
+        for n in (-3, -1, 1, 7, 10**30):
+            f = Fraction(n)
+            assert n == f and hash(n) == hash(f) and (n > 0) == (f > 0)
+            assert format_rat(n) == format_rat(f) and abs(n) == abs(f)
+            assert signed_sum([(n, ["x"]), (n, [])]) == signed_sum([(f, ["x"]), (f, [])])
+        assert Polynomial._from_terms(XY, {(1, 0): Fraction(2)}) == Polynomial(XY, {(1, 0): 2})
 
     @given(cancelling_pairs(), mixed_linear_in_y, mixed_scalars)
     @settings(max_examples=150, deadline=None, derandomize=True)

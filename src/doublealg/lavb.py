@@ -10,7 +10,8 @@ canonical generators of its section module:
   on core sections);
 * a core anchor C -> A (the restriction of the anchor to the core);
 * an antisymmetric Hom(A, C)-valued twist for each B-frame pair (the core
-  component of the bracket of two canonical linear sections).
+  component of the bracket of two canonical linear sections), stored once
+  and sparsely: only the pairs alpha < beta whose matrix is nonzero.
 
 From this data one builder writes down the honest algebroid on the total
 space of A (generator-level Jacobi and Leibniz checks reduce to
@@ -23,7 +24,6 @@ LA-vector bundle, so the induced dual is valid whenever the generators are.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -73,7 +73,10 @@ class LAVBundle:
     anchor_derivations: Tuple[Derivation, ...]  # on A, one per B-frame
     core_derivations: Tuple[Derivation, ...]  # on C, one per B-frame
     core_anchor: Matrix  # core_anchor[gamma][a]: A-components of the image of c_gamma
-    twist: Tuple[Tuple[Matrix, ...], ...]  # twist[alpha][beta][a][gamma], antisymmetric
+    # ((alpha, beta), m) for alpha < beta with m nonzero, in increasing pair
+    # order; m[a][gamma] is the C-component gamma of the twist of a_a, and the
+    # beta < alpha half is the negation.
+    twist: Tuple[Tuple[Tuple[int, int], Matrix], ...]
 
     def __init__(
         self,
@@ -103,25 +106,22 @@ class LAVBundle:
         all_names = side.frames + bundle_frames + core_frames
         if len(set(all_names)) != len(all_names):
             raise ValueError("side, bundle and core frame names must be distinct")
-        zero = Polynomial.zero(chart)
-        zero_mat = tuple(tuple(zero for _ in range(rc)) for _ in range(ra))
-        table = [[zero_mat for _ in range(rb)] for _ in range(rb)]
-        if twist:
-            for (a, b), mat in twist.items():
-                if a >= b:
-                    raise ValueError("provide twist entries with alpha < beta only")
-                mat = tuple(tuple(row) for row in mat)
-                if len(mat) != ra or any(len(row) != rc for row in mat):
-                    raise ValueError("twist entry must be (bundle rank) x (core rank)")
-                table[a][b] = mat
-                table[b][a] = tuple(tuple(-p for p in row) for row in mat)
+        stored = []
+        for a, b in sorted(twist or {}):
+            if not 0 <= a < b < rb:
+                raise ValueError(f"twist pair {(a, b)} is not alpha < beta among {rb} side frames")
+            mat = tuple(tuple(row) for row in twist[(a, b)])
+            if len(mat) != ra or any(len(row) != rc for row in mat):
+                raise ValueError("twist entry must be (bundle rank) x (core rank)")
+            if any(p for row in mat for p in row):
+                stored.append(((a, b), mat))
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "bundle_frames", bundle_frames)
         object.__setattr__(self, "core_frames", core_frames)
         object.__setattr__(self, "anchor_derivations", tuple(anchor_derivations))
         object.__setattr__(self, "core_derivations", tuple(core_derivations))
         object.__setattr__(self, "core_anchor", core_anchor)
-        object.__setattr__(self, "twist", tuple(tuple(row) for row in table))
+        object.__setattr__(self, "twist", tuple(stored))
 
     @property
     def chart(self) -> Chart:
@@ -212,29 +212,28 @@ def _generator_algebroid(
             row.append(v.core_anchor[gamma][a].lift(chart))
         anchor_rows.append(tuple(row))
 
-    brackets: Dict[Tuple[int, int], Tuple[Polynomial, ...]] = {}
-    for al, be in itertools.combinations(range(rb), 2):
-        vec = [zero for _ in range(rb + rc)]
-        for g, coeff in v.side.nonzero_structure[al][be]:
-            vec[g] = coeff.lift(chart)
+    # only pairs with a nonzero entry get a vector; core/core brackets vanish
+    brackets: Dict[Tuple[int, int], List[Polynomial]] = {}
+
+    def vector(pair: Tuple[int, int]) -> List[Polynomial]:
+        return brackets.setdefault(pair, [zero] * (rb + rc))
+
+    for al, row in enumerate(v.side.nonzero_structure):
+        for be in range(al + 1, rb):
+            for g, coeff in row[be]:
+                vector((al, be))[g] = coeff.lift(chart)
+    for pair, mat in v.twist:
+        vec = vector(pair)
         for g in range(rc):
-            entry = zero
             for a in range(ra):
-                t = v.twist[al][be][a][g]
+                t = mat[a][g]
                 if t:
-                    entry = entry + t.lift(chart) * u[a]
-            vec[rb + g] = entry
-        brackets[(al, be)] = tuple(vec)
-    for beta in range(rb):
-        q = v.core_derivations[beta]
-        for gamma in range(rc):
-            vec = [zero for _ in range(rb + rc)]
-            for delta in range(rc):
-                m = q.matrix[gamma][delta]
+                    vec[rb + g] = vec[rb + g] + t.lift(chart) * u[a]
+    for beta, q in enumerate(v.core_derivations):
+        for gamma, row in enumerate(q.matrix):
+            for delta, m in enumerate(row):
                 if m:
-                    vec[rb + delta] = m.lift(chart)
-            brackets[(beta, rb + gamma)] = tuple(vec)
-    # core/core brackets vanish identically
+                    vector((beta, rb + gamma))[rb + delta] = m.lift(chart)
 
     frames = v.side.frames + tuple(core_names)
     return LieAlgebroid(chart, frames, anchor_rows, brackets)
@@ -248,10 +247,7 @@ def dual_lavb(v: LAVBundle) -> LAVBundle:
     new_core_anchor = [
         [-v.core_anchor[gamma][a] for gamma in range(rc)] for a in range(ra)
     ]
-    new_twist = {}
-    for al, be in itertools.combinations(range(v.side.rank), 2):
-        mat = [[v.twist[al][be][a][gamma] for a in range(ra)] for gamma in range(rc)]
-        new_twist[(al, be)] = mat
+    new_twist = {pair: tuple(zip(*mat)) for pair, mat in v.twist}
     new_bundle = unique_names(
         [dual_frame_name(f) for f in v.core_frames], v.side.frames + v.chart.names
     )

@@ -99,9 +99,15 @@ class ModelError(ValueError):
         self.line = line
 
 
-def _check_count(label: str, value: int, line: int) -> None:
+def _parse_count(label: str, text: str, line: int) -> int:
+    """`text` as a count between 0 and MAX_COUNT, else a parse error at `line`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ModelError(f"{label} must be an integer, got {text.strip()!r}", line)
     if not 0 <= value <= MAX_COUNT:
         raise ModelError(f"{label} must be between 0 and {MAX_COUNT}, got {value}", line)
+    return value
 
 
 def _parsed(line: int, parse, *args):
@@ -282,11 +288,7 @@ def parse_model(text: str) -> ModelFile:
             elif block.kind == "lie_algebra":
                 block.known_keys(["dim", "basis", "bracket"])
                 dim_text, dim_line = block.single("dim", required=True)
-                try:
-                    dim = int(dim_text)
-                except ValueError:
-                    raise ModelError(f"dim must be an integer, got {dim_text!r}", dim_line)
-                _check_count("dim", dim, dim_line)
+                dim = _parse_count("dim", dim_text, dim_line)
                 basis_entry = block.single("basis")
                 names = (
                     _parse_name_list(*basis_entry)
@@ -395,8 +397,7 @@ def parse_model(text: str) -> ModelFile:
                             raise ModelError(f"ranks keys are A, B, C; got {key!r}", line)
                         if key in rank_map:
                             raise ModelError(f"duplicate ranks key {key!r}", line)
-                        rank_map[key] = int(num)
-                        _check_count(f"ranks[{key}]", rank_map[key], line)
+                        rank_map[key] = _parse_count(f"ranks[{key}]", num, line)
                 for side in ("A", "B", "C"):
                     entry = block.single(f"frames_{side}")
                     if entry:

@@ -8,7 +8,8 @@ of a pair through derivation commutators and brackets of sections with
 the operator algebra it needs, the gathering Cartan differential, the
 frame-loop algebroid check, the core Poisson structure through anchor
 fields and the frame change by any invertible matrix), the dense
-structure tables the sparse store replaced,
+structure tables the sparse store replaced, the dense twist table and
+LA-vector bundle builder the sparse twist store replaced,
 and the constructions only the tests use (scalar polynomials in the model
 grammar, the tangent prolongation), and the `Fraction`-only reference
 polynomial the exact kernel is compared with."""
@@ -262,6 +263,70 @@ def dense_structure(L: LieAlgebroid):
             dense_row.append(tuple(vec))
         table.append(tuple(dense_row))
     return tuple(table)
+
+
+def dense_twist(v):
+    """The dense table the twist store replaced: twist[alpha][beta][a][gamma]
+    for every side-frame pair, zero matrices included, the beta < alpha half
+    the negation of the alpha < beta half."""
+    zero = Polynomial.zero(v.chart)
+    zero_mat = tuple((zero,) * v.core_rank for _ in range(v.bundle_rank))
+    table = [[zero_mat] * v.side.rank for _ in range(v.side.rank)]
+    for (a, b), mat in v.twist:
+        table[a][b] = mat
+        table[b][a] = tuple(tuple(-p for p in row) for row in mat)
+    return table
+
+
+def dense_generator_algebroid(v, twist, fibre_names, core_names):
+    """The dense builder `lavb._generator_algebroid` replaced: the
+    algebroid of the generator data `v` with the dense twist table `twist`,
+    a bracket vector for every pair (alpha, beta) and (beta, core gamma),
+    zero vectors included."""
+    chart = v.chart.extend(fibre_names)
+    n, ra, rb, rc = v.chart.dim, v.bundle_rank, v.side.rank, v.core_rank
+    zero = Polynomial.zero(chart)
+    u = [Polynomial.coordinate(chart, name) for name in fibre_names]
+    anchor_rows = []
+    for beta in range(rb):
+        d = v.anchor_derivations[beta]
+        row = [c.lift(chart) for c in d.base_field.components]
+        for a in range(ra):
+            entry = zero
+            for b in range(ra):
+                m = d.matrix[b][a]
+                if m:
+                    entry = entry - m.lift(chart) * u[b]
+            row.append(entry)
+        anchor_rows.append(tuple(row))
+    for gamma in range(rc):
+        row = [zero for _ in range(n)]
+        for a in range(ra):
+            row.append(v.core_anchor[gamma][a].lift(chart))
+        anchor_rows.append(tuple(row))
+    brackets = {}
+    for al, be in itertools.combinations(range(rb), 2):
+        vec = [zero for _ in range(rb + rc)]
+        for g, coeff in v.side.nonzero_structure[al][be]:
+            vec[g] = coeff.lift(chart)
+        for g in range(rc):
+            entry = zero
+            for a in range(ra):
+                t = twist[al][be][a][g]
+                if t:
+                    entry = entry + t.lift(chart) * u[a]
+            vec[rb + g] = entry
+        brackets[(al, be)] = tuple(vec)
+    for beta in range(rb):
+        q = v.core_derivations[beta]
+        for gamma in range(rc):
+            vec = [zero for _ in range(rb + rc)]
+            for delta in range(rc):
+                m = q.matrix[gamma][delta]
+                if m:
+                    vec[rb + delta] = m.lift(chart)
+            brackets[(beta, rb + gamma)] = tuple(vec)
+    return LieAlgebroid(chart, v.side.frames + tuple(core_names), anchor_rows, brackets)
 
 
 def constants(g: LieAlgebroid):
@@ -543,11 +608,7 @@ def rebuilt(v, **changes):
         anchor_derivations=v.anchor_derivations,
         core_derivations=v.core_derivations,
         core_anchor=v.core_anchor,
-        twist={
-            (a, b): v.twist[a][b]
-            for a in range(v.side.rank)
-            for b in range(a + 1, v.side.rank)
-        },
+        twist=dict(v.twist),
     )
     data.update(changes)
     return LAVBundle(v.side, v.bundle_frames, v.core_frames, **data)
@@ -578,7 +639,8 @@ def perturbations(name, v, seed):
     ra, rb, rc = v.bundle_rank, v.side.rank, v.core_rank
     out = []
     if rb >= 2 and ra and rc:
-        twist = bumped(v.twist[0][1], rng.randrange(ra), rng.randrange(rc), bump(rng, v))
+        i, j = rng.randrange(ra), rng.randrange(rc)
+        twist = bumped(dense_twist(v)[0][1], i, j, bump(rng, v))
         out.append((f"{name}:twist", rebuilt(v, twist={(0, 1): twist})))
     if ra and rc:
         anchor = bumped(v.core_anchor, rng.randrange(rc), rng.randrange(ra), bump(rng, v))

@@ -4,6 +4,11 @@ algebroid, generator brackets, reciprocity and the Poisson-route cross-check.
 `check_lavb` reports `induced_dual` without a check when `generators`
 passes, by duality; the full `check_algebroid` of the induced dual stays
 here as its oracle, on a corpus with failing bundles.
+
+The twist is stored once and sparsely; the dense table and dense builder it
+replaced (`support.dense_twist`, `support.dense_generator_algebroid`) are
+the oracle of `total` and `induced_dual` on every LA-vector bundle of the
+structural-diagnostics corpus.
 """
 
 import itertools
@@ -23,6 +28,7 @@ from doublealg.algebroid import (
     fibre_coordinate,
     tangent_algebroid,
 )
+from doublealg.doublela import build_cotangent_double
 from doublealg.exact import Chart, Polynomial
 from doublealg.lavb import (
     LAVBundle,
@@ -38,15 +44,20 @@ from support import (
     MODELS,
     check_representation,
     commutator,
+    dense_generator_algebroid,
     dense_structure,
+    dense_twist,
     frame_bracket,
     frame_section,
     lavb_corpus,
     parse_polynomial,
     poisson_bracket,
+    rebuilt,
     rename,
     tangent_lavb,
+    tt_pair,
 )
+from test_structural_diagnostics import DOUBLES
 
 LINE = Chart(["x"])
 TA = tangent_lavb(LINE, ["f"])
@@ -331,3 +342,74 @@ class TestZeroStructure:
         assert all(
             p.is_zero for row in dense_structure(induced) for vec in row for p in vec
         )
+
+
+PLANE = Chart(["x", "y"])
+
+
+def plane_twist(twist):
+    """The tangent prolongation over the plane with the twist `twist`."""
+    return rebuilt(tangent_lavb(PLANE, ["f"]), twist=twist)
+
+
+class TestTwistStore:
+    ONE = Polynomial.constant(PLANE, 1)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 5), (1, 0), (1, 1)])
+    def test_pair_out_of_range_is_rejected(self, pair):
+        with pytest.raises(ValueError, match="twist pair"):
+            plane_twist({pair: [[self.ONE]]})
+
+    def test_only_nonzero_pairs_are_stored(self):
+        assert plane_twist({(0, 1): [[Polynomial.zero(PLANE)]]}).twist == ()
+        assert plane_twist({(0, 1): [[self.ONE]]}).twist == (((0, 1), ((self.ONE,),)),)
+
+    def test_pairs_are_stored_in_increasing_order(self):
+        chart = Chart(["x", "y", "z"])
+        v = tangent_lavb(chart, ["f"])
+        one = Polynomial.constant(chart, 1)
+        pairs = [(1, 2), (0, 2), (0, 1)]
+        w = rebuilt(v, twist={pair: [[one]] for pair in pairs})
+        assert [pair for pair, _ in w.twist] == sorted(pairs)
+
+
+def gate_bundles():
+    """Both LA-vector bundles of every structural-diagnostics double and of
+    the cotangent double of `tt_pair(8)`."""
+    doubles = list(DOUBLES.items()) + [("tt8", build_cotangent_double(*tt_pair(8)))]
+    return [
+        (f"{name}:{side}", getattr(dla, side))
+        for name, dla in doubles
+        for side in ("vertical", "horizontal")
+    ]
+
+
+GATE = gate_bundles()
+
+
+def dense_oracle(v, built, twist):
+    """The dense builder on `v` and the dense twist table `twist`, with the
+    fibre coordinate and core frame names of `built`."""
+    return dense_generator_algebroid(
+        v, twist, built.chart.names[v.chart.dim:], built.frames[v.side.rank:]
+    )
+
+
+class TestSparseTwistGate:
+    def test_corpus_has_twists_and_failing_bundles(self):
+        bundles = [v for _, v in GATE[:-2]]
+        assert len(bundles) == 250
+        assert sum(1 for v in bundles if v.twist) == 42
+        assert sum(1 for v in bundles if not check_lavb(v).ok) == 26
+
+    def test_total_and_induced_dual_match_the_dense_builder(self):
+        for name, v in GATE:
+            table = dense_twist(v)
+            assert v.total == dense_oracle(v, v.total, table), name
+            dual = dual_lavb(v)
+            transposed = [[tuple(zip(*mat)) for mat in row] for row in table]
+            assert v.induced_dual == dense_oracle(dual, v.induced_dual, transposed), name
+
+    def test_tt8_stores_no_twist(self):
+        for _, v in GATE[-2:]:
+            assert v.twist == () and dual_lavb(v).twist == ()

@@ -382,6 +382,12 @@ class TestHostileNumbers:
         assert code == 2
         assert err == "doublealg: parse error: line 3: ranks[A] must be between 0 and 64, got -3\n"
 
+    def test_non_integer_rank_is_a_parse_error(self, tmp_path, capsys):
+        text = "[dvb D]\nbase = [x]\nranks = {A: x, B: 1, C: 1}\n"
+        code, err = self.run_model(tmp_path, capsys, "dualize", "dvb", text)
+        assert code == 2
+        assert err == "doublealg: parse error: line 3: ranks[A] must be an integer, got 'x'\n"
+
     def test_huge_dim_is_a_parse_error(self, tmp_path, capsys):
         text = "[lie_algebra g]\ndim = 99999999\n"
         code, err = self.run_model(tmp_path, capsys, "check", "manin", text)
@@ -537,7 +543,30 @@ class TestDuplicateEntries:
             + "lambda(b1; a1) = a1\nlambda(b2; a1) = x * a1\n"
             + "q(b1; c1) = c1\nq(b2; c1) = c1\ntwist(b1, b2; a1) = c1\n"
         )
-        assert str(model.lavbs["V"].twist[0][1][0][0]) == "1"
+        assert str(dict(model.lavbs["V"].twist)[(0, 1)][0][0]) == "1"
+
+
+class TestTwistOrientation:
+    """`twist(b2, b1; a)` is the negation of `twist(b1, b2; a)`, and a zero
+    twist is the same as none."""
+
+    BASE = TestDuplicateEntries.LAVB + "lambda(b1; a1) = x * a1\nq(b1; c1) = c1\n"
+
+    def lavb(self, entries):
+        return parse_model(self.BASE + entries).lavbs["V"]
+
+    def test_swapped_pair_is_the_negation(self):
+        swapped = self.lavb("twist(b2, b1; a1) = x * c1\n")
+        direct = self.lavb("twist(b1, b2; a1) = -x * c1\n")
+        assert swapped.twist
+        assert swapped == direct
+        assert swapped.total == direct.total
+
+    def test_zero_twist_is_no_twist(self):
+        zero = self.lavb("twist(b1, b2; a1) = 0\n")
+        none = self.lavb("")
+        assert zero == none and hash(zero) == hash(none)
+        assert zero.total == none.total
 
 
 def test_dual_name_taken_by_a_basis_name_exits_two(tmp_path, capsys):

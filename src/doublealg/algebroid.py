@@ -18,9 +18,10 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .exact import Chart, ChartMismatch, Coefficient, Polynomial, rat
+from .exact import Chart, ChartMismatch, Coefficient, Exponent, Polynomial, rat
 from .verdicts import CheckItem, CheckReport, failed, passed
 
 Index = Tuple[int, ...]
@@ -65,26 +66,30 @@ class VectorField:
         object.__setattr__(field, "components", components)
         return field
 
-    @staticmethod
-    def zero(chart: Chart) -> "VectorField":
-        zero = Polynomial.zero(chart)
-        return VectorField._from_components(chart, (zero,) * chart.dim)
-
     def apply(self, f: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.chart)
-        if not f:
-            return out
-        for name, comp in zip(self.chart.names, self.components):
-            if comp:
-                out = out + comp * f.partial(name)
-        return out
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        comps = tuple(a + b for a, b in zip(self.components, other.components))
-        return VectorField._from_components(self.chart, comps)
-
-    def scale_by(self, f: Polynomial) -> "VectorField":
-        return VectorField._from_components(self.chart, tuple(f * c for c in self.components))
+        """X(f) = sum_i X^i df/dx^i, accumulated term by term and sorted once."""
+        chart = self.chart
+        if f.chart is not chart and f.chart != chart:
+            raise ChartMismatch(f"charts differ: {chart} vs {f.chart}")
+        if not f.terms:
+            return chart._zero
+        acc: Dict[Exponent, Coefficient] = {}
+        for i, comp in enumerate(self.components):
+            if not comp.terms:
+                continue
+            for e1, c1 in f.terms:
+                power = e1[i]
+                if not power:
+                    continue
+                lowered = e1[:i] + (power - 1,) + e1[i + 1 :]
+                scaled = c1 * power
+                for e2, c2 in comp.terms:
+                    exp = tuple(map(add, lowered, e2))
+                    term = scaled * c2
+                    acc[exp] = acc[exp] + term if exp in acc else term
+        if not acc:
+            return chart._zero
+        return Polynomial._from_terms(chart, acc)
 
     @property
     def is_zero(self) -> bool:
@@ -315,12 +320,24 @@ class LieAlgebroid:
         return tuple(tuple(row) for row in out)
 
     def anchor_of(self, x: Multisection) -> VectorField:
-        comps = x.vector(self.chart)
-        out = VectorField.zero(self.chart)
-        for alpha, coeff in enumerate(comps):
-            if coeff:
-                out = out + self.anchor_field(alpha).scale_by(coeff)
-        return out
+        """a(x) = sum_alpha x^alpha a(e_alpha), accumulated per coordinate
+        over the nonzero coefficients and anchor entries, each sorted once."""
+        chart = self.chart
+        if x.degree != 1:
+            raise ValueError("anchor_of requires a degree-1 section")
+        accs: List[Dict[Exponent, Coefficient]] = [{} for _ in range(chart.dim)]
+        for (alpha,), coeff in x.components:
+            if coeff.chart is not chart and coeff.chart != chart:
+                raise ChartMismatch(f"charts differ: {chart} vs {coeff.chart}")
+            for acc, entry in zip(accs, self.anchor[alpha]):
+                for e2, c2 in entry.terms:
+                    for e1, c1 in coeff.terms:
+                        exp = tuple(map(add, e1, e2))
+                        term = c1 * c2
+                        acc[exp] = acc[exp] + term if exp in acc else term
+        zero = chart._zero
+        comps = tuple(Polynomial._from_terms(chart, acc) if acc else zero for acc in accs)
+        return VectorField._from_components(chart, comps)
 
     def section(self, comps: Sequence[Polynomial]) -> Multisection:
         return Multisection.from_vector(self.rank, comps)

@@ -179,30 +179,30 @@ def core_poisson(dla: DoubleLieAlgebroid) -> PoissonChart:
 
 def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
     """The algebroid on the core read off the linear Poisson structure on its
-    dual; anchor rows come from the mixed brackets {xi_gamma, x^i}."""
+    dual; anchor rows come from the mixed brackets {xi_gamma, x^i}.  Only
+    nonzero brackets {xi_g1, xi_g2} are read: a zero one is a zero bracket."""
     pois = dla.core_poisson
     base = dla.chart
     n = base.dim
     rc = len(dla.core_frames)
     xi_names = [fibre_coordinate(f) for f in dla.core_frames]
-    anchor = []
-    for gamma in range(rc):
-        row = []
-        for i in range(n):
-            entry = pois.matrix[n + gamma][i]
-            row.append(entry.restrict(base))
-        anchor.append(tuple(row))
+    anchor = [
+        tuple(pois.matrix[n + gamma][i].restrict(base) for i in range(n)) for gamma in range(rc)
+    ]
     brackets: Dict[Tuple[int, int], Tuple[Polynomial, ...]] = {}
     for g1, g2 in itertools.combinations(range(rc), 2):
         entry = pois.matrix[n + g1][n + g2]
+        if not entry:
+            continue
         vec = []
         for g3 in range(rc):
             vec.append(entry.coefficient_of(xi_names[g3]).restrict(base))
         remainder = entry
         for g3, coeff in enumerate(vec):
-            remainder = remainder - coeff.lift(pois.chart) * Polynomial.coordinate(
-                pois.chart, xi_names[g3]
-            )
+            if coeff:
+                remainder = remainder - coeff.lift(pois.chart) * Polynomial.coordinate(
+                    pois.chart, xi_names[g3]
+                )
         if remainder:
             raise DoubleMismatch(
                 f"core-dual bracket not fibrewise linear at ({g1}, {g2}): {remainder}"

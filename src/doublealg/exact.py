@@ -20,9 +20,11 @@ text grammar round-trips bit-exactly with the parser in `parsing`.
 `Polynomial(chart, terms)` validates its input; the kernel's own results
 are built by `Polynomial._from_terms`, which trusts them and only drops
 zero coefficients, turns an integral `Fraction` into its numerator and
-sorts.  Each chart holds one shared zero polynomial, and the ring
-operations return an operand unchanged where the result equals it (adding
-or subtracting zero, multiplying by zero, negating zero).
+sorts, or, where an operation keeps its operand's order (negation and
+nonzero scaling), by `Polynomial._from_canonical`, which does not sort.
+Each chart holds one shared zero polynomial and one name -> position map,
+and the ring operations return an operand unchanged where the result
+equals it (adding or subtracting zero, multiplying by zero, negating zero).
 """
 
 from __future__ import annotations
@@ -83,13 +85,19 @@ class Chart:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise UnknownCoordinate(f"{name!r} not in chart {self.names}") from None
 
     def extend(self, extra: Iterable[str]) -> "Chart":
         """Adjoin fibre coordinates; duplicates raise."""
         return Chart(self.names + tuple(extra))
+
+    @functools.cached_property
+    def _positions(self) -> Dict[str, int]:
+        """Each coordinate's position, built once per chart; like `_zero`,
+        it stays out of `==`, `hash` and `repr`."""
+        return {name: i for i, name in enumerate(self.names)}
 
     @functools.cached_property
     def _zero(self) -> "Polynomial":
@@ -141,14 +149,22 @@ class Polynomial:
         replaced by its numerator.  Input from outside the kernel goes
         through `Polynomial(chart, terms)`.
         """
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "chart", chart)
         terms = [
             (e, c.numerator) if type(c) is Fraction and c.denominator == 1 else (e, c)
             for e, c in acc.items()
             if c
         ]
-        object.__setattr__(poly, "terms", _canonical(terms))
+        return cls._from_canonical(chart, _canonical(terms))
+
+    @classmethod
+    def _from_canonical(
+        cls, chart: Chart, terms: Tuple[Tuple[Exponent, Coefficient], ...]
+    ) -> "Polynomial":
+        """Trusted constructor for terms already in canonical form and order,
+        as `-p` and a nonzero multiple of `p` keep those of `p`."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "chart", chart)
+        object.__setattr__(poly, "terms", terms)
         return poly
 
     # --- constructors -------------------------------------------------
@@ -190,7 +206,7 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         if not self.terms:
             return self
-        return Polynomial._from_terms(self.chart, {e: -c for e, c in self.terms})
+        return Polynomial._from_canonical(self.chart, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_chart(other)
@@ -216,7 +232,13 @@ class Polynomial:
 
     def scale(self, value) -> "Polynomial":
         c = rat(value)
-        return Polynomial._from_terms(self.chart, {e: c * k for e, k in self.terms})
+        if not c or not self.terms:
+            return self.chart._zero
+        terms = []
+        for e, k in self.terms:
+            v = c * k
+            terms.append((e, v.numerator if type(v) is Fraction and v.denominator == 1 else v))
+        return Polynomial._from_canonical(self.chart, tuple(terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -241,27 +263,32 @@ class Polynomial:
 
     def restrict(self, target: Chart) -> "Polynomial":
         """Project onto a subchart; raises if a dropped coordinate occurs."""
-        keep = {name: target.index(name) for name in self.chart.names if name in set(target.names)}
+        if not self.terms:
+            return target._zero
+        keep = target._positions
         acc: Dict[Exponent, Coefficient] = {}
         for exp, coeff in self.terms:
             new = [0] * target.dim
             for name, power in zip(self.chart.names, exp):
                 if power == 0:
                     continue
-                if name not in keep:
+                j = keep.get(name)
+                if j is None:
                     raise ValueError(f"coordinate {name!r} survives restriction")
-                new[keep[name]] = power
+                new[j] = power
             acc[tuple(new)] = coeff
         return Polynomial._from_terms(target, acc)
 
     def lift(self, target: Chart) -> "Polynomial":
         """Reinterpret on a chart containing this chart's coordinates."""
-        index = {name: target.index(name) for name in self.chart.names}
+        if not self.terms:
+            return target._zero
+        index = [target.index(name) for name in self.chart.names]
         acc: Dict[Exponent, Coefficient] = {}
         for exp, coeff in self.terms:
             new = [0] * target.dim
-            for name, power in zip(self.chart.names, exp):
-                new[index[name]] = power
+            for j, power in zip(index, exp):
+                new[j] = power
             acc[tuple(new)] = coeff
         return Polynomial._from_terms(target, acc)
 

@@ -76,6 +76,7 @@ from .parsing import (
 
 _HEADER = re.compile(r"^\[(\w+)(?:\s+([A-Za-z_][A-Za-z0-9_']*))?\]$")
 _ASSIGN = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)\s*(\(([^)]*)\))?\s*=\s*(.*)$")
+_DECIMAL = re.compile(r"[+-]?[0-9](?:_?[0-9])*")
 
 _BLOCK_TYPES = (
     "chart",
@@ -100,13 +101,22 @@ class ModelError(ValueError):
 
 
 def _parse_count(label: str, text: str, line: int) -> int:
-    """`text` as a count between 0 and MAX_COUNT, else a parse error at `line`."""
+    """`text` as a count between 0 and MAX_COUNT, else a parse error at `line`.
+
+    `int` refuses a decimal literal only when it has more digits than
+    Python converts (`sys.get_int_max_str_digits`); such a count is out of
+    range.  A rejected literal longer than 20 characters is named by its
+    length, not echoed."""
+    literal = text.strip()
+    shown = f"a {len(literal)}-character literal" if len(literal) > 20 else None
     try:
-        value = int(text)
+        value = int(literal)
     except ValueError:
-        raise ModelError(f"{label} must be an integer, got {text.strip()!r}", line)
-    if not 0 <= value <= MAX_COUNT:
-        raise ModelError(f"{label} must be between 0 and {MAX_COUNT}, got {value}", line)
+        if not _DECIMAL.fullmatch(literal):
+            raise ModelError(f"{label} must be an integer, got {shown or repr(literal)}", line)
+        value = None
+    if value is None or not 0 <= value <= MAX_COUNT:
+        raise ModelError(f"{label} must be between 0 and {MAX_COUNT}, got {shown or value}", line)
     return value
 
 

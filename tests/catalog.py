@@ -14,7 +14,6 @@ from doublealg.algebroid import (
     Derivation,
     LieAlgebroid,
     PoissonChart,
-    VectorField,
     cotangent_algebroid,
     tangent_algebroid,
 )
@@ -63,10 +62,12 @@ def coadjoint_pair(b: Bialgebra) -> MatchedPair:
     """The mutual coadjoint actions of a bialgebra as a matched pair at a point."""
     chart = Chart(())
     algebra, dual = bialgebra_to_dual_pair(b)
+    from support import zero_field  # support imports this module
+
     rho = RepresentationMap(
         [
             Derivation(
-                VectorField.zero(chart),
+                zero_field(chart),
                 [
                     [Polynomial.constant(chart, c) for c in row]
                     for row in coadjoint_rho_matrix(b, i)
@@ -78,7 +79,7 @@ def coadjoint_pair(b: Bialgebra) -> MatchedPair:
     sigma = RepresentationMap(
         [
             Derivation(
-                VectorField.zero(chart),
+                zero_field(chart),
                 [
                     [Polynomial.constant(chart, c) for c in row]
                     for row in coadjoint_sigma_matrix(b, i)
@@ -111,7 +112,7 @@ def line_action_pair(action_coeff: str = "x", sigma_coeff: str | None = None) ->
     chart = Chart(("x",))
     a_alg = tangent_algebroid(chart)
     b_alg = LieAlgebroid(chart, ("f1",), [[Polynomial.zero(chart)]], {})
-    from support import parse_polynomial  # support imports this module
+    from support import parse_polynomial, zero_field  # support imports this module
 
     rho = RepresentationMap(
         [Derivation(a_alg.anchor_field(0), [[parse_polynomial(action_coeff, chart)]])]
@@ -119,7 +120,7 @@ def line_action_pair(action_coeff: str = "x", sigma_coeff: str | None = None) ->
     sigma_val = (
         Polynomial.zero(chart) if sigma_coeff is None else parse_polynomial(sigma_coeff, chart)
     )
-    sigma = RepresentationMap([Derivation(VectorField.zero(chart), [[sigma_val]])])
+    sigma = RepresentationMap([Derivation(zero_field(chart), [[sigma_val]])])
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 

@@ -9,7 +9,9 @@ the operator algebra it needs, the gathering Cartan differential, the
 frame-loop algebroid check, the core Poisson structure through anchor
 fields and the frame change by any invertible matrix), the dense
 structure tables the sparse store replaced, the dense twist table and
-LA-vector bundle builder the sparse twist store replaced,
+LA-vector bundle builder the sparse twist store replaced, the core
+algebroid read off every core Poisson entry, the sums that
+`VectorField.apply` and `LieAlgebroid.anchor_of` fuse into one pass,
 and the constructions only the tests use (scalar polynomials in the model
 grammar, the tangent prolongation), and the `Fraction`-only reference
 polynomial the exact kernel is compared with."""
@@ -38,6 +40,7 @@ from doublealg.algebroid import (
     cotangent_algebroid,
     differential,
     dual_poisson,
+    fibre_coordinate,
     random_polynomial,
     random_section,
     tangent_algebroid,
@@ -369,8 +372,43 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
     )
 
 
+def zero_field(chart: Chart) -> VectorField:
+    return VectorField(chart, [Polynomial.zero(chart)] * chart.dim)
+
+
+def add_fields(x: VectorField, y: VectorField) -> VectorField:
+    return VectorField(x.chart, [a + b for a, b in zip(x.components, y.components)])
+
+
 def difference(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.chart, [a - b for a, b in zip(x.components, y.components)])
+
+
+def scale_field(x: VectorField, f: Polynomial) -> VectorField:
+    """f X, componentwise."""
+    return VectorField(x.chart, [f * c for c in x.components])
+
+
+def applied(x: VectorField, f: Polynomial) -> Polynomial:
+    """X(f) as the sum of X^i * df/dx^i over the nonzero components: the
+    oracle of the one-pass `VectorField.apply`."""
+    out = Polynomial.zero(x.chart)
+    if not f:
+        return out
+    for name, comp in zip(x.chart.names, x.components):
+        if comp:
+            out = out + comp * f.partial(name)
+    return out
+
+
+def anchor_of_sum(L: LieAlgebroid, x: Multisection) -> VectorField:
+    """a(x) as the sum of x^alpha a(e_alpha) over the nonzero coefficients:
+    the oracle of the one-pass `LieAlgebroid.anchor_of`."""
+    out = zero_field(L.chart)
+    for alpha, coeff in enumerate(x.vector(L.chart)):
+        if coeff:
+            out = add_fields(out, scale_field(L.anchor_field(alpha), coeff))
+    return out
 
 
 def frame_section(L: LieAlgebroid, alpha: int) -> Multisection:
@@ -390,7 +428,7 @@ def frame_bracket(L: LieAlgebroid, a: int, b: int) -> Multisection:
 
 def zero_derivation(chart: Chart, rank: int) -> Derivation:
     zero = Polynomial.zero(chart)
-    return Derivation(VectorField.zero(chart), [[zero] * rank for _ in range(rank)])
+    return Derivation(zero_field(chart), [[zero] * rank for _ in range(rank)])
 
 
 def apply_derivation(d: Derivation, comps):
@@ -418,12 +456,12 @@ def derivation_commutator(d: Derivation, e: Derivation) -> Derivation:
 
 def add_derivations(d: Derivation, e: Derivation) -> Derivation:
     rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(d.matrix, e.matrix)]
-    return Derivation(d.base_field + e.base_field, rows)
+    return Derivation(add_fields(d.base_field, e.base_field), rows)
 
 
 def scale_derivation(d: Derivation, f: Polynomial) -> Derivation:
     """f D, over the base field f X."""
-    return Derivation(d.base_field.scale_by(f), [[f * entry for entry in row] for row in d.matrix])
+    return Derivation(scale_field(d.base_field, f), [[f * entry for entry in row] for row in d.matrix])
 
 
 def of_section(rep: RepresentationMap, acting: LieAlgebroid, section: Multisection) -> Derivation:
@@ -558,6 +596,41 @@ def applied_core_poisson(dla) -> PoissonChart:
                     f"induced bracket not antisymmetric at ({chart.names[u]}, {chart.names[w]})"
                 )
     return PoissonChart(chart, matrix)
+
+
+def dense_core_algebroid(dla) -> LieAlgebroid:
+    """The core algebroid read off every entry of the core Poisson matrix,
+    zero entries included: the oracle of `doublela.core_algebroid`, which
+    skips the zero brackets {xi_g1, xi_g2}."""
+    pois = dla.core_poisson
+    base = dla.chart
+    n = base.dim
+    rc = len(dla.core_frames)
+    xi_names = [fibre_coordinate(f) for f in dla.core_frames]
+    anchor = []
+    for gamma in range(rc):
+        row = []
+        for i in range(n):
+            entry = pois.matrix[n + gamma][i]
+            row.append(entry.restrict(base))
+        anchor.append(tuple(row))
+    brackets = {}
+    for g1, g2 in itertools.combinations(range(rc), 2):
+        entry = pois.matrix[n + g1][n + g2]
+        vec = []
+        for g3 in range(rc):
+            vec.append(entry.coefficient_of(xi_names[g3]).restrict(base))
+        remainder = entry
+        for g3, coeff in enumerate(vec):
+            remainder = remainder - coeff.lift(pois.chart) * Polynomial.coordinate(
+                pois.chart, xi_names[g3]
+            )
+        if remainder:
+            raise DoubleMismatch(
+                f"core-dual bracket not fibrewise linear at ({g1}, {g2}): {remainder}"
+            )
+        brackets[(g1, g2)] = tuple(vec)
+    return LieAlgebroid(base, dla.core_frames, anchor, brackets)
 
 
 def check_cor_sdp(mp: MatchedPair) -> CheckReport:

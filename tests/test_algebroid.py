@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catalog
 from doublealg.algebroid import (
@@ -36,6 +37,8 @@ from doublealg.exact import Chart, ChartMismatch, Polynomial
 from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, bialgebra_to_dual_pair
 from manin_oracle import check_cocycle
 from support import (
+    anchor_of_sum,
+    applied,
     commutator,
     constants,
     dense_structure,
@@ -43,6 +46,7 @@ from support import (
     frame_section,
     parse_polynomial,
     poisson_bracket,
+    zero_field,
 )
 
 XY = Chart(["x", "y"])
@@ -517,3 +521,80 @@ class TestNonPoissonCotangentCandidate:
         report = check_algebroid(candidate)
         assert not report.ok
         assert report.first_failure.witness
+
+
+# --- the one-pass operators against the sums they replaced
+
+XYZ = Chart(["x", "y", "z"])
+ZERO = Polynomial.zero(XYZ)
+# ints and proper fractions, as the canonical form stores them
+coefficients = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(2, 6))
+)
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=4
+).map(lambda d: Polynomial(XYZ, d))
+zero_or_polys = st.one_of(st.just(ZERO), polys)
+fields = st.lists(zero_or_polys, min_size=3, max_size=3).map(lambda cs: VectorField(XYZ, cs))
+algebroids = st.lists(
+    st.lists(zero_or_polys, min_size=3, max_size=3), min_size=3, max_size=3
+).map(lambda rows: LieAlgebroid(XYZ, ("e1", "e2", "e3"), rows))
+sections = st.lists(zero_or_polys, min_size=3, max_size=3).map(
+    lambda cs: Multisection.from_vector(3, cs)
+)
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """`p` is what the validating constructor makes of its own terms."""
+    assert p.terms == Polynomial(p.chart, dict(p.terms)).terms
+    for _, coeff in p.terms:
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+
+
+class TestOnePassOperators:
+    """`VectorField.apply` and `LieAlgebroid.anchor_of` accumulate in one
+    pass; the sums of products they replaced (`support.applied`,
+    `support.anchor_of_sum`) are the oracles."""
+
+    @given(fields, zero_or_polys)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_apply_matches_the_sum_of_partials(self, field, f):
+        got = field.apply(f)
+        assert got == applied(field, f)
+        assert_canonical(got)
+
+    @given(algebroids, sections)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_anchor_of_matches_the_sum_of_scaled_anchors(self, L, x):
+        got = L.anchor_of(x)
+        assert got == anchor_of_sum(L, x)
+        for comp in got.components:
+            assert_canonical(comp)
+
+    @given(fields, polys, algebroids)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_zero_operands_give_the_shared_zero(self, field, f, L):
+        assert field.apply(ZERO) is ZERO
+        assert zero_field(XYZ).apply(f) is ZERO
+        zero_section = Multisection.zero(3, 1)
+        assert L.anchor_of(zero_section) == anchor_of_sum(L, zero_section)
+        assert all(c is ZERO for c in L.anchor_of(zero_section).components)
+
+    def test_cancelling_terms_give_zero(self):
+        field = VectorField(XYZ, [P("x", XYZ), P("-y", XYZ), ZERO])
+        assert field.apply(P("x * y", XYZ)).is_zero
+        rows = [[P("x", XYZ), ZERO, ZERO], [P("-1/2 * x", XYZ), ZERO, ZERO]]
+        L = LieAlgebroid(XYZ, ("e1", "e2"), rows)
+        assert L.anchor_of(L.section([P("1/2", XYZ), P("1", XYZ)])).is_zero
+
+    @given(fields, polys, algebroids, sections)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_mismatched_charts_raise(self, field, f, L, x):
+        other = Chart(["x", "y", "w"])
+        with pytest.raises(ChartMismatch):
+            field.apply(f.lift(Chart(["x", "y", "z", "w"])))
+        with pytest.raises(ChartMismatch):
+            field.apply(Polynomial.zero(other))
+        moved = Multisection.from_vector(3, [Polynomial.constant(other, 1), *x.vector(XYZ)[1:]])
+        with pytest.raises(ChartMismatch):
+            L.anchor_of(moved)

@@ -10,7 +10,6 @@ import pytest
 from doublealg.algebroid import (
     Derivation,
     LieAlgebroid,
-    VectorField,
     check_bialgebroid,
     tangent_algebroid,
 )
@@ -26,7 +25,12 @@ from doublealg.liealg import (
 )
 from doublealg.matched import MatchedPair, RepresentationMap, check_matched
 from manin_oracle import check_cocycle, check_paired, dual_bracket, jacobi_report, paired_double
-from support import assert_matched_decides_bowtie_and_double, check_cor_sdp, parse_polynomial
+from support import (
+    assert_matched_decides_bowtie_and_double,
+    check_cor_sdp,
+    parse_polynomial,
+    zero_field,
+)
 
 
 def random_cobracket(rng: random.Random, dim: int) -> Cobracket:
@@ -98,8 +102,8 @@ class TestMatchedRoutesAgree:
         sigma_entry = rpoly() if break_anchor else Polynomial.zero(chart)
         sigma = RepresentationMap(
             [
-                Derivation(VectorField.zero(chart), [[sigma_entry]]),
-                Derivation(VectorField.zero(chart), [[Polynomial.zero(chart)]]),
+                Derivation(zero_field(chart), [[sigma_entry]]),
+                Derivation(zero_field(chart), [[Polynomial.zero(chart)]]),
             ]
         )
         return MatchedPair(a_alg, b_alg, rho, sigma), sigma_entry

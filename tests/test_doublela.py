@@ -46,6 +46,7 @@ from support import (
     constants,
     dense_structure,
     scale_derivation,
+    scale_field,
     tangent_lavb,
 )
 
@@ -111,11 +112,11 @@ class TestDoubleTangent:
             hor.bundle_frames,
             hor.core_frames,
             tuple(
-                Derivation(d.base_field.scale_by(two), d.matrix)
+                Derivation(scale_field(d.base_field, two), d.matrix)
                 for d in hor.anchor_derivations
             ),
             tuple(
-                Derivation(d.base_field.scale_by(two), d.matrix)
+                Derivation(scale_field(d.base_field, two), d.matrix)
                 for d in hor.core_derivations
             ),
             hor.core_anchor,

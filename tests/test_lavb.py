@@ -56,6 +56,7 @@ from support import (
     rename,
     tangent_lavb,
     tt_pair,
+    zero_field,
 )
 from test_structural_diagnostics import DOUBLES
 
@@ -173,7 +174,7 @@ class TestValidation:
             side,
             ("a1",),
             (),
-            (Derivation(VectorField.zero(chart), [[parse_polynomial("x", chart)]]),),
+            (Derivation(zero_field(chart), [[parse_polynomial("x", chart)]]),),
             (Derivation(side.anchor_field(0), ()),),
             [],
             {},
@@ -325,8 +326,8 @@ class TestZeroStructure:
             side,
             ("a1",),
             ("c1",),
-            tuple(Derivation(VectorField.zero(chart), [[zero]]) for _ in range(2)),
-            tuple(Derivation(VectorField.zero(chart), [[zero]]) for _ in range(2)),
+            tuple(Derivation(zero_field(chart), [[zero]]) for _ in range(2)),
+            tuple(Derivation(zero_field(chart), [[zero]]) for _ in range(2)),
             [[zero]],
             {},
         )

@@ -423,6 +423,39 @@ class TestHostileNumbers:
         assert captured.err.startswith("doublealg: parse error: line 14: in [algebroid Tstar]: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "verb, kind, text, line, label",
+        [
+            ("check", "manin", "[lie_algebra g]\ndim = {}\n", 2, "dim"),
+            (
+                "dualize",
+                "dvb",
+                "[dvb D]\nbase = [x]\nranks = {{A: 1, B: {}, C: 1}}\n",
+                3,
+                "ranks[B]",
+            ),
+        ],
+    )
+    def test_count_past_the_digit_limit_is_out_of_range(
+        self, tmp_path, capsys, default_digit_limit, verb, kind, text, line, label
+    ):
+        """A count too long for `int` is out of range, named by its length."""
+        code, err = self.run_model(tmp_path, capsys, verb, kind, text.format("1" * 5000))
+        assert code == 2
+        assert err == (
+            f"doublealg: parse error: line {line}: {label} must be between 0 and 64, "
+            "got a 5000-character literal\n"
+        )
+        assert len(err) < 200 and err.count("\n") == 1
+
+    def test_long_non_integer_count_is_not_echoed(self, tmp_path, capsys):
+        text = "[lie_algebra g]\ndim = " + "x" * 5000 + "\n"
+        code, err = self.run_model(tmp_path, capsys, "check", "manin", text)
+        assert code == 2
+        assert err == (
+            "doublealg: parse error: line 2: dim must be an integer, got a 5000-character literal\n"
+        )
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_oversized_witness_is_an_error(self, tmp_path, capsys, default_digit_limit, fmt):
         """A 4000-digit anchor and bracket coefficient parses, but its square

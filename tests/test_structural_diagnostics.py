@@ -10,9 +10,15 @@ agree double by double.  The corpus: the bundled and catalog doubles with
 their seeded perturbations, the doubles with scaled core anchors, the
 cotangent doubles of the benchmark sweep's families at eight seeds, and the
 so(3)*, gl(2)* and gl(3)* Lie-Poisson rungs.
+
+On the same doubles, and on the cotangent doubles of `tt_pair(n)` for
+n <= 8, `core_algebroid`, which reads only the nonzero core Poisson
+entries, equals the dense reading `support.dense_core_algebroid`, raised
+exceptions compared by type and message.
 """
 
 import functools
+import types
 from collections import Counter
 
 import pytest
@@ -23,17 +29,22 @@ from doublealg.doublela import (
     DoubleMismatch,
     build_cotangent_double,
     check_double,
+    core_algebroid,
     structural_diagnostics,
 )
-from doublealg.exact import Polynomial
+from doublealg.algebroid import PoissonChart
+from doublealg.exact import Chart, Polynomial
 from support import (
+    dense_core_algebroid,
     double_corpus,
     gl,
     ladder_doubles,
     ladder_pair,
     perturbations,
     rebuilt,
+    parse_polynomial,
     sweep_doubles,
+    tt_pair,
 )
 
 
@@ -144,3 +155,75 @@ def test_induced_core_anchor_is_the_composite_by_construction():
             assert list(core.anchor[gamma]) == expected
         built += 1
     assert built == 23
+
+
+# --- the core algebroid reads only the nonzero core Poisson entries
+
+TT = {f"tt{n}": build_cotangent_double(*tt_pair(n)) for n in range(1, 9)}
+CORE_GATE = {**DOUBLES, **TT}
+
+
+def core_outcome(build, dla):
+    """The core algebroid `build` makes of `dla`, or the type and message
+    of what it raises."""
+    try:
+        return build(dla)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@functools.cache
+def core_outcomes(name):
+    dla = CORE_GATE[name]
+    return core_outcome(core_algebroid, dla), core_outcome(dense_core_algebroid, dla)
+
+
+@pytest.mark.parametrize("name", list(CORE_GATE))
+def test_core_algebroid_matches_the_dense_oracle(name):
+    sparse, dense = core_outcomes(name)
+    assert sparse == dense
+
+
+def test_core_gate_has_built_raising_and_bracketed_cores():
+    """The gate cannot go vacuous: it covers the ladder rungs and `tt<n>`
+    for n <= 8, some cores raise, and some built cores have a nonzero
+    bracket."""
+    assert {"so3", "gl2", "gl3", "tt8"} <= set(CORE_GATE)
+    outcomes = [core_outcomes(name)[1] for name in CORE_GATE]
+    raised = [o for o in outcomes if isinstance(o, tuple)]
+    built = [o for o in outcomes if not isinstance(o, tuple)]
+    bracketed = [o for o in built if any(any(row) for row in o.nonzero_structure)]
+    assert len(raised) >= 10 and len(bracketed) >= 1, (len(raised), len(bracketed))
+
+
+def core_stub(anchor, bracket):
+    """A stand-in double with base (x), core frames a, b and the core
+    Poisson matrix on (x, xi_a, xi_b) with {xi_a, x} = `anchor` and
+    {xi_a, xi_b} = `bracket`: the only attributes `core_algebroid` reads."""
+    chart = Chart(["x", "xi_a", "xi_b"])
+    p = [[Polynomial.zero(chart)] * 3 for _ in range(3)]
+    p[1][0], p[1][2] = (parse_polynomial(t, chart) for t in (anchor, bracket))
+    p[0][1], p[2][1] = -p[1][0], -p[1][2]
+    return types.SimpleNamespace(
+        core_poisson=PoissonChart(chart, p), chart=Chart(["x"]), core_frames=("a", "b")
+    )
+
+
+@pytest.mark.parametrize(
+    "anchor, bracket, raised",
+    [
+        ("x", "x * xi_a - 2 * xi_b", None),
+        ("x", "0", None),
+        ("x", "xi_a^2", ValueError),
+        ("x", "xi_a * xi_b + xi_a", ValueError),
+        ("x", "xi_b + x^2", DoubleMismatch),
+        ("xi_b", "xi_a", ValueError),
+    ],
+)
+def test_core_algebroid_errors_match_the_dense_oracle(anchor, bracket, raised):
+    """Nonlinear and non-base core brackets raise what the dense reading
+    raised, with the same message."""
+    dla = core_stub(anchor, bracket)
+    sparse = core_outcome(core_algebroid, dla)
+    assert sparse == core_outcome(dense_core_algebroid, dla)
+    assert (sparse[0] if isinstance(sparse, tuple) else None) is raised

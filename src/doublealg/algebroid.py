@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import add
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .exact import Chart, ChartMismatch, Coefficient, Exponent, Polynomial, rat
 from .verdicts import CheckItem, CheckReport, failed, passed
@@ -53,7 +53,7 @@ class VectorField:
         if len(components) != chart.dim:
             raise ValueError("component count does not match chart dimension")
         for c in components:
-            if c.chart != chart:
+            if c.chart is not chart and c.chart.names != chart.names:
                 raise ChartMismatch("vector field component on wrong chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "components", components)
@@ -69,7 +69,7 @@ class VectorField:
     def apply(self, f: Polynomial) -> Polynomial:
         """X(f) = sum_i X^i df/dx^i, accumulated term by term and sorted once."""
         chart = self.chart
-        if f.chart is not chart and f.chart != chart:
+        if f.chart is not chart and f.chart.names != chart.names:
             raise ChartMismatch(f"charts differ: {chart} vs {f.chart}")
         if not f.terms:
             return chart._zero
@@ -327,7 +327,7 @@ class LieAlgebroid:
             raise ValueError("anchor_of requires a degree-1 section")
         accs: List[Dict[Exponent, Coefficient]] = [{} for _ in range(chart.dim)]
         for (alpha,), coeff in x.components:
-            if coeff.chart is not chart and coeff.chart != chart:
+            if coeff.chart is not chart and coeff.chart.names != chart.names:
                 raise ChartMismatch(f"charts differ: {chart} vs {coeff.chart}")
             for acc, entry in zip(accs, self.anchor[alpha]):
                 for e2, c2 in entry.terms:
@@ -851,13 +851,55 @@ def check_compatibility(
     failing entry becomes a `Multisection`, the witness the section
     calculus writes (kept in the tests as the oracle).  `scaled` is read
     off the first two by the Leibniz rule D(X, fY) = f D(X, Y) + D(X, f) ^ Y
-    (Jacobi is not needed), so it passes unread when both pass.  `random`
-    draws seeded section pairs of bounded degree and runs
-    `compatibility_defect` on them, but only when one of the other four
-    families fails: once they all pass, every trial defect is zero, so
-    `random` is reported as passed without drawing.  The tests keep the
-    trial loop on every pair as its oracle.  Each family reports its first
-    nonzero defect.
+    (Jacobi is not needed), so it passes unread when both pass.  These four
+    are `compatibility_families`.  `random` draws seeded section pairs of
+    bounded degree and runs `compatibility_defect` on them, but only when
+    one of the other four families fails: once they all pass, every trial
+    defect is zero, so `random` is reported as passed without drawing.  The
+    tests keep the trial loop on every pair as its oracle.  Each family
+    reports its first nonzero defect.
+    """
+    items = list(compatibility_families(L, Lstar))
+
+    def random_defects():
+        rng = random.Random(seed)
+        for trial in range(RANDOM_PAIRS):
+            x = random_section(rng, L, max_degree)
+            y = random_section(rng, L, max_degree)
+            where = f"random trial {trial}: X = {x.format(L.frames)}, Y = {y.format(L.frames)}, "
+            yield where, dict(compatibility_defect(L, Lstar, x, y).components)
+
+    # D is antisymmetric, D(X, gY) = g D(X, Y) + D(X, g) ^ Y, D(e_a, g) =
+    # sum_i d_i g * function_defect(a, i), and D(fX, g) = f D(X, g) +
+    # S(f, g) X with S the symmetric part (a biderivation, so fixed by its
+    # values on coordinates).  D at any polynomial pair is therefore a
+    # combination of frame defects, function defects and S(x_i, x_j), and
+    # the trials can only fail when one of those families has.
+    if all(item.ok for item in items):
+        items.append(passed("random"))
+    else:
+        items.append(_first_nonzero("random", 2, L.frames, random_defects()))
+    return CheckReport(tuple(items))
+
+
+def _first_nonzero(check_id: str, degree: int, frames: Tuple[str, ...], cases) -> CheckItem:
+    """`check_id` failed at the first (where, components) case of `cases`
+    with a nonzero component, as a degree-`degree` multisection witness;
+    passed when there is none."""
+    for where, components in cases:
+        if any(components.values()):
+            witness = Multisection(len(frames), degree, components).format(frames)
+            return failed(check_id, f"{where}defect = {witness}")
+    return passed(check_id)
+
+
+def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[CheckItem]:
+    """The closed-form families of `check_compatibility`, in report order:
+    `frames`, `scaled`, `function_pairs` and `symmetric_part`.
+
+    They are yielded one at a time, so a caller that asks only whether all
+    of them pass stops at the first failure.  Once all four pass, so does
+    `random`, and the pair is compatible.
     """
     rank, frames, names = L.rank, L.frames, L.chart.names
     coords = [Polynomial.coordinate(L.chart, name) for name in names]
@@ -880,32 +922,20 @@ def check_compatibility(
             _add_wedge(acc, k, b, p)
         return acc
 
-    def random_defects():
-        rng = random.Random(seed)
-        for trial in range(RANDOM_PAIRS):
-            x = random_section(rng, L, max_degree)
-            y = random_section(rng, L, max_degree)
-            where = f"random trial {trial}: X = {x.format(frames)}, Y = {y.format(frames)}, "
-            yield where, dict(compatibility_defect(L, Lstar, x, y).components)
-
-    def first_nonzero(check_id: str, degree: int, cases) -> CheckItem:
-        for where, components in cases:
-            if any(components.values()):
-                witness = Multisection(rank, degree, components).format(frames)
-                return failed(check_id, f"{where}defect = {witness}")
-        return passed(check_id)
-
-    frame_item = first_nonzero(
+    frame_item = _first_nonzero(
         "frames",
         2,
+        frames,
         (
             (f"pair ({frames[a]}, {frames[b]}): ", frames_at(a, b))
             for a, b in itertools.combinations(range(rank), 2)
         ),
     )
-    function_item = first_nonzero(
+    yield frame_item
+    function_item = _first_nonzero(
         "function_pairs",
         1,
+        frames,
         (
             (f"pair ({frames[a]}, {names[i]}): ", functions_at(a, i))
             for a in range(rank)
@@ -913,38 +943,30 @@ def check_compatibility(
         ),
     )
     if frame_item.ok and function_item.ok:
-        scaled_item = passed("scaled")
+        yield passed("scaled")
     else:
-        scaled_item = first_nonzero(
+        yield _first_nonzero(
             "scaled",
             2,
+            frames,
             (
                 (f"pair ({frames[a]}, {names[i]} * {frames[b]}): ", scaled_at(a, b, i))
                 for a, b in itertools.product(range(rank), repeat=2)
                 for i in range(len(names))
             ),
         )
-    items = [frame_item, scaled_item, function_item]
+    yield function_item
 
-    witness = None
     products = anchor_products(L, Lstar)
     for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
         value = products[i][j] + products[j][i]
         if value:
-            witness = f"functions ({names[i]}, {names[j]}): a(d_*f)(g) + a(d_*g)(f) = {value}"
-            break
-    items.append(failed("symmetric_part", witness) if witness else passed("symmetric_part"))
-    # D is antisymmetric, D(X, gY) = g D(X, Y) + D(X, g) ^ Y, D(e_a, g) =
-    # sum_i d_i g * function_defect(a, i), and D(fX, g) = f D(X, g) +
-    # S(f, g) X with S the symmetric part above (a biderivation, so fixed by
-    # its values on coordinates).  D at any polynomial pair is therefore a
-    # combination of frame defects, function defects and S(x_i, x_j), and
-    # the trials can only fail when one of those families has.
-    if all(item.ok for item in items):
-        items.append(passed("random"))
-    else:
-        items.append(first_nonzero("random", 2, random_defects()))
-    return CheckReport(tuple(items))
+            yield failed(
+                "symmetric_part",
+                f"functions ({names[i]}, {names[j]}): a(d_*f)(g) + a(d_*g)(f) = {value}",
+            )
+            return
+    yield passed("symmetric_part")
 
 
 # ---------------------------------------------------------------------------

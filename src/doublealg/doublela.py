@@ -12,7 +12,9 @@ Also here: the core algebroid, read off the Poisson structure that the
 induced pair puts on the core dual; the structural consequences of a
 passing double (core anchor coincidence, the core algebroid and its core
 maps, the anchors of D as algebroid morphisms), which are theorems and so
-are stated, not recomputed; the cotangent double of a dual pair of
+are stated, not recomputed; the report of a passing `check_double`, which
+the cotangent and vacant build verbs state when the paper's
+correspondences decide it; the cotangent double of a dual pair of
 algebroids; and the matched pair read off a vacant double.
 """
 
@@ -255,6 +257,39 @@ def structural_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
         + (core if dla.core_frames else ())
         + ("anchor_compat", "anchor_brackets_A", "anchor_brackets_B")
     )
+    return CheckReport(tuple(passed(item) for item in items))
+
+
+def passing_double_report() -> CheckReport:
+    """The report of `check_double` on a double that passes it, stated.
+
+    The product states it only for the two kinds of double whose verdict a
+    theorem of the paper reads off a smaller check:
+
+    - the cotangent double of a dual pair (L, L*) of Lie algebroids,
+      `build_cotangent_double(L, Lstar)`, is a double Lie algebroid exactly
+      when (L, L*) is a Lie bialgebroid (Mackenzie & Xu 1994, Lie
+      bialgebroids and Poisson groupoids, Duke Math. J. 73), which
+      `check_compatibility(L, Lstar)` decides on the base chart once both
+      sides are valid algebroids;
+    - the vacant double of a pair of actions, `assemble_vacant_double(mp)`,
+      is a double Lie algebroid exactly when the pair is matched (Mokri
+      1997, Matched pairs of Lie algebroids, Glasgow Math. J. 39), which
+      `check_matched(mp)` decides.
+
+    A double that passes `check_double` passes every item, so the report is
+    the same 15 passed items for every such double.  The tests compare it
+    with `check_double` on every passing cotangent and vacant double of a
+    corpus that also holds failing ones; a caller runs `check_double`
+    itself when the smaller check fails, so failing items and witnesses
+    are those of `check_double`.
+    """
+    lavb = ("side", "base_fields", "generators", "induced_dual")
+    bialgebroid = (
+        "side", "dual_side", "frames", "scaled", "function_pairs", "symmetric_part", "random"
+    )
+    items = [f"{side}.{item}" for side in ("vertical", "horizontal") for item in lavb]
+    items += [f"bialgebroid.{item}" for item in bialgebroid]
     return CheckReport(tuple(passed(item) for item in items))
 
 

@@ -189,7 +189,8 @@ class Polynomial:
     # --- ring structure -----------------------------------------------
 
     def _require_same_chart(self, other: "Polynomial") -> None:
-        if self.chart is not other.chart and self.chart != other.chart:
+        # `names` is a chart's only field: one tuple comparison decides `==`
+        if self.chart is not other.chart and self.chart.names != other.chart.names:
             raise ChartMismatch(f"charts differ: {self.chart} vs {other.chart}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":

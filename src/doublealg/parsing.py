@@ -17,13 +17,38 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .exact import Chart, Coefficient, Polynomial
+from .exact import Chart, Coefficient, Exponent, Polynomial
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^/(),;:=\[\]{}]))"
 )
+
+
+# Most decimal digits of a numerator, denominator or exponent in a parsed
+# value.  A report prints values of degree at most 2 in a model's
+# coefficients, times at most three exponents brought down by partial
+# derivatives, so an integral one stays far below Python's 4300-digit
+# limit on int -> str conversion.
+MAX_DIGITS = 500
+_LIMIT = 10**MAX_DIGITS
+# raised as a ValueError, not a ParseError: the model names the block
+_TOO_LARGE = f"a number has more than {MAX_DIGITS} digits"
+
+
+def _integer(literal: str) -> int:
+    if len(literal) > MAX_DIGITS:
+        raise ValueError(_TOO_LARGE)
+    return int(literal)
+
+
+def _require_bounded(terms: Iterable[Tuple[Exponent, Coefficient]]) -> None:
+    """Raise unless each numerator, denominator and exponent of `terms` has
+    at most MAX_DIGITS digits; products and sums of literals can exceed it."""
+    for exp, coeff in terms:
+        if max(abs(coeff.numerator), coeff.denominator, *exp) >= _LIMIT:
+            raise ValueError(_TOO_LARGE)
 
 
 class ParseError(ValueError):
@@ -80,14 +105,15 @@ def _parse_rational(tokens: Tokens) -> Coefficient:
     kind, value, pos = tokens.next()
     if kind != "int":
         raise ParseError(f"expected number, got {value!r}", pos)
-    num = int(value)
+    num = _integer(value)
     if tokens.accept_sym("/"):
         kind, den, pos = tokens.next()
         if kind != "int":
             raise ParseError(f"expected denominator, got {den!r}", pos)
-        if int(den) == 0:
+        denominator = _integer(den)
+        if denominator == 0:
             raise ParseError("zero denominator", pos)
-        return Fraction(num, int(den))
+        return Fraction(num, denominator)
     return num
 
 
@@ -151,7 +177,7 @@ def _parse_terms(
                             _, power, _ = tokens.next()
                             if value not in coord_set:
                                 raise ParseError(f"unknown coordinate {value!r}", pos)
-                            exp = tuple(int(power) if name == value else 0 for name in chart.names)
+                            exp = tuple(_integer(power) if name == value else 0 for name in chart.names)
                             term.coeff = term.coeff * Polynomial(chart, {exp: 1})
                             # fallthrough to separator handling
                             if not tokens.accept_sym("*"):
@@ -206,6 +232,7 @@ def parse_combination(text: str, chart: Chart, frames: Tuple[str, ...]) -> Dict[
                 continue
             raise ParseError("term without a frame in a frame combination")
         out[term.frame] = out[term.frame] + term.coeff
+    _require_bounded(t for poly in out.values() for t in poly.terms)
     return out
 
 
@@ -221,6 +248,7 @@ def parse_vector_field(text: str, chart: Chart) -> List[Polynomial]:
                 continue
             raise ParseError("term without a direction in a vector field")
         comps[chart.index(term.frame)] = comps[chart.index(term.frame)] + term.coeff
+    _require_bounded(t for poly in comps for t in poly.terms)
     return comps
 
 
@@ -250,4 +278,5 @@ def parse_wedge_combination(
             out[(i, j)] = out.get((i, j), 0) + coeff
         else:
             out[(j, i)] = out.get((j, i), 0) - coeff
+    _require_bounded(((), value) for value in out.values())
     return {key: value for key, value in out.items() if value != 0}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 import pathlib
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from doublealg.cli import main, run
 from doublealg.model import ModelError, parse_model
+from doublealg.parsing import MAX_DIGITS
 from doublealg.report import Report, ResultEntry, emit_report
 from support import CO_JACOBI_MODEL, constants, dense_structure
 
@@ -458,8 +460,10 @@ class TestHostileNumbers:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_oversized_witness_is_an_error(self, tmp_path, capsys, default_digit_limit, fmt):
-        """A 4000-digit anchor and bracket coefficient parses, but its square
-        in the anchor-defect witness exceeds the limit while printing."""
+        """A 4000-digit anchor and bracket coefficient, whose square in the
+        anchor-defect witness would exceed the limit while printing, is past
+        the parser's digit bound: a parse error at its block, digits not
+        echoed."""
         big = "7" * 4000
         text = (MODELS / "tangent_cotangent_pair.pass").read_text()
         text = text.replace("bracket(w1, w2) = w1", f"bracket(w1, w2) = {big} * w1")
@@ -469,8 +473,52 @@ class TestHostileNumbers:
         code = main(["check", "bialgebroid", str(path), "--format", fmt])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err.startswith("doublealg: error: Exceeds the limit (4300 digits)")
+        assert captured.err == (
+            "doublealg: parse error: line 14: in [algebroid Tstar]: "
+            "a number has more than 500 digits\n"
+        )
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "9" * 501 + " * w1",
+            "9" * 300 + " * " + "9" * 300 + " * w1",
+            "1/" + "7" * 501 + " * w1",
+            "x^" + "1" * 501 + " * w1",
+            "x^" + "9" * 500 + " * x^" + "9" * 500 + " * w1",
+        ],
+    )
+    def test_number_past_the_digit_bound_is_a_parse_error(self, tmp_path, capsys, value):
+        """A literal, a product of literals, a denominator or an exponent
+        past `MAX_DIGITS` digits is refused at its block."""
+        text = (MODELS / "tangent_cotangent_pair.pass").read_text()
+        text = text.replace("bracket(w1, w2) = w1", f"bracket(w1, w2) = {value}")
+        code, err = self.run_model(tmp_path, capsys, "check", "bialgebroid", text)
+        assert code == 2
+        assert err == (
+            f"doublealg: parse error: line 14: in [algebroid Tstar]: "
+            f"a number has more than {MAX_DIGITS} digits\n"
+        )
+
+    @pytest.mark.parametrize("block", ["cobracket", "lie_algebra"])
+    def test_constants_past_the_digit_bound_are_parse_errors(self, block):
+        # two coprime denominators of about 300 digits: their sum has 636
+        big = f"1/{2**1000} * e1 ^ e2 + 1/{3**700} * e1 ^ e2"
+        text = SOLVABLE.replace("delta(e2) = e1 ^ e2", f"delta(e2) = {big}")
+        if block == "lie_algebra":
+            text = SOLVABLE.replace("bracket(e1, e2) = e2", f"bracket(e1, e2) = {'8' * 501} * e2")
+        with pytest.raises(ModelError, match=f"in \\[{block} .\\]: a number has more than"):
+            parse_model(text)
+
+    def test_numbers_at_the_digit_bound_are_accepted(self):
+        bound = "9" * MAX_DIGITS
+        model = parse_model(
+            "[algebroid A]\nbase = [x]\nframe = [e1]\n"
+            f"anchor(e1) = {bound} * x^{bound} * d/dx + 1/{bound} * d/dx\n"
+        )
+        (component,) = model.algebroids["A"].anchor[0]
+        assert dict(component.terms) == {(int(bound),): int(bound), (0,): Fraction(1, int(bound))}
 
     def test_counts_at_the_bound_are_accepted(self):
         model = parse_model("[lie_algebra g]\ndim = 64\n[dvb D]\nbase = [x]\nranks = {A: 0, B: 64, C: 1}\n")

@@ -6,7 +6,8 @@ outside its own definition or assignment: by another part of the
 package, by a file of the benchmark harness in `perfbench/`, or by an
 import in the README's Library snippet.  Every public method of a package
 class must have its name read as an attribute somewhere in those sources
-outside the method's own definition.  Helpers that only the tests call
+outside the method's own definition; so must every operator method, read
+by an expression with its operator.  Helpers that only the tests call
 live in `tests/` (`catalog`, `dvb_model`, `support` and the test modules).
 """
 
@@ -24,6 +25,56 @@ EXTERNAL_ONLY = {
     "algebroid.dual_poisson",
     "algebroid.lie_algebra_to_algebroid",
 }
+
+
+# The operator methods an expression may call, reflected and in-place forms
+# included: `a + b` reads __add__ and __radd__, `a += b` also __iadd__.
+_BINARY = {
+    ast.Add: "add",
+    ast.Sub: "sub",
+    ast.Mult: "mul",
+    ast.MatMult: "matmul",
+    ast.Div: "truediv",
+    ast.FloorDiv: "floordiv",
+    ast.Mod: "mod",
+    ast.Pow: "pow",
+    ast.LShift: "lshift",
+    ast.RShift: "rshift",
+    ast.BitOr: "or",
+    ast.BitXor: "xor",
+    ast.BitAnd: "and",
+}
+_UNARY = {ast.USub: ("__neg__",), ast.UAdd: ("__pos__",), ast.Invert: ("__invert__",)}
+_COMPARE = {
+    ast.Eq: ("__eq__",),
+    ast.NotEq: ("__ne__", "__eq__"),
+    ast.Lt: ("__lt__", "__gt__"),
+    ast.LtE: ("__le__", "__ge__"),
+    ast.Gt: ("__gt__", "__lt__"),
+    ast.GtE: ("__ge__", "__le__"),
+    ast.In: ("__contains__",),
+    ast.NotIn: ("__contains__",),
+}
+OPERATOR_METHODS = (
+    {f"__{p}{name}__" for name in _BINARY.values() for p in ("", "r", "i")}
+    | {name for names in _UNARY.values() for name in names}
+    | {name for names in _COMPARE.values() for name in names}
+)
+
+
+def operator_reads(node):
+    """The operator methods that the expression `node` may call."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        name = _BINARY[type(node.op)]
+        return (f"__{name}__", f"__r{name}__")
+    if isinstance(node, ast.AugAssign) and type(node.op) in _BINARY:
+        name = _BINARY[type(node.op)]
+        return (f"__i{name}__", f"__{name}__", f"__r{name}__")
+    if isinstance(node, ast.UnaryOp):
+        return _UNARY.get(type(node.op), ())
+    if isinstance(node, ast.Compare):
+        return tuple(name for op in node.ops for name in _COMPARE.get(type(op), ()))
+    return ()
 
 
 def defined_names(statement):
@@ -146,20 +197,23 @@ def readme_references():
 
 
 def public_methods(tree, module):
-    """(module, class, name) of every public method of a top-level class."""
+    """(module, class, name) of every public method and every operator
+    method of a top-level class."""
     return {
         (module, node.name, item.name)
         for node in tree.body
         if isinstance(node, ast.ClassDef)
         for item in node.body
-        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+        if isinstance(item, ast.FunctionDef)
+        and (not item.name.startswith("_") or item.name in OPERATOR_METHODS)
     }
 
 
 def attribute_reads(tree, module):
     """(attribute name, enclosing definition path) of every attribute read
-    in `tree`; the path starts with `module`, then the names of the
-    enclosing classes and functions."""
+    in `tree`, an operator's methods counting as read by its expression;
+    the path starts with `module`, then the names of the enclosing classes
+    and functions."""
     out = set()
 
     def visit(node, path):
@@ -167,6 +221,7 @@ def attribute_reads(tree, module):
             path = path + (node.name,)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add((node.attr, path))
+        out.update((name, path) for name in operator_reads(node))
         for child in ast.iter_child_nodes(node):
             visit(child, path)
 
@@ -267,6 +322,24 @@ def test_the_guard_sees_an_unused_method():
     methods = public_methods(tree, "m")
     assert methods == {("m", "Thing", "lonely"), ("m", "Thing", "used"), ("m", "Thing", "caller")}
     assert unread_methods(methods, attribute_reads(tree, "m")) == {("m", "Thing", "lonely")}
+
+
+def test_the_guard_sees_an_unused_operator_method():
+    """An operator method that only its own body calls is reported; one that
+    an operator outside it calls, in any form, is not; other dunder methods
+    are not checked."""
+    tree = ast.parse(
+        "class Thing:\n"
+        "    def __init__(self, n):\n        self.n = n\n"
+        "    def __mul__(self, other):\n        return self * other.n\n"
+        "    def __neg__(self):\n        return Thing(-self.n)\n"
+        "    def __sub__(self, other):\n        return -other\n"
+        "    def __lt__(self, other):\n        return self.n < other.n\n"
+        "def outside(a, b):\n    a -= b\n    return b > a\n"
+    )
+    methods = public_methods(tree, "m")
+    assert {name for _, _, name in methods} == {"__mul__", "__neg__", "__sub__", "__lt__"}
+    assert unread_methods(methods, attribute_reads(tree, "m")) == {("m", "Thing", "__mul__")}
 
 
 def test_readme_library_snippet_runs():

@@ -52,16 +52,25 @@ def cases():
     ]
 
 
-def run_case(verb, kind, path, fmt):
-    """(exit code, sha256 of stdout + stderr) of one in-process CLI call."""
+def run_argv(argv):
+    """(exit code or SystemExit code, stdout bytes, stderr bytes) of one
+    in-process CLI call."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([verb, kind, str(path), "--format", fmt])
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     out.flush()
     err.flush()
-    data = out.buffer.getvalue() + b"\0" + err.buffer.getvalue()
-    return code, hashlib.sha256(data).hexdigest()
+    return code, out.buffer.getvalue(), err.buffer.getvalue()
+
+
+def run_case(verb, kind, path, fmt):
+    """(exit code, sha256 of stdout + stderr) of one in-process CLI call."""
+    code, out, err = run_argv([verb, kind, str(path), "--format", fmt])
+    return code, hashlib.sha256(out + b"\0" + err).hexdigest()
 
 
 @functools.cache
@@ -426,6 +435,39 @@ def test_generated_model_bytes(label, verb, kind, fmt, code, sha, tmp_path, monk
     path = tmp_path / "m.model"
     path.write_text(GENERATED[label])
     assert run_case(verb, kind, path, fmt) == (int(code), sha)
+
+
+def test_the_cached_parser_answers_each_call_alike(tmp_path, monkeypatch):
+    """One parser serves every call of a process: usage errors, a failing
+    read and a valid call, interleaved and repeated, each give the same exit
+    code and bytes every time, and the valid call its golden bytes."""
+    monkeypatch.delenv("DOUBLEALG_MAX_DEGREE", raising=False)
+    model = str(MODELS / "t2m_double.pass")
+    valid = ["check", "double", model, "--format", "json"]
+    calls = [
+        ["frobnicate", "double", model],
+        valid,
+        ["check", "nonsense", model],
+        valid,
+        ["check", "double", model, "--seed", "seven"],
+        valid,
+        ["check", "double", str(tmp_path / "missing.model")],
+        valid,
+    ]
+    first = [run_argv(argv) for argv in calls]
+    assert [run_argv(argv) for argv in calls] == first
+    assert cli._parser() is cli._parser()
+    codes = [code for code, _, _ in first]
+    assert codes == [2, 0, 2, 0, 2, 0, 2, 0]
+    assert all(out == b"" for _, out, _ in first[::2])
+    usage = b"usage: doublealg "
+    assert first[0][2].startswith(usage) and b"invalid choice: 'frobnicate'" in first[0][2]
+    assert first[2][2].startswith(usage) and b"unknown kind 'nonsense'" in first[2][2]
+    assert first[4][2].startswith(usage) and b"invalid int value: 'seven'" in first[4][2]
+    assert first[6][2].startswith(b"doublealg: error: [Errno 2]")
+    code, out, err = first[1]
+    sha = hashlib.sha256(out + b"\0" + err).hexdigest()
+    assert (code, sha) == load_golden()[("check", "double", "t2m_double.pass", "json")]
 
 
 if __name__ == "__main__":

@@ -627,6 +627,80 @@ class TestDuplicateEntries:
         assert str(dict(model.lavbs["V"].twist)[(0, 1)][0][0]) == "1"
 
 
+class TestParseErrorPins:
+    """The full text and line of the parse errors that the per-entry readers
+    of `parse_model` raise: argument counts, unresolved references,
+    antisymmetry, and which of two errors in one block is reported."""
+
+    PRELUDE = (
+        "[chart M]\ncoords = [x]\n"
+        "[algebroid A]\nbase = M\nframe = [a1]\n"
+        "[algebroid B]\nbase = M\nframe = [b1, b2]\n"
+        "[dvb D]\nbase = M\nframes_A = [a1]\nframes_B = [b1, b2]\nframes_C = [c1]\n"
+        "[lavb V]\ndvb = D\nside = B\n"
+        "[lie_algebra g]\ndim = 2\n"
+    )
+    ALGEBROID = "[algebroid C]\nbase = M\nframe = [c1, c2]\n"
+    LAVB = "[lavb W]\ndvb = D\nside = B\n"
+    MATCHED = "[matched_pair P]\nA = A\nB = B\n"
+
+    # (block appended to PRELUDE, line of the error within it, message)
+    CASES = [
+        ("[lie_algebra h]\ndim = 2\nbracket(e1) = e2\n", 3, "bracket takes two basis names"),
+        ("[cobracket d]\nalgebra = g\ndelta(e1, e2) = e1 ^ e2\n", 3, "delta takes one basis name"),
+        (ALGEBROID + "anchor(c1, c2) = d/dx\n", 4, "anchor takes one frame name"),
+        (ALGEBROID + "bracket(c1) = c2\n", 4, "bracket takes two frame names"),
+        (LAVB + "lambda(b1) = a1\n", 4, "lambda takes (side frame; bundle frame)"),
+        (LAVB + "q(b1) = c1\n", 4, "q takes (side frame; core frame)"),
+        (LAVB + "del(c1; a1) = a1\n", 4, "del takes one core frame"),
+        (LAVB + "twist(b1; a1) = c1\n", 4, "twist takes (side, side; bundle frame)"),
+        (MATCHED + "rho() = derivation{}\n", 4, "rho takes one frame name"),
+        (MATCHED + "sigma(b1, b2) = derivation{}\n", 4, "sigma takes one frame name"),
+        ("[algebroid C]\nbase = N\nframe = [c1]\n", 2, "unresolved chart reference 'N'"),
+        ("[cobracket d]\nalgebra = h\n", 2, "unresolved lie_algebra reference 'h'"),
+        (
+            "[algebroid C]\nbase = M\nframe = [c1]\ndual_of = Z\n",
+            4,
+            "unresolved algebroid reference 'Z'",
+        ),
+        ("[lavb W]\ndvb = E\nside = B\n", 2, "unresolved dvb reference 'E'"),
+        ("[lavb W]\ndvb = D\nside = Z\n", 3, "unresolved algebroid reference 'Z'"),
+        ("[matched_pair P]\nA = Z\nB = B\n", 2, "unresolved algebroid reference 'Z'"),
+        ("[matched_pair P]\nA = A\nB = Z\n", 3, "unresolved algebroid reference 'Z'"),
+        ("[double DD]\nvertical = V\nhorizontal = Z\n", 3, "unresolved lavb reference 'Z'"),
+        (
+            "[double DD]\ndvb = E\nvertical = V\nhorizontal = V\n",
+            2,
+            "unresolved dvb reference 'E'",
+        ),
+        (
+            "[lie_algebra h]\ndim = 2\nbracket(e1, e1) = e2\n",
+            3,
+            "bracket(e1, e1) violates antisymmetry (diagonal brackets are identically zero)",
+        ),
+        (
+            ALGEBROID + "bracket(c2, c2) = c1\n",
+            4,
+            "bracket(c2, c2) violates antisymmetry (diagonal brackets are identically zero)",
+        ),
+        (LAVB + "twist(b1, b1; a1) = c1\n", 4, "twist pair must be distinct (antisymmetry)"),
+        # a missing key wins over an unresolved reference read before it
+        ("[matched_pair P]\nA = Z\n", 1, "missing key 'B' in [matched_pair P]"),
+        ("[double DD]\nhorizontal = Z\n", 1, "missing key 'vertical' in [double DD]"),
+        # of two unresolved references, the first key's is reported
+        ("[double DD]\nvertical = Y\nhorizontal = Z\n", 2, "unresolved lavb reference 'Y'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "block,line,message", CASES, ids=[f"{i}:{c[2].split(' ')[0]}" for i, c in enumerate(CASES)]
+    )
+    def test_message_and_line(self, block, line, message):
+        line += self.PRELUDE.count("\n")
+        with pytest.raises(ModelError) as exc:
+            parse_model(self.PRELUDE + block)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
 class TestTwistOrientation:
     """`twist(b2, b1; a)` is the negation of `twist(b1, b2; a)`, and a zero
     twist is the same as none."""

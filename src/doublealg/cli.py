@@ -118,8 +118,7 @@ def _dual_pair_sources(model: ModelFile):
     for name, partner in model.dual_pairs.items():
         out.append((f"{partner}:{name}", model.algebroids[partner], model.algebroids[name]))
     for name, b in model.bialgebras.items():
-        pair = liealg.bialgebra_to_dual_pair(b)
-        out.append((name, pair[0], pair[1]))
+        out.append((name, b.algebra, b.dual))
     return out
 
 
@@ -245,18 +244,12 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
                 results.append(ResultEntry(f"extract.{name}", "fail", str(exc)))
                 continue
             detail: List[str] = []
-            for i, frame in enumerate(mp.algebroid_a.frames):
-                detail.extend(
-                    format_derivation_lines(
-                        f"rho({frame})", mp.rho.derivations[i], mp.algebroid_b.frames
-                    )
-                )
-            for j, frame in enumerate(mp.algebroid_b.frames):
-                detail.extend(
-                    format_derivation_lines(
-                        f"sigma({frame})", mp.sigma.derivations[j], mp.algebroid_a.frames
-                    )
-                )
+            for label, acting, ders, target in (
+                ("rho", mp.algebroid_a, mp.rho, mp.algebroid_b),
+                ("sigma", mp.algebroid_b, mp.sigma, mp.algebroid_a),
+            ):
+                for frame, d in zip(acting.frames, ders):
+                    detail.extend(format_derivation_lines(f"{label}({frame})", d, target.frames))
             results.append(ResultEntry(f"extract.{name}", "pass", detail=tuple(detail)))
             results.extend(entries_from_check(f"extract.{name}.matched", rep))
 

@@ -40,7 +40,6 @@ from .lavb import LAVBundle, check_lavb, unique_names
 from .matched import (
     MatchedPair,
     MatchedPairError,
-    RepresentationMap,
     check_matched,
     vacant_lavbundles,
 )
@@ -389,8 +388,8 @@ def matched_from_vacant(dla: DoubleLieAlgebroid) -> Tuple[MatchedPair, CheckRepo
     mp = MatchedPair(
         dla.side_a,
         dla.side_b,
-        RepresentationMap(dla.horizontal.anchor_derivations),
-        RepresentationMap(dla.vertical.anchor_derivations),
+        dla.horizontal.anchor_derivations,
+        dla.vertical.anchor_derivations,
     )
     rep = check_matched(mp)
     if not rep.ok:

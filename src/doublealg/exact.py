@@ -30,6 +30,7 @@ equals it (adding or subtracting zero, multiplying by zero, negating zero).
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -61,10 +62,15 @@ def rat(value) -> Coefficient:
 
 
 def format_rat(value: Coefficient) -> str:
-    """Print a rational as `p` or `p/q`."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Print a rational as `p` or `p/q`.  A numerator or denominator past
+    Python's int -> str digit limit is a `ValueError` naming that limit."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a number in the report has more than {limit} digits") from None
 
 
 @dataclass(frozen=True)

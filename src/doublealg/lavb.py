@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebroid import (
     Derivation,
@@ -266,6 +266,20 @@ def dual_lavb(v: LAVBundle) -> LAVBundle:
     )
 
 
+def first_off_anchor(
+    acting: LieAlgebroid, *families: Sequence[Derivation]
+) -> Optional[Tuple[int, int]]:
+    """The first (i, f), in frame order, such that the derivation
+    families[f][i] sits over another field than the anchor of frame i of
+    `acting`; None when each sits over its anchor."""
+    for i in range(acting.rank):
+        expected = acting.anchor_field(i).components
+        for f, family in enumerate(families):
+            if family[i].base_field.components != expected:
+                return i, f
+    return None
+
+
 def check_lavb(v: LAVBundle) -> CheckReport:
     """Validity of the decomposed structure.
 
@@ -284,17 +298,14 @@ def check_lavb(v: LAVBundle) -> CheckReport:
     )
 
     witness = None
-    for beta in range(v.side.rank):
-        expected = v.side.anchor_field(beta)
-        for label, der in (("anchor", v.anchor_derivations[beta]), ("core", v.core_derivations[beta])):
-            if der.base_field.components != expected.components:
-                witness = (
-                    f"{label} derivation for side frame {v.side.frames[beta]} sits over "
-                    f"{der.base_field}, expected {expected}"
-                )
-                break
-        if witness:
-            break
+    off = first_off_anchor(v.side, v.anchor_derivations, v.core_derivations)
+    if off:
+        beta, family = off
+        der = (v.anchor_derivations, v.core_derivations)[family][beta]
+        witness = (
+            f"{('anchor', 'core')[family]} derivation for side frame {v.side.frames[beta]} "
+            f"sits over {der.base_field}, expected {v.side.anchor_field(beta)}"
+        )
     items.append(failed("base_fields", witness) if witness else passed("base_fields"))
 
     if side_rep.ok and witness is None:

@@ -3,14 +3,15 @@
 A Lie algebra is a Lie algebroid over a point: `LieAlgebra` builds the
 `LieAlgebroid` on the point chart `Chart(())` with constant structure
 functions, so its structure constants are exact and stored once, only
-the nonzero ones.  The Drinfel'd double of a bialgebra is the same kind of
-algebroid, scattered from the nonzero entries of g, g* and the cobracket
-images.  It is built from the two coadjoint actions once the algebra
-passes Jacobi, its dual bracket passes Jacobi and the cobracket is a
-1-cocycle.  A Lie bialgebra is a Lie bialgebroid over a point (Mackenzie
-& Xu 1994, Lie bialgebroids and Poisson groupoids, Duke Math. J. 73), so
-these three gates are decided on the dual pair `bialgebra_to_dual_pair`
-by the code of `algebroid` that `check_algebroid` and
+the nonzero ones.  A Lie bialgebra is a Lie bialgebroid over a point
+(Mackenzie & Xu 1994, Lie bialgebroids and Poisson groupoids, Duke Math.
+J. 73), and `Bialgebra` stores it as that pair (g, g*): `cobracket_dual`
+builds g* once from the cobracket images, the transpose of the cobracket.
+The Drinfel'd double is the same kind of algebroid, scattered from the
+nonzero entries of g and g*.  It is built from the two coadjoint actions
+once the algebra passes Jacobi, its dual bracket passes Jacobi and the
+cobracket is a 1-cocycle.  These three gates are decided on the pair by
+the code of `algebroid` that `check_algebroid` and
 `check_compatibility` run: `first_jacobiator` on each side and
 `frame_defect`, the compatibility defect in closed form, on frame pairs.
 This module only renders their witnesses, through
@@ -77,49 +78,33 @@ def format_wedge(w: Wedge, names: Sequence[str]) -> str:
 
 
 @dataclass(frozen=True)
-class Cobracket:
-    """delta(e_i) as an exterior-square element: images[i] holds its nonzero
-    components ((j, k), delta^{jk}_i) with j < k, in increasing (j, k)."""
-
-    dim: int
-    images: Tuple[Tuple[Tuple[Tuple[int, int], Coefficient], ...], ...]
-
-    def __init__(self, dim: int, images: Mapping[int, Wedge] | None = None):
-        object.__setattr__(self, "dim", dim)
-        table: List[Tuple[Tuple[Tuple[int, int], Coefficient], ...]] = []
-        source = images or {}
-        for i in range(dim):
-            w = source.get(i, {})
-            cleaned = {}
-            for (j, k), coeff in w.items():
-                coeff = rat(coeff)
-                if coeff == 0:
-                    continue
-                if j == k:
-                    raise ValueError("wedge of a basis vector with itself")
-                if j < k:
-                    cleaned[(j, k)] = cleaned.get((j, k), 0) + coeff
-                else:
-                    cleaned[(k, j)] = cleaned.get((k, j), 0) - coeff
-            table.append(tuple(sorted((p, c) for p, c in cleaned.items() if c != 0)))
-        object.__setattr__(self, "images", tuple(table))
-
-
-@dataclass(frozen=True)
 class Bialgebra:
-    algebra: LieAlgebroid  # a Lie algebra: an algebroid over the point
-    cobracket: Cobracket
+    """A Lie bialgebra as the Lie bialgebroid over the point it is: the
+    algebra g and the dual g* whose bracket transposes the cobracket."""
+
+    algebra: LieAlgebroid  # g: an algebroid over the point
+    dual: LieAlgebroid  # g*, basis <name>_d: see `cobracket_dual`
 
     def __post_init__(self):
-        if self.algebra.rank != self.cobracket.dim:
-            raise ValueError("algebra and cobracket dimensions differ")
+        if self.algebra.rank != self.dual.rank:
+            raise ValueError("algebra and dual dimensions differ")
 
     @property
     def dim(self) -> int:
         return self.algebra.rank
 
-    def dual_names(self) -> Tuple[str, ...]:
-        return tuple(f"{name}_d" for name in self.algebra.frames)
+
+def cobracket_dual(g: LieAlgebroid, images: Mapping[int, Wedge]) -> LieAlgebroid:
+    """g*, unchecked, from the cobracket delta(e_k) = images[k] of g: the
+    transpose of delta under the determinant pairing,
+    [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k.  Its basis is <name>_d;
+    the checks it goes to report a co-Jacobi failure."""
+    n = g.rank
+    brackets: Dict[Tuple[int, int], List[Coefficient]] = {}
+    for k, image in images.items():
+        for pair, c in image.items():
+            brackets.setdefault(pair, [0] * n)[k] += rat(c)
+    return LieAlgebra(n, brackets, [f"{name}_d" for name in g.frames])
 
 
 def _scattered(size: int, entries) -> Dict[Tuple[int, int], List[Polynomial]]:
@@ -132,21 +117,6 @@ def _scattered(size: int, entries) -> Dict[Tuple[int, int], List[Polynomial]]:
             out[(a, b)] = [zero] * size
         out[(a, b)][k] = value
     return out
-
-
-def bialgebra_to_dual_pair(b: Bialgebra) -> Tuple[LieAlgebroid, LieAlgebroid]:
-    """(g, g*) as a dual pair of algebroids over the point, unchecked: the
-    checks the pair goes to report a co-Jacobi failure of g*.  The bracket
-    of g* is the transpose of the cobracket under the determinant pairing,
-    [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k."""
-    n, point = b.dim, b.algebra.chart
-    entries = (
-        (i, j, k, Polynomial.constant(point, c))
-        for k, image in enumerate(b.cobracket.images)
-        for (i, j), c in image
-    )
-    dual = LieAlgebroid(point, b.dual_names(), [()] * n, _scattered(n, entries))
-    return b.algebra, dual
 
 
 def _value(p: Polynomial) -> Coefficient:
@@ -179,9 +149,10 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
     delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i) is minus
     `frame_defect` on (e_i, e_j).  Raises `ValueError` when a dual
     basis name <name>_d is already a basis name.  The bracket is scattered
-    from the nonzero entries of g, g* and the cobracket images.
+    from the nonzero entries of g and g*; each entry (i, c) of the g*
+    structure at (j, k) is delta^{jk}_i.
     """
-    g, dual = bialgebra_to_dual_pair(b)
+    g, dual = b.algebra, b.dual
     _require_jacobi(g, "algebra")
     _require_jacobi(dual, "dual bracket")
     names = g.frames
@@ -193,28 +164,27 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
                 f"cocycle condition fails: pair ({names[i]}, {names[j]}): "
                 f"defect = {format_wedge(wedge, names)}"
             )
-    clash = next((name for name in b.dual_names() if name in names), None)
+    clash = next((name for name in dual.frames if name in names), None)
     if clash is not None:
         raise ValueError(f"dual basis name {clash!r} is already a basis name")
 
     n = b.dim
 
     def entries():
-        for offset, side in ((0, g), (n, dual)):
-            for i, row in enumerate(side.nonzero_structure):
-                for j in range(i + 1, n):
-                    for k, c in row[j]:
-                        yield offset + i, offset + j, offset + k, c
-        for i, image in enumerate(b.cobracket.images):
-            for (j, k), c in image:
-                yield i, n + j, k, Polynomial.constant(g.chart, c)
-                yield i, n + k, j, Polynomial.constant(g.chart, -c)
         for i, row in enumerate(g.nonzero_structure):
             for k, pairs in enumerate(row):
                 for j, c in pairs:
+                    if i < k:
+                        yield i, k, j, c
                     yield i, n + j, n + k, -c
+        for j, row in enumerate(dual.nonzero_structure):
+            for k in range(j + 1, n):
+                for i, c in row[k]:
+                    yield n + j, n + k, n + i, c
+                    yield i, n + j, k, c
+                    yield i, n + k, j, -c
 
-    return LieAlgebroid(g.chart, names + b.dual_names(), [()] * (2 * n), _scattered(2 * n, entries()))
+    return LieAlgebroid(g.chart, names + dual.frames, [()] * (2 * n), _scattered(2 * n, entries()))
 
 
 def check_manin() -> CheckReport:

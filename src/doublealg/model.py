@@ -52,21 +52,28 @@ lambda(b1; a1), ... is an error at its line, and bracket(e2, e1) or
 twist(b2, b1; a1) repeats bracket(e1, e2) or twist(b1, b2; a1).  Inside a
 value, a frame repeated in derivation{...} or a side repeated in
 ranks = {...} is an error at its line too.
+
+Each block is read into the one stored form of its structure: a
+[cobracket] into the `Bialgebra` pair (g, g*), a [matched_pair] into its
+two tuples of derivations.  Entries of one shape share one reader:
+`_call_indices` checks a call's argument count and finds each argument in
+its frame list, `_resolve` looks up a reference to an earlier block, and
+`_brackets` reads the brackets of [lie_algebra] and [algebroid] blocks.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .algebroid import Derivation, LieAlgebroid, VectorField
 from .doublela import DoubleLieAlgebroid
 from .dvb import DecomposedDVB
 from .exact import Chart, Polynomial
 from .lavb import LAVBundle
-from .liealg import Bialgebra, Cobracket, LieAlgebra
-from .matched import MatchedPair, RepresentationMap
+from .liealg import Bialgebra, LieAlgebra, cobracket_dual
+from .matched import MatchedPair
 from .parsing import (
     ParseError,
     parse_combination,
@@ -89,6 +96,8 @@ _BLOCK_TYPES = (
     "double",
 )
 
+
+_T = TypeVar("_T")
 
 # Largest dimension or rank a model file may give as a number.
 MAX_COUNT = 64
@@ -233,13 +242,48 @@ def _raw_blocks(text: str) -> List[RawBlock]:
     return blocks
 
 
-def _frame_indices(names: Sequence[str], wanted: Sequence[str], line: int) -> List[int]:
-    out = []
-    for w in wanted:
-        if w not in names:
-            raise ModelError(f"unknown frame {w!r} (have {', '.join(names)})", line)
-        out.append(names.index(w))
-    return out
+def _frame_index(names: Sequence[str], wanted: str, line: int) -> int:
+    if wanted not in names:
+        raise ModelError(f"unknown frame {wanted!r} (have {', '.join(names)})", line)
+    return names.index(wanted)
+
+
+def _call_indices(args: str, line: int, usage: str, *frame_lists: Sequence[str]) -> List[int]:
+    """The index of each argument of a call entry in its frame list, in
+    order; an argument count other than one per list is the error `usage`."""
+    wanted = _split_args(args)
+    if len(wanted) != len(frame_lists):
+        raise ModelError(usage, line)
+    return [_frame_index(names, w, line) for names, w in zip(frame_lists, wanted)]
+
+
+def _resolve(table: Mapping[str, _T], kind: str, entry: Tuple[str, int]) -> _T:
+    """The block of `kind` that the `(name, line)` entry names."""
+    name, line = entry
+    if name not in table:
+        raise ModelError(f"unresolved {kind} reference {name!r}", line)
+    return table[name]
+
+
+def _brackets(
+    block: RawBlock, chart: Chart, frames: Tuple[str, ...], noun: str
+) -> Dict[Tuple[int, int], Tuple[Polynomial, ...]]:
+    """The bracket(x, y) = combination entries of a [lie_algebra] or
+    [algebroid] block as component vectors on pairs a < b; `noun` is
+    "basis" or "frame", the word for an argument."""
+    brackets = {}
+    for args, value, line in block.calls("bracket", unordered_pair=True):
+        i, j = _call_indices(args, line, f"bracket takes two {noun} names", frames, frames)
+        if i == j:
+            raise ModelError(
+                f"bracket({frames[i]}, {frames[j]}) violates antisymmetry "
+                "(diagonal brackets are identically zero)",
+                line,
+            )
+        combo = _parsed(line, parse_combination, value, chart, frames)
+        vec = tuple(combo[name] for name in frames)
+        brackets[(min(i, j), max(i, j))] = vec if i < j else tuple(-p for p in vec)
+    return brackets
 
 
 def _parse_derivation_value(
@@ -258,7 +302,7 @@ def _parse_derivation_value(
                 raise ModelError(f"bad derivation entry {part!r}", line)
             frame_name, combo = part.split(":", 1)
             frame_name = frame_name.strip()
-            idx = _frame_indices(frames, [frame_name], line)[0]
+            idx = _frame_index(frames, frame_name, line)
             if idx in seen:
                 raise ModelError(f"duplicate frame {frame_name!r} in derivation{{...}}", line)
             seen.add(idx)
@@ -281,12 +325,9 @@ def parse_model(text: str) -> ModelFile:
     doubles: Dict[str, DoubleLieAlgebroid] = {}
 
     def chart_ref(value: str, line: int) -> Chart:
-        value = value.strip()
         if value.startswith("["):
             return Chart(_parse_name_list(value, line))
-        if value not in charts:
-            raise ModelError(f"unresolved chart reference {value!r}", line)
-        return charts[value]
+        return _resolve(charts, "chart", (value, line))
 
     for block in blocks:
         try:
@@ -307,95 +348,51 @@ def parse_model(text: str) -> ModelFile:
                 )
                 if len(names) != dim:
                     raise ModelError("basis length does not match dim", block.line)
-                point = Chart(())
-                brackets = {}
-                for args, value, line in block.calls("bracket", unordered_pair=True):
-                    pair = _split_args(args)
-                    if len(pair) != 2:
-                        raise ModelError("bracket takes two basis names", line)
-                    i, j = _frame_indices(names, pair, line)
-                    if i == j:
-                        raise ModelError(
-                            f"bracket({pair[0]}, {pair[1]}) violates antisymmetry "
-                            "(diagonal brackets are identically zero)",
-                            line,
-                        )
-                    combo = _parsed(line, parse_combination, value, point, names)
-                    brackets[(i, j)] = tuple(combo[name] for name in names)
+                brackets = _brackets(block, Chart(()), names, "basis")
                 lie_algebras[block.name] = LieAlgebra(dim, brackets, names)
 
             elif block.kind == "cobracket":
                 block.known_keys(["algebra", "delta"])
-                algebra_name, line = block.single("algebra", required=True)
-                if algebra_name not in lie_algebras:
-                    raise ModelError(f"unresolved lie_algebra reference {algebra_name!r}", line)
-                algebra = lie_algebras[algebra_name]
+                algebra_entry = block.single("algebra", required=True)
+                algebra = _resolve(lie_algebras, "lie_algebra", algebra_entry)
                 images = {}
                 for args, value, line in block.calls("delta"):
-                    which = _split_args(args)
-                    if len(which) != 1:
-                        raise ModelError("delta takes one basis name", line)
-                    i = _frame_indices(algebra.frames, which, line)[0]
+                    (i,) = _call_indices(args, line, "delta takes one basis name", algebra.frames)
                     images[i] = _parsed(line, parse_wedge_combination, value, algebra.frames)
-                bialgebras[block.name] = Bialgebra(algebra, Cobracket(algebra.rank, images))
+                bialgebras[block.name] = Bialgebra(algebra, cobracket_dual(algebra, images))
 
             elif block.kind == "algebroid":
                 block.known_keys(["base", "frame", "anchor", "bracket", "dual_of"])
-                base_text, base_line = block.single("base", required=True)
-                chart = chart_ref(base_text, base_line)
-                frames_text, frames_line = block.single("frame", required=True)
-                frames = _parse_name_list(frames_text, frames_line)
+                chart = chart_ref(*block.single("base", required=True))
+                frames = _parse_name_list(*block.single("frame", required=True))
                 rank = len(frames)
                 anchor = [
                     [Polynomial.zero(chart) for _ in range(chart.dim)] for _ in range(rank)
                 ]
                 for args, value, line in block.calls("anchor"):
-                    which = _split_args(args)
-                    if len(which) != 1:
-                        raise ModelError("anchor takes one frame name", line)
-                    i = _frame_indices(frames, which, line)[0]
+                    (i,) = _call_indices(args, line, "anchor takes one frame name", frames)
                     anchor[i] = _parsed(line, parse_vector_field, value, chart)
-                brackets = {}
-                for args, value, line in block.calls("bracket", unordered_pair=True):
-                    pair = _split_args(args)
-                    if len(pair) != 2:
-                        raise ModelError("bracket takes two frame names", line)
-                    i, j = _frame_indices(frames, pair, line)
-                    if i == j:
-                        raise ModelError(
-                            f"bracket({pair[0]}, {pair[1]}) violates antisymmetry "
-                            "(diagonal brackets are identically zero)",
-                            line,
-                        )
-                    combo = _parsed(line, parse_combination, value, chart, frames)
-                    vec = tuple(combo[name] for name in frames)
-                    if i < j:
-                        brackets[(i, j)] = vec
-                    else:
-                        brackets[(j, i)] = tuple(-p for p in vec)
+                brackets = _brackets(block, chart, frames, "frame")
                 algebroids[block.name] = LieAlgebroid(chart, frames, anchor, brackets)
                 dual_entry = block.single("dual_of")
                 if dual_entry:
                     partner, line = dual_entry
-                    if partner not in algebroids:
-                        raise ModelError(f"unresolved algebroid reference {partner!r}", line)
-                    if algebroids[partner].rank != rank:
+                    partner_alg = _resolve(algebroids, "algebroid", dual_entry)
+                    if partner_alg.rank != rank:
                         raise ModelError("dual pair must have matching ranks", line)
-                    if algebroids[partner].chart != chart:
+                    if partner_alg.chart != chart:
                         raise ModelError("dual pair must share a chart", line)
                     dual_pairs[block.name] = partner
 
             elif block.kind == "dvb":
                 block.known_keys(["base", "frames_A", "frames_B", "frames_C", "ranks"])
-                base_text, base_line = block.single("base", required=True)
-                chart = chart_ref(base_text, base_line)
+                chart = chart_ref(*block.single("base", required=True))
                 triples = []
                 ranks_entry = block.single("ranks")
                 defaults = {"A": "a", "B": "b", "C": "c"}
                 rank_map = {}
                 if ranks_entry:
                     text, line = ranks_entry
-                    text = text.strip()
                     if not (text.startswith("{") and text.endswith("}")):
                         raise ModelError("ranks must look like {A: 2, B: 1, C: 1}", line)
                     for part in text[1:-1].split(","):
@@ -430,143 +427,107 @@ def parse_model(text: str) -> ModelFile:
 
             elif block.kind == "lavb":
                 block.known_keys(["dvb", "side", "lambda", "q", "del", "twist"])
-                dvb_name, line = block.single("dvb", required=True)
-                if dvb_name not in dvbs:
-                    raise ModelError(f"unresolved dvb reference {dvb_name!r}", line)
-                shape = dvbs[dvb_name]
-                chart, frames_a, frames_b, frames_c = (
-                    shape.chart, shape.frames_a, shape.frames_b, shape.frames_c
-                )
-                side_name, line = block.single("side", required=True)
-                if side_name not in algebroids:
-                    raise ModelError(f"unresolved algebroid reference {side_name!r}", line)
-                side = algebroids[side_name]
+                dvb_entry = block.single("dvb", required=True)
+                shape = _resolve(dvbs, "dvb", dvb_entry)
+                chart, frames_c = shape.chart, shape.frames_c
+                side_entry = block.single("side", required=True)
+                side = _resolve(algebroids, "algebroid", side_entry)
+                line = side_entry[1]
                 if side.chart != chart:
                     raise ModelError("side algebroid must live on the dvb base chart", line)
                 # orientation: the side algebroid matches one pair of parallel
                 # sides, the bundle of the structure is the other one
-                if side.frames == frames_b:
-                    bundle_frames = frames_a
-                elif side.frames == frames_a:
-                    bundle_frames = frames_b
+                if side.frames == shape.frames_b:
+                    frames_a = shape.frames_a
+                elif side.frames == shape.frames_a:
+                    frames_a = shape.frames_b
                 else:
                     raise ModelError(
                         f"side frames {side.frames} match neither dvb side "
-                        f"({frames_a} / {frames_b})",
+                        f"({shape.frames_a} / {shape.frames_b})",
                         line,
                     )
-                frames_a = bundle_frames
                 frames_b = side.frames
                 ra, rb, rc = len(frames_a), len(frames_b), len(frames_c)
                 zero = Polynomial.zero(chart)
-                lam = [
-                    [[zero for _ in range(ra)] for _ in range(ra)] for _ in range(rb)
-                ]
-                for args, value, line in block.calls("lambda"):
-                    which = _split_args(args)
-                    if len(which) != 2:
-                        raise ModelError("lambda takes (side frame; bundle frame)", line)
-                    beta = _frame_indices(frames_b, [which[0]], line)[0]
-                    a = _frame_indices(frames_a, [which[1]], line)[0]
-                    combo = _parsed(line, parse_combination, value, chart, frames_a)
-                    lam[beta][a] = [combo[name] for name in frames_a]
-                q = [[[zero for _ in range(rc)] for _ in range(rc)] for _ in range(rb)]
-                for args, value, line in block.calls("q"):
-                    which = _split_args(args)
-                    if len(which) != 2:
-                        raise ModelError("q takes (side frame; core frame)", line)
-                    beta = _frame_indices(frames_b, [which[0]], line)[0]
-                    g = _frame_indices(frames_c, [which[1]], line)[0]
-                    combo = _parsed(line, parse_combination, value, chart, frames_c)
-                    q[beta][g] = [combo[name] for name in frames_c]
-                core_anchor = [[zero for _ in range(ra)] for _ in range(rc)]
+                # lambda and q: per side frame, a derivation on the bundle
+                # (the anchor derivation) and one on the core
+                derivations = []
+                for key, noun, own in (("lambda", "bundle", frames_a), ("q", "core", frames_c)):
+                    matrices = [[[zero] * len(own) for _ in own] for _ in range(rb)]
+                    usage = f"{key} takes (side frame; {noun} frame)"
+                    for args, value, line in block.calls(key):
+                        beta, a = _call_indices(args, line, usage, frames_b, own)
+                        combo = _parsed(line, parse_combination, value, chart, own)
+                        matrices[beta][a] = [combo[name] for name in own]
+                    derivations.append(
+                        [Derivation(side.anchor_field(beta), matrices[beta]) for beta in range(rb)]
+                    )
+                core_anchor = [[zero] * ra for _ in range(rc)]
                 for args, value, line in block.calls("del"):
-                    which = _split_args(args)
-                    if len(which) != 1:
-                        raise ModelError("del takes one core frame", line)
-                    g = _frame_indices(frames_c, which, line)[0]
+                    (g,) = _call_indices(args, line, "del takes one core frame", frames_c)
                     combo = _parsed(line, parse_combination, value, chart, frames_a)
                     core_anchor[g] = [combo[name] for name in frames_a]
                 twist = {}
+                usage = "twist takes (side, side; bundle frame)"
                 for args, value, line in block.calls("twist", unordered_pair=True):
-                    which = _split_args(args)
-                    if len(which) != 3:
-                        raise ModelError("twist takes (side, side; bundle frame)", line)
-                    b1 = _frame_indices(frames_b, [which[0]], line)[0]
-                    b2 = _frame_indices(frames_b, [which[1]], line)[0]
-                    a = _frame_indices(frames_a, [which[2]], line)[0]
+                    b1, b2, a = _call_indices(args, line, usage, frames_b, frames_b, frames_a)
                     if b1 == b2:
                         raise ModelError("twist pair must be distinct (antisymmetry)", line)
                     combo = _parsed(line, parse_combination, value, chart, frames_c)
-                    key = (b1, b2) if b1 < b2 else (b2, b1)
                     sign = 1 if b1 < b2 else -1
                     mat = twist.setdefault(
-                        key, [[zero for _ in range(rc)] for _ in range(ra)]
+                        (min(b1, b2), max(b1, b2)), [[zero] * rc for _ in range(ra)]
                     )
                     for g, name in enumerate(frames_c):
                         mat[a][g] = mat[a][g] + combo[name].scale(sign)
-                anchor_ders = [
-                    Derivation(side.anchor_field(beta), lam[beta]) for beta in range(rb)
-                ]
-                core_ders = [
-                    Derivation(side.anchor_field(beta), q[beta]) for beta in range(rb)
-                ]
                 lavbs[block.name] = LAVBundle(
-                    side, frames_a, frames_c, anchor_ders, core_ders, core_anchor, twist
+                    side, frames_a, frames_c, *derivations, core_anchor, twist
                 )
-                lavb_dvbs[block.name] = dvb_name
+                lavb_dvbs[block.name] = dvb_entry[0]
 
             elif block.kind == "matched_pair":
                 block.known_keys(["A", "B", "rho", "sigma"])
-                a_name, line = block.single("A", required=True)
-                b_name, line_b = block.single("B", required=True)
-                if a_name not in algebroids:
-                    raise ModelError(f"unresolved algebroid reference {a_name!r}", line)
-                if b_name not in algebroids:
-                    raise ModelError(f"unresolved algebroid reference {b_name!r}", line_b)
-                a_alg, b_alg = algebroids[a_name], algebroids[b_name]
-                rho_ders = [Derivation(a_alg.anchor_field(i), [[Polynomial.zero(a_alg.chart)] * b_alg.rank for _ in range(b_alg.rank)]) for i in range(a_alg.rank)]
-                for args, value, line in block.calls("rho"):
-                    which = _split_args(args)
-                    if len(which) != 1:
-                        raise ModelError("rho takes one frame name", line)
-                    i = _frame_indices(a_alg.frames, which, line)[0]
-                    rho_ders[i] = _parse_derivation_value(
-                        value, a_alg.chart, a_alg.anchor_field(i), b_alg.frames, line
-                    )
-                sigma_ders = [Derivation(b_alg.anchor_field(j), [[Polynomial.zero(a_alg.chart)] * a_alg.rank for _ in range(a_alg.rank)]) for j in range(b_alg.rank)]
-                for args, value, line in block.calls("sigma"):
-                    which = _split_args(args)
-                    if len(which) != 1:
-                        raise ModelError("sigma takes one frame name", line)
-                    j = _frame_indices(b_alg.frames, which, line)[0]
-                    sigma_ders[j] = _parse_derivation_value(
-                        value, b_alg.chart, b_alg.anchor_field(j), a_alg.frames, line
-                    )
-                matched_pairs[block.name] = MatchedPair(
-                    a_alg, b_alg, RepresentationMap(rho_ders), RepresentationMap(sigma_ders)
-                )
+                a_entry = block.single("A", required=True)
+                b_entry = block.single("B", required=True)
+                a_alg = _resolve(algebroids, "algebroid", a_entry)
+                b_alg = _resolve(algebroids, "algebroid", b_entry)
+                # rho: A acting on B, sigma: B acting on A; an omitted
+                # derivation is zero over the anchor
+                reps = []
+                for key, acting, target in (("rho", a_alg, b_alg), ("sigma", b_alg, a_alg)):
+                    zero = Polynomial.zero(acting.chart)
+                    ders = [
+                        Derivation(acting.anchor_field(i), [[zero] * target.rank] * target.rank)
+                        for i in range(acting.rank)
+                    ]
+                    usage = f"{key} takes one frame name"
+                    for args, value, line in block.calls(key):
+                        (i,) = _call_indices(args, line, usage, acting.frames)
+                        ders[i] = _parse_derivation_value(
+                            value, acting.chart, acting.anchor_field(i), target.frames, line
+                        )
+                    reps.append(ders)
+                matched_pairs[block.name] = MatchedPair(a_alg, b_alg, *reps)
 
             elif block.kind == "double":
                 block.known_keys(["dvb", "vertical", "horizontal"])
-                vert_name, line = block.single("vertical", required=True)
-                hor_name, line_h = block.single("horizontal", required=True)
-                if vert_name not in lavbs:
-                    raise ModelError(f"unresolved lavb reference {vert_name!r}", line)
-                if hor_name not in lavbs:
-                    raise ModelError(f"unresolved lavb reference {hor_name!r}", line_h)
+                entries = (
+                    block.single("vertical", required=True),
+                    block.single("horizontal", required=True),
+                )
+                vertical, horizontal = (_resolve(lavbs, "lavb", entry) for entry in entries)
                 dvb_entry = block.single("dvb")
                 if dvb_entry:
-                    dvb_name, line_d = dvb_entry
-                    if dvb_name not in dvbs:
-                        raise ModelError(f"unresolved dvb reference {dvb_name!r}", line_d)
-                    for name in (vert_name, hor_name):
+                    dvb_name, line = dvb_entry
+                    _resolve(dvbs, "dvb", dvb_entry)
+                    for name, _ in entries:
                         if lavb_dvbs[name] != dvb_name:
                             raise ModelError(
                                 f"lavb {name!r} uses dvb {lavb_dvbs[name]!r}, not {dvb_name!r}",
-                                line_d,
+                                line,
                             )
-                doubles[block.name] = DoubleLieAlgebroid(lavbs[vert_name], lavbs[hor_name])
+                doubles[block.name] = DoubleLieAlgebroid(vertical, horizontal)
 
         except (ValueError, KeyError) as exc:
             if isinstance(exc, ModelError):

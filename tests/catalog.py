@@ -18,25 +18,34 @@ from doublealg.algebroid import (
     tangent_algebroid,
 )
 from doublealg.exact import Chart, Polynomial
-from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra, bialgebra_to_dual_pair
-from doublealg.matched import MatchedPair, RepresentationMap
+from doublealg.liealg import Bialgebra, LieAlgebra
+from doublealg.matched import MatchedPair
 
 
 def solvable2_bialgebra() -> Bialgebra:
     """[e1, e2] = e2 with delta(e2) = e1 ^ e2; the standard 2-dim example."""
-    algebra = LieAlgebra(2, {(0, 1): (0, 1)})
-    return Bialgebra(algebra, Cobracket(2, {1: {(0, 1): 1}}))
+    from support import bialgebra  # support imports this module
+
+    return bialgebra(LieAlgebra(2, {(0, 1): (0, 1)}), {1: {(0, 1): 1}})
 
 
 def abelian_bialgebra(dim: int = 2) -> Bialgebra:
-    return Bialgebra(LieAlgebra(dim, {}), Cobracket(dim, {}))
+    from support import bialgebra  # support imports this module
+
+    return bialgebra(LieAlgebra(dim, {}))
 
 
 def heisenberg_noncocycle_bialgebra() -> Bialgebra:
     """[e1, e2] = e3 with delta(e3) = e1 ^ e2: fails the cocycle identity
     on the pair (e1, e2)."""
-    algebra = LieAlgebra(3, {(0, 1): (0, 0, 1)})
-    return Bialgebra(algebra, Cobracket(3, {2: {(0, 1): 1}}))
+    from support import bialgebra  # support imports this module
+
+    return bialgebra(LieAlgebra(3, {(0, 1): (0, 0, 1)}), {2: {(0, 1): 1}})
+
+
+def point_pair(b: Bialgebra) -> Tuple[LieAlgebroid, LieAlgebroid]:
+    """(g, g*): the dual pair over the point that `b` stores."""
+    return b.algebra, b.dual
 
 
 def coadjoint_rho_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
@@ -61,34 +70,16 @@ def coadjoint_sigma_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
 def coadjoint_pair(b: Bialgebra) -> MatchedPair:
     """The mutual coadjoint actions of a bialgebra as a matched pair at a point."""
     chart = Chart(())
-    algebra, dual = bialgebra_to_dual_pair(b)
     from support import zero_field  # support imports this module
 
-    rho = RepresentationMap(
-        [
-            Derivation(
-                zero_field(chart),
-                [
-                    [Polynomial.constant(chart, c) for c in row]
-                    for row in coadjoint_rho_matrix(b, i)
-                ],
-            )
-            for i in range(b.dim)
-        ]
-    )
-    sigma = RepresentationMap(
-        [
-            Derivation(
-                zero_field(chart),
-                [
-                    [Polynomial.constant(chart, c) for c in row]
-                    for row in coadjoint_sigma_matrix(b, i)
-                ],
-            )
-            for i in range(b.dim)
-        ]
-    )
-    return MatchedPair(algebra, dual, rho, sigma)
+    def action(matrix):
+        return Derivation(
+            zero_field(chart), [[Polynomial.constant(chart, c) for c in row] for row in matrix]
+        )
+
+    rho = [action(coadjoint_rho_matrix(b, i)) for i in range(b.dim)]
+    sigma = [action(coadjoint_sigma_matrix(b, i)) for i in range(b.dim)]
+    return MatchedPair(b.algebra, b.dual, rho, sigma)
 
 
 def abelian_matched_pair(rank_a: int = 1, rank_b: int = 1) -> MatchedPair:
@@ -97,8 +88,8 @@ def abelian_matched_pair(rank_a: int = 1, rank_b: int = 1) -> MatchedPair:
     b_alg = LieAlgebra(rank_b, {}, [f"b{i+1}" for i in range(rank_b)])
     from support import zero_derivation  # support imports this module
 
-    rho = RepresentationMap([zero_derivation(chart, rank_b) for _ in range(rank_a)])
-    sigma = RepresentationMap([zero_derivation(chart, rank_a) for _ in range(rank_b)])
+    rho = [zero_derivation(chart, rank_b) for _ in range(rank_a)]
+    sigma = [zero_derivation(chart, rank_a) for _ in range(rank_b)]
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 
@@ -114,13 +105,11 @@ def line_action_pair(action_coeff: str = "x", sigma_coeff: str | None = None) ->
     b_alg = LieAlgebroid(chart, ("f1",), [[Polynomial.zero(chart)]], {})
     from support import parse_polynomial, zero_field  # support imports this module
 
-    rho = RepresentationMap(
-        [Derivation(a_alg.anchor_field(0), [[parse_polynomial(action_coeff, chart)]])]
-    )
+    rho = [Derivation(a_alg.anchor_field(0), [[parse_polynomial(action_coeff, chart)]])]
     sigma_val = (
         Polynomial.zero(chart) if sigma_coeff is None else parse_polynomial(sigma_coeff, chart)
     )
-    sigma = RepresentationMap([Derivation(zero_field(chart), [[sigma_val]])])
+    sigma = [Derivation(zero_field(chart), [[sigma_val]])]
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 
@@ -142,7 +131,7 @@ def broken_dual_pair_point() -> Tuple[LieAlgebroid, LieAlgebroid]:
     """Both sides valid Lie algebras, but not a bialgebra pair:
     the 3-dim Heisenberg algebra against the dual of its non-cocycle
     cobracket."""
-    return bialgebra_to_dual_pair(heisenberg_noncocycle_bialgebra())
+    return point_pair(heisenberg_noncocycle_bialgebra())
 
 
 def broken_dual_pair_chart() -> Tuple[LieAlgebroid, LieAlgebroid]:

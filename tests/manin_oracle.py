@@ -17,7 +17,9 @@ the same witness texts, as their oracle.
 A Lie algebra is an algebroid over the point; this code reads it through
 the dense structure constants `support.constants` and a cobracket through
 its dense components `support.component`, as the package did before it
-kept only nonzero entries.
+kept only nonzero entries.  The cobracket is the one the test built
+(`support.ImageBialgebra.cobracket`), never the g* that
+`liealg.cobracket_dual` built from it.
 """
 
 import itertools
@@ -28,16 +30,9 @@ from typing import Dict, List, Sequence, Tuple
 import linalg
 from doublealg.algebroid import LieAlgebroid
 from doublealg.exact import format_rat, signed_sum
-from doublealg.liealg import (
-    Bialgebra,
-    BialgebraError,
-    Cobracket,
-    LieAlgebra,
-    Wedge,
-    format_wedge,
-)
+from doublealg.liealg import BialgebraError, LieAlgebra, Wedge, format_wedge
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
-from support import component, constants
+from support import Cobracket, ImageBialgebra, component, constants
 
 Vector = Tuple[Fraction, ...]
 Table = Tuple[Tuple[Vector, ...], ...]  # Table[i][j] = [e_i, e_j]
@@ -133,17 +128,21 @@ def image_of(delta: Cobracket, x: Sequence[Fraction]) -> Wedge:
     return {p: c for p, c in out.items() if c != 0}
 
 
-def dual_algebra(b: Bialgebra) -> LieAlgebroid:
+def dual_names(b: ImageBialgebra) -> Tuple[str, ...]:
+    return tuple(f"{name}_d" for name in b.algebra.frames)
+
+
+def dual_algebra(b: ImageBialgebra) -> LieAlgebroid:
     """Bracket on the dual induced by the cobracket via the determinant
     pairing, [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k, built densely."""
     n = b.dim
     brackets = {}
     for i, j in itertools.combinations(range(n), 2):
         brackets[(i, j)] = tuple(component(b.cobracket, k, i, j) for k in range(n))
-    return LieAlgebra(n, brackets, basis_names=b.dual_names())
+    return LieAlgebra(n, brackets, basis_names=dual_names(b))
 
 
-def dual_bracket(b: Bialgebra) -> LieAlgebroid:
+def dual_bracket(b: ImageBialgebra) -> LieAlgebroid:
     """`dual_algebra(b)`, raising `BialgebraError` with a witness if it fails
     Jacobi (the cobracket is then not a Lie cobracket)."""
     dual = dual_algebra(b)
@@ -153,7 +152,7 @@ def dual_bracket(b: Bialgebra) -> LieAlgebroid:
     return dual
 
 
-def cocycle_defect(b: Bialgebra, i: int, j: int) -> Wedge:
+def cocycle_defect(b: ImageBialgebra, i: int, j: int) -> Wedge:
     """delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i), nonzero
     components only."""
     n, c = b.dim, constants(b.algebra)
@@ -167,7 +166,7 @@ def cocycle_defect(b: Bialgebra, i: int, j: int) -> Wedge:
     return {p: c for p, c in defect.items() if c != 0}
 
 
-def check_cocycle(b: Bialgebra) -> CheckReport:
+def check_cocycle(b: ImageBialgebra) -> CheckReport:
     """delta([e_i, e_j]) = ad_{e_i} delta(e_j) - ad_{e_j} delta(e_i) on all pairs."""
     names = b.algebra.frames
     for i, j in itertools.combinations(range(b.dim), 2):
@@ -180,7 +179,7 @@ def check_cocycle(b: Bialgebra) -> CheckReport:
     return CheckReport((passed("cocycle"),))
 
 
-def dense_drinfeld_double(b: Bialgebra) -> LieAlgebroid:
+def dense_drinfeld_double(b: ImageBialgebra) -> LieAlgebroid:
     """`liealg.drinfeld_double` with its three gates decided by the dense
     code above, in the same order and with the same error texts."""
     jac = jacobi_report(b.algebra)
@@ -190,7 +189,7 @@ def dense_drinfeld_double(b: Bialgebra) -> LieAlgebroid:
     coc = check_cocycle(b)
     if not coc.ok:
         raise BialgebraError(f"cocycle condition fails: {coc.first_failure.witness}")
-    clash = next((name for name in b.dual_names() if name in b.algebra.frames), None)
+    clash = next((name for name in dual_names(b) if name in b.algebra.frames), None)
     if clash is not None:
         raise ValueError(f"dual basis name {clash!r} is already a basis name")
     return formula_double(b)
@@ -254,7 +253,7 @@ def hyperbolic_pairing(n: int) -> Tuple[Vector, ...]:
     return tuple(rows)
 
 
-def formula_double(b: Bialgebra) -> LieAlgebroid:
+def formula_double(b: ImageBialgebra) -> LieAlgebroid:
     """The double bracket of `drinfeld_double` on g + g* without its gates:
     [e_i, e_j] = c_ij, [eps^i, eps^j] = sum_k delta^{ij}_k eps^k and
     [e_i, eps^j] = sum_k delta^{jk}_i e_k - sum_k c^j_{ik} eps^k, for any
@@ -271,7 +270,7 @@ def formula_double(b: Bialgebra) -> LieAlgebroid:
             g_part = tuple(component(b.cobracket, i, j, k) for k in range(n))
             d_part = tuple(-c[i][k][j] for k in range(n))
             brackets[(i, n + j)] = g_part + d_part
-    return LieAlgebra(2 * n, brackets, basis_names=b.algebra.frames + b.dual_names())
+    return LieAlgebra(2 * n, brackets, basis_names=b.algebra.frames + dual_names(b))
 
 
 def paired_double(double: LieAlgebroid) -> PairedAlgebra:

@@ -21,7 +21,8 @@ import itertools
 import pathlib
 import random
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import catalog
 import linalg
@@ -41,6 +42,8 @@ from doublealg.algebroid import (
     differential,
     dual_poisson,
     fibre_coordinate,
+    first_jacobiator,
+    frame_defect,
     random_polynomial,
     random_section,
     tangent_algebroid,
@@ -52,11 +55,18 @@ from doublealg.doublela import (
     check_double,
 )
 from doublealg.exact import Chart, Polynomial, rat
-from doublealg.liealg import Bialgebra, Cobracket, LieAlgebra
+from doublealg.formatting import format_combination
+from doublealg.liealg import (
+    Bialgebra,
+    BialgebraError,
+    LieAlgebra,
+    Wedge,
+    cobracket_dual,
+    format_wedge,
+)
 from doublealg.lavb import LAVBundle, check_lavb
 from doublealg.matched import (
     MatchedPair,
-    RepresentationMap,
     assemble_bowtie,
     build_semidirects,
     check_matched,
@@ -343,6 +353,132 @@ def constants(g: LieAlgebroid):
     )
 
 
+@dataclass(frozen=True)
+class Cobracket:
+    """delta(e_i) as an exterior-square element: images[i] holds its nonzero
+    components ((j, k), delta^{jk}_i) with j < k, in increasing (j, k).
+    The package stored this form beside g*; the oracles read it as the
+    images a test built."""
+
+    dim: int
+    images: Tuple[Tuple[Tuple[Tuple[int, int], Fraction], ...], ...]
+
+    def __init__(self, dim: int, images: Mapping[int, Wedge] | None = None):
+        object.__setattr__(self, "dim", dim)
+        table = []
+        source = images or {}
+        for i in range(dim):
+            cleaned: Wedge = {}
+            for (j, k), coeff in source.get(i, {}).items():
+                coeff = rat(coeff)
+                if coeff == 0:
+                    continue
+                if j == k:
+                    raise ValueError("wedge of a basis vector with itself")
+                if j < k:
+                    cleaned[(j, k)] = cleaned.get((j, k), 0) + coeff
+                else:
+                    cleaned[(k, j)] = cleaned.get((k, j), 0) - coeff
+            table.append(tuple(sorted((p, c) for p, c in cleaned.items() if c != 0)))
+        object.__setattr__(self, "images", tuple(table))
+
+
+@dataclass(frozen=True)
+class ImageBialgebra(Bialgebra):
+    """A `Bialgebra` with the cobracket a test built it from.  The oracles
+    read `cobracket`, never `dual`, so they do not depend on
+    `liealg.cobracket_dual`, which built `dual`."""
+
+    cobracket: Cobracket
+
+
+def bialgebra(algebra: LieAlgebroid, images: Mapping[int, Wedge] | None = None) -> ImageBialgebra:
+    """The bialgebra of `algebra` with the cobracket delta(e_i) = images[i]."""
+    images = images or {}
+    return ImageBialgebra(
+        algebra, cobracket_dual(algebra, images), Cobracket(algebra.rank, images)
+    )
+
+
+def parsed_bialgebra(b: Bialgebra) -> ImageBialgebra:
+    """`b`, read from a model file, with its cobracket read back off g* by
+    the determinant pairing: delta^{ij}_k = <[eps^i, eps^j]_*, e_k>."""
+    c = constants(b.dual)
+    pairs = list(itertools.combinations(range(b.dim), 2))
+    images = {k: {(i, j): c[i][j][k] for i, j in pairs if c[i][j][k]} for k in range(b.dim)}
+    out = bialgebra(b.algebra, images)
+    assert out.dual == b.dual
+    return out
+
+
+def image_drinfeld_double(b: ImageBialgebra) -> LieAlgebroid:
+    """`liealg.drinfeld_double` as it read the cobracket images: g* rebuilt
+    from the images on each call and the mixed bracket scattered from them,
+    with the same gates, in the same order and with the same error texts."""
+    n, point = b.dim, Chart(())
+    dual_names = tuple(f"{name}_d" for name in b.algebra.frames)
+
+    def scattered(size, entries):
+        zero = Polynomial.zero(point)
+        out: Dict = {}
+        for a, c, k, value in entries:
+            out.setdefault((a, c), [zero] * size)[k] = value
+        return out
+
+    g = b.algebra
+    dual = LieAlgebroid(
+        point,
+        dual_names,
+        [()] * n,
+        scattered(
+            n,
+            (
+                (i, j, k, Polynomial.constant(point, c))
+                for k, image in enumerate(b.cobracket.images)
+                for (i, j), c in image
+            ),
+        ),
+    )
+    for side, label in ((g, "algebra"), (dual, "dual bracket")):
+        found = first_jacobiator(side)
+        if found:
+            (i, j, k), jac = found
+            names = side.frames
+            raise BialgebraError(
+                f"{label} fails Jacobi: triple ({names[i]}, {names[j]}, {names[k]}): "
+                f"jacobiator = {format_combination(jac.vector(side.chart), names)}"
+            )
+    names = g.frames
+    for i, j in itertools.combinations(range(n), 2):
+        defect = frame_defect(g, dual, i, j)
+        if any(defect.values()):
+            wedge = {idx: -(p.terms[0][1] if p.terms else 0) for idx, p in defect.items() if p}
+            raise BialgebraError(
+                f"cocycle condition fails: pair ({names[i]}, {names[j]}): "
+                f"defect = {format_wedge(wedge, names)}"
+            )
+    clash = next((name for name in dual_names if name in names), None)
+    if clash is not None:
+        raise ValueError(f"dual basis name {clash!r} is already a basis name")
+
+    def entries():
+        for offset, side in ((0, g), (n, dual)):
+            for i, row in enumerate(side.nonzero_structure):
+                for j in range(i + 1, n):
+                    for k, c in row[j]:
+                        yield offset + i, offset + j, offset + k, c
+        for i, image in enumerate(b.cobracket.images):
+            for (j, k), c in image:
+                yield i, n + j, k, Polynomial.constant(point, c)
+                yield i, n + k, j, Polynomial.constant(point, -c)
+        for i, row in enumerate(g.nonzero_structure):
+            for k, pairs in enumerate(row):
+                for j, c in pairs:
+                    yield i, n + j, n + k, -c
+
+    return LieAlgebroid(point, names + dual_names, [()] * (2 * n), scattered(2 * n, entries()))
+
+
 def component(delta: Cobracket, i: int, j: int, k: int) -> Fraction:
     """The full antisymmetric component delta^{jk}_i of a cobracket."""
     if j == k:
@@ -464,23 +600,23 @@ def scale_derivation(d: Derivation, f: Polynomial) -> Derivation:
     return Derivation(scale_field(d.base_field, f), [[f * entry for entry in row] for row in d.matrix])
 
 
-def of_section(rep: RepresentationMap, acting: LieAlgebroid, section: Multisection) -> Derivation:
+def of_section(rep: Sequence[Derivation], acting: LieAlgebroid, section: Multisection) -> Derivation:
     """The derivation of `rep` for a polynomial-coefficient acting section."""
-    rank = rep.derivations[0].bundle_rank if rep.derivations else 0
+    rank = rep[0].bundle_rank if rep else 0
     out = zero_derivation(acting.chart, rank)
     for alpha, coeff in enumerate(section.vector(acting.chart)):
         if coeff:
-            out = add_derivations(out, scale_derivation(rep.derivations[alpha], coeff))
+            out = add_derivations(out, scale_derivation(rep[alpha], coeff))
     return out
 
 
-def check_representation(acting: LieAlgebroid, rep: RepresentationMap, label: str) -> CheckReport:
+def check_representation(acting: LieAlgebroid, rep: Sequence[Derivation], label: str) -> CheckReport:
     """Base fields match the anchor; the bracket of two frames acts as the
     commutator of their derivations."""
     items: List[CheckItem] = []
     witness = None
     for alpha in range(acting.rank):
-        d = rep.derivations[alpha]
+        d = rep[alpha]
         if d.base_field.components != acting.anchor_field(alpha).components:
             witness = (
                 f"{label}({acting.frames[alpha]}) sits over {d.base_field}, "
@@ -491,7 +627,7 @@ def check_representation(acting: LieAlgebroid, rep: RepresentationMap, label: st
 
     witness = None
     for a, b in itertools.combinations(range(acting.rank), 2):
-        commuted = derivation_commutator(rep.derivations[a], rep.derivations[b])
+        commuted = derivation_commutator(rep[a], rep[b])
         if commuted != of_section(rep, acting, frame_bracket(acting, a, b)):
             witness = f"flatness fails on ({acting.frames[a]}, {acting.frames[b]})"
             break
@@ -502,8 +638,8 @@ def check_representation(acting: LieAlgebroid, rep: RepresentationMap, label: st
 def derivation_identity(
     acting: LieAlgebroid,
     target: LieAlgebroid,
-    act: RepresentationMap,
-    back: RepresentationMap,
+    act: Sequence[Derivation],
+    back: Sequence[Derivation],
     number: int,
 ) -> CheckItem:
     """Identity 1 (acting A, act rho, back sigma) or its mirror 2, on frames:
@@ -516,12 +652,12 @@ def derivation_identity(
         for t1, t2 in itertools.combinations(range(target.rank), 2):
             y1, y2 = frame_section(target, t1), frame_section(target, t2)
             v1, v2 = y1.vector(chart), y2.vector(chart)
-            d = act.derivations[alpha]
+            d = act[alpha]
             lhs = apply_derivation(d, frame_bracket(target, t1, t2).vector(chart))
             rhs = bracket_sections(target, target.section(apply_derivation(d, v1)), y2)
             rhs = rhs + bracket_sections(target, y1, target.section(apply_derivation(d, v2)))
-            back_2 = of_section(act, acting, acting.section(apply_derivation(back.derivations[t2], x)))
-            back_1 = of_section(act, acting, acting.section(apply_derivation(back.derivations[t1], x)))
+            back_2 = of_section(act, acting, acting.section(apply_derivation(back[t2], x)))
+            back_1 = of_section(act, acting, acting.section(apply_derivation(back[t1], x)))
             rhs = rhs + target.section(apply_derivation(back_2, v1))
             rhs = rhs - target.section(apply_derivation(back_1, v2))
             defect = target.section(lhs) - rhs
@@ -556,8 +692,8 @@ def section_check_matched(mp: MatchedPair) -> CheckReport:
     for alpha, beta in itertools.product(range(a_alg.rank), range(b_alg.rank)):
         x = frame_section(a_alg, alpha).vector(a_alg.chart)
         y = frame_section(b_alg, beta).vector(b_alg.chart)
-        lhs = a_alg.anchor_of(a_alg.section(apply_derivation(mp.sigma.derivations[beta], x)))
-        lhs = difference(lhs, b_alg.anchor_of(b_alg.section(apply_derivation(mp.rho.derivations[alpha], y))))
+        lhs = a_alg.anchor_of(a_alg.section(apply_derivation(mp.sigma[beta], x)))
+        lhs = difference(lhs, b_alg.anchor_of(b_alg.section(apply_derivation(mp.rho[alpha], y))))
         defect = difference(lhs, commutator(b_alg.anchor_field(beta), a_alg.anchor_field(alpha)))
         if not defect.is_zero:
             witness = (
@@ -861,7 +997,7 @@ def random_bialgebra(
         i: {pair: rng.choice((1, -1, 2)) for pair in pairs if rng.random() < cobracket_density}
         for i in range(dim)
     }
-    return Bialgebra(LieAlgebra(dim, brackets), Cobracket(dim, images))
+    return bialgebra(LieAlgebra(dim, brackets), images)
 
 
 def gate_corpus():

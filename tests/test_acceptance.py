@@ -38,8 +38,8 @@ from doublealg.doublela import (
 from doublealg.dvb import DecomposedDVB
 from doublealg.exact import Chart
 from doublealg.lavb import bundle_fibre_coordinate, induced_dual_algebroid, total_algebroid
-from doublealg.liealg import BialgebraError, bialgebra_to_dual_pair, check_manin, drinfeld_double
-from doublealg.matched import MatchedPair, RepresentationMap, assemble_bowtie, check_matched
+from doublealg.liealg import BialgebraError, check_manin, drinfeld_double
+from doublealg.matched import MatchedPair, assemble_bowtie, check_matched
 from diagnostics_oracle import oracle_diagnostics
 from dvb_model import cotangent_dvb, dual_a, dual_b, element, pair, r_map, tangent_dvb, z_iso
 from manin_oracle import bracket, check_paired, jacobi_report, paired_double
@@ -222,8 +222,8 @@ def test_criterion_4_drinfeld_double():
 def test_criterion_5_cotangent_double_criterion_both_directions():
     started = time.perf_counter()
     passing = [
-        bialgebra_to_dual_pair(catalog.solvable2_bialgebra()),
-        bialgebra_to_dual_pair(catalog.abelian_bialgebra(2)),
+        catalog.point_pair(catalog.solvable2_bialgebra()),
+        catalog.point_pair(catalog.abelian_bialgebra(2)),
         catalog.tangent_cotangent_pair(),
     ]
     failing = [
@@ -252,7 +252,7 @@ def _vacant_catalog():
             mp.algebroid_a,
             mp.algebroid_b,
             mp.rho,
-            RepresentationMap([scale_derivation(d, scale) for d in mp.sigma.derivations]),
+            [scale_derivation(d, scale) for d in mp.sigma],
         )
 
     passing = [
@@ -281,9 +281,9 @@ def test_criterion_6_three_way_equivalence():
         again, _ = matched_from_vacant(assemble_vacant_double(mp))
         assert dense_structure(again.algebroid_a) == dense_structure(mp.algebroid_a)
         assert dense_structure(again.algebroid_b) == dense_structure(mp.algebroid_b)
-        for d1, d2 in zip(again.rho.derivations, mp.rho.derivations):
+        for d1, d2 in zip(again.rho, mp.rho):
             assert d1 == d2
-        for d1, d2 in zip(again.sigma.derivations, mp.sigma.derivations):
+        for d1, d2 in zip(again.sigma, mp.sigma):
             assert d1 == d2
     _report(
         6,
@@ -296,7 +296,7 @@ def test_criterion_6_three_way_equivalence():
 def test_criterion_7_diagonal_coincides_with_double_bracket():
     started = time.perf_counter()
     b = catalog.solvable2_bialgebra()
-    dla = build_cotangent_double(*bialgebra_to_dual_pair(b))
+    dla = build_cotangent_double(*catalog.point_pair(b))
     diag = assemble_bowtie(matched_from_vacant(dla)[0])
     assert constants(diag) == constants(drinfeld_double(b))
     _report(7, 1.0, started, "diagonal structure of the bialgebra cotangent double equals the double bracket exactly")
@@ -308,8 +308,8 @@ def _passing_doubles():
         ("t2_plane", _double_tangent(Chart(["x", "y"]))),
     ]
     for label, pair_ in (
-        ("bialgebra", bialgebra_to_dual_pair(catalog.solvable2_bialgebra())),
-        ("abelian", bialgebra_to_dual_pair(catalog.abelian_bialgebra(2))),
+        ("bialgebra", catalog.point_pair(catalog.solvable2_bialgebra())),
+        ("abelian", catalog.point_pair(catalog.abelian_bialgebra(2))),
         ("poisson_chart", catalog.tangent_cotangent_pair()),
     ):
         out.append((f"cotangent_{label}", build_cotangent_double(*pair_)))

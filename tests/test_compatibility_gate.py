@@ -15,7 +15,7 @@ import catalog
 from doublealg import algebroid
 from doublealg.algebroid import check_bialgebroid, check_compatibility, first_jacobiator
 from doublealg.doublela import build_cotangent_double, check_double
-from doublealg.liealg import BialgebraError, bialgebra_to_dual_pair, drinfeld_double
+from doublealg.liealg import BialgebraError, drinfeld_double
 from support import (
     SO3,
     corpus_dual_pairs,
@@ -69,7 +69,7 @@ def gate_pairs():
     pairs = corpus_dual_pairs(double_corpus())
     more = sweep_pairs(range(1, 9))
     more += [(f"{name}:double", dla.dual_pair) for name, dla in sweep_doubles(range(1, 9))]
-    more += [(f"gate{k}", bialgebra_to_dual_pair(b)) for k, b in enumerate(gate_corpus())]
+    more += [(f"gate{k}", (b.algebra, b.dual)) for k, b in enumerate(gate_corpus())]
     for name, g in (("so3", SO3), ("gl2", gl(2)), ("gl3", gl(3))):
         more.append((name, build_cotangent_double(*ladder_pair(g)).dual_pair))
     for n in range(1, 5):

@@ -4,6 +4,7 @@ whatever the truth value turns out to be."""
 
 import random
 from fractions import Fraction
+from typing import Dict
 
 import pytest
 
@@ -15,25 +16,19 @@ from doublealg.algebroid import (
 )
 from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial
-from doublealg.liealg import (
-    Bialgebra,
-    BialgebraError,
-    Cobracket,
-    LieAlgebra,
-    check_manin,
-    drinfeld_double,
-)
-from doublealg.matched import MatchedPair, RepresentationMap, check_matched
+from doublealg.liealg import BialgebraError, LieAlgebra, Wedge, check_manin, drinfeld_double
+from doublealg.matched import MatchedPair, check_matched
 from manin_oracle import check_cocycle, check_paired, dual_bracket, jacobi_report, paired_double
 from support import (
     assert_matched_decides_bowtie_and_double,
+    bialgebra,
     check_cor_sdp,
     parse_polynomial,
     zero_field,
 )
 
 
-def random_cobracket(rng: random.Random, dim: int) -> Cobracket:
+def random_cobracket(rng: random.Random, dim: int) -> Dict[int, Wedge]:
     images = {}
     for i in range(dim):
         wedge = {}
@@ -43,7 +38,7 @@ def random_cobracket(rng: random.Random, dim: int) -> Cobracket:
                 if coeff:
                     wedge[(j, k)] = Fraction(coeff)
         images[i] = wedge
-    return Cobracket(dim, images)
+    return images
 
 
 HEISENBERG = LieAlgebra(3, {(0, 1): (0, 0, 1)})
@@ -57,7 +52,7 @@ class TestBialgebraRoutesAgree:
         for algebra in (HEISENBERG, SOLVABLE3, LieAlgebra(3, {})):
             assert jacobi_report(algebra).ok
             for _ in range(25):
-                b = Bialgebra(algebra, random_cobracket(rng, 3))
+                b = bialgebra(algebra, random_cobracket(rng, 3))
                 try:
                     dual = dual_bracket(b)
                 except BialgebraError:
@@ -96,16 +91,12 @@ class TestMatchedRoutesAgree:
                 rng.choice(["0", "1", "x", "2 * x", "x^2", "-x"]), chart
             )
 
-        rho = RepresentationMap(
-            [Derivation(a_alg.anchor_field(0), [[rpoly(), rpoly()], [rpoly(), rpoly()]])]
-        )
+        rho = [Derivation(a_alg.anchor_field(0), [[rpoly(), rpoly()], [rpoly(), rpoly()]])]
         sigma_entry = rpoly() if break_anchor else Polynomial.zero(chart)
-        sigma = RepresentationMap(
-            [
-                Derivation(zero_field(chart), [[sigma_entry]]),
-                Derivation(zero_field(chart), [[Polynomial.zero(chart)]]),
-            ]
-        )
+        sigma = [
+            Derivation(zero_field(chart), [[sigma_entry]]),
+            Derivation(zero_field(chart), [[Polynomial.zero(chart)]]),
+        ]
         return MatchedPair(a_alg, b_alg, rho, sigma), sigma_entry
 
     def test_thirty_random_pairs(self):

@@ -44,7 +44,6 @@ from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Polynomial
 from doublealg.verdicts import failed, passed
 from doublealg.lavb import check_lavb
-from doublealg.liealg import bialgebra_to_dual_pair
 from support import (
     MODELS,
     XY,
@@ -302,7 +301,7 @@ ORACLE_PAIRS = [
     ("broken_dual_pair_point", catalog.broken_dual_pair_point()),
     ("broken_dual_pair_chart", catalog.broken_dual_pair_chart()),
     ("broken_dual_pair_so3", catalog.broken_dual_pair_so3()),
-    ("solvable2", bialgebra_to_dual_pair(catalog.solvable2_bialgebra())),
+    ("solvable2", catalog.point_pair(catalog.solvable2_bialgebra())),
     ("so3_lie_poisson", (tangent_algebroid(SO3_POISSON.chart), cotangent_algebroid(SO3_POISSON))),
 ]
 

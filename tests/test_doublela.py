@@ -34,7 +34,6 @@ from doublealg.liealg import drinfeld_double
 from doublealg.matched import (
     MatchedPair,
     MatchedPairError,
-    RepresentationMap,
     assemble_bowtie,
     check_matched,
 )
@@ -140,11 +139,9 @@ class TestCotangentDoubles:
     )
 
     def passing_pairs(self):
-        from doublealg.liealg import bialgebra_to_dual_pair
-
         return [
-            bialgebra_to_dual_pair(catalog.solvable2_bialgebra()),
-            bialgebra_to_dual_pair(catalog.abelian_bialgebra(2)),
+            catalog.point_pair(catalog.solvable2_bialgebra()),
+            catalog.point_pair(catalog.abelian_bialgebra(2)),
             catalog.tangent_cotangent_pair(),
         ]
 
@@ -193,15 +190,13 @@ class TestCotangentDoubles:
 
     def test_bialgebra_case_is_vacant_with_coadjoint_actions(self):
         b = catalog.solvable2_bialgebra()
-        from doublealg.liealg import bialgebra_to_dual_pair
-
-        dla = build_cotangent_double(*bialgebra_to_dual_pair(b))
+        dla = build_cotangent_double(*catalog.point_pair(b))
         assert dla.is_vacant
         mp, _ = matched_from_vacant(dla)
         reference = catalog.coadjoint_pair(b)
-        for d1, d2 in zip(mp.rho.derivations, reference.rho.derivations):
+        for d1, d2 in zip(mp.rho, reference.rho):
             assert d1 == d2
-        for d1, d2 in zip(mp.sigma.derivations, reference.sigma.derivations):
+        for d1, d2 in zip(mp.sigma, reference.sigma):
             assert d1 == d2
 
     def test_plane_double_diagnostics(self):
@@ -234,9 +229,7 @@ def diagonal(dla):
 class TestDiagonal:
     def test_bialgebra_diagonal_equals_drinfeld(self):
         b = catalog.solvable2_bialgebra()
-        from doublealg.liealg import bialgebra_to_dual_pair
-
-        dla = build_cotangent_double(*bialgebra_to_dual_pair(b))
+        dla = build_cotangent_double(*catalog.point_pair(b))
         diag = diagonal(dla)
         assert constants(diag) == constants(drinfeld_double(b))
 
@@ -265,7 +258,7 @@ class TestVacantEquivalence:
                 mp.algebroid_a,
                 mp.algebroid_b,
                 mp.rho,
-                RepresentationMap([scale_derivation(d, scale) for d in mp.sigma.derivations]),
+                [scale_derivation(d, scale) for d in mp.sigma],
             )
 
         passing = [
@@ -299,7 +292,7 @@ class TestVacantEquivalence:
         rho_not_flat = MatchedPair(
             mp.algebroid_a,
             mp.algebroid_b,
-            RepresentationMap([scale_derivation(d, two) for d in mp.rho.derivations]),
+            [scale_derivation(d, two) for d in mp.rho],
             mp.sigma,
         )
         assert check_matched(rho_not_flat).first_failure.check_id == "rho.flat"
@@ -315,9 +308,9 @@ class TestVacantEquivalence:
             again, _ = matched_from_vacant(dla)
             assert dense_structure(again.algebroid_a) == dense_structure(mp.algebroid_a)
             assert dense_structure(again.algebroid_b) == dense_structure(mp.algebroid_b)
-            for d1, d2 in zip(again.rho.derivations, mp.rho.derivations):
+            for d1, d2 in zip(again.rho, mp.rho):
                 assert d1 == d2
-            for d1, d2 in zip(again.sigma.derivations, mp.sigma.derivations):
+            for d1, d2 in zip(again.sigma, mp.sigma):
                 assert d1 == d2
             rebuilt = assemble_vacant_double(again)
             assert rebuilt.vertical.core_anchor == dla.vertical.core_anchor

@@ -294,12 +294,10 @@ class TestCrossModuleRepresentationCheck:
     def test_vacant_lavb_verdict_matches_representation_check(self):
         # rank-0 core action data is valid exactly when the action is a flat
         # representation in the matched-pair sense
-        from doublealg.matched import RepresentationMap
-
         chart = LINE
         side = tangent_algebroid(chart)
         action = Derivation(side.anchor_field(0), [[parse_polynomial("x", chart)]])
-        rep_ok = check_representation(side, RepresentationMap([action]), "rho").ok
+        rep_ok = check_representation(side, [action], "rho").ok
         v = LAVBundle(
             side,
             ("a1",),

@@ -18,7 +18,6 @@ from doublealg.liealg import drinfeld_double
 from doublealg.matched import (
     MatchedPair,
     MatchedPairError,
-    RepresentationMap,
     assemble_bowtie,
     build_semidirects,
     check_matched,
@@ -40,7 +39,7 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 def scaled_sigma_pair(mp: MatchedPair, factor: int) -> MatchedPair:
     chart = mp.chart
     scale = Polynomial.constant(chart, factor)
-    sigma = RepresentationMap([scale_derivation(d, scale) for d in mp.sigma.derivations])
+    sigma = [scale_derivation(d, scale) for d in mp.sigma]
     return MatchedPair(mp.algebroid_a, mp.algebroid_b, mp.rho, sigma)
 
 
@@ -79,9 +78,7 @@ class TestCheckMatched:
     def test_representation_preconditions_reported(self):
         chart = Chart(["x"])
         tm = tangent_algebroid(chart)
-        rep = RepresentationMap(
-            [Derivation(tm.anchor_field(0), [[Polynomial.zero(chart)]])]
-        )
+        rep = [Derivation(tm.anchor_field(0), [[Polynomial.zero(chart)]])]
         assert check_representation(tm, rep, "rho").ok
 
     def test_off_anchor_report_is_pinned(self):
@@ -108,10 +105,8 @@ def off_anchor_pair() -> MatchedPair:
     zero = Polynomial.zero(chart)
     line = LieAlgebroid(chart, ("f1",), [[zero, zero]], {})
     x = Polynomial.coordinate(chart, "x")
-    rho = RepresentationMap(
-        [Derivation(tm.anchor_field(1), [[x]]), Derivation(tm.anchor_field(0), [[zero]])]
-    )
-    sigma = RepresentationMap([Derivation(line.anchor_field(0), [[zero, zero], [zero, zero]])])
+    rho = [Derivation(tm.anchor_field(1), [[x]]), Derivation(tm.anchor_field(0), [[zero]])]
+    sigma = [Derivation(line.anchor_field(0), [[zero, zero], [zero, zero]])]
     return MatchedPair(tm, line, rho, sigma)
 
 
@@ -175,7 +170,7 @@ def extract_actions(total: LieAlgebroid, split: int) -> MatchedPair:
     for j in range(rb):
         matrix = [tuple(-p for p in structure[i][ra + j][:ra]) for i in range(ra)]
         sigma_ders.append(Derivation(b_alg.anchor_field(j), matrix))
-    return MatchedPair(a_alg, b_alg, RepresentationMap(rho_ders), RepresentationMap(sigma_ders))
+    return MatchedPair(a_alg, b_alg, rho_ders, sigma_ders)
 
 
 class TestBowtie:
@@ -194,8 +189,8 @@ class TestBowtie:
             for j in range(mp.algebroid_b.rank):
                 x = frame_section(mp.algebroid_a, i).vector(mp.chart)
                 y = frame_section(mp.algebroid_b, j).vector(mp.chart)
-                expected = tuple(-p for p in apply_derivation(mp.sigma.derivations[j], x)) + tuple(
-                    apply_derivation(mp.rho.derivations[i], y)
+                expected = tuple(-p for p in apply_derivation(mp.sigma[j], x)) + tuple(
+                    apply_derivation(mp.rho[i], y)
                 )
                 assert dense_structure(bow)[i][ra + j] == expected
 
@@ -224,7 +219,7 @@ class TestExtractActions:
         mp = extract_actions(bow, 1)
         assert all(
             all(p.is_zero for p in row)
-            for d in mp.rho.derivations
+            for d in mp.rho
             for row in d.matrix
         )
 
@@ -234,9 +229,9 @@ class TestExtractActions:
             again = extract_actions(bow, mp.algebroid_a.rank)
             assert dense_structure(again.algebroid_a) == dense_structure(mp.algebroid_a)
             assert dense_structure(again.algebroid_b) == dense_structure(mp.algebroid_b)
-            for d1, d2 in zip(again.rho.derivations, mp.rho.derivations):
+            for d1, d2 in zip(again.rho, mp.rho):
                 assert d1 == d2
-            for d1, d2 in zip(again.sigma.derivations, mp.sigma.derivations):
+            for d1, d2 in zip(again.sigma, mp.sigma):
                 assert d1 == d2
             rebuilt = bowtie(again)
             assert dense_structure(rebuilt) == dense_structure(bow)
@@ -249,9 +244,9 @@ class TestExtractActions:
 
         total = double
         again = extract_actions(total, b.dim)
-        for d1, d2 in zip(again.rho.derivations, mp.rho.derivations):
+        for d1, d2 in zip(again.rho, mp.rho):
             assert d1 == d2
-        for d1, d2 in zip(again.sigma.derivations, mp.sigma.derivations):
+        for d1, d2 in zip(again.sigma, mp.sigma):
             assert d1 == d2
 
     def test_unclosed_subspace_rejected(self):
@@ -295,10 +290,10 @@ def semidirect_tables(mp):
         return (zero,) * k
 
     def sigma_dual(j, p):  # sigma*_{Y_j} phi_p along phi_1 .. phi_ra
-        return tuple(-apply_derivation(mp.sigma.derivations[j], unit(chart, ra, c))[p] for c in range(ra))
+        return tuple(-apply_derivation(mp.sigma[j], unit(chart, ra, c))[p] for c in range(ra))
 
     def rho_dual(i, q):  # rho*_{X_i} psi_q along psi_1 .. psi_rb
-        return tuple(-apply_derivation(mp.rho.derivations[i], unit(chart, rb, d))[q] for d in range(rb))
+        return tuple(-apply_derivation(mp.rho[i], unit(chart, rb, d))[q] for d in range(rb))
 
     # A* + B: anchor (phi + Y) -> b(Y);
     # [phi1 + Y1, phi2 + Y2] = {sigma*_{Y1} phi2 - sigma*_{Y2} phi1} + [Y1, Y2]
@@ -337,8 +332,8 @@ def name_clash_pair():
     a_alg = LieAlgebroid(chart, ("a",), [[one, zero]], {})
     b_alg = LieAlgebroid(chart, ("a_d", "b"), [[zero, zero], [zero, zero]], {})
     x = Polynomial.coordinate(chart, "x")
-    rho = RepresentationMap([Derivation(a_alg.anchor_field(0), [[zero, x], [one, zero]])])
-    sigma = RepresentationMap([Derivation(b_alg.anchor_field(j), [[zero]]) for j in range(2)])
+    rho = [Derivation(a_alg.anchor_field(0), [[zero, x], [one, zero]])]
+    sigma = [Derivation(b_alg.anchor_field(j), [[zero]]) for j in range(2)]
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 
@@ -400,7 +395,7 @@ class TestSemidirects:
         ra = mp.algebroid_a.rank
         for a in range(ra):
             for j in range(mp.algebroid_b.rank):
-                sigma_star = mp.sigma.derivations[j].contragredient()
+                sigma_star = mp.sigma[j].contragredient()
                 expected = tuple(sigma_star.matrix[a]) + tuple(
                     Polynomial.zero(mp.chart) for _ in range(mp.algebroid_b.rank)
                 )

@@ -13,7 +13,7 @@ import catalog
 from doublealg import algebroid
 from doublealg.algebroid import Derivation, LieAlgebroid, VectorField, random_polynomial
 from doublealg.exact import Chart, Polynomial
-from doublealg.matched import MatchedPair, RepresentationMap, check_matched
+from doublealg.matched import MatchedPair, check_matched
 from support import XY, cotangent, gate_corpus, section_check_matched
 from test_double_derived import count_calls
 from test_matched import SEMIDIRECT_CORPUS
@@ -83,7 +83,7 @@ def random_representation(rng, acting, target_rank, off_anchor):
             field = VectorField(chart, [sparse_polynomial(rng, chart, 0.5) for _ in range(chart.dim)])
         matrix = [[sparse_polynomial(rng, chart, zero_share) for _ in range(target_rank)] for _ in range(target_rank)]
         ders.append(Derivation(field, matrix))
-    return RepresentationMap(ders)
+    return ders
 
 
 def random_pairs(count, seed):

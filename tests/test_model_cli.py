@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 import pathlib
 import subprocess
@@ -37,7 +38,9 @@ class TestParseModel:
         model = parse_model(SOLVABLE)
         b = model.bialgebras["d"]
         assert constants(b.algebra)[0][1] == (0, 1)
-        assert dict(b.cobracket.images[1]) == {(0, 1): 1}
+        # delta(e2) = e1 ^ e2 transposes to [e1_d, e2_d]_* = e2_d
+        assert b.dual.frames == ("e1_d", "e2_d")
+        assert constants(b.dual)[0][1] == (0, 1)
 
     def test_antisymmetry_schema_error(self):
         bad = "[lie_algebra g]\ndim = 2\nbracket(e1, e1) = e2\n"
@@ -478,6 +481,27 @@ class TestHostileNumbers:
             "a number has more than 500 digits\n"
         )
         assert captured.err.count("\n") == 1
+
+    def test_witness_past_the_digit_limit_names_the_limit(
+        self, tmp_path, capsys, default_digit_limit
+    ):
+        """Ten-term anchors whose coefficients have distinct prime-power
+        denominators of about 440 digits pass the parser's digit bound, but
+        the anchor-defect witness sums their products past Python's
+        4300-digit limit; the error names that cause, not a Python call."""
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+        def anchor(ps):
+            powers = (p ** int(440 / math.log10(p)) for p in ps)
+            return " + ".join(f"1/{q} * x^{i} * d/dx" for i, q in enumerate(powers))
+
+        text = (
+            "[algebroid A]\nbase = [x]\nframe = [e1, e2]\n"
+            f"anchor(e1) = {anchor(primes[:10])}\nanchor(e2) = {anchor(primes[10:])}\n"
+        )
+        code, err = self.run_model(tmp_path, capsys, "check", "algebroid", text)
+        assert code == 2
+        assert err == "doublealg: error: a number in the report has more than 4300 digits\n"
 
     @pytest.mark.parametrize(
         "value",

@@ -6,8 +6,9 @@ outside its own definition or assignment: by another part of the
 package, by a file of the benchmark harness in `perfbench/`, or by an
 import in the README's Library snippet.  Every public method of a package
 class must have its name read as an attribute somewhere in those sources
-outside the method's own definition; so must every operator method, read
-by an expression with its operator.  Helpers that only the tests call
+outside the method's own definition, where a read written on a class, as
+`Klass.method`, counts for that class only; so must every operator method,
+read by an expression with its operator.  Helpers that only the tests call
 live in `tests/` (`catalog`, `dvb_model`, `support` and the test modules).
 """
 
@@ -210,18 +211,20 @@ def public_methods(tree, module):
 
 
 def attribute_reads(tree, module):
-    """(attribute name, enclosing definition path) of every attribute read
-    in `tree`, an operator's methods counting as read by its expression;
-    the path starts with `module`, then the names of the enclosing classes
-    and functions."""
+    """(attribute name, enclosing definition path, receiver) of every
+    attribute read in `tree`, an operator's methods counting as read by its
+    expression; the path starts with `module`, then the names of the
+    enclosing classes and functions.  The receiver is the name a read is
+    written on, as `Klass` in `Klass.method`, else None."""
     out = set()
 
     def visit(node, path):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             path = path + (node.name,)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add((node.attr, path))
-        out.update((name, path) for name in operator_reads(node))
+            receiver = node.value.id if isinstance(node.value, ast.Name) else None
+            out.add((node.attr, path, receiver))
+        out.update((name, path, None) for name in operator_reads(node))
         for child in ast.iter_child_nodes(node):
             visit(child, path)
 
@@ -231,11 +234,19 @@ def attribute_reads(tree, module):
 
 def unread_methods(methods, reads):
     """The methods of `methods` whose name no read of `reads` takes outside
-    the method's own definition."""
+    the method's own definition.  A read written on a class of `methods`,
+    as `Klass.method`, counts for that class only; a read through any other
+    receiver counts for every class with a method of that name."""
+    classes = {cls for _, cls, _ in methods}
     return {
         method
         for method in methods
-        if not any(name == method[2] and path[:3] != method for name, path in reads)
+        if not any(
+            name == method[2]
+            and path[:3] != method
+            and (receiver not in classes or receiver == method[1])
+            for name, path, receiver in reads
+        )
     }
 
 
@@ -322,6 +333,22 @@ def test_the_guard_sees_an_unused_method():
     methods = public_methods(tree, "m")
     assert methods == {("m", "Thing", "lonely"), ("m", "Thing", "used"), ("m", "Thing", "caller")}
     assert unread_methods(methods, attribute_reads(tree, "m")) == {("m", "Thing", "lonely")}
+
+
+def test_the_guard_reads_a_class_qualified_method_for_its_class_only():
+    """`Thing.zero` reads the `zero` of Thing and not that of Other; a read
+    of `one` through an instance counts for both classes."""
+    tree = ast.parse(
+        "class Thing:\n"
+        "    def zero(self):\n        return Thing()\n"
+        "    def one(self):\n        return 1\n"
+        "class Other:\n"
+        "    def zero(self):\n        return Other()\n"
+        "    def one(self):\n        return 1\n"
+        "def outside(x):\n    return Thing.zero(x), x.one()\n"
+    )
+    methods = public_methods(tree, "m")
+    assert unread_methods(methods, attribute_reads(tree, "m")) == {("m", "Other", "zero")}
 
 
 def test_the_guard_sees_an_unused_operator_method():

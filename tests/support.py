@@ -1,7 +1,8 @@
 """Shared test helpers: coordinate renaming, the corpus of doubles and
 LA-vector bundles, with failing instances, and its dual pairs, the
 Lie-Poisson ladder, the dual pairs of the benchmark sweep's families and
-their cotangent doubles, seeded bialgebras, a model text with a
+their cotangent doubles, seeded bialgebras that keep the cobracket
+images they were built from (`ImageBialgebra`), a model text with a
 cobracket failing co-Jacobi, random brackets, the oracles kept from
 replaced production code (the matched-pair checks, among them the check
 of a pair through derivation commutators and brackets of sections with
@@ -9,7 +10,9 @@ the operator algebra it needs, the gathering Cartan differential, the
 frame-loop algebroid check, the core Poisson structure through anchor
 fields and the frame change by any invertible matrix), the dense
 structure tables the sparse store replaced, the dense twist table and
-LA-vector bundle builder the sparse twist store replaced, the core
+LA-vector bundle builder the sparse twist store replaced, the
+Drinfel'd double read off the cobracket images that the point-pair
+store of a bialgebra replaced (`image_drinfeld_double`), the core
 algebroid read off every core Poisson entry, the sums that
 `VectorField.apply` and `LieAlgebroid.anchor_of` fuse into one pass,
 and the constructions only the tests use (scalar polynomials in the model
@@ -20,8 +23,8 @@ import functools
 import itertools
 import pathlib
 import random
-from fractions import Fraction
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import catalog

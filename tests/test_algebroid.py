@@ -360,8 +360,9 @@ class TestCotangentAlgebroid:
             ],
         )
         assert not pi.is_poisson()
-        with pytest.raises(NotPoisson):
+        with pytest.raises(NotPoisson) as exc:
             cotangent_algebroid(pi)
+        assert str(exc.value) == "[pi, pi] = (-4 * y * z) del_x ^ del_y ^ del_z"
 
     def test_koszul_oracle_on_frames_and_random_forms(self):
         pois = catalog.poisson_chart_xy()

@@ -372,6 +372,22 @@ def tangent_algebroid(chart: Chart) -> LieAlgebroid:
     return LieAlgebroid(chart, tuple(f"del_{name}" for name in chart.names), anchor, {})
 
 
+def coadjoint(L: LieAlgebroid) -> Tuple[Derivation, ...]:
+    """The coadjoint representation of L on its dual, one `Derivation` per
+    frame e_a over its anchor: <ad*_X psi, Y> = -<psi, [X, Y]>, so the
+    matrix of e_a has entry [j][k] = -c^j_{ak}."""
+    r = L.rank
+    zero = Polynomial.zero(L.chart)
+    out = []
+    for a in range(r):
+        m = [[zero] * r for _ in range(r)]
+        for k in range(r):
+            for j, coeff in L.nonzero_structure[a][k]:
+                m[j][k] = -coeff
+        out.append(Derivation(L.anchor_field(a), m))
+    return tuple(out)
+
+
 def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multisection:
     """[X, Y] with the Leibniz expansion over polynomial coefficients."""
     if x.degree != 1 or y.degree != 1:
@@ -591,26 +607,9 @@ class PoissonChart:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "matrix", matrix)
 
-    def bivector(self) -> Multisection:
-        """As a degree-2 multisection of the tangent algebroid of the chart."""
-        n = self.chart.dim
-        comps = {}
-        for i, j in itertools.combinations(range(n), 2):
-            if self.matrix[i][j]:
-                comps[(i, j)] = self.matrix[i][j]
-        return Multisection(n, 2, comps)
-
-    def jacobiator(self) -> Multisection:
-        """[pi, pi] as a trivector of the tangent algebroid."""
-        tm = tangent_algebroid(self.chart)
-        pi = self.bivector()
-        return schouten(tm, pi, pi)
-
-    def is_poisson(self) -> bool:
-        """[pi, pi] = 0, decided in closed form: for each i < j < k the
-        cyclic sum of sum_l pi^{il} d_l pi^{jk} over (i, j, k) vanishes.
-        That sum is a fixed nonzero multiple of the (i, j, k) component of
-        `jacobiator`, which builds [pi, pi] through `schouten`."""
+    def _cyclic_sums(self) -> Iterator[Tuple[Index, Polynomial]]:
+        """For each i < j < k, the cyclic sum over (i, j, k) of
+        sum_l pi^{il} d_l pi^{jk}: half the (i, j, k) component of [pi, pi]."""
         names, m = self.chart.names, self.matrix
         rows = [[(l, p) for l, p in enumerate(row) if p] for row in m]
 
@@ -621,10 +620,19 @@ class PoissonChart:
                     out = out + p * m[j][k].partial(names[l])
             return out
 
-        return not any(
-            flow(i, j, k) + flow(j, k, i) + flow(k, i, j)
-            for i, j, k in itertools.combinations(range(self.chart.dim), 3)
-        )
+        for i, j, k in itertools.combinations(range(self.chart.dim), 3):
+            yield (i, j, k), flow(i, j, k) + flow(j, k, i) + flow(k, i, j)
+
+    def jacobiator(self) -> Multisection:
+        """[pi, pi] as a trivector of the tangent algebroid of the chart:
+        twice the cyclic sums, the Schouten bracket of pi with itself."""
+        return Multisection(self.chart.dim, 3, {idx: s.scale(2) for idx, s in self._cyclic_sums()})
+
+    def is_poisson(self) -> bool:
+        """[pi, pi] = 0, decided on the cyclic sums that `jacobiator`
+        doubles.  It stops at the first nonzero sum, so a passing bivector
+        never builds the trivector."""
+        return not any(s for _, s in self._cyclic_sums())
 
 
 def dual_poisson(L: LieAlgebroid) -> PoissonChart:

@@ -32,6 +32,7 @@ from .algebroid import (
     anchor_products,
     change_frames,
     check_compatibility,
+    coadjoint,
     fibre_coordinate,
     require_valid,
 )
@@ -313,17 +314,10 @@ def _cotangent_lavb(
     n, r = len(names), side.rank
     zero = Polynomial.zero(side.chart)
     nonzero = side.nonzero_structure
-    anchor_ders = []
-    core_ders = []
-    for beta in range(r):
-        field = side.anchor_field(beta)
-        m = [[zero] * r for _ in range(r)]
-        for a in range(r):
-            for b, coeff in nonzero[beta][a]:
-                m[b][a] = -coeff
-        q = [[side.anchor[beta][gamma].partial(x) for x in names] for gamma in range(n)]
-        anchor_ders.append(Derivation(field, m))
-        core_ders.append(Derivation(field, q))
+    core_ders = [
+        Derivation(field, [[row[gamma].partial(x) for x in names] for gamma in range(n)])
+        for field, row in zip(side.anchor_fields, side.anchor)
+    ]
     core_anchor = [[side.anchor[a][gamma].scale(-sign) for a in range(r)] for gamma in range(n)]
     twist = {}
     for b1, b2 in itertools.combinations(range(r), 2):
@@ -332,7 +326,7 @@ def _cotangent_lavb(
             for a, coeff in nonzero[b1][b2]:
                 rows[a] = [coeff.partial(x).scale(sign) for x in names]
             twist[(b1, b2)] = rows
-    return LAVBundle(side, bundle_frames, core_frames, anchor_ders, core_ders, core_anchor, twist)
+    return LAVBundle(side, bundle_frames, core_frames, coadjoint(side), core_ders, core_anchor, twist)
 
 
 def build_cotangent_double(L: LieAlgebroid, Lstar: LieAlgebroid) -> DoubleLieAlgebroid:

@@ -7,10 +7,12 @@ the nonzero ones.  A Lie bialgebra is a Lie bialgebroid over a point
 (Mackenzie & Xu 1994, Lie bialgebroids and Poisson groupoids, Duke Math.
 J. 73), and `Bialgebra` stores it as that pair (g, g*): `cobracket_dual`
 builds g* once from the cobracket images, the transpose of the cobracket.
-The Drinfel'd double is the same kind of algebroid, scattered from the
-nonzero entries of g and g*.  It is built from the two coadjoint actions
-once the algebra passes Jacobi, its dual bracket passes Jacobi and the
-cobracket is a 1-cocycle.  These three gates are decided on the pair by
+The Drinfel'd double g + g* is the bowtie of the coadjoint matched pair
+(g, g*, ad*, ad*) (Majid 1990, Pacific J. Math. 141; Mokri 1997, Glasgow
+Math. J. 39), so `matched.assemble_bowtie` writes its bracket from the
+two `algebroid.coadjoint` representations.  It is built once the algebra
+passes Jacobi, its dual bracket passes Jacobi and the cobracket is a
+1-cocycle.  These three gates are decided on the pair by
 the code of `algebroid` that `check_algebroid` and
 `check_compatibility` run: `first_jacobiator` on each side and
 `frame_defect`, the compatibility defect in closed form, on frame pairs.
@@ -33,9 +35,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .algebroid import LieAlgebroid, first_jacobiator, frame_defect
+from .algebroid import LieAlgebroid, coadjoint, first_jacobiator, frame_defect
 from .exact import Chart, Coefficient, Polynomial, rat, signed_sum
 from .formatting import format_combination
+from .matched import MatchedPair, assemble_bowtie
 from .verdicts import CheckReport, passed
 
 Wedge = Dict[Tuple[int, int], Coefficient]  # keys j < k
@@ -107,18 +110,6 @@ def cobracket_dual(g: LieAlgebroid, images: Mapping[int, Wedge]) -> LieAlgebroid
     return LieAlgebra(n, brackets, [f"{name}_d" for name in g.frames])
 
 
-def _scattered(size: int, entries) -> Dict[Tuple[int, int], List[Polynomial]]:
-    """Bracket vectors of length `size` on the point chart from the nonzero
-    entries (a, b, k, c^k_{ab}) with a < b, each (a, b, k) at most once."""
-    zero = Polynomial.zero(Chart(()))
-    out: Dict[Tuple[int, int], List[Polynomial]] = {}
-    for a, b, k, value in entries:
-        if (a, b) not in out:
-            out[(a, b)] = [zero] * size
-        out[(a, b)][k] = value
-    return out
-
-
 def _value(p: Polynomial) -> Coefficient:
     """The value of a polynomial on the point chart."""
     return p.terms[0][1] if p.terms else 0
@@ -148,9 +139,10 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
     `check_compatibility`: there d_* = -delta, so the cocycle defect
     delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i) is minus
     `frame_defect` on (e_i, e_j).  Raises `ValueError` when a dual
-    basis name <name>_d is already a basis name.  The bracket is scattered
-    from the nonzero entries of g and g*; each entry (i, c) of the g*
-    structure at (j, k) is delta^{jk}_i.
+    basis name <name>_d is already a basis name.  The double is then the
+    bowtie of the coadjoint matched pair: the mixed bracket
+    -ad*_{eps^j} e_i + ad*_{e_i} eps^j is the one above, since the g*
+    structure constant of eps^i at (j, k) is delta^{jk}_i.
     """
     g, dual = b.algebra, b.dual
     _require_jacobi(g, "algebra")
@@ -167,24 +159,7 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
     clash = next((name for name in dual.frames if name in names), None)
     if clash is not None:
         raise ValueError(f"dual basis name {clash!r} is already a basis name")
-
-    n = b.dim
-
-    def entries():
-        for i, row in enumerate(g.nonzero_structure):
-            for k, pairs in enumerate(row):
-                for j, c in pairs:
-                    if i < k:
-                        yield i, k, j, c
-                    yield i, n + j, n + k, -c
-        for j, row in enumerate(dual.nonzero_structure):
-            for k in range(j + 1, n):
-                for i, c in row[k]:
-                    yield n + j, n + k, n + i, c
-                    yield i, n + j, k, c
-                    yield i, n + k, j, -c
-
-    return LieAlgebroid(g.chart, names + dual.frames, [()] * (2 * n), _scattered(2 * n, entries()))
+    return assemble_bowtie(MatchedPair(g, dual, coadjoint(g), coadjoint(dual)))
 
 
 def check_manin() -> CheckReport:

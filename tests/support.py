@@ -15,6 +15,8 @@ Drinfel'd double read off the cobracket images that the point-pair
 store of a bialgebra replaced (`image_drinfeld_double`), the core
 algebroid read off every core Poisson entry, the sums that
 `VectorField.apply` and `LieAlgebroid.anchor_of` fuse into one pass,
+the Schouten square of a bivector that the cyclic sums of
+`PoissonChart.jacobiator` replaced (`bivector`, `schouten_jacobiator`),
 and the constructions only the tests use (scalar polynomials in the model
 grammar, the tangent prolongation), and the `Fraction`-only reference
 polynomial the exact kernel is compared with."""
@@ -49,6 +51,7 @@ from doublealg.algebroid import (
     frame_defect,
     random_polynomial,
     random_section,
+    schouten,
     tangent_algebroid,
 )
 from doublealg.doublela import (
@@ -238,6 +241,21 @@ def poisson_bracket(P: PoissonChart, f: Polynomial, g: Polynomial) -> Polynomial
             if P.matrix[i][j]:
                 out = out + P.matrix[i][j] * dfi * g.partial(nj)
     return out
+
+
+def bivector(P: PoissonChart) -> Multisection:
+    """P as a degree-2 multisection of the tangent algebroid of its chart."""
+    n = P.chart.dim
+    return Multisection(
+        n, 2, {(i, j): P.matrix[i][j] for i, j in itertools.combinations(range(n), 2)}
+    )
+
+
+def schouten_jacobiator(P: PoissonChart) -> Multisection:
+    """[pi, pi] through `schouten` on the tangent algebroid, the route that
+    `PoissonChart.jacobiator` replaced by twice its cyclic sums."""
+    pi = bivector(P)
+    return schouten(tangent_algebroid(P.chart), pi, pi)
 
 
 def tangent_lavb(chart: Chart, bundle_frames: Sequence[str], core_frames: Sequence[str] | None = None) -> LAVBundle:

@@ -40,6 +40,7 @@ from support import (
     anchor_of_sum,
     applied,
     bialgebra,
+    bivector,
     commutator,
     constants,
     dense_structure,
@@ -229,7 +230,7 @@ class TestSchouten:
         assert got == Multisection.function(2, TM.anchor_of(x).apply(P("x * y")))
 
     def test_poisson_bivector_squares_to_zero(self):
-        pi = catalog.poisson_chart_xy().bivector()
+        pi = bivector(catalog.poisson_chart_xy())
         assert schouten(TM, pi, pi).is_zero
 
     def test_nonpoisson_bivector_detected(self):

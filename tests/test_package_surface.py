@@ -10,11 +10,19 @@ outside the method's own definition, where a read written on a class, as
 `Klass.method`, counts for that class only; so must every operator method,
 read by an expression with its operator.  Helpers that only the tests call
 live in `tests/` (`catalog`, `dvb_model`, `support` and the test modules).
+Every package module also imports on its own in a fresh interpreter, so
+no import between package modules depends on which one a caller loads
+first.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "doublealg"
@@ -25,6 +33,7 @@ EXTERNAL_ONLY = {
     "algebroid.cotangent_algebroid",
     "algebroid.dual_poisson",
     "algebroid.lie_algebra_to_algebroid",
+    "algebroid.tangent_algebroid",
 }
 
 
@@ -372,3 +381,15 @@ def test_the_guard_sees_an_unused_operator_method():
 def test_readme_library_snippet_runs():
     """The documented API still imports and its assertions hold."""
     exec(compile(library_snippet(), "README.md:Library", "exec"), {})
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_each_module_imports_on_its_own(module):
+    name = "doublealg" if module == "__init__" else f"doublealg.{module}"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {name}"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr

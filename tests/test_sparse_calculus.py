@@ -5,11 +5,13 @@ nonzero structure constants; the gathering differential, which visits
 every (k+1)-subset of frames, is kept in `support.gather_differential` as
 its oracle, on algebroids that fail Jacobi as well as valid ones.
 `PoissonChart.is_poisson` decides [pi, pi] = 0 by the closed-form cyclic
-sum; the Schouten `jacobiator` is its oracle and still writes the
-`NotPoisson` witness.  `check_algebroid` reads the anchor defect and the
-frame Jacobiator off the nonzero structure functions; the frame loop
-through `bracket_sections` is kept in `support.frame_loop_check_algebroid`
-as its oracle, compared report for report, witnesses included.  The
+sums, and `PoissonChart.jacobiator`, which writes the `NotPoisson`
+witness, is twice them; the Schouten square of the bivector is kept in
+`support.schouten_jacobiator` as the oracle of both.  `check_algebroid`
+reads the anchor defect and the frame Jacobiator off the nonzero
+structure functions; the frame loop through `bracket_sections` is kept
+in `support.frame_loop_check_algebroid` as its oracle, compared report
+for report, witnesses included.  The
 gl(3)* rung, whose 18-coordinate, rank-18 total algebroids no benchmark
 workload reaches, is pinned by the sha256 of its report lines.
 `change_frames` relabels and re-signs frames by a signed permutation; the
@@ -55,6 +57,7 @@ from support import (
     ladder_pair,
     perturbations,
     random_bracket,
+    schouten_jacobiator,
     section_check_compatibility,
 )
 
@@ -238,9 +241,10 @@ def test_check_algebroid_matches_frame_loop_on_random_algebroids():
 # --- the closed-form Poisson test against the Schouten jacobiator
 
 
-def jacobiator_cotangent_algebroid(P):
-    """`cotangent_algebroid` deciding [pi, pi] = 0 through `jacobiator`."""
-    jac = P.jacobiator()
+def schouten_cotangent_algebroid(P):
+    """`cotangent_algebroid` deciding [pi, pi] = 0 and writing its witness
+    through the Schouten bracket."""
+    jac = schouten_jacobiator(P)
     if not jac.is_zero:
         frames = tuple(f"del_{n}" for n in P.chart.names)
         raise NotPoisson(f"[pi, pi] = {jac.format(frames)}")
@@ -294,12 +298,26 @@ BIVECTORS = bivector_corpus()
 
 def test_closed_form_poisson_test_matches_jacobiator():
     verdicts = Counter()
+    assert len(BIVECTORS) == 81
     for P in BIVECTORS:
-        assert P.is_poisson() is P.jacobiator().is_zero
-        new, old = outcome(cotangent_algebroid, P), outcome(jacobiator_cotangent_algebroid, P)
+        jac = schouten_jacobiator(P)
+        assert P.jacobiator() == jac
+        assert P.is_poisson() is jac.is_zero
+        new, old = outcome(cotangent_algebroid, P), outcome(schouten_cotangent_algebroid, P)
         assert new == old
         verdicts[new[0]] += 1
     assert verdicts["NotPoisson"] >= 20 and verdicts["algebroid"] >= 20
+
+
+def test_jacobiator_is_the_schouten_square_on_random_bivectors():
+    nonzero = 0
+    for seed in range(300):
+        rng = random.Random(1000 + seed)
+        P = random_bivector(rng, CHARTS[seed % 2], 1 + seed % 3)
+        jac = P.jacobiator()
+        assert jac == schouten_jacobiator(P), seed
+        nonzero += not jac.is_zero
+    assert nonzero >= 150
 
 
 def test_rejecting_a_bivector_computes_the_jacobiator_once(monkeypatch):

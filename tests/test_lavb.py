@@ -182,6 +182,30 @@ class TestValidation:
         assert not check_lavb(off_base).ok
 
 
+class TestShapeErrors:
+    """The constructor's shape errors, pinned by text.  Each bad input
+    reuses derivations of a bundle of another rank, so the pins do not
+    depend on how a derivation is stored."""
+
+    WIDE = tangent_lavb(LINE, ["f", "g"])  # bundle and core rank 2 over TA's side
+    COUNT = "need one anchor and one core derivation per side frame"
+
+    @pytest.mark.parametrize(
+        "anchor_ders, core_ders, text",
+        [
+            (TA.anchor_derivations[:-1], TA.core_derivations, COUNT),
+            (TA.anchor_derivations, TA.core_derivations * 2, COUNT),
+            (WIDE.anchor_derivations, TA.core_derivations, "anchor derivation rank mismatch"),
+            (TA.anchor_derivations, WIDE.core_derivations, "core derivation rank mismatch"),
+        ],
+    )
+    def test_derivation_shape_errors_are_pinned(self, anchor_ders, core_ders, text):
+        v = TA
+        with pytest.raises(ValueError) as err:
+            LAVBundle(v.side, v.bundle_frames, v.core_frames, anchor_ders, core_ders, v.core_anchor)
+        assert str(err.value) == text
+
+
 class TestReciprocity:
     def test_double_dual_returns_total_structure(self):
         again = induced_dual_algebroid(dual_lavb(TA))

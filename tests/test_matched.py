@@ -97,6 +97,28 @@ class TestCheckMatched:
         ]
 
 
+class TestShapeErrors:
+    """The constructor's shape errors, pinned by text, on a pair with ranks
+    2 and 1.  Each bad input reuses derivations of the other action, so the
+    pins do not depend on how a derivation is stored."""
+
+    PAIR = catalog.abelian_matched_pair(2, 1)
+
+    @pytest.mark.parametrize(
+        "rho, sigma, text",
+        [
+            (PAIR.rho[:-1], PAIR.sigma, "rho needs one derivation per A-frame"),
+            (PAIR.rho, PAIR.sigma * 2, "sigma needs one derivation per B-frame"),
+            (PAIR.sigma * 2, PAIR.sigma, "rho derivations must act on B"),
+            (PAIR.rho, PAIR.rho[:1], "sigma derivations must act on A"),
+        ],
+    )
+    def test_derivation_shape_errors_are_pinned(self, rho, sigma, text):
+        with pytest.raises(ValueError) as err:
+            MatchedPair(self.PAIR.algebroid_a, self.PAIR.algebroid_b, rho, sigma)
+        assert str(err.value) == text
+
+
 def off_anchor_pair() -> MatchedPair:
     """TM on (x, y) acting on a line bundle by derivations over the swapped
     coordinate fields, x * f1 under del_x and 0 under del_y."""

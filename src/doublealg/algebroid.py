@@ -230,29 +230,15 @@ def _permutation_sign(idx: Sequence[int]) -> int:
 # derivations on a framed bundle
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """First-order operator on a framed bundle: D(f mu) = f D(mu) + X(f) mu.
+# A derivation of a framed bundle along frame e of an acting algebroid is
+# its matrix: matrix[a] is the image of frame a as component polynomials,
+# and its base field is the anchor of e, D(f mu) = f D(mu) + a(e)(f) mu.
+Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
-    matrix[a] is the image of frame a as component polynomials.
-    """
 
-    base_field: VectorField
-    matrix: Tuple[Tuple[Polynomial, ...], ...]
-
-    def __init__(self, base_field: VectorField, matrix: Sequence[Sequence[Polynomial]]):
-        object.__setattr__(self, "base_field", base_field)
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in matrix))
-
-    @property
-    def bundle_rank(self) -> int:
-        return len(self.matrix)
-
-    def contragredient(self) -> "Derivation":
-        """Dual derivation: <D* phi, mu> = X<phi, mu> - <phi, D mu>."""
-        rank = self.bundle_rank
-        rows = [tuple(-self.matrix[a][b] for a in range(rank)) for b in range(rank)]
-        return Derivation(self.base_field, rows)
+def contragredient(matrix: Matrix) -> Matrix:
+    """Dual derivation: <D* phi, mu> = X<phi, mu> - <phi, D mu>."""
+    return tuple(tuple(-row[b] for row in matrix) for b in range(len(matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +358,10 @@ def tangent_algebroid(chart: Chart) -> LieAlgebroid:
     return LieAlgebroid(chart, tuple(f"del_{name}" for name in chart.names), anchor, {})
 
 
-def coadjoint(L: LieAlgebroid) -> Tuple[Derivation, ...]:
-    """The coadjoint representation of L on its dual, one `Derivation` per
-    frame e_a over its anchor: <ad*_X psi, Y> = -<psi, [X, Y]>, so the
-    matrix of e_a has entry [j][k] = -c^j_{ak}."""
+def coadjoint(L: LieAlgebroid) -> Tuple[Matrix, ...]:
+    """The coadjoint representation of L on its dual, one derivation matrix
+    per frame e_a: <ad*_X psi, Y> = -<psi, [X, Y]>, so the matrix of e_a has
+    entry [j][k] = -c^j_{ak}."""
     r = L.rank
     zero = Polynomial.zero(L.chart)
     out = []
@@ -384,7 +370,7 @@ def coadjoint(L: LieAlgebroid) -> Tuple[Derivation, ...]:
         for k in range(r):
             for j, coeff in L.nonzero_structure[a][k]:
                 m[j][k] = -coeff
-        out.append(Derivation(L.anchor_field(a), m))
+        out.append(tuple(map(tuple, m)))
     return tuple(out)
 
 

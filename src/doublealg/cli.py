@@ -248,8 +248,8 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
                 ("rho", mp.algebroid_a, mp.rho, mp.algebroid_b),
                 ("sigma", mp.algebroid_b, mp.sigma, mp.algebroid_a),
             ):
-                for frame, d in zip(acting.frames, ders):
-                    detail.extend(format_derivation_lines(f"{label}({frame})", d, target.frames))
+                for frame, field, m in zip(acting.frames, acting.anchor_fields, ders):
+                    detail.extend(format_derivation_lines(f"{label}({frame})", field, m, target.frames))
             results.append(ResultEntry(f"extract.{name}", "pass", detail=tuple(detail)))
             results.extend(entries_from_check(f"extract.{name}.matched", rep))
 

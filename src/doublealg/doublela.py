@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .algebroid import (
-    Derivation,
     LieAlgebroid,
     PoissonChart,
     anchor_products,
@@ -249,7 +248,7 @@ def structural_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
     the dual, whose base anchor is zero; the A*-core frame a of e_v, with
     anchor -d_A[gamma][a] on xi_gamma, meets -eta_a, whose base anchor is
     minus the base field of the horizontal core derivation of e_a, that is
-    -rho_A(e_a) once `check_lavb`'s `base_fields` item passed.
+    -rho_A(e_a) by construction.
     """
     core = ("core_algebroid", "core_anchor_induced", "core_map_A", "core_map_B")
     items = (
@@ -314,10 +313,7 @@ def _cotangent_lavb(
     n, r = len(names), side.rank
     zero = Polynomial.zero(side.chart)
     nonzero = side.nonzero_structure
-    core_ders = [
-        Derivation(field, [[row[gamma].partial(x) for x in names] for gamma in range(n)])
-        for field, row in zip(side.anchor_fields, side.anchor)
-    ]
+    core_ders = [[[row[gamma].partial(x) for x in names] for gamma in range(n)] for row in side.anchor]
     core_anchor = [[side.anchor[a][gamma].scale(-sign) for a in range(r)] for gamma in range(n)]
     twist = {}
     for b1, b2 in itertools.combinations(range(r), 2):

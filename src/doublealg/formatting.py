@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .algebroid import Derivation, LieAlgebroid, VectorField
+from .algebroid import LieAlgebroid, Matrix, VectorField
 from .exact import Polynomial, monomial_atoms, signed_sum
 
 
@@ -69,12 +69,13 @@ def format_pairing_lines(double: LieAlgebroid) -> List[str]:
     ]
 
 
-def format_derivation_lines(prefix: str, d: Derivation, frames: Sequence[str]) -> List[str]:
-    lines = []
-    base = format_vector_field(d.base_field)
-    lines.append(f"{prefix}.base = {base}")
+def format_derivation_lines(
+    prefix: str, base: VectorField, matrix: Matrix, frames: Sequence[str]
+) -> List[str]:
+    """A derivation with base field `base` and its nonzero matrix rows."""
+    lines = [f"{prefix}.base = {format_vector_field(base)}"]
     for i, name in enumerate(frames):
-        row = format_combination(d.matrix[i], frames)
+        row = format_combination(matrix[i], frames)
         if row != "0":
             lines.append(f"{prefix}({name}) = {row}")
     return lines

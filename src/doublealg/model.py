@@ -67,7 +67,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
-from .algebroid import Derivation, LieAlgebroid, VectorField
+from .algebroid import LieAlgebroid
 from .doublela import DoubleLieAlgebroid
 from .dvb import DecomposedDVB
 from .exact import Chart, Polynomial
@@ -287,8 +287,8 @@ def _brackets(
 
 
 def _parse_derivation_value(
-    value: str, chart: Chart, base_field: VectorField, frames: Tuple[str, ...], line: int
-) -> Derivation:
+    value: str, chart: Chart, frames: Tuple[str, ...], line: int
+) -> List[List[Polynomial]]:
     value = value.strip()
     if not value.startswith("derivation{") or not value.endswith("}"):
         raise ModelError("expected derivation{frame: combination, ...}", line)
@@ -308,7 +308,7 @@ def _parse_derivation_value(
             seen.add(idx)
             combo_map = _parsed(line, parse_combination, combo.strip(), chart, frames)
             matrix[idx] = [combo_map[name] for name in frames]
-    return Derivation(base_field, matrix)
+    return matrix
 
 
 def parse_model(text: str) -> ModelFile:
@@ -460,9 +460,7 @@ def parse_model(text: str) -> ModelFile:
                         beta, a = _call_indices(args, line, usage, frames_b, own)
                         combo = _parsed(line, parse_combination, value, chart, own)
                         matrices[beta][a] = [combo[name] for name in own]
-                    derivations.append(
-                        [Derivation(side.anchor_field(beta), matrices[beta]) for beta in range(rb)]
-                    )
+                    derivations.append(matrices)
                 core_anchor = [[zero] * ra for _ in range(rc)]
                 for args, value, line in block.calls("del"):
                     (g,) = _call_indices(args, line, "del takes one core frame", frames_c)
@@ -497,16 +495,11 @@ def parse_model(text: str) -> ModelFile:
                 reps = []
                 for key, acting, target in (("rho", a_alg, b_alg), ("sigma", b_alg, a_alg)):
                     zero = Polynomial.zero(acting.chart)
-                    ders = [
-                        Derivation(acting.anchor_field(i), [[zero] * target.rank] * target.rank)
-                        for i in range(acting.rank)
-                    ]
+                    ders = [[[zero] * target.rank] * target.rank] * acting.rank
                     usage = f"{key} takes one frame name"
                     for args, value, line in block.calls(key):
                         (i,) = _call_indices(args, line, usage, acting.frames)
-                        ders[i] = _parse_derivation_value(
-                            value, acting.chart, acting.anchor_field(i), target.frames, line
-                        )
+                        ders[i] = _parse_derivation_value(value, acting.chart, target.frames, line)
                     reps.append(ders)
                 matched_pairs[block.name] = MatchedPair(a_alg, b_alg, *reps)
 

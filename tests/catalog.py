@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from doublealg.algebroid import (
-    Derivation,
     LieAlgebroid,
     PoissonChart,
     cotangent_algebroid,
@@ -70,12 +69,9 @@ def coadjoint_sigma_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
 def coadjoint_pair(b: Bialgebra) -> MatchedPair:
     """The mutual coadjoint actions of a bialgebra as a matched pair at a point."""
     chart = Chart(())
-    from support import zero_field  # support imports this module
 
     def action(matrix):
-        return Derivation(
-            zero_field(chart), [[Polynomial.constant(chart, c) for c in row] for row in matrix]
-        )
+        return [[Polynomial.constant(chart, c) for c in row] for row in matrix]
 
     rho = [action(coadjoint_rho_matrix(b, i)) for i in range(b.dim)]
     sigma = [action(coadjoint_sigma_matrix(b, i)) for i in range(b.dim)]
@@ -103,13 +99,13 @@ def line_action_pair(action_coeff: str = "x", sigma_coeff: str | None = None) ->
     chart = Chart(("x",))
     a_alg = tangent_algebroid(chart)
     b_alg = LieAlgebroid(chart, ("f1",), [[Polynomial.zero(chart)]], {})
-    from support import parse_polynomial, zero_field  # support imports this module
+    from support import parse_polynomial  # support imports this module
 
-    rho = [Derivation(a_alg.anchor_field(0), [[parse_polynomial(action_coeff, chart)]])]
+    rho = [[[parse_polynomial(action_coeff, chart)]]]
     sigma_val = (
         Polynomial.zero(chart) if sigma_coeff is None else parse_polynomial(sigma_coeff, chart)
     )
-    sigma = [Derivation(zero_field(chart), [[sigma_val]])]
+    sigma = [[[sigma_val]]]
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 

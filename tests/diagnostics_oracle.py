@@ -109,7 +109,7 @@ def generic_anchor_identity(dla: DoubleLieAlgebroid) -> CheckItem:
         der = vert.anchor_derivations[beta]
         for b in range(ra):
             for a in range(ra):
-                entry = der.matrix[b][a]
+                entry = der[b][a]
                 if entry:
                     adot[a] = adot[a] - lifted(entry) * ub[beta] * ua[b]
     for gamma in range(rc):
@@ -122,7 +122,7 @@ def generic_anchor_identity(dla: DoubleLieAlgebroid) -> CheckItem:
         der = hor.anchor_derivations[alpha]
         for b in range(rb):
             for c in range(rb):
-                entry = der.matrix[b][c]
+                entry = der[b][c]
                 if entry:
                     bdot[c] = bdot[c] - lifted(entry) * ua[alpha] * ub[b]
     for gamma in range(rc):
@@ -182,7 +182,7 @@ def anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> Ch
             for a in range(ra):
                 entry = Polynomial.zero(chart_b)
                 for beta in range(rb):
-                    m = delta.anchor_derivations[beta].matrix[i][a]
+                    m = delta.anchor_derivations[beta][i][a]
                     if m:
                         entry = entry - lift(m) * u_b[beta]
                 coeffs[ra + a] = entry

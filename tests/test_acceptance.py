@@ -320,7 +320,7 @@ def _passing_doubles():
 
 
 def _double_tangent(chart):
-    from doublealg.algebroid import Derivation, LieAlgebroid
+    from doublealg.algebroid import LieAlgebroid
     from doublealg.doublela import DoubleLieAlgebroid
     from doublealg.lavb import LAVBundle
 
@@ -339,8 +339,8 @@ def _double_tangent(chart):
         side_a,
         tuple(f"del_{name}" for name in chart.names),
         core,
-        tuple(Derivation(side_a.anchor_field(i), zero_mat) for i in range(n)),
-        tuple(Derivation(side_a.anchor_field(i), zero_mat) for i in range(n)),
+        [zero_mat] * n,
+        [zero_mat] * n,
         ident,
         {},
     )

@@ -9,7 +9,6 @@ from typing import Dict
 import pytest
 
 from doublealg.algebroid import (
-    Derivation,
     LieAlgebroid,
     check_bialgebroid,
     tangent_algebroid,
@@ -24,7 +23,6 @@ from support import (
     bialgebra,
     check_cor_sdp,
     parse_polynomial,
-    zero_field,
 )
 
 
@@ -91,12 +89,9 @@ class TestMatchedRoutesAgree:
                 rng.choice(["0", "1", "x", "2 * x", "x^2", "-x"]), chart
             )
 
-        rho = [Derivation(a_alg.anchor_field(0), [[rpoly(), rpoly()], [rpoly(), rpoly()]])]
+        rho = [[[rpoly(), rpoly()], [rpoly(), rpoly()]]]
         sigma_entry = rpoly() if break_anchor else Polynomial.zero(chart)
-        sigma = [
-            Derivation(zero_field(chart), [[sigma_entry]]),
-            Derivation(zero_field(chart), [[Polynomial.zero(chart)]]),
-        ]
+        sigma = [[[sigma_entry]], [[Polynomial.zero(chart)]]]
         return MatchedPair(a_alg, b_alg, rho, sigma), sigma_entry
 
     def test_thirty_random_pairs(self):

@@ -9,7 +9,6 @@ import pytest
 
 import catalog
 from doublealg.algebroid import (
-    Derivation,
     LieAlgebroid,
     change_frames,
     check_algebroid,
@@ -45,7 +44,6 @@ from support import (
     constants,
     dense_structure,
     scale_derivation,
-    scale_field,
     tangent_lavb,
 )
 
@@ -71,8 +69,8 @@ def double_tangent(chart: Chart) -> DoubleLieAlgebroid:
         side_a,
         tuple(f"del_{name}" for name in chart.names),
         core,
-        tuple(Derivation(side_a.anchor_field(i), zero_mat) for i in range(n)),
-        tuple(Derivation(side_a.anchor_field(i), zero_mat) for i in range(n)),
+        [zero_mat] * n,
+        [zero_mat] * n,
         ident,
         {},
     )
@@ -110,14 +108,8 @@ class TestDoubleTangent:
             hor.side.__class__(chart, hor.side.frames, [[two]], {}),
             hor.bundle_frames,
             hor.core_frames,
-            tuple(
-                Derivation(scale_field(d.base_field, two), d.matrix)
-                for d in hor.anchor_derivations
-            ),
-            tuple(
-                Derivation(scale_field(d.base_field, two), d.matrix)
-                for d in hor.core_derivations
-            ),
+            hor.anchor_derivations,
+            hor.core_derivations,
             hor.core_anchor,
             {},
         )
@@ -398,8 +390,8 @@ class TestDiagnosticsAreNotVacuous:
             side_a,
             ("del_x",),
             ("c_x",),
-            (Derivation(side_a.anchor_field(0), [[zero]]),),
-            (Derivation(side_a.anchor_field(0), [[zero]]),),
+            ([[zero]],),
+            ([[zero]],),
             [[one]],
             {},
         )
@@ -410,8 +402,8 @@ class TestDiagnosticsAreNotVacuous:
             side_b,
             ("v_x",),
             ("c_x",),
-            (Derivation(side_b.anchor_field(0), [[zero]]),),
-            (Derivation(side_b.anchor_field(0), [[zero]]),),
+            ([[zero]],),
+            ([[zero]],),
             [[Polynomial.constant(chart, -1)]],
             {},
         )
@@ -431,8 +423,8 @@ class TestDiagnosticsAreNotVacuous:
             side_b,
             ("v_x",),
             ("c_x",),
-            (Derivation(side_b.anchor_field(0), [[one]]),),
-            (Derivation(side_b.anchor_field(0), [[one]]),),
+            ([[one]],),
+            ([[one]],),
             [[one]],
             {},
         )

@@ -19,8 +19,6 @@ import pytest
 
 from doublealg import lavb
 from doublealg.algebroid import (
-    Derivation,
-    VectorField,
     bracket_sections,
     change_frames,
     check_algebroid,
@@ -56,7 +54,6 @@ from support import (
     rename,
     tangent_lavb,
     tt_pair,
-    zero_field,
 )
 from test_structural_diagnostics import DOUBLES
 
@@ -137,24 +134,6 @@ class TestValidation:
         assert report.first_failure.check_id == "generators"
         assert report.first_failure.witness
 
-    def test_base_field_mismatch_detected(self):
-        wrong = Derivation(
-            VectorField(LINE, [Polynomial.constant(LINE, 2)]),
-            [[Polynomial.zero(LINE)]],
-        )
-        bad = LAVBundle(
-            TA.side,
-            TA.bundle_frames,
-            TA.core_frames,
-            (wrong,),
-            TA.core_derivations,
-            TA.core_anchor,
-            {},
-        )
-        report = check_lavb(bad)
-        assert not report.ok
-        assert report.first_failure.check_id == "base_fields"
-
     def test_vacant_case_is_representation_condition(self):
         # rank-0 core, action data sigma: the structure is valid iff sigma is
         # a flat representation over the anchor
@@ -164,22 +143,12 @@ class TestValidation:
             side,
             ("a1",),
             (),
-            (Derivation(side.anchor_field(0), [[parse_polynomial("x", chart)]]),),
-            (Derivation(side.anchor_field(0), ()),),
+            ([[parse_polynomial("x", chart)]],),
+            ((),),
             [],
             {},
         )
         assert check_lavb(good).ok
-        off_base = LAVBundle(
-            side,
-            ("a1",),
-            (),
-            (Derivation(zero_field(chart), [[parse_polynomial("x", chart)]]),),
-            (Derivation(side.anchor_field(0), ()),),
-            [],
-            {},
-        )
-        assert not check_lavb(off_base).ok
 
 
 class TestShapeErrors:
@@ -320,14 +289,14 @@ class TestCrossModuleRepresentationCheck:
         # representation in the matched-pair sense
         chart = LINE
         side = tangent_algebroid(chart)
-        action = Derivation(side.anchor_field(0), [[parse_polynomial("x", chart)]])
+        action = [[parse_polynomial("x", chart)]]
         rep_ok = check_representation(side, [action], "rho").ok
         v = LAVBundle(
             side,
             ("a1",),
             (),
             (action,),
-            (Derivation(side.anchor_field(0), ()),),
+            ((),),
             [],
             {},
         )
@@ -348,8 +317,8 @@ class TestZeroStructure:
             side,
             ("a1",),
             ("c1",),
-            tuple(Derivation(zero_field(chart), [[zero]]) for _ in range(2)),
-            tuple(Derivation(zero_field(chart), [[zero]]) for _ in range(2)),
+            [[[zero]]] * 2,
+            [[[zero]]] * 2,
             [[zero]],
             {},
         )

@@ -8,9 +8,9 @@ import pytest
 
 import catalog
 from doublealg.algebroid import (
-    Derivation,
     LieAlgebroid,
     check_algebroid,
+    contragredient,
     tangent_algebroid,
 )
 from doublealg.exact import Chart, Polynomial
@@ -78,23 +78,8 @@ class TestCheckMatched:
     def test_representation_preconditions_reported(self):
         chart = Chart(["x"])
         tm = tangent_algebroid(chart)
-        rep = [Derivation(tm.anchor_field(0), [[Polynomial.zero(chart)]])]
+        rep = [[[Polynomial.zero(chart)]]]
         assert check_representation(tm, rep, "rho").ok
-
-    def test_off_anchor_report_is_pinned(self):
-        """No model text reaches `rho.base_fields`: the parser puts every
-        derivation over its frame's anchor.  So this report is pinned here;
-        it was recorded while flatness was still decided by commutators of
-        derivations, over their own base fields."""
-        report = check_matched(off_anchor_pair())
-        assert [(i.check_id, i.ok, i.witness) for i in report.items] == [
-            ("algebroid_A", True, ""),
-            ("algebroid_B", True, ""),
-            ("rho.base_fields", False, "rho(del_x) sits over (1) d/dy, expected the anchor (1) d/dx"),
-            ("rho.flat", False, "flatness fails on (del_x, del_y)"),
-            ("sigma.base_fields", True, ""),
-            ("sigma.flat", True, ""),
-        ]
 
 
 class TestShapeErrors:
@@ -117,19 +102,6 @@ class TestShapeErrors:
         with pytest.raises(ValueError) as err:
             MatchedPair(self.PAIR.algebroid_a, self.PAIR.algebroid_b, rho, sigma)
         assert str(err.value) == text
-
-
-def off_anchor_pair() -> MatchedPair:
-    """TM on (x, y) acting on a line bundle by derivations over the swapped
-    coordinate fields, x * f1 under del_x and 0 under del_y."""
-    chart = Chart(("x", "y"))
-    tm = tangent_algebroid(chart)
-    zero = Polynomial.zero(chart)
-    line = LieAlgebroid(chart, ("f1",), [[zero, zero]], {})
-    x = Polynomial.coordinate(chart, "x")
-    rho = [Derivation(tm.anchor_field(1), [[x]]), Derivation(tm.anchor_field(0), [[zero]])]
-    sigma = [Derivation(line.anchor_field(0), [[zero, zero], [zero, zero]])]
-    return MatchedPair(tm, line, rho, sigma)
 
 
 def bowtie(mp: MatchedPair) -> LieAlgebroid:
@@ -184,15 +156,9 @@ def extract_actions(total: LieAlgebroid, split: int) -> MatchedPair:
             for i, j in itertools.combinations(range(rb), 2)
         },
     )
-    rho_ders = []
-    for i in range(ra):
-        matrix = [tuple(structure[i][ra + j][ra:]) for j in range(rb)]
-        rho_ders.append(Derivation(a_alg.anchor_field(i), matrix))
-    sigma_ders = []
-    for j in range(rb):
-        matrix = [tuple(-p for p in structure[i][ra + j][:ra]) for i in range(ra)]
-        sigma_ders.append(Derivation(b_alg.anchor_field(j), matrix))
-    return MatchedPair(a_alg, b_alg, rho_ders, sigma_ders)
+    rho = [[structure[i][ra + j][ra:] for j in range(rb)] for i in range(ra)]
+    sigma = [[tuple(-p for p in structure[i][ra + j][:ra]) for i in range(ra)] for j in range(rb)]
+    return MatchedPair(a_alg, b_alg, rho, sigma)
 
 
 class TestBowtie:
@@ -211,8 +177,9 @@ class TestBowtie:
             for j in range(mp.algebroid_b.rank):
                 x = frame_section(mp.algebroid_a, i).vector(mp.chart)
                 y = frame_section(mp.algebroid_b, j).vector(mp.chart)
-                expected = tuple(-p for p in apply_derivation(mp.sigma[j], x)) + tuple(
-                    apply_derivation(mp.rho[i], y)
+                sigma_x = apply_derivation(mp.algebroid_b.anchor_field(j), mp.sigma[j], x)
+                expected = tuple(-p for p in sigma_x) + tuple(
+                    apply_derivation(mp.algebroid_a.anchor_field(i), mp.rho[i], y)
                 )
                 assert dense_structure(bow)[i][ra + j] == expected
 
@@ -239,11 +206,7 @@ class TestExtractActions:
     def test_abelian_sum_gives_zero_actions(self):
         bow = bowtie(catalog.abelian_matched_pair())
         mp = extract_actions(bow, 1)
-        assert all(
-            all(p.is_zero for p in row)
-            for d in mp.rho
-            for row in d.matrix
-        )
+        assert all(p.is_zero for m in mp.rho for row in m for p in row)
 
     def test_round_trip_on_catalog(self):
         for mp in PASSING:
@@ -312,10 +275,12 @@ def semidirect_tables(mp):
         return (zero,) * k
 
     def sigma_dual(j, p):  # sigma*_{Y_j} phi_p along phi_1 .. phi_ra
-        return tuple(-apply_derivation(mp.sigma[j], unit(chart, ra, c))[p] for c in range(ra))
+        field = b_alg.anchor_field(j)
+        return tuple(-apply_derivation(field, mp.sigma[j], unit(chart, ra, c))[p] for c in range(ra))
 
     def rho_dual(i, q):  # rho*_{X_i} psi_q along psi_1 .. psi_rb
-        return tuple(-apply_derivation(mp.rho[i], unit(chart, rb, d))[q] for d in range(rb))
+        field = a_alg.anchor_field(i)
+        return tuple(-apply_derivation(field, mp.rho[i], unit(chart, rb, d))[q] for d in range(rb))
 
     # A* + B: anchor (phi + Y) -> b(Y);
     # [phi1 + Y1, phi2 + Y2] = {sigma*_{Y1} phi2 - sigma*_{Y2} phi1} + [Y1, Y2]
@@ -354,8 +319,8 @@ def name_clash_pair():
     a_alg = LieAlgebroid(chart, ("a",), [[one, zero]], {})
     b_alg = LieAlgebroid(chart, ("a_d", "b"), [[zero, zero], [zero, zero]], {})
     x = Polynomial.coordinate(chart, "x")
-    rho = [Derivation(a_alg.anchor_field(0), [[zero, x], [one, zero]])]
-    sigma = [Derivation(b_alg.anchor_field(j), [[zero]]) for j in range(2)]
+    rho = [[[zero, x], [one, zero]]]
+    sigma = [[[zero]]] * 2
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 
@@ -417,8 +382,8 @@ class TestSemidirects:
         ra = mp.algebroid_a.rank
         for a in range(ra):
             for j in range(mp.algebroid_b.rank):
-                sigma_star = mp.sigma[j].contragredient()
-                expected = tuple(sigma_star.matrix[a]) + tuple(
+                sigma_star = contragredient(mp.sigma[j])
+                expected = tuple(sigma_star[a]) + tuple(
                     Polynomial.zero(mp.chart) for _ in range(mp.algebroid_b.rank)
                 )
                 got = tuple(-p for p in dense_structure(semidirect)[a][ra + j])

@@ -11,7 +11,7 @@ from collections import Counter
 
 import catalog
 from doublealg import algebroid
-from doublealg.algebroid import Derivation, LieAlgebroid, VectorField, random_polynomial
+from doublealg.algebroid import LieAlgebroid, random_polynomial
 from doublealg.exact import Chart, Polynomial
 from doublealg.matched import MatchedPair, check_matched
 from support import XY, cotangent, gate_corpus, section_check_matched
@@ -21,9 +21,7 @@ from test_matched import SEMIDIRECT_CORPUS
 ITEMS = (
     "algebroid_A",
     "algebroid_B",
-    "rho.base_fields",
     "rho.flat",
-    "sigma.base_fields",
     "sigma.flat",
     "identity_1",
     "identity_2",
@@ -71,33 +69,26 @@ def random_side(rng, chart, rank, prefix):
     return LieAlgebroid(chart, frames, [[zero] * chart.dim for _ in range(rank)], brackets)
 
 
-def random_representation(rng, acting, target_rank, off_anchor):
-    """One derivation per frame of `acting` with sparse random matrices,
-    over the anchors or, with `off_anchor`, over random fields."""
+def random_representation(rng, acting, target_rank):
+    """One sparse random derivation matrix per frame of `acting`."""
     chart = acting.chart
     zero_share = rng.choice((1.0, 0.8, 0.5))
-    ders = []
-    for alpha in range(acting.rank):
-        field = acting.anchor_field(alpha)
-        if off_anchor:
-            field = VectorField(chart, [sparse_polynomial(rng, chart, 0.5) for _ in range(chart.dim)])
-        matrix = [[sparse_polynomial(rng, chart, zero_share) for _ in range(target_rank)] for _ in range(target_rank)]
-        ders.append(Derivation(field, matrix))
-    return ders
+    def row():
+        return [sparse_polynomial(rng, chart, zero_share) for _ in range(target_rank)]
+
+    return [[row() for _ in range(target_rank)] for _ in range(acting.rank)]
 
 
 def random_pairs(count, seed):
-    """Seeded pairs on (x) and on (x, y) with ranks 1-3; a quarter of them
-    have derivations off the anchors."""
+    """Seeded pairs on (x) and on (x, y) with ranks 1-3."""
     rng = random.Random(seed)
     out = []
     for k in range(count):
         chart = Chart(("x",)) if k % 2 else XY
         a = random_side(rng, chart, rng.randint(1, 3), "a")
         b = random_side(rng, chart, rng.randint(1, 3), "b")
-        off = k % 4 == 0
-        rho = random_representation(rng, a, b.rank, off and rng.random() < 0.5)
-        sigma = random_representation(rng, b, a.rank, off)
+        rho = random_representation(rng, a, b.rank)
+        sigma = random_representation(rng, b, a.rank)
         out.append(MatchedPair(a, b, rho, sigma))
     return out
 
@@ -109,10 +100,10 @@ def mirror(mp):
 @functools.cache
 def gate_pairs():
     """The bundled and catalog pairs, the coadjoint pairs of the 400 seeded
-    bialgebras, 160 seeded random pairs, and the mirror of each."""
+    bialgebras, 200 seeded random pairs, and the mirror of each."""
     pairs = list(SEMIDIRECT_CORPUS)
     pairs += [catalog.coadjoint_pair(b) for b in gate_corpus()]
-    pairs += random_pairs(160, seed=17)
+    pairs += random_pairs(200, seed=17)
     return tuple(pairs + [mirror(mp) for mp in pairs])
 
 
@@ -125,8 +116,8 @@ def test_reports_equal_the_section_level_oracle():
         assert report == section_check_matched(mp), k
         failures.update(item.check_id for item in report.items if not item.ok)
         failures["pass" if report.ok else "fail"] += 1
-    # seed 17 and the gate corpus give 338 passing pairs and 806 failing
-    # ones; the rarest item, identity_3, fails 20 times
+    # seed 17 and the gate corpus give 410 passing pairs and 814 failing
+    # ones; the rarest item, identity_3, fails 26 times
     assert failures["pass"] >= 300 and failures["fail"] >= 700
     assert all(failures[item] >= 10 for item in ITEMS), failures
 

@@ -146,7 +146,7 @@ def test_induced_core_anchor_is_the_composite_by_construction():
         except (DoubleMismatch, ValueError):
             continue
         base = dla.chart
-        fields = [d.base_field.components for d in dla.horizontal.core_derivations]
+        fields = [f.components for f in dla.horizontal.side.anchor_fields]
         for gamma, row in enumerate(dla.vertical.core_anchor):
             expected = [Polynomial.zero(base) for _ in range(base.dim)]
             for a, coeff in enumerate(row):

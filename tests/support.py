@@ -115,6 +115,31 @@ dual_of = TM
 """
 
 
+# Two Poisson algebroids over (x, y) that fail every compatibility family:
+# P is the cotangent algebroid of pi = x * y d/dx ^ d/dy and Q that of
+# x^2 d/dx ^ d/dy.  The `random` trial of their cotangent double runs the
+# section calculus on 4-coordinate sections over (x, y, xi_dx', xi_dy').
+POISSON_PAIR_MODEL = """\
+[chart M]
+coords = [x, y]
+
+[algebroid P]
+base = M
+frame = [dx, dy]
+anchor(dx) = x * y * d/dy
+anchor(dy) = -x * y * d/dx
+bracket(dx, dy) = y * dx + x * dy
+
+[algebroid Q]
+base = M
+frame = [ex, ey]
+anchor(ex) = x^2 * d/dy
+anchor(ey) = -x^2 * d/dx
+bracket(ex, ey) = 2 * x * ex
+dual_of = P
+"""
+
+
 def rename(p, target, mapping):
     """Transport `p` to the chart `target`, renaming coordinates via
     `mapping`; coordinates not mentioned keep their name.  Terms that land

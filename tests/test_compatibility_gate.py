@@ -16,7 +16,9 @@ from doublealg import algebroid
 from doublealg.algebroid import check_bialgebroid, check_compatibility, first_jacobiator
 from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.liealg import BialgebraError, drinfeld_double
+from doublealg.model import parse_model
 from support import (
+    POISSON_PAIR_MODEL,
     SO3,
     corpus_dual_pairs,
     double_corpus,
@@ -137,3 +139,21 @@ def test_drinfeld_double_makes_no_compatibility_defect_call(monkeypatch):
             outcomes[str(exc).split(":")[0]] += 1
     assert outcomes["double"] >= 100 and outcomes["cocycle condition fails"] >= 10
     assert counts == Counter()
+
+
+def test_a_failing_trial_runs_the_recursive_schouten_bracket(monkeypatch):
+    """The `random` trial of a failing double runs `schouten`'s recursion
+    through `bracket_sections` and `differential`: the benchmark's traced
+    sweep needs more `schouten` calls than `check_algebroid` calls, so a
+    faster kernel must keep these counts."""
+    model = parse_model(POISSON_PAIR_MODEL)
+    dla = build_cotangent_double(model.algebroids["P"], model.algebroids["Q"])
+    counts = count_calls(monkeypatch, SECTION_CALCULUS)
+    report = check_double(dla)
+    assert [item.check_id for item in report.items if not item.ok][-1] == "bialgebroid.random"
+    assert counts == {
+        "compatibility_defect": 1,
+        "schouten": 22,
+        "bracket_sections": 19,
+        "differential": 3,
+    }

@@ -22,7 +22,10 @@ and on one that already holds `u_v1`.  Reports that print proper
 fractions are pinned on a bialgebroid over pi = 1/2 * x d/dx ^ d/dy, a
 3/4 bracket that fails with fractional witnesses, a bracket whose two
 halves sum to an integer and the solvable2 bialgebra with a halved
-cobracket.
+cobracket.  `check bialgebroid` and `build cotangent-double` are pinned
+on two Poisson algebroids over (x, y) that fail every family
+(`support.POISSON_PAIR_MODEL`), whose double's `random` trial witness is
+written by the section calculus on four coordinates.
 """
 
 import contextlib
@@ -35,7 +38,7 @@ import sys
 import pytest
 
 from doublealg import cli
-from support import CO_JACOBI_MODEL
+from support import CO_JACOBI_MODEL, POISSON_PAIR_MODEL
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -333,6 +336,7 @@ dual_of = TM
         "[lie_algebra g]\ndim = 2\nbracket(e1, e2) = e2\n\n"
         "[cobracket d]\nalgebra = g\ndelta(e2) = 1/2 * e1 ^ e2\n"
     ),
+    "poisson_pair": POISSON_PAIR_MODEL,
 }
 
 # The solvable cases were recorded while the Manin items were still computed,
@@ -357,6 +361,10 @@ dual_of = TM
 # were recorded while the kernel still stored every coefficient as a
 # `Fraction`, so they show that storing integral ones as `int`s changed no
 # byte of a report that prints proper fractions.
+# The poisson_pair cases were recorded while every `Multisection` was
+# built through its validating constructor and `bracket_sections` went
+# through `anchor_of` and `VectorField.apply`, so they pin the `random`
+# trial witness over (x, y, xi_dx', xi_dy') across the trusted kernel.
 GENERATED_GOLDEN = """\
 solvable0 check manin text 0 d9710fdd6412ab50582673a0dc0d88a1b63cfac6c2a4ed53350e1f86460eb537
 solvable0 check manin json 0 c150c79f6e337038810f05dcd67b5e6542ab3eb1232098961cd8879cd6151769
@@ -424,6 +432,10 @@ half_bialgebra check manin text 0 91b4c500e0ac9ac7a8e76d113ff882250eb1e37c552e07
 half_bialgebra check manin json 0 1e83ecf8665ef272dc6326602611cb3f6740780448cd942396d2ae9859647b10
 half_bialgebra build drinfeld text 0 9cd7123740a833d9a037b3c81efaab63040d08174e0ae60d73480f17b56977a1
 half_bialgebra build drinfeld json 0 784e9f70ea47c3c8d406e12c2f95ba1f4b88594708c105f81e79d599231e3767
+poisson_pair check bialgebroid text 1 7fe1699129ec8b25ac0cbfc4163a7f86a360740a00ebc959e8f829034139e4c7
+poisson_pair check bialgebroid json 1 287f51931a8633011974fd6de13e5a380894c2a7418a8982cf6e81da16c7b21d
+poisson_pair build cotangent-double text 1 82aa17cce09821f1a14d4101182bb45ca86e26d23605e25710d5715cba88c3df
+poisson_pair build cotangent-double json 1 84227b2d3403e33efb2064763f5087477916803afc2887cc29a93591bf6c6c5a
 """
 
 

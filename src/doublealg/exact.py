@@ -24,7 +24,8 @@ sorts, or, where an operation keeps its operand's order (negation and
 nonzero scaling), by `Polynomial._from_canonical`, which does not sort.
 Each chart holds one shared zero polynomial and one name -> position map,
 and the ring operations return an operand unchanged where the result
-equals it (adding or subtracting zero, multiplying by zero, negating zero).
+equals it (adding or subtracting zero, multiplying by zero or by the
+constant 1, negating zero).
 """
 
 from __future__ import annotations
@@ -226,9 +227,9 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_chart(other)
-        if not self.terms:
+        if not self.terms or _is_one(other.terms):
             return self
-        if not other.terms:
+        if not other.terms or _is_one(self.terms):
             return other
         acc: Dict[Exponent, Coefficient] = {}
         for e1, c1 in self.terms:
@@ -323,6 +324,11 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _is_one(terms: Tuple[Tuple[Exponent, Coefficient], ...]) -> bool:
+    """Whether `terms` are those of the constant polynomial 1."""
+    return len(terms) == 1 and terms[0][1] == 1 and not any(terms[0][0])
 
 
 def _term_key(item: Tuple[Exponent, Coefficient]):

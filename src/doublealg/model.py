@@ -215,6 +215,7 @@ def _raw_blocks(text: str) -> List[RawBlock]:
     blocks: List[RawBlock] = []
     current: Optional[RawBlock] = None
     used_names = set()
+    kind_counts: Dict[str, int] = dict.fromkeys(_BLOCK_TYPES, 0)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -224,8 +225,10 @@ def _raw_blocks(text: str) -> List[RawBlock]:
             kind, name = header.group(1), header.group(2)
             if kind not in _BLOCK_TYPES:
                 raise ModelError(f"unknown block type [{kind}]", line_no)
+            kind_counts[kind] += 1
             if name is None:
-                name = f"{kind}_{sum(1 for b in blocks if b.kind == kind) + 1}"
+                # the k-th block of its kind, named or not, is <kind>_k
+                name = f"{kind}_{kind_counts[kind]}"
             if name in used_names:
                 raise ModelError(f"duplicate block name {name!r}", line_no)
             used_names.add(name)

@@ -225,13 +225,14 @@ def parse_combination(text: str, chart: Chart, frames: Tuple[str, ...]) -> Dict[
     tokens = Tokens(text)
     terms = _parse_terms(tokens, chart, frames, allow_wedge=False, allow_vector_field=False)
     tokens.expect_done()
-    out: Dict[str, Polynomial] = {name: Polynomial.zero(chart) for name in frames}
+    accs: Dict[str, Dict[Exponent, Coefficient]] = {name: {} for name in frames}
     for term in terms:
         if term.frame is None:
             if term.coeff.is_zero:
                 continue
             raise ParseError("term without a frame in a frame combination")
-        out[term.frame] = out[term.frame] + term.coeff
+        _collect(accs[term.frame], term.coeff)
+    out = {name: _built(chart, acc) for name, acc in accs.items()}
     _require_bounded(t for poly in out.values() for t in poly.terms)
     return out
 
@@ -241,15 +242,27 @@ def parse_vector_field(text: str, chart: Chart) -> List[Polynomial]:
     tokens = Tokens(text)
     terms = _parse_terms(tokens, chart, (), allow_wedge=False, allow_vector_field=True)
     tokens.expect_done()
-    comps = [Polynomial.zero(chart) for _ in chart.names]
+    accs: List[Dict[Exponent, Coefficient]] = [{} for _ in chart.names]
     for term in terms:
         if term.frame is None:
             if term.coeff.is_zero:
                 continue
             raise ParseError("term without a direction in a vector field")
-        comps[chart.index(term.frame)] = comps[chart.index(term.frame)] + term.coeff
+        _collect(accs[chart.index(term.frame)], term.coeff)
+    comps = [_built(chart, acc) for acc in accs]
     _require_bounded(t for poly in comps for t in poly.terms)
     return comps
+
+
+def _collect(acc: Dict[Exponent, Coefficient], poly: Polynomial) -> None:
+    """Add the terms of `poly` to the coefficients `acc` of one atom."""
+    for exp, coeff in poly.terms:
+        acc[exp] = acc[exp] + coeff if exp in acc else coeff
+
+
+def _built(chart: Chart, acc: Dict[Exponent, Coefficient]) -> Polynomial:
+    """The polynomial of one atom's collected terms, built once."""
+    return Polynomial(chart, acc) if acc else Polynomial.zero(chart)
 
 
 def parse_wedge_combination(

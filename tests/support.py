@@ -14,7 +14,9 @@ LA-vector bundle builder the sparse twist store replaced, the
 Drinfel'd double read off the cobracket images that the point-pair
 store of a bialgebra replaced (`image_drinfeld_double`), the core
 algebroid read off every core Poisson entry, the sums that
-`VectorField.apply` and `LieAlgebroid.anchor_of` fuse into one pass,
+`VectorField.apply`, `LieAlgebroid.anchor_of` and `bracket_sections`
+fuse into one pass (`leibniz_bracket_sections`), the running sums the
+parser's frame combinations and vector fields replaced (`summed_atoms`),
 the Schouten square of a bivector that the cyclic sums of
 `PoissonChart.jacobiator` replaced (`bivector`, `schouten_jacobiator`),
 and the constructions only the tests use (scalar polynomials in the model
@@ -77,7 +79,7 @@ from doublealg.matched import (
     check_matched,
 )
 from doublealg.model import parse_model
-from doublealg.parsing import ParseError, Tokens, _parse_terms
+from doublealg.parsing import ParseError, Tokens, _parse_terms, _require_bounded
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -586,6 +588,57 @@ def anchor_of_sum(L: LieAlgebroid, x: Multisection) -> VectorField:
     for alpha, coeff in enumerate(x.vector(L.chart)):
         if coeff:
             out = add_fields(out, scale_field(L.anchor_field(alpha), coeff))
+    return out
+
+
+def leibniz_bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multisection:
+    """[X, Y] by the Leibniz expansion over polynomial coefficients, through
+    `anchor_of` and `VectorField.apply`: the oracle of the one-pass
+    `algebroid.bracket_sections`, errors included."""
+    if x.degree != 1 or y.degree != 1:
+        raise ValueError("bracket_sections needs degree-1 sections")
+    if x.rank != L.rank or y.rank != L.rank:
+        raise ValueError("section rank does not match algebroid")
+    xs, ys = x.vector(L.chart), y.vector(L.chart)
+    acc: Dict = {}
+
+    def add(k: int, poly: Polynomial) -> None:
+        if poly:
+            acc[(k,)] = acc[(k,)] + poly if (k,) in acc else poly
+
+    for a, fa in enumerate(xs):
+        if not fa:
+            continue
+        for b, gb in enumerate(ys):
+            if not gb:
+                continue
+            for k, c in L.nonzero_structure[a][b]:
+                add(k, fa * gb * c)
+    ax, ay = L.anchor_of(x), L.anchor_of(y)
+    for k in range(L.rank):
+        add(k, ax.apply(ys[k]) - ay.apply(xs[k]))
+    return Multisection(L.rank, 1, acc)
+
+
+def summed_atoms(text: str, chart: Chart, frames: Sequence[str] = ()) -> List[Polynomial]:
+    """The coefficient of each frame of `frames` in a frame combination, or
+    of each d/d<coord> in a vector field when `frames` is empty, summed term
+    by term into a running `Polynomial`: the oracle of
+    `parsing.parse_combination` and `parsing.parse_vector_field`, errors
+    included."""
+    tokens = Tokens(text)
+    terms = _parse_terms(tokens, chart, tuple(frames), allow_wedge=False, allow_vector_field=not frames)
+    tokens.expect_done()
+    atoms = list(frames) or list(chart.names)
+    out = [Polynomial.zero(chart) for _ in atoms]
+    for term in terms:
+        if term.frame is None:
+            if term.coeff.is_zero:
+                continue
+            kind = "frame in a frame combination" if frames else "direction in a vector field"
+            raise ParseError(f"term without a {kind}")
+        out[atoms.index(term.frame)] = out[atoms.index(term.frame)] + term.coeff
+    _require_bounded(t for poly in out for t in poly.terms)
     return out
 
 

@@ -48,6 +48,7 @@ from support import (
     frame_section,
     parse_polynomial,
     poisson_bracket,
+    random_bracket,
     zero_field,
 )
 
@@ -132,6 +133,79 @@ class TestValidatingBoundary:
             assert "_table" in vars(filled) and "_table" not in vars(fresh)
             assert filled == fresh and fresh == filled
             assert hash(filled) == hash(fresh)
+
+
+exponents_xy = st.tuples(st.integers(0, 2), st.integers(0, 2))
+small_coeffs = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(2, 3)))
+small_polys = st.dictionaries(exponents_xy, small_coeffs, max_size=3).map(lambda d: Polynomial(XY, d))
+
+
+@st.composite
+def framed_forms(draw):
+    """A random rank-1 to rank-3 bracket on (x, y), a form of each degree
+    up to the rank (some of them zero) and two sections."""
+    rank = draw(st.integers(1, 3))
+    L = random_bracket(random.Random(draw(st.integers(0, 10**6))), tuple(f"e{i}" for i in range(rank)))
+
+    def form(degree):
+        indices = list(itertools.combinations(range(rank), degree))
+        return Multisection(rank, degree, draw(st.dictionaries(st.sampled_from(indices), small_polys, max_size=3)))
+
+    forms = [form(degree) for degree in range(rank + 1)]
+    return L, forms, form(1), form(1)
+
+
+class TestTrustedResults:
+    """The kernel builds its own multisections without re-validation; each
+    must equal, field by field, what the validating constructor builds
+    from its components."""
+
+    @given(framed_forms(), small_polys, st.sampled_from([0, 1, -1, Fraction(3, 4), "2"]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_every_kernel_result_is_what_the_public_constructor_builds(self, data, poly, c):
+        L, forms, x, y = data
+        r = L.rank
+        results = [
+            Multisection.zero(r, 2),
+            Multisection.function(r, poly),
+            Multisection.from_vector(r, [poly] * r),
+            L.section([Polynomial.zero(XY)] * r),
+            x + y,
+            x - y,
+            x - x,
+            x.scale(c),
+            bracket_sections(L, x, y),
+            schouten(L, x, y),
+        ]
+        for p in forms:
+            results += [p + p, p - p.scale(2), p.scale(c), p.wedge(x), x.wedge(p), differential(L, p)]
+            results += [schouten(L, p, q) for q in forms if p.degree + q.degree <= 3]
+        for result in results:
+            rebuilt = Multisection(result.rank, result.degree, dict(result.components))
+            assert (result.rank, result.degree, result.components) == (
+                rebuilt.rank,
+                rebuilt.degree,
+                rebuilt.components,
+            )
+            assert type(result.components) is tuple
+            assert all(type(idx) is tuple and poly for idx, poly in result.components)
+
+    def test_the_public_constructor_still_checks_every_index(self):
+        for degree, components, message in (
+            (-1, {}, "degree must be >= 0"),
+            (2, {(0,): P("x")}, "wrong length"),
+            (1, {(3,): P("x")}, "out of range"),
+            (2, {(1, 0): P("x")}, "not strictly increasing"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Multisection(3, degree, components)
+
+    def test_adding_zero_or_scaling_by_one_returns_an_operand(self):
+        x, zero = sec(TM, "x", "y^2"), Multisection.zero(2, 1)
+        assert x + zero is x and zero + x is x and x - zero is x and x.scale(1) is x
+        assert zero - x == x.scale(-1)
+        with pytest.raises(ValueError, match="rank/degree mismatch"):
+            x - Multisection.zero(2, 2)
 
 
 class TestBracketSections:

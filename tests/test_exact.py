@@ -242,6 +242,32 @@ class TestCanonicalResults:
         assert p - q == p + (-q)
         assert p * q == brute_force_product(p, q)
 
+    def test_multiplying_by_one_returns_the_other_operand(self):
+        p, zero = P("x * y - 2"), Polynomial.zero(XY)
+        for one in (Polynomial.constant(XY, 1), P("1/2") * P("2"), Polynomial(XY, {(0, 0): Fraction(3, 3)})):
+            assert one.terms == (((0, 0), 1),)
+            assert p * one is p and one * p is p
+            assert zero * one is zero and one * zero is zero
+        assert P("-1") * p == -p and P("x") * p != p
+
+    def test_multiplying_by_one_still_checks_the_chart(self):
+        for other in (Chart(["x", "z"]), Chart(["y", "x"]), POINT):
+            one = Polynomial.constant(other, 1)
+            with pytest.raises(ChartMismatch, match="charts differ"):
+                P("x") * one
+            with pytest.raises(ChartMismatch, match="charts differ"):
+                one * P("x")
+            with pytest.raises(ChartMismatch, match="charts differ"):
+                Polynomial.zero(XY) * one
+        same_names = Polynomial.constant(Chart(["x", "y"]), 1)
+        assert P("x") * same_names == P("x")
+
+    @given(mixed_polys)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_unit_operands_match_the_oracle(self, p):
+        one = Polynomial.constant(XY, 1)
+        assert p * one == brute_force_product(p, one) == one * p
+
 
 class TestIntegralCoefficients:
     """An integral coefficient is stored as an `int`, a proper fraction as

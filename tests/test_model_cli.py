@@ -7,14 +7,16 @@ from fractions import Fraction
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from doublealg.cli import main, run
-from doublealg.model import ModelError, parse_model
-from doublealg.parsing import MAX_DIGITS
+from doublealg.exact import Chart
+from doublealg.model import ModelError, _raw_blocks, parse_model
+from doublealg.parsing import MAX_DIGITS, ParseError, parse_combination, parse_vector_field
 from doublealg.report import Report, ResultEntry, emit_report
-from support import CO_JACOBI_MODEL, constants, dense_structure
+from support import CO_JACOBI_MODEL, constants, dense_structure, summed_atoms
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -90,6 +92,85 @@ bracket(e2, e1) = e2
     def test_duplicate_block_names_rejected(self):
         with pytest.raises(ModelError, match="duplicate"):
             parse_model("[chart M]\ncoords = []\n[chart M]\ncoords = []\n")
+
+
+def best_seconds(fn, *args):
+    """The least of three wall times of `fn(*args)`."""
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+
+class TestHostileSizes:
+    """Inputs eight times larger take about eight times longer to read: the
+    block namer counts per kind, and a frame combination or vector field
+    collects each atom's terms once instead of re-sorting a running sum (at
+    the quadratic rates these replaced, the ratio exceeds 50)."""
+
+    def test_unnamed_blocks_are_numbered_among_their_kind(self):
+        text = "[chart]\n[algebroid]\n[chart M]\n[chart]\n[algebroid]\n[chart]\n"
+        names = [block.name for block in _raw_blocks(text)]
+        assert names == ["chart_1", "algebroid_1", "M", "chart_3", "algebroid_2", "chart_4"]
+        with pytest.raises(ModelError, match="line 2: duplicate block name 'chart_2'"):
+            _raw_blocks("[chart chart_2]\n[chart]\n")
+
+    def test_unnamed_blocks_are_named_in_linear_time(self):
+        small, large = ("[chart]\n" * n for n in (1000, 8000))
+        assert _raw_blocks(large)[-1].name == "chart_8000"
+        assert best_seconds(_raw_blocks, large) < 24 * best_seconds(_raw_blocks, small)
+
+    @staticmethod
+    def anchor_text(n):
+        """n terms c * x^k * d/dx or d/dy, c cycling through -3..3."""
+        signed = (f"{'-' if k % 7 < 3 else '+'} {abs(k % 7 - 3)} * x^{k} * d/d{'xy'[k % 2]}" for k in range(n))
+        return " ".join(signed)
+
+    def test_long_anchors_are_read_in_linear_time(self):
+        chart = Chart(["x", "y"])
+        small, large = self.anchor_text(500), self.anchor_text(4000)
+        assert parse_vector_field(small, chart) == summed_atoms(small, chart)
+        assert best_seconds(parse_vector_field, large, chart) < 24 * best_seconds(
+            parse_vector_field, small, chart
+        )
+        frames = ("e1", "e2")
+        combination = small.replace("d/dx", "e1").replace("d/dy", "e2")
+        assert list(parse_combination(combination, chart, frames).values()) == summed_atoms(
+            combination, chart, frames
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x * e1 + 1/2 * y * e2 - 1/2 * y * e2 + 3/4 * x * e1 + 1/4 * x * e1",
+            "2 * x^2 * e2 - x * e1 + 0 - 2 * x^2 * e2 + 1/3 * e1 + 2/3 * e1",
+            "0",
+            "e1 - e1",
+            "x * e1 + y",
+            "x * e1 + e1 * e2",
+            "x * e1 + z * e2",
+            "x * e1 +",
+        ],
+    )
+    def test_combinations_equal_the_running_sums(self, text):
+        chart, frames = Chart(["x", "y"]), ("e1", "e2")
+        vector_text = text.replace("e1", "d/dx").replace("e2", "d/dy")
+        for parse, oracle, args in (
+            (parse_combination, lambda: summed_atoms(text, chart, frames), (text, chart, frames)),
+            (parse_vector_field, lambda: summed_atoms(vector_text, chart), (vector_text, chart)),
+        ):
+            try:
+                expected = oracle()
+            except ParseError as exc:
+                with pytest.raises(ParseError) as caught:
+                    parse(*args)
+                assert str(caught.value) == str(exc)
+                continue
+            got = parse(*args)
+            assert list(got.values() if isinstance(got, dict) else got) == expected
+            assert all(type(c) is int or c.denominator > 1 for p in expected for _, c in p.terms)
 
 
 class TestRun:

@@ -7,8 +7,11 @@ its oracle, on algebroids that fail Jacobi as well as valid ones.
 `PoissonChart.is_poisson` decides [pi, pi] = 0 by the closed-form cyclic
 sums, and `PoissonChart.jacobiator`, which writes the `NotPoisson`
 witness, is twice them; the Schouten square of the bivector is kept in
-`support.schouten_jacobiator` as the oracle of both.  `check_algebroid`
-reads the anchor defect and the frame Jacobiator off the nonzero
+`support.schouten_jacobiator` as the oracle of both.  `bracket_sections`
+builds each component in one pass over the structure functions and the
+anchor rows; the Leibniz expansion through `anchor_of` and
+`VectorField.apply` is kept in `support.leibniz_bracket_sections` as its
+oracle, errors included.  `check_algebroid` reads the anchor defect and the frame Jacobiator off the nonzero
 structure functions; the frame loop through `bracket_sections` is kept
 in `support.frame_loop_check_algebroid` as its oracle, compared report
 for report, witnesses included.  The
@@ -35,6 +38,7 @@ from doublealg.algebroid import (
     Multisection,
     NotPoisson,
     PoissonChart,
+    bracket_sections,
     change_frames,
     check_algebroid,
     cotangent_algebroid,
@@ -43,7 +47,7 @@ from doublealg.algebroid import (
     tangent_algebroid,
 )
 from doublealg.doublela import build_cotangent_double, check_double, core_algebroid, structural_diagnostics
-from doublealg.exact import Chart, Polynomial
+from doublealg.exact import Chart, ChartMismatch, Polynomial
 from doublealg.formatting import format_algebroid_lines
 from support import (
     SO3,
@@ -54,12 +58,14 @@ from support import (
     general_change_frames,
     gl,
     ladder_doubles,
+    leibniz_bracket_sections,
     ladder_pair,
     perturbations,
     random_bracket,
     schouten_jacobiator,
     section_check_compatibility,
 )
+from test_double_derived import count_calls
 
 # --- the scattering differential against the gathering one
 
@@ -195,6 +201,76 @@ def test_differential_looks_up_no_component(monkeypatch):
     assert section_check_compatibility(*catalog.tangent_cotangent_pair()).ok
     assert lookups["in differential"] == 0
     assert lookups["elsewhere"] > 0  # `schouten` still reads functions this way
+
+
+# --- the one-pass section bracket against the Leibniz expansion
+
+
+def random_sections(rng, L):
+    """The zero section, sections with one and with two nonzero
+    components, and dense ones."""
+    sections = [Multisection.zero(L.rank, 1)]
+    for count in (1, 2, L.rank, L.rank):
+        picked = rng.sample(range(L.rank), min(count, L.rank))
+        comps = {(i,): random_polynomial(rng, L.chart, 2) for i in picked}
+        sections.append(Multisection(L.rank, 1, comps))
+    return sections
+
+
+@pytest.mark.parametrize("L", [L for _, L in CORPUS], ids=[n for n, _ in CORPUS])
+def test_bracket_sections_matches_the_leibniz_expansion(L):
+    sections = random_sections(random.Random(L.rank), L)
+    for x, y in itertools.product(sections, repeat=2):
+        assert bracket_sections(L, x, y) == leibniz_bracket_sections(L, x, y)
+
+
+def error_of(bracket, L, x, y):
+    with pytest.raises(ValueError) as caught:
+        bracket(L, x, y)
+    return type(caught.value), str(caught.value)
+
+
+def test_bracket_sections_raises_as_the_leibniz_expansion():
+    """Wrong degree or rank, and a component off the algebroid's chart: at a
+    structure product, at a section of X and at a section of Y."""
+    L = random_bracket(random.Random(0), ("e1", "e2", "e3"))
+    abelian = LieAlgebroid(XY, ("e1", "e2"), [[Polynomial.constant(XY, 1), Polynomial.zero(XY)]] * 2, {})
+    xyz, yx = Chart(("x", "y", "z")), Chart(("y", "x"))
+
+    def section(rank, *comps):
+        return Multisection(rank, 1, {(i,): p for i, p in enumerate(comps) if p is not None})
+
+    home = Polynomial.coordinate(XY, "x")
+    far, swapped = Polynomial.coordinate(xyz, "z"), Polynomial.coordinate(yx, "y")
+    cases = [
+        (L, Multisection(3, 2, {(0, 1): home}), section(3, home)),
+        (L, section(3, home), Multisection.function(3, home)),
+        (L, section(2, home), section(3, home)),
+        (L, section(3, home), section(4, home)),
+        (L, section(3, far), section(3, None, home)),
+        (L, section(3, home), section(3, None, far)),
+        (L, section(3, far), section(3, None, far)),
+        (L, section(3, swapped), section(3, None, far)),
+        (L, section(3, far), Multisection.zero(3, 1)),
+        (L, Multisection.zero(3, 1), section(3, None, swapped)),
+        (abelian, section(2, home, far), section(2, swapped)),
+        (abelian, section(2, home), section(2, None, far)),
+    ]
+    for M, x, y in cases:
+        assert error_of(bracket_sections, M, x, y) == error_of(leibniz_bracket_sections, M, x, y)
+    kinds = Counter(kind for M, x, y in cases for kind, _ in [error_of(bracket_sections, M, x, y)])
+    assert kinds[ChartMismatch] == 8 and kinds[ValueError] == 4
+
+
+def test_bracket_sections_builds_no_anchor_field_or_product(monkeypatch):
+    L = random_bracket(random.Random(1), ("e1", "e2", "e3"))
+    x, y = random_sections(random.Random(2), L)[-2:]
+    counts = count_calls(
+        monkeypatch,
+        ((LieAlgebroid, "anchor_of"), (algebroid.VectorField, "apply"), (Polynomial, "__mul__")),
+    )
+    assert bracket_sections(L, x, y)
+    assert counts == Counter()
 
 
 # --- the closed-form algebroid check against the frame loop

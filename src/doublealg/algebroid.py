@@ -341,24 +341,31 @@ class LieAlgebroid:
         return tuple(tuple(row) for row in out)
 
     def anchor_of(self, x: Multisection) -> VectorField:
-        """a(x) = sum_alpha x^alpha a(e_alpha), accumulated per coordinate
-        over the nonzero coefficients and anchor entries, each sorted once."""
+        """a(x) = sum_alpha x^alpha a(e_alpha), each coordinate accumulated
+        by `_anchor_sums` and sorted once."""
         chart = self.chart
         if x.degree != 1:
             raise ValueError("anchor_of requires a degree-1 section")
-        accs: List[Dict[Exponent, Coefficient]] = [{} for _ in range(chart.dim)]
-        for (alpha,), coeff in x.components:
+        for _, coeff in x.components:
             if coeff.chart is not chart and coeff.chart.names != chart.names:
                 raise ChartMismatch(f"charts differ: {chart} vs {coeff.chart}")
+        zero = chart._zero
+        comps = tuple(Polynomial._from_terms(chart, acc) if acc else zero for acc in self._anchor_sums(x))
+        return VectorField._from_components(chart, comps)
+
+    def _anchor_sums(self, x: Multisection) -> List[Dict[Exponent, Coefficient]]:
+        """The terms of a(x)^i = sum_alpha x^alpha a^i_alpha per coordinate
+        i, over the nonzero coefficients and anchor entries; a coefficient
+        may be zero where terms cancel."""
+        accs: List[Dict[Exponent, Coefficient]] = [{} for _ in range(self.chart.dim)]
+        for (alpha,), coeff in x.components:
             for acc, entry in zip(accs, self.anchor[alpha]):
                 for e2, c2 in entry.terms:
                     for e1, c1 in coeff.terms:
                         exp = tuple(map(add, e1, e2))
                         term = c1 * c2
                         acc[exp] = acc[exp] + term if exp in acc else term
-        zero = chart._zero
-        comps = tuple(Polynomial._from_terms(chart, acc) if acc else zero for acc in accs)
-        return VectorField._from_components(chart, comps)
+        return accs
 
     def section(self, comps: Sequence[Polynomial]) -> Multisection:
         return Multisection.from_vector(self.rank, comps)
@@ -448,7 +455,7 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
                         exp = tuple(map(add, e1, e2))
                         acc[exp] = acc[exp] + c1 * c2 if exp in acc else c1 * c2
     for field_of, along, sign in ((x, y, 1), (y, x, -1)):
-        field = _anchor_terms(L, field_of)
+        field = L._anchor_sums(field_of)
         for (k,), g in along.components:
             acc = accs.setdefault(k, {})
             for e1, c1 in g.terms:
@@ -457,7 +464,7 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
                         continue
                     lowered = e1[:i] + (power - 1,) + e1[i + 1 :]
                     scaled = sign * c1 * power
-                    for e2, c2 in field[i]:
+                    for e2, c2 in field[i].items():
                         exp = tuple(map(add, lowered, e2))
                         acc[exp] = acc[exp] + scaled * c2 if exp in acc else scaled * c2
     return Multisection._from_components(
@@ -465,31 +472,17 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
     )
 
 
-def _anchor_terms(L: LieAlgebroid, x: Multisection) -> List[List[Tuple[Exponent, Coefficient]]]:
-    """The nonzero terms of a(X)^i = sum_a X^a a^i_a per coordinate i."""
-    accs: List[Dict[Exponent, Coefficient]] = [{} for _ in range(L.chart.dim)]
-    for (alpha,), coeff in x.components:
-        for acc, entry in zip(accs, L.anchor[alpha]):
-            for e2, c2 in entry.terms:
-                for e1, c1 in coeff.terms:
-                    exp = tuple(map(add, e1, e2))
-                    acc[exp] = acc[exp] + c1 * c2 if exp in acc else c1 * c2
-    return [[(e, c) for e, c in acc.items() if c] for acc in accs]
-
-
 def _raise_chart_mismatch(L: LieAlgebroid, x: Multisection, y: Multisection) -> None:
     """Raise the `ChartMismatch` of the Leibniz expansion of [X, Y]: at its
-    first structure product X^a Y^b c^k_ab whose charts differ, else at the
-    first component of X, then of Y, off the algebroid's chart."""
+    first structure product X^a Y^b c^k_ab whose charts differ, else where
+    `anchor_of` raises on X, then on Y."""
     for (a,), fa in x.components:
         for (b,), gb in y.components:
             for _, c in L.nonzero_structure[a][b]:
                 fa._require_same_chart(gb)
                 fa._require_same_chart(c)
-    chart = L.chart
-    for _, poly in x.components + y.components:
-        if poly.chart is not chart and poly.chart.names != chart.names:
-            raise ChartMismatch(f"charts differ: {chart} vs {poly.chart}")
+    L.anchor_of(x)
+    L.anchor_of(y)
 
 
 def anchor_defect(

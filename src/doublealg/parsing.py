@@ -232,7 +232,7 @@ def parse_combination(text: str, chart: Chart, frames: Tuple[str, ...]) -> Dict[
                 continue
             raise ParseError("term without a frame in a frame combination")
         _collect(accs[term.frame], term.coeff)
-    out = {name: _built(chart, acc) for name, acc in accs.items()}
+    out = {name: Polynomial(chart, acc) for name, acc in accs.items()}
     _require_bounded(t for poly in out.values() for t in poly.terms)
     return out
 
@@ -249,20 +249,16 @@ def parse_vector_field(text: str, chart: Chart) -> List[Polynomial]:
                 continue
             raise ParseError("term without a direction in a vector field")
         _collect(accs[chart.index(term.frame)], term.coeff)
-    comps = [_built(chart, acc) for acc in accs]
+    comps = [Polynomial(chart, acc) for acc in accs]
     _require_bounded(t for poly in comps for t in poly.terms)
     return comps
 
 
 def _collect(acc: Dict[Exponent, Coefficient], poly: Polynomial) -> None:
-    """Add the terms of `poly` to the coefficients `acc` of one atom."""
+    """Add the terms of `poly` to the coefficients `acc` of one atom, whose
+    polynomial is then built once."""
     for exp, coeff in poly.terms:
         acc[exp] = acc[exp] + coeff if exp in acc else coeff
-
-
-def _built(chart: Chart, acc: Dict[Exponent, Coefficient]) -> Polynomial:
-    """The polynomial of one atom's collected terms, built once."""
-    return Polynomial(chart, acc) if acc else Polynomial.zero(chart)
 
 
 def parse_wedge_combination(

@@ -32,7 +32,7 @@ from doublealg.doublela import (
     core_algebroid,
     structural_diagnostics,
 )
-from doublealg.algebroid import PoissonChart
+from doublealg.algebroid import PoissonChart, anchor_products, fibre_coordinate
 from doublealg.exact import Chart, Polynomial
 from support import (
     dense_core_algebroid,
@@ -194,6 +194,59 @@ def test_core_gate_has_built_raising_and_bracketed_cores():
     built = [o for o in outcomes if not isinstance(o, tuple)]
     bracketed = [o for o in built if any(any(row) for row in o.nonzero_structure)]
     assert len(raised) >= 10 and len(bracketed) >= 1, (len(raised), len(bracketed))
+
+
+# --- the core Poisson matrix is fibrewise linear on every candidate double
+
+FURTHER_PERTURBED = {
+    label: DoubleLieAlgebroid(v, dla.horizontal)
+    for seed, (name, dla) in enumerate(double_corpus(), start=100)
+    for label, v in perturbations(f"{name}:vertical@{seed}", dla.vertical, seed)
+} | {
+    label: DoubleLieAlgebroid(dla.vertical, h)
+    for seed, (name, dla) in enumerate(double_corpus(), start=200)
+    for label, h in perturbations(f"{name}:horizontal@{seed}", dla.horizontal, seed)
+}
+LINEARITY_GATE = {**CORE_GATE, **FURTHER_PERTURBED}
+
+
+def linearity_defects(dla):
+    """The entries of the core-dual matrix `anchor_products(*dla.dual_pair)`,
+    unchecked for antisymmetry, that break fibrewise linearity: a core-anchor
+    entry {xi_gamma, x^i} with a fibre coordinate in some term, or a core
+    entry {xi_g1, xi_g2} with a term of fibre degree other than 1."""
+    matrix = anchor_products(*dla.dual_pair)
+    n, rc = dla.chart.dim, len(dla.core_frames)
+    defects = []
+    for gamma in range(rc):
+        for i in range(n):
+            if any(any(exp[n:]) for exp, _ in matrix[n + gamma][i].terms):
+                defects.append((n + gamma, i))
+        for g2 in range(rc):
+            if any(sum(exp[n:]) != 1 for exp, _ in matrix[n + gamma][n + g2].terms):
+                defects.append((n + gamma, n + g2))
+    return defects
+
+
+@pytest.mark.parametrize("name", list(LINEARITY_GATE))
+def test_core_poisson_matrix_is_fibrewise_linear(name):
+    dla = LINEARITY_GATE[name]
+    chart = dla.dual_pair[0].chart
+    assert chart.names == dla.chart.names + tuple(fibre_coordinate(f) for f in dla.core_frames)
+    assert linearity_defects(dla) == []
+
+
+def test_linearity_gate_holds_non_antisymmetric_doubles():
+    """The gate cannot go vacuous: it covers the doubles whose core Poisson
+    matrix is not antisymmetric, and further perturbations of both kinds of
+    LA-vector bundle."""
+    skewless = [
+        name
+        for name in CORE_GATE
+        if core_outcomes(name)[1] == (ValueError, "bivector matrix must be antisymmetric")
+    ]
+    assert len(skewless) >= 30, len(skewless)
+    assert len(FURTHER_PERTURBED) >= 40, len(FURTHER_PERTURBED)
 
 
 def core_stub(anchor, bracket):

@@ -792,14 +792,9 @@ def check_bialgebroid(
         raise ChartMismatch("dual pair must share a chart")
     if L.rank != Lstar.rank:
         raise ValueError("dual pair must have equal ranks")
-    items: List[CheckItem] = []
-    for label, alg in (("side", L), ("dual_side", Lstar)):
-        rep = check_algebroid(alg)
-        if not rep.ok:
-            items.append(failed(label, rep.first_failure.witness))
-        else:
-            items.append(passed(label))
-    axioms = CheckReport(tuple(items))
+    axioms = CheckReport(
+        (check_algebroid(L).as_item("side"), check_algebroid(Lstar).as_item("dual_side"))
+    )
     if not axioms.ok:
         return axioms
     return axioms.merged_with(

@@ -269,24 +269,6 @@ class Polynomial:
             acc[tuple(new)] = coeff * exp[i]
         return Polynomial._from_terms(self.chart, acc)
 
-    def restrict(self, target: Chart) -> "Polynomial":
-        """Project onto a subchart; raises if a dropped coordinate occurs."""
-        if not self.terms:
-            return target._zero
-        keep = target._positions
-        acc: Dict[Exponent, Coefficient] = {}
-        for exp, coeff in self.terms:
-            new = [0] * target.dim
-            for name, power in zip(self.chart.names, exp):
-                if power == 0:
-                    continue
-                j = keep.get(name)
-                if j is None:
-                    raise ValueError(f"coordinate {name!r} survives restriction")
-                new[j] = power
-            acc[tuple(new)] = coeff
-        return Polynomial._from_terms(target, acc)
-
     def lift(self, target: Chart) -> "Polynomial":
         """Reinterpret on a chart containing this chart's coordinates."""
         if not self.terms:
@@ -299,23 +281,6 @@ class Polynomial:
                 new[j] = power
             acc[tuple(new)] = coeff
         return Polynomial._from_terms(target, acc)
-
-    def coefficient_of(self, name: str) -> "Polynomial":
-        """Coefficient of the degree-1 part in `name` (a polynomial in the rest).
-
-        Requires the polynomial to have degree <= 1 in `name`.
-        """
-        i = self.chart.index(name)
-        acc: Dict[Exponent, Coefficient] = {}
-        for exp, coeff in self.terms:
-            if exp[i] == 0:
-                continue
-            if exp[i] > 1:
-                raise ValueError(f"degree in {name} exceeds 1")
-            new = list(exp)
-            new[i] = 0
-            acc[tuple(new)] = coeff
-        return Polynomial._from_terms(self.chart, acc)
 
     # --- printing -------------------------------------------------------
 

@@ -38,7 +38,7 @@ from .algebroid import (
     fibre_coordinate,
 )
 from .exact import Chart, Polynomial
-from .verdicts import CheckItem, CheckReport, failed, passed
+from .verdicts import CheckItem, CheckReport, passed
 
 
 def bundle_fibre_coordinate(frame_name: str) -> str:
@@ -276,27 +276,17 @@ def check_lavb(v: LAVBundle) -> CheckReport:
     """
     items: List[CheckItem] = []
     side_rep = check_algebroid(v.side)
-    items.append(
-        passed("side") if side_rep.ok else failed("side", side_rep.first_failure.witness)
-    )
+    items.append(side_rep.as_item("side"))
 
     # each derivation acts over the anchor of its side frame by construction
     items.append(passed("base_fields"))
 
     if side_rep.ok:
         total_rep = check_algebroid(v.total)
-        items.append(
-            passed("generators")
-            if total_rep.ok
-            else failed("generators", total_rep.first_failure.witness)
-        )
+        items.append(total_rep.as_item("generators"))
         # The induced dual is the total algebroid of `dual_lavb(v)`, and the
         # dual of an LA-vector bundle is an LA-vector bundle: a passing
         # `generators` item decides this one.
         induced_rep = total_rep if total_rep.ok else check_algebroid(v.induced_dual)
-        items.append(
-            passed("induced_dual")
-            if induced_rep.ok
-            else failed("induced_dual", induced_rep.first_failure.witness)
-        )
+        items.append(induced_rep.as_item("induced_dual"))
     return CheckReport(tuple(items))

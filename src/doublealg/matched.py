@@ -159,8 +159,7 @@ def check_matched(mp: MatchedPair) -> CheckReport:
 
     items: List[CheckItem] = []
     for label, alg in (("A", a_alg), ("B", b_alg)):
-        rep = check_algebroid(alg)
-        items.append(passed(f"algebroid_{label}") if rep.ok else failed(f"algebroid_{label}", rep.first_failure.witness))
+        items.append(check_algebroid(alg).as_item(f"algebroid_{label}"))
     # each derivation acts over the anchor of its acting frame by construction
     items.append(passed("rho.base_fields"))
     items.append(flat("rho", in_a, in_b))

@@ -272,8 +272,7 @@ def parse_wedge_combination(
     out: Dict[Tuple[int, int], Coefficient] = {}
     index = {name: i for i, name in enumerate(frames)}
     for term in terms:
-        constant = Polynomial.constant(chart, 0) + term.coeff
-        coeff = dict(constant.terms).get((), 0)
+        coeff = dict(term.coeff.terms).get((), 0)
         if term.wedge is None:
             if coeff == 0:
                 continue

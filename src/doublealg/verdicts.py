@@ -37,6 +37,12 @@ class CheckReport:
                 return item
         return None
 
+    def as_item(self, check_id: str) -> CheckItem:
+        """This report as one item: passed, or failed with the witness of
+        its first failure."""
+        first = self.first_failure
+        return passed(check_id) if first is None else failed(check_id, first.witness)
+
     def prefixed(self, prefix: str) -> "CheckReport":
         return CheckReport(
             tuple(CheckItem(f"{prefix}.{i.check_id}", i.ok, i.witness) for i in self.items)

@@ -61,7 +61,7 @@ from doublealg.doublela import (
     build_cotangent_double,
     check_double,
 )
-from doublealg.exact import Chart, Polynomial, rat
+from doublealg.exact import Chart, Coefficient, Exponent, Polynomial, rat
 from doublealg.formatting import format_combination
 from doublealg.liealg import (
     Bialgebra,
@@ -226,18 +226,6 @@ class FractionPolynomial:
         return FractionPolynomial(
             names,
             {tuple(pw.get(n, 0) for n in names): c for pw, c in zip(powers, self.terms.values())},
-        )
-
-    def restrict(self, names: Sequence[str]) -> "FractionPolynomial":
-        for exp in self.terms:
-            assert all(n in names for n, k in zip(self.names, exp) if k)
-        return self.lift(names)
-
-    def coefficient_of(self, name: str) -> "FractionPolynomial":
-        i = self.names.index(name)
-        return FractionPolynomial(
-            self.names,
-            {exp[:i] + (0,) + exp[i + 1 :]: c for exp, c in self.terms.items() if exp[i] == 1},
         )
 
     def __str__(self) -> str:
@@ -832,10 +820,48 @@ def applied_core_poisson(dla) -> PoissonChart:
     return PoissonChart(chart, matrix)
 
 
+def restrict(p: Polynomial, target: Chart) -> Polynomial:
+    """Project onto a subchart; raises if a dropped coordinate occurs."""
+    if not p.terms:
+        return target._zero
+    keep = target._positions
+    acc: Dict[Exponent, Coefficient] = {}
+    for exp, coeff in p.terms:
+        new = [0] * target.dim
+        for name, power in zip(p.chart.names, exp):
+            if power == 0:
+                continue
+            j = keep.get(name)
+            if j is None:
+                raise ValueError(f"coordinate {name!r} survives restriction")
+            new[j] = power
+        acc[tuple(new)] = coeff
+    return Polynomial._from_terms(target, acc)
+
+
+def coefficient_of(p: Polynomial, name: str) -> Polynomial:
+    """Coefficient of the degree-1 part in `name` (a polynomial in the rest).
+
+    Requires the polynomial to have degree <= 1 in `name`.
+    """
+    i = p.chart.index(name)
+    acc: Dict[Exponent, Coefficient] = {}
+    for exp, coeff in p.terms:
+        if exp[i] == 0:
+            continue
+        if exp[i] > 1:
+            raise ValueError(f"degree in {name} exceeds 1")
+        new = list(exp)
+        new[i] = 0
+        acc[tuple(new)] = coeff
+    return Polynomial._from_terms(p.chart, acc)
+
+
 def dense_core_algebroid(dla) -> LieAlgebroid:
     """The core algebroid read off every entry of the core Poisson matrix,
-    zero entries included: the oracle of `doublela.core_algebroid`, which
-    skips the zero brackets {xi_g1, xi_g2}."""
+    zero entries included, with `restrict` and `coefficient_of`, and its
+    fibrewise linearity checked: the oracle of `doublela.core_algebroid`,
+    which reads the terms of the nonzero entries in one pass."""
     pois = dla.core_poisson
     base = dla.chart
     n = base.dim
@@ -846,14 +872,14 @@ def dense_core_algebroid(dla) -> LieAlgebroid:
         row = []
         for i in range(n):
             entry = pois.matrix[n + gamma][i]
-            row.append(entry.restrict(base))
+            row.append(restrict(entry, base))
         anchor.append(tuple(row))
     brackets = {}
     for g1, g2 in itertools.combinations(range(rc), 2):
         entry = pois.matrix[n + g1][n + g2]
         vec = []
         for g3 in range(rc):
-            vec.append(entry.coefficient_of(xi_names[g3]).restrict(base))
+            vec.append(restrict(coefficient_of(entry, xi_names[g3]), base))
         remainder = entry
         for g3, coeff in enumerate(vec):
             remainder = remainder - coeff.lift(pois.chart) * Polynomial.coordinate(

@@ -32,10 +32,6 @@ coeffs = st.builds(
 )
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(lambda d: Polynomial(XY, d))
-# degree <= 1 in y, the domain of `coefficient_of("y")`
-linear_in_y = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 1)), coeffs, max_size=5
-).map(lambda d: Polynomial(XY, d))
 scalars = st.one_of(st.integers(-3, 3), coeffs, st.sampled_from(["0", "3/4", "-2"]))
 # the shared zero of the chart, a zero built apart, or a drawn polynomial
 zero_or_polys = st.one_of(st.just(Polynomial.zero(XY)), st.just(Polynomial(XY, {})), polys)
@@ -44,9 +40,6 @@ mixed_coeffs = st.one_of(
     st.integers(-40, 40), st.builds(Fraction, st.integers(-40, 40), st.integers(2, 8))
 )
 mixed_polys = st.dictionaries(exponents, mixed_coeffs, max_size=5).map(lambda d: Polynomial(XY, d))
-mixed_linear_in_y = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 1)), mixed_coeffs, max_size=5
-).map(lambda d: Polynomial(XY, d))
 mixed_scalars = st.one_of(
     mixed_coeffs, st.sampled_from(["0", "3/4", "-2", "6/3", Fraction(4, 2), Fraction(2, 3)])
 )
@@ -149,19 +142,9 @@ class TestChartAndValues:
         with pytest.raises(ValueError):
             Chart(["x", "x"])
 
-    def test_lift_restrict_roundtrip(self):
+    def test_lift_widens_the_chart(self):
         big = Chart(["x", "y", "z"])
-        p = P("x * y + 2")
-        lifted = p.lift(big)
-        assert lifted.restrict(XY) == p
-        with pytest.raises(ValueError):
-            parse_polynomial("z", big).restrict(XY)
-
-    def test_coefficient_of(self):
-        p = P("2 * x * y + y + 3")
-        assert p.coefficient_of("x") == P("2 * y")
-        with pytest.raises(ValueError):
-            P("x^2").coefficient_of("x")
+        assert P("x * y + 2").lift(big) == P("x * y + 2", big)
 
 
 def assert_canonical(r: Polynomial) -> None:
@@ -193,9 +176,9 @@ class TestCanonicalResults:
     """Kernel results are built without re-validation; they must still be
     in the canonical form the public constructor produces."""
 
-    @given(polys, polys, linear_in_y, scalars, zero_or_polys)
+    @given(polys, polys, scalars, zero_or_polys)
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_every_operation_returns_canonical_terms(self, p, q, r, c, z):
+    def test_every_operation_returns_canonical_terms(self, p, q, c, z):
         results = [
             p + q,
             p + p.scale(-1),
@@ -210,7 +193,6 @@ class TestCanonicalResults:
             p.scale(c),
             p.partial("x"),
             p.partial("y"),
-            r.coefficient_of("y"),
             p.lift(Chart(["y", "t", "x"])),
         ]
         for result in results:
@@ -296,11 +278,11 @@ class TestIntegralCoefficients:
             assert signed_sum([(n, ["x"]), (n, [])]) == signed_sum([(f, ["x"]), (f, [])])
         assert Polynomial._from_terms(XY, {(1, 0): Fraction(2)}) == Polynomial(XY, {(1, 0): 2})
 
-    @given(cancelling_pairs(), mixed_linear_in_y, mixed_scalars)
+    @given(cancelling_pairs(), mixed_scalars)
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_kernel_matches_the_fraction_reference(self, pq, r, c):
+    def test_kernel_matches_the_fraction_reference(self, pq, c):
         p, q = pq
-        fp, fq, fr = (FractionPolynomial.of(x) for x in (p, q, r))
+        fp, fq = FractionPolynomial.of(p), FractionPolynomial.of(q)
         big = Chart(["y", "t", "x"])
         pairs = [
             (p + q, fp + fq),
@@ -314,8 +296,6 @@ class TestIntegralCoefficients:
             (p.partial("x"), fp.partial("x")),
             ((p * q).partial("y"), (fp * fq).partial("y")),
             (p.lift(big), fp.lift(big.names)),
-            ((p + q).lift(big).restrict(XY), (fp + fq).lift(big.names).restrict(XY.names)),
-            (r.coefficient_of("y"), fr.coefficient_of("y")),
         ]
         for got, want in pairs:
             assert_canonical(got)

@@ -19,6 +19,8 @@ fuse into one pass (`leibniz_bracket_sections`), the running sums the
 parser's frame combinations and vector fields replaced (`summed_atoms`),
 the Schouten square of a bivector that the cyclic sums of
 `PoissonChart.jacobiator` replaced (`bivector`, `schouten_jacobiator`),
+the Schouten recursion that sums one wedge at a time
+(`summed_schouten`, `summed_compatibility_defect`),
 and the constructions only the tests use (scalar polynomials in the model
 grammar, the tangent prolongation), and the `Fraction`-only reference
 polynomial the exact kernel is compared with."""
@@ -1332,3 +1334,38 @@ def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, ma
     else:
         items.append(first_nonzero("random", random_defects()))
     return CheckReport(tuple(items))
+
+
+def summed_schouten(L: LieAlgebroid, p: Multisection, q: Multisection) -> Multisection:
+    """The Schouten bracket whose `dq >= 2` branch adds each wedge of the
+    biderivation rule to a running sum, recursing into itself: the oracle
+    of `algebroid.schouten`, which wedges both families into one
+    component map."""
+    dp, dq = p.degree, q.degree
+    out_degree = max(dp + dq - 1, 0)
+    if p.is_zero or q.is_zero or (dp <= 1 and dq <= 1):
+        return schouten(L, p, q)
+    if dq >= 2:
+        result = Multisection.zero(L.rank, out_degree)
+        sign = (-1) ** ((dp - 1) % 2)
+        one = Polynomial.constant(L.chart, 1)
+        for idx, poly in q.components:
+            head = Multisection(L.rank, 1, {(idx[0],): poly})
+            tail = Multisection(L.rank, dq - 1, {idx[1:]: one})
+            result = result + summed_schouten(L, p, head).wedge(tail)
+            result = result + head.wedge(summed_schouten(L, p, tail)).scale(sign)
+        return result
+    swap_sign = (-1) ** (((dp - 1) * (dq - 1) + 1) % 2)
+    return summed_schouten(L, q, p).scale(swap_sign)
+
+
+def summed_compatibility_defect(
+    L: LieAlgebroid, Lstar: LieAlgebroid, x: Multisection, y: Multisection
+) -> Multisection:
+    """`algebroid.compatibility_defect` through `summed_schouten`."""
+    d_star = functools.partial(differential, Lstar)
+    return (
+        d_star(summed_schouten(L, x, y))
+        - summed_schouten(L, d_star(x), y)
+        - summed_schouten(L, x, d_star(y))
+    )

@@ -7,7 +7,11 @@ its oracle, on algebroids that fail Jacobi as well as valid ones.
 `PoissonChart.is_poisson` decides [pi, pi] = 0 by the closed-form cyclic
 sums, and `PoissonChart.jacobiator`, which writes the `NotPoisson`
 witness, is twice them; the Schouten square of the bivector is kept in
-`support.schouten_jacobiator` as the oracle of both.  `bracket_sections`
+`support.schouten_jacobiator` as the oracle of both.  `schouten` wedges
+both families of the biderivation rule into one component map; the
+recursion that adds one wedge at a time to a running sum is kept in
+`support.summed_schouten` as its oracle, and through it in
+`support.summed_compatibility_defect`.  `bracket_sections`
 builds each component in one pass over the structure functions and the
 anchor rows; the Leibniz expansion through `anchor_of` and
 `VectorField.apply` is kept in `support.leibniz_bracket_sections` as its
@@ -44,6 +48,8 @@ from doublealg.algebroid import (
     cotangent_algebroid,
     differential,
     random_polynomial,
+    random_section,
+    schouten,
     tangent_algebroid,
 )
 from doublealg.doublela import build_cotangent_double, check_double, core_algebroid, structural_diagnostics
@@ -64,6 +70,9 @@ from support import (
     random_bracket,
     schouten_jacobiator,
     section_check_compatibility,
+    summed_compatibility_defect,
+    summed_schouten,
+    sweep_doubles,
 )
 from test_double_derived import count_calls
 
@@ -273,6 +282,44 @@ def test_bracket_sections_builds_no_anchor_field_or_product(monkeypatch):
     )
     assert bracket_sections(L, x, y)
     assert counts == Counter()
+
+
+# --- the one-map Schouten recursion against the running sum
+
+
+def schouten_operands(rng, L):
+    """Seeded multisections of degrees 0 to 3, the zero one of each
+    degree among them."""
+    out = []
+    for degree in range(4):
+        out.append(Multisection.zero(L.rank, degree))
+        out += [random_form(rng, L, degree) for _ in range(2)]
+    return out
+
+
+@pytest.mark.parametrize("L", [L for _, L in CORPUS], ids=[n for n, _ in CORPUS])
+def test_schouten_matches_the_summed_recursion(L):
+    operands = schouten_operands(random.Random(L.rank), L)
+    for p, q in itertools.product(operands, repeat=2):
+        assert schouten(L, p, q) == summed_schouten(L, p, q), (p.degree, q.degree)
+
+
+def test_compatibility_defect_matches_the_summed_recursion():
+    """On the trials of the failing cotangent doubles of the sweep pairs,
+    with a function as Y as well as a section."""
+    failing = [dla for _, dla in sweep_doubles(range(1, 9)) if not check_double(dla).ok]
+    assert len(failing) >= 25
+    nonzero = 0
+    for dla in failing:
+        L, Lstar = dla.dual_pair
+        rng = random.Random(7)
+        for _ in range(2):
+            x = random_section(rng, L)
+            for y in (random_section(rng, L), Multisection.function(L.rank, random_polynomial(rng, L.chart))):
+                defect = algebroid.compatibility_defect(L, Lstar, x, y)
+                assert defect == summed_compatibility_defect(L, Lstar, x, y)
+                nonzero += not defect.is_zero
+    assert nonzero >= 50
 
 
 # --- the closed-form algebroid check against the frame loop

@@ -67,28 +67,28 @@ class VectorField:
         return field
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """X(f) = sum_i X^i df/dx^i, accumulated term by term and sorted once."""
+        """X(f) = sum_i X^i df/dx^i, accumulated term by term into one map."""
         chart = self.chart
         if f.chart is not chart and f.chart.names != chart.names:
             raise ChartMismatch(f"charts differ: {chart} vs {f.chart}")
-        if not f.terms:
+        if not f.coeffs:
             return chart._zero
         acc: Dict[Exponent, Coefficient] = {}
+        get = acc.get
+        terms = f.coeffs.items()
         for i, comp in enumerate(self.components):
-            if not comp.terms:
+            if not comp.coeffs:
                 continue
-            for e1, c1 in f.terms:
+            right = comp.coeffs.items()
+            for e1, c1 in terms:
                 power = e1[i]
                 if not power:
                     continue
                 lowered = e1[:i] + (power - 1,) + e1[i + 1 :]
                 scaled = c1 * power
-                for e2, c2 in comp.terms:
+                for e2, c2 in right:
                     exp = tuple(map(add, lowered, e2))
-                    term = scaled * c2
-                    acc[exp] = acc[exp] + term if exp in acc else term
-        if not acc:
-            return chart._zero
+                    acc[exp] = get(exp, 0) + scaled * c2
         return Polynomial._from_terms(chart, acc)
 
     @property
@@ -226,15 +226,7 @@ class Multisection:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         acc: Dict[Index, Polynomial] = {}
-        for i1, p1 in self.components:
-            for i2, p2 in other.components:
-                if set(i1) & set(i2):
-                    continue
-                merged = i1 + i2
-                sign = _permutation_sign(merged)
-                target = tuple(sorted(merged))
-                term = p1 * p2 if sign == 1 else -(p1 * p2)
-                acc[target] = acc[target] + term if target in acc else term
+        _wedge_into(acc, self, other, 1)
         return Multisection._from_components(self.rank, self.degree + other.degree, acc)
 
     @property
@@ -249,6 +241,29 @@ class Multisection:
             atom = " ^ ".join(frame_names[i] for i in idx) if idx else "1"
             pieces.append(f"({poly}) {atom}" if idx else f"({poly})")
         return " + ".join(pieces)
+
+
+def _wedge_into(acc: Dict[Index, Polynomial], left: Multisection, right: Multisection, sign: int) -> None:
+    """Add sign * (left ^ right) to the components `acc`.  A component whose
+    sum is zero is dropped, as a running sum of multisections drops it, so
+    that no later term is added to a zero."""
+    for i1, p1 in left.components:
+        for i2, p2 in right.components:
+            if set(i1) & set(i2):
+                continue
+            merged = i1 + i2
+            target = tuple(sorted(merged))
+            term = p1 * p2
+            if _permutation_sign(merged) != sign:
+                term = -term
+            if target in acc:
+                total = acc[target] + term
+                if total:
+                    acc[target] = total
+                else:
+                    del acc[target]
+            else:
+                acc[target] = term
 
 
 def _permutation_sign(idx: Sequence[int]) -> int:
@@ -342,29 +357,35 @@ class LieAlgebroid:
 
     def anchor_of(self, x: Multisection) -> VectorField:
         """a(x) = sum_alpha x^alpha a(e_alpha), each coordinate accumulated
-        by `_anchor_sums` and sorted once."""
+        by `_anchor_sums` and built once."""
         chart = self.chart
         if x.degree != 1:
             raise ValueError("anchor_of requires a degree-1 section")
         for _, coeff in x.components:
             if coeff.chart is not chart and coeff.chart.names != chart.names:
                 raise ChartMismatch(f"charts differ: {chart} vs {coeff.chart}")
-        zero = chart._zero
-        comps = tuple(Polynomial._from_terms(chart, acc) if acc else zero for acc in self._anchor_sums(x))
+        comps = tuple(Polynomial._from_terms(chart, acc) for acc in self._anchor_sums(x))
         return VectorField._from_components(chart, comps)
 
     def _anchor_sums(self, x: Multisection) -> List[Dict[Exponent, Coefficient]]:
         """The terms of a(x)^i = sum_alpha x^alpha a^i_alpha per coordinate
         i, over the nonzero coefficients and anchor entries; a coefficient
-        may be zero where terms cancel."""
+        may be zero where terms cancel.  Computed once per section and
+        algebroid: the section keeps the last algebroid's sums, which its
+        readers do not mutate."""
+        cached = getattr(x, "_anchor_sums", None)
+        if cached is not None and cached[0] is self:
+            return cached[1]
         accs: List[Dict[Exponent, Coefficient]] = [{} for _ in range(self.chart.dim)]
         for (alpha,), coeff in x.components:
+            left = coeff.coeffs.items()
             for acc, entry in zip(accs, self.anchor[alpha]):
-                for e2, c2 in entry.terms:
-                    for e1, c1 in coeff.terms:
+                get = acc.get
+                for e2, c2 in entry.coeffs.items():
+                    for e1, c1 in left:
                         exp = tuple(map(add, e1, e2))
-                        term = c1 * c2
-                        acc[exp] = acc[exp] + term if exp in acc else term
+                        acc[exp] = get(exp, 0) + c1 * c2
+        object.__setattr__(x, "_anchor_sums", (self, accs))
         return accs
 
     def section(self, comps: Sequence[Polynomial]) -> Multisection:
@@ -419,8 +440,8 @@ def coadjoint(L: LieAlgebroid) -> Tuple[Matrix, ...]:
 def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multisection:
     """[X, Y] = sum_k (sum_{a,b} X^a Y^b c^k_ab + a(X)(Y^k) - a(Y)(X^k)) e_k.
 
-    Built term by term into one exponent map per frame and sorted once per
-    component: the structure part from the nonzero c^k_ab, the anchor part
+    Built term by term into one exponent map per frame, each component
+    built once: the structure part from the nonzero c^k_ab, the anchor part
     from a(X)^i = sum_a X^a a^i_a, read off the anchor rows, times the
     partials of Y^k (and likewise with X and Y swapped).  The Leibniz
     expansion through `anchor_of` and `VectorField.apply` that this
@@ -444,29 +465,34 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
             if not row[b]:
                 continue
             product: Dict[Exponent, Coefficient] = {}
-            for e1, c1 in fa.terms:
-                for e2, c2 in gb.terms:
+            get = product.get
+            right = gb.coeffs.items()
+            for e1, c1 in fa.coeffs.items():
+                for e2, c2 in right:
                     exp = tuple(map(add, e1, e2))
-                    product[exp] = product[exp] + c1 * c2 if exp in product else c1 * c2
+                    product[exp] = get(exp, 0) + c1 * c2
             for k, c in row[b]:
                 acc = accs.setdefault(k, {})
+                get = acc.get
+                right = c.coeffs.items()
                 for e1, c1 in product.items():
-                    for e2, c2 in c.terms:
+                    for e2, c2 in right:
                         exp = tuple(map(add, e1, e2))
-                        acc[exp] = acc[exp] + c1 * c2 if exp in acc else c1 * c2
+                        acc[exp] = get(exp, 0) + c1 * c2
     for field_of, along, sign in ((x, y, 1), (y, x, -1)):
-        field = L._anchor_sums(field_of)
+        field = [sums.items() if sums else None for sums in L._anchor_sums(field_of)]
         for (k,), g in along.components:
             acc = accs.setdefault(k, {})
-            for e1, c1 in g.terms:
+            get = acc.get
+            for e1, c1 in g.coeffs.items():
                 for i, power in enumerate(e1):
-                    if not power or not field[i]:
+                    if not power or field[i] is None:
                         continue
                     lowered = e1[:i] + (power - 1,) + e1[i + 1 :]
                     scaled = sign * c1 * power
-                    for e2, c2 in field[i].items():
+                    for e2, c2 in field[i]:
                         exp = tuple(map(add, lowered, e2))
-                        acc[exp] = acc[exp] + scaled * c2 if exp in acc else scaled * c2
+                        acc[exp] = get(exp, 0) + scaled * c2
     return Multisection._from_components(
         L.rank, 1, {(k,): Polynomial._from_terms(chart, acc) for k, acc in accs.items()}
     )
@@ -637,15 +663,20 @@ def schouten(L: LieAlgebroid, p: Multisection, q: Multisection) -> Multisection:
             return Multisection.function(L.rank, -L.anchor_of(q).apply(f))
         return bracket_sections(L, p, q)
     if dq >= 2:
-        result = Multisection.zero(L.rank, out_degree)
+        # q = sum_I q_I e_I ^ e_J with I = idx[0] and J = idx[1:], so each
+        # component adds [p, q_I e_I] ^ e_J + (-1)^(dp - 1) q_I e_I ^ [p, e_J]
+        acc: Dict[Index, Polynomial] = {}
         sign = (-1) ** ((dp - 1) % 2)
         one = Polynomial.constant(L.chart, 1)
+        tails: Dict[Index, Multisection] = {}
         for idx, poly in q.components:
             head = Multisection._from_components(L.rank, 1, {(idx[0],): poly})
-            tail = Multisection._from_components(L.rank, dq - 1, {idx[1:]: one})
-            result = result + schouten(L, p, head).wedge(tail)
-            result = result + head.wedge(schouten(L, p, tail)).scale(sign)
-        return result
+            tail = tails.get(idx[1:])
+            if tail is None:
+                tail = tails[idx[1:]] = Multisection._from_components(L.rank, dq - 1, {idx[1:]: one})
+            _wedge_into(acc, schouten(L, p, head), tail, 1)
+            _wedge_into(acc, head, schouten(L, p, tail), sign)
+        return Multisection._from_components(L.rank, out_degree, acc)
     swap_sign = (-1) ** (((dp - 1) * (dq - 1) + 1) % 2)
     return schouten(L, q, p).scale(swap_sign)
 

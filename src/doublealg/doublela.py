@@ -195,7 +195,7 @@ def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
     rc = len(dla.core_frames)
     anchor = [
         tuple(
-            Polynomial._from_terms(base, {exp[:n]: c for exp, c in matrix[n + gamma][i].terms})
+            Polynomial._from_terms(base, {exp[:n]: c for exp, c in matrix[n + gamma][i].coeffs.items()})
             for i in range(n)
         )
         for gamma in range(rc)
@@ -206,7 +206,7 @@ def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
         if not entry:
             continue
         accs: List[Dict] = [{} for _ in range(rc)]
-        for exp, c in entry.terms:
+        for exp, c in entry.coeffs.items():
             accs[exp.index(1, n) - n][exp[:n]] = c
         brackets[(g1, g2)] = tuple(Polynomial._from_terms(base, acc) for acc in accs)
     return LieAlgebroid(base, dla.core_frames, anchor, brackets)

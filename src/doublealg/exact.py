@@ -7,25 +7,30 @@ decidable and all axiom checks downstream are exact; integral models never
 leave `int` arithmetic.
 
 A polynomial lives on a `Chart` (an ordered tuple of coordinate names, possibly
-empty for a point base) and is stored sparsely:
+empty for a point base) and is stored sparsely as one map
 
-    terms: Tuple[Tuple[Tuple[int, ...], Coefficient], ...]
+    coeffs: Dict[Tuple[int, ...], Coefficient]
 
-pairs of an exponent tuple (one entry per chart coordinate) and a nonzero
-coefficient (an `int`, or a `Fraction` whose denominator exceeds 1), in
-canonical order: descending (total degree, exponent tuple).
-The zero polynomial has no terms.  Printing follows the same order, and the
-text grammar round-trips bit-exactly with the parser in `parsing`.
+from an exponent tuple (one entry per chart coordinate) to a nonzero
+coefficient (an `int`, or a `Fraction` whose denominator exceeds 1).  The
+zero polynomial has the empty map.  No kernel operation sorts: the map
+keeps the order in which its result was computed, and `==` and `hash` do
+not read that order.  `terms`, the same pairs in printing order, descending
+(total degree, exponent tuple), is derived once, on first read, by
+`_ordered`; the printers read it, and the text grammar round-trips
+bit-exactly with the parser in `parsing`.
 
 `Polynomial(chart, terms)` validates its input; the kernel's own results
 are built by `Polynomial._from_terms`, which trusts them and only drops
-zero coefficients, turns an integral `Fraction` into its numerator and
-sorts, or, where an operation keeps its operand's order (negation and
-nonzero scaling), by `Polynomial._from_canonical`, which does not sort.
-Each chart holds one shared zero polynomial and one name -> position map,
-and the ring operations return an operand unchanged where the result
-equals it (adding or subtracting zero, multiplying by zero or by the
-constant 1, negating zero).
+zero coefficients and turns an integral `Fraction` into its numerator, or,
+where an operation builds a map already in canonical form (negation,
+nonzero scaling, lifting), by `Polynomial._from_canonical`, which keeps
+that map as the store.
+Each chart holds one shared zero polynomial, which every zero result of
+`_from_terms` is, and one name -> position map, and the ring operations
+return an operand unchanged where the result equals it (adding or
+subtracting zero, multiplying by zero or by the constant 1, negating
+zero).
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ class Chart:
 
         A cached property is not a dataclass field, so it stays out of
         `==`, `hash` and `repr`."""
-        return Polynomial._from_terms(self, {})
+        return Polynomial._from_canonical(self, {})
 
     def __repr__(self) -> str:
         return f"Chart({', '.join(self.names)})"
@@ -123,13 +128,14 @@ class Polynomial:
     """Sparse polynomial on a chart with exact rational coefficients.
 
     Immutable; all operations return new values.  Two polynomials are equal
-    iff their charts and term maps are equal: canonical form stores no zero
-    coefficient, and each coefficient is an `int` when integral and a
-    `Fraction` with denominator greater than 1 otherwise.
+    iff their charts and coefficient maps are equal: canonical form stores
+    no zero coefficient, and each coefficient is an `int` when integral and
+    a `Fraction` with denominator greater than 1 otherwise.  `coeffs` is
+    shared with no other polynomial and never mutated.
     """
 
     chart: Chart
-    terms: Tuple[Tuple[Exponent, Coefficient], ...]
+    coeffs: Dict[Exponent, Coefficient]
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, Coefficient] | None = None):
         object.__setattr__(self, "chart", chart)
@@ -140,11 +146,13 @@ class Polynomial:
                 coeff = rat(coeff)
                 if len(exp) != n:
                     raise ValueError(f"exponent {exp} does not fit chart of dim {n}")
+                if any(type(e) is not int for e in exp):
+                    raise ValueError(f"non-integer exponent in {exp}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
                 if coeff != 0:
                     cleaned[tuple(exp)] = coeff
-        object.__setattr__(self, "terms", _canonical(list(cleaned.items())))
+        object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
     def _from_terms(cls, chart: Chart, acc: Mapping[Exponent, Coefficient]) -> "Polynomial":
@@ -153,26 +161,37 @@ class Polynomial:
         `acc` must map exponent tuples of the chart's length with no
         negative entry to `int`s and `Fraction`s; zero coefficients are
         dropped and a `Fraction` with denominator 1, as in 1/2 + 1/2, is
-        replaced by its numerator.  Input from outside the kernel goes
-        through `Polynomial(chart, terms)`.
+        replaced by its numerator.  `acc` itself is not kept, and a zero
+        result is the chart's shared zero.  Input from outside the kernel
+        goes through `Polynomial(chart, terms)`.
         """
-        terms = [
-            (e, c.numerator) if type(c) is Fraction and c.denominator == 1 else (e, c)
+        coeffs = {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
             for e, c in acc.items()
             if c
-        ]
-        return cls._from_canonical(chart, _canonical(terms))
+        }
+        return cls._from_canonical(chart, coeffs) if coeffs else chart._zero
 
     @classmethod
-    def _from_canonical(
-        cls, chart: Chart, terms: Tuple[Tuple[Exponent, Coefficient], ...]
-    ) -> "Polynomial":
-        """Trusted constructor for terms already in canonical form and order,
-        as `-p` and a nonzero multiple of `p` keep those of `p`."""
+    def _from_canonical(cls, chart: Chart, coeffs: Dict[Exponent, Coefficient]) -> "Polynomial":
+        """Trusted constructor that keeps `coeffs` as the store: a fresh map
+        already in canonical form, as `-p` and `p.lift(chart)` build from
+        that of `p`."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "chart", chart)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "coeffs", coeffs)
         return poly
+
+    def __hash__(self) -> int:
+        return hash((self.chart, frozenset(self.coeffs.items())))
+
+    @functools.cached_property
+    def terms(self) -> Tuple[Tuple[Exponent, Coefficient], ...]:
+        """The (exponent, coefficient) pairs in printing order, descending
+        (total degree, exponent tuple), derived on first read.  Like
+        `Chart._zero`, a cached property stays out of `==`, `hash` and
+        `repr`."""
+        return _ordered(self.coeffs)
 
     # --- constructors -------------------------------------------------
 
@@ -185,13 +204,13 @@ class Polynomial:
         c = rat(value)
         if c == 0:
             return Polynomial.zero(chart)
-        return Polynomial._from_terms(chart, {(0,) * chart.dim: c})
+        return Polynomial._from_canonical(chart, {(0,) * chart.dim: c})
 
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "Polynomial":
         i = chart.index(name)
         exp = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return Polynomial._from_terms(chart, {exp: 1})
+        return Polynomial._from_canonical(chart, {exp: 1})
 
     # --- ring structure -----------------------------------------------
 
@@ -202,58 +221,62 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_chart(other)
-        if not other.terms:
+        if not other.coeffs:
             return self
-        if not self.terms:
+        if not self.coeffs:
             return other
-        acc: Dict[Exponent, Coefficient] = dict(self.terms)
-        for exp, coeff in other.terms:
-            acc[exp] = acc[exp] + coeff if exp in acc else coeff
+        acc = self.coeffs.copy()
+        get = acc.get
+        for exp, coeff in other.coeffs.items():
+            acc[exp] = get(exp, 0) + coeff
         return Polynomial._from_terms(self.chart, acc)
 
     def __neg__(self) -> "Polynomial":
-        if not self.terms:
+        if not self.coeffs:
             return self
-        return Polynomial._from_canonical(self.chart, tuple((e, -c) for e, c in self.terms))
+        return Polynomial._from_canonical(self.chart, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_chart(other)
-        if not other.terms:
+        if not other.coeffs:
             return self
-        acc: Dict[Exponent, Coefficient] = dict(self.terms)
-        for exp, coeff in other.terms:
-            acc[exp] = acc[exp] - coeff if exp in acc else -coeff
+        acc = self.coeffs.copy()
+        get = acc.get
+        for exp, coeff in other.coeffs.items():
+            acc[exp] = get(exp, 0) - coeff
         return Polynomial._from_terms(self.chart, acc)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_chart(other)
-        if not self.terms or _is_one(other.terms):
+        if not self.coeffs or _is_one(other.coeffs):
             return self
-        if not other.terms or _is_one(self.terms):
+        if not other.coeffs or _is_one(self.coeffs):
             return other
         acc: Dict[Exponent, Coefficient] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        get = acc.get
+        right = other.coeffs.items()
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in right:
                 exp = tuple(map(add, e1, e2))
-                acc[exp] = acc[exp] + c1 * c2 if exp in acc else c1 * c2
+                acc[exp] = get(exp, 0) + c1 * c2
         return Polynomial._from_terms(self.chart, acc)
 
     def scale(self, value) -> "Polynomial":
         c = rat(value)
-        if not c or not self.terms:
+        if not c or not self.coeffs:
             return self.chart._zero
-        terms = []
-        for e, k in self.terms:
+        coeffs: Dict[Exponent, Coefficient] = {}
+        for e, k in self.coeffs.items():
             v = c * k
-            terms.append((e, v.numerator if type(v) is Fraction and v.denominator == 1 else v))
-        return Polynomial._from_canonical(self.chart, tuple(terms))
+            coeffs[e] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        return Polynomial._from_canonical(self.chart, coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     # --- calculus -----------------------------------------------------
 
@@ -261,7 +284,7 @@ class Polynomial:
         """Formal partial derivative with respect to a chart coordinate."""
         i = self.chart.index(name)
         acc: Dict[Exponent, Coefficient] = {}
-        for exp, coeff in self.terms:
+        for exp, coeff in self.coeffs.items():
             if exp[i] == 0:
                 continue
             new = list(exp)
@@ -271,16 +294,16 @@ class Polynomial:
 
     def lift(self, target: Chart) -> "Polynomial":
         """Reinterpret on a chart containing this chart's coordinates."""
-        if not self.terms:
+        if not self.coeffs:
             return target._zero
         index = [target.index(name) for name in self.chart.names]
-        acc: Dict[Exponent, Coefficient] = {}
-        for exp, coeff in self.terms:
+        coeffs: Dict[Exponent, Coefficient] = {}
+        for exp, coeff in self.coeffs.items():
             new = [0] * target.dim
             for j, power in zip(index, exp):
                 new[j] = power
-            acc[tuple(new)] = coeff
-        return Polynomial._from_terms(target, acc)
+            coeffs[tuple(new)] = coeff
+        return Polynomial._from_canonical(target, coeffs)
 
     # --- printing -------------------------------------------------------
 
@@ -291,9 +314,12 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _is_one(terms: Tuple[Tuple[Exponent, Coefficient], ...]) -> bool:
-    """Whether `terms` are those of the constant polynomial 1."""
-    return len(terms) == 1 and terms[0][1] == 1 and not any(terms[0][0])
+def _is_one(coeffs: Dict[Exponent, Coefficient]) -> bool:
+    """Whether `coeffs` are those of the constant polynomial 1."""
+    if len(coeffs) != 1:
+        return False
+    ((exp, coeff),) = coeffs.items()
+    return coeff == 1 and not any(exp)
 
 
 def _term_key(item: Tuple[Exponent, Coefficient]):
@@ -301,11 +327,10 @@ def _term_key(item: Tuple[Exponent, Coefficient]):
     return (sum(exp), exp)
 
 
-def _canonical(terms: List[Tuple[Exponent, Coefficient]]) -> Tuple[Tuple[Exponent, Coefficient], ...]:
-    """`terms`, sorted in place by descending (total degree, exponent tuple)."""
-    if len(terms) > 1:
-        terms.sort(key=_term_key, reverse=True)
-    return tuple(terms)
+def _ordered(coeffs: Dict[Exponent, Coefficient]) -> Tuple[Tuple[Exponent, Coefficient], ...]:
+    """The items of `coeffs` in printing order: descending (total degree,
+    exponent tuple).  The one place the kernel orders terms."""
+    return tuple(sorted(coeffs.items(), key=_term_key, reverse=True))
 
 
 def monomial_atoms(chart: Chart, exp: Exponent) -> List[str]:

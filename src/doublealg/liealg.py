@@ -112,7 +112,7 @@ def cobracket_dual(g: LieAlgebroid, images: Mapping[int, Wedge]) -> LieAlgebroid
 
 def _value(p: Polynomial) -> Coefficient:
     """The value of a polynomial on the point chart."""
-    return p.terms[0][1] if p.terms else 0
+    return p.coeffs.get((), 0)
 
 
 def _require_jacobi(side: LieAlgebroid, label: str) -> None:

@@ -233,7 +233,7 @@ def parse_combination(text: str, chart: Chart, frames: Tuple[str, ...]) -> Dict[
             raise ParseError("term without a frame in a frame combination")
         _collect(accs[term.frame], term.coeff)
     out = {name: Polynomial(chart, acc) for name, acc in accs.items()}
-    _require_bounded(t for poly in out.values() for t in poly.terms)
+    _require_bounded(t for poly in out.values() for t in poly.coeffs.items())
     return out
 
 
@@ -250,15 +250,15 @@ def parse_vector_field(text: str, chart: Chart) -> List[Polynomial]:
             raise ParseError("term without a direction in a vector field")
         _collect(accs[chart.index(term.frame)], term.coeff)
     comps = [Polynomial(chart, acc) for acc in accs]
-    _require_bounded(t for poly in comps for t in poly.terms)
+    _require_bounded(t for poly in comps for t in poly.coeffs.items())
     return comps
 
 
 def _collect(acc: Dict[Exponent, Coefficient], poly: Polynomial) -> None:
     """Add the terms of `poly` to the coefficients `acc` of one atom, whose
     polynomial is then built once."""
-    for exp, coeff in poly.terms:
-        acc[exp] = acc[exp] + coeff if exp in acc else coeff
+    for exp, coeff in poly.coeffs.items():
+        acc[exp] = acc.get(exp, 0) + coeff
 
 
 def parse_wedge_combination(
@@ -272,7 +272,7 @@ def parse_wedge_combination(
     out: Dict[Tuple[int, int], Coefficient] = {}
     index = {name: i for i, name in enumerate(frames)}
     for term in terms:
-        coeff = dict(term.coeff.terms).get((), 0)
+        coeff = term.coeff.coeffs.get((), 0)
         if term.wedge is None:
             if coeff == 0:
                 continue

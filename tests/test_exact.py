@@ -1,11 +1,14 @@
 """Ring axioms, calculus rules and grammar round-trips for the exact core."""
 
+import re
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doublealg import exact
+from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import (
     Chart,
     ChartMismatch,
@@ -17,7 +20,8 @@ from doublealg.exact import (
     signed_sum,
 )
 from doublealg.parsing import ParseError
-from support import FractionPolynomial, parse_polynomial, rename
+from support import SO3, FractionPolynomial, ladder_pair, parse_polynomial, rename
+from test_double_derived import count_calls
 
 XY = Chart(["x", "y"])
 POINT = Chart([])
@@ -148,14 +152,16 @@ class TestChartAndValues:
 
 
 def assert_canonical(r: Polynomial) -> None:
-    """`r` is what the validating constructor makes of its own terms."""
-    rebuilt = Polynomial(r.chart, dict(r.terms))
+    """`r` stores what the validating constructor makes of its own map, and
+    `terms` reads that map in printing order."""
+    rebuilt = Polynomial(r.chart, r.coeffs)
     assert rebuilt.chart == r.chart
-    assert rebuilt.terms == r.terms
-    for exp, coeff in r.terms:
+    assert rebuilt.coeffs == r.coeffs
+    for exp, coeff in r.coeffs.items():
         assert coeff != 0
         assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
         assert type(exp) is tuple and all(type(e) is int for e in exp)
+    assert r.terms == tuple(sorted(r.coeffs.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True))
 
 
 class TestRenameHelper:
@@ -348,12 +354,52 @@ class TestValidatingBoundary:
         with pytest.raises(ValueError, match="does not fit chart"):
             Polynomial(XY, {(1, 0, 0): 1})
 
+    def test_non_integer_exponent_rejected(self):
+        for exp in ((1.5, 0), (1.0, 0), (True, 0), (0, Fraction(1)), (1, "2")):
+            with pytest.raises(ValueError, match=re.escape(f"non-integer exponent in {exp}")):
+                Polynomial(XY, {exp: 1})
+        with pytest.raises(ValueError, match=re.escape("non-integer exponent in (1.5,)")):
+            Polynomial(Chart(["x"]), {(1.5,): 1})
+
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError, match="not an exact rational"):
             Polynomial(XY, {(1, 0): 0.5})
 
     def test_equal_charts_built_apart_are_compatible(self):
         assert P("x") + P("y", Chart(["x", "y"])) == P("x + y")
+
+
+class TestMapStore:
+    """A polynomial is its chart and one map from exponent to coefficient,
+    kept in the order its operation computed it; `terms` is that map in
+    printing order, derived on first read."""
+
+    @given(mixed_polys, mixed_polys, mixed_polys)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_operation_order_changes_no_value_hash_order_or_text(self, p, q, r):
+        for a, b in ((p + q, q + p), ((p * q) * r, p * (q * r)), (p - q + q, p)):
+            assert a == b and hash(a) == hash(b)
+            for poly in (a, b):
+                keys = [(sum(exp), exp) for exp, _ in poly.terms]
+                assert keys == sorted(set(keys), reverse=True)
+                assert dict(poly.terms) == poly.coeffs
+                text = str(poly)
+                assert parse_polynomial(text, XY) == poly and str(parse_polynomial(text, XY)) == text
+
+    def test_maps_in_different_orders_are_one_polynomial(self):
+        a, b = P("x") + P("y^2 + 1"), P("1 + y^2") + P("x")
+        assert list(a.coeffs) != list(b.coeffs)
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a.terms == b.terms == (((0, 2), 1), ((1, 0), 1), ((0, 0), 1))
+        assert str(a) == str(b) == "y^2 + x + 1"
+
+    def test_a_passing_ladder_double_orders_no_terms(self, monkeypatch):
+        """Only printing orders terms: a passing check prints no witness."""
+        dla = build_cotangent_double(*ladder_pair(SO3))
+        counts = count_calls(monkeypatch, ((exact, "_ordered"),))
+        assert check_double(dla).ok
+        assert counts["_ordered"] == 0
+        assert str(P("x") * P("y + 1")) == "x * y + x" and counts["_ordered"] == 1
 
 
 class TestGrammar:

@@ -32,15 +32,21 @@ import contextlib
 import functools
 import hashlib
 import io
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 from doublealg import cli
-from support import CO_JACOBI_MODEL, POISSON_PAIR_MODEL
+from doublealg.algebroid import check_bialgebroid
+from doublealg.doublela import build_cotangent_double, check_double
+from support import CO_JACOBI_MODEL, POISSON_PAIR_MODEL, sweep_pairs
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+TESTS = pathlib.Path(__file__).resolve().parent
+ROOT = TESTS.parent
 MODELS = ROOT / "models"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "report_golden.txt"
 FORMATS = ("text", "json")
@@ -480,6 +486,39 @@ def test_the_cached_parser_answers_each_call_alike(tmp_path, monkeypatch):
     code, out, err = first[1]
     sha = hashlib.sha256(out + b"\0" + err).hexdigest()
     assert (code, sha) == load_golden()[("check", "double", "t2m_double.pass", "json")]
+
+
+def process_digests():
+    """The sha256 digests one process gives the 22 bundled-model CLI calls,
+    each model under the verb of its `# verify:` header in both formats,
+    and the report lines of the sweep pairs at seed 1."""
+    digests = {}
+    for path in sorted(MODELS.glob("*")):
+        verb, kind = path.read_text(encoding="utf-8").splitlines()[0][len("# verify: ") :].split()
+        for fmt in FORMATS:
+            code, sha = run_case(verb, kind, path, fmt)
+            digests[f"{verb} {kind} {path.name} {fmt}"] = f"{code} {sha}"
+    for name, (L, Lstar) in sweep_pairs([1]):
+        reports = (check_bialgebroid(L, Lstar), check_double(build_cotangent_double(L, Lstar)))
+        lines = "\n".join(line for report in reports for line in report.lines())
+        digests[name] = hashlib.sha256(lines.encode()).hexdigest()
+    return digests
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    """Polynomials iterate their terms in the order they were computed in;
+    no report may depend on that order, nor on the order of a set of
+    strings."""
+    script = "import json, test_report_golden; print(json.dumps(test_report_golden.process_digests()))"
+    runs = []
+    for seed in ("0", "4242"):
+        env = {key: value for key, value in os.environ.items() if key != "DOUBLEALG_MAX_DEGREE"}
+        env.update(PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(TESTS))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=TESTS)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0]) == 22 + 8
+    assert runs[0] == runs[1]
 
 
 if __name__ == "__main__":

@@ -89,6 +89,8 @@ class VectorField:
                 for e2, c2 in right:
                     exp = tuple(map(add, lowered, e2))
                     acc[exp] = get(exp, 0) + scaled * c2
+        if not acc:
+            return chart._zero
         return Polynomial._from_terms(chart, acc)
 
     @property

@@ -506,9 +506,9 @@ def process_digests():
 
 
 def test_reports_do_not_depend_on_the_hash_seed():
-    """Polynomials iterate their terms in the order they were computed in;
-    no report may depend on that order, nor on the order of a set of
-    strings."""
+    """The hash seed orders sets and dicts of strings; no report may depend
+    on it.  Term order cannot leak in through it: exponent tuples of ints
+    hash alike under every seed, and printers read the ordered `terms`."""
     script = "import json, test_report_golden; print(json.dumps(test_report_golden.process_digests()))"
     runs = []
     for seed in ("0", "4242"):

@@ -117,7 +117,7 @@ class Multisection:
 
     `Multisection(rank, degree, components)` validates every index, for
     witnesses and input from outside the kernel; the kernel's own results
-    (`+`, `-`, `scale`, `wedge`, `zero`, `function`, `from_vector`,
+    (`+`, `-`, `scale`, `zero`, `function`, `from_vector`,
     `bracket_sections`, `differential` and `schouten`) are built by
     `Multisection._from_components`, which trusts them.
     """
@@ -223,13 +223,6 @@ class Multisection:
         if c == 1:
             return self
         return Multisection._from_components(self.rank, self.degree, {i: p.scale(c) for i, p in self.components})
-
-    def wedge(self, other: "Multisection") -> "Multisection":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        acc: Dict[Index, Polynomial] = {}
-        _wedge_into(acc, self, other, 1)
-        return Multisection._from_components(self.rank, self.degree + other.degree, acc)
 
     @property
     def is_zero(self) -> bool:
@@ -830,8 +823,8 @@ def check_bialgebroid(
     )
     if not axioms.ok:
         return axioms
-    return axioms.merged_with(
-        check_compatibility(L, Lstar, seed=seed, max_degree=max_degree)
+    return CheckReport(
+        axioms.items + check_compatibility(L, Lstar, seed=seed, max_degree=max_degree).items
     )
 
 

@@ -31,7 +31,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import algebroid as alg
 from . import doublela, liealg, matched
@@ -42,8 +42,8 @@ from .formatting import (
     format_pairing_lines,
 )
 from .model import ModelError, ModelFile, parse_model
-from .report import Report, ResultEntry, digest, emit_report, entries_from_check
-from .verdicts import CheckReport
+from .report import Report, digest, emit_report
+from .verdicts import CheckItem, CheckReport
 
 # random sections draw one exponent step per unit of degree, so the cap keeps
 # a randomized check from running unboundedly
@@ -67,7 +67,7 @@ _VERBS = {
 }
 
 
-def _double_summary(prefix: str, dla: "doublela.DoubleLieAlgebroid") -> ResultEntry:
+def _double_summary(prefix: str, dla: "doublela.DoubleLieAlgebroid") -> CheckItem:
     """Derived-structure summary: the induced dual pair, the Poisson data on
     the core dual, and the core algebroid."""
     e_v, dual = dla.dual_pair
@@ -84,7 +84,48 @@ def _double_summary(prefix: str, dla: "doublela.DoubleLieAlgebroid") -> ResultEn
                         f"core_dual_poisson({names[i]}, {names[j]}) = {pois.matrix[i][j]}"
                     )
         detail.extend(format_algebroid_lines("core", dla.core))
-    return ResultEntry(f"{prefix}.summary", "pass", detail=tuple(detail))
+    return CheckItem(f"{prefix}.summary", True, detail=tuple(detail))
+
+
+def _diagonal(name: str, mp: matched.MatchedPair) -> CheckItem:
+    """The diagonal of a passing vacant double of `mp`: its bowtie, since a
+    passing vacant double means `mp` is matched (the paper's last theorem)."""
+    bowtie = tuple(format_algebroid_lines(f"{name}_diagonal", matched.assemble_bowtie(mp)))
+    return CheckItem(f"vacant.{name}.diagonal", True, detail=bowtie)
+
+
+def _double_items(
+    prefix: str,
+    dla: doublela.DoubleLieAlgebroid,
+    rep: CheckReport,
+    last: Callable[[], CheckItem],
+) -> List[CheckItem]:
+    """The items of `rep`, the double check of `dla`, under `prefix`; on a
+    pass, then the structural diagnostics of `dla` and the entry `last()`."""
+    items = list(rep.prefixed(prefix).items)
+    if rep.ok:
+        items.extend(doublela.structural_diagnostics(dla).prefixed(f"{prefix}.diagnostics").items)
+        items.append(last())
+    return items
+
+
+def _drinfeld_items(
+    entry_id: str,
+    manin_prefix: str,
+    b: liealg.Bialgebra,
+    detail: Callable[[alg.LieAlgebroid], Tuple[str, ...]],
+) -> List[CheckItem]:
+    """The entry `entry_id` of the Drinfel'd double of `b`, failed with the
+    `BialgebraError` when `b` has none; else passed with `detail(double)`
+    and followed by the Manin-triple items under `manin_prefix`."""
+    try:
+        double = liealg.drinfeld_double(b)
+    except liealg.BialgebraError as exc:
+        return [CheckItem(entry_id, False, str(exc))]
+    return [
+        CheckItem(entry_id, True, detail=detail(double)),
+        *liealg.check_manin().prefixed(manin_prefix).items,
+    ]
 
 
 def _cotangent_report(
@@ -126,122 +167,78 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
     command = f"{verb} {kind}"
     if verb == "verify":
         verb = "check"
-    results: List[ResultEntry] = []
+    results: List[CheckItem] = []
 
     if (verb, kind) == ("check", "algebroid"):
         for name, L in model.algebroids.items():
-            results.extend(entries_from_check(f"algebroid.{name}", alg.check_algebroid(L)))
+            results.extend(alg.check_algebroid(L).prefixed(f"algebroid.{name}").items)
 
     elif (verb, kind) == ("check", "bialgebroid"):
         for label, L, Lstar in _dual_pair_sources(model):
             rep = alg.check_bialgebroid(L, Lstar, seed=seed, max_degree=max_degree)
-            results.extend(entries_from_check(f"bialgebroid.{label}", rep))
+            results.extend(rep.prefixed(f"bialgebroid.{label}").items)
 
     elif (verb, kind) == ("check", "matched"):
         for name, mp in model.matched_pairs.items():
-            results.extend(entries_from_check(f"matched.{name}", matched.check_matched(mp)))
+            results.extend(matched.check_matched(mp).prefixed(f"matched.{name}").items)
 
     elif (verb, kind) == ("check", "manin"):
         for name, b in model.bialgebras.items():
-            try:
-                liealg.drinfeld_double(b)
-            except liealg.BialgebraError as exc:
-                results.append(ResultEntry(f"manin.{name}.double", "fail", str(exc)))
-                continue
-            results.append(ResultEntry(f"manin.{name}.double", "pass"))
-            results.extend(entries_from_check(f"manin.{name}", liealg.check_manin()))
+            results.extend(_drinfeld_items(f"manin.{name}.double", f"manin.{name}", b, lambda _: ()))
 
     elif (verb, kind) == ("check", "double"):
         for name, dla in model.doubles.items():
+            prefix = f"double.{name}"
             rep = doublela.check_double(dla, seed=seed, max_degree=max_degree)
-            results.extend(entries_from_check(f"double.{name}", rep))
-            if rep.ok:
-                diag = doublela.structural_diagnostics(dla)
-                results.extend(entries_from_check(f"double.{name}.diagnostics", diag))
-                results.append(_double_summary(f"double.{name}", dla))
+            results.extend(_double_items(prefix, dla, rep, lambda: _double_summary(prefix, dla)))
 
     elif (verb, kind) == ("build", "drinfeld"):
         for name, b in model.bialgebras.items():
-            try:
-                double = liealg.drinfeld_double(b)
-            except liealg.BialgebraError as exc:
-                results.append(ResultEntry(f"drinfeld.{name}", "fail", str(exc)))
-                continue
-            detail = tuple(
-                format_lie_algebra_lines(f"{name}_double", double)
-                + format_pairing_lines(double)
+            structure = lambda double: tuple(
+                format_lie_algebra_lines(f"{name}_double", double) + format_pairing_lines(double)
             )
-            results.append(ResultEntry(f"drinfeld.{name}", "pass", detail=detail))
-            results.extend(entries_from_check(f"drinfeld.{name}.manin", liealg.check_manin()))
+            results.extend(_drinfeld_items(f"drinfeld.{name}", f"drinfeld.{name}.manin", b, structure))
 
     elif (verb, kind) == ("build", "bowtie"):
         for name, mp in model.matched_pairs.items():
             rep = matched.check_matched(mp)
-            results.extend(entries_from_check(f"bowtie.{name}.matched", rep))
+            results.extend(rep.prefixed(f"bowtie.{name}.matched").items)
             if rep.ok:
-                bow = matched.assemble_bowtie(mp)
-                results.append(
-                    ResultEntry(
-                        f"bowtie.{name}",
-                        "pass",
-                        detail=tuple(format_algebroid_lines(f"{name}_bowtie", bow)),
-                    )
-                )
+                bow = tuple(format_algebroid_lines(f"{name}_bowtie", matched.assemble_bowtie(mp)))
+                results.append(CheckItem(f"bowtie.{name}", True, detail=bow))
 
     elif (verb, kind) in (("build", "double"), ("build", "vacant")):
         for name, mp in model.matched_pairs.items():
             dla = doublela.assemble_vacant_double(mp)
             rep = _vacant_report(mp, dla, seed, max_degree)
-            results.extend(entries_from_check(f"vacant.{name}", rep))
-            if rep.ok:
-                diag = doublela.structural_diagnostics(dla)
-                results.extend(entries_from_check(f"vacant.{name}.diagnostics", diag))
-                # a passing vacant double means `mp` is matched (the paper's last theorem)
-                diagonal = matched.assemble_bowtie(mp)
-                results.append(
-                    ResultEntry(
-                        f"vacant.{name}.diagonal",
-                        "pass",
-                        detail=tuple(format_algebroid_lines(f"{name}_diagonal", diagonal)),
-                    )
-                )
+            results.extend(_double_items(f"vacant.{name}", dla, rep, lambda: _diagonal(name, mp)))
 
     elif (verb, kind) == ("build", "cotangent-double"):
         for label, L, Lstar in _dual_pair_sources(model):
+            prefix = f"cotangent_double.{label}"
             try:
                 dla = doublela.build_cotangent_double(L, Lstar)
             except (alg.InvalidAlgebroid, doublela.DoubleMismatch) as exc:
-                results.append(ResultEntry(f"cotangent_double.{label}", "fail", str(exc)))
+                results.append(CheckItem(prefix, False, str(exc)))
                 continue
             rep = _cotangent_report(L, Lstar, dla, seed, max_degree)
-            results.extend(entries_from_check(f"cotangent_double.{label}", rep))
-            if rep.ok:
-                diag = doublela.structural_diagnostics(dla)
-                results.extend(
-                    entries_from_check(f"cotangent_double.{label}.diagnostics", diag)
-                )
-                results.append(_double_summary(f"cotangent_double.{label}", dla))
+            results.extend(_double_items(prefix, dla, rep, lambda: _double_summary(prefix, dla)))
 
     elif (verb, kind) == ("build", "semidirects"):
         for name, mp in model.matched_pairs.items():
             semidirect, opposite = matched.build_semidirects(mp)
             for tag, L in (("dual_action", semidirect), ("opposite", opposite)):
                 rep = alg.check_algebroid(L)
-                results.extend(entries_from_check(f"semidirects.{name}.{tag}", rep))
-                results.append(
-                    ResultEntry(
-                        f"semidirects.{name}.{tag}.structure",
-                        "pass",
-                        detail=tuple(format_algebroid_lines(f"{name}_{tag}", L)),
-                    )
-                )
+                results.extend(rep.prefixed(f"semidirects.{name}.{tag}").items)
+                structure = tuple(format_algebroid_lines(f"{name}_{tag}", L))
+                results.append(CheckItem(f"semidirects.{name}.{tag}.structure", True, detail=structure))
 
     elif (verb, kind) == ("extract", "matched"):
         for name, dla in model.doubles.items():
             try:
                 mp, rep = doublela.matched_from_vacant(dla)
             except (doublela.DoubleMismatch, matched.MatchedPairError) as exc:
-                results.append(ResultEntry(f"extract.{name}", "fail", str(exc)))
+                results.append(CheckItem(f"extract.{name}", False, str(exc)))
                 continue
             detail: List[str] = []
             for label, acting, ders, target in (
@@ -250,8 +247,8 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
             ):
                 for frame, field, m in zip(acting.frames, acting.anchor_fields, ders):
                     detail.extend(format_derivation_lines(f"{label}({frame})", field, m, target.frames))
-            results.append(ResultEntry(f"extract.{name}", "pass", detail=tuple(detail)))
-            results.extend(entries_from_check(f"extract.{name}.matched", rep))
+            results.append(CheckItem(f"extract.{name}", True, detail=tuple(detail)))
+            results.extend(rep.prefixed(f"extract.{name}.matched").items)
 
     elif (verb, kind) == ("dualize", "dvb"):
         for name, shape in model.dvbs.items():
@@ -266,15 +263,13 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
                 "pairing of the two duals over C*: <Phi, d> - <d, Psi>, "
                 "nondegenerate fibrewise",
             )
-            results.append(ResultEntry(f"dualize.{name}", "pass", detail=detail))
+            results.append(CheckItem(f"dualize.{name}", True, detail=detail))
 
     else:
         raise ValueError(f"unknown command {command!r}")
 
     if not results:
-        results.append(
-            ResultEntry(f"{verb}.{kind}", "fail", "no applicable blocks in the model file")
-        )
+        results.append(CheckItem(f"{verb}.{kind}", False, "no applicable blocks in the model file"))
     return Report(command=command, input_digest=input_digest, results=tuple(results))
 
 

@@ -157,8 +157,9 @@ def check_double(dla: DoubleLieAlgebroid, seed: int = 7, max_degree: int = 2) ->
     # vertical.induced_dual, and dual is horizontal.induced_dual after an
     # invertible constant frame change, which preserves the axioms.
     e_v, dual = dla.dual_pair
-    bial = CheckReport((passed("side"), passed("dual_side"))).merged_with(
-        check_compatibility(e_v, dual, seed=seed, max_degree=max_degree)
+    bial = CheckReport(
+        (passed("side"), passed("dual_side"))
+        + check_compatibility(e_v, dual, seed=seed, max_degree=max_degree).items
     )
     items.extend(bial.prefixed("bialgebroid").items)
     return CheckReport(tuple(items))

@@ -112,17 +112,18 @@ class ModelError(ValueError):
 def _parse_count(label: str, text: str, line: int) -> int:
     """`text` as a count between 0 and MAX_COUNT, else a parse error at `line`.
 
-    `int` refuses a decimal literal only when it has more digits than
-    Python converts (`sys.get_int_max_str_digits`); such a count is out of
-    range.  A rejected literal longer than 20 characters is named by its
-    length, not echoed."""
+    A count is written in ASCII digits.  `int` refuses such a literal only
+    when it has more digits than Python converts
+    (`sys.get_int_max_str_digits`); such a count is out of range.  A
+    rejected literal longer than 20 characters is named by its length, not
+    echoed."""
     literal = text.strip()
     shown = f"a {len(literal)}-character literal" if len(literal) > 20 else None
+    if not _DECIMAL.fullmatch(literal):
+        raise ModelError(f"{label} must be an integer, got {shown or repr(literal)}", line)
     try:
         value = int(literal)
     except ValueError:
-        if not _DECIMAL.fullmatch(literal):
-            raise ModelError(f"{label} must be an integer, got {shown or repr(literal)}", line)
         value = None
     if value is None or not 0 <= value <= MAX_COUNT:
         raise ModelError(f"{label} must be between 0 and {MAX_COUNT}, got {shown or value}", line)

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .exact import Chart, Coefficient, Exponent, Polynomial
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^/(),;:=\[\]{}]))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^/(),;:=\[\]{}]))"
 )
 
 
@@ -123,7 +123,7 @@ class _Term:
     def __init__(self) -> None:
         self.coeff: Optional[Polynomial] = None
         self.frame: Optional[str] = None
-        self.wedge: Optional[Tuple[str, str]] = None
+        self.pair: Optional[Tuple[str, str]] = None
 
 
 def _parse_terms(
@@ -188,9 +188,9 @@ def _parse_terms(
                             _, second, _ = tokens.next()
                             if value not in frame_set or second not in frame_set:
                                 raise ParseError(f"unknown wedge pair {value}^{second}", pos)
-                            if term.wedge is not None or term.frame is not None:
+                            if term.pair is not None or term.frame is not None:
                                 raise ParseError("two atoms in one term", pos)
-                            term.wedge = (value, second)
+                            term.pair = (value, second)
                             if not tokens.accept_sym("*"):
                                 break
                             continue
@@ -198,7 +198,7 @@ def _parse_terms(
                     if value in coord_set:
                         term.coeff = term.coeff * Polynomial.coordinate(chart, value)
                     elif value in frame_set:
-                        if term.frame is not None or term.wedge is not None:
+                        if term.frame is not None or term.pair is not None:
                             raise ParseError(f"two frame atoms in one term near {value!r}", pos)
                         term.frame = value
                     else:
@@ -273,14 +273,14 @@ def parse_wedge_combination(
     index = {name: i for i, name in enumerate(frames)}
     for term in terms:
         coeff = term.coeff.coeffs.get((), 0)
-        if term.wedge is None:
+        if term.pair is None:
             if coeff == 0:
                 continue
             raise ParseError("term without a wedge pair")
-        i, j = index[term.wedge[0]], index[term.wedge[1]]
+        i, j = index[term.pair[0]], index[term.pair[1]]
         if i == j:
             if coeff != 0:
-                raise ParseError(f"wedge of a frame with itself: {term.wedge[0]}")
+                raise ParseError(f"wedge of a frame with itself: {term.pair[0]}")
             continue
         if i < j:
             out[(i, j)] = out.get((i, j), 0) + coeff

@@ -1,6 +1,7 @@
 """Verification reports: deterministic, byte-identical for identical inputs.
 
-The timing field exists in the schema but is always emitted as null: any
+A report's results are the `CheckItem`s the checkers return.  Each result's
+timing field exists in the schema but is always emitted as null: any
 wall-clock value would break the byte-identity invariant, which the report
 format guarantees for identical inputs and tool version.
 """
@@ -10,40 +11,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from . import __version__
-from .verdicts import CheckReport
-
-
-@dataclass(frozen=True)
-class ResultEntry:
-    result_id: str
-    verdict: str  # "pass" | "fail"
-    witness: str = ""
-    detail: Tuple[str, ...] = ()
-    timing: Optional[float] = None  # always None: reports are reproducible
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.result_id,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "detail": list(self.detail),
-            "timing": self.timing,
-        }
+from .verdicts import CheckItem
 
 
 @dataclass(frozen=True)
 class Report:
     command: str
     input_digest: str
-    results: Tuple[ResultEntry, ...]
-    version: str = __version__
+    results: Tuple[CheckItem, ...]
 
     @property
     def ok(self) -> bool:
-        return all(r.verdict == "pass" for r in self.results)
+        return all(item.ok for item in self.results)
 
     @property
     def summary(self) -> str:
@@ -51,27 +33,25 @@ class Report:
 
     def as_dict(self) -> dict:
         return {
-            "tool_version": self.version,
+            "tool_version": __version__,
             "command": self.command,
             "input_digest": self.input_digest,
-            "results": [r.as_dict() for r in self.results],
+            "results": [
+                {
+                    "id": item.check_id,
+                    "verdict": "pass" if item.ok else "fail",
+                    "witness": item.witness,
+                    "detail": list(item.detail),
+                    "timing": None,
+                }
+                for item in self.results
+            ],
             "summary": self.summary,
         }
 
 
 def digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def entries_from_check(prefix: str, report: CheckReport) -> List[ResultEntry]:
-    return [
-        ResultEntry(
-            f"{prefix}.{item.check_id}",
-            "pass" if item.ok else "fail",
-            item.witness,
-        )
-        for item in report.items
-    ]
 
 
 def emit_report(report: Report, fmt: str = "text") -> bytes:
@@ -81,16 +61,15 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
         raise ValueError(f"unknown format {fmt!r}")
     lines = [
         "doublealg report",
-        f"version: {report.version}",
+        f"version: {__version__}",
         f"command: {report.command}",
         f"input: {report.input_digest}",
     ]
-    for entry in report.results:
-        status = "pass" if entry.verdict == "pass" else "FAIL"
-        lines.append(f"result {entry.result_id}: {status}")
-        if entry.witness:
-            lines.append(f"  witness: {entry.witness}")
-        for detail_line in entry.detail:
+    for item in report.results:
+        lines.append(f"result {item.check_id}: {'pass' if item.ok else 'FAIL'}")
+        if item.witness:
+            lines.append(f"  witness: {item.witness}")
+        for detail_line in item.detail:
             lines.append(f"  | {detail_line}")
     lines.append(f"summary: {report.summary}")
     return ("\n".join(lines) + "\n").encode("utf-8")

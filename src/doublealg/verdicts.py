@@ -15,6 +15,7 @@ class CheckItem:
     check_id: str
     ok: bool
     witness: str = ""
+    detail: Tuple[str, ...] = ()  # lines a report prints under the item
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -45,14 +46,11 @@ class CheckReport:
 
     def prefixed(self, prefix: str) -> "CheckReport":
         return CheckReport(
-            tuple(CheckItem(f"{prefix}.{i.check_id}", i.ok, i.witness) for i in self.items)
+            tuple(
+                CheckItem(f"{prefix}.{i.check_id}", i.ok, i.witness, i.detail)
+                for i in self.items
+            )
         )
-
-    def merged_with(self, *others: "CheckReport") -> "CheckReport":
-        items = list(self.items)
-        for other in others:
-            items.extend(other.items)
-        return CheckReport(tuple(items))
 
     def lines(self) -> Tuple[str, ...]:
         return tuple(item.line() for item in self.items)

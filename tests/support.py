@@ -20,7 +20,8 @@ parser's frame combinations and vector fields replaced (`summed_atoms`),
 the Schouten square of a bivector that the cyclic sums of
 `PoissonChart.jacobiator` replaced (`bivector`, `schouten_jacobiator`),
 the Schouten recursion that sums one wedge at a time
-(`summed_schouten`, `summed_compatibility_defect`),
+(`summed_schouten`, `summed_compatibility_defect`) and the wedge product
+of multisections it needs (`wedge`),
 and the constructions only the tests use (scalar polynomials in the model
 grammar, the tangent prolongation), and the `Fraction`-only reference
 polynomial the exact kernel is compared with."""
@@ -56,6 +57,7 @@ from doublealg.algebroid import (
     random_section,
     schouten,
     tangent_algebroid,
+    _wedge_into,
 )
 from doublealg.doublela import (
     DoubleMismatch,
@@ -166,7 +168,7 @@ def parse_polynomial(text: str, chart: Chart) -> Polynomial:
     tokens.expect_done()
     total = Polynomial.zero(chart)
     for term in terms:
-        if term.frame is not None or term.wedge is not None:
+        if term.frame is not None or term.pair is not None:
             raise ParseError("frame atom in a scalar polynomial")
         total = total + term.coeff
     return total
@@ -640,6 +642,15 @@ def frame_section(L: LieAlgebroid, alpha: int) -> Multisection:
 def scale_section(x: Multisection, f: Polynomial) -> Multisection:
     """f X, componentwise."""
     return Multisection(x.rank, x.degree, {i: f * p for i, p in x.components})
+
+
+def wedge(x: Multisection, y: Multisection) -> Multisection:
+    """X ^ Y, through the accumulator that `algebroid.schouten` wedges into."""
+    if x.rank != y.rank:
+        raise ValueError("rank mismatch")
+    acc: Dict[Tuple[int, ...], Polynomial] = {}
+    _wedge_into(acc, x, y, 1)
+    return Multisection._from_components(x.rank, x.degree + y.degree, acc)
 
 
 def frame_bracket(L: LieAlgebroid, a: int, b: int) -> Multisection:
@@ -1278,9 +1289,7 @@ def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, ma
         return defect(frame_section(L, a), functions[i])
 
     def scaled_defect(a, b, i):
-        return scale_section(frame_defect(a, b), coords[i]) + function_defect(a, i).wedge(
-            frame_section(L, b)
-        )
+        return scale_section(frame_defect(a, b), coords[i]) + wedge(function_defect(a, i), frame_section(L, b))
 
     def random_defects():
         rng = random.Random(seed)
@@ -1352,8 +1361,8 @@ def summed_schouten(L: LieAlgebroid, p: Multisection, q: Multisection) -> Multis
         for idx, poly in q.components:
             head = Multisection(L.rank, 1, {(idx[0],): poly})
             tail = Multisection(L.rank, dq - 1, {idx[1:]: one})
-            result = result + summed_schouten(L, p, head).wedge(tail)
-            result = result + head.wedge(summed_schouten(L, p, tail)).scale(sign)
+            result = result + wedge(summed_schouten(L, p, head), tail)
+            result = result + wedge(head, summed_schouten(L, p, tail)).scale(sign)
         return result
     swap_sign = (-1) ** (((dp - 1) * (dq - 1) + 1) % 2)
     return summed_schouten(L, q, p).scale(swap_sign)

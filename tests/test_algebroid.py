@@ -49,6 +49,7 @@ from support import (
     parse_polynomial,
     poisson_bracket,
     random_bracket,
+    wedge,
     zero_field,
 )
 
@@ -178,7 +179,7 @@ class TestTrustedResults:
             schouten(L, x, y),
         ]
         for p in forms:
-            results += [p + p, p - p.scale(2), p.scale(c), p.wedge(x), x.wedge(p), differential(L, p)]
+            results += [p + p, p - p.scale(2), p.scale(c), wedge(p, x), wedge(x, p), differential(L, p)]
             results += [schouten(L, p, q) for q in forms if p.degree + q.degree <= 3]
         for result in results:
             rebuilt = Multisection(result.rank, result.degree, dict(result.components))
@@ -347,8 +348,8 @@ class TestSchouten:
             p = random_multisection(rng, TM, 1, max_degree=1)
             q = random_multisection(rng, TM, 1, max_degree=1)
             r = random_multisection(rng, TM, 1, max_degree=1)
-            lhs = schouten(TM, p, q.wedge(r))
-            rhs = schouten(TM, p, q).wedge(r) + q.wedge(schouten(TM, p, r))
+            lhs = schouten(TM, p, wedge(q, r))
+            rhs = wedge(schouten(TM, p, q), r) + wedge(q, schouten(TM, p, r))
             assert lhs == rhs
 
 

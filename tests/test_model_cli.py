@@ -15,7 +15,8 @@ from doublealg.cli import main, run
 from doublealg.exact import Chart
 from doublealg.model import ModelError, _raw_blocks, parse_model
 from doublealg.parsing import MAX_DIGITS, ParseError, parse_combination, parse_vector_field
-from doublealg.report import Report, ResultEntry, emit_report
+from doublealg.report import Report, emit_report
+from doublealg.verdicts import CheckItem
 from support import CO_JACOBI_MODEL, constants, dense_structure, summed_atoms
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -178,7 +179,7 @@ class TestRun:
         model = parse_model(SOLVABLE)
         report = run("check", "manin", model, "sha256:x", 7, 2)
         assert report.ok
-        assert any(r.result_id == "manin.d.invariance" for r in report.results)
+        assert any(r.check_id == "manin.d.invariance" for r in report.results)
 
     def test_no_applicable_blocks_fails(self):
         report = run("check", "double", parse_model(""), "sha256:x", 7, 2)
@@ -188,7 +189,7 @@ class TestRun:
         model = parse_model(SOLVABLE)
         report = run("build", "drinfeld", model, "sha256:x", 7, 2)
         assert report.ok
-        entry = next(r for r in report.results if r.result_id == "drinfeld.d")
+        entry = next(r for r in report.results if r.check_id == "drinfeld.d")
         assert any("bracket(e1, e2) = e2" in line for line in entry.detail)
         assert any(line.startswith("pairing(") for line in entry.detail)
 
@@ -199,8 +200,8 @@ class TestEmitReport:
             command="check manin",
             input_digest="sha256:abc",
             results=(
-                ResultEntry("a.one", "pass"),
-                ResultEntry("a.two", "fail", "witness text", ("detail line",)),
+                CheckItem("a.one", True),
+                CheckItem("a.two", False, "witness text", ("detail line",)),
             ),
         )
 
@@ -479,6 +480,35 @@ class TestHostileNumbers:
         code, err = self.run_model(tmp_path, capsys, "check", "manin", text)
         assert code == 2
         assert err == "doublealg: parse error: line 2: dim must be between 0 and 64, got 99999999\n"
+
+    @pytest.mark.parametrize(
+        "value, char",
+        [("٣ * x * d/dx", "٣"), ("３/２ * d/dx", "３")],
+        ids=["arabic_indic", "fullwidth"],
+    )
+    def test_non_ascii_digit_in_a_value_is_a_parse_error(self, tmp_path, capsys, value, char):
+        """An Arabic-Indic or fullwidth digit is no number, though `int` reads it."""
+        text = (MODELS / "t2m_double.pass").read_text()
+        text = text.replace("anchor(b1) = d/dx", f"anchor(b1) = {value}")
+        code, err = self.run_model(tmp_path, capsys, "check", "double", text)
+        assert code == 2
+        assert err == f"doublealg: parse error: line 11: unexpected character {char!r} (at column 1)\n"
+
+    @pytest.mark.parametrize(
+        "verb, kind, text, line, label",
+        [
+            ("check", "manin", "[lie_algebra g]\ndim = {}\n", 2, "dim"),
+            ("dualize", "dvb", "[dvb D]\nbase = [x]\nranks = {{A: 1, B: {}, C: 1}}\n", 3, "ranks[B]"),
+        ],
+        ids=["dim", "ranks"],
+    )
+    @pytest.mark.parametrize("digit", ["٢", "２"], ids=["arabic_indic", "fullwidth"])
+    def test_non_ascii_digit_in_a_count_is_a_parse_error(
+        self, tmp_path, capsys, verb, kind, text, line, label, digit
+    ):
+        code, err = self.run_model(tmp_path, capsys, verb, kind, text.format(digit))
+        assert code == 2
+        assert err == f"doublealg: parse error: line {line}: {label} must be an integer, got {digit!r}\n"
 
     def test_repeated_basis_name_is_a_parse_error(self, tmp_path, capsys):
         text = "[lie_algebra g]\ndim = 2\nbasis = [a, a]\n"

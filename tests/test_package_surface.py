@@ -21,6 +21,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
@@ -393,3 +394,21 @@ def test_each_module_imports_on_its_own(module):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_version_is_stated_once():
+    """`pyproject.toml` reads the package version off `doublealg.__version__`,
+    the one every report prints, instead of repeating it; setuptools reads
+    that attribute without importing the package while it is a literal."""
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        config = tomllib.load(handle)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"] == {"version": {"attr": "doublealg.__version__"}}
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    (value,) = [
+        node.value
+        for node in init.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__version__"]
+    ]
+    assert isinstance(ast.literal_eval(value), str)

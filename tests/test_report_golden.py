@@ -25,7 +25,11 @@ halves sum to an integer and the solvable2 bialgebra with a halved
 cobracket.  `check bialgebroid` and `build cotangent-double` are pinned
 on two Poisson algebroids over (x, y) that fail every family
 (`support.POISSON_PAIR_MODEL`), whose double's `random` trial witness is
-written by the section calculus on four coordinates.
+written by the section calculus on four coordinates.  Witnesses of mixed
+total degree with exponents of 10 and more over (x, y, z) are pinned on a
+failing anchor morphism and on a failing bracket (`check bialgebroid` and
+`build cotangent-double`), and a bialgebroid at the total-degree bound of a
+model file on both verbs.
 """
 
 import contextlib
@@ -343,6 +347,58 @@ dual_of = TM
         "[cobracket d]\nalgebra = g\ndelta(e2) = 1/2 * e1 ^ e2\n"
     ),
     "poisson_pair": POISSON_PAIR_MODEL,
+    # fails the anchor morphism on (e1, e2) over (x, y, z): the witness
+    # prints terms of total degrees 3 to 25 with exponents 9 to 13
+    "anchor_high_powers": """\
+[chart M]
+coords = [x, y, z]
+
+[algebroid A]
+base = M
+frame = [e1, e2]
+anchor(e1) = x^12 * y * d/dz + z^10 * d/dx - 3 * y^2 * d/dy
+anchor(e2) = y^11 * z^2 * d/dx + x * z * d/dy + 2 * x^10 * d/dz
+""",
+    # TM against a zero-anchor bracket with high powers over (x, y, z):
+    # fails frames, scaled, function_pairs and random, whose trial witness
+    # prints many terms of mixed degree, over six coordinates in the double
+    "bracket_high_powers": """\
+[chart M]
+coords = [x, y, z]
+
+[algebroid TM]
+base = M
+frame = [v1, v2, v3]
+anchor(v1) = d/dx
+anchor(v2) = d/dy
+anchor(v3) = d/dz
+
+[algebroid Tstar]
+base = M
+frame = [w1, w2, w3]
+bracket(w1, w2) = x^10 * y * w3 - 2 * z^11 * w3 + y^2 * w3
+dual_of = TM
+""",
+    # TM against T*M_pi for pi = x^999 * y d/dx ^ d/dy: a bialgebroid whose
+    # anchor has monomials at the total-degree bound of a model file
+    "degree_bound": """\
+[chart M]
+coords = [x, y]
+
+[algebroid TM]
+base = M
+frame = [v1, v2]
+anchor(v1) = d/dx
+anchor(v2) = d/dy
+
+[algebroid Tstar]
+base = M
+frame = [w1, w2]
+anchor(w1) = x^999 * y * d/dy
+anchor(w2) = -x^999 * y * d/dx
+bracket(w1, w2) = 999 * x^998 * y * w1 + x^999 * w2
+dual_of = TM
+""",
 }
 
 # The solvable cases were recorded while the Manin items were still computed,
@@ -371,6 +427,11 @@ dual_of = TM
 # built through its validating constructor and `bracket_sections` went
 # through `anchor_of` and `VectorField.apply`, so they pin the `random`
 # trial witness over (x, y, xi_dx', xi_dy') across the trusted kernel.
+# The anchor_high_powers, bracket_high_powers and degree_bound cases were
+# recorded while each exponent was still a tuple, so they pin the printing
+# order of multi-term witnesses of mixed total degree with exponents of 10
+# and more, and a model at the total-degree bound, across the packed
+# exponent kernel.
 GENERATED_GOLDEN = """\
 solvable0 check manin text 0 d9710fdd6412ab50582673a0dc0d88a1b63cfac6c2a4ed53350e1f86460eb537
 solvable0 check manin json 0 c150c79f6e337038810f05dcd67b5e6542ab3eb1232098961cd8879cd6151769
@@ -442,6 +503,16 @@ poisson_pair check bialgebroid text 1 7fe1699129ec8b25ac0cbfc4163a7f86a360740a00
 poisson_pair check bialgebroid json 1 287f51931a8633011974fd6de13e5a380894c2a7418a8982cf6e81da16c7b21d
 poisson_pair build cotangent-double text 1 82aa17cce09821f1a14d4101182bb45ca86e26d23605e25710d5715cba88c3df
 poisson_pair build cotangent-double json 1 84227b2d3403e33efb2064763f5087477916803afc2887cc29a93591bf6c6c5a
+anchor_high_powers check algebroid text 1 30a700e5c3fadec58c8dc978897442462a569e98d4fc2127adf19b55c01eaf02
+anchor_high_powers check algebroid json 1 67df3c6ecf265a59a49f190c268255ee55f61804a1bf12e40001495c4de7039a
+bracket_high_powers check bialgebroid text 1 ebaea09af46b20b654962c5119bd738d542d66ecc98660fdcca0ad7849f16133
+bracket_high_powers check bialgebroid json 1 3634595880fd69dc84124c1e94f074d1fe6aefd415fe3c3fe56ae2b4d7193c48
+bracket_high_powers build cotangent-double text 1 82fca341b972033938077bddaa7613e52bad2918bbd8604085dcfbfd9cc9ff90
+bracket_high_powers build cotangent-double json 1 a58729d44ed129aadb3f5c4ebdf90612722463e88797fc6062c3fe68a8fd771a
+degree_bound check bialgebroid text 0 60813b6412e2cdcb767e7a005b071316bbe43321d396b9b469a4447be711ab21
+degree_bound check bialgebroid json 0 a72f15108570fdfcc24ab6866abf47d57aba6a14cdf64da1ed7b6948ebe2c463
+degree_bound build cotangent-double text 0 b51a8c6e3e94b7f94acc42c619d0bfb5b7d8b406b6f36fcbd783dce0fb5b7128
+degree_bound build cotangent-double json 0 746178c7413537b2ba3d2544338b4cdccab720c1b08fff7214fa40453b7905cd
 """
 
 

@@ -18,10 +18,9 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from operator import add
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .exact import Chart, ChartMismatch, Coefficient, Exponent, Polynomial, rat
+from .exact import _MASK, Chart, ChartMismatch, Coefficient, DegreeOverflow, Polynomial, rat
 from .verdicts import CheckItem, CheckReport, failed, passed
 
 Index = Tuple[int, ...]
@@ -73,21 +72,24 @@ class VectorField:
             raise ChartMismatch(f"charts differ: {chart} vs {f.chart}")
         if not f.coeffs:
             return chart._zero
-        acc: Dict[Exponent, Coefficient] = {}
+        acc: Dict[int, Coefficient] = {}
         get = acc.get
+        limit = chart._limit
         terms = f.coeffs.items()
-        for i, comp in enumerate(self.components):
+        for comp, shift, unit in zip(self.components, chart._shifts, chart._units):
             if not comp.coeffs:
                 continue
             right = comp.coeffs.items()
             for e1, c1 in terms:
-                power = e1[i]
+                power = e1 >> shift & _MASK
                 if not power:
                     continue
-                lowered = e1[:i] + (power - 1,) + e1[i + 1 :]
+                lowered = e1 - unit
                 scaled = c1 * power
                 for e2, c2 in right:
-                    exp = tuple(map(add, lowered, e2))
+                    exp = lowered + e2
+                    if exp >= limit:
+                        raise DegreeOverflow
                     acc[exp] = get(exp, 0) + scaled * c2
         if not acc:
             return chart._zero
@@ -362,7 +364,7 @@ class LieAlgebroid:
         comps = tuple(Polynomial._from_terms(chart, acc) for acc in self._anchor_sums(x))
         return VectorField._from_components(chart, comps)
 
-    def _anchor_sums(self, x: Multisection) -> List[Dict[Exponent, Coefficient]]:
+    def _anchor_sums(self, x: Multisection) -> List[Dict[int, Coefficient]]:
         """The terms of a(x)^i = sum_alpha x^alpha a^i_alpha per coordinate
         i, over the nonzero coefficients and anchor entries; a coefficient
         may be zero where terms cancel.  Computed once per section and
@@ -371,14 +373,17 @@ class LieAlgebroid:
         cached = getattr(x, "_anchor_sums", None)
         if cached is not None and cached[0] is self:
             return cached[1]
-        accs: List[Dict[Exponent, Coefficient]] = [{} for _ in range(self.chart.dim)]
+        accs: List[Dict[int, Coefficient]] = [{} for _ in range(self.chart.dim)]
+        limit = self.chart._limit
         for (alpha,), coeff in x.components:
             left = coeff.coeffs.items()
             for acc, entry in zip(accs, self.anchor[alpha]):
                 get = acc.get
                 for e2, c2 in entry.coeffs.items():
                     for e1, c1 in left:
-                        exp = tuple(map(add, e1, e2))
+                        exp = e1 + e2
+                        if exp >= limit:
+                            raise DegreeOverflow
                         acc[exp] = get(exp, 0) + c1 * c2
         object.__setattr__(x, "_anchor_sums", (self, accs))
         return accs
@@ -453,18 +458,21 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
             _raise_chart_mismatch(L, x, y)
     if not x.components or not y.components:
         return Multisection._from_components(L.rank, 1, {})
-    accs: Dict[int, Dict[Exponent, Coefficient]] = {}
+    accs: Dict[int, Dict[int, Coefficient]] = {}
+    limit = chart._limit
     for (a,), fa in x.components:
         row = L.nonzero_structure[a]
         for (b,), gb in y.components:
             if not row[b]:
                 continue
-            product: Dict[Exponent, Coefficient] = {}
+            product: Dict[int, Coefficient] = {}
             get = product.get
             right = gb.coeffs.items()
             for e1, c1 in fa.coeffs.items():
                 for e2, c2 in right:
-                    exp = tuple(map(add, e1, e2))
+                    exp = e1 + e2
+                    if exp >= limit:
+                        raise DegreeOverflow
                     product[exp] = get(exp, 0) + c1 * c2
             for k, c in row[b]:
                 acc = accs.setdefault(k, {})
@@ -472,21 +480,30 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
                 right = c.coeffs.items()
                 for e1, c1 in product.items():
                     for e2, c2 in right:
-                        exp = tuple(map(add, e1, e2))
+                        exp = e1 + e2
+                        if exp >= limit:
+                            raise DegreeOverflow
                         acc[exp] = get(exp, 0) + c1 * c2
     for field_of, along, sign in ((x, y, 1), (y, x, -1)):
-        field = [sums.items() if sums else None for sums in L._anchor_sums(field_of)]
+        field = [
+            (sums.items(), shift, unit)
+            for sums, shift, unit in zip(L._anchor_sums(field_of), chart._shifts, chart._units)
+            if sums
+        ]
         for (k,), g in along.components:
             acc = accs.setdefault(k, {})
             get = acc.get
             for e1, c1 in g.coeffs.items():
-                for i, power in enumerate(e1):
-                    if not power or field[i] is None:
+                for sums, shift, unit in field:
+                    power = e1 >> shift & _MASK
+                    if not power:
                         continue
-                    lowered = e1[:i] + (power - 1,) + e1[i + 1 :]
+                    lowered = e1 - unit
                     scaled = sign * c1 * power
-                    for e2, c2 in field[i]:
-                        exp = tuple(map(add, lowered, e2))
+                    for e2, c2 in sums:
+                        exp = lowered + e2
+                        if exp >= limit:
+                            raise DegreeOverflow
                         acc[exp] = get(exp, 0) + scaled * c2
     return Multisection._from_components(
         L.rank, 1, {(k,): Polynomial._from_terms(chart, acc) for k, acc in accs.items()}

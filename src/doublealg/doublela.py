@@ -35,7 +35,7 @@ from .algebroid import (
     fibre_coordinate,
     require_valid,
 )
-from .exact import Chart, Polynomial
+from .exact import EXPONENT_BITS, Chart, Polynomial
 from .lavb import LAVBundle, check_lavb, unique_names
 from .matched import (
     MatchedPair,
@@ -189,14 +189,21 @@ def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
     rows that `_generator_algebroid` writes are linear in the fibre
     coordinates and its base rows do not depend on them, so every
     {xi_gamma, x^i} is free of the xi and every term of {xi_g1, xi_g2} has
-    fibre degree exactly 1, on every candidate double."""
-    matrix = dla.core_poisson.matrix
+    fibre degree exactly 1, on every candidate double.  The chart of the
+    matrix adjoins the fibre coordinates after the base ones, so a packed
+    exponent free of the xi is its base exponent shifted left past the
+    fibre fields, and one of fibre degree 1 holds a single bit below them,
+    in the field of that fibre coordinate."""
+    poisson = dla.core_poisson
+    matrix = poisson.matrix
     base = dla.chart
     n = base.dim
     rc = len(dla.core_frames)
+    fibre_bits = EXPONENT_BITS * (poisson.chart.dim - n)
+    base_unit = 1 << EXPONENT_BITS * n
     anchor = [
         tuple(
-            Polynomial._from_terms(base, {exp[:n]: c for exp, c in matrix[n + gamma][i].coeffs.items()})
+            Polynomial._from_terms(base, {exp >> fibre_bits: c for exp, c in matrix[n + gamma][i].coeffs.items()})
             for i in range(n)
         )
         for gamma in range(rc)
@@ -208,7 +215,8 @@ def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
             continue
         accs: List[Dict] = [{} for _ in range(rc)]
         for exp, c in entry.coeffs.items():
-            accs[exp.index(1, n) - n][exp[:n]] = c
+            fibre = (exp & (1 << fibre_bits) - 1).bit_length() - 1
+            accs[rc - 1 - fibre // EXPONENT_BITS][(exp >> fibre_bits) - base_unit] = c
         brackets[(g1, g2)] = tuple(Polynomial._from_terms(base, acc) for acc in accs)
     return LieAlgebroid(base, dla.core_frames, anchor, brackets)
 

@@ -9,28 +9,40 @@ leave `int` arithmetic.
 A polynomial lives on a `Chart` (an ordered tuple of coordinate names, possibly
 empty for a point base) and is stored sparsely as one map
 
-    coeffs: Dict[Tuple[int, ...], Coefficient]
+    coeffs: Dict[int, Coefficient]
 
-from an exponent tuple (one entry per chart coordinate) to a nonzero
-coefficient (an `int`, or a `Fraction` whose denominator exceeds 1).  The
-zero polynomial has the empty map.  No kernel operation sorts: the map
+from a packed exponent to a nonzero coefficient (an `int`, or a `Fraction`
+whose denominator exceeds 1).  A packed exponent is one int holding the
+fields [total degree | e_1 | ... | e_n] of `EXPONENT_BITS` bits each, e_1
+the most significant coordinate (Monagan & Pearce, CASC 2007; the packed
+monomials of FLINT's `fmpz_mpoly`).  Multiplying two monomials adds their
+ints, a partial derivative by x_i subtracts the chart's unit of x_i (one
+in field i and in the degree field), and lifting to a `Chart.extend` of the
+chart is a left shift.  No field exceeds the total degree, so one
+comparison of a result against `Chart._limit` (total degree 2^W) guards
+every field: each operation that raises a degree makes it and raises
+`DegreeOverflow`.  The parser bounds a model's degrees far below that
+limit (`parsing.MAX_TOTAL_DEGREE`).
+
+The zero polynomial has the empty map.  No kernel operation sorts: the map
 keeps the order in which its result was computed, and `==` and `hash` do
-not read that order.  `terms`, the same pairs in printing order, descending
-(total degree, exponent tuple), is derived once, on first read, by
-`_ordered`; the printers read it, and the text grammar round-trips
+not read that order.  Descending int order of packed exponents is printing
+order, descending (total degree, exponent tuple); `terms`, the pairs with
+exponents unpacked to tuples in that order, is derived once, on first read,
+by `_ordered`; the printers read it, and the text grammar round-trips
 bit-exactly with the parser in `parsing`.
 
-`Polynomial(chart, terms)` validates its input; the kernel's own results
-are built by `Polynomial._from_terms`, which trusts them and only drops
-zero coefficients and turns an integral `Fraction` into its numerator, or,
-where an operation builds a map already in canonical form (negation,
-nonzero scaling, lifting), by `Polynomial._from_canonical`, which keeps
-that map as the store.
+`Polynomial(chart, terms)` validates its input, keyed by exponent tuples;
+the kernel's own results are built by `Polynomial._from_terms`, which
+trusts them and only drops zero coefficients and turns an integral
+`Fraction` into its numerator, or, where an operation builds a map already
+in canonical form (negation, nonzero scaling, lifting), by
+`Polynomial._from_canonical`, which keeps that map as the store.
 Each chart holds one shared zero polynomial, which every zero result of
-`_from_terms` is, and one name -> position map, and the ring operations
-return an operand unchanged where the result equals it (adding or
-subtracting zero, multiplying by zero or by the constant 1, negating
-zero).
+`_from_terms` is, one name -> position map and its packing layout, and the
+ring operations return an operand unchanged where the result equals it
+(adding or subtracting zero, multiplying by zero or by the constant 1,
+negating zero).
 """
 
 from __future__ import annotations
@@ -39,11 +51,15 @@ import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Coefficient = int | Fraction
+
+# Bits of each field of a packed exponent; a monomial's total degree stays
+# below 2^EXPONENT_BITS.
+EXPONENT_BITS = 16
+_MASK = (1 << EXPONENT_BITS) - 1
 
 
 class ChartMismatch(ValueError):
@@ -52,6 +68,16 @@ class ChartMismatch(ValueError):
 
 class UnknownCoordinate(KeyError):
     """Raised when a coordinate name is not part of a chart."""
+
+
+class DegreeOverflow(ValueError):
+    """Raised when a monomial's total degree reaches 2^EXPONENT_BITS, where
+    the fields of a packed exponent would carry into each other."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            f"a monomial reached total degree 2^{EXPONENT_BITS}, the limit of the exponent kernel"
+        )
 
 
 def rat(value) -> Coefficient:
@@ -112,6 +138,36 @@ class Chart:
         return {name: i for i, name in enumerate(self.names)}
 
     @functools.cached_property
+    def _shifts(self) -> Tuple[int, ...]:
+        """The bit offset of each coordinate's field in a packed exponent;
+        the total degree sits above them all, at `EXPONENT_BITS * dim`."""
+        n = self.dim
+        return tuple(EXPONENT_BITS * (n - 1 - i) for i in range(n))
+
+    @functools.cached_property
+    def _units(self) -> Tuple[int, ...]:
+        """The packed exponent of each coordinate x_i: one in field i and in
+        the degree field."""
+        degree = 1 << EXPONENT_BITS * self.dim
+        return tuple((1 << shift) + degree for shift in self._shifts)
+
+    @functools.cached_property
+    def _limit(self) -> int:
+        """The least packed exponent of total degree 2^EXPONENT_BITS."""
+        return 1 << EXPONENT_BITS * (self.dim + 1)
+
+    def _pack(self, exp: Exponent) -> int:
+        """The packed form of an exponent tuple of total degree below
+        2^EXPONENT_BITS."""
+        packed = sum(exp)
+        for power in exp:
+            packed = packed << EXPONENT_BITS | power
+        return packed
+
+    def _unpack(self, packed: int) -> Exponent:
+        return tuple([packed >> shift & _MASK for shift in self._shifts])
+
+    @functools.cached_property
     def _zero(self) -> "Polynomial":
         """The zero polynomial of `Polynomial.zero`, built once per chart.
 
@@ -130,12 +186,13 @@ class Polynomial:
     Immutable; all operations return new values.  Two polynomials are equal
     iff their charts and coefficient maps are equal: canonical form stores
     no zero coefficient, and each coefficient is an `int` when integral and
-    a `Fraction` with denominator greater than 1 otherwise.  `coeffs` is
-    shared with no other polynomial and never mutated.
+    a `Fraction` with denominator greater than 1 otherwise.  `coeffs`, keyed
+    by packed exponents, is shared with no other polynomial and never
+    mutated.
     """
 
     chart: Chart
-    coeffs: Dict[Exponent, Coefficient]
+    coeffs: Dict[int, Coefficient]
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, Coefficient] | None = None):
         object.__setattr__(self, "chart", chart)
@@ -150,16 +207,18 @@ class Polynomial:
                     raise ValueError(f"non-integer exponent in {exp}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
+                if sum(exp) > _MASK:
+                    raise DegreeOverflow
                 if coeff != 0:
-                    cleaned[tuple(exp)] = coeff
+                    cleaned[chart._pack(exp)] = coeff
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
-    def _from_terms(cls, chart: Chart, acc: Mapping[Exponent, Coefficient]) -> "Polynomial":
+    def _from_terms(cls, chart: Chart, acc: Mapping[int, Coefficient]) -> "Polynomial":
         """Trusted constructor for results of the operations below.
 
-        `acc` must map exponent tuples of the chart's length with no
-        negative entry to `int`s and `Fraction`s; zero coefficients are
+        `acc` must map packed exponents of the chart below `chart._limit`
+        to `int`s and `Fraction`s; zero coefficients are
         dropped and a `Fraction` with denominator 1, as in 1/2 + 1/2, is
         replaced by its numerator.  `acc` itself is not kept, and a zero
         result is the chart's shared zero.  Input from outside the kernel
@@ -173,7 +232,7 @@ class Polynomial:
         return cls._from_canonical(chart, coeffs) if coeffs else chart._zero
 
     @classmethod
-    def _from_canonical(cls, chart: Chart, coeffs: Dict[Exponent, Coefficient]) -> "Polynomial":
+    def _from_canonical(cls, chart: Chart, coeffs: Dict[int, Coefficient]) -> "Polynomial":
         """Trusted constructor that keeps `coeffs` as the store: a fresh map
         already in canonical form, as `-p` and `p.lift(chart)` build from
         that of `p`."""
@@ -191,7 +250,7 @@ class Polynomial:
         (total degree, exponent tuple), derived on first read.  Like
         `Chart._zero`, a cached property stays out of `==`, `hash` and
         `repr`."""
-        return _ordered(self.coeffs)
+        return _ordered(self.chart, self.coeffs)
 
     # --- constructors -------------------------------------------------
 
@@ -204,13 +263,11 @@ class Polynomial:
         c = rat(value)
         if c == 0:
             return Polynomial.zero(chart)
-        return Polynomial._from_canonical(chart, {(0,) * chart.dim: c})
+        return Polynomial._from_canonical(chart, {0: c})
 
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "Polynomial":
-        i = chart.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return Polynomial._from_canonical(chart, {exp: 1})
+        return Polynomial._from_canonical(chart, {chart._units[chart.index(name)]: 1})
 
     # --- ring structure -----------------------------------------------
 
@@ -252,12 +309,15 @@ class Polynomial:
             return self
         if not other.coeffs or _is_one(self.coeffs):
             return other
-        acc: Dict[Exponent, Coefficient] = {}
+        acc: Dict[int, Coefficient] = {}
         get = acc.get
+        limit = self.chart._limit
         right = other.coeffs.items()
         for e1, c1 in self.coeffs.items():
             for e2, c2 in right:
-                exp = tuple(map(add, e1, e2))
+                exp = e1 + e2
+                if exp >= limit:
+                    raise DegreeOverflow
                 acc[exp] = get(exp, 0) + c1 * c2
         return Polynomial._from_terms(self.chart, acc)
 
@@ -265,7 +325,7 @@ class Polynomial:
         c = rat(value)
         if not c or not self.coeffs:
             return self.chart._zero
-        coeffs: Dict[Exponent, Coefficient] = {}
+        coeffs: Dict[int, Coefficient] = {}
         for e, k in self.coeffs.items():
             v = c * k
             coeffs[e] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
@@ -282,27 +342,34 @@ class Polynomial:
 
     def partial(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to a chart coordinate."""
-        i = self.chart.index(name)
-        acc: Dict[Exponent, Coefficient] = {}
+        chart = self.chart
+        i = chart.index(name)
+        shift, unit = chart._shifts[i], chart._units[i]
+        acc: Dict[int, Coefficient] = {}
         for exp, coeff in self.coeffs.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            acc[tuple(new)] = coeff * exp[i]
-        return Polynomial._from_terms(self.chart, acc)
+            power = exp >> shift & _MASK
+            if power:
+                acc[exp - unit] = coeff * power
+        return Polynomial._from_terms(chart, acc)
 
     def lift(self, target: Chart) -> "Polynomial":
-        """Reinterpret on a chart containing this chart's coordinates."""
+        """Reinterpret on a chart containing this chart's coordinates; onto
+        a `Chart.extend` of this chart, each exponent is shifted left past
+        the new coordinates' fields."""
         if not self.coeffs:
             return target._zero
-        index = [target.index(name) for name in self.chart.names]
-        coeffs: Dict[Exponent, Coefficient] = {}
+        names = self.chart.names
+        if target.names[: len(names)] == names:
+            shift = EXPONENT_BITS * (target.dim - len(names))
+            return Polynomial._from_canonical(target, {e << shift: c for e, c in self.coeffs.items()})
+        index = [target.index(name) for name in names]
+        unpack = self.chart._unpack
+        coeffs: Dict[int, Coefficient] = {}
         for exp, coeff in self.coeffs.items():
             new = [0] * target.dim
-            for j, power in zip(index, exp):
+            for j, power in zip(index, unpack(exp)):
                 new[j] = power
-            coeffs[tuple(new)] = coeff
+            coeffs[target._pack(new)] = coeff
         return Polynomial._from_canonical(target, coeffs)
 
     # --- printing -------------------------------------------------------
@@ -314,23 +381,18 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _is_one(coeffs: Dict[Exponent, Coefficient]) -> bool:
-    """Whether `coeffs` are those of the constant polynomial 1."""
-    if len(coeffs) != 1:
-        return False
-    ((exp, coeff),) = coeffs.items()
-    return coeff == 1 and not any(exp)
+def _is_one(coeffs: Dict[int, Coefficient]) -> bool:
+    """Whether `coeffs` are those of the constant polynomial 1, whose one
+    exponent packs to 0."""
+    return len(coeffs) == 1 and coeffs.get(0) == 1
 
 
-def _term_key(item: Tuple[Exponent, Coefficient]):
-    exp, _ = item
-    return (sum(exp), exp)
-
-
-def _ordered(coeffs: Dict[Exponent, Coefficient]) -> Tuple[Tuple[Exponent, Coefficient], ...]:
-    """The items of `coeffs` in printing order: descending (total degree,
-    exponent tuple).  The one place the kernel orders terms."""
-    return tuple(sorted(coeffs.items(), key=_term_key, reverse=True))
+def _ordered(chart: Chart, coeffs: Dict[int, Coefficient]) -> Tuple[Tuple[Exponent, Coefficient], ...]:
+    """The items of `coeffs` in printing order, descending (total degree,
+    exponent tuple), which is descending packed order, with each exponent
+    unpacked.  The one place the kernel orders terms."""
+    unpack = chart._unpack
+    return tuple((unpack(exp), coeffs[exp]) for exp in sorted(coeffs, reverse=True))
 
 
 def monomial_atoms(chart: Chart, exp: Exponent) -> List[str]:

@@ -111,8 +111,9 @@ def cobracket_dual(g: LieAlgebroid, images: Mapping[int, Wedge]) -> LieAlgebroid
 
 
 def _value(p: Polynomial) -> Coefficient:
-    """The value of a polynomial on the point chart."""
-    return p.coeffs.get((), 0)
+    """The value of a polynomial on the point chart, whose one exponent
+    packs to 0."""
+    return p.coeffs.get(0, 0)
 
 
 def _require_jacobi(side: LieAlgebroid, label: str) -> None:

@@ -19,22 +19,28 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .exact import Chart, Coefficient, Exponent, Polynomial
+from .exact import Chart, Coefficient, Polynomial
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^/(),;:=\[\]{}]))"
 )
 
 
-# Most decimal digits of a numerator, denominator or exponent in a parsed
-# value.  A report prints values of degree at most 2 in a model's
-# coefficients, times at most three exponents brought down by partial
-# derivatives, so an integral one stays far below Python's 4300-digit
-# limit on int -> str conversion.
+# Most decimal digits of a numerator or denominator in a parsed value.  A
+# report prints values of degree at most 2 in a model's coefficients, times
+# at most three exponents brought down by partial derivatives, so an
+# integral one stays far below Python's 4300-digit limit on int -> str
+# conversion.
 MAX_DIGITS = 500
 _LIMIT = 10**MAX_DIGITS
-# raised as a ValueError, not a ParseError: the model names the block
+# Largest total degree of a monomial in a parsed value.  A check multiplies
+# a few of a model's values and random sections of degree at most 1000
+# (DOUBLEALG_MAX_DEGREE), so every degree it reaches stays far below the
+# 2^EXPONENT_BITS = 65536 of the exponent kernel.
+MAX_TOTAL_DEGREE = 1000
+# raised as ValueErrors, not ParseErrors: the model names the block
 _TOO_LARGE = f"a number has more than {MAX_DIGITS} digits"
+_TOO_HIGH = f"a monomial has total degree above {MAX_TOTAL_DEGREE}"
 
 
 def _integer(literal: str) -> int:
@@ -43,11 +49,11 @@ def _integer(literal: str) -> int:
     return int(literal)
 
 
-def _require_bounded(terms: Iterable[Tuple[Exponent, Coefficient]]) -> None:
-    """Raise unless each numerator, denominator and exponent of `terms` has
-    at most MAX_DIGITS digits; products and sums of literals can exceed it."""
-    for exp, coeff in terms:
-        if max(abs(coeff.numerator), coeff.denominator, *exp) >= _LIMIT:
+def _require_bounded(values: Iterable[Coefficient]) -> None:
+    """Raise unless each numerator and denominator of `values` has at most
+    MAX_DIGITS digits; products and sums of literals can exceed it."""
+    for value in values:
+        if max(abs(value.numerator), value.denominator) >= _LIMIT:
             raise ValueError(_TOO_LARGE)
 
 
@@ -142,6 +148,9 @@ def _parse_terms(
     while True:
         term = _Term()
         term.coeff = Polynomial.constant(chart, sign)
+        # the total degree of the term's monomial, refused as soon as a
+        # factor takes it past the bound, before the kernel packs it
+        degree = 0
         while True:
             tok = tokens.peek()
             if tok is None:
@@ -174,10 +183,14 @@ def _parse_terms(
                         after = tokens.peek(1)
                         if after is not None and after[0] == "int":
                             tokens.next()
-                            _, power, _ = tokens.next()
+                            _, literal, _ = tokens.next()
                             if value not in coord_set:
                                 raise ParseError(f"unknown coordinate {value!r}", pos)
-                            exp = tuple(_integer(power) if name == value else 0 for name in chart.names)
+                            power = _integer(literal)
+                            degree += power
+                            if degree > MAX_TOTAL_DEGREE:
+                                raise ValueError(_TOO_HIGH)
+                            exp = tuple(power if name == value else 0 for name in chart.names)
                             term.coeff = term.coeff * Polynomial(chart, {exp: 1})
                             # fallthrough to separator handling
                             if not tokens.accept_sym("*"):
@@ -196,6 +209,9 @@ def _parse_terms(
                             continue
                         raise ParseError("expected exponent or wedge partner after ^", pos)
                     if value in coord_set:
+                        degree += 1
+                        if degree > MAX_TOTAL_DEGREE:
+                            raise ValueError(_TOO_HIGH)
                         term.coeff = term.coeff * Polynomial.coordinate(chart, value)
                     elif value in frame_set:
                         if term.frame is not None or term.pair is not None:
@@ -225,15 +241,15 @@ def parse_combination(text: str, chart: Chart, frames: Tuple[str, ...]) -> Dict[
     tokens = Tokens(text)
     terms = _parse_terms(tokens, chart, frames, allow_wedge=False, allow_vector_field=False)
     tokens.expect_done()
-    accs: Dict[str, Dict[Exponent, Coefficient]] = {name: {} for name in frames}
+    accs: Dict[str, Dict[int, Coefficient]] = {name: {} for name in frames}
     for term in terms:
         if term.frame is None:
             if term.coeff.is_zero:
                 continue
             raise ParseError("term without a frame in a frame combination")
         _collect(accs[term.frame], term.coeff)
-    out = {name: Polynomial(chart, acc) for name, acc in accs.items()}
-    _require_bounded(t for poly in out.values() for t in poly.coeffs.items())
+    out = {name: Polynomial._from_terms(chart, acc) for name, acc in accs.items()}
+    _require_bounded(c for poly in out.values() for c in poly.coeffs.values())
     return out
 
 
@@ -242,19 +258,19 @@ def parse_vector_field(text: str, chart: Chart) -> List[Polynomial]:
     tokens = Tokens(text)
     terms = _parse_terms(tokens, chart, (), allow_wedge=False, allow_vector_field=True)
     tokens.expect_done()
-    accs: List[Dict[Exponent, Coefficient]] = [{} for _ in chart.names]
+    accs: List[Dict[int, Coefficient]] = [{} for _ in chart.names]
     for term in terms:
         if term.frame is None:
             if term.coeff.is_zero:
                 continue
             raise ParseError("term without a direction in a vector field")
         _collect(accs[chart.index(term.frame)], term.coeff)
-    comps = [Polynomial(chart, acc) for acc in accs]
-    _require_bounded(t for poly in comps for t in poly.coeffs.items())
+    comps = [Polynomial._from_terms(chart, acc) for acc in accs]
+    _require_bounded(c for poly in comps for c in poly.coeffs.values())
     return comps
 
 
-def _collect(acc: Dict[Exponent, Coefficient], poly: Polynomial) -> None:
+def _collect(acc: Dict[int, Coefficient], poly: Polynomial) -> None:
     """Add the terms of `poly` to the coefficients `acc` of one atom, whose
     polynomial is then built once."""
     for exp, coeff in poly.coeffs.items():
@@ -272,7 +288,7 @@ def parse_wedge_combination(
     out: Dict[Tuple[int, int], Coefficient] = {}
     index = {name: i for i, name in enumerate(frames)}
     for term in terms:
-        coeff = term.coeff.coeffs.get((), 0)
+        coeff = term.coeff.coeffs.get(0, 0)
         if term.pair is None:
             if coeff == 0:
                 continue
@@ -286,5 +302,5 @@ def parse_wedge_combination(
             out[(i, j)] = out.get((i, j), 0) + coeff
         else:
             out[(j, i)] = out.get((j, i), 0) - coeff
-    _require_bounded(((), value) for value in out.values())
+    _require_bounded(out.values())
     return {key: value for key, value in out.items() if value != 0}

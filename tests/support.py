@@ -23,8 +23,10 @@ the Schouten recursion that sums one wedge at a time
 (`summed_schouten`, `summed_compatibility_defect`) and the wedge product
 of multisections it needs (`wedge`),
 and the constructions only the tests use (scalar polynomials in the model
-grammar, the tangent prolongation), and the `Fraction`-only reference
-polynomial the exact kernel is compared with."""
+grammar, the tangent prolongation), the `Fraction`-only reference
+polynomial the exact kernel is compared with, and the kernel that keyed
+each term by its exponent tuple before exponents were packed
+(`TuplePolynomial`, `tuple_apply`)."""
 
 import functools
 import itertools
@@ -65,7 +67,7 @@ from doublealg.doublela import (
     build_cotangent_double,
     check_double,
 )
-from doublealg.exact import Chart, Coefficient, Exponent, Polynomial, rat
+from doublealg.exact import Chart, Coefficient, Exponent, Polynomial, monomial_atoms, rat, signed_sum
 from doublealg.formatting import format_combination
 from doublealg.liealg import (
     Bialgebra,
@@ -245,6 +247,89 @@ class FractionPolynomial:
             else:
                 out.append(body if c > 0 else f"-{body}")
         return "".join(out) or "0"
+
+
+def _canonical(c):
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+@dataclass(frozen=True)
+class TuplePolynomial:
+    """The exact kernel as it was before exponents were packed: one map from
+    exponent tuple to nonzero `int` or proper `Fraction` coefficient, each
+    operation written out term by term.  The packed kernel is compared with
+    it operation by operation."""
+
+    chart: Chart
+    coeffs: Dict[tuple, object]
+
+    @classmethod
+    def of(cls, chart: Chart, terms) -> "TuplePolynomial":
+        return cls._store(chart, {tuple(e): rat(c) for e, c in terms.items()})
+
+    @classmethod
+    def _store(cls, chart: Chart, acc) -> "TuplePolynomial":
+        return cls(chart, {e: _canonical(c) for e, c in acc.items() if c})
+
+    def __hash__(self) -> int:
+        return hash((self.chart, frozenset(self.coeffs.items())))
+
+    @property
+    def terms(self):
+        return tuple(sorted(self.coeffs.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True))
+
+    def __add__(self, other):
+        acc = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            acc[e] = acc.get(e, 0) + c
+        return TuplePolynomial._store(self.chart, acc)
+
+    def __neg__(self):
+        return TuplePolynomial(self.chart, {e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        acc: Dict[tuple, object] = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return TuplePolynomial._store(self.chart, acc)
+
+    def scale(self, value):
+        c = rat(value)
+        return TuplePolynomial._store(self.chart, {e: c * k for e, k in self.coeffs.items()})
+
+    def partial(self, name: str):
+        i = self.chart.index(name)
+        acc = {}
+        for e, c in self.coeffs.items():
+            if e[i]:
+                acc[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+        return TuplePolynomial._store(self.chart, acc)
+
+    def lift(self, target: Chart):
+        index = [target.index(name) for name in self.chart.names]
+        acc = {}
+        for e, c in self.coeffs.items():
+            new = [0] * target.dim
+            for j, power in zip(index, e):
+                new[j] = power
+            acc[tuple(new)] = c
+        return TuplePolynomial(target, acc)
+
+    def __str__(self) -> str:
+        return signed_sum((c, monomial_atoms(self.chart, e)) for e, c in self.terms)
+
+
+def tuple_apply(components: Sequence[TuplePolynomial], f: TuplePolynomial) -> TuplePolynomial:
+    """X(f) = sum_i X^i df/dx^i in the tuple kernel."""
+    total = TuplePolynomial(f.chart, {})
+    for name, comp in zip(f.chart.names, components):
+        total = total + comp * f.partial(name)
+    return total
 
 
 def poisson_bracket(P: PoissonChart, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -630,7 +715,7 @@ def summed_atoms(text: str, chart: Chart, frames: Sequence[str] = ()) -> List[Po
             kind = "frame in a frame combination" if frames else "direction in a vector field"
             raise ParseError(f"term without a {kind}")
         out[atoms.index(term.frame)] = out[atoms.index(term.frame)] + term.coeff
-    _require_bounded(t for poly in out for t in poly.terms)
+    _require_bounded(c for poly in out for _, c in poly.terms)
     return out
 
 
@@ -849,7 +934,7 @@ def restrict(p: Polynomial, target: Chart) -> Polynomial:
                 raise ValueError(f"coordinate {name!r} survives restriction")
             new[j] = power
         acc[tuple(new)] = coeff
-    return Polynomial._from_terms(target, acc)
+    return Polynomial(target, acc)
 
 
 def coefficient_of(p: Polynomial, name: str) -> Polynomial:
@@ -867,7 +952,7 @@ def coefficient_of(p: Polynomial, name: str) -> Polynomial:
         new = list(exp)
         new[i] = 0
         acc[tuple(new)] = coeff
-    return Polynomial._from_terms(p.chart, acc)
+    return Polynomial(p.chart, acc)
 
 
 def dense_core_algebroid(dla) -> LieAlgebroid:

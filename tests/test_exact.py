@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from doublealg import exact
 from doublealg.doublela import build_cotangent_double, check_double
+from doublealg.algebroid import VectorField
 from doublealg.exact import (
+    EXPONENT_BITS,
     Chart,
     ChartMismatch,
+    DegreeOverflow,
     Polynomial,
     UnknownCoordinate,
     format_rat,
@@ -19,8 +22,8 @@ from doublealg.exact import (
     rat,
     signed_sum,
 )
-from doublealg.parsing import ParseError
-from support import SO3, FractionPolynomial, ladder_pair, parse_polynomial, rename
+from doublealg.parsing import MAX_TOTAL_DEGREE, ParseError
+from support import SO3, FractionPolynomial, TuplePolynomial, ladder_pair, parse_polynomial, rename, tuple_apply
 from test_double_derived import count_calls
 
 XY = Chart(["x", "y"])
@@ -152,16 +155,17 @@ class TestChartAndValues:
 
 
 def assert_canonical(r: Polynomial) -> None:
-    """`r` stores what the validating constructor makes of its own map, and
-    `terms` reads that map in printing order."""
-    rebuilt = Polynomial(r.chart, r.coeffs)
+    """`r` stores what the validating constructor makes of its terms, keyed
+    by packed exponents, and `terms` reads that map in printing order."""
+    rebuilt = Polynomial(r.chart, dict(r.terms))
     assert rebuilt.chart == r.chart
     assert rebuilt.coeffs == r.coeffs
-    for exp, coeff in r.coeffs.items():
+    assert all(type(e) is int for e in r.coeffs)
+    for exp, coeff in r.terms:
         assert coeff != 0
         assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
         assert type(exp) is tuple and all(type(e) is int for e in exp)
-    assert r.terms == tuple(sorted(r.coeffs.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True))
+    assert r.terms == tuple(sorted(r.terms, key=lambda t: (sum(t[0]), t[0]), reverse=True))
 
 
 class TestRenameHelper:
@@ -282,7 +286,7 @@ class TestIntegralCoefficients:
             assert n == f and hash(n) == hash(f) and (n > 0) == (f > 0)
             assert format_rat(n) == format_rat(f) and abs(n) == abs(f)
             assert signed_sum([(n, ["x"]), (n, [])]) == signed_sum([(f, ["x"]), (f, [])])
-        assert Polynomial._from_terms(XY, {(1, 0): Fraction(2)}) == Polynomial(XY, {(1, 0): 2})
+        assert Polynomial._from_terms(XY, {XY._pack((1, 0)): Fraction(2)}) == Polynomial(XY, {(1, 0): 2})
 
     @given(cancelling_pairs(), mixed_scalars)
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -382,7 +386,7 @@ class TestMapStore:
             for poly in (a, b):
                 keys = [(sum(exp), exp) for exp, _ in poly.terms]
                 assert keys == sorted(set(keys), reverse=True)
-                assert dict(poly.terms) == poly.coeffs
+                assert Polynomial(XY, dict(poly.terms)).coeffs == poly.coeffs
                 text = str(poly)
                 assert parse_polynomial(text, XY) == poly and str(parse_polynomial(text, XY)) == text
 
@@ -402,6 +406,114 @@ class TestMapStore:
         assert str(P("x") * P("y + 1")) == "x * y + x" and counts["_ordered"] == 1
 
 
+class TestPackedExponents:
+    """A packed exponent holds [total degree | e_1 | ... | e_n] in fields of
+    EXPONENT_BITS bits; every degree-raising operation refuses a result of
+    total degree 2^EXPONENT_BITS, where the fields would carry."""
+
+    TOP = 1 << EXPONENT_BITS
+
+    def test_the_layout_puts_the_degree_above_the_first_coordinate(self):
+        xyz = Chart(["x", "y", "z"])
+        w = EXPONENT_BITS
+        assert xyz._pack((3, 0, 2)) == (5 << 3 * w) | (3 << 2 * w) | 2
+        assert xyz._unpack(xyz._pack((3, 0, 2))) == (3, 0, 2)
+        assert POINT._pack(()) == 0 and POINT._unpack(0) == ()
+        assert P("x^2 * y + 1").lift(xyz).coeffs == {xyz._pack((2, 1, 0)): 1, 0: 1}
+
+    def test_the_constructor_refuses_a_degree_past_the_fields(self):
+        top = self.TOP
+        assert Polynomial(XY, {(top - 2, 1): 1}).terms == (((top - 2, 1), 1),)
+        for exp in ((top, 0), (top - 1, 1), (0, 3 * top)):
+            with pytest.raises(DegreeOverflow, match=f"total degree 2\\^{EXPONENT_BITS}"):
+                Polynomial(XY, {exp: 1})
+
+    def test_a_product_past_the_fields_raises(self):
+        half = Polynomial(XY, {(self.TOP // 2, 0): 1})
+        below = Polynomial(XY, {(self.TOP // 2 - 1, 0): 1, (0, 1): 3})
+        assert (half * below).terms == (((self.TOP - 1, 0), 1), ((self.TOP // 2, 1), 3))
+        with pytest.raises(DegreeOverflow):
+            half * half
+        with pytest.raises(DegreeOverflow):
+            Polynomial(XY, {(0, 1): 2, (1, 0): 1}) * Polynomial(XY, {(0, self.TOP - 1): 1})
+
+    def test_a_vector_field_past_the_fields_raises(self):
+        high = Polynomial(XY, {(0, self.TOP - 1): 1})
+        field = VectorField(XY, [high, Polynomial.zero(XY)])
+        assert field.apply(P("x")) == high
+        with pytest.raises(DegreeOverflow):
+            field.apply(P("x^2"))
+
+
+CHARTS = [Chart([f"x{i}" for i in range(n)]) for n in (*range(9), 128)]
+
+
+@st.composite
+def tuple_kernel_cases(draw):
+    """A chart of dimension 0-8 or 128 and a few term maps on it, keyed by
+    sparse exponent tuples with small and large entries, with `int` and
+    `Fraction` coefficients; terms that land on one exponent keep the last."""
+    chart = draw(st.sampled_from(CHARTS))
+    n = chart.dim
+    power = st.one_of(st.integers(0, 3), st.integers(0, 5000))
+    exponent = st.dictionaries(st.integers(0, n - 1), power, max_size=min(n, 3)) if n else st.just({})
+    coeff = st.one_of(
+        st.integers(-4, 4),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+        st.just(10**40),
+    )
+    terms = st.lists(st.tuples(exponent, coeff), max_size=4).map(
+        lambda pairs: {tuple(e.get(i, 0) for i in range(n)): c for e, c in pairs}
+    )
+    return chart, [draw(terms) for _ in range(3 + n % 2)]
+
+
+class TestTupleKernelOracle:
+    """The packed kernel against the tuple kernel it replaced, operation by
+    operation: the same terms in the same order, the same text, and `==`
+    and `hash` that agree with the oracle's."""
+
+    @staticmethod
+    def assert_same(p: Polynomial, t: TuplePolynomial) -> None:
+        assert p.chart == t.chart
+        assert p.terms == t.terms
+        assert [type(c) for _, c in p.terms] == [type(c) for _, c in t.terms]
+        assert str(p) == str(t)
+        assert Polynomial(p.chart, dict(p.terms)) == p
+
+    @given(tuple_kernel_cases(), st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_operation_matches_the_tuple_kernel(self, case, c):
+        chart, maps = case
+        polys = [Polynomial(chart, m) for m in maps]
+        tuples = [TuplePolynomial.of(chart, m) for m in maps]
+        (p, q, *rest), (tp, tq, *trest) = polys, tuples
+        for got, want in zip(polys, tuples):
+            self.assert_same(got, want)
+        self.assert_same(p + q, tp + tq)
+        self.assert_same(p - q, tp - tq)
+        self.assert_same(-p, -tp)
+        self.assert_same(p * q, tp * tq)
+        self.assert_same(p * q * rest[0], tp * tq * trest[0])
+        self.assert_same(p.scale(c), tp.scale(c))
+        for name in chart.names[:3] + chart.names[-2:]:
+            self.assert_same(q.partial(name), tq.partial(name))
+        wider = chart.extend(["u", "v"])
+        self.assert_same(p.lift(wider), tp.lift(wider))
+        shuffled = Chart(("u",) + chart.names[::-1])
+        self.assert_same(p.lift(shuffled), tp.lift(shuffled))
+        components = (polys + polys)[: chart.dim]
+        field = VectorField(chart, components + [Polynomial.zero(chart)] * (chart.dim - len(components)))
+        oracle = (tuples + tuples)[: chart.dim] + [TuplePolynomial(chart, {})] * (chart.dim - len(components))
+        self.assert_same(field.apply(q), tuple_apply(oracle, tq))
+        for a, ta in ((p, tp), (q, tq), (p + q - q, tp + tq - tq), (q * p, tq * tp)):
+            for b, tb in ((p, tp), (q, tq), (q + p, tq + tp)):
+                assert (a == b) == (ta == tb)
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert hash(p + q - q) == hash(p) and hash(Polynomial(chart, maps[0])) == hash(p)
+
+
 class TestGrammar:
     @given(polys)
     @settings(max_examples=80, deadline=None)
@@ -416,12 +528,19 @@ class TestGrammar:
         assert parse_polynomial("0", XY).is_zero
         assert str(Polynomial.zero(XY)) == "0"
 
-    def test_huge_power_parses_without_repeated_multiplication(self):
+    def test_huge_power_parses_without_repeated_multiplication(self, monkeypatch):
+        """A power at the total-degree bound is one monomial, built by one
+        product with the term's sign; one degree more is refused by name."""
+        counts = count_calls(monkeypatch, ((Polynomial, "__mul__"),))
         start = time.perf_counter()
-        got = parse_polynomial("x^99999999", XY)
+        got = parse_polynomial(f"x^{MAX_TOTAL_DEGREE}", XY)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"parsing took {elapsed:.3f}s, budget 1.0s"
-        assert got == Polynomial(XY, {(99999999, 0): 1})
+        assert got == Polynomial(XY, {(MAX_TOTAL_DEGREE, 0): 1})
+        assert counts["__mul__"] == 1
+        for text in (f"x^{MAX_TOTAL_DEGREE + 1}", f"x^{MAX_TOTAL_DEGREE} * y", f"y * x^{MAX_TOTAL_DEGREE}"):
+            with pytest.raises(ValueError, match=f"^a monomial has total degree above {MAX_TOTAL_DEGREE}$"):
+                parse_polynomial(text, XY)
 
     def test_powers_build_the_monomial(self):
         assert P("3 * x^2 * y^0 * y") == Polynomial(XY, {(2, 1): 3})

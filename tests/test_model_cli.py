@@ -14,7 +14,7 @@ import pytest
 from doublealg.cli import main, run
 from doublealg.exact import Chart
 from doublealg.model import ModelError, _raw_blocks, parse_model
-from doublealg.parsing import MAX_DIGITS, ParseError, parse_combination, parse_vector_field
+from doublealg.parsing import MAX_DIGITS, MAX_TOTAL_DEGREE, ParseError, parse_combination, parse_vector_field
 from doublealg.report import Report, emit_report
 from doublealg.verdicts import CheckItem
 from support import CO_JACOBI_MODEL, constants, dense_structure, summed_atoms
@@ -126,7 +126,10 @@ class TestHostileSizes:
     @staticmethod
     def anchor_text(n):
         """n terms c * x^k * d/dx or d/dy, c cycling through -3..3."""
-        signed = (f"{'-' if k % 7 < 3 else '+'} {abs(k % 7 - 3)} * x^{k} * d/d{'xy'[k % 2]}" for k in range(n))
+        signed = (
+            f"{'-' if k % 7 < 3 else '+'} {abs(k % 7 - 3)} * x^{k // 5} * y^{k % 5} * d/d{'xy'[k % 2]}"
+            for k in range(n)
+        )
         return " ".join(signed)
 
     def test_long_anchors_are_read_in_linear_time(self):
@@ -626,15 +629,17 @@ class TestHostileNumbers:
     )
     def test_number_past_the_digit_bound_is_a_parse_error(self, tmp_path, capsys, value):
         """A literal, a product of literals, a denominator or an exponent
-        past `MAX_DIGITS` digits is refused at its block."""
+        past `MAX_DIGITS` digits is refused at its block.  A power of 500
+        digits passes the total-degree bound before the digit bound could
+        see the exponents of a product, so it is refused by that bound."""
         text = (MODELS / "tangent_cotangent_pair.pass").read_text()
         text = text.replace("bracket(w1, w2) = w1", f"bracket(w1, w2) = {value}")
         code, err = self.run_model(tmp_path, capsys, "check", "bialgebroid", text)
+        limit = f"a number has more than {MAX_DIGITS} digits"
+        if value.startswith("x^9"):
+            limit = f"a monomial has total degree above {MAX_TOTAL_DEGREE}"
         assert code == 2
-        assert err == (
-            f"doublealg: parse error: line 14: in [algebroid Tstar]: "
-            f"a number has more than {MAX_DIGITS} digits\n"
-        )
+        assert err == f"doublealg: parse error: line 14: in [algebroid Tstar]: {limit}\n"
 
     @pytest.mark.parametrize("block", ["cobracket", "lie_algebra"])
     def test_constants_past_the_digit_bound_are_parse_errors(self, block):
@@ -646,14 +651,48 @@ class TestHostileNumbers:
         with pytest.raises(ModelError, match=f"in \\[{block} .\\]: a number has more than"):
             parse_model(text)
 
-    def test_numbers_at_the_digit_bound_are_accepted(self):
-        bound = "9" * MAX_DIGITS
-        model = parse_model(
-            "[algebroid A]\nbase = [x]\nframe = [e1]\n"
-            f"anchor(e1) = {bound} * x^{bound} * d/dx + 1/{bound} * d/dx\n"
+    @pytest.mark.parametrize(
+        "value",
+        [
+            f"x^{MAX_TOTAL_DEGREE + 1} * w1",
+            f"x^{MAX_TOTAL_DEGREE // 2} * y^{MAX_TOTAL_DEGREE // 2 + 1} * w1",
+            " * ".join(["x"] * (MAX_TOTAL_DEGREE + 1)) + " * w1",
+            " * ".join([f"x^{MAX_TOTAL_DEGREE}"] * 70) + " * w1",
+        ],
+        ids=["power", "product", "factors", "past-the-kernel"],
+    )
+    def test_a_monomial_past_the_degree_bound_is_a_parse_error(self, tmp_path, capsys, value):
+        """A monomial of total degree above `MAX_TOTAL_DEGREE` is refused at
+        its block, also when its factors would take it past the exponent
+        kernel's 2^16 before the term ends."""
+        text = (MODELS / "tangent_cotangent_pair.pass").read_text()
+        text = text.replace("bracket(w1, w2) = w1", f"bracket(w1, w2) = {value}")
+        code, err = self.run_model(tmp_path, capsys, "check", "bialgebroid", text)
+        assert code == 2
+        assert err == (
+            "doublealg: parse error: line 14: in [algebroid Tstar]: "
+            f"a monomial has total degree above {MAX_TOTAL_DEGREE}\n"
         )
-        (component,) = model.algebroids["A"].anchor[0]
-        assert dict(component.terms) == {(int(bound),): int(bound), (0,): Fraction(1, int(bound))}
+
+    def test_numbers_at_the_digit_bound_are_accepted(self):
+        """Numbers at the digit bound and a monomial at the total-degree
+        bound are read, in a single pass; one degree more is refused at its
+        block."""
+        bound, top = "9" * MAX_DIGITS, MAX_TOTAL_DEGREE
+
+        def model(degree):
+            return (
+                "[algebroid A]\nbase = [x, y]\nframe = [e1]\n"
+                f"anchor(e1) = {bound} * x^{degree - 1} * y * d/dx + 1/{bound} * d/dx\n"
+            )
+
+        start = time.perf_counter()
+        (component, _) = parse_model(model(top)).algebroids["A"].anchor[0]
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"parsing took {elapsed:.3f}s, budget 1.0s"
+        assert dict(component.terms) == {(top - 1, 1): int(bound), (0, 0): Fraction(1, int(bound))}
+        with pytest.raises(ModelError, match=f"^line 1: in \\[algebroid A\\]: a monomial has total degree above {top}$"):
+            parse_model(model(top + 1))
 
     def test_counts_at_the_bound_are_accepted(self):
         model = parse_model("[lie_algebra g]\ndim = 64\n[dvb D]\nbase = [x]\nranks = {A: 0, B: 64, C: 1}\n")

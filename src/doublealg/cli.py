@@ -22,7 +22,7 @@ Exit codes: 0 all checks pass, 1 a check failed (witness in the report),
 2 usage or parse error.  The environment variable DOUBLEALG_MAX_DEGREE caps
 the degree of randomized property-oracle sections (default 2, at most
 1000); --seed controls only their generation, and every seeded run is
-reproducible.
+reproducible.  Both are read in ASCII digits only.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -48,6 +49,10 @@ from .verdicts import CheckItem, CheckReport
 # random sections draw one exponent step per unit of degree, so the cap keeps
 # a randomized check from running unboundedly
 MAX_DEGREE_CAP = 1000
+# `int` also reads other Unicode decimal digits, `_` separators and
+# surrounding blanks; the command line takes ASCII digits only
+_SEED = re.compile(r"-?[0-9]+")
+_DEGREE = re.compile(r"[0-9]+")
 
 _VERBS = {
     ("check", "algebroid"),
@@ -285,8 +290,18 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("kind")
     parser.add_argument("model", help="model file path")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=_seed, default=7)
     return parser
+
+
+def _seed(text: str) -> int:
+    """`--seed` in ASCII digits, refused with argparse's message for `int`."""
+    try:
+        if _SEED.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than Python converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -314,8 +329,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"doublealg: parse error: {exc}\n")
         return 2
 
+    degree = os.environ.get("DOUBLEALG_MAX_DEGREE", "2")
     try:
-        max_degree = int(os.environ.get("DOUBLEALG_MAX_DEGREE", "2"))
+        max_degree = int(degree) if _DEGREE.fullmatch(degree) else -1
     except ValueError:
         max_degree = -1
     if max_degree < 0:

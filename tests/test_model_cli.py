@@ -334,8 +334,10 @@ class TestEnvironmentKnobs:
         )
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("value", ["-1", "not-a-number"])
+    @pytest.mark.parametrize("value", ["-1", "not-a-number", "\u0662", "\uff13", "1_0", " 3", "+2", ""])
     def test_bad_max_degree_is_a_usage_error(self, value, monkeypatch, capsys):
+        """Only ASCII digits: `int` would also read other decimal digits
+        (Arabic-Indic two, fullwidth three), `_` and blanks."""
         monkeypatch.setenv("DOUBLEALG_MAX_DEGREE", value)
         code = main(["check", "double", str(MODELS / "t2m_double.pass")])
         captured = capsys.readouterr()
@@ -345,6 +347,25 @@ class TestEnvironmentKnobs:
             "doublealg: error: DOUBLEALG_MAX_DEGREE must be a non-negative integer\n"
         )
 
+
+    @pytest.mark.parametrize("value", ["\u0663", "\uff13", "1_0", " 3", "3 ", "+3", "1" * 5000])
+    def test_a_seed_in_other_than_ascii_digits_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "bialgebroid", str(MODELS / "tangent_cotangent_pair.pass"), "--seed", value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: doublealg ")
+        assert captured.err.endswith(f"doublealg: error: argument --seed: invalid int value: {value!r}\n")
+
+    def test_negative_and_ascii_seeds_are_read(self, monkeypatch, capsys):
+        monkeypatch.delenv("DOUBLEALG_MAX_DEGREE", raising=False)
+        model = str(MODELS / "t2m_double_perturbed.fail")
+        reports = {}
+        for value in ("-3", "3", "03", "-0", "0"):
+            assert main(["check", "double", model, "--seed", value]) == 1
+            reports[value] = capsys.readouterr().out
+        assert reports["03"] == reports["3"] and reports["-0"] == reports["0"]
 
     @pytest.mark.parametrize("value", ["1001", "100000000"])
     def test_max_degree_above_cap_is_a_usage_error(self, value, monkeypatch, capsys):

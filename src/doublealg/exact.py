@@ -48,6 +48,7 @@ negating zero).
 from __future__ import annotations
 
 import functools
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,10 +57,13 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 Exponent = Tuple[int, ...]
 Coefficient = int | Fraction
 
-# Bits of each field of a packed exponent; a monomial's total degree stays
-# below 2^EXPONENT_BITS.
+# Bits of each field of a packed exponent, the width of `struct`'s "H", in
+# which a chart writes its fields to pack and unpack; a monomial's total
+# degree stays below 2^EXPONENT_BITS.
 EXPONENT_BITS = 16
 _MASK = (1 << EXPONENT_BITS) - 1
+# the coefficients of the constant 1 on any chart: its exponent packs to 0
+_ONE = {0: 1}
 
 
 class ChartMismatch(ValueError):
@@ -156,16 +160,22 @@ class Chart:
         """The least packed exponent of total degree 2^EXPONENT_BITS."""
         return 1 << EXPONENT_BITS * (self.dim + 1)
 
+    @functools.cached_property
+    def _fields(self) -> struct.Struct:
+        """The coordinate fields e_1 .. e_n of a packed exponent as bytes,
+        each unsigned and big-endian; the total degree sits above them."""
+        return struct.Struct(f">{self.dim}H")
+
     def _pack(self, exp: Exponent) -> int:
         """The packed form of an exponent tuple of total degree below
         2^EXPONENT_BITS."""
-        packed = sum(exp)
-        for power in exp:
-            packed = packed << EXPONENT_BITS | power
-        return packed
+        return sum(exp) << EXPONENT_BITS * self.dim | int.from_bytes(self._fields.pack(*exp), "big")
 
     def _unpack(self, packed: int) -> Exponent:
-        return tuple([packed >> shift & _MASK for shift in self._shifts])
+        """The exponent tuple of a packed exponent, read past the two bytes
+        of its total degree."""
+        fields = self._fields
+        return fields.unpack_from(packed.to_bytes(fields.size + 2, "big"), 2)
 
     @functools.cached_property
     def _zero(self) -> "Polynomial":
@@ -199,6 +209,7 @@ class Polynomial:
         cleaned = {}
         if terms:
             n = chart.dim
+            pack, shift = chart._fields.pack, EXPONENT_BITS * n
             for exp, coeff in terms.items():
                 coeff = rat(coeff)
                 if len(exp) != n:
@@ -207,10 +218,11 @@ class Polynomial:
                     raise ValueError(f"non-integer exponent in {exp}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                if sum(exp) > _MASK:
+                degree = sum(exp)
+                if degree > _MASK:
                     raise DegreeOverflow
                 if coeff != 0:
-                    cleaned[chart._pack(exp)] = coeff
+                    cleaned[degree << shift | int.from_bytes(pack(*exp), "big")] = coeff
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
@@ -305,9 +317,9 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_chart(other)
-        if not self.coeffs or _is_one(other.coeffs):
+        if not self.coeffs or other.coeffs == _ONE:
             return self
-        if not other.coeffs or _is_one(self.coeffs):
+        if not other.coeffs or self.coeffs == _ONE:
             return other
         acc: Dict[int, Coefficient] = {}
         get = acc.get
@@ -344,6 +356,8 @@ class Polynomial:
         """Formal partial derivative with respect to a chart coordinate."""
         chart = self.chart
         i = chart.index(name)
+        if not self.coeffs:
+            return chart._zero
         shift, unit = chart._shifts[i], chart._units[i]
         acc: Dict[int, Coefficient] = {}
         for exp, coeff in self.coeffs.items():
@@ -381,18 +395,13 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _is_one(coeffs: Dict[int, Coefficient]) -> bool:
-    """Whether `coeffs` are those of the constant polynomial 1, whose one
-    exponent packs to 0."""
-    return len(coeffs) == 1 and coeffs.get(0) == 1
-
-
 def _ordered(chart: Chart, coeffs: Dict[int, Coefficient]) -> Tuple[Tuple[Exponent, Coefficient], ...]:
     """The items of `coeffs` in printing order, descending (total degree,
     exponent tuple), which is descending packed order, with each exponent
     unpacked.  The one place the kernel orders terms."""
-    unpack = chart._unpack
-    return tuple((unpack(exp), coeffs[exp]) for exp in sorted(coeffs, reverse=True))
+    fields = chart._fields
+    unpack, size = fields.unpack_from, fields.size + 2
+    return tuple([(unpack(exp.to_bytes(size, "big"), 2), coeffs[exp]) for exp in sorted(coeffs, reverse=True)])
 
 
 def monomial_atoms(chart: Chart, exp: Exponent) -> List[str]:

@@ -19,9 +19,9 @@ from doublealg.doublela import (
     matched_from_vacant,
 )
 from doublealg.matched import MatchedPair, MatchedPairError, check_matched
-from support import corpus_dual_pairs, sweep_pairs
+from support import corpus_dual_pairs, sweep_pairs, tt_pair
 from test_matched_gate import gate_pairs
-from test_structural_diagnostics import DOUBLES
+from test_structural_diagnostics import DOUBLES, TT
 
 
 def transposed(dla: DoubleLieAlgebroid) -> DoubleLieAlgebroid:
@@ -30,12 +30,13 @@ def transposed(dla: DoubleLieAlgebroid) -> DoubleLieAlgebroid:
 
 def test_transposing_a_double_keeps_its_verdict():
     verdicts = []
-    for name, dla in DOUBLES.items():
+    for name, dla in {**DOUBLES, **TT}.items():
         ok = check_double(dla).ok
         assert check_double(transposed(dla)).ok == ok, name
         verdicts.append(ok)
-    # 52 of the 125 doubles pass
-    assert len(verdicts) >= 120
+    # 60 of the 133 doubles pass: the diagnostics corpus with the ladder
+    # rungs, and tt1 .. tt8
+    assert len(verdicts) >= 130
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 70
 
 
@@ -62,12 +63,13 @@ def test_transposing_a_vacant_double_swaps_its_actions():
 
 def test_reversing_a_dual_pair_keeps_its_cotangent_verdict():
     forward = [(name, pair) for name, pair in corpus_dual_pairs(DOUBLES.items()) if not name.endswith(":reversed")]
-    pairs = forward + sweep_pairs(range(1, 9))
+    tt = [(f"tt{n}", tt_pair(n)) for n in range(1, 9)]
+    pairs = forward + sweep_pairs(range(1, 9)) + tt
     verdicts = []
     for name, (L, Lstar) in pairs:
         ok = check_double(build_cotangent_double(L, Lstar)).ok
         assert check_double(build_cotangent_double(Lstar, L)).ok == ok, name
         verdicts.append(ok)
-    # 86 of the 163 pairs pass
-    assert len(verdicts) >= 160
-    assert verdicts.count(True) >= 80 and verdicts.count(False) >= 70
+    # 94 of the 171 pairs pass
+    assert len(verdicts) >= 170
+    assert verdicts.count(True) >= 90 and verdicts.count(False) >= 70

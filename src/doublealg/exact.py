@@ -209,7 +209,6 @@ class Polynomial:
         cleaned = {}
         if terms:
             n = chart.dim
-            pack, shift = chart._fields.pack, EXPONENT_BITS * n
             for exp, coeff in terms.items():
                 coeff = rat(coeff)
                 if len(exp) != n:
@@ -218,11 +217,10 @@ class Polynomial:
                     raise ValueError(f"non-integer exponent in {exp}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                degree = sum(exp)
-                if degree > _MASK:
+                if sum(exp) > _MASK:
                     raise DegreeOverflow
                 if coeff != 0:
-                    cleaned[degree << shift | int.from_bytes(pack(*exp), "big")] = coeff
+                    cleaned[chart._pack(exp)] = coeff
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
@@ -399,9 +397,8 @@ def _ordered(chart: Chart, coeffs: Dict[int, Coefficient]) -> Tuple[Tuple[Expone
     """The items of `coeffs` in printing order, descending (total degree,
     exponent tuple), which is descending packed order, with each exponent
     unpacked.  The one place the kernel orders terms."""
-    fields = chart._fields
-    unpack, size = fields.unpack_from, fields.size + 2
-    return tuple([(unpack(exp.to_bytes(size, "big"), 2), coeffs[exp]) for exp in sorted(coeffs, reverse=True)])
+    unpack = chart._unpack
+    return tuple([(unpack(exp), coeffs[exp]) for exp in sorted(coeffs, reverse=True)])
 
 
 def monomial_atoms(chart: Chart, exp: Exponent) -> List[str]:

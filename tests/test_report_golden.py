@@ -348,7 +348,7 @@ dual_of = TM
     ),
     "poisson_pair": POISSON_PAIR_MODEL,
     # fails the anchor morphism on (e1, e2) over (x, y, z): the witness
-    # prints terms of total degrees 3 to 25 with exponents 9 to 13
+    # prints terms of total degrees 3 to 25 with exponents up to 13
     "anchor_high_powers": """\
 [chart M]
 coords = [x, y, z]

@@ -352,6 +352,11 @@ class LieAlgebroid:
                     out[gamma].append((a, b, coeff))
         return tuple(tuple(row) for row in out)
 
+    @functools.cached_property
+    def _axiom_report(self) -> CheckReport:
+        """The report of `check_algebroid`, decided once per object."""
+        return _decide_axioms(self)
+
     def anchor_of(self, x: Multisection) -> VectorField:
         """a(x) = sum_alpha x^alpha a(e_alpha), each coordinate accumulated
         by `_anchor_sums` and built once."""
@@ -570,7 +575,16 @@ def check_algebroid(L: LieAlgebroid) -> CheckReport:
     `bracket_sections` computes (kept in the tests as the oracle).  The
     two defects are `anchor_defect` and `jacobiator`, which
     `matched.check_matched` also reads on the bowtie of a pair.
+
+    The algebroid is immutable, so the report is decided once per object
+    and stored on it (`LieAlgebroid._axiom_report`, outside `==`, `hash`
+    and `repr`): every later call returns the same report.
     """
+    return L._axiom_report
+
+
+def _decide_axioms(L: LieAlgebroid) -> CheckReport:
+    """The anchor-morphism and Jacobi items of `check_algebroid`."""
     items: List[CheckItem] = []
     witness = None
     for a, b in itertools.combinations(range(L.rank), 2):
@@ -979,7 +993,9 @@ def check_compatibility(
     items = list(compatibility_families(L, Lstar))
 
     def random_item() -> CheckItem:
-        rng = random.Random(seed)
+        # `random.Random` seeds an int by its absolute value, so a negative
+        # seed is seeded by its decimal text instead
+        rng = random.Random(seed if seed >= 0 else str(seed))
         for trial in range(RANDOM_PAIRS):
             x = random_section(rng, L, max_degree)
             y = random_section(rng, L, max_degree)

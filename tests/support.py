@@ -1377,7 +1377,7 @@ def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, ma
         return scale_section(frame_defect(a, b), coords[i]) + wedge(function_defect(a, i), frame_section(L, b))
 
     def random_defects():
-        rng = random.Random(seed)
+        rng = random.Random(seed if seed >= 0 else str(seed))
         for trial in range(RANDOM_PAIRS):
             x = random_section(rng, L, max_degree)
             y = random_section(rng, L, max_degree)

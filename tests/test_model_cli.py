@@ -366,6 +366,8 @@ class TestEnvironmentKnobs:
             assert main(["check", "double", model, "--seed", value]) == 1
             reports[value] = capsys.readouterr().out
         assert reports["03"] == reports["3"] and reports["-0"] == reports["0"]
+        # a negative seed draws its own trials, not those of its absolute value
+        assert reports["-3"] != reports["3"]
 
     @pytest.mark.parametrize("value", ["1001", "100000000"])
     def test_max_degree_above_cap_is_a_usage_error(self, value, monkeypatch, capsys):

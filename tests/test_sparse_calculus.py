@@ -18,7 +18,8 @@ anchor rows; the Leibniz expansion through `anchor_of` and
 oracle, errors included.  `check_algebroid` reads the anchor defect and
 the frame Jacobiator off the nonzero structure functions; the frame loop
 through `bracket_sections` is kept in `support.frame_loop_check_algebroid`
-as its oracle, compared report for report, witnesses included.  The
+as its oracle, compared report for report, witnesses included; a second
+call on the same algebroid returns the report decided by the first.  The
 gl(3)* rung, whose 18-coordinate, rank-18 total algebroids no benchmark
 workload reaches, is pinned by the sha256 of its report lines.
 `change_frames` relabels and re-signs frames by a signed permutation; the
@@ -355,12 +356,22 @@ def test_check_algebroid_matches_frame_loop_on_random_algebroids():
     for seed in range(300):
         L = random_algebroid(seed)
         report = check_algebroid(L)
+        # decided once per object: a second call returns the stored report
+        assert check_algebroid(L) is report, seed
         assert report == frame_loop_check_algebroid(L), seed
         failures[failing_items(report)] += 1
     # the Jacobi witness path needs many failures, many of them alone
     assert failures[()] >= 100
     assert failures[("jacobi",)] >= 60 and failures[("anchor_morphism", "jacobi")] >= 40
     assert failures[("anchor_morphism",)] >= 10
+
+
+def test_stored_axiom_report_is_not_part_of_the_value():
+    checked, unchecked = random_algebroid(3), random_algebroid(3)
+    assert not check_algebroid(checked).ok
+    assert checked == unchecked and checked is not unchecked
+    assert hash(checked) == hash(unchecked) and repr(checked) == repr(unchecked)
+    assert check_algebroid(unchecked) == check_algebroid(checked)
 
 
 # --- the closed-form Poisson test against the Schouten jacobiator

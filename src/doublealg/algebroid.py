@@ -119,7 +119,7 @@ class Multisection:
 
     `Multisection(rank, degree, components)` validates every index, for
     witnesses and input from outside the kernel; the kernel's own results
-    (`+`, `-`, `scale`, `zero`, `function`, `from_vector`,
+    (`+`, `-`, `scale`, `zero`, `from_vector`,
     `bracket_sections`, `differential` and `schouten`) are built by
     `Multisection._from_components`, which trusts them.
     """
@@ -170,32 +170,13 @@ class Multisection:
         return Multisection._from_components(rank, degree, {})
 
     @staticmethod
-    def function(rank: int, poly: Polynomial) -> "Multisection":
-        return Multisection._from_components(rank, 0, {(): poly})
-
-    @staticmethod
     def from_vector(rank: int, comps: Sequence[Polynomial]) -> "Multisection":
         return Multisection._from_components(rank, 1, {(i,): p for i, p in enumerate(comps)})
-
-    @functools.cached_property
-    def _table(self) -> Dict[Index, Polynomial]:
-        return dict(self.components)
-
-    def component_general(self, idx: Index, chart: Chart) -> Polynomial:
-        """Antisymmetric lookup: signed component for an arbitrary index tuple."""
-        if len(set(idx)) != len(idx):
-            return Polynomial.zero(chart)
-        order = tuple(sorted(idx))
-        sign = _permutation_sign(idx)
-        poly = self._table.get(order)
-        if poly is None:
-            return Polynomial.zero(chart)
-        return poly if sign == 1 else -poly
 
     def vector(self, chart: Chart) -> Tuple[Polynomial, ...]:
         if self.degree != 1:
             raise ValueError("vector() requires degree 1")
-        table, zero = self._table, Polynomial.zero(chart)
+        table, zero = dict(self.components), Polynomial.zero(chart)
         return tuple(table.get((i,), zero) for i in range(self.rank))
 
     def __add__(self, other: "Multisection") -> "Multisection":
@@ -357,18 +338,6 @@ class LieAlgebroid:
         """The report of `check_algebroid`, decided once per object."""
         return _decide_axioms(self)
 
-    def anchor_of(self, x: Multisection) -> VectorField:
-        """a(x) = sum_alpha x^alpha a(e_alpha), each coordinate accumulated
-        by `_anchor_sums` and built once."""
-        chart = self.chart
-        if x.degree != 1:
-            raise ValueError("anchor_of requires a degree-1 section")
-        for _, coeff in x.components:
-            if coeff.chart is not chart and coeff.chart.names != chart.names:
-                raise ChartMismatch(f"charts differ: {chart} vs {coeff.chart}")
-        comps = tuple(Polynomial._from_terms(chart, acc) for acc in self._anchor_sums(x))
-        return VectorField._from_components(chart, comps)
-
     def _anchor_sums(self, x: Multisection) -> List[Dict[int, Coefficient]]:
         """The terms of a(x)^i = sum_alpha x^alpha a^i_alpha per coordinate
         i, over the nonzero coefficients and anchor entries; a coefficient
@@ -449,9 +418,9 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
     built once: the structure part from the nonzero c^k_ab, the anchor part
     from a(X)^i = sum_a X^a a^i_a, read off the anchor rows, times the
     partials of Y^k (and likewise with X and Y swapped).  The Leibniz
-    expansion through `anchor_of` and `VectorField.apply` that this
-    replaces is kept in the tests as its oracle; a component on a foreign
-    chart raises the `ChartMismatch` that expansion raises first.
+    expansion through `VectorField.apply` that this replaces is kept in
+    the tests as its oracle.  The first component of X, then of Y, on a
+    foreign chart raises `ChartMismatch`.
     """
     if x.degree != 1 or y.degree != 1:
         raise ValueError("bracket_sections needs degree-1 sections")
@@ -460,7 +429,7 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
     chart = L.chart
     for _, poly in x.components + y.components:
         if poly.chart is not chart and poly.chart.names != chart.names:
-            _raise_chart_mismatch(L, x, y)
+            raise ChartMismatch(f"charts differ: {chart} vs {poly.chart}")
     if not x.components or not y.components:
         return Multisection._from_components(L.rank, 1, {})
     accs: Dict[int, Dict[int, Coefficient]] = {}
@@ -513,19 +482,6 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
     return Multisection._from_components(
         L.rank, 1, {(k,): Polynomial._from_terms(chart, acc) for k, acc in accs.items()}
     )
-
-
-def _raise_chart_mismatch(L: LieAlgebroid, x: Multisection, y: Multisection) -> None:
-    """Raise the `ChartMismatch` of the Leibniz expansion of [X, Y]: at its
-    first structure product X^a Y^b c^k_ab whose charts differ, else where
-    `anchor_of` raises on X, then on Y."""
-    for (a,), fa in x.components:
-        for (b,), gb in y.components:
-            for _, c in L.nonzero_structure[a][b]:
-                fa._require_same_chart(gb)
-                fa._require_same_chart(c)
-    L.anchor_of(x)
-    L.anchor_of(y)
 
 
 def anchor_defect(
@@ -668,25 +624,20 @@ def differential(L: LieAlgebroid, omega: Multisection) -> Multisection:
 
 
 def schouten(L: LieAlgebroid, p: Multisection, q: Multisection) -> Multisection:
-    """Schouten bracket, degree p + q - 1 (functions stay at degree 0).
+    """Schouten bracket of multisections of degrees p, q >= 1, of degree
+    p + q - 1; a function operand raises `ValueError`.
 
-    Pinned conventions: [X, f] = a(X)(f) and the biderivation rule
-    [P, Q ^ R] = [P, Q] ^ R + (-1)^((p-1) q) Q ^ [P, R], which give graded
-    antisymmetry [P, Q] = -(-1)^((p-1)(q-1)) [Q, P].
+    Pinned conventions: [X, Y] is `bracket_sections` on sections, and the
+    biderivation rule [P, Q ^ R] = [P, Q] ^ R + (-1)^((p-1) q) Q ^ [P, R]
+    with graded antisymmetry [P, Q] = -(-1)^((p-1)(q-1)) [Q, P] extend it.
     """
     dp, dq = p.degree, q.degree
-    out_degree = max(dp + dq - 1, 0)
+    if not dp or not dq:
+        raise ValueError("schouten needs multisections of degree >= 1")
+    out_degree = dp + dq - 1
     if p.is_zero or q.is_zero:
         return Multisection.zero(L.rank, out_degree)
-    if dp <= 1 and dq <= 1:
-        if dp == 0 and dq == 0:
-            return Multisection.zero(L.rank, 0)
-        if dp == 1 and dq == 0:
-            f = q.component_general((), L.chart)
-            return Multisection.function(L.rank, L.anchor_of(p).apply(f))
-        if dp == 0 and dq == 1:
-            f = p.component_general((), L.chart)
-            return Multisection.function(L.rank, -L.anchor_of(q).apply(f))
+    if dp == 1 and dq == 1:
         return bracket_sections(L, p, q)
     if dq >= 2:
         # q = sum_I q_I e_I ^ e_J with I = idx[0] and J = idx[1:], so each
@@ -864,7 +815,7 @@ def compatibility_defect(
 ) -> Multisection:
     """D(X, Y) = d_*[X, Y] - [d_*X, Y] - [X, d_*Y], with d_* the differential
     of Lstar acting on multisections of L and [ , ] the Schouten bracket of
-    L; Y is a section or a function."""
+    L, for sections X and Y."""
     d_star = lambda ms: differential(Lstar, ms)
     return d_star(schouten(L, x, y)) - schouten(L, d_star(x), y) - schouten(L, x, d_star(y))
 

@@ -17,7 +17,7 @@ the code of `algebroid` that `check_algebroid` and
 `check_compatibility` run: `first_jacobiator` on each side and
 `frame_defect`, the compatibility defect in closed form, on frame pairs.
 This module only renders their witnesses, through
-`formatting.format_combination` and `format_wedge`.  The Manin-triple
+`formatting.format_combination`.  The Manin-triple
 conditions of the double (invariant hyperbolic pairing, isotropic halves
 g and g*, both halves subalgebras) then hold by construction, and
 `check_manin` states them.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebroid import LieAlgebroid, coadjoint, first_jacobiator, frame_defect
-from .exact import Chart, Coefficient, Polynomial, rat, signed_sum
+from .exact import Chart, Coefficient, Polynomial, rat
 from .formatting import format_combination
 from .matched import MatchedPair, assemble_bowtie
 from .verdicts import CheckReport, passed
@@ -76,10 +76,6 @@ def LieAlgebra(
     return LieAlgebroid(point, names, [()] * dim, table)
 
 
-def format_wedge(w: Wedge, names: Sequence[str]) -> str:
-    return signed_sum((w[(j, k)], [f"{names[j]} ^ {names[k]}"]) for j, k in sorted(w))
-
-
 @dataclass(frozen=True)
 class Bialgebra:
     """A Lie bialgebra as the Lie bialgebroid over the point it is: the
@@ -108,12 +104,6 @@ def cobracket_dual(g: LieAlgebroid, images: Mapping[int, Wedge]) -> LieAlgebroid
         for pair, c in image.items():
             brackets.setdefault(pair, [0] * n)[k] += rat(c)
     return LieAlgebra(n, brackets, [f"{name}_d" for name in g.frames])
-
-
-def _value(p: Polynomial) -> Coefficient:
-    """The value of a polynomial on the point chart, whose one exponent
-    packs to 0."""
-    return p.coeffs.get(0, 0)
 
 
 def _require_jacobi(side: LieAlgebroid, label: str) -> None:
@@ -152,10 +142,12 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
     for i, j in itertools.combinations(range(b.dim), 2):
         defect = frame_defect(g, dual, i, j)
         if any(defect.values()):
-            wedge = {idx: -_value(p) for idx, p in defect.items() if p}
+            pairs = sorted(defect.items())
+            wedge = format_combination(
+                [-p for _, p in pairs], [f"{names[u]} ^ {names[w]}" for (u, w), _ in pairs]
+            )
             raise BialgebraError(
-                f"cocycle condition fails: pair ({names[i]}, {names[j]}): "
-                f"defect = {format_wedge(wedge, names)}"
+                f"cocycle condition fails: pair ({names[i]}, {names[j]}): defect = {wedge}"
             )
     clash = next((name for name in dual.frames if name in names), None)
     if clash is not None:

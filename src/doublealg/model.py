@@ -83,7 +83,7 @@ from .parsing import (
 
 _HEADER = re.compile(r"^\[(\w+)(?:\s+([A-Za-z_][A-Za-z0-9_']*))?\]$")
 _ASSIGN = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)\s*(\(([^)]*)\))?\s*=\s*(.*)$")
-_DECIMAL = re.compile(r"[+-]?[0-9](?:_?[0-9])*")
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 _BLOCK_TYPES = (
     "chart",
@@ -112,8 +112,8 @@ class ModelError(ValueError):
 def _parse_count(label: str, text: str, line: int) -> int:
     """`text` as a count between 0 and MAX_COUNT, else a parse error at `line`.
 
-    A count is written in ASCII digits.  `int` refuses such a literal only
-    when it has more digits than Python converts
+    A count is written in ASCII digits, as `-?[0-9]+`.  `int` refuses
+    such a literal only when it has more digits than Python converts
     (`sys.get_int_max_str_digits`); such a count is out of range.  A
     rejected literal longer than 20 characters is named by its length, not
     echoed."""

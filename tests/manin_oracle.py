@@ -30,9 +30,9 @@ from typing import Dict, List, Sequence, Tuple
 import linalg
 from doublealg.algebroid import LieAlgebroid
 from doublealg.exact import format_rat, signed_sum
-from doublealg.liealg import BialgebraError, LieAlgebra, Wedge, format_wedge
+from doublealg.liealg import BialgebraError, LieAlgebra, Wedge
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
-from support import Cobracket, ImageBialgebra, component, constants
+from support import Cobracket, ImageBialgebra, component, constants, format_wedge
 
 Vector = Tuple[Fraction, ...]
 Table = Tuple[Tuple[Vector, ...], ...]  # Table[i][j] = [e_i, e_j]

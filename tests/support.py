@@ -12,16 +12,16 @@ fields and the frame change by any invertible matrix), the dense
 structure tables the sparse store replaced, the dense twist table and
 LA-vector bundle builder the sparse twist store replaced, the
 Drinfel'd double read off the cobracket images that the point-pair
-store of a bialgebra replaced (`image_drinfeld_double`), the core
-algebroid read off every core Poisson entry, the sums that
-`VectorField.apply`, `LieAlgebroid.anchor_of` and `bracket_sections`
+store of a bialgebra replaced (`image_drinfeld_double`, `format_wedge`),
+the core algebroid read off every core Poisson entry, the sums that
+`VectorField.apply`, `anchor_of` and `bracket_sections`
 fuse into one pass (`leibniz_bracket_sections`), the running sums the
 parser's frame combinations and vector fields replaced (`summed_atoms`),
 the Schouten square of a bivector that the cyclic sums of
 `PoissonChart.jacobiator` replaced (`bivector`, `schouten_jacobiator`),
-the Schouten recursion that sums one wedge at a time
-(`summed_schouten`, `summed_compatibility_defect`) and the wedge product
-of multisections it needs (`wedge`),
+the Schouten recursion that sums one wedge at a time, on functions too
+(`summed_schouten`, `summed_compatibility_defect`, `function`,
+`component_general`) and the wedge product of multisections it needs (`wedge`),
 and the constructions only the tests use (scalar polynomials in the model
 grammar, the tangent prolongation), the `Fraction`-only reference
 polynomial the exact kernel is compared with, and the kernel that keyed
@@ -67,7 +67,7 @@ from doublealg.doublela import (
     build_cotangent_double,
     check_double,
 )
-from doublealg.exact import Chart, Coefficient, Exponent, Polynomial, monomial_atoms, rat, signed_sum
+from doublealg.exact import Chart, ChartMismatch, Coefficient, Exponent, Polynomial, monomial_atoms, rat, signed_sum
 from doublealg.formatting import format_combination
 from doublealg.liealg import (
     Bialgebra,
@@ -75,7 +75,6 @@ from doublealg.liealg import (
     LieAlgebra,
     Wedge,
     cobracket_dual,
-    format_wedge,
 )
 from doublealg.lavb import LAVBundle, check_lavb
 from doublealg.matched import (
@@ -600,6 +599,11 @@ def image_drinfeld_double(b: ImageBialgebra) -> LieAlgebroid:
     return LieAlgebroid(point, names + dual_names, [()] * (2 * n), scattered(2 * n, entries()))
 
 
+def format_wedge(w: Wedge, names: Sequence[str]) -> str:
+    """The bivector sum of w[(j, k)] e_j ^ e_k, in increasing pairs."""
+    return signed_sum((w[(j, k)], [f"{names[j]} ^ {names[k]}"]) for j, k in sorted(w))
+
+
 def component(delta: Cobracket, i: int, j: int, k: int) -> Fraction:
     """The full antisymmetric component delta^{jk}_i of a cobracket."""
     if j == k:
@@ -658,9 +662,20 @@ def applied(x: VectorField, f: Polynomial) -> Polynomial:
     return out
 
 
+def anchor_of(L: LieAlgebroid, x: Multisection) -> VectorField:
+    """a(x) = sum_alpha x^alpha a(e_alpha), read off the sums
+    `LieAlgebroid._anchor_sums` that `bracket_sections` shares."""
+    chart = L.chart
+    for _, coeff in x.components:
+        if coeff.chart is not chart and coeff.chart.names != chart.names:
+            raise ChartMismatch(f"charts differ: {chart} vs {coeff.chart}")
+    comps = tuple(Polynomial._from_terms(chart, acc) for acc in L._anchor_sums(x))
+    return VectorField._from_components(chart, comps)
+
+
 def anchor_of_sum(L: LieAlgebroid, x: Multisection) -> VectorField:
     """a(x) as the sum of x^alpha a(e_alpha) over the nonzero coefficients:
-    the oracle of the one-pass `LieAlgebroid.anchor_of`."""
+    the oracle of the one-pass `anchor_of`."""
     out = zero_field(L.chart)
     for alpha, coeff in enumerate(x.vector(L.chart)):
         if coeff:
@@ -671,7 +686,7 @@ def anchor_of_sum(L: LieAlgebroid, x: Multisection) -> VectorField:
 def leibniz_bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multisection:
     """[X, Y] by the Leibniz expansion over polynomial coefficients, through
     `anchor_of` and `VectorField.apply`: the oracle of the one-pass
-    `algebroid.bracket_sections`, errors included."""
+    `algebroid.bracket_sections`, whose error types it raises."""
     if x.degree != 1 or y.degree != 1:
         raise ValueError("bracket_sections needs degree-1 sections")
     if x.rank != L.rank or y.rank != L.rank:
@@ -691,7 +706,7 @@ def leibniz_bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) 
                 continue
             for k, c in L.nonzero_structure[a][b]:
                 add(k, fa * gb * c)
-    ax, ay = L.anchor_of(x), L.anchor_of(y)
+    ax, ay = anchor_of(L, x), anchor_of(L, y)
     for k in range(L.rank):
         add(k, ax.apply(ys[k]) - ay.apply(xs[k]))
     return Multisection(L.rank, 1, acc)
@@ -877,7 +892,7 @@ def section_check_matched(mp: MatchedPair) -> CheckReport:
         y = frame_section(b_alg, beta).vector(b_alg.chart)
         sigma_x = apply_derivation(b_alg.anchor_field(beta), mp.sigma[beta], x)
         rho_y = apply_derivation(a_alg.anchor_field(alpha), mp.rho[alpha], y)
-        lhs = difference(a_alg.anchor_of(a_alg.section(sigma_x)), b_alg.anchor_of(b_alg.section(rho_y)))
+        lhs = difference(anchor_of(a_alg, a_alg.section(sigma_x)), anchor_of(b_alg, b_alg.section(rho_y)))
         defect = difference(lhs, commutator(b_alg.anchor_field(beta), a_alg.anchor_field(alpha)))
         if not defect.is_zero:
             witness = (
@@ -1260,7 +1275,7 @@ def gather_differential(L, omega):
         total = Polynomial.zero(L.chart)
         for i, frame in enumerate(target):
             rest = target[:i] + target[i + 1 :]
-            part = omega.component_general(rest, L.chart)
+            part = component_general(omega, rest, L.chart)
             term = L.anchor_field(frame).apply(part)
             total = total + (term if i % 2 == 0 else -term)
         for i, j in itertools.combinations(range(k + 1), 2):
@@ -1269,7 +1284,7 @@ def gather_differential(L, omega):
             term = Polynomial.zero(L.chart)
             for gamma, coeff in enumerate(bracket):
                 if coeff:
-                    term = term + coeff * omega.component_general((gamma,) + rest, L.chart)
+                    term = term + coeff * component_general(omega, (gamma,) + rest, L.chart)
             total = total + (term if (i + j) % 2 == 0 else -term)
         if total:
             acc[target] = total
@@ -1284,7 +1299,7 @@ def frame_loop_check_algebroid(L: LieAlgebroid) -> CheckReport:
     items: List[CheckItem] = []
     witness = None
     for a, b in itertools.combinations(range(L.rank), 2):
-        lhs = L.anchor_of(frame_bracket(L, a, b))
+        lhs = anchor_of(L, frame_bracket(L, a, b))
         defect = difference(lhs, commutator(L.anchor_field(a), L.anchor_field(b)))
         if not defect.is_zero:
             witness = (
@@ -1351,14 +1366,15 @@ def general_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
 
 def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, max_degree=2) -> CheckReport:
     """The compatibility families through the section calculus: every
-    frame and function defect is `compatibility_defect` on sections, three
-    `schouten` and three `differential` calls each, and the symmetric part
+    frame defect is `compatibility_defect` on sections, three `schouten`
+    and three `differential` calls each, every function defect is
+    `summed_compatibility_defect` with a function as Y, and the symmetric part
     applies the anchor of d_* x_i to x_j.  The oracle of
     `algebroid.check_compatibility`, which scatters the same values from
     the structure functions and the anchor rows."""
     rank, frames, names = L.rank, L.frames, L.chart.names
     coords = [Polynomial.coordinate(L.chart, name) for name in names]
-    functions = [Multisection.function(rank, c) for c in coords]
+    functions = [function(rank, c) for c in coords]
     defect = functools.partial(compatibility_defect, L, Lstar)
 
     @functools.cache
@@ -1371,7 +1387,7 @@ def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, ma
 
     @functools.cache
     def function_defect(a, i):
-        return defect(frame_section(L, a), functions[i])
+        return summed_compatibility_defect(L, Lstar, frame_section(L, a), functions[i])
 
     def scaled_defect(a, b, i):
         return scale_section(frame_defect(a, b), coords[i]) + wedge(function_defect(a, i), frame_section(L, b))
@@ -1415,7 +1431,7 @@ def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, ma
             ),
         ),
     ]
-    flow = functools.cache(lambda i: L.anchor_of(differential(Lstar, functions[i])))
+    flow = functools.cache(lambda i: anchor_of(L, differential(Lstar, functions[i])))
     witness = None
     for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
         value = flow(i).apply(coords[j]) + flow(j).apply(coords[i])
@@ -1430,14 +1446,34 @@ def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, ma
     return CheckReport(tuple(items))
 
 
+def function(rank: int, poly: Polynomial) -> Multisection:
+    """The function `poly` as a degree-0 multisection."""
+    return Multisection._from_components(rank, 0, {(): poly})
+
+
+def component_general(ms: Multisection, idx: Tuple[int, ...], chart: Chart) -> Polynomial:
+    """Antisymmetric lookup: the signed component of `ms` at any index tuple."""
+    poly = dict(ms.components).get(tuple(sorted(idx)))  # None on a repeated index
+    if poly is None:
+        return Polynomial.zero(chart)
+    return -poly if sum(a > b for a, b in itertools.combinations(idx, 2)) % 2 else poly
+
+
 def summed_schouten(L: LieAlgebroid, p: Multisection, q: Multisection) -> Multisection:
     """The Schouten bracket whose `dq >= 2` branch adds each wedge of the
-    biderivation rule to a running sum, recursing into itself: the oracle
-    of `algebroid.schouten`, which wedges both families into one
-    component map."""
+    biderivation rule to a running sum, recursing into itself, extended to
+    functions by [X, f] = a(X)(f) and [f, g] = 0: the oracle of
+    `algebroid.schouten`, which wedges both families into one component
+    map and takes no function."""
     dp, dq = p.degree, q.degree
     out_degree = max(dp + dq - 1, 0)
-    if p.is_zero or q.is_zero or (dp <= 1 and dq <= 1):
+    if p.is_zero or q.is_zero or (dp == 0 and dq == 0):
+        return Multisection.zero(L.rank, out_degree)
+    if dp == 1 and dq == 0:
+        return function(L.rank, anchor_of(L, p).apply(component_general(q, (), L.chart)))
+    if dp == 0 and dq == 1:
+        return function(L.rank, -anchor_of(L, q).apply(component_general(p, (), L.chart)))
+    if dp == 1 and dq == 1:
         return schouten(L, p, q)
     if dq >= 2:
         result = Multisection.zero(L.rank, out_degree)

@@ -50,6 +50,7 @@ from support import (
     dense_structure,
     poisson_bracket,
     scale_derivation,
+    summed_schouten,
     tangent_lavb,
 )
 
@@ -393,10 +394,12 @@ def test_criterion_9_calculus_property_suites():
                 p = random_multisection(L, dp)
                 q = random_multisection(L, dq)
                 r = random_multisection(L, dr)
-                lhs = schouten(L, p, schouten(L, q, r))
-                rhs = schouten(L, schouten(L, p, q), r)
+                # `schouten` takes no function; its oracle extends it to them
+                bracket = schouten if dp else summed_schouten
+                lhs = bracket(L, p, bracket(L, q, r))
+                rhs = bracket(L, bracket(L, p, q), r)
                 sign = Fraction(-1) ** (((dp - 1) * (dq - 1)) % 2)
-                rhs = rhs + schouten(L, q, schouten(L, p, r)).scale(sign)
+                rhs = rhs + bracket(L, q, bracket(L, p, r)).scale(sign)
                 assert lhs == rhs
                 count += 1
 

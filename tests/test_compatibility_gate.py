@@ -128,6 +128,23 @@ def test_a_passing_check_makes_no_section_calculus_call(monkeypatch):
     assert counts["schouten"] and counts["differential"] and counts["bracket_sections"]
 
 
+def test_trials_that_all_vanish_pass_random_after_drawing(monkeypatch):
+    """Constant sections (`max_degree=0`) see only the frame defects: a pair
+    failing other families runs every trial and passes `random` after them."""
+    counts = count_calls(monkeypatch, ((algebroid, "compatibility_defect"),))
+    vanishing = 0
+    for name, (L, Lstar) in sweep_pairs(range(1, 9)):
+        before = counts["compatibility_defect"]
+        report = check_compatibility(L, Lstar, max_degree=0)
+        if report.ok or not report.items[-1].ok:
+            continue
+        assert counts["compatibility_defect"] - before == algebroid.RANDOM_PAIRS, name
+        assert report.items == section_check_compatibility(L, Lstar, max_degree=0).items, name
+        vanishing += 1
+    # seeds 1-8 give 30 failing pairs, 20 of them passing `random`
+    assert vanishing >= 15
+
+
 def test_drinfeld_double_makes_no_compatibility_defect_call(monkeypatch):
     counts = count_calls(monkeypatch, SECTION_CALCULUS)
     outcomes = Counter()

@@ -44,6 +44,7 @@ from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Polynomial
 from doublealg.verdicts import failed, passed
 from doublealg.lavb import check_lavb
+import support
 from support import (
     MODELS,
     SO3,
@@ -146,8 +147,8 @@ COUNTED = (
 
 
 def count_calls(monkeypatch, targets):
-    """Count calls of the functions `targets` wherever a package module binds
-    them, and of the methods `targets` names on a class."""
+    """Count calls of the functions and methods `targets` names, on their
+    owner and wherever a package module binds them."""
     counts = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("doublealg.")]
     for owner, name in targets:
@@ -157,8 +158,7 @@ def count_calls(monkeypatch, targets):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        if isinstance(owner, type):
-            monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(owner, name, counted)
         for module in modules:
             if vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counted)
@@ -243,10 +243,11 @@ def test_extract_cli_checks_the_matched_pair_once(monkeypatch):
 
 # `check_algebroid` reads both axioms off the structure functions and the
 # anchor fields; the frame loop it replaced (the oracle in
-# `support.frame_loop_check_algebroid`) made three brackets per triple.
+# `support.frame_loop_check_algebroid`) made three brackets per triple and
+# took the anchor of each frame bracket.
 FRAME_CALCULUS = (
     (algebroid, "bracket_sections"),
-    (LieAlgebroid, "anchor_of"),
+    (support, "anchor_of"),
 )
 
 

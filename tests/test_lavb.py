@@ -40,6 +40,7 @@ from doublealg.model import parse_model
 from doublealg.verdicts import failed, passed
 from support import (
     MODELS,
+    anchor_of,
     check_representation,
     commutator,
     dense_generator_algebroid,
@@ -111,8 +112,8 @@ class TestTangentExample:
         lin = frame_section(total, 0)
         core = core_section(TA, [parse_polynomial("x^2", LINE)])
         got = bracket_sections(total, lin, core)
-        oracle = commutator(total.anchor_of(lin), total.anchor_of(core))
-        assert total.anchor_of(got).components == oracle.components
+        oracle = commutator(anchor_of(total, lin), anchor_of(total, core))
+        assert anchor_of(total, got).components == oracle.components
 
 
 class TestValidation:

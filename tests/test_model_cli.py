@@ -528,13 +528,16 @@ class TestHostileNumbers:
         ],
         ids=["dim", "ranks"],
     )
-    @pytest.mark.parametrize("digit", ["٢", "２"], ids=["arabic_indic", "fullwidth"])
-    def test_non_ascii_digit_in_a_count_is_a_parse_error(
-        self, tmp_path, capsys, verb, kind, text, line, label, digit
+    @pytest.mark.parametrize(
+        "literal", ["٢", "２", "1_0", "+2"], ids=["arabic_indic", "fullwidth", "underscore", "plus"]
+    )
+    def test_count_not_in_ascii_digits_is_a_parse_error(
+        self, tmp_path, capsys, verb, kind, text, line, label, literal
     ):
-        code, err = self.run_model(tmp_path, capsys, verb, kind, text.format(digit))
+        """A count is `-?[0-9]+`, though `int` also reads these."""
+        code, err = self.run_model(tmp_path, capsys, verb, kind, text.format(literal))
         assert code == 2
-        assert err == f"doublealg: parse error: line {line}: {label} must be an integer, got {digit!r}\n"
+        assert err == f"doublealg: parse error: line {line}: {label} must be an integer, got {literal!r}\n"
 
     def test_repeated_basis_name_is_a_parse_error(self, tmp_path, capsys):
         text = "[lie_algebra g]\ndim = 2\nbasis = [a, a]\n"

@@ -16,6 +16,7 @@ first.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import re
@@ -382,6 +383,20 @@ def test_the_guard_sees_an_unused_operator_method():
 def test_readme_library_snippet_runs():
     """The documented API still imports and its assertions hold."""
     exec(compile(library_snippet(), "README.md:Library", "exec"), {})
+
+
+def test_every_module_name_the_readme_gives_resolves():
+    """Each backticked `<module>.<name>` of the README whose module is a
+    package module names something that module has."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    named = re.findall(r"`([a-z_]+)((?:\.\w+)+)`", (ROOT / "README.md").read_text())
+    named = [(module, path) for module, path in named if module in modules]
+    assert named
+    for module, path in named:
+        target = importlib.import_module(f"doublealg.{module}")
+        for attribute in path[1:].split("."):
+            assert hasattr(target, attribute), f"README names {module}{path}"
+            target = getattr(target, attribute)
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))

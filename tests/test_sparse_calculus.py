@@ -7,15 +7,16 @@ its oracle, on algebroids that fail Jacobi as well as valid ones.
 `PoissonChart.is_poisson` decides [pi, pi] = 0 by the closed-form cyclic
 sums, and `PoissonChart.jacobiator`, which writes the `NotPoisson`
 witness, is twice them; the Schouten square of the bivector is kept in
-`support.schouten_jacobiator` as the oracle of both.  `schouten` wedges
-both families of the biderivation rule into one component map; the
-recursion that adds one wedge at a time to a running sum is kept in
+`support.schouten_jacobiator` as the oracle of both.  `schouten` takes
+multisections of degree >= 1 and wedges both families of the
+biderivation rule into one component map; the recursion that adds one
+wedge at a time to a running sum, extended to functions, is kept in
 `support.summed_schouten` as its oracle, and through it in
 `support.summed_compatibility_defect`.  `bracket_sections`
 builds each component in one pass over the structure functions and the
-anchor rows; the Leibniz expansion through `anchor_of` and
+anchor rows; the Leibniz expansion through `support.anchor_of` and
 `VectorField.apply` is kept in `support.leibniz_bracket_sections` as its
-oracle, errors included.  `check_algebroid` reads the anchor defect and
+oracle, error types included.  `check_algebroid` reads the anchor defect and
 the frame Jacobiator off the nonzero structure functions; the frame loop
 through `bracket_sections` is kept in `support.frame_loop_check_algebroid`
 as its oracle, compared report for report, witnesses included; a second
@@ -37,6 +38,7 @@ import pytest
 
 import catalog
 import linalg
+import support
 from doublealg import algebroid
 from doublealg.algebroid import (
     LieAlgebroid,
@@ -61,6 +63,7 @@ from support import (
     XY,
     double_corpus,
     frame_loop_check_algebroid,
+    function,
     gather_differential,
     general_change_frames,
     gl,
@@ -191,9 +194,10 @@ def test_differential_looks_up_no_component(monkeypatch):
     """`differential` reads the nonzero components only; the gathering
     oracle made one signed lookup per (target, term).  Driven by the
     section-calculus oracle of `check_compatibility`, which still takes
-    d_* of frames, functions and brackets."""
+    d_* of frames, functions and brackets; the lookup is
+    `support.component_general`."""
     depth, lookups = [0], Counter()
-    inner_differential, inner_lookup = algebroid.differential, Multisection.component_general
+    inner_differential, inner_lookup = algebroid.differential, support.component_general
 
     def counted_differential(*args):
         depth[0] += 1
@@ -202,15 +206,15 @@ def test_differential_looks_up_no_component(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counted_lookup(self, *args):
+    def counted_lookup(*args):
         lookups["in differential" if depth[0] else "elsewhere"] += 1
-        return inner_lookup(self, *args)
+        return inner_lookup(*args)
 
     monkeypatch.setattr(algebroid, "differential", counted_differential)
-    monkeypatch.setattr(Multisection, "component_general", counted_lookup)
+    monkeypatch.setattr(support, "component_general", counted_lookup)
     assert section_check_compatibility(*catalog.tangent_cotangent_pair()).ok
     assert lookups["in differential"] == 0
-    assert lookups["elsewhere"] > 0  # `schouten` still reads functions this way
+    assert lookups["elsewhere"] > 0  # `summed_schouten` reads functions this way
 
 
 # --- the one-pass section bracket against the Leibniz expansion
@@ -242,7 +246,9 @@ def error_of(bracket, L, x, y):
 
 def test_bracket_sections_raises_as_the_leibniz_expansion():
     """Wrong degree or rank, and a component off the algebroid's chart: at a
-    structure product, at a section of X and at a section of Y."""
+    structure product, at a section of X and at a section of Y.  The
+    oracle raises the same error types; the one-pass bracket names the
+    first foreign component of X, then of Y."""
     L = random_bracket(random.Random(0), ("e1", "e2", "e3"))
     abelian = LieAlgebroid(XY, ("e1", "e2"), [[Polynomial.constant(XY, 1), Polynomial.zero(XY)]] * 2, {})
     xyz, yx = Chart(("x", "y", "z")), Chart(("y", "x"))
@@ -254,7 +260,7 @@ def test_bracket_sections_raises_as_the_leibniz_expansion():
     far, swapped = Polynomial.coordinate(xyz, "z"), Polynomial.coordinate(yx, "y")
     cases = [
         (L, Multisection(3, 2, {(0, 1): home}), section(3, home)),
-        (L, section(3, home), Multisection.function(3, home)),
+        (L, section(3, home), function(3, home)),
         (L, section(2, home), section(3, home)),
         (L, section(3, home), section(4, home)),
         (L, section(3, far), section(3, None, home)),
@@ -266,12 +272,12 @@ def test_bracket_sections_raises_as_the_leibniz_expansion():
         (abelian, section(2, home, far), section(2, swapped)),
         (abelian, section(2, home), section(2, None, far)),
     ]
-    kinds = Counter()
-    for M, x, y in cases:
-        error = error_of(bracket_sections, M, x, y)
-        assert error == error_of(leibniz_bracket_sections, M, x, y)
-        kinds[error[0]] += 1
-    assert kinds == {ChartMismatch: 8, ValueError: 4}
+    degree, rank = "bracket_sections needs degree-1 sections", "section rank does not match algebroid"
+    z, s = (f"charts differ: Chart(x, y) vs {c!r}" for c in (xyz, yx))
+    errors = [error_of(bracket_sections, *case) for case in cases]
+    assert [text for _, text in errors] == [degree, degree, rank, rank, z, z, z, s, z, s, z, z]
+    assert [kind for kind, _ in errors] == [error_of(leibniz_bracket_sections, *case)[0] for case in cases]
+    assert Counter(kind for kind, _ in errors) == {ChartMismatch: 8, ValueError: 4}
 
 
 def test_bracket_sections_builds_no_anchor_field_or_product(monkeypatch):
@@ -279,7 +285,7 @@ def test_bracket_sections_builds_no_anchor_field_or_product(monkeypatch):
     x, y = random_sections(random.Random(2), L)[-2:]
     counts = count_calls(
         monkeypatch,
-        ((LieAlgebroid, "anchor_of"), (algebroid.VectorField, "apply"), (Polynomial, "__mul__")),
+        ((algebroid.VectorField, "apply"), (Polynomial, "__mul__")),
     )
     assert bracket_sections(L, x, y)
     assert counts == Counter()
@@ -302,12 +308,16 @@ def schouten_operands(rng, L):
 def test_schouten_matches_the_summed_recursion(L):
     operands = schouten_operands(random.Random(L.rank), L)
     for p, q in itertools.product(operands, repeat=2):
-        assert schouten(L, p, q) == summed_schouten(L, p, q), (p.degree, q.degree)
+        if p.degree and q.degree:
+            assert schouten(L, p, q) == summed_schouten(L, p, q), (p.degree, q.degree)
+        else:
+            with pytest.raises(ValueError, match=r"^schouten needs multisections of degree >= 1$"):
+                schouten(L, p, q)
 
 
 def test_compatibility_defect_matches_the_summed_recursion():
-    """On the trials of the failing cotangent doubles of the sweep pairs,
-    with a function as Y as well as a section."""
+    """On the trials of the failing cotangent doubles of the sweep pairs;
+    a function as Y raises."""
     failing = [dla for _, dla in sweep_doubles(range(1, 9)) if not check_double(dla).ok]
     assert len(failing) >= 25
     nonzero = 0
@@ -315,11 +325,12 @@ def test_compatibility_defect_matches_the_summed_recursion():
         L, Lstar = dla.dual_pair
         rng = random.Random(7)
         for _ in range(2):
-            x = random_section(rng, L)
-            for y in (random_section(rng, L), Multisection.function(L.rank, random_polynomial(rng, L.chart))):
-                defect = algebroid.compatibility_defect(L, Lstar, x, y)
-                assert defect == summed_compatibility_defect(L, Lstar, x, y)
-                nonzero += not defect.is_zero
+            x, y = random_section(rng, L), random_section(rng, L)
+            defect = algebroid.compatibility_defect(L, Lstar, x, y)
+            assert defect == summed_compatibility_defect(L, Lstar, x, y)
+            nonzero += not defect.is_zero
+            with pytest.raises(ValueError, match="degree >= 1"):
+                algebroid.compatibility_defect(L, Lstar, x, function(L.rank, random_polynomial(rng, L.chart)))
     assert nonzero >= 50
 
 

@@ -73,14 +73,15 @@ _VERBS = {
 
 
 def _double_summary(prefix: str, dla: "doublela.DoubleLieAlgebroid") -> CheckItem:
-    """Derived-structure summary: the induced dual pair, the Poisson data on
-    the core dual, and the core algebroid."""
+    """Derived-structure summary: the induced dual pair, the linear Poisson
+    structure on the core dual (`dual_poisson` of the core), and the core
+    algebroid."""
     e_v, dual = dla.dual_pair
     detail: List[str] = []
     detail.extend(format_algebroid_lines("induced_vertical_dual", e_v))
     detail.extend(format_algebroid_lines("induced_horizontal_dual", dual))
     if dla.core_frames:
-        pois = dla.core_poisson
+        pois = alg.dual_poisson(dla.core)
         names = pois.chart.names
         for i in range(len(names)):
             for j in range(i + 1, len(names)):

@@ -8,8 +8,8 @@ as a dual pair through the duality isomorphisms (which fix the transposed
 linear generators and negate the opposite core generators), and runs the
 bialgebroid compatibility check on that pair.
 
-Also here: the core algebroid, read off the Poisson structure that the
-induced pair puts on the core dual; the structural consequences of a
+Also here: the core algebroid, read off the core maps and core
+derivations of the two LA-vector bundles; the structural consequences of a
 passing double (core anchor coincidence, the core algebroid and its core
 maps, the anchors of D as algebroid morphisms), which are theorems and so
 are stated, not recomputed; the report of a passing `check_double`, which
@@ -27,15 +27,13 @@ from typing import Dict, List, Tuple
 
 from .algebroid import (
     LieAlgebroid,
-    PoissonChart,
-    anchor_products,
     change_frames,
     check_compatibility,
     coadjoint,
     fibre_coordinate,
     require_valid,
 )
-from .exact import EXPONENT_BITS, Chart, Polynomial
+from .exact import Chart, Polynomial
 from .lavb import LAVBundle, check_lavb, unique_names
 from .matched import (
     MatchedPair,
@@ -99,10 +97,6 @@ class DoubleLieAlgebroid:
     @cached_property
     def dual_pair(self) -> Tuple[LieAlgebroid, LieAlgebroid]:
         return dual_pair_over_core_dual(self)
-
-    @cached_property
-    def core_poisson(self) -> PoissonChart:
-        return core_poisson(self)
 
     @cached_property
     def core(self) -> LieAlgebroid:
@@ -169,55 +163,48 @@ def check_double(dla: DoubleLieAlgebroid, seed: int = 7, max_degree: int = 2) ->
 # the core and the structural consequences of a double
 
 
-def core_poisson(dla: DoubleLieAlgebroid) -> PoissonChart:
-    """The Poisson structure induced on the core dual by the bialgebroid pair:
-    {f, g} = sum_i e(frame_i)(f) * e_*(dual frame_i)(g), on the coordinates
-    sum_i a^u_i a_*^w_i, read off the anchor rows (`anchor_products`).
-    `PoissonChart` checks its antisymmetry, a consequence of the double
-    axioms."""
-    e_v, dual = dla.dual_pair
-    return PoissonChart(e_v.chart, anchor_products(e_v, dual))
-
-
 def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
-    """The algebroid on the core read off the linear Poisson structure on its
-    dual, in one pass over the terms of the core rows.
+    """The algebroid on the core, read off the generator data of the two
+    LA-vector bundles (Gracia-Saz, Jotz Lean, Mackenzie & Mehta 2018).
 
-    The anchor of c_gamma on x^i is {xi_gamma, x^i}, and component g3 of
-    [c_g1, c_g2] is the coefficient of xi_g3 in {xi_g1, xi_g2}; a zero
-    bracket {xi_g1, xi_g2} is skipped.  The read is exact because the fibre
-    rows that `_generator_algebroid` writes are linear in the fibre
-    coordinates and its base rows do not depend on them, so every
-    {xi_gamma, x^i} is free of the xi and every term of {xi_g1, xi_g2} has
-    fibre degree exactly 1, on every candidate double.  The chart of the
-    matrix adjoins the fibre coordinates after the base ones, so a packed
-    exponent free of the xi is its base exponent shifted left past the
-    fibre fields, and one of fibre degree 1 holds a single bit below them,
-    in the field of that fibre coordinate."""
-    poisson = dla.core_poisson
-    matrix = poisson.matrix
-    base = dla.chart
-    n = base.dim
-    rc = len(dla.core_frames)
-    fibre_bits = EXPONENT_BITS * (poisson.chart.dim - n)
-    base_unit = 1 << EXPONENT_BITS * n
-    anchor = [
-        tuple(
-            Polynomial._from_terms(base, {exp >> fibre_bits: c for exp, c in matrix[n + gamma][i].coeffs.items()})
-            for i in range(n)
-        )
-        for gamma in range(rc)
-    ]
-    brackets: Dict[Tuple[int, int], Tuple[Polynomial, ...]] = {}
+    With the core maps d_A = `vertical.core_anchor` and d_B =
+    `horizontal.core_anchor`, the core derivations q^h of the A-frames and
+    q^v of the B-frames, and the anchor rho_A of the side A:
+
+        anchor(c_g)            = sum_a d_A[g][a] rho_A(e_a),
+        [c_g1, c_g2] at c_d    = sum_a d_A[g1][a] q^h_a[g2][d]
+                                 - sum_b d_B[g2][b] q^v_b[g1][d],
+
+    summed over the nonzero entries of d_A and d_B and the nonzero entries
+    of the derivation rows they select.  On a double, `dual_poisson` of
+    this algebroid is the Poisson structure that the induced dual pair puts
+    on the core dual (Mackenzie & Xu 1994).
+    """
+    v, h = dla.vertical, dla.horizontal
+    base, rc = dla.chart, len(dla.core_frames)
+    zero = Polynomial.zero(base)
+    d_a = [[(a, c) for a, c in enumerate(row) if c] for row in v.core_anchor]
+    d_b = [[(b, c) for b, c in enumerate(row) if c] for row in h.core_anchor]
+
+    def add(vec: List[Polynomial], c: Polynomial, row: Tuple[Polynomial, ...]) -> None:
+        for k, p in enumerate(row):
+            if p:
+                vec[k] = vec[k] + c * p
+
+    anchor = []
+    for terms in d_a:
+        field = [zero] * base.dim
+        for a, c in terms:
+            add(field, c, dla.side_a.anchor[a])
+        anchor.append(field)
+    brackets: Dict[Tuple[int, int], List[Polynomial]] = {}
     for g1, g2 in itertools.combinations(range(rc), 2):
-        entry = matrix[n + g1][n + g2]
-        if not entry:
-            continue
-        accs: List[Dict] = [{} for _ in range(rc)]
-        for exp, c in entry.coeffs.items():
-            fibre = (exp & (1 << fibre_bits) - 1).bit_length() - 1
-            accs[rc - 1 - fibre // EXPONENT_BITS][(exp >> fibre_bits) - base_unit] = c
-        brackets[(g1, g2)] = tuple(Polynomial._from_terms(base, acc) for acc in accs)
+        vec = [zero] * rc
+        for a, c in d_a[g1]:
+            add(vec, c, h.core_derivations[a][g2])
+        for b, c in d_b[g2]:
+            add(vec, -c, v.core_derivations[b][g1])
+        brackets[(g1, g2)] = vec
     return LieAlgebroid(base, dla.core_frames, anchor, brackets)
 
 
@@ -251,13 +238,7 @@ def structural_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
     on every passing double of a corpus that also holds failing doubles.
 
     `core_anchor_induced` also holds by construction: `core_algebroid`
-    reads the anchor of c_gamma off {xi_gamma, x^k}, which sums the anchors
-    of the frames of e_v on xi_gamma against the base anchors of the dual
-    frames.  The transposed-linear frames of e_v meet the B*-core frames of
-    the dual, whose base anchor is zero; the A*-core frame a of e_v, with
-    anchor -d_A[gamma][a] on xi_gamma, meets -eta_a, whose base anchor is
-    minus the base field of the horizontal core derivation of e_a, that is
-    -rho_A(e_a) by construction.
+    writes the anchor of c_gamma as sum_a d_A[gamma][a] rho_A(e_a).
     """
     core = ("core_algebroid", "core_anchor_induced", "core_map_A", "core_map_B")
     items = (
@@ -351,6 +332,9 @@ def build_cotangent_double(L: LieAlgebroid, Lstar: LieAlgebroid) -> DoubleLieAlg
     require_valid(Lstar, "dual algebroid")
     if L.chart != Lstar.chart or L.rank != Lstar.rank:
         raise DoubleMismatch("inputs are not structures on a dual pair of bundles")
+    shared = [name for name in L.frames if name in Lstar.frames]
+    if shared:
+        raise DoubleMismatch(f"primary and dual algebroids share frame names: {', '.join(shared)}")
     # the induced duals add the fibre coordinate xi_<core frame> to the
     # chart, so a core frame must not be named after one already there
     prefix = fibre_coordinate("")

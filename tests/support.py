@@ -907,8 +907,8 @@ def section_check_matched(mp: MatchedPair) -> CheckReport:
 def applied_core_poisson(dla) -> PoissonChart:
     """The Poisson structure on the core dual by applying the anchor fields
     of the induced dual pair to the coordinates, with its antisymmetry
-    checked: the oracle of `doublela.core_poisson`, which reads the same
-    products off the anchor rows."""
+    checked: on a passing double it is `dual_poisson` of the core
+    algebroid, and `dense_core_algebroid` reads that algebroid off it."""
     e_v, dual = dla.dual_pair
     chart = e_v.chart
     size = chart.dim
@@ -971,11 +971,12 @@ def coefficient_of(p: Polynomial, name: str) -> Polynomial:
 
 
 def dense_core_algebroid(dla) -> LieAlgebroid:
-    """The core algebroid read off every entry of the core Poisson matrix,
+    """The core algebroid read off every entry of the Poisson matrix that
+    the induced dual pair puts on the core dual (`applied_core_poisson`),
     zero entries included, with `restrict` and `coefficient_of`, and its
     fibrewise linearity checked: the oracle of `doublela.core_algebroid`,
-    which reads the terms of the nonzero entries in one pass."""
-    pois = dla.core_poisson
+    which reads it off the generator data of the two LA-vector bundles."""
+    pois = applied_core_poisson(dla)
     base = dla.chart
     n = base.dim
     rc = len(dla.core_frames)

@@ -11,9 +11,7 @@ the cotangent algebroids of the two linear Poisson structures, which prove
 defects by the Leibniz rule; the loop that computes every scaled defect in
 full stays here as its oracle.  The `random` family draws its seeded trials
 only when one of the other four families fails; the trial loop, run on
-every pair, stays here as its oracle.  `core_poisson` reads the Poisson
-structure on the core dual off the anchor rows of the induced pair; the
-version that applies the anchor fields to coordinates is its oracle.
+every pair, stays here as its oracle.
 """
 
 import contextlib
@@ -49,7 +47,6 @@ from support import (
     MODELS,
     SO3,
     XY,
-    applied_core_poisson,
     constant_bundle,
     corpus_dual_pairs,
     dense_structure,
@@ -63,7 +60,6 @@ from support import (
     random_bracket,
     rename,
     scale_section,
-    sweep_doubles,
 )
 
 
@@ -131,7 +127,6 @@ def test_derived_structures_are_shared():
     assert v.induced_dual is v.induced_dual and v.induced_dual == lavb.induced_dual_algebroid(v)
     assert dla.dual_pair is dla.dual_pair
     assert dla.dual_pair[0] is dla.vertical.induced_dual
-    assert dla.core_poisson is dla.core_poisson
     assert dla.core is dla.core
     assert dla.dual_pair == doublela.dual_pair_over_core_dual(dla)
     assert dla.core == doublela.core_algebroid(dla)
@@ -141,7 +136,7 @@ COUNTED = (
     (doublela, "dual_pair_over_core_dual"),
     (lavb, "induced_dual_algebroid"),
     (lavb, "total_algebroid"),
-    (doublela, "core_poisson"),
+    (doublela, "core_algebroid"),
     (algebroid, "check_algebroid"),
 )
 
@@ -177,7 +172,7 @@ def test_check_double_cli_computes_each_derivation_once(calls):
         "dual_pair_over_core_dual": 1,
         "induced_dual_algebroid": 2,
         "total_algebroid": 2,
-        "core_poisson": 1,
+        "core_algebroid": 1,
         "check_algebroid": 4,
     }
 
@@ -206,7 +201,7 @@ def test_structural_diagnostics_computes_nothing(monkeypatch):
             (algebroid.VectorField, "apply"),
             (algebroid, "check_algebroid"),
             (doublela, "core_algebroid"),
-            (doublela, "core_poisson"),
+            (algebroid, "dual_poisson"),
         ),
     )
     assert doublela.structural_diagnostics(dla).ok
@@ -551,46 +546,3 @@ def test_passing_pair_draws_no_random_trial(monkeypatch):
     assert check_bialgebroid(*catalog.tangent_cotangent_pair()).ok
     assert counts["random_section"] == 0
     assert counts["differential"] == 0
-
-
-# --- the Poisson structure on the core dual, read off the anchor rows
-
-
-def core_poisson_doubles():
-    """The corpus doubles, the sweep doubles at seeds 501-508 and the
-    so(3)*, gl(2)* and gl(3)* rungs, each with its `check_double` verdict."""
-    doubles = double_corpus() + sweep_doubles(range(501, 509)) + ladder_doubles()
-    doubles.append(("gl3", build_cotangent_double(*ladder_pair(gl(3)))))
-    return [(name, dla, check_double(dla).ok) for name, dla in doubles]
-
-
-def test_core_poisson_equals_the_applied_anchor_fields():
-    """Equal matrices on every passing double.  A failing double may induce
-    a bracket that is not antisymmetric, which both reject."""
-    seen = Counter()
-    for name, dla, ok in core_poisson_doubles():
-        try:
-            got = doublela.core_poisson(dla)
-        except ValueError:
-            got = None
-        try:
-            expected = applied_core_poisson(dla)
-        except ValueError:
-            expected = None
-        assert got == expected, name
-        assert expected is not None or not ok, name
-        seen[ok, expected is not None] += 1
-    assert seen[True, True] >= 44 and seen[False, True] >= 15 and seen[False, False] >= 10
-
-
-def test_core_poisson_applies_no_vector_field(monkeypatch):
-    doubles = [dla for _, dla, ok in core_poisson_doubles() if ok]
-    for dla in doubles:
-        dla.dual_pair
-    counts = count_calls(monkeypatch, ((algebroid.VectorField, "apply"),))
-    for dla in doubles:
-        doublela.core_poisson(dla)
-    assert counts == Counter()
-    # the counter sees the oracle's calls
-    applied_core_poisson(doubles[-1])
-    assert counts["apply"]

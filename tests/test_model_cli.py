@@ -1031,3 +1031,44 @@ def test_co_jacobi_failure_is_a_failed_item(tmp_path, capsys, verb, kind, failur
         "triple (e1_d, e2_d, e3_d): jacobiator = (-1) e1_d + (1) e2_d + (1) e3_d"
     )
     assert f"result {valid}" in lines
+
+
+SHARED_FRAME_MODEL = """\
+[chart M]
+coords = [x]
+
+[algebroid A]
+base = M
+frame = [e1]
+anchor(e1) = d/dx
+
+[algebroid B]
+base = M
+frame = [e1]
+dual_of = A
+
+[algebroid TM]
+base = M
+frame = [v1]
+anchor(v1) = d/dx
+
+[algebroid Z]
+base = M
+frame = [w1]
+dual_of = TM
+"""
+
+
+def test_shared_frame_name_is_the_failed_entry(tmp_path, capsys):
+    """A dual pair whose two algebroids share a frame name has no
+    cotangent double: that is the failure of its own entry, exit 1, and the
+    model's other pair is still reported."""
+    path = tmp_path / "m.model"
+    path.write_text(SHARED_FRAME_MODEL)
+    assert main(["build", "cotangent-double", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    failure = lines.index("result cotangent_double.A:B: FAIL")
+    assert lines[failure + 1] == "  witness: primary and dual algebroids share frame names: e1"
+    assert "result cotangent_double.TM:Z.summary: pass" in lines

@@ -33,7 +33,6 @@ PACKAGE = ROOT / "src" / "doublealg"
 # the README.  Keep this short: each entry is a promise to outside callers.
 EXTERNAL_ONLY = {
     "algebroid.cotangent_algebroid",
-    "algebroid.dual_poisson",
     "algebroid.lie_algebra_to_algebroid",
     "algebroid.tangent_algebroid",
 }
@@ -378,6 +377,45 @@ def test_the_guard_sees_an_unused_operator_method():
     methods = public_methods(tree, "m")
     assert {name for _, _, name in methods} == {"__mul__", "__neg__", "__sub__", "__lt__"}
     assert unread_methods(methods, attribute_reads(tree, "m")) == {("m", "Thing", "__mul__")}
+
+
+# The packed exponent layout of a polynomial: `exact` defines it, and the
+# inner loops of `algebroid` read it; every other module goes through
+# `Polynomial` and `Chart`.
+LAYOUT_NAMES = {"EXPONENT_BITS", "_MASK", "_shifts", "_units", "_limit", "_pack", "_unpack"}
+LAYOUT_MODULES = {"exact", "algebroid"}
+
+
+def layout_reads(tree):
+    """The layout names that `tree` reads, as a name, an attribute or an
+    imported name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in LAYOUT_NAMES:
+            out.add(name)
+    return out
+
+
+def test_only_exact_and_algebroid_read_the_exponent_layout():
+    readers = {module: layout_reads(tree) for module, tree in package_trees()}
+    assert {m: names for m, names in readers.items() if names and m not in LAYOUT_MODULES} == {}
+    assert readers["exact"] and readers["algebroid"]
+
+
+def test_the_layout_guard_sees_a_reader():
+    tree = ast.parse(
+        "from .exact import EXPONENT_BITS\n"
+        "def width(p):\n    return p.chart._limit >> EXPONENT_BITS\n"
+    )
+    assert layout_reads(tree) == {"EXPONENT_BITS", "_limit"}
 
 
 def test_readme_library_snippet_runs():

@@ -38,7 +38,6 @@ import pytest
 
 import catalog
 import linalg
-import support
 from doublealg import algebroid
 from doublealg.algebroid import (
     LieAlgebroid,
@@ -73,7 +72,6 @@ from support import (
     perturbations,
     random_bracket,
     schouten_jacobiator,
-    section_check_compatibility,
     summed_compatibility_defect,
     summed_schouten,
     sweep_doubles,
@@ -188,33 +186,6 @@ def test_differential_matches_gather_on_dense_forms():
             },
         )
         assert differential(L, omega) == gather_differential(L, omega)
-
-
-def test_differential_looks_up_no_component(monkeypatch):
-    """`differential` reads the nonzero components only; the gathering
-    oracle made one signed lookup per (target, term).  Driven by the
-    section-calculus oracle of `check_compatibility`, which still takes
-    d_* of frames, functions and brackets; the lookup is
-    `support.component_general`."""
-    depth, lookups = [0], Counter()
-    inner_differential, inner_lookup = algebroid.differential, support.component_general
-
-    def counted_differential(*args):
-        depth[0] += 1
-        try:
-            return inner_differential(*args)
-        finally:
-            depth[0] -= 1
-
-    def counted_lookup(*args):
-        lookups["in differential" if depth[0] else "elsewhere"] += 1
-        return inner_lookup(*args)
-
-    monkeypatch.setattr(algebroid, "differential", counted_differential)
-    monkeypatch.setattr(support, "component_general", counted_lookup)
-    assert section_check_compatibility(*catalog.tangent_cotangent_pair()).ok
-    assert lookups["in differential"] == 0
-    assert lookups["elsewhere"] > 0  # `summed_schouten` reads functions this way
 
 
 # --- the one-pass section bracket against the Leibniz expansion

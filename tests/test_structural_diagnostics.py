@@ -12,16 +12,17 @@ cotangent doubles of the benchmark sweep's families at eight seeds, and the
 so(3)*, gl(2)* and gl(3)* Lie-Poisson rungs.
 
 On the same doubles, and on the cotangent doubles of `tt_pair(n)` for
-n <= 8, `core_algebroid`, which reads only the nonzero core Poisson
-entries, equals the dense reading `support.dense_core_algebroid`, raised
-exceptions compared by type and message.  On all of them, those whose core
-Poisson matrix is not antisymmetric included, and on further seeded
-perturbations, that matrix is fibrewise linear: the theorem that makes the
-one-pass read of `core_algebroid` exact.
+n <= 8, `core_algebroid`, which reads the core off the generator data of
+the two LA-vector bundles, equals `support.dense_core_algebroid`, which
+reads it off the Poisson structure that the induced dual pair puts on the
+core dual, wherever that structure is antisymmetric; where it is not, the
+double fails `check_double`.  On every passing cored double, that
+structure is `dual_poisson` of the core, which the summary prints.  On all
+of them, and on further seeded perturbations, it is fibrewise linear: the
+theorem that makes the core a Lie algebroid.
 """
 
 import functools
-import types
 from collections import Counter
 
 import pytest
@@ -35,9 +36,11 @@ from doublealg.doublela import (
     core_algebroid,
     structural_diagnostics,
 )
-from doublealg.algebroid import PoissonChart, anchor_products, fibre_coordinate
+from doublealg.algebroid import LieAlgebroid, anchor_products, dual_poisson, fibre_coordinate
 from doublealg.exact import Chart, Polynomial
+from doublealg.lavb import LAVBundle
 from support import (
+    applied_core_poisson,
     dense_core_algebroid,
     double_corpus,
     gl,
@@ -136,67 +139,96 @@ def test_corpus_has_failing_anchor_items():
 
 
 def test_induced_core_anchor_is_the_composite_by_construction():
-    """On every double whose core algebroid is built, the induced anchor of
-    c_gamma is sum_a d_A[gamma][a] times the base field of the horizontal
-    core derivation of e_a, whatever those base fields are; they are the
-    side anchors whenever `check_lavb` passes."""
+    """On every cored double, passing or failing, the core algebroid builds
+    and the anchor of c_gamma is sum_a d_A[gamma][a] rho_A(e_a)."""
     built = 0
     for _, dla in CORPUS + SCALED:
         if not dla.core_frames:
             continue
-        try:
-            core = dla.core
-        except (DoubleMismatch, ValueError):
-            continue
         base = dla.chart
-        fields = [f.components for f in dla.horizontal.side.anchor_fields]
+        fields = [f.components for f in dla.side_a.anchor_fields]
         for gamma, row in enumerate(dla.vertical.core_anchor):
             expected = [Polynomial.zero(base) for _ in range(base.dim)]
             for a, coeff in enumerate(row):
                 for i in range(base.dim):
                     expected[i] = expected[i] + coeff * fields[a][i]
-            assert list(core.anchor[gamma]) == expected
+            assert list(dla.core.anchor[gamma]) == expected
         built += 1
-    assert built == 23
+    assert built == 42
 
 
-# --- the core algebroid reads only the nonzero core Poisson entries
+# --- the core algebroid read off the generator data and off the core dual
 
 TT = {f"tt{n}": build_cotangent_double(*tt_pair(n)) for n in range(1, 9)}
 CORE_GATE = {**DOUBLES, **TT}
 
 
-def core_outcome(build, dla):
-    """The core algebroid `build` makes of `dla`, or the type and message
-    of what it raises."""
-    try:
-        return build(dla)
-    except Exception as exc:  # compared by type and message
-        return type(exc), str(exc)
-
-
 @functools.cache
-def core_outcomes(name):
-    dla = CORE_GATE[name]
-    return core_outcome(core_algebroid, dla), core_outcome(dense_core_algebroid, dla)
+def dense_outcome(name):
+    """The core algebroid that the Poisson reading makes of a `CORE_GATE`
+    double, or the `DoubleMismatch` it raises on a core-dual bracket that
+    is not antisymmetric or not fibrewise linear."""
+    try:
+        return dense_core_algebroid(CORE_GATE[name])
+    except DoubleMismatch as exc:
+        return exc
 
 
 @pytest.mark.parametrize("name", list(CORE_GATE))
 def test_core_algebroid_matches_the_dense_oracle(name):
-    sparse, dense = core_outcomes(name)
-    assert sparse == dense
+    dla = CORE_GATE[name]
+    dense = dense_outcome(name)
+    if isinstance(dense, DoubleMismatch):
+        assert not check_double(dla).ok
+    else:
+        assert core_algebroid(dla) == dense
 
 
 def test_core_gate_has_built_raising_and_bracketed_cores():
     """The gate cannot go vacuous: it covers the ladder rungs and `tt<n>`
-    for n <= 8, some cores raise, and some built cores have a nonzero
-    bracket."""
+    for n <= 8, the oracle builds at least 100 cores and raises on at least
+    10 doubles, and some built cores have a nonzero bracket."""
     assert {"so3", "gl2", "gl3", "tt8"} <= set(CORE_GATE)
-    outcomes = [core_outcomes(name)[1] for name in CORE_GATE]
-    raised = [o for o in outcomes if isinstance(o, tuple)]
-    built = [o for o in outcomes if not isinstance(o, tuple)]
+    outcomes = [dense_outcome(name) for name in CORE_GATE]
+    raised = [o for o in outcomes if isinstance(o, DoubleMismatch)]
+    built = [o for o in outcomes if not isinstance(o, DoubleMismatch)]
     bracketed = [o for o in built if any(any(row) for row in o.nonzero_structure)]
-    assert len(raised) >= 10 and len(bracketed) >= 1, (len(raised), len(bracketed))
+    assert len(built) >= 100 and len(raised) >= 10 and bracketed, (len(built), len(raised))
+
+
+def test_core_dual_poisson_is_the_dual_of_the_core():
+    """On every passing cored double, the Poisson structure that the
+    induced dual pair puts on the core dual is `dual_poisson` of the core,
+    the matrix whose entries the summary prints."""
+    passing = 0
+    for name, dla in CORE_GATE.items():
+        if dla.core_frames and check_double(dla).ok:
+            assert dual_poisson(core_algebroid(dla)).matrix == applied_core_poisson(dla).matrix, name
+            passing += 1
+    assert passing >= 50, passing
+
+
+def test_core_algebroid_matches_the_dense_oracle_on_lavb_data():
+    """A core bracket [c_a, c_b] = x c_a + (x^2 - 1) c_b, with base-dependent
+    coefficients split over both core frames, written as LA-vector bundle
+    data on (x): core maps c_a -> e and c_a -> f, both sides anchored by
+    x d/dx, and one core derivation sending c_b to that bracket on each
+    side.  The double fails `check_double`, but its core-dual Poisson
+    structure is antisymmetric, so the dense reading builds."""
+    x = Chart(["x"])
+    zero, one = Polynomial.zero(x), Polynomial.constant(x, 1)
+    image = (parse_polynomial("x", x), parse_polynomial("x^2 - 1", x))
+    core_derivation = [[(zero, zero), image]]
+
+    def lavb(side_frame, bundle_frame):
+        side = LieAlgebroid(x, (side_frame,), [[parse_polynomial("x", x)]])
+        return LAVBundle(side, (bundle_frame,), ("a", "b"), [[[zero]]], core_derivation, [[one], [zero]])
+
+    dla = DoubleLieAlgebroid(lavb("f", "e"), lavb("e", "f"))
+    core = core_algebroid(dla)
+    assert core == dense_core_algebroid(dla)
+    assert core.nonzero_structure[0][1] == ((0, image[0]), (1, image[1]))
+    assert not check_double(dla).ok
 
 
 # --- the core Poisson matrix is fibrewise linear on every candidate double
@@ -246,35 +278,7 @@ def test_linearity_gate_holds_non_antisymmetric_doubles():
     skewless = [
         name
         for name in CORE_GATE
-        if core_outcomes(name)[1] == (ValueError, "bivector matrix must be antisymmetric")
+        if str(dense_outcome(name)).startswith("induced bracket not antisymmetric")
     ]
     assert len(skewless) >= 30, len(skewless)
     assert len(FURTHER_PERTURBED) >= 40, len(FURTHER_PERTURBED)
-
-
-def core_stub(anchor, bracket):
-    """A stand-in double with base (x), core frames a, b and the core
-    Poisson matrix on (x, xi_a, xi_b) with {xi_a, x} = `anchor` and
-    {xi_a, xi_b} = `bracket`: the only attributes `core_algebroid` reads."""
-    chart = Chart(["x", "xi_a", "xi_b"])
-    p = [[Polynomial.zero(chart)] * 3 for _ in range(3)]
-    p[1][0], p[1][2] = (parse_polynomial(t, chart) for t in (anchor, bracket))
-    p[0][1], p[2][1] = -p[1][0], -p[1][2]
-    return types.SimpleNamespace(
-        core_poisson=PoissonChart(chart, p), chart=Chart(["x"]), core_frames=("a", "b")
-    )
-
-
-@pytest.mark.parametrize(
-    "anchor, bracket",
-    [
-        ("x", "x * xi_a - 2 * xi_b"),
-        ("x", "0"),
-        ("x^2 - 1", "3/2 * xi_a + x * xi_b - x^2 * xi_b"),
-    ],
-)
-def test_core_algebroid_matches_the_dense_oracle_on_stubs(anchor, bracket):
-    """Linear core brackets with base-dependent coefficients, split over
-    both core frames, read as the dense reading reads them."""
-    dla = core_stub(anchor, bracket)
-    assert core_algebroid(dla) == dense_core_algebroid(dla)

@@ -4,9 +4,10 @@ The definition of a double Lie algebroid is symmetric in its two LA-vector
 bundle structures, so transposing a double keeps its verdict; transposing a
 vacant double swaps the roles of the two actions of its matched pair.  A
 dual pair (L, L*) is a Lie bialgebroid exactly when (L*, L) is (Mackenzie &
-Xu 1994), so the cotangent doubles of the two orders get one verdict.  Each
-gate asserts lower bounds on its passing and failing counts, so that it
-keeps deciding both verdicts.
+Xu 1994), so the cotangent doubles of the two orders get one verdict.  The
+core of a double is one Lie algebroid, so a passing double and its
+transpose read the same core.  Each gate asserts lower bounds on its
+passing and failing counts, so that it keeps deciding both verdicts.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from doublealg.doublela import (
     assemble_vacant_double,
     build_cotangent_double,
     check_double,
+    core_algebroid,
     matched_from_vacant,
 )
 from doublealg.matched import MatchedPair, MatchedPairError, check_matched
@@ -38,6 +40,16 @@ def test_transposing_a_double_keeps_its_verdict():
     # rungs, and tt1 .. tt8
     assert len(verdicts) >= 130
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 70
+
+
+def test_transposing_a_passing_double_keeps_its_core():
+    passing = 0
+    for name, dla in {**DOUBLES, **TT}.items():
+        if dla.core_frames and check_double(dla).ok:
+            assert core_algebroid(dla) == core_algebroid(transposed(dla)), name
+            passing += 1
+    # 53 passing doubles have a core
+    assert passing >= 50, passing
 
 
 def test_transposing_a_vacant_double_swaps_its_actions():

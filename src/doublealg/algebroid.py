@@ -667,6 +667,19 @@ def fibre_coordinate(frame_name: str) -> str:
     return f"xi_{frame_name}"
 
 
+def unique_names(primary: Sequence[str], taken: Sequence[str]) -> Tuple[str, ...]:
+    """Disambiguate generated names against already-used ones (apostrophes)."""
+    out: List[str] = []
+    used = set(taken)
+    for name in primary:
+        candidate = name
+        while candidate in used:
+            candidate += "'"
+        out.append(candidate)
+        used.add(candidate)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class PoissonChart:
     """Antisymmetric polynomial bivector matrix on a chart."""
@@ -716,8 +729,10 @@ class PoissonChart:
 
 def dual_poisson(L: LieAlgebroid) -> PoissonChart:
     """Linear Poisson structure on the dual: {l_X, l_Y} = l_{[X,Y]},
-    {l_X, f} = a(X)(f), {f, g} = 0, on the chart (x, xi_frame)."""
-    ext = L.chart.extend(fibre_coordinate(f) for f in L.frames)
+    {l_X, f} = a(X)(f), {f, g} = 0, on the chart (x, xi_frame), with
+    apostrophes on a xi_frame already on the chart (`unique_names`)."""
+    xi = unique_names([fibre_coordinate(f) for f in L.frames], L.chart.names)
+    ext = L.chart.extend(xi)
     n, r = L.chart.dim, L.rank
     size = n + r
     zero = Polynomial.zero(ext)
@@ -730,9 +745,7 @@ def dual_poisson(L: LieAlgebroid) -> PoissonChart:
         for b in range(a + 1, r):
             entry = Polynomial.zero(ext)
             for g, coeff in L.nonzero_structure[a][b]:
-                entry = entry + coeff.lift(ext) * Polynomial.coordinate(
-                    ext, fibre_coordinate(L.frames[g])
-                )
+                entry = entry + coeff.lift(ext) * Polynomial.coordinate(ext, xi[g])
             matrix[n + a][n + b] = entry
             matrix[n + b][n + a] = -entry
     return PoissonChart(ext, matrix)

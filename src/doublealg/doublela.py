@@ -32,9 +32,10 @@ from .algebroid import (
     coadjoint,
     fibre_coordinate,
     require_valid,
+    unique_names,
 )
 from .exact import Chart, Polynomial
-from .lavb import LAVBundle, check_lavb, unique_names
+from .lavb import LAVBundle, check_lavb
 from .matched import (
     MatchedPair,
     MatchedPairError,

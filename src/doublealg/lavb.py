@@ -36,6 +36,7 @@ from .algebroid import (
     check_algebroid,
     contragredient,
     fibre_coordinate,
+    unique_names,
 )
 from .exact import Chart, Polynomial
 from .verdicts import CheckItem, CheckReport, passed
@@ -48,19 +49,6 @@ def bundle_fibre_coordinate(frame_name: str) -> str:
 
 def dual_frame_name(frame_name: str) -> str:
     return f"{frame_name}_d"
-
-
-def unique_names(primary: Sequence[str], taken: Sequence[str]) -> Tuple[str, ...]:
-    """Disambiguate generated names against already-used ones (apostrophes)."""
-    out: List[str] = []
-    used = set(taken)
-    for name in primary:
-        candidate = name
-        while candidate in used:
-            candidate += "'"
-        out.append(candidate)
-        used.add(candidate)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -164,10 +152,11 @@ def induced_dual_algebroid(v: LAVBundle) -> LieAlgebroid:
     """The algebroid over the dual of the core induced by the structure on
     D -> A: the total algebroid of `dual_lavb(v)`.
 
-    Base chart (x, xi_core); frames: transposed linear sections (one per
-    B-frame) followed by the core sections coming from the frames of A*.
+    Base chart (x, xi_core), with apostrophes on a xi_core already on the
+    chart; frames: transposed linear sections (one per B-frame) followed by
+    the core sections coming from the frames of A*.
     """
-    fibre = tuple(fibre_coordinate(f) for f in v.core_frames)
+    fibre = unique_names([fibre_coordinate(f) for f in v.core_frames], v.chart.names)
     core = unique_names(
         [dual_frame_name(f) for f in v.bundle_frames], v.side.frames + v.chart.names + fibre
     )

@@ -99,7 +99,9 @@ _BLOCK_TYPES = (
 
 _T = TypeVar("_T")
 
-# Largest dimension or rank a model file may give as a number.
+# Largest dimension or rank a model file may give as a number, and the most
+# names a name list may hold: the Jacobi check of an algebroid takes time
+# cubic in its rank.
 MAX_COUNT = 64
 
 
@@ -203,6 +205,8 @@ def _parse_name_list(text: str, line: int) -> Tuple[str, ...]:
     if not inner:
         return ()
     names = tuple(part.strip() for part in inner.split(","))
+    if len(names) > MAX_COUNT:
+        raise ModelError(f"a name list holds at most {MAX_COUNT} names, got {len(names)}", line)
     if any(not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", n) for n in names):
         raise ModelError(f"bad name list {text!r}", line)
     return names

@@ -11,6 +11,11 @@ Frame combinations reuse the same grammar with frame names as extra atoms
 (each term carries at most one frame atom, to the first power).  Vector
 fields use `d/d<coord>` atoms.  Wedge combinations (for cobrackets) use
 `NAME ^ NAME`; `^` followed by an integer is still a power.
+
+A parsed term is one monomial: the product of its numbers, the sum of its
+coordinate powers and its one atom.  Frame combinations and vector fields
+sum their terms by atom and monomial, and build each atom's polynomial
+once, through the validating `Polynomial(chart, terms)`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .exact import Chart, Coefficient, Polynomial
+from .exact import Chart, Coefficient, Polynomial, rat
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^/(),;:=\[\]{}]))"
@@ -74,12 +79,7 @@ class Tokens:
                 if text[pos:].strip():
                     raise ParseError(f"unexpected character {text[pos]!r}", pos)
                 break
-            if m.group("int") is not None:
-                self.items.append(("int", m.group("int"), m.start()))
-            elif m.group("name") is not None:
-                self.items.append(("name", m.group("name"), m.start()))
-            else:
-                self.items.append(("sym", m.group("sym"), m.start()))
+            self.items.append((m.lastgroup, m.group(m.lastgroup), m.start()))
             pos = m.end()
         self.k = 0
 
@@ -124,12 +124,16 @@ def _parse_rational(tokens: Tokens) -> Coefficient:
 
 
 class _Term:
-    """One signed product: polynomial coefficient, optional frame/wedge atom."""
+    """One signed product: a rational coefficient, the exponent of each chart
+    coordinate and at most one atom, a frame or direction name or a wedge
+    pair."""
 
-    def __init__(self) -> None:
-        self.coeff: Optional[Polynomial] = None
-        self.frame: Optional[str] = None
-        self.pair: Optional[Tuple[str, str]] = None
+    __slots__ = ("coeff", "exps", "atom")
+
+    def __init__(self, sign: int, dim: int) -> None:
+        self.coeff: Coefficient = sign
+        self.exps = [0] * dim
+        self.atom: Optional[str | Tuple[str, str]] = None
 
 
 def _parse_terms(
@@ -139,15 +143,12 @@ def _parse_terms(
     allow_wedge: bool,
     allow_vector_field: bool,
 ) -> List[_Term]:
-    coord_set = set(chart.names)
+    position = {name: i for i, name in enumerate(chart.names)}
     frame_set = set(frames)
     terms: List[_Term] = []
-    sign = 1
-    if tokens.accept_sym("-"):
-        sign = -1
+    sign = -1 if tokens.accept_sym("-") else 1
     while True:
-        term = _Term()
-        term.coeff = Polynomial.constant(chart, sign)
+        term = _Term(sign, chart.dim)
         # the total degree of the term's monomial, refused as soon as a
         # factor takes it past the bound, before the kernel packs it
         degree = 0
@@ -156,71 +157,53 @@ def _parse_terms(
             if tok is None:
                 raise ParseError("expected factor", len(tokens.text))
             kind, value, pos = tok
+            # a factor adds a power of one coordinate or an atom, refused
+            # with `clash` when the term holds one already
+            power, atom, clash = 0, None, ""
             if kind == "int":
-                term.coeff = term.coeff * Polynomial.constant(chart, _parse_rational(tokens))
-            elif kind == "name":
-                if (
-                    allow_vector_field
-                    and value == "d"
-                    and tokens.peek(1) is not None
-                    and tokens.peek(1)[:2] == ("sym", "/")
-                ):
-                    tokens.next()
-                    tokens.next()
-                    kind2, dname, pos2 = tokens.next()
-                    if kind2 != "name" or not dname.startswith("d"):
-                        raise ParseError("expected d/d<coord>", pos2)
-                    coord = dname[1:]
-                    if coord not in coord_set:
-                        raise ParseError(f"unknown coordinate {coord!r} in d/d{coord}", pos2)
-                    if term.frame is not None:
-                        raise ParseError("two directions in one term", pos)
-                    term.frame = coord
-                else:
-                    tokens.next()
-                    nxt = tokens.peek()
-                    if nxt is not None and nxt[:2] == ("sym", "^"):
-                        after = tokens.peek(1)
-                        if after is not None and after[0] == "int":
-                            tokens.next()
-                            _, literal, _ = tokens.next()
-                            if value not in coord_set:
-                                raise ParseError(f"unknown coordinate {value!r}", pos)
-                            power = _integer(literal)
-                            degree += power
-                            if degree > MAX_TOTAL_DEGREE:
-                                raise ValueError(_TOO_HIGH)
-                            exp = tuple(power if name == value else 0 for name in chart.names)
-                            term.coeff = term.coeff * Polynomial(chart, {exp: 1})
-                            # fallthrough to separator handling
-                            if not tokens.accept_sym("*"):
-                                break
-                            continue
-                        if allow_wedge and after is not None and after[0] == "name":
-                            tokens.next()
-                            _, second, _ = tokens.next()
-                            if value not in frame_set or second not in frame_set:
-                                raise ParseError(f"unknown wedge pair {value}^{second}", pos)
-                            if term.pair is not None or term.frame is not None:
-                                raise ParseError("two atoms in one term", pos)
-                            term.pair = (value, second)
-                            if not tokens.accept_sym("*"):
-                                break
-                            continue
-                        raise ParseError("expected exponent or wedge partner after ^", pos)
-                    if value in coord_set:
-                        degree += 1
-                        if degree > MAX_TOTAL_DEGREE:
-                            raise ValueError(_TOO_HIGH)
-                        term.coeff = term.coeff * Polynomial.coordinate(chart, value)
-                    elif value in frame_set:
-                        if term.frame is not None or term.pair is not None:
-                            raise ParseError(f"two frame atoms in one term near {value!r}", pos)
-                        term.frame = value
-                    else:
-                        raise ParseError(f"unknown symbol {value!r}", pos)
-            else:
+                term.coeff *= _parse_rational(tokens)
+            elif kind != "name":
                 raise ParseError(f"expected factor, got {value!r}", pos)
+            elif allow_vector_field and value == "d" and (tokens.peek(1) or ())[:2] == ("sym", "/"):
+                tokens.next()
+                tokens.next()
+                kind, dname, at = tokens.next()
+                if kind != "name" or not dname.startswith("d"):
+                    raise ParseError("expected d/d<coord>", at)
+                atom, clash = dname[1:], "two directions in one term"
+                if atom not in position:
+                    raise ParseError(f"unknown coordinate {atom!r} in d/{dname}", at)
+            else:
+                tokens.next()
+                if tokens.accept_sym("^"):
+                    after = tokens.peek()
+                    if after is not None and after[0] == "int":
+                        tokens.next()
+                        if value not in position:
+                            raise ParseError(f"unknown coordinate {value!r}", pos)
+                        power = _integer(after[1])
+                    elif allow_wedge and after is not None and after[0] == "name":
+                        tokens.next()
+                        atom, clash = (value, after[1]), "two atoms in one term"
+                        if value not in frame_set or after[1] not in frame_set:
+                            raise ParseError(f"unknown wedge pair {value}^{after[1]}", pos)
+                    else:
+                        raise ParseError("expected exponent or wedge partner after ^", pos)
+                elif value in position:
+                    power = 1
+                elif value in frame_set:
+                    atom, clash = value, f"two frame atoms in one term near {value!r}"
+                else:
+                    raise ParseError(f"unknown symbol {value!r}", pos)
+                if power:
+                    term.exps[position[value]] += power
+            degree += power
+            if degree > MAX_TOTAL_DEGREE:
+                raise ValueError(_TOO_HIGH)
+            if atom is not None:
+                if term.atom is not None:
+                    raise ParseError(clash, pos)
+                term.atom = atom
             if not tokens.accept_sym("*"):
                 break
         terms.append(term)
@@ -232,75 +215,68 @@ def _parse_terms(
             return terms
 
 
-def parse_combination(text: str, chart: Chart, frames: Tuple[str, ...]) -> Dict[str, Polynomial]:
-    """Linear combination of frames with polynomial coefficients.
+def _collected(
+    text: str, chart: Chart, frames: Tuple[str, ...], directions: bool
+) -> Dict[str, Polynomial]:
+    """The coefficient of each frame of `frames` in a frame combination, or
+    with `directions` of each d/d<coord> in a vector field.  The terms of
+    each atom are summed by monomial and its polynomial is built once.
 
-    A pure-scalar `0` is accepted as the zero combination; any other
-    frameless term is an error.
-    """
+    A pure-scalar `0` term is skipped; any other term without an atom is an
+    error."""
     tokens = Tokens(text)
-    terms = _parse_terms(tokens, chart, frames, allow_wedge=False, allow_vector_field=False)
+    terms = _parse_terms(tokens, chart, frames, allow_wedge=False, allow_vector_field=directions)
     tokens.expect_done()
-    accs: Dict[str, Dict[int, Coefficient]] = {name: {} for name in frames}
+    accs: Dict[str, Dict[Tuple[int, ...], Coefficient]] = {
+        name: {} for name in (chart.names if directions else frames)
+    }
     for term in terms:
-        if term.frame is None:
-            if term.coeff.is_zero:
+        if term.atom is None:
+            if term.coeff == 0:
                 continue
-            raise ParseError("term without a frame in a frame combination")
-        _collect(accs[term.frame], term.coeff)
-    out = {name: Polynomial._from_terms(chart, acc) for name, acc in accs.items()}
+            kind = "direction in a vector field" if directions else "frame in a frame combination"
+            raise ParseError(f"term without a {kind}")
+        acc = accs[term.atom]
+        exp = tuple(term.exps)
+        acc[exp] = acc.get(exp, 0) + term.coeff
+    out = {name: Polynomial(chart, acc) for name, acc in accs.items()}
     _require_bounded(c for poly in out.values() for c in poly.coeffs.values())
     return out
 
 
+def parse_combination(text: str, chart: Chart, frames: Tuple[str, ...]) -> Dict[str, Polynomial]:
+    """Linear combination of frames with polynomial coefficients."""
+    return _collected(text, chart, frames, directions=False)
+
+
 def parse_vector_field(text: str, chart: Chart) -> List[Polynomial]:
     """`x * d/dx + ...` -> component polynomials, one per chart coordinate."""
-    tokens = Tokens(text)
-    terms = _parse_terms(tokens, chart, (), allow_wedge=False, allow_vector_field=True)
-    tokens.expect_done()
-    accs: List[Dict[int, Coefficient]] = [{} for _ in chart.names]
-    for term in terms:
-        if term.frame is None:
-            if term.coeff.is_zero:
-                continue
-            raise ParseError("term without a direction in a vector field")
-        _collect(accs[chart.index(term.frame)], term.coeff)
-    comps = [Polynomial._from_terms(chart, acc) for acc in accs]
-    _require_bounded(c for poly in comps for c in poly.coeffs.values())
-    return comps
-
-
-def _collect(acc: Dict[int, Coefficient], poly: Polynomial) -> None:
-    """Add the terms of `poly` to the coefficients `acc` of one atom, whose
-    polynomial is then built once."""
-    for exp, coeff in poly.coeffs.items():
-        acc[exp] = acc.get(exp, 0) + coeff
+    return list(_collected(text, chart, (), directions=True).values())
 
 
 def parse_wedge_combination(
     text: str, frames: Tuple[str, ...]
 ) -> Dict[Tuple[int, int], Coefficient]:
     """`c * e_j ^ e_k` sums -> antisymmetric coefficients keyed by j < k."""
-    chart = Chart(())
     tokens = Tokens(text)
-    terms = _parse_terms(tokens, chart, frames, allow_wedge=True, allow_vector_field=False)
+    terms = _parse_terms(tokens, Chart(()), frames, allow_wedge=True, allow_vector_field=False)
     tokens.expect_done()
     out: Dict[Tuple[int, int], Coefficient] = {}
     index = {name: i for i, name in enumerate(frames)}
     for term in terms:
-        coeff = term.coeff.coeffs.get(0, 0)
-        if term.pair is None:
+        coeff = term.coeff
+        if type(term.atom) is not tuple:
             if coeff == 0:
                 continue
             raise ParseError("term without a wedge pair")
-        i, j = index[term.pair[0]], index[term.pair[1]]
+        i, j = index[term.atom[0]], index[term.atom[1]]
         if i == j:
             if coeff != 0:
-                raise ParseError(f"wedge of a frame with itself: {term.pair[0]}")
+                raise ParseError(f"wedge of a frame with itself: {term.atom[0]}")
             continue
         if i < j:
             out[(i, j)] = out.get((i, j), 0) + coeff
         else:
             out[(j, i)] = out.get((j, i), 0) - coeff
     _require_bounded(out.values())
-    return {key: value for key, value in out.items() if value != 0}
+    return {key: rat(value) for key, value in out.items() if value != 0}

@@ -26,7 +26,10 @@ and the constructions only the tests use (scalar polynomials in the model
 grammar, the tangent prolongation), the `Fraction`-only reference
 polynomial the exact kernel is compared with, and the kernel that keyed
 each term by its exponent tuple before exponents were packed
-(`TuplePolynomial`, `tuple_apply`)."""
+(`TuplePolynomial`, `tuple_apply`), the term loop and readers that
+multiplied a `Polynomial` for each parsed factor (`reference_parse_terms`
+and its readers), and the affine change of base coordinates
+(`change_coordinates`, `substitute`)."""
 
 import functools
 import itertools
@@ -84,7 +87,17 @@ from doublealg.matched import (
     check_matched,
 )
 from doublealg.model import parse_model
-from doublealg.parsing import ParseError, Tokens, _parse_terms, _require_bounded
+from doublealg.parsing import (
+    _TOKEN,
+    _TOO_HIGH,
+    MAX_TOTAL_DEGREE,
+    ParseError,
+    Tokens,
+    _integer,
+    _parse_rational,
+    _parse_terms,
+    _require_bounded,
+)
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -162,6 +175,11 @@ def rename(p, target, mapping):
     return Polynomial(target, acc)
 
 
+def term_polynomial(chart: Chart, term) -> Polynomial:
+    """The polynomial of a parsed term's monomial."""
+    return Polynomial(chart, {tuple(term.exps): term.coeff})
+
+
 def parse_polynomial(text: str, chart: Chart) -> Polynomial:
     """A scalar polynomial in the model-file grammar (no frame atoms)."""
     tokens = Tokens(text)
@@ -169,9 +187,9 @@ def parse_polynomial(text: str, chart: Chart) -> Polynomial:
     tokens.expect_done()
     total = Polynomial.zero(chart)
     for term in terms:
-        if term.frame is not None or term.pair is not None:
+        if term.atom is not None:
             raise ParseError("frame atom in a scalar polynomial")
-        total = total + term.coeff
+        total = total + term_polynomial(chart, term)
     return total
 
 
@@ -712,26 +730,232 @@ def leibniz_bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) 
     return Multisection(L.rank, 1, acc)
 
 
-def summed_atoms(text: str, chart: Chart, frames: Sequence[str] = ()) -> List[Polynomial]:
+def summed_atoms(text: str, chart: Chart, frames: Sequence[str] | None = None) -> List[Polynomial]:
     """The coefficient of each frame of `frames` in a frame combination, or
-    of each d/d<coord> in a vector field when `frames` is empty, summed term
+    of each d/d<coord> in a vector field when `frames` is None, summed term
     by term into a running `Polynomial`: the oracle of
     `parsing.parse_combination` and `parsing.parse_vector_field`, errors
     included."""
+    directions = frames is None
+    atoms = list(chart.names) if directions else list(frames)
     tokens = Tokens(text)
-    terms = _parse_terms(tokens, chart, tuple(frames), allow_wedge=False, allow_vector_field=not frames)
+    terms = _parse_terms(
+        tokens, chart, () if directions else tuple(frames), allow_wedge=False, allow_vector_field=directions
+    )
     tokens.expect_done()
-    atoms = list(frames) or list(chart.names)
     out = [Polynomial.zero(chart) for _ in atoms]
+    for term in terms:
+        if term.atom is None:
+            if term.coeff == 0:
+                continue
+            kind = "direction in a vector field" if directions else "frame in a frame combination"
+            raise ParseError(f"term without a {kind}")
+        k = atoms.index(term.atom)
+        out[k] = out[k] + term_polynomial(chart, term)
+    _require_bounded(c for poly in out for _, c in poly.terms)
+    return out
+
+
+class ReferenceTokens(Tokens):
+    """The tokenizer that named each token's kind in three branches."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.items: List[Tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if not m or m.end() == pos:
+                if text[pos:].strip():
+                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
+                break
+            if m.group("int") is not None:
+                self.items.append(("int", m.group("int"), m.start()))
+            elif m.group("name") is not None:
+                self.items.append(("name", m.group("name"), m.start()))
+            else:
+                self.items.append(("sym", m.group("sym"), m.start()))
+            pos = m.end()
+        self.k = 0
+
+
+class ReferenceTerm:
+    """One signed product as the parser held it before a term was one
+    monomial: a polynomial coefficient, an optional frame or direction and
+    an optional wedge pair."""
+
+    def __init__(self) -> None:
+        self.coeff: Polynomial | None = None
+        self.frame: str | None = None
+        self.pair: Tuple[str, str] | None = None
+
+
+def reference_parse_terms(
+    tokens: Tokens,
+    chart: Chart,
+    frames: Tuple[str, ...],
+    allow_wedge: bool,
+    allow_vector_field: bool,
+) -> List[ReferenceTerm]:
+    """The term loop that multiplied a `Polynomial` for each factor: the
+    oracle of `parsing._parse_terms`."""
+    coord_set = set(chart.names)
+    frame_set = set(frames)
+    terms: List[ReferenceTerm] = []
+    sign = 1
+    if tokens.accept_sym("-"):
+        sign = -1
+    while True:
+        term = ReferenceTerm()
+        term.coeff = Polynomial.constant(chart, sign)
+        degree = 0
+        while True:
+            tok = tokens.peek()
+            if tok is None:
+                raise ParseError("expected factor", len(tokens.text))
+            kind, value, pos = tok
+            if kind == "int":
+                term.coeff = term.coeff * Polynomial.constant(chart, _parse_rational(tokens))
+            elif kind == "name":
+                if (
+                    allow_vector_field
+                    and value == "d"
+                    and tokens.peek(1) is not None
+                    and tokens.peek(1)[:2] == ("sym", "/")
+                ):
+                    tokens.next()
+                    tokens.next()
+                    kind2, dname, pos2 = tokens.next()
+                    if kind2 != "name" or not dname.startswith("d"):
+                        raise ParseError("expected d/d<coord>", pos2)
+                    coord = dname[1:]
+                    if coord not in coord_set:
+                        raise ParseError(f"unknown coordinate {coord!r} in d/d{coord}", pos2)
+                    if term.frame is not None:
+                        raise ParseError("two directions in one term", pos)
+                    term.frame = coord
+                else:
+                    tokens.next()
+                    nxt = tokens.peek()
+                    if nxt is not None and nxt[:2] == ("sym", "^"):
+                        after = tokens.peek(1)
+                        if after is not None and after[0] == "int":
+                            tokens.next()
+                            _, literal, _ = tokens.next()
+                            if value not in coord_set:
+                                raise ParseError(f"unknown coordinate {value!r}", pos)
+                            power = _integer(literal)
+                            degree += power
+                            if degree > MAX_TOTAL_DEGREE:
+                                raise ValueError(_TOO_HIGH)
+                            exp = tuple(power if name == value else 0 for name in chart.names)
+                            term.coeff = term.coeff * Polynomial(chart, {exp: 1})
+                            if not tokens.accept_sym("*"):
+                                break
+                            continue
+                        if allow_wedge and after is not None and after[0] == "name":
+                            tokens.next()
+                            _, second, _ = tokens.next()
+                            if value not in frame_set or second not in frame_set:
+                                raise ParseError(f"unknown wedge pair {value}^{second}", pos)
+                            if term.pair is not None or term.frame is not None:
+                                raise ParseError("two atoms in one term", pos)
+                            term.pair = (value, second)
+                            if not tokens.accept_sym("*"):
+                                break
+                            continue
+                        raise ParseError("expected exponent or wedge partner after ^", pos)
+                    if value in coord_set:
+                        degree += 1
+                        if degree > MAX_TOTAL_DEGREE:
+                            raise ValueError(_TOO_HIGH)
+                        term.coeff = term.coeff * Polynomial.coordinate(chart, value)
+                    elif value in frame_set:
+                        if term.frame is not None or term.pair is not None:
+                            raise ParseError(f"two frame atoms in one term near {value!r}", pos)
+                        term.frame = value
+                    else:
+                        raise ParseError(f"unknown symbol {value!r}", pos)
+            else:
+                raise ParseError(f"expected factor, got {value!r}", pos)
+            if not tokens.accept_sym("*"):
+                break
+        terms.append(term)
+        if tokens.accept_sym("+"):
+            sign = 1
+        elif tokens.accept_sym("-"):
+            sign = -1
+        else:
+            return terms
+
+
+def _reference_collect(acc: Dict[int, Coefficient], poly: Polynomial) -> None:
+    for exp, coeff in poly.coeffs.items():
+        acc[exp] = acc.get(exp, 0) + coeff
+
+
+def reference_parse_combination(text: str, chart: Chart, frames: Tuple[str, ...]) -> Dict[str, Polynomial]:
+    """The frame-combination reader over `reference_parse_terms`: the oracle
+    of `parsing.parse_combination`."""
+    tokens = ReferenceTokens(text)
+    terms = reference_parse_terms(tokens, chart, frames, allow_wedge=False, allow_vector_field=False)
+    tokens.expect_done()
+    accs: Dict[str, Dict[int, Coefficient]] = {name: {} for name in frames}
     for term in terms:
         if term.frame is None:
             if term.coeff.is_zero:
                 continue
-            kind = "frame in a frame combination" if frames else "direction in a vector field"
-            raise ParseError(f"term without a {kind}")
-        out[atoms.index(term.frame)] = out[atoms.index(term.frame)] + term.coeff
-    _require_bounded(c for poly in out for _, c in poly.terms)
+            raise ParseError("term without a frame in a frame combination")
+        _reference_collect(accs[term.frame], term.coeff)
+    out = {name: Polynomial._from_terms(chart, acc) for name, acc in accs.items()}
+    _require_bounded(c for poly in out.values() for c in poly.coeffs.values())
     return out
+
+
+def reference_parse_vector_field(text: str, chart: Chart) -> List[Polynomial]:
+    """The vector-field reader over `reference_parse_terms`: the oracle of
+    `parsing.parse_vector_field`."""
+    tokens = ReferenceTokens(text)
+    terms = reference_parse_terms(tokens, chart, (), allow_wedge=False, allow_vector_field=True)
+    tokens.expect_done()
+    accs: List[Dict[int, Coefficient]] = [{} for _ in chart.names]
+    for term in terms:
+        if term.frame is None:
+            if term.coeff.is_zero:
+                continue
+            raise ParseError("term without a direction in a vector field")
+        _reference_collect(accs[chart.index(term.frame)], term.coeff)
+    comps = [Polynomial._from_terms(chart, acc) for acc in accs]
+    _require_bounded(c for poly in comps for c in poly.coeffs.values())
+    return comps
+
+
+def reference_parse_wedge_combination(text: str, frames: Tuple[str, ...]) -> Dict[Tuple[int, int], Coefficient]:
+    """The wedge reader over `reference_parse_terms`: the oracle of
+    `parsing.parse_wedge_combination`."""
+    chart = Chart(())
+    tokens = ReferenceTokens(text)
+    terms = reference_parse_terms(tokens, chart, frames, allow_wedge=True, allow_vector_field=False)
+    tokens.expect_done()
+    out: Dict[Tuple[int, int], Coefficient] = {}
+    index = {name: i for i, name in enumerate(frames)}
+    for term in terms:
+        coeff = term.coeff.coeffs.get(0, 0)
+        if term.pair is None:
+            if coeff == 0:
+                continue
+            raise ParseError("term without a wedge pair")
+        i, j = index[term.pair[0]], index[term.pair[1]]
+        if i == j:
+            if coeff != 0:
+                raise ParseError(f"wedge of a frame with itself: {term.pair[0]}")
+            continue
+        if i < j:
+            out[(i, j)] = out.get((i, j), 0) + coeff
+        else:
+            out[(j, i)] = out.get((j, i), 0) - coeff
+    _require_bounded(out.values())
+    return {key: value for key, value in out.items() if value != 0}
 
 
 def frame_section(L: LieAlgebroid, alpha: int) -> Multisection:
@@ -1363,6 +1587,48 @@ def general_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
                     new_vec[m] = new_vec[m] + old_vec[k].scale(inv[m][k])
         brackets[(a, b)] = tuple(new_vec)
     return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)
+
+
+def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
+    """`p` with coordinate i replaced by `images[i]`, on the same chart."""
+    out = Polynomial.zero(p.chart)
+    for exp, coeff in p.terms:
+        term = Polynomial.constant(p.chart, coeff)
+        for image, power in zip(images, exp):
+            for _ in range(power):
+                term = term * image
+        out = out + term
+    return out
+
+
+def change_coordinates(L: LieAlgebroid, P, q) -> LieAlgebroid:
+    """`L` in the affine coordinates y = P x + q of its base, under the old
+    coordinate names, for a unimodular integer matrix P and an integer
+    vector q.  Structure functions pull back by substituting
+    x = P^-1 (y - q); anchors push forward, d/dx_i = sum_j P_ji d/dy_j."""
+    chart, n = L.chart, L.chart.dim
+    inverse = linalg.inverse([[rat(entry) for entry in row] for row in P]) if n else []
+    assert all(entry.denominator == 1 for row in inverse for entry in row)
+    shifted = [
+        Polynomial.coordinate(chart, name) - Polynomial.constant(chart, q[j])
+        for j, name in enumerate(chart.names)
+    ]
+    zero = Polynomial.zero(chart)
+    images = [sum((y.scale(rat(c)) for c, y in zip(row, shifted)), zero) for row in inverse]
+    anchor = []
+    for row in L.anchor:
+        pulled = [substitute(entry, images) for entry in row]
+        anchor.append(
+            tuple(sum((a.scale(P[j][i]) for i, a in enumerate(pulled)), zero) for j in range(n))
+        )
+    brackets = {}
+    for a, b in itertools.combinations(range(L.rank), 2):
+        if L.nonzero_structure[a][b]:
+            vec = [zero] * L.rank
+            for g, coeff in L.nonzero_structure[a][b]:
+                vec[g] = substitute(coeff, images)
+            brackets[(a, b)] = vec
+    return LieAlgebroid(chart, L.frames, anchor, brackets)
 
 
 def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, max_degree=2) -> CheckReport:

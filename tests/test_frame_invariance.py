@@ -1,4 +1,4 @@
-"""Verdicts do not depend on the frame.
+"""Verdicts do not depend on the frame or on the base coordinates.
 
 A Lie bialgebroid and a double Lie algebroid are intrinsic notions
 (Mackenzie & Xu 1994; the paper defines a double Lie algebroid through the
@@ -14,6 +14,12 @@ compared.
 The frame changes are seeded unimodular integer matrices, so their
 inverses are integral too, applied with the oracle
 `support.general_change_frames`.
+
+Nor do the verdicts depend on the coordinates of the base: an affine change
+y = P x + q, with P a seeded unimodular integer matrix and q a small
+integer vector, applied to L and L* with `support.change_coordinates`,
+leaves the same three verdicts alone.  The bialgebras over a point have no
+coordinates to change.
 """
 
 import random
@@ -26,6 +32,7 @@ from doublealg.algebroid import check_bialgebroid
 from doublealg.doublela import build_cotangent_double, check_double
 from support import (
     SO3,
+    change_coordinates,
     corpus_dual_pairs,
     double_corpus,
     gate_corpus,
@@ -78,15 +85,24 @@ def verdicts(L, Lstar):
     return report.ok, sides, double
 
 
-def assert_frame_invariant(pairs, seed, rounds=1):
-    """Compare the verdicts of every pair with those in `rounds` seeded
-    frames; return the count of each original verdict."""
+def changed_coordinates(rng, L, Lstar):
+    """(L, L*) in seeded affine coordinates y = P x + q of their base."""
+    n = L.chart.dim
+    matrix = unimodular(rng, n)
+    shift = [rng.randint(-1, 1) for _ in range(n)]
+    return change_coordinates(L, matrix, shift), change_coordinates(Lstar, matrix, shift)
+
+
+def assert_invariant(pairs, seed, rounds=1, change=changed_pair):
+    """Compare the verdicts of every pair with those after `rounds` seeded
+    changes, of frame by default; return the count of each original
+    verdict."""
     rng = random.Random(seed)
     seen = Counter()
     for name, (L, Lstar) in pairs:
         expected = verdicts(L, Lstar)
         for _ in range(rounds):
-            assert verdicts(*changed_pair(rng, L, Lstar)) == expected, name
+            assert verdicts(*change(rng, L, Lstar)) == expected, name
         seen[expected] += 1
     return seen
 
@@ -104,7 +120,7 @@ def test_unimodular_frames_have_integral_inverses():
 
 
 def test_sweep_families():
-    seen = assert_frame_invariant(sweep_pairs(range(901, 909)), seed=1)
+    seen = assert_invariant(sweep_pairs(range(901, 909)), seed=1)
     # seeds 901-908 give 34 bialgebroids and 30 failing pairs
     assert sum(seen.values()) == 64
     assert seen[True, (True, True), True] >= 25
@@ -112,7 +128,7 @@ def test_sweep_families():
 
 
 def test_corpus_dual_pairs():
-    seen = assert_frame_invariant(corpus_dual_pairs(double_corpus()), seed=2, rounds=2)
+    seen = assert_invariant(corpus_dual_pairs(double_corpus()), seed=2, rounds=2)
     # 10 passing and 10 failing pairs, among them the induced pairs on
     # (x, y, xi_dx, xi_dy) and their mirrors
     assert seen[True, (True, True), True] >= 10
@@ -121,15 +137,28 @@ def test_corpus_dual_pairs():
 
 @pytest.mark.parametrize("name,g", [("so3", SO3), ("gl2", gl(2))])
 def test_lie_poisson_rungs(name, g):
-    seen = assert_frame_invariant([(name, ladder_pair(g))], seed=3)
+    seen = assert_invariant([(name, ladder_pair(g))], seed=3)
     assert seen == {(True, (True, True), True): 1}
 
 
 def test_seeded_bialgebras_as_point_pairs():
     pairs = [(f"bialgebra{k}", (b.algebra, b.dual)) for k, b in enumerate(gate_corpus())]
-    seen = assert_frame_invariant(pairs, seed=4)
+    seen = assert_invariant(pairs, seed=4)
     # seed 5's corpus gives 252 pairs with a failing side, 14 with valid
     # sides that fail compatibility and 134 bialgebras
     assert sum(n for (_, sides, _), n in seen.items() if sides != (True, True)) >= 200
     assert seen[False, (True, True), False] >= 10
     assert seen[True, (True, True), True] >= 100
+
+
+def test_coordinate_changes_keep_the_verdicts():
+    pairs = [
+        *sweep_pairs(range(901, 909)),
+        *corpus_dual_pairs(double_corpus()),
+        ("so3", ladder_pair(SO3)),
+        ("gl2", ladder_pair(gl(2))),
+    ]
+    seen = assert_invariant(pairs, seed=5, rounds=2, change=changed_coordinates)
+    assert sum(seen.values()) == 86
+    assert seen[True, (True, True), True] >= 35
+    assert seen[False, (True, True), False] >= 30

@@ -725,6 +725,32 @@ class TestHostileNumbers:
         assert model.lie_algebras["g"].rank == 64
         assert len(model.dvbs["D"].frames_b) == 64
 
+    @staticmethod
+    def names(count):
+        return "[" + ", ".join(f"n{i}" for i in range(count)) + "]"
+
+    @pytest.mark.parametrize(
+        "block,line",
+        [
+            ("[chart M]\ncoords = {}\n", 2),
+            ("[algebroid A]\nbase = {}\nframe = [e1]\n", 2),
+            ("[algebroid A]\nbase = [x]\nframe = {}\n", 3),
+            ("[lie_algebra g]\ndim = 64\nbasis = {}\n", 3),
+            ("[dvb D]\nbase = [x]\nframes_A = [a]\nframes_B = {}\nframes_C = [c]\n", 4),
+        ],
+    )
+    def test_a_name_list_past_the_count_bound_is_a_parse_error(self, tmp_path, capsys, block, line):
+        """A name list holds at most MAX_COUNT names, as a count stops at
+        it; one at the bound is read.  The Jacobi check of an algebroid
+        takes time cubic in its rank."""
+        path = tmp_path / "m.model"
+        path.write_text(block.format(self.names(800)))
+        assert main(["check", "algebroid", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"doublealg: parse error: line {line}: a name list holds at most 64 names, got 800\n"
+        )
+        parse_model(block.format(self.names(64)))
+
 
 class TestSharedFrameNames:
     """A matched pair whose two algebroids share a frame name lays out
@@ -937,6 +963,21 @@ def test_dual_name_taken_by_a_basis_name_exits_two(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "doublealg: error: dual basis name 'a_d' is already a basis name\n"
+
+
+def test_a_chart_holding_xi_of_a_core_frame_keeps_its_double(tmp_path, capsys):
+    """The induced duals and the core dual extend the chart by xi_<core
+    frame>; one already on the chart gets an apostrophe, as the u_ fibre
+    coordinates of a total algebroid do, so the double is checked."""
+    text = (MODELS / "t2m_double.pass").read_text()
+    assert "coords = [x]\n" in text
+    path = tmp_path / "m.model"
+    path.write_text(text.replace("coords = [x]\n", "coords = [x, xi_c1]\n"))
+    assert main(["check", "double", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("  | base = [x, xi_c1, xi_c1']\n") == 2
+    assert "  | core_dual_poisson(x, xi_c1') = -1\n" in out
+    assert out.endswith("summary: pass\n")
 
 
 class TestRepeatedKeysInsideValues:

@@ -379,16 +379,18 @@ def test_the_guard_sees_an_unused_operator_method():
     assert unread_methods(methods, attribute_reads(tree, "m")) == {("m", "Thing", "__mul__")}
 
 
-# The packed exponent layout of a polynomial: `exact` defines it, and the
-# inner loops of `algebroid` read it; every other module goes through
-# `Polynomial` and `Chart`.
+# The packed exponent layout of a polynomial and the constructors that trust
+# their input to be in it: `exact` defines them, and the inner loops of
+# `algebroid` read them; every other module goes through `Polynomial` and
+# `Chart`, whose `Polynomial(chart, terms)` validates its terms.
 LAYOUT_NAMES = {"EXPONENT_BITS", "_MASK", "_shifts", "_units", "_limit", "_pack", "_unpack"}
+TRUSTED_CONSTRUCTORS = {"_from_terms", "_from_canonical"}
 LAYOUT_MODULES = {"exact", "algebroid"}
 
 
-def layout_reads(tree):
-    """The layout names that `tree` reads, as a name, an attribute or an
-    imported name."""
+def kernel_reads(tree, names):
+    """The names of `names` that `tree` reads, as a name, an attribute or
+    an imported name."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -399,15 +401,23 @@ def layout_reads(tree):
             name = node.name
         else:
             continue
-        if name in LAYOUT_NAMES:
+        if name in names:
             out.add(name)
     return out
 
 
-def test_only_exact_and_algebroid_read_the_exponent_layout():
-    readers = {module: layout_reads(tree) for module, tree in package_trees()}
-    assert {m: names for m, names in readers.items() if names and m not in LAYOUT_MODULES} == {}
+def assert_only_exact_and_algebroid_read(names):
+    readers = {module: kernel_reads(tree, names) for module, tree in package_trees()}
+    assert {m: found for m, found in readers.items() if found and m not in LAYOUT_MODULES} == {}
     assert readers["exact"] and readers["algebroid"]
+
+
+def test_only_exact_and_algebroid_read_the_exponent_layout():
+    assert_only_exact_and_algebroid_read(LAYOUT_NAMES)
+
+
+def test_only_exact_and_algebroid_call_the_trusted_constructors():
+    assert_only_exact_and_algebroid_read(TRUSTED_CONSTRUCTORS)
 
 
 def test_the_layout_guard_sees_a_reader():
@@ -415,7 +425,16 @@ def test_the_layout_guard_sees_a_reader():
         "from .exact import EXPONENT_BITS\n"
         "def width(p):\n    return p.chart._limit >> EXPONENT_BITS\n"
     )
-    assert layout_reads(tree) == {"EXPONENT_BITS", "_limit"}
+    assert kernel_reads(tree, LAYOUT_NAMES) == {"EXPONENT_BITS", "_limit"}
+
+
+def test_the_trusted_constructor_guard_sees_a_reader():
+    tree = ast.parse(
+        "from .exact import Polynomial\n"
+        "def build(chart, acc):\n    return Polynomial._from_terms(chart, acc)\n"
+    )
+    assert kernel_reads(tree, TRUSTED_CONSTRUCTORS) == {"_from_terms"}
+    assert kernel_reads(tree, LAYOUT_NAMES) == set()
 
 
 def test_readme_library_snippet_runs():

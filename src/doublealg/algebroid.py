@@ -65,8 +65,12 @@ class VectorField:
         object.__setattr__(field, "components", components)
         return field
 
+    # (terms, shift, unit) of each nonzero X^i, set by the first `apply`: no field, so
+    # outside `==`, `hash` and `repr`, and lock-free, unlike `functools.cached_property`
+    _nonzero = None
+
     def apply(self, f: Polynomial) -> Polynomial:
-        """X(f) = sum_i X^i df/dx^i, accumulated term by term into one map."""
+        """X(f) = sum_i X^i df/dx^i over the nonzero X^i, into one map."""
         chart = self.chart
         if f.chart is not chart and f.chart.names != chart.names:
             raise ChartMismatch(f"charts differ: {chart} vs {f.chart}")
@@ -76,10 +80,12 @@ class VectorField:
         get = acc.get
         limit = chart._limit
         terms = f.coeffs.items()
-        for comp, shift, unit in zip(self.components, chart._shifts, chart._units):
-            if not comp.coeffs:
-                continue
-            right = comp.coeffs.items()
+        walk = self._nonzero
+        if walk is None:
+            parts = zip(self.components, chart._shifts, chart._units)
+            walk = tuple([(comp.coeffs.items(), shift, unit) for comp, shift, unit in parts if comp.coeffs])
+            object.__setattr__(self, "_nonzero", walk)
+        for right, shift, unit in walk:
             for e1, c1 in terms:
                 power = e1 >> shift & _MASK
                 if not power:
@@ -258,15 +264,26 @@ def _permutation_sign(idx: Sequence[int]) -> int:
 # derivations on a framed bundle
 
 
-# A derivation of a framed bundle along frame e of an acting algebroid is
-# its matrix: matrix[a] is the image of frame a as component polynomials,
-# and its base field is the anchor of e, D(f mu) = f D(mu) + a(e)(f) mu.
-Matrix = Tuple[Tuple[Polynomial, ...], ...]
+# A matrix stores its nonzero entries as ((row, col), entry) items in increasing
+# (row, col) order.  A derivation along frame e is its matrix, entry (a, b) the
+# component b of D(e_a), over the anchor of e: D(f mu) = f D(mu) + a(e)(f) mu.
+Matrix = Tuple[Tuple[Tuple[int, int], Polynomial], ...]
+MatrixInput = Dict[Tuple[int, int], Polynomial] | Matrix  # what the constructors read
+
+
+def sparse_matrix(matrix: MatrixInput, rows: int, cols: int, message: str) -> Matrix:
+    """The stored form of a rows x cols matrix given as (row, col) -> entry
+    items or dict, zeros allowed; `ValueError(message)` for an index
+    outside it."""
+    items = tuple(matrix.items() if isinstance(matrix, dict) else matrix)
+    if any(not (0 <= i < rows and 0 <= j < cols) for (i, j), _ in items):
+        raise ValueError(message)
+    return tuple(sorted([item for item in items if item[1]]))
 
 
 def contragredient(matrix: Matrix) -> Matrix:
-    """Dual derivation: <D* phi, mu> = X<phi, mu> - <phi, D mu>."""
-    return tuple(tuple(-row[b] for row in matrix) for b in range(len(matrix)))
+    """Dual derivation, the negated transpose: <D* phi, mu> = X<phi, mu> - <phi, D mu>."""
+    return tuple(sorted(((b, a), -p) for (a, b), p in matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +415,11 @@ def tangent_algebroid(chart: Chart) -> LieAlgebroid:
 def coadjoint(L: LieAlgebroid) -> Tuple[Matrix, ...]:
     """The coadjoint representation of L on its dual, one derivation matrix
     per frame e_a: <ad*_X psi, Y> = -<psi, [X, Y]>, so the matrix of e_a has
-    entry [j][k] = -c^j_{ak}."""
-    r = L.rank
-    zero = Polynomial.zero(L.chart)
-    out = []
-    for a in range(r):
-        m = [[zero] * r for _ in range(r)]
-        for k in range(r):
-            for j, coeff in L.nonzero_structure[a][k]:
-                m[j][k] = -coeff
-        out.append(tuple(map(tuple, m)))
-    return tuple(out)
+    entry (j, k) = -c^j_{ak}, stored where c^j_{ak} is nonzero."""
+    return tuple(
+        tuple(sorted(((j, k), -coeff) for k, entry in enumerate(row) for j, coeff in entry))
+        for row in L.nonzero_structure
+    )
 
 
 def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multisection:
@@ -692,12 +703,18 @@ class PoissonChart:
         matrix = tuple(tuple(row) for row in matrix)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("bivector matrix must be dim x dim")
-        for i in range(n):
-            for j in range(n):
-                if (matrix[i][j] + matrix[j][i]):
-                    raise ValueError("bivector matrix must be antisymmetric")
+        if any(matrix[i][j] + matrix[j][i] for i in range(n) for j in range(i, n)):
+            raise ValueError("bivector matrix must be antisymmetric")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def _from_matrix(cls, chart: Chart, matrix: Tuple[Tuple[Polynomial, ...], ...]) -> "PoissonChart":
+        """Trusted constructor for a matrix antisymmetric by construction."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "chart", chart)
+        object.__setattr__(P, "matrix", matrix)
+        return P
 
     def _cyclic_sums(self) -> Iterator[Tuple[Index, Polynomial]]:
         """For each i < j < k, the cyclic sum over (i, j, k) of
@@ -734,21 +751,24 @@ def dual_poisson(L: LieAlgebroid) -> PoissonChart:
     xi = unique_names([fibre_coordinate(f) for f in L.frames], L.chart.names)
     ext = L.chart.extend(xi)
     n, r = L.chart.dim, L.rank
-    size = n + r
     zero = Polynomial.zero(ext)
-    matrix = [[zero for _ in range(size)] for _ in range(size)]
+    matrix = [[zero] * (n + r) for _ in range(n + r)]
     for a in range(r):
         for i in range(n):
             entry = L.anchor[a][i].lift(ext)
-            matrix[n + a][i] = entry
-            matrix[i][n + a] = -entry
+            matrix[n + a][i], matrix[i][n + a] = entry, -entry
         for b in range(a + 1, r):
-            entry = Polynomial.zero(ext)
+            entry = zero
             for g, coeff in L.nonzero_structure[a][b]:
                 entry = entry + coeff.lift(ext) * Polynomial.coordinate(ext, xi[g])
-            matrix[n + a][n + b] = entry
-            matrix[n + b][n + a] = -entry
-    return PoissonChart(ext, matrix)
+            matrix[n + a][n + b], matrix[n + b][n + a] = entry, -entry
+    return PoissonChart._from_matrix(ext, tuple(map(tuple, matrix)))
+
+
+def gradient(p: Polynomial) -> List[Tuple[int, Polynomial]]:
+    """The nonzero (i, dp/dx^i); a constant, whose one packed exponent is 0, has none."""
+    partials = map(p.partial, p.chart.names) if any(p.coeffs) else ()
+    return [(i, d) for i, d in enumerate(partials) if d]
 
 
 def cotangent_algebroid(P: PoissonChart) -> LieAlgebroid:

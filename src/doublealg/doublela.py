@@ -31,6 +31,7 @@ from .algebroid import (
     check_compatibility,
     coadjoint,
     fibre_coordinate,
+    gradient,
     require_valid,
     unique_names,
 )
@@ -176,36 +177,30 @@ def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
         [c_g1, c_g2] at c_d    = sum_a d_A[g1][a] q^h_a[g2][d]
                                  - sum_b d_B[g2][b] q^v_b[g1][d],
 
-    summed over the nonzero entries of d_A and d_B and the nonzero entries
-    of the derivation rows they select.  On a double, `dual_poisson` of
+    summed over the stored entries of d_A and d_B and of the derivation
+    rows they select.  On a double, `dual_poisson` of
     this algebroid is the Poisson structure that the induced dual pair puts
     on the core dual (Mackenzie & Xu 1994).
     """
     v, h = dla.vertical, dla.horizontal
     base, rc = dla.chart, len(dla.core_frames)
     zero = Polynomial.zero(base)
-    d_a = [[(a, c) for a, c in enumerate(row) if c] for row in v.core_anchor]
-    d_b = [[(b, c) for b, c in enumerate(row) if c] for row in h.core_anchor]
-
-    def add(vec: List[Polynomial], c: Polynomial, row: Tuple[Polynomial, ...]) -> None:
-        for k, p in enumerate(row):
-            if p:
-                vec[k] = vec[k] + c * p
-
-    anchor = []
-    for terms in d_a:
-        field = [zero] * base.dim
-        for a, c in terms:
-            add(field, c, dla.side_a.anchor[a])
-        anchor.append(field)
+    anchor = [[zero] * base.dim for _ in range(rc)]
+    for (g, a), c in v.core_anchor:
+        anchor[g] = [f + c * p if p else f for f, p in zip(anchor[g], dla.side_a.anchor[a])]
     brackets: Dict[Tuple[int, int], List[Polynomial]] = {}
-    for g1, g2 in itertools.combinations(range(rc), 2):
-        vec = [zero] * rc
-        for a, c in d_a[g1]:
-            add(vec, c, h.core_derivations[a][g2])
-        for b, c in d_b[g2]:
-            add(vec, -c, v.core_derivations[b][g1])
-        brackets[(g1, g2)] = vec
+
+    def add(g1: int, g2: int, d: int, term: Polynomial) -> None:
+        if g1 < g2:
+            vec = brackets.setdefault((g1, g2), [zero] * rc)
+            vec[d] = vec[d] + term
+
+    for (g1, a), c in v.core_anchor:
+        for (g2, d), p in h.core_derivations[a]:
+            add(g1, g2, d, c * p)
+    for (g2, b), c in h.core_anchor:
+        for (g1, d), p in v.core_derivations[b]:
+            add(g1, g2, d, -(c * p))
     return LieAlgebroid(base, dla.core_frames, anchor, brackets)
 
 
@@ -299,20 +294,25 @@ def _cotangent_lavb(
     Poisson structure that `side` induces on its dual, in closed form: the
     linear generators dxi_beta and the core generators dx^i.  `sign` = -1
     applies the canonical map, which negates the cotangent-of-base core.
+    Only the anchor entries and structure functions that hold a coordinate
+    are differentiated (`gradient`).
     """
-    names = side.chart.names
-    n, r = len(names), side.rank
-    zero = Polynomial.zero(side.chart)
     nonzero = side.nonzero_structure
-    core_ders = [[[row[gamma].partial(x) for x in names] for gamma in range(n)] for row in side.anchor]
-    core_anchor = [[side.anchor[a][gamma].scale(-sign) for a in range(r)] for gamma in range(n)]
-    twist = {}
-    for b1, b2 in itertools.combinations(range(r), 2):
-        if nonzero[b1][b2]:
-            rows = [[zero] * n for _ in range(r)]
-            for a, coeff in nonzero[b1][b2]:
-                rows[a] = [coeff.partial(x).scale(sign) for x in names]
-            twist[(b1, b2)] = rows
+    core_ders = [
+        {(gamma, i): d for gamma, entry in enumerate(row) for i, d in gradient(entry)}
+        for row in side.anchor
+    ]
+    core_anchor = {
+        (gamma, a): entry.scale(-sign)
+        for a, row in enumerate(side.anchor)
+        for gamma, entry in enumerate(row)
+        if entry
+    }
+    twist = {
+        (b1, b2): {(a, i): d.scale(sign) for a, coeff in nonzero[b1][b2] for i, d in gradient(coeff)}
+        for b1, b2 in itertools.combinations(range(side.rank), 2)
+        if nonzero[b1][b2]
+    }
     return LAVBundle(side, bundle_frames, core_frames, coadjoint(side), core_ders, core_anchor, twist)
 
 

@@ -8,6 +8,7 @@ dimension alone.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence
 
 from .algebroid import LieAlgebroid, Matrix, VectorField
@@ -72,10 +73,9 @@ def format_pairing_lines(double: LieAlgebroid) -> List[str]:
 def format_derivation_lines(
     prefix: str, base: VectorField, matrix: Matrix, frames: Sequence[str]
 ) -> List[str]:
-    """A derivation with base field `base` and its nonzero matrix rows."""
+    """A derivation with base field `base` and its nonzero (stored) matrix rows."""
     lines = [f"{prefix}.base = {format_vector_field(base)}"]
-    for i, name in enumerate(frames):
-        row = format_combination(matrix[i], frames)
-        if row != "0":
-            lines.append(f"{prefix}({name}) = {row}")
+    for i, row in itertools.groupby(matrix, lambda item: item[0][0]):
+        entries, names = zip(*((p, frames[k]) for (_, k), p in row))
+        lines.append(f"{prefix}({frames[i]}) = {format_combination(entries, names)}")
     return lines

@@ -12,8 +12,11 @@ canonical generators of its section module:
   vector bundles over the anchor of B;
 * a core anchor C -> A (the restriction of the anchor to the core);
 * an antisymmetric Hom(A, C)-valued twist for each B-frame pair (the core
-  component of the bracket of two canonical linear sections), stored once
-  and sparsely: only the pairs alpha < beta whose matrix is nonzero.
+  component of the bracket of two canonical linear sections), stored once:
+  only the pairs alpha < beta whose matrix is nonzero.
+
+Every matrix stores only its nonzero entries (`algebroid.Matrix`), and the
+builders below walk those entries only.
 
 From this data one builder writes down the honest algebroid on the total
 space of A (generator-level Jacobi and Leibniz checks reduce to
@@ -33,9 +36,11 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from .algebroid import (
     LieAlgebroid,
     Matrix,
+    MatrixInput,
     check_algebroid,
     contragredient,
     fibre_coordinate,
+    sparse_matrix,
     unique_names,
 )
 from .exact import Chart, Polynomial
@@ -60,10 +65,10 @@ class LAVBundle:
     core_frames: Tuple[str, ...]  # frames of C
     anchor_derivations: Tuple[Matrix, ...]  # on A, one per B-frame
     core_derivations: Tuple[Matrix, ...]  # on C, one per B-frame
-    core_anchor: Matrix  # core_anchor[gamma][a]: A-components of the image of c_gamma
+    core_anchor: Matrix  # entry (gamma, a): A-component a of the image of c_gamma
     # ((alpha, beta), m) for alpha < beta with m nonzero, in increasing pair
-    # order; m[a][gamma] is the C-component gamma of the twist of a_a, and the
-    # beta < alpha half is the negation.
+    # order; entry (a, gamma) of m is the C-component gamma of the twist of
+    # a_a, and the beta < alpha half is the negation.
     twist: Tuple[Tuple[Tuple[int, int], Matrix], ...]
 
     def __init__(
@@ -71,26 +76,22 @@ class LAVBundle:
         side: LieAlgebroid,
         bundle_frames: Sequence[str],
         core_frames: Sequence[str],
-        anchor_derivations: Sequence[Sequence[Sequence[Polynomial]]],
-        core_derivations: Sequence[Sequence[Sequence[Polynomial]]],
-        core_anchor: Sequence[Sequence[Polynomial]],
-        twist: Mapping[Tuple[int, int], Sequence[Sequence[Polynomial]]] | None = None,
+        anchor_derivations: Sequence[MatrixInput],
+        core_derivations: Sequence[MatrixInput],
+        core_anchor: MatrixInput,
+        twist: Mapping[Tuple[int, int], MatrixInput] | None = None,
     ):
-        chart = side.chart
-        bundle_frames = tuple(bundle_frames)
-        core_frames = tuple(core_frames)
+        bundle_frames, core_frames = tuple(bundle_frames), tuple(core_frames)
         ra, rc, rb = len(bundle_frames), len(core_frames), side.rank
-        anchor_derivations = tuple(tuple(map(tuple, m)) for m in anchor_derivations)
-        core_derivations = tuple(tuple(map(tuple, m)) for m in core_derivations)
+        anchor_derivations = tuple(
+            sparse_matrix(m, ra, ra, "anchor derivation rank mismatch") for m in anchor_derivations
+        )
+        core_derivations = tuple(
+            sparse_matrix(m, rc, rc, "core derivation rank mismatch") for m in core_derivations
+        )
         if len(anchor_derivations) != rb or len(core_derivations) != rb:
             raise ValueError("need one anchor and one core derivation per side frame")
-        if any(len(m) != ra for m in anchor_derivations):
-            raise ValueError("anchor derivation rank mismatch")
-        if any(len(m) != rc for m in core_derivations):
-            raise ValueError("core derivation rank mismatch")
-        core_anchor = tuple(tuple(row) for row in core_anchor)
-        if len(core_anchor) != rc or any(len(row) != ra for row in core_anchor):
-            raise ValueError("core anchor must be (core rank) x (bundle rank)")
+        core_anchor = sparse_matrix(core_anchor, rc, ra, "core anchor must be (core rank) x (bundle rank)")
         all_names = side.frames + bundle_frames + core_frames
         if len(set(all_names)) != len(all_names):
             raise ValueError("side, bundle and core frame names must be distinct")
@@ -98,10 +99,8 @@ class LAVBundle:
         for a, b in sorted(twist or {}):
             if not 0 <= a < b < rb:
                 raise ValueError(f"twist pair {(a, b)} is not alpha < beta among {rb} side frames")
-            mat = tuple(tuple(row) for row in twist[(a, b)])
-            if len(mat) != ra or any(len(row) != rc for row in mat):
-                raise ValueError("twist entry must be (bundle rank) x (core rank)")
-            if any(p for row in mat for p in row):
+            mat = sparse_matrix(twist[(a, b)], ra, rc, "twist entry must be (bundle rank) x (core rank)")
+            if mat:
                 stored.append(((a, b), mat))
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "bundle_frames", bundle_frames)
@@ -183,22 +182,16 @@ def _generator_algebroid(
     zero = Polynomial.zero(chart)
     u = [Polynomial.coordinate(chart, name) for name in fibre_names]
 
-    anchor_rows: List[Tuple[Polynomial, ...]] = []
+    anchor_rows: List[List[Polynomial]] = []
     for side_row, d in zip(v.side.anchor, v.anchor_derivations):
-        row = [c.lift(chart) for c in side_row]
-        for a in range(ra):
-            entry = zero
-            for b in range(ra):
-                m = d[b][a]
-                if m:
-                    entry = entry - m.lift(chart) * u[b]
-            row.append(entry)
-        anchor_rows.append(tuple(row))
-    for gamma in range(rc):
-        row = [zero for _ in range(n)]
-        for a in range(ra):
-            row.append(v.core_anchor[gamma][a].lift(chart))
-        anchor_rows.append(tuple(row))
+        fibre = [zero] * ra
+        for (b, a), m in d:
+            fibre[a] = fibre[a] - m.lift(chart) * u[b]
+        anchor_rows.append([c.lift(chart) for c in side_row] + fibre)
+    core_rows = [[zero] * (n + ra) for _ in range(rc)]
+    for (gamma, a), m in v.core_anchor:
+        core_rows[gamma][n + a] = m.lift(chart)
+    anchor_rows += core_rows
 
     # only pairs with a nonzero entry get a vector; core/core brackets vanish
     brackets: Dict[Tuple[int, int], List[Polynomial]] = {}
@@ -212,33 +205,21 @@ def _generator_algebroid(
                 vector((al, be))[g] = coeff.lift(chart)
     for pair, mat in v.twist:
         vec = vector(pair)
-        for g in range(rc):
-            for a in range(ra):
-                t = mat[a][g]
-                if t:
-                    vec[rb + g] = vec[rb + g] + t.lift(chart) * u[a]
+        for (a, g), t in mat:
+            vec[rb + g] = vec[rb + g] + t.lift(chart) * u[a]
     for beta, q in enumerate(v.core_derivations):
-        for gamma, row in enumerate(q):
-            for delta, m in enumerate(row):
-                if m:
-                    vector((beta, rb + gamma))[rb + delta] = m.lift(chart)
+        for (gamma, delta), m in q:
+            vector((beta, rb + gamma))[rb + delta] = m.lift(chart)
 
-    frames = v.side.frames + tuple(core_names)
-    return LieAlgebroid(chart, frames, anchor_rows, brackets)
+    return LieAlgebroid(chart, v.side.frames + tuple(core_names), anchor_rows, brackets)
 
 
 def dual_lavb(v: LAVBundle) -> LAVBundle:
     """The reciprocal structure: generator data of the induced dual algebroid
     viewed as an LA-vector bundle over the same side, with bundle C* and
     core A*."""
-    ra, rc = v.bundle_rank, v.core_rank
-    new_core_anchor = [
-        [-v.core_anchor[gamma][a] for gamma in range(rc)] for a in range(ra)
-    ]
-    new_twist = {pair: tuple(zip(*mat)) for pair, mat in v.twist}
-    new_bundle = unique_names(
-        [dual_frame_name(f) for f in v.core_frames], v.side.frames + v.chart.names
-    )
+    new_twist = {pair: {(g, a): t for (a, g), t in mat} for pair, mat in v.twist}
+    new_bundle = unique_names([dual_frame_name(f) for f in v.core_frames], v.side.frames + v.chart.names)
     new_core = unique_names(
         [dual_frame_name(f) for f in v.bundle_frames],
         v.side.frames + v.chart.names + new_bundle,
@@ -249,7 +230,7 @@ def dual_lavb(v: LAVBundle) -> LAVBundle:
         new_core,
         tuple(map(contragredient, v.core_derivations)),
         tuple(map(contragredient, v.anchor_derivations)),
-        new_core_anchor,
+        contragredient(v.core_anchor),  # the dual core map, minus the transpose
         new_twist,
     )
 

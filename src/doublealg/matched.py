@@ -6,7 +6,8 @@ on E over the anchor field, a flat connection over the anchor (Mokri 1997);
 flatness (bracket goes to commutator) is a checked precondition, never
 assumed.  `MatchedPair` stores each representation as a tuple of derivation
 matrices, one per acting frame, each over that frame's anchor by
-construction: rho of A on B and sigma of B on A.
+construction: rho of A on B and sigma of B on A, each matrix by its
+nonzero entries.
 
 A pair is matched exactly when its bowtie on A + B, with the mixed bracket
 [X, Y] = -sigma_Y(X) + rho_X(Y), is a Lie algebroid (Mokri, "Matched pairs
@@ -41,6 +42,7 @@ from .algebroid import (
     change_frames,
     check_algebroid,
     jacobiator,
+    sparse_matrix,
     structure_table,
 )
 from .exact import Chart, ChartMismatch, Polynomial
@@ -60,43 +62,45 @@ class MatchedPair:
     sigma: Tuple[Matrix, ...]  # B acting on the bundle of A, one per B-frame
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(tuple(map(tuple, m)) for m in self.rho))
-        object.__setattr__(self, "sigma", tuple(tuple(map(tuple, m)) for m in self.sigma))
+        ra, rb = self.algebroid_a.rank, self.algebroid_b.rank
         if self.algebroid_a.chart != self.algebroid_b.chart:
             raise ChartMismatch("matched pair needs a shared base chart")
-        if len(self.rho) != self.algebroid_a.rank:
+        rho = tuple(sparse_matrix(m, rb, rb, "rho derivations must act on B") for m in self.rho)
+        sigma = tuple(sparse_matrix(m, ra, ra, "sigma derivations must act on A") for m in self.sigma)
+        if len(rho) != ra:
             raise ValueError("rho needs one derivation per A-frame")
-        if len(self.sigma) != self.algebroid_b.rank:
+        if len(sigma) != rb:
             raise ValueError("sigma needs one derivation per B-frame")
-        if any(len(m) != self.algebroid_b.rank for m in self.rho):
-            raise ValueError("rho derivations must act on B")
-        if any(len(m) != self.algebroid_a.rank for m in self.sigma):
-            raise ValueError("sigma derivations must act on A")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def chart(self) -> Chart:
         return self.algebroid_a.chart
 
 
-def _bowtie_brackets(mp: MatchedPair) -> Dict[Tuple[int, int], Sequence[Polynomial]]:
+def _bowtie_brackets(mp: MatchedPair) -> Dict[Tuple[int, int], List[Polynomial]]:
     """The brackets of the bowtie on pairs a < b of the frames of A, then B:
     those of A and of B, and [e_i, f_j] = -sigma_j(e_i) + rho_i(f_j), read
-    off row i of the matrix of sigma_j and row j of that of rho_i, when one
-    of those rows has a nonzero entry."""
+    off the stored entries of row i of sigma_j and row j of rho_i."""
     a_alg, b_alg = mp.algebroid_a, mp.algebroid_b
     ra, rb = a_alg.rank, b_alg.rank
     zero = Polynomial.zero(mp.chart)
-    brackets: Dict[Tuple[int, int], Sequence[Polynomial]] = {}
+    brackets: Dict[Tuple[int, int], List[Polynomial]] = {}
+
+    def vector(pair: Tuple[int, int]) -> List[Polynomial]:
+        return brackets.setdefault(pair, [zero] * (ra + rb))
+
     for offset, side in ((0, a_alg), (ra, b_alg)):
         for i, j in itertools.combinations(range(side.rank), 2):
-            if side.nonzero_structure[i][j]:
-                vec = brackets[(offset + i, offset + j)] = [zero] * (ra + rb)
-                for g, coeff in side.nonzero_structure[i][j]:
-                    vec[offset + g] = coeff
+            for g, coeff in side.nonzero_structure[i][j]:
+                vector((offset + i, offset + j))[offset + g] = coeff
+    for j, sigma_j in enumerate(mp.sigma):
+        for (i, k), p in sigma_j:
+            vector((i, ra + j))[k] = -p
     for i, rho_i in enumerate(mp.rho):
-        for j, sigma_j in enumerate(mp.sigma):
-            if any(sigma_j[i]) or any(rho_i[j]):
-                brackets[(i, ra + j)] = tuple(-p for p in sigma_j[i]) + rho_i[j]
+        for (j, k), p in rho_i:
+            vector((i, ra + j))[ra + k] = p
     return brackets
 
 

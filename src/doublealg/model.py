@@ -296,13 +296,12 @@ def _brackets(
 
 def _parse_derivation_value(
     value: str, chart: Chart, frames: Tuple[str, ...], line: int
-) -> List[List[Polynomial]]:
+) -> Dict[Tuple[int, int], Polynomial]:
     value = value.strip()
     if not value.startswith("derivation{") or not value.endswith("}"):
         raise ModelError("expected derivation{frame: combination, ...}", line)
     inner = value[len("derivation{") : -1].strip()
-    rank = len(frames)
-    matrix = [[Polynomial.zero(chart) for _ in range(rank)] for _ in range(rank)]
+    matrix: Dict[Tuple[int, int], Polynomial] = {}
     if inner:
         seen = set()
         for part in inner.split(","):
@@ -315,7 +314,7 @@ def _parse_derivation_value(
                 raise ModelError(f"duplicate frame {frame_name!r} in derivation{{...}}", line)
             seen.add(idx)
             combo_map = _parsed(line, parse_combination, combo.strip(), chart, frames)
-            matrix[idx] = [combo_map[name] for name in frames]
+            matrix.update(((idx, k), p) for k, p in enumerate(combo_map.values()))
     return matrix
 
 
@@ -456,25 +455,24 @@ def parse_model(text: str) -> ModelFile:
                         line,
                     )
                 frames_b = side.frames
-                ra, rb, rc = len(frames_a), len(frames_b), len(frames_c)
-                zero = Polynomial.zero(chart)
                 # lambda and q: per side frame, a derivation on the bundle
-                # (the anchor derivation) and one on the core
+                # (the anchor derivation) and one on the core, each a map
+                # (row, col) -> entry like the core anchor and the twists
                 derivations = []
                 for key, noun, own in (("lambda", "bundle", frames_a), ("q", "core", frames_c)):
-                    matrices = [[[zero] * len(own) for _ in own] for _ in range(rb)]
+                    matrices: List[Dict[Tuple[int, int], Polynomial]] = [{} for _ in frames_b]
                     usage = f"{key} takes (side frame; {noun} frame)"
                     for args, value, line in block.calls(key):
                         beta, a = _call_indices(args, line, usage, frames_b, own)
                         combo = _parsed(line, parse_combination, value, chart, own)
-                        matrices[beta][a] = [combo[name] for name in own]
+                        matrices[beta].update(((a, k), p) for k, p in enumerate(combo.values()))
                     derivations.append(matrices)
-                core_anchor = [[zero] * ra for _ in range(rc)]
+                core_anchor = {}
                 for args, value, line in block.calls("del"):
                     (g,) = _call_indices(args, line, "del takes one core frame", frames_c)
                     combo = _parsed(line, parse_combination, value, chart, frames_a)
-                    core_anchor[g] = [combo[name] for name in frames_a]
-                twist = {}
+                    core_anchor.update(((g, a), p) for a, p in enumerate(combo.values()))
+                twist: Dict[Tuple[int, int], Dict[Tuple[int, int], Polynomial]] = {}
                 usage = "twist takes (side, side; bundle frame)"
                 for args, value, line in block.calls("twist", unordered_pair=True):
                     b1, b2, a = _call_indices(args, line, usage, frames_b, frames_b, frames_a)
@@ -482,11 +480,8 @@ def parse_model(text: str) -> ModelFile:
                         raise ModelError("twist pair must be distinct (antisymmetry)", line)
                     combo = _parsed(line, parse_combination, value, chart, frames_c)
                     sign = 1 if b1 < b2 else -1
-                    mat = twist.setdefault(
-                        (min(b1, b2), max(b1, b2)), [[zero] * rc for _ in range(ra)]
-                    )
-                    for g, name in enumerate(frames_c):
-                        mat[a][g] = mat[a][g] + combo[name].scale(sign)
+                    mat = twist.setdefault((min(b1, b2), max(b1, b2)), {})
+                    mat.update(((a, g), p.scale(sign)) for g, p in enumerate(combo.values()))
                 lavbs[block.name] = LAVBundle(
                     side, frames_a, frames_c, *derivations, core_anchor, twist
                 )
@@ -502,8 +497,7 @@ def parse_model(text: str) -> ModelFile:
                 # derivation is zero over the anchor
                 reps = []
                 for key, acting, target in (("rho", a_alg, b_alg), ("sigma", b_alg, a_alg)):
-                    zero = Polynomial.zero(acting.chart)
-                    ders = [[[zero] * target.rank] * target.rank] * acting.rank
+                    ders: List[Mapping[Tuple[int, int], Polynomial]] = [{}] * acting.rank
                     usage = f"{key} takes one frame name"
                     for args, value, line in block.calls(key):
                         (i,) = _call_indices(args, line, usage, acting.frames)

@@ -76,8 +76,9 @@ class Tokens:
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
+                rest = text[pos:].lstrip()  # the pattern skips blanks before a token
+                if rest:
+                    raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
                 break
             self.items.append((m.lastgroup, m.group(m.lastgroup), m.start()))
             pos = m.end()

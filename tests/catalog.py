@@ -69,9 +69,10 @@ def coadjoint_sigma_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
 def coadjoint_pair(b: Bialgebra) -> MatchedPair:
     """The mutual coadjoint actions of a bialgebra as a matched pair at a point."""
     chart = Chart(())
+    from support import entries  # support imports this module
 
     def action(matrix):
-        return [[Polynomial.constant(chart, c) for c in row] for row in matrix]
+        return entries([[Polynomial.constant(chart, c) for c in row] for row in matrix])
 
     rho = [action(coadjoint_rho_matrix(b, i)) for i in range(b.dim)]
     sigma = [action(coadjoint_sigma_matrix(b, i)) for i in range(b.dim)]
@@ -101,11 +102,11 @@ def line_action_pair(action_coeff: str = "x", sigma_coeff: str | None = None) ->
     b_alg = LieAlgebroid(chart, ("f1",), [[Polynomial.zero(chart)]], {})
     from support import parse_polynomial  # support imports this module
 
-    rho = [[[parse_polynomial(action_coeff, chart)]]]
+    rho = [{(0, 0): parse_polynomial(action_coeff, chart)}]
     sigma_val = (
         Polynomial.zero(chart) if sigma_coeff is None else parse_polynomial(sigma_coeff, chart)
     )
-    sigma = [[[sigma_val]]]
+    sigma = [{(0, 0): sigma_val}]
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 

@@ -17,6 +17,7 @@ data of the two LA-vector bundles:
   condition, with the anchor images and derivative functions re-derived
   from the anchor derivations, core anchor and side anchor.
 
+It reads the generator data in the dense form (`support.dense_data`).
 It fails on doubles that fail `check_double`, so the tests can show that
 the gate comparing it with the product is not vacuous.
 """
@@ -29,7 +30,7 @@ from doublealg.doublela import DoubleLieAlgebroid, DoubleMismatch
 from doublealg.exact import Polynomial
 from doublealg.lavb import LAVBundle, bundle_fibre_coordinate
 from doublealg.verdicts import CheckItem, CheckReport, failed, passed
-from support import dense_structure, frame_bracket
+from support import dense_data, dense_structure, frame_bracket
 
 
 def compose_anchor(side: LieAlgebroid, core_anchor) -> List[List[Polynomial]]:
@@ -89,6 +90,8 @@ def generic_anchor_identity(dla: DoubleLieAlgebroid) -> CheckItem:
     ub = [Polynomial.coordinate(big, bundle_fibre_coordinate(f)) for f in b_frames]
     uc = [Polynomial.coordinate(big, bundle_fibre_coordinate(f)) for f in c_frames]
     n, ra, rb, rc = base.dim, len(a_frames), len(b_frames), len(c_frames)
+    vert_derivations, _, vert_core_anchor, _ = dense_data(vert)
+    hor_derivations, _, hor_core_anchor, _ = dense_data(hor)
 
     def lifted(p):
         return p.lift(big)
@@ -106,7 +109,7 @@ def generic_anchor_identity(dla: DoubleLieAlgebroid) -> CheckItem:
 
     adot = [Polynomial.zero(big) for _ in range(ra)]
     for beta in range(rb):
-        der = vert.anchor_derivations[beta]
+        der = vert_derivations[beta]
         for b in range(ra):
             for a in range(ra):
                 entry = der[b][a]
@@ -114,12 +117,12 @@ def generic_anchor_identity(dla: DoubleLieAlgebroid) -> CheckItem:
                     adot[a] = adot[a] - lifted(entry) * ub[beta] * ua[b]
     for gamma in range(rc):
         for a in range(ra):
-            if vert.core_anchor[gamma][a]:
-                adot[a] = adot[a] + lifted(vert.core_anchor[gamma][a]) * uc[gamma]
+            if vert_core_anchor[gamma][a]:
+                adot[a] = adot[a] + lifted(vert_core_anchor[gamma][a]) * uc[gamma]
 
     bdot = [Polynomial.zero(big) for _ in range(rb)]
     for alpha in range(ra):
-        der = hor.anchor_derivations[alpha]
+        der = hor_derivations[alpha]
         for b in range(rb):
             for c in range(rb):
                 entry = der[b][c]
@@ -127,8 +130,8 @@ def generic_anchor_identity(dla: DoubleLieAlgebroid) -> CheckItem:
                     bdot[c] = bdot[c] - lifted(entry) * ua[alpha] * ub[b]
     for gamma in range(rc):
         for b in range(rb):
-            if hor.core_anchor[gamma][b]:
-                bdot[b] = bdot[b] + lifted(hor.core_anchor[gamma][b]) * uc[gamma]
+            if hor_core_anchor[gamma][b]:
+                bdot[b] = bdot[b] + lifted(hor_core_anchor[gamma][b]) * uc[gamma]
 
     for i in range(n):
         lhs = Polynomial.zero(big)
@@ -167,6 +170,7 @@ def anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> Ch
     ra = side_a.rank
     structure_a = dense_structure(side_a)
     rb = len(domain.bundle_frames)
+    anchor_derivations, _, core_anchor, _ = dense_data(delta)
     u_b = [
         Polynomial.coordinate(chart_b, bundle_fibre_coordinate(f))
         for f in domain.bundle_frames
@@ -182,15 +186,15 @@ def anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> Ch
             for a in range(ra):
                 entry = Polynomial.zero(chart_b)
                 for beta in range(rb):
-                    m = delta.anchor_derivations[beta][i][a]
+                    m = anchor_derivations[beta][i][a]
                     if m:
                         entry = entry - lift(m) * u_b[beta]
                 coeffs[ra + a] = entry
         else:
             gamma = i - ra
             for a in range(ra):
-                if delta.core_anchor[gamma][a]:
-                    coeffs[ra + a] = lift(delta.core_anchor[gamma][a])
+                if core_anchor[gamma][a]:
+                    coeffs[ra + a] = lift(core_anchor[gamma][a])
         return coeffs
 
     def section_decomposition(section):
@@ -271,8 +275,9 @@ def oracle_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
     side_a, side_b = dla.side_a, dla.side_b
     base = dla.chart
 
-    a_core = compose_anchor(side_a, dla.vertical.core_anchor)
-    b_core = compose_anchor(side_b, dla.horizontal.core_anchor)
+    a_map, b_map = dense_data(dla.vertical)[2], dense_data(dla.horizontal)[2]
+    a_core = compose_anchor(side_a, a_map)
+    b_core = compose_anchor(side_b, b_map)
     witness = None
     for gamma in range(len(dla.core_frames)):
         for i in range(base.dim):
@@ -313,8 +318,8 @@ def oracle_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
             items.append(
                 failed("core_anchor_induced", witness) if witness else passed("core_anchor_induced")
             )
-            items.append(bracket_preserving(side_a, core, dla.vertical.core_anchor, "core_map_A"))
-            items.append(bracket_preserving(side_b, core, dla.horizontal.core_anchor, "core_map_B"))
+            items.append(bracket_preserving(side_a, core, a_map, "core_map_A"))
+            items.append(bracket_preserving(side_b, core, b_map, "core_map_B"))
 
     items.append(generic_anchor_identity(dla))
     items.append(anchor_bracket_compat(dla.vertical, dla.horizontal, "anchor_brackets_A"))

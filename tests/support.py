@@ -9,8 +9,11 @@ of a pair through derivation commutators and brackets of sections with
 the operator algebra it needs, the gathering Cartan differential, the
 frame-loop algebroid check, the core Poisson structure through anchor
 fields and the frame change by any invertible matrix), the dense
-structure tables the sparse store replaced, the dense twist table and
-LA-vector bundle builder the sparse twist store replaced, the
+structure tables the sparse store replaced, the dense twist table,
+matrices and LA-vector bundle builder that the sparse matrix store
+replaced (`dense`, `dense_data`, `dense_dual_data`), the scan over every
+component of a vector field that `VectorField.apply` replaced
+(`dense_apply`), the
 Drinfel'd double read off the cobracket images that the point-pair
 store of a bialgebra replaced (`image_drinfeld_double`, `format_wedge`),
 the core algebroid read off every core Poisson entry, the sums that
@@ -61,6 +64,7 @@ from doublealg.algebroid import (
     random_polynomial,
     random_section,
     schouten,
+    sparse_matrix,
     tangent_algebroid,
     _wedge_into,
 )
@@ -70,7 +74,18 @@ from doublealg.doublela import (
     build_cotangent_double,
     check_double,
 )
-from doublealg.exact import Chart, ChartMismatch, Coefficient, Exponent, Polynomial, monomial_atoms, rat, signed_sum
+from doublealg.exact import (
+    _MASK,
+    Chart,
+    ChartMismatch,
+    Coefficient,
+    DegreeOverflow,
+    Exponent,
+    Polynomial,
+    monomial_atoms,
+    rat,
+    signed_sum,
+)
 from doublealg.formatting import format_combination
 from doublealg.liealg import (
     Bialgebra,
@@ -341,6 +356,39 @@ class TuplePolynomial:
         return signed_sum((c, monomial_atoms(self.chart, e)) for e, c in self.terms)
 
 
+def dense_apply(field: VectorField, f: Polynomial) -> Polynomial:
+    """X(f) by the scan `VectorField.apply` replaced: it zips every
+    component of the field, zeros included, with the coordinate shifts on
+    each call, and raises as `apply` does."""
+    chart = field.chart
+    if f.chart is not chart and f.chart.names != chart.names:
+        raise ChartMismatch(f"charts differ: {chart} vs {f.chart}")
+    if not f.coeffs:
+        return chart._zero
+    acc: Dict[int, Coefficient] = {}
+    get = acc.get
+    limit = chart._limit
+    terms = f.coeffs.items()
+    for comp, shift, unit in zip(field.components, chart._shifts, chart._units):
+        if not comp.coeffs:
+            continue
+        right = comp.coeffs.items()
+        for e1, c1 in terms:
+            power = e1 >> shift & _MASK
+            if not power:
+                continue
+            lowered = e1 - unit
+            scaled = c1 * power
+            for e2, c2 in right:
+                exp = lowered + e2
+                if exp >= limit:
+                    raise DegreeOverflow
+                acc[exp] = get(exp, 0) + scaled * c2
+    if not acc:
+        return chart._zero
+    return Polynomial._from_terms(chart, acc)
+
+
 def tuple_apply(components: Sequence[TuplePolynomial], f: TuplePolynomial) -> TuplePolynomial:
     """X(f) = sum_i X^i df/dx^i in the tuple kernel."""
     total = TuplePolynomial(f.chart, {})
@@ -391,13 +439,12 @@ def tangent_lavb(chart: Chart, bundle_frames: Sequence[str], core_frames: Sequen
         core_frames = tuple(f"{f}_c" for f in bundle_frames)
     core_frames = tuple(core_frames)
     ra = len(bundle_frames)
-    zero = Polynomial.zero(chart)
-    ders = [[[zero] * ra for _ in range(ra)] for _ in range(chart.dim)]
+    ders = [zero_derivation(chart, ra) for _ in range(chart.dim)]
     ident = [
         [Polynomial.constant(chart, 1 if i == j else 0) for j in range(ra)]
         for i in range(ra)
     ]
-    return LAVBundle(side, bundle_frames, core_frames, ders, ders, ident, {})
+    return LAVBundle(side, bundle_frames, core_frames, ders, ders, entries(ident), {})
 
 
 def dense_structure(L: LieAlgebroid):
@@ -420,28 +467,63 @@ def dense_twist(v):
     """The dense table the twist store replaced: twist[alpha][beta][a][gamma]
     for every side-frame pair, zero matrices included, the beta < alpha half
     the negation of the alpha < beta half."""
-    zero = Polynomial.zero(v.chart)
-    zero_mat = tuple((zero,) * v.core_rank for _ in range(v.bundle_rank))
+    ra, rc = v.bundle_rank, v.core_rank
+    zero_mat = dense((), ra, rc, v.chart)
     table = [[zero_mat] * v.side.rank for _ in range(v.side.rank)]
     for (a, b), mat in v.twist:
-        table[a][b] = mat
-        table[b][a] = tuple(tuple(-p for p in row) for row in mat)
+        table[a][b] = dense(mat, ra, rc, v.chart)
+        table[b][a] = [[-p for p in row] for row in table[a][b]]
     return table
 
 
-def dense_generator_algebroid(v, twist, fibre_names, core_names):
+def dense_data(v):
+    """The generator data of `v` in the dense form the sparse store
+    replaced: the anchor and core derivation matrices, the core anchor and
+    the dense twist table, zeros included."""
+    chart, ra, rc = v.chart, v.bundle_rank, v.core_rank
+    return (
+        [dense(m, ra, ra, chart) for m in v.anchor_derivations],
+        [dense(m, rc, rc, chart) for m in v.core_derivations],
+        dense(v.core_anchor, rc, ra, chart),
+        dense_twist(v),
+    )
+
+
+def dense_dual_data(v):
+    """The dense data of `lavb.dual_lavb(v)` (bundle C*, core A*) as the
+    dense code computed it: contragredients of the core and anchor
+    derivations, the negated transpose of the core anchor and the
+    transposed twists."""
+    anchor_ders, core_ders, core_anchor, twist = dense_data(v)
+
+    def transposed(m, rows):
+        return [[row[i] for row in m] for i in range(rows)]
+
+    def contragredient(m):
+        return [[-p for p in row] for row in transposed(m, len(m))]
+
+    return (
+        [contragredient(m) for m in core_ders],
+        [contragredient(m) for m in anchor_ders],
+        [[-p for p in row] for row in transposed(core_anchor, v.bundle_rank)],
+        [[transposed(mat, v.core_rank) for mat in row] for row in twist],
+    )
+
+
+def dense_generator_algebroid(side, data, fibre_names, core_names):
     """The dense builder `lavb._generator_algebroid` replaced: the
-    algebroid of the generator data `v` with the dense twist table `twist`,
-    a bracket vector for every pair (alpha, beta) and (beta, core gamma),
-    zero vectors included."""
-    chart = v.chart.extend(fibre_names)
-    n, ra, rb, rc = v.chart.dim, v.bundle_rank, v.side.rank, v.core_rank
+    algebroid over `side` of the dense generator data `data` (a
+    `dense_data` result), with a bracket vector for every pair (alpha,
+    beta) and (beta, core gamma), zero vectors included."""
+    anchor_derivations, core_derivations, core_anchor, twist = data
+    chart = side.chart.extend(fibre_names)
+    n, ra, rb, rc = side.chart.dim, len(fibre_names), side.rank, len(core_names)
     zero = Polynomial.zero(chart)
     u = [Polynomial.coordinate(chart, name) for name in fibre_names]
     anchor_rows = []
     for beta in range(rb):
-        d = v.anchor_derivations[beta]
-        row = [c.lift(chart) for c in v.side.anchor_field(beta).components]
+        d = anchor_derivations[beta]
+        row = [c.lift(chart) for c in side.anchor_field(beta).components]
         for a in range(ra):
             entry = zero
             for b in range(ra):
@@ -453,12 +535,12 @@ def dense_generator_algebroid(v, twist, fibre_names, core_names):
     for gamma in range(rc):
         row = [zero for _ in range(n)]
         for a in range(ra):
-            row.append(v.core_anchor[gamma][a].lift(chart))
+            row.append(core_anchor[gamma][a].lift(chart))
         anchor_rows.append(tuple(row))
     brackets = {}
     for al, be in itertools.combinations(range(rb), 2):
         vec = [zero for _ in range(rb + rc)]
-        for g, coeff in v.side.nonzero_structure[al][be]:
+        for g, coeff in side.nonzero_structure[al][be]:
             vec[g] = coeff.lift(chart)
         for g in range(rc):
             entry = zero
@@ -469,7 +551,7 @@ def dense_generator_algebroid(v, twist, fibre_names, core_names):
             vec[rb + g] = entry
         brackets[(al, be)] = tuple(vec)
     for beta in range(rb):
-        q = v.core_derivations[beta]
+        q = core_derivations[beta]
         for gamma in range(rc):
             vec = [zero for _ in range(rb + rc)]
             for delta in range(rc):
@@ -477,7 +559,7 @@ def dense_generator_algebroid(v, twist, fibre_names, core_names):
                 if m:
                     vec[rb + delta] = m.lift(chart)
             brackets[(beta, rb + gamma)] = tuple(vec)
-    return LieAlgebroid(chart, v.side.frames + tuple(core_names), anchor_rows, brackets)
+    return LieAlgebroid(chart, side.frames + tuple(core_names), anchor_rows, brackets)
 
 
 def constants(g: LieAlgebroid):
@@ -757,7 +839,8 @@ def summed_atoms(text: str, chart: Chart, frames: Sequence[str] | None = None) -
 
 
 class ReferenceTokens(Tokens):
-    """The tokenizer that named each token's kind in three branches."""
+    """The tokenizer that named each token's kind in three branches.  Like
+    `Tokens`, it names a bad character itself, not the blank before it."""
 
     def __init__(self, text: str):
         self.text = text
@@ -766,8 +849,9 @@ class ReferenceTokens(Tokens):
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
+                rest = text[pos:].lstrip()
+                if rest:
+                    raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
                 break
             if m.group("int") is not None:
                 self.items.append(("int", m.group("int"), m.start()))
@@ -982,54 +1066,75 @@ def frame_bracket(L: LieAlgebroid, a: int, b: int) -> Multisection:
     return Multisection(L.rank, 1, {(g,): p for g, p in L.nonzero_structure[a][b]})
 
 
+def entries(rows):
+    """The (row, col) -> entry map of a matrix given by its dense rows,
+    zeros included, as the constructors read it."""
+    return {(i, j): p for i, row in enumerate(rows) for j, p in enumerate(row)}
+
+
 def zero_derivation(chart: Chart, rank: int):
-    """The zero matrix of a derivation on a bundle of rank `rank`."""
+    """The zero matrix of a derivation on a bundle of rank `rank`, with
+    every entry given, so that the constructors check its shape."""
     zero = Polynomial.zero(chart)
-    return [[zero] * rank for _ in range(rank)]
+    return entries([[zero] * rank for _ in range(rank)])
+
+
+def dense(matrix, rows: int, cols: int, chart: Chart):
+    """The dense rows of a matrix given in any form `sparse_matrix` reads,
+    zeros included: the form every matrix had before only its nonzero
+    entries were stored."""
+    zero = Polynomial.zero(chart)
+    out = [[zero] * cols for _ in range(rows)]
+    for (i, j), p in sparse_matrix(matrix, rows, cols, "matrix does not fit its shape"):
+        out[i][j] = p
+    return out
 
 
 def apply_derivation(field: VectorField, matrix, comps):
-    """The derivation with base field `field` and matrix `matrix` applied
-    to the section with components `comps`."""
+    """The derivation with base field `field` and matrix `matrix`, in any
+    form `sparse_matrix` reads, applied to the section with components
+    `comps`."""
     out = [field.apply(c) for c in comps]
-    for a, coeff in enumerate(comps):
-        if coeff:
-            for b, entry in enumerate(matrix[a]):
-                if entry:
-                    out[b] = out[b] + coeff * entry
+    rank = len(comps)
+    for (a, b), entry in sparse_matrix(matrix, rank, rank, "derivation does not fit the section"):
+        if comps[a]:
+            out[b] = out[b] + comps[a] * entry
     return tuple(out)
 
 
-def derivation_commutator(d, e):
-    """[D, E] = DE - ED of two (base field, matrix) pairs, applied to unit
-    vectors, as a (base field, matrix) pair."""
+def derivation_commutator(d, e, rank: int):
+    """[D, E] = DE - ED of two (base field, matrix) pairs on a bundle of
+    rank `rank`, applied to unit vectors, as a (base field, stored matrix)
+    pair."""
     (fd, md), (fe, me) = d, e
-    chart, rank = fd.chart, len(md)
+    chart = fd.chart
     rows = []
     for a in range(rank):
         unit = [Polynomial.constant(chart, int(a == b)) for b in range(rank)]
         first = apply_derivation(fd, md, apply_derivation(fe, me, unit))
         second = apply_derivation(fe, me, apply_derivation(fd, md, unit))
         rows.append([f - s for f, s in zip(first, second)])
-    return commutator(fd, fe), rows
+    return commutator(fd, fe), sparse_matrix(entries(rows), rank, rank, "")
 
 
 def add_derivations(d, e):
-    """D + E of two (base field, matrix) pairs."""
+    """D + E of two (base field, stored matrix) pairs."""
     (fd, md), (fe, me) = d, e
-    return add_fields(fd, fe), [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(md, me)]
+    acc = dict(md)
+    for k, p in me:
+        acc[k] = acc[k] + p if k in acc else p
+    return add_fields(fd, fe), tuple(sorted(item for item in acc.items() if item[1]))
 
 
 def scale_derivation(matrix, f: Polynomial):
-    """The matrix of f D."""
-    return [[f * entry for entry in row] for row in matrix]
+    """The stored matrix of f D, for the stored matrix of D."""
+    return tuple((k, q) for k, q in ((k, f * p) for k, p in matrix) if q)
 
 
 def of_section(rep, acting: LieAlgebroid, section: Multisection):
     """The derivation of `rep` for a polynomial-coefficient acting section,
     as a (base field, matrix) pair: frame alpha acts over its anchor."""
-    rank = len(rep[0]) if rep else 0
-    out = zero_field(acting.chart), zero_derivation(acting.chart, rank)
+    out = zero_field(acting.chart), ()
     for alpha, coeff in enumerate(section.vector(acting.chart)):
         if coeff:
             term = scale_field(acting.anchor_field(alpha), coeff), scale_derivation(rep[alpha], coeff)
@@ -1037,16 +1142,18 @@ def of_section(rep, acting: LieAlgebroid, section: Multisection):
     return out
 
 
-def check_representation(acting: LieAlgebroid, rep, label: str) -> CheckReport:
+def check_representation(acting: LieAlgebroid, rep, label: str, rank: int) -> CheckReport:
     """The bracket of two frames acts as the commutator of their
-    derivations, each over its frame's anchor."""
+    derivations, each over its frame's anchor, on a bundle of rank
+    `rank`; `rep` holds matrices in any form `sparse_matrix` reads."""
+    rep = [sparse_matrix(m, rank, rank, "derivation does not fit the bundle") for m in rep]
     # each derivation acts over the anchor of its frame by construction
     items: List[CheckItem] = [passed(f"{label}.base_fields")]
 
     witness = None
     for a, b in itertools.combinations(range(acting.rank), 2):
         commuted = derivation_commutator(
-            (acting.anchor_field(a), rep[a]), (acting.anchor_field(b), rep[b])
+            (acting.anchor_field(a), rep[a]), (acting.anchor_field(b), rep[b]), rank
         )
         if commuted != of_section(rep, acting, frame_bracket(acting, a, b)):
             witness = f"flatness fails on ({acting.frames[a]}, {acting.frames[b]})"
@@ -1101,8 +1208,8 @@ def section_check_matched(mp: MatchedPair) -> CheckReport:
     for label, alg in (("A", a_alg), ("B", b_alg)):
         rep = check_algebroid(alg)
         items.append(passed(f"algebroid_{label}") if rep.ok else failed(f"algebroid_{label}", rep.first_failure.witness))
-    items.extend(check_representation(a_alg, mp.rho, "rho").items)
-    items.extend(check_representation(b_alg, mp.sigma, "sigma").items)
+    items.extend(check_representation(a_alg, mp.rho, "rho", b_alg.rank).items)
+    items.extend(check_representation(b_alg, mp.sigma, "sigma", a_alg.rank).items)
     if not all(i.ok for i in items):
         return CheckReport(tuple(items))
 
@@ -1238,8 +1345,8 @@ def check_cor_sdp(mp: MatchedPair) -> CheckReport:
     `check_matched` on every input (both truth values).
     """
     items: List[CheckItem] = []
-    items.extend(check_representation(mp.algebroid_a, mp.rho, "rho").items)
-    items.extend(check_representation(mp.algebroid_b, mp.sigma, "sigma").items)
+    items.extend(check_representation(mp.algebroid_a, mp.rho, "rho", mp.algebroid_b.rank).items)
+    items.extend(check_representation(mp.algebroid_b, mp.sigma, "sigma", mp.algebroid_a.rank).items)
     if not all(i.ok for i in items):
         return CheckReport(tuple(items))
     semidirect, opposite = build_semidirects(mp)
@@ -1286,18 +1393,18 @@ def rebuilt(v, **changes):
 
 
 def bumped(rows, i, j, p):
-    """`rows` with `p` added to entry (i, j)."""
-    return [
-        [e + p if (r, c) == (i, j) else e for c, e in enumerate(row)]
-        for r, row in enumerate(rows)
-    ]
+    """The dense `rows` with `p` added to entry (i, j), as entries."""
+    return entries(
+        [[e + p if (r, c) == (i, j) else e for c, e in enumerate(row)] for r, row in enumerate(rows)]
+    )
 
 
-def bumped_derivation(rng, v, ders):
-    """`ders` with one matrix entry of one derivation moved by a bump."""
+def bumped_derivation(rng, v, ders, rank):
+    """`ders`, on a bundle of rank `rank`, with one matrix entry of one
+    derivation moved by a bump."""
     beta = rng.randrange(len(ders))
-    d = ders[beta]
-    i, j = rng.randrange(len(d)), rng.randrange(len(d))
+    d = dense(ders[beta], rank, rank, v.chart)
+    i, j = rng.randrange(rank), rng.randrange(rank)
     moved = bumped(d, i, j, bump(rng, v))
     return tuple(moved if k == beta else e for k, e in enumerate(ders))
 
@@ -1314,13 +1421,14 @@ def perturbations(name, v, seed):
         twist = bumped(dense_twist(v)[0][1], i, j, bump(rng, v))
         out.append((f"{name}:twist", rebuilt(v, twist={(0, 1): twist})))
     if ra and rc:
-        anchor = bumped(v.core_anchor, rng.randrange(rc), rng.randrange(ra), bump(rng, v))
+        rows = dense(v.core_anchor, rc, ra, v.chart)
+        anchor = bumped(rows, rng.randrange(rc), rng.randrange(ra), bump(rng, v))
         out.append((f"{name}:core_anchor", rebuilt(v, core_anchor=anchor)))
     if ra:
-        ders = bumped_derivation(rng, v, v.anchor_derivations)
+        ders = bumped_derivation(rng, v, v.anchor_derivations, ra)
         out.append((f"{name}:anchor_derivation", rebuilt(v, anchor_derivations=ders)))
     if rc:
-        ders = bumped_derivation(rng, v, v.core_derivations)
+        ders = bumped_derivation(rng, v, v.core_derivations, rc)
         out.append((f"{name}:core_derivation", rebuilt(v, core_derivations=ders)))
     return out
 

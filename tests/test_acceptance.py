@@ -45,6 +45,7 @@ from dvb_model import cotangent_dvb, dual_a, dual_b, element, pair, r_map, tange
 from manin_oracle import bracket, check_paired, jacobi_report, paired_double
 from support import (
     check_cor_sdp,
+    entries,
     frame_bracket,
     constants,
     dense_structure,
@@ -340,9 +341,9 @@ def _double_tangent(chart):
         side_a,
         tuple(f"del_{name}" for name in chart.names),
         core,
-        [zero_mat] * n,
-        [zero_mat] * n,
-        ident,
+        [entries(zero_mat)] * n,
+        [entries(zero_mat)] * n,
+        entries(ident),
         {},
     )
     return DoubleLieAlgebroid(vert, hor)

@@ -20,6 +20,7 @@ from doublealg.matched import MatchedPair, check_matched
 from manin_oracle import check_cocycle, check_paired, dual_bracket, jacobi_report, paired_double
 from support import (
     assert_matched_decides_bowtie_and_double,
+    entries,
     bialgebra,
     check_cor_sdp,
     parse_polynomial,
@@ -89,9 +90,9 @@ class TestMatchedRoutesAgree:
                 rng.choice(["0", "1", "x", "2 * x", "x^2", "-x"]), chart
             )
 
-        rho = [[[rpoly(), rpoly()], [rpoly(), rpoly()]]]
+        rho = [entries([[rpoly(), rpoly()], [rpoly(), rpoly()]])]
         sigma_entry = rpoly() if break_anchor else Polynomial.zero(chart)
-        sigma = [[[sigma_entry]], [[Polynomial.zero(chart)]]]
+        sigma = [{(0, 0): sigma_entry}, {(0, 0): Polynomial.zero(chart)}]
         return MatchedPair(a_alg, b_alg, rho, sigma), sigma_entry
 
     def test_thirty_random_pairs(self):

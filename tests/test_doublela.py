@@ -40,6 +40,7 @@ from diagnostics_oracle import oracle_diagnostics
 from dvb_model import dual_a, dual_b, pair
 from support import (
     assert_matched_decides_bowtie_and_double,
+    entries,
     check_cor_sdp,
     constants,
     dense_structure,
@@ -69,9 +70,9 @@ def double_tangent(chart: Chart) -> DoubleLieAlgebroid:
         side_a,
         tuple(f"del_{name}" for name in chart.names),
         core,
-        [zero_mat] * n,
-        [zero_mat] * n,
-        ident,
+        [entries(zero_mat)] * n,
+        [entries(zero_mat)] * n,
+        entries(ident),
         {},
     )
     return DoubleLieAlgebroid(vert, hor)
@@ -390,9 +391,9 @@ class TestDiagnosticsAreNotVacuous:
             side_a,
             ("del_x",),
             ("c_x",),
-            ([[zero]],),
-            ([[zero]],),
-            [[one]],
+            ({(0, 0): zero},),
+            ({(0, 0): zero},),
+            {(0, 0): one},
             {},
         )
 
@@ -402,9 +403,9 @@ class TestDiagnosticsAreNotVacuous:
             side_b,
             ("v_x",),
             ("c_x",),
-            ([[zero]],),
-            ([[zero]],),
-            [[Polynomial.constant(chart, -1)]],
+            ({(0, 0): zero},),
+            ({(0, 0): zero},),
+            {(0, 0): Polynomial.constant(chart, -1)},
             {},
         )
         from doublealg.lavb import check_lavb
@@ -423,9 +424,9 @@ class TestDiagnosticsAreNotVacuous:
             side_b,
             ("v_x",),
             ("c_x",),
-            ([[one]],),
-            ([[one]],),
-            [[one]],
+            ({(0, 0): one},),
+            ({(0, 0): one},),
+            {(0, 0): one},
             {},
         )
         from doublealg.lavb import check_lavb

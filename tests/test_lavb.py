@@ -5,10 +5,14 @@ algebroid, generator brackets, reciprocity and the Poisson-route cross-check.
 passes, by duality; the full `check_algebroid` of the induced dual stays
 here as its oracle, on a corpus with failing bundles.
 
-The twist is stored once and sparsely; the dense table and dense builder it
-replaced (`support.dense_twist`, `support.dense_generator_algebroid`) are
-the oracle of `total` and `induced_dual` on every LA-vector bundle of the
-structural-diagnostics corpus.
+Every matrix of the generator data holds only its nonzero entries, and
+the twist is stored once; the dense builder they replaced,
+`support.dense_generator_algebroid`, fed the dense matrices
+(`support.dense_data`, and `support.dense_dual_data` for the dual as the
+dense code computed it), is the oracle of `total` and `induced_dual` on
+every LA-vector bundle of the structural-diagnostics corpus, of the
+vacant doubles of the matched-pair gate and of the cotangent doubles of
+tt1..tt8.
 """
 
 import itertools
@@ -26,7 +30,7 @@ from doublealg.algebroid import (
     fibre_coordinate,
     tangent_algebroid,
 )
-from doublealg.doublela import build_cotangent_double
+from doublealg.doublela import assemble_vacant_double, build_cotangent_double
 from doublealg.exact import Chart, Polynomial
 from doublealg.lavb import (
     LAVBundle,
@@ -43,9 +47,10 @@ from support import (
     anchor_of,
     check_representation,
     commutator,
+    dense_data,
+    dense_dual_data,
     dense_generator_algebroid,
     dense_structure,
-    dense_twist,
     frame_bracket,
     frame_section,
     lavb_corpus,
@@ -55,7 +60,9 @@ from support import (
     rename,
     tangent_lavb,
     tt_pair,
+    zero_derivation,
 )
+from test_matched_gate import gate_pairs
 from test_structural_diagnostics import DOUBLES
 
 LINE = Chart(["x"])
@@ -128,7 +135,7 @@ class TestValidation:
             v.anchor_derivations,
             v.core_derivations,
             v.core_anchor,
-            {(0, 1): [[one]]},
+            {(0, 1): {(0, 0): one}},
         )
         report = check_lavb(bad)
         assert not report.ok
@@ -144,7 +151,7 @@ class TestValidation:
             side,
             ("a1",),
             (),
-            ([[parse_polynomial("x", chart)]],),
+            ({(0, 0): parse_polynomial("x", chart)},),
             ((),),
             [],
             {},
@@ -154,10 +161,11 @@ class TestValidation:
 
 class TestShapeErrors:
     """The constructor's shape errors, pinned by text.  Each bad input
-    reuses derivations of a bundle of another rank, so the pins do not
-    depend on how a derivation is stored."""
+    gives zero matrices of rank 2, where TA has rank 1, with every entry
+    written out: a stored zero matrix has no entry, so only given entries
+    have a shape to get wrong."""
 
-    WIDE = tangent_lavb(LINE, ["f", "g"])  # bundle and core rank 2 over TA's side
+    WIDE = [zero_derivation(LINE, 2)] * TA.side.rank
     COUNT = "need one anchor and one core derivation per side frame"
 
     @pytest.mark.parametrize(
@@ -165,8 +173,8 @@ class TestShapeErrors:
         [
             (TA.anchor_derivations[:-1], TA.core_derivations, COUNT),
             (TA.anchor_derivations, TA.core_derivations * 2, COUNT),
-            (WIDE.anchor_derivations, TA.core_derivations, "anchor derivation rank mismatch"),
-            (TA.anchor_derivations, WIDE.core_derivations, "core derivation rank mismatch"),
+            (WIDE, TA.core_derivations, "anchor derivation rank mismatch"),
+            (TA.anchor_derivations, WIDE, "core derivation rank mismatch"),
         ],
     )
     def test_derivation_shape_errors_are_pinned(self, anchor_ders, core_ders, text):
@@ -290,8 +298,8 @@ class TestCrossModuleRepresentationCheck:
         # representation in the matched-pair sense
         chart = LINE
         side = tangent_algebroid(chart)
-        action = [[parse_polynomial("x", chart)]]
-        rep_ok = check_representation(side, [action], "rho").ok
+        action = {(0, 0): parse_polynomial("x", chart)}
+        rep_ok = check_representation(side, [action], "rho", 1).ok
         v = LAVBundle(
             side,
             ("a1",),
@@ -318,9 +326,9 @@ class TestZeroStructure:
             side,
             ("a1",),
             ("c1",),
-            [[[zero]]] * 2,
-            [[[zero]]] * 2,
-            [[zero]],
+            [{(0, 0): zero}] * 2,
+            [{(0, 0): zero}] * 2,
+            {(0, 0): zero},
             {},
         )
         assert check_lavb(v).ok
@@ -351,25 +359,28 @@ class TestTwistStore:
     @pytest.mark.parametrize("pair", [(-1, 0), (0, 5), (1, 0), (1, 1)])
     def test_pair_out_of_range_is_rejected(self, pair):
         with pytest.raises(ValueError, match="twist pair"):
-            plane_twist({pair: [[self.ONE]]})
+            plane_twist({pair: {(0, 0): self.ONE}})
 
     def test_only_nonzero_pairs_are_stored(self):
-        assert plane_twist({(0, 1): [[Polynomial.zero(PLANE)]]}).twist == ()
-        assert plane_twist({(0, 1): [[self.ONE]]}).twist == (((0, 1), ((self.ONE,),)),)
+        assert plane_twist({(0, 1): {(0, 0): Polynomial.zero(PLANE)}}).twist == ()
+        assert plane_twist({(0, 1): {(0, 0): self.ONE}}).twist == (((0, 1), (((0, 0), self.ONE),)),)
 
     def test_pairs_are_stored_in_increasing_order(self):
         chart = Chart(["x", "y", "z"])
         v = tangent_lavb(chart, ["f"])
         one = Polynomial.constant(chart, 1)
         pairs = [(1, 2), (0, 2), (0, 1)]
-        w = rebuilt(v, twist={pair: [[one]] for pair in pairs})
+        w = rebuilt(v, twist={pair: {(0, 0): one} for pair in pairs})
         assert [pair for pair, _ in w.twist] == sorted(pairs)
 
 
 def gate_bundles():
-    """Both LA-vector bundles of every structural-diagnostics double and of
-    the cotangent double of `tt_pair(8)`."""
-    doubles = list(DOUBLES.items()) + [("tt8", build_cotangent_double(*tt_pair(8)))]
+    """Both LA-vector bundles of every structural-diagnostics double, of the
+    vacant double of every matched pair of `gate_pairs()` and of the
+    cotangent doubles of `tt_pair(n)` for n = 1..8."""
+    doubles = list(DOUBLES.items())
+    doubles += [(f"vacant{k}", assemble_vacant_double(mp)) for k, mp in enumerate(gate_pairs())]
+    doubles += [(f"tt{n}", build_cotangent_double(*tt_pair(n))) for n in range(1, 9)]
     return [
         (f"{name}:{side}", getattr(dla, side))
         for name, dla in doubles
@@ -378,31 +389,29 @@ def gate_bundles():
 
 
 GATE = gate_bundles()
+DIAGNOSTICS_BUNDLES = 2 * len(DOUBLES)
 
 
-def dense_oracle(v, built, twist):
-    """The dense builder on `v` and the dense twist table `twist`, with the
-    fibre coordinate and core frame names of `built`."""
+def dense_oracle(side, data, built):
+    """The dense builder over `side` on the dense generator data `data`,
+    with the fibre coordinate and core frame names of `built`."""
     return dense_generator_algebroid(
-        v, twist, built.chart.names[v.chart.dim:], built.frames[v.side.rank:]
+        side, data, built.chart.names[side.chart.dim:], built.frames[side.rank:]
     )
 
 
 class TestSparseTwistGate:
     def test_corpus_has_twists_and_failing_bundles(self):
-        bundles = [v for _, v in GATE[:-2]]
+        bundles = [v for _, v in GATE[:DIAGNOSTICS_BUNDLES]]
         assert len(bundles) == 250
         assert sum(1 for v in bundles if v.twist) == 42
         assert sum(1 for v in bundles if not check_lavb(v).ok) == 26
 
     def test_total_and_induced_dual_match_the_dense_builder(self):
         for name, v in GATE:
-            table = dense_twist(v)
-            assert v.total == dense_oracle(v, v.total, table), name
-            dual = dual_lavb(v)
-            transposed = [[tuple(zip(*mat)) for mat in row] for row in table]
-            assert v.induced_dual == dense_oracle(dual, v.induced_dual, transposed), name
+            assert v.total == dense_oracle(v.side, dense_data(v), v.total), name
+            assert v.induced_dual == dense_oracle(v.side, dense_dual_data(v), v.induced_dual), name
 
     def test_tt8_stores_no_twist(self):
-        for _, v in GATE[-2:]:
+        for _, v in GATE[-16:]:
             assert v.twist == () and dual_lavb(v).twist == ()

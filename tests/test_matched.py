@@ -28,9 +28,12 @@ from support import (
     check_cor_sdp,
     check_representation,
     constants,
+    dense,
     dense_structure,
+    entries,
     frame_section,
     scale_derivation,
+    zero_derivation,
 )
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -78,24 +81,26 @@ class TestCheckMatched:
     def test_representation_preconditions_reported(self):
         chart = Chart(["x"])
         tm = tangent_algebroid(chart)
-        rep = [[[Polynomial.zero(chart)]]]
-        assert check_representation(tm, rep, "rho").ok
+        rep = [{(0, 0): Polynomial.zero(chart)}]
+        assert check_representation(tm, rep, "rho", 1).ok
 
 
 class TestShapeErrors:
     """The constructor's shape errors, pinned by text, on a pair with ranks
-    2 and 1.  Each bad input reuses derivations of the other action, so the
-    pins do not depend on how a derivation is stored."""
+    2 and 1.  Each bad input gives zero matrices of rank 3 with every entry
+    written out: a stored zero matrix has no entry, so only given entries
+    have a shape to get wrong."""
 
     PAIR = catalog.abelian_matched_pair(2, 1)
+    WIDE = zero_derivation(PAIR.chart, 3)
 
     @pytest.mark.parametrize(
         "rho, sigma, text",
         [
             (PAIR.rho[:-1], PAIR.sigma, "rho needs one derivation per A-frame"),
             (PAIR.rho, PAIR.sigma * 2, "sigma needs one derivation per B-frame"),
-            (PAIR.sigma * 2, PAIR.sigma, "rho derivations must act on B"),
-            (PAIR.rho, PAIR.rho[:1], "sigma derivations must act on A"),
+            ([WIDE] * 2, PAIR.sigma, "rho derivations must act on B"),
+            (PAIR.rho, [WIDE], "sigma derivations must act on A"),
         ],
     )
     def test_derivation_shape_errors_are_pinned(self, rho, sigma, text):
@@ -156,8 +161,10 @@ def extract_actions(total: LieAlgebroid, split: int) -> MatchedPair:
             for i, j in itertools.combinations(range(rb), 2)
         },
     )
-    rho = [[structure[i][ra + j][ra:] for j in range(rb)] for i in range(ra)]
-    sigma = [[tuple(-p for p in structure[i][ra + j][:ra]) for i in range(ra)] for j in range(rb)]
+    rho = [entries([structure[i][ra + j][ra:] for j in range(rb)]) for i in range(ra)]
+    sigma = [
+        entries([tuple(-p for p in structure[i][ra + j][:ra]) for i in range(ra)]) for j in range(rb)
+    ]
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 
@@ -319,8 +326,8 @@ def name_clash_pair():
     a_alg = LieAlgebroid(chart, ("a",), [[one, zero]], {})
     b_alg = LieAlgebroid(chart, ("a_d", "b"), [[zero, zero], [zero, zero]], {})
     x = Polynomial.coordinate(chart, "x")
-    rho = [[[zero, x], [one, zero]]]
-    sigma = [[[zero]]] * 2
+    rho = [entries([[zero, x], [one, zero]])]
+    sigma = [entries([[zero]])] * 2
     return MatchedPair(a_alg, b_alg, rho, sigma)
 
 
@@ -357,7 +364,9 @@ class TestSemidirects:
     def test_corpus_has_both_verdicts(self):
         verdicts = {check_matched(mp).ok for mp in SEMIDIRECT_CORPUS}
         assert verdicts == {True, False}
-        assert not check_representation(FAILING[0].algebroid_b, FAILING[0].sigma, "sigma").ok
+        assert not check_representation(
+            FAILING[0].algebroid_b, FAILING[0].sigma, "sigma", FAILING[0].algebroid_a.rank
+        ).ok
 
     @pytest.mark.parametrize("mp", SEMIDIRECT_CORPUS)
     def test_full_tables_match_the_docstring_formulas(self, mp):
@@ -382,7 +391,7 @@ class TestSemidirects:
         ra = mp.algebroid_a.rank
         for a in range(ra):
             for j in range(mp.algebroid_b.rank):
-                sigma_star = contragredient(mp.sigma[j])
+                sigma_star = dense(contragredient(mp.sigma[j]), ra, ra, mp.chart)
                 expected = tuple(sigma_star[a]) + tuple(
                     Polynomial.zero(mp.chart) for _ in range(mp.algebroid_b.rank)
                 )

@@ -15,7 +15,7 @@ from doublealg.algebroid import LieAlgebroid, random_polynomial
 from doublealg.exact import Chart, Polynomial
 from doublealg.matched import MatchedPair, check_matched
 import support
-from support import XY, cotangent, gate_corpus, section_check_matched
+from support import XY, cotangent, entries, gate_corpus, section_check_matched
 from test_double_derived import count_calls
 from test_matched import SEMIDIRECT_CORPUS
 
@@ -77,7 +77,7 @@ def random_representation(rng, acting, target_rank):
     def row():
         return [sparse_polynomial(rng, chart, zero_share) for _ in range(target_rank)]
 
-    return [[row() for _ in range(target_rank)] for _ in range(acting.rank)]
+    return [entries([row() for _ in range(target_rank)]) for _ in range(acting.rank)]
 
 
 def random_pairs(count, seed):

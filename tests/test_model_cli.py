@@ -521,6 +521,19 @@ class TestHostileNumbers:
         assert err == f"doublealg: parse error: line 11: unexpected character {char!r} (at column 1)\n"
 
     @pytest.mark.parametrize(
+        "value, column",
+        [("x @ d/dx", 3), ("x \t  @ d/dx", 6), ("@", 1)],
+        ids=["one_blank", "blanks_and_tab", "first"],
+    )
+    def test_a_stray_character_is_named_with_its_column(self, tmp_path, capsys, value, column):
+        """The error names the bad character and its column, not the blank
+        before it."""
+        text = f"[chart M]\ncoords = [x]\n[algebroid A]\nbase = M\nframe = [e1]\nanchor(e1) = {value}\n"
+        code, err = self.run_model(tmp_path, capsys, "check", "algebroid", text)
+        assert code == 2
+        assert err == f"doublealg: parse error: line 6: unexpected character '@' (at column {column})\n"
+
+    @pytest.mark.parametrize(
         "verb, kind, text, line, label",
         [
             ("check", "manin", "[lie_algebra g]\ndim = {}\n", 2, "dim"),
@@ -567,6 +580,19 @@ class TestHostileNumbers:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("doublealg: parse error: line 14: in [algebroid Tstar]: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "value, column",
+        [("x @ d/dx", 3), ("x \t  @ d/dx", 6), ("@", 1)],
+        ids=["one_blank", "blanks_and_tab", "first"],
+    )
+    def test_a_stray_character_is_named_with_its_column(self, tmp_path, capsys, value, column):
+        """The error names the bad character and its column, not the blank
+        before it."""
+        text = f"[chart M]\ncoords = [x]\n[algebroid A]\nbase = M\nframe = [e1]\nanchor(e1) = {value}\n"
+        code, err = self.run_model(tmp_path, capsys, "check", "algebroid", text)
+        assert code == 2
+        assert err == f"doublealg: parse error: line 6: unexpected character '@' (at column {column})\n"
 
     @pytest.mark.parametrize(
         "verb, kind, text, line, label",
@@ -850,7 +876,7 @@ class TestDuplicateEntries:
             + "lambda(b1; a1) = a1\nlambda(b2; a1) = x * a1\n"
             + "q(b1; c1) = c1\nq(b2; c1) = c1\ntwist(b1, b2; a1) = c1\n"
         )
-        assert str(dict(model.lavbs["V"].twist)[(0, 1)][0][0]) == "1"
+        assert str(dict(dict(model.lavbs["V"].twist)[(0, 1)])[(0, 0)]) == "1"
 
 
 class TestParseErrorPins:

@@ -41,8 +41,10 @@ from doublealg.exact import Chart, Polynomial
 from doublealg.lavb import LAVBundle
 from support import (
     applied_core_poisson,
+    dense,
     dense_core_algebroid,
     double_corpus,
+    entries,
     gl,
     ladder_doubles,
     ladder_pair,
@@ -74,8 +76,8 @@ def scaled_core_anchors(dla, factor):
     """`dla` with both core anchors multiplied by `factor`."""
 
     def scaled(v):
-        rows = [[entry.scale(factor) for entry in row] for row in v.core_anchor]
-        return rebuilt(v, core_anchor=rows)
+        entries = {k: entry.scale(factor) for k, entry in v.core_anchor}
+        return rebuilt(v, core_anchor=entries)
 
     return DoubleLieAlgebroid(scaled(dla.vertical), scaled(dla.horizontal))
 
@@ -147,7 +149,8 @@ def test_induced_core_anchor_is_the_composite_by_construction():
             continue
         base = dla.chart
         fields = [f.components for f in dla.side_a.anchor_fields]
-        for gamma, row in enumerate(dla.vertical.core_anchor):
+        rows = dense(dla.vertical.core_anchor, len(dla.core_frames), dla.side_a.rank, base)
+        for gamma, row in enumerate(rows):
             expected = [Polynomial.zero(base) for _ in range(base.dim)]
             for a, coeff in enumerate(row):
                 for i in range(base.dim):
@@ -218,11 +221,13 @@ def test_core_algebroid_matches_the_dense_oracle_on_lavb_data():
     x = Chart(["x"])
     zero, one = Polynomial.zero(x), Polynomial.constant(x, 1)
     image = (parse_polynomial("x", x), parse_polynomial("x^2 - 1", x))
-    core_derivation = [[(zero, zero), image]]
+    core_derivation = [entries([(zero, zero), image])]
 
     def lavb(side_frame, bundle_frame):
         side = LieAlgebroid(x, (side_frame,), [[parse_polynomial("x", x)]])
-        return LAVBundle(side, (bundle_frame,), ("a", "b"), [[[zero]]], core_derivation, [[one], [zero]])
+        return LAVBundle(
+            side, (bundle_frame,), ("a", "b"), [{(0, 0): zero}], core_derivation, entries([[one], [zero]])
+        )
 
     dla = DoubleLieAlgebroid(lavb("f", "e"), lavb("e", "f"))
     core = core_algebroid(dla)

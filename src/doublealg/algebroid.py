@@ -18,7 +18,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .exact import _MASK, Chart, ChartMismatch, Coefficient, DegreeOverflow, Polynomial, rat
 from .verdicts import CheckItem, CheckReport, failed, passed
@@ -40,6 +40,15 @@ class InvalidAlgebroid(ValueError):
 # vector fields
 
 
+def _off_chart(chart: Chart, rows: Iterable[Sequence[Polynomial]]) -> bool:
+    """Whether an entry of `rows` lives on a chart other than `chart`."""
+    for row in rows:
+        for p in row:
+            if p.chart is not chart and p.chart.names != chart.names:
+                return True
+    return False
+
+
 @dataclass(frozen=True)
 class VectorField:
     """Polynomial vector field on a chart; components per coordinate."""
@@ -51,23 +60,26 @@ class VectorField:
         components = tuple(components)
         if len(components) != chart.dim:
             raise ValueError("component count does not match chart dimension")
-        for c in components:
-            if c.chart is not chart and c.chart.names != chart.names:
-                raise ChartMismatch("vector field component on wrong chart")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "components", components)
+        if _off_chart(chart, (components,)):
+            raise ChartMismatch("vector field component on wrong chart")
+        self._store(chart, components)
 
     @classmethod
     def _from_components(cls, chart: Chart, components: Tuple[Polynomial, ...]) -> "VectorField":
         """Trusted constructor: one component per coordinate, all on `chart`."""
         field = object.__new__(cls)
-        object.__setattr__(field, "chart", chart)
-        object.__setattr__(field, "components", components)
+        field._store(chart, components)
         return field
 
-    # (terms, shift, unit) of each nonzero X^i, set by the first `apply`: no field, so
-    # outside `==`, `hash` and `repr`, and lock-free, unlike `functools.cached_property`
-    _nonzero = None
+    def _store(self, chart: Chart, components: Tuple[Polynomial, ...]) -> None:
+        """Set both fields and `_nonzero`, the (terms, shift, unit) of each
+        nonzero X^i that `apply` walks; it is no field, so it stays out of
+        `==`, `hash` and `repr`."""
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "components", components)
+        parts = zip(components, chart._shifts, chart._units)
+        walk = tuple([(comp.coeffs.items(), shift, unit) for comp, shift, unit in parts if comp.coeffs])
+        object.__setattr__(self, "_nonzero", walk)
 
     def apply(self, f: Polynomial) -> Polynomial:
         """X(f) = sum_i X^i df/dx^i over the nonzero X^i, into one map."""
@@ -80,12 +92,7 @@ class VectorField:
         get = acc.get
         limit = chart._limit
         terms = f.coeffs.items()
-        walk = self._nonzero
-        if walk is None:
-            parts = zip(self.components, chart._shifts, chart._units)
-            walk = tuple([(comp.coeffs.items(), shift, unit) for comp, shift, unit in parts if comp.coeffs])
-            object.__setattr__(self, "_nonzero", walk)
-        for right, shift, unit in walk:
+        for right, shift, unit in self._nonzero:
             for e1, c1 in terms:
                 power = e1 >> shift & _MASK
                 if not power:
@@ -322,10 +329,15 @@ class LieAlgebroid:
         anchor = tuple(tuple(row) for row in anchor)
         if len(anchor) != r or any(len(row) != n for row in anchor):
             raise ValueError("anchor must be rank x dim")
+        table = structure_table(r, brackets)
+        if _off_chart(chart, anchor):
+            raise ChartMismatch("anchor entry on another chart")
+        if brackets and _off_chart(chart, brackets.values()):
+            raise ChartMismatch("structure function on another chart")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "nonzero_structure", structure_table(r, brackets))
+        object.__setattr__(self, "nonzero_structure", table)
 
     @property
     def rank(self) -> int:
@@ -333,8 +345,9 @@ class LieAlgebroid:
 
     @functools.cached_property
     def anchor_fields(self) -> Tuple[VectorField, ...]:
-        """The anchors a(e_alpha) as vector fields, built once."""
-        return tuple(VectorField(self.chart, row) for row in self.anchor)
+        """The anchors a(e_alpha) as vector fields, built once, on first
+        read: the constructor checked the chart of every entry."""
+        return tuple(VectorField._from_components(self.chart, row) for row in self.anchor)
 
     def anchor_field(self, alpha: int) -> VectorField:
         return self.anchor_fields[alpha]
@@ -1114,7 +1127,7 @@ def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Coefficient]], new_
         signs.append(column[0][1])
     if len(perm) != r or len(set(perm)) != r:
         raise ValueError("frame change must be a signed permutation matrix")
-    anchor = [tuple(entry.scale(s) for entry in L.anchor[p]) for p, s in zip(perm, signs)]
+    anchor = [L.anchor[p] if s == 1 else tuple(-entry for entry in L.anchor[p]) for p, s in zip(perm, signs)]
     new_index = {p: m for m, p in enumerate(perm)}
     zero = Polynomial.zero(L.chart)
     brackets = {}
@@ -1124,7 +1137,7 @@ def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Coefficient]], new_
             vec = [zero] * r
             for p, coeff in old:
                 m = new_index[p]
-                vec[m] = coeff.scale(signs[a] * signs[b] * signs[m])
+                vec[m] = coeff if signs[a] * signs[b] * signs[m] == 1 else -coeff
             brackets[(a, b)] = vec
     return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)
 

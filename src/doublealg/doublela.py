@@ -303,13 +303,13 @@ def _cotangent_lavb(
         for row in side.anchor
     ]
     core_anchor = {
-        (gamma, a): entry.scale(-sign)
+        (gamma, a): -entry if sign == 1 else entry
         for a, row in enumerate(side.anchor)
         for gamma, entry in enumerate(row)
         if entry
     }
     twist = {
-        (b1, b2): {(a, i): d.scale(sign) for a, coeff in nonzero[b1][b2] for i, d in gradient(coeff)}
+        (b1, b2): {(a, i): d if sign == 1 else -d for a, coeff in nonzero[b1][b2] for i, d in gradient(coeff)}
         for b1, b2 in itertools.combinations(range(side.rank), 2)
         if nonzero[b1][b2]
     }

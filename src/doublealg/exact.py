@@ -38,11 +38,11 @@ trusts them and only drops zero coefficients and turns an integral
 `Fraction` into its numerator, or, where an operation builds a map already
 in canonical form (negation, nonzero scaling, lifting), by
 `Polynomial._from_canonical`, which keeps that map as the store.
-Each chart holds one shared zero polynomial, which every zero result of
-`_from_terms` is, one name -> position map and its packing layout, and the
-ring operations return an operand unchanged where the result equals it
-(adding or subtracting zero, multiplying by zero or by the constant 1,
-negating zero).
+Each chart's constructor builds its name -> position map, its packing
+layout and one shared zero polynomial, which every zero result of
+`_from_terms` is.  The ring operations return an operand unchanged where
+the result equals it (adding or subtracting zero, multiplying by zero or
+by the constant 1, negating zero).
 """
 
 from __future__ import annotations
@@ -119,7 +119,27 @@ class Chart:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError(f"chart coordinates not distinct: {names}")
+        n = len(names)
+        shifts = tuple(EXPONENT_BITS * (n - 1 - i) for i in range(n))
+        degree = 1 << EXPONENT_BITS * n
         object.__setattr__(self, "names", names)
+        # The packing layout and the shared zero, built once per chart.  No
+        # attribute but `names` is a dataclass field, so they stay out of
+        # `==`, `hash` and `repr`.
+        object.__setattr__(self, "_positions", {name: i for i, name in enumerate(names)})
+        # the bit offset of each coordinate's field in a packed exponent;
+        # the total degree sits above them all, at `EXPONENT_BITS * n`
+        object.__setattr__(self, "_shifts", shifts)
+        # the packed exponent of each coordinate x_i: one in field i and in
+        # the degree field
+        object.__setattr__(self, "_units", tuple((1 << shift) + degree for shift in shifts))
+        # the least packed exponent of total degree 2^EXPONENT_BITS
+        object.__setattr__(self, "_limit", degree << EXPONENT_BITS)
+        # the coordinate fields e_1 .. e_n of a packed exponent as bytes,
+        # each unsigned and big-endian
+        object.__setattr__(self, "_fields", struct.Struct(f">{n}H"))
+        # the zero polynomial of `Polynomial.zero`
+        object.__setattr__(self, "_zero", Polynomial._from_canonical(self, {}))
 
     @property
     def dim(self) -> int:
@@ -135,37 +155,6 @@ class Chart:
         """Adjoin fibre coordinates; duplicates raise."""
         return Chart(self.names + tuple(extra))
 
-    @functools.cached_property
-    def _positions(self) -> Dict[str, int]:
-        """Each coordinate's position, built once per chart; like `_zero`,
-        it stays out of `==`, `hash` and `repr`."""
-        return {name: i for i, name in enumerate(self.names)}
-
-    @functools.cached_property
-    def _shifts(self) -> Tuple[int, ...]:
-        """The bit offset of each coordinate's field in a packed exponent;
-        the total degree sits above them all, at `EXPONENT_BITS * dim`."""
-        n = self.dim
-        return tuple(EXPONENT_BITS * (n - 1 - i) for i in range(n))
-
-    @functools.cached_property
-    def _units(self) -> Tuple[int, ...]:
-        """The packed exponent of each coordinate x_i: one in field i and in
-        the degree field."""
-        degree = 1 << EXPONENT_BITS * self.dim
-        return tuple((1 << shift) + degree for shift in self._shifts)
-
-    @functools.cached_property
-    def _limit(self) -> int:
-        """The least packed exponent of total degree 2^EXPONENT_BITS."""
-        return 1 << EXPONENT_BITS * (self.dim + 1)
-
-    @functools.cached_property
-    def _fields(self) -> struct.Struct:
-        """The coordinate fields e_1 .. e_n of a packed exponent as bytes,
-        each unsigned and big-endian; the total degree sits above them."""
-        return struct.Struct(f">{self.dim}H")
-
     def _pack(self, exp: Exponent) -> int:
         """The packed form of an exponent tuple of total degree below
         2^EXPONENT_BITS."""
@@ -176,14 +165,6 @@ class Chart:
         of its total degree."""
         fields = self._fields
         return fields.unpack_from(packed.to_bytes(fields.size + 2, "big"), 2)
-
-    @functools.cached_property
-    def _zero(self) -> "Polynomial":
-        """The zero polynomial of `Polynomial.zero`, built once per chart.
-
-        A cached property is not a dataclass field, so it stays out of
-        `==`, `hash` and `repr`."""
-        return Polynomial._from_canonical(self, {})
 
     def __repr__(self) -> str:
         return f"Chart({', '.join(self.names)})"
@@ -257,9 +238,9 @@ class Polynomial:
     @functools.cached_property
     def terms(self) -> Tuple[Tuple[Exponent, Coefficient], ...]:
         """The (exponent, coefficient) pairs in printing order, descending
-        (total degree, exponent tuple), derived on first read.  Like
-        `Chart._zero`, a cached property stays out of `==`, `hash` and
-        `repr`."""
+        (total degree, exponent tuple), derived on first read, since only
+        the printers read it.  A cached property is not a dataclass field,
+        so it stays out of `==`, `hash` and `repr`."""
         return _ordered(self.chart, self.coeffs)
 
     # --- constructors -------------------------------------------------

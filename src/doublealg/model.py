@@ -186,15 +186,17 @@ class RawBlock:
 
 @dataclass
 class ModelFile:
-    charts: Dict[str, Chart]
-    lie_algebras: Dict[str, LieAlgebroid]  # Lie algebras: algebroids over the point
-    bialgebras: Dict[str, Bialgebra]
-    algebroids: Dict[str, LieAlgebroid]
-    dual_pairs: Dict[str, str]  # algebroid name -> name of the algebroid it is dual to
-    dvbs: Dict[str, DecomposedDVB]
-    lavbs: Dict[str, LAVBundle]
-    matched_pairs: Dict[str, MatchedPair]
-    doubles: Dict[str, DoubleLieAlgebroid]
+    charts: Dict[str, Chart] = field(default_factory=dict)
+    # Lie algebras: algebroids over the point
+    lie_algebras: Dict[str, LieAlgebroid] = field(default_factory=dict)
+    bialgebras: Dict[str, Bialgebra] = field(default_factory=dict)
+    algebroids: Dict[str, LieAlgebroid] = field(default_factory=dict)
+    # algebroid name -> name of the algebroid it is dual to
+    dual_pairs: Dict[str, str] = field(default_factory=dict)
+    dvbs: Dict[str, DecomposedDVB] = field(default_factory=dict)
+    lavbs: Dict[str, LAVBundle] = field(default_factory=dict)
+    matched_pairs: Dict[str, MatchedPair] = field(default_factory=dict)
+    doubles: Dict[str, DoubleLieAlgebroid] = field(default_factory=dict)
 
 
 def _parse_name_list(text: str, line: int) -> Tuple[str, ...]:
@@ -320,28 +322,20 @@ def _parse_derivation_value(
 
 def parse_model(text: str) -> ModelFile:
     blocks = _raw_blocks(text)
-    charts: Dict[str, Chart] = {}
-    lie_algebras: Dict[str, LieAlgebroid] = {}
-    bialgebras: Dict[str, Bialgebra] = {}
-    algebroids: Dict[str, LieAlgebroid] = {}
-    dual_pairs: Dict[str, str] = {}
-    dvbs: Dict[str, DecomposedDVB] = {}
-    lavbs: Dict[str, LAVBundle] = {}
+    model = ModelFile()
     lavb_dvbs: Dict[str, str] = {}  # lavb name -> name of the dvb it uses
-    matched_pairs: Dict[str, MatchedPair] = {}
-    doubles: Dict[str, DoubleLieAlgebroid] = {}
 
     def chart_ref(value: str, line: int) -> Chart:
         if value.startswith("["):
             return Chart(_parse_name_list(value, line))
-        return _resolve(charts, "chart", (value, line))
+        return _resolve(model.charts, "chart", (value, line))
 
     for block in blocks:
         try:
             if block.kind == "chart":
                 block.known_keys(["coords"])
                 coords, line = block.single("coords", required=True)
-                charts[block.name] = Chart(_parse_name_list(coords, line))
+                model.charts[block.name] = Chart(_parse_name_list(coords, line))
 
             elif block.kind == "lie_algebra":
                 block.known_keys(["dim", "basis", "bracket"])
@@ -356,17 +350,17 @@ def parse_model(text: str) -> ModelFile:
                 if len(names) != dim:
                     raise ModelError("basis length does not match dim", block.line)
                 brackets = _brackets(block, Chart(()), names, "basis")
-                lie_algebras[block.name] = LieAlgebra(dim, brackets, names)
+                model.lie_algebras[block.name] = LieAlgebra(dim, brackets, names)
 
             elif block.kind == "cobracket":
                 block.known_keys(["algebra", "delta"])
                 algebra_entry = block.single("algebra", required=True)
-                algebra = _resolve(lie_algebras, "lie_algebra", algebra_entry)
+                algebra = _resolve(model.lie_algebras, "lie_algebra", algebra_entry)
                 images = {}
                 for args, value, line in block.calls("delta"):
                     (i,) = _call_indices(args, line, "delta takes one basis name", algebra.frames)
                     images[i] = _parsed(line, parse_wedge_combination, value, algebra.frames)
-                bialgebras[block.name] = Bialgebra(algebra, cobracket_dual(algebra, images))
+                model.bialgebras[block.name] = Bialgebra(algebra, cobracket_dual(algebra, images))
 
             elif block.kind == "algebroid":
                 block.known_keys(["base", "frame", "anchor", "bracket", "dual_of"])
@@ -380,16 +374,16 @@ def parse_model(text: str) -> ModelFile:
                     (i,) = _call_indices(args, line, "anchor takes one frame name", frames)
                     anchor[i] = _parsed(line, parse_vector_field, value, chart)
                 brackets = _brackets(block, chart, frames, "frame")
-                algebroids[block.name] = LieAlgebroid(chart, frames, anchor, brackets)
+                model.algebroids[block.name] = LieAlgebroid(chart, frames, anchor, brackets)
                 dual_entry = block.single("dual_of")
                 if dual_entry:
                     partner, line = dual_entry
-                    partner_alg = _resolve(algebroids, "algebroid", dual_entry)
+                    partner_alg = _resolve(model.algebroids, "algebroid", dual_entry)
                     if partner_alg.rank != rank:
                         raise ModelError("dual pair must have matching ranks", line)
                     if partner_alg.chart != chart:
                         raise ModelError("dual pair must share a chart", line)
-                    dual_pairs[block.name] = partner
+                    model.dual_pairs[block.name] = partner
 
             elif block.kind == "dvb":
                 block.known_keys(["base", "frames_A", "frames_B", "frames_C", "ranks"])
@@ -430,15 +424,15 @@ def parse_model(text: str) -> ModelFile:
                             f"need frames_{side} or a ranks entry for {side}", block.line
                         )
                     triples.append(names)
-                dvbs[block.name] = DecomposedDVB(chart, *triples)
+                model.dvbs[block.name] = DecomposedDVB(chart, *triples)
 
             elif block.kind == "lavb":
                 block.known_keys(["dvb", "side", "lambda", "q", "del", "twist"])
                 dvb_entry = block.single("dvb", required=True)
-                shape = _resolve(dvbs, "dvb", dvb_entry)
+                shape = _resolve(model.dvbs, "dvb", dvb_entry)
                 chart, frames_c = shape.chart, shape.frames_c
                 side_entry = block.single("side", required=True)
-                side = _resolve(algebroids, "algebroid", side_entry)
+                side = _resolve(model.algebroids, "algebroid", side_entry)
                 line = side_entry[1]
                 if side.chart != chart:
                     raise ModelError("side algebroid must live on the dvb base chart", line)
@@ -479,10 +473,9 @@ def parse_model(text: str) -> ModelFile:
                     if b1 == b2:
                         raise ModelError("twist pair must be distinct (antisymmetry)", line)
                     combo = _parsed(line, parse_combination, value, chart, frames_c)
-                    sign = 1 if b1 < b2 else -1
                     mat = twist.setdefault((min(b1, b2), max(b1, b2)), {})
-                    mat.update(((a, g), p.scale(sign)) for g, p in enumerate(combo.values()))
-                lavbs[block.name] = LAVBundle(
+                    mat.update(((a, g), p if b1 < b2 else -p) for g, p in enumerate(combo.values()))
+                model.lavbs[block.name] = LAVBundle(
                     side, frames_a, frames_c, *derivations, core_anchor, twist
                 )
                 lavb_dvbs[block.name] = dvb_entry[0]
@@ -491,8 +484,8 @@ def parse_model(text: str) -> ModelFile:
                 block.known_keys(["A", "B", "rho", "sigma"])
                 a_entry = block.single("A", required=True)
                 b_entry = block.single("B", required=True)
-                a_alg = _resolve(algebroids, "algebroid", a_entry)
-                b_alg = _resolve(algebroids, "algebroid", b_entry)
+                a_alg = _resolve(model.algebroids, "algebroid", a_entry)
+                b_alg = _resolve(model.algebroids, "algebroid", b_entry)
                 # rho: A acting on B, sigma: B acting on A; an omitted
                 # derivation is zero over the anchor
                 reps = []
@@ -503,7 +496,7 @@ def parse_model(text: str) -> ModelFile:
                         (i,) = _call_indices(args, line, usage, acting.frames)
                         ders[i] = _parse_derivation_value(value, acting.chart, target.frames, line)
                     reps.append(ders)
-                matched_pairs[block.name] = MatchedPair(a_alg, b_alg, *reps)
+                model.matched_pairs[block.name] = MatchedPair(a_alg, b_alg, *reps)
 
             elif block.kind == "double":
                 block.known_keys(["dvb", "vertical", "horizontal"])
@@ -511,32 +504,22 @@ def parse_model(text: str) -> ModelFile:
                     block.single("vertical", required=True),
                     block.single("horizontal", required=True),
                 )
-                vertical, horizontal = (_resolve(lavbs, "lavb", entry) for entry in entries)
+                vertical, horizontal = (_resolve(model.lavbs, "lavb", entry) for entry in entries)
                 dvb_entry = block.single("dvb")
                 if dvb_entry:
                     dvb_name, line = dvb_entry
-                    _resolve(dvbs, "dvb", dvb_entry)
+                    _resolve(model.dvbs, "dvb", dvb_entry)
                     for name, _ in entries:
                         if lavb_dvbs[name] != dvb_name:
                             raise ModelError(
                                 f"lavb {name!r} uses dvb {lavb_dvbs[name]!r}, not {dvb_name!r}",
                                 line,
                             )
-                doubles[block.name] = DoubleLieAlgebroid(vertical, horizontal)
+                model.doubles[block.name] = DoubleLieAlgebroid(vertical, horizontal)
 
         except (ValueError, KeyError) as exc:
             if isinstance(exc, ModelError):
                 raise
             raise ModelError(f"in [{block.kind} {block.name}]: {exc}", block.line) from exc
 
-    return ModelFile(
-        charts,
-        lie_algebras,
-        bialgebras,
-        algebroids,
-        dual_pairs,
-        dvbs,
-        lavbs,
-        matched_pairs,
-        doubles,
-    )
+    return model

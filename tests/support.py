@@ -8,8 +8,11 @@ replaced production code (the matched-pair checks, among them the check
 of a pair through derivation commutators and brackets of sections with
 the operator algebra it needs, the gathering Cartan differential, the
 frame-loop algebroid check, the core Poisson structure through anchor
-fields and the frame change by any invertible matrix), the dense
-structure tables the sparse store replaced, the dense twist table,
+fields, the frame change by any invertible matrix and the signed
+permutation frame change that rescaled through `Polynomial.scale`
+(`scaled_change_frames`)), the chart layout that `Chart.__init__` builds,
+by the formulas of the cached properties it replaced (`chart_layout`),
+the dense structure tables the sparse store replaced, the dense twist table,
 matrices and LA-vector bundle builder that the sparse matrix store
 replaced (`dense`, `dense_data`, `dense_dual_data`), the scan over every
 component of a vector field that `VectorField.apply` replaced
@@ -38,6 +41,7 @@ import functools
 import itertools
 import pathlib
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -76,6 +80,7 @@ from doublealg.doublela import (
 )
 from doublealg.exact import (
     _MASK,
+    EXPONENT_BITS,
     Chart,
     ChartMismatch,
     Coefficient,
@@ -1695,6 +1700,54 @@ def general_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
                     new_vec[m] = new_vec[m] + old_vec[k].scale(inv[m][k])
         brackets[(a, b)] = tuple(new_vec)
     return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)
+
+
+def scaled_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
+    """The signed-permutation frame change that rescaled every anchor entry,
+    zeros included, and every moved structure function through
+    `Polynomial.scale(+-1)`; the oracle of `algebroid.change_frames`, which
+    keeps a +1 entry and negates a -1 one."""
+    r = L.rank
+    perm: List[int] = []
+    signs: List[Coefficient] = []
+    for j in range(r):
+        column = [(i, rat(matrix[i][j])) for i in range(r) if matrix[i][j] != 0]
+        if len(column) != 1 or abs(column[0][1]) != 1:
+            break
+        perm.append(column[0][0])
+        signs.append(column[0][1])
+    if len(perm) != r or len(set(perm)) != r:
+        raise ValueError("frame change must be a signed permutation matrix")
+    anchor = [tuple(entry.scale(s) for entry in L.anchor[p]) for p, s in zip(perm, signs)]
+    new_index = {p: m for m, p in enumerate(perm)}
+    zero = Polynomial.zero(L.chart)
+    brackets = {}
+    for a, b in itertools.combinations(range(r), 2):
+        old = L.nonzero_structure[perm[a]][perm[b]]
+        if old:
+            vec = [zero] * r
+            for p, coeff in old:
+                m = new_index[p]
+                vec[m] = coeff.scale(signs[a] * signs[b] * signs[m])
+            brackets[(a, b)] = vec
+    return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)
+
+
+def chart_layout(chart: Chart) -> Dict[str, object]:
+    """The packing layout and shared zero of `chart` by the formulas of the
+    cached properties that `Chart.__init__` replaced, keyed by attribute
+    name; the zero is built through the validating constructor."""
+    n = chart.dim
+    shifts = tuple(EXPONENT_BITS * (n - 1 - i) for i in range(n))
+    degree = 1 << EXPONENT_BITS * n
+    return {
+        "_positions": {name: i for i, name in enumerate(chart.names)},
+        "_shifts": shifts,
+        "_units": tuple((1 << shift) + degree for shift in shifts),
+        "_limit": 1 << EXPONENT_BITS * (n + 1),
+        "_fields": struct.Struct(f">{n}H"),
+        "_zero": Polynomial(chart, {}),
+    }
 
 
 def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:

@@ -112,6 +112,19 @@ class TestValidatingBoundary:
         with pytest.raises(ChartMismatch):
             VectorField(XY, [P("x"), P("x", Chart(["x", "z"]))])
 
+    def test_algebroid_rejects_a_structure_function_on_another_chart(self):
+        x, y = Chart(["x"]), Chart(["y"])
+        zero = Polynomial.zero(x)
+        with pytest.raises(ChartMismatch, match="structure function on another chart"):
+            LieAlgebroid(x, ("e", "f"), [[zero], [zero]], {(0, 1): [Polynomial.coordinate(y, "y"), zero]})
+
+    def test_algebroid_rejects_an_anchor_entry_on_another_chart(self):
+        x, y = Chart(["x"]), Chart(["y"])
+        with pytest.raises(ChartMismatch, match="anchor entry on another chart"):
+            LieAlgebroid(x, ("e",), [[Polynomial.coordinate(y, "y")]])
+        twin = LieAlgebroid(x, ("e",), [[Polynomial.coordinate(Chart(["x"]), "x")]])
+        assert twin.anchor_field(0).apply(Polynomial.coordinate(x, "x")) == Polynomial.coordinate(x, "x")
+
     def test_algebroid_equal_and_hash_equal_after_anchor_fields_are_cached(self):
         L = cotangent_algebroid(catalog.poisson_chart_xy())
         assert L.anchor_field(0) is L.anchor_field(0)

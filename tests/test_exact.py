@@ -1,5 +1,6 @@
 """Ring axioms, calculus rules and grammar round-trips for the exact core."""
 
+import dataclasses
 import re
 import time
 from fractions import Fraction
@@ -23,7 +24,16 @@ from doublealg.exact import (
     signed_sum,
 )
 from doublealg.parsing import MAX_TOTAL_DEGREE, ParseError
-from support import SO3, FractionPolynomial, TuplePolynomial, ladder_pair, parse_polynomial, rename, tuple_apply
+from support import (
+    SO3,
+    FractionPolynomial,
+    TuplePolynomial,
+    chart_layout,
+    ladder_pair,
+    parse_polynomial,
+    rename,
+    tuple_apply,
+)
 from test_double_derived import count_calls
 
 XY = Chart(["x", "y"])
@@ -330,12 +340,12 @@ class TestSharedZero:
         assert za == Polynomial(a, {}) and hash(za) == hash(Polynomial(b, {}))
         assert za != Polynomial.zero(Chart(["y", "x"]))
 
-    def test_filling_the_zero_leaves_the_chart_unchanged(self):
+    def test_the_zero_and_layout_are_not_part_of_the_chart_value(self):
         chart, twin = Chart(["x", "y"]), Chart(["x", "y"])
-        before = (chart == twin, hash(chart), repr(chart))
-        Polynomial.zero(chart)
-        assert "_zero" in vars(chart) and "_zero" not in vars(twin)
-        assert (chart == twin, hash(chart), repr(chart)) == before
+        assert [f.name for f in dataclasses.fields(Chart)] == ["names"]
+        assert set(vars(chart)) == {"names", *chart_layout(chart)}
+        assert all(getattr(chart, key) is not getattr(twin, key) for key in ("_positions", "_fields", "_zero"))
+        assert chart == twin and hash(chart) == hash(twin) and repr(chart) == repr(twin) == "Chart(x, y)"
         assert {chart: 1}[twin] == 1
 
     def test_shared_zero_keeps_its_chart_checks(self):
@@ -443,6 +453,41 @@ class TestPackedExponents:
         assert field.apply(P("x")) == high
         with pytest.raises(DegreeOverflow):
             field.apply(P("x^2"))
+
+
+class TestChartLayout:
+    """`Chart.__init__` builds the packing layout and the shared zero; the
+    formulas of the cached properties it replaced are
+    `support.chart_layout`."""
+
+    @staticmethod
+    def assert_layout(chart):
+        want = chart_layout(chart)
+        for key in ("_positions", "_shifts", "_units", "_limit"):
+            assert getattr(chart, key) == want[key], key
+        assert (chart._fields.format, chart._fields.size) == (want["_fields"].format, want["_fields"].size)
+        zero = chart._zero
+        assert zero == want["_zero"] and zero.chart is chart and zero.coeffs == {}
+        assert Polynomial.zero(chart) is zero and Polynomial(chart, {(0,) * chart.dim: 0}) == zero
+        for i, name in enumerate(chart.names):
+            assert chart._units[i] == chart._pack(tuple(int(j == i) for j in range(chart.dim)))
+            assert Polynomial.coordinate(chart, name).partial(name) == Polynomial.constant(chart, 1)
+
+    def test_charts_of_dimension_0_to_64(self):
+        for n in range(65):
+            self.assert_layout(Chart([f"x{i}" for i in range(n)]))
+
+    def test_the_point_chart(self):
+        for point in (Chart(), Chart([]), Chart(()), POINT):
+            self.assert_layout(point)
+            assert point._limit == 1 << EXPONENT_BITS and point._units == () and point._positions == {}
+
+    def test_extended_charts(self):
+        extended = [POINT.extend(["p"]), XY.extend([]), XY.extend(["p", "q"]), XY.extend(["p"]).extend(["q"])]
+        extended += [Chart([f"x{i}" for i in range(n)]).extend([f"p{i}" for i in range(n)]) for n in (1, 8, 32)]
+        for chart in extended:
+            self.assert_layout(chart)
+        assert extended[2] == extended[3] and extended[2]._units == extended[3]._units
 
 
 CHARTS = [Chart([f"x{i}" for i in range(n)]) for n in (*range(9), 128)]

@@ -25,7 +25,9 @@ gl(3)* rung, whose 18-coordinate, rank-18 total algebroids no benchmark
 workload reaches, is pinned by the sha256 of its report lines.
 `change_frames` relabels and re-signs frames by a signed permutation; the
 frame change by any invertible matrix, through its inverse, is kept in
-`support.general_change_frames` as its oracle.
+`support.general_change_frames` as its oracle, and the frame change that
+rescaled every entry through `Polynomial.scale` in
+`support.scaled_change_frames`.
 """
 
 import hashlib
@@ -38,7 +40,7 @@ import pytest
 
 import catalog
 import linalg
-from doublealg import algebroid
+from doublealg import algebroid, doublela, matched
 from doublealg.algebroid import (
     LieAlgebroid,
     Multisection,
@@ -54,7 +56,13 @@ from doublealg.algebroid import (
     schouten,
     tangent_algebroid,
 )
-from doublealg.doublela import build_cotangent_double, check_double, core_algebroid, structural_diagnostics
+from doublealg.doublela import (
+    build_cotangent_double,
+    check_double,
+    core_algebroid,
+    dual_pair_over_core_dual,
+    structural_diagnostics,
+)
 from doublealg.exact import Chart, ChartMismatch, Polynomial
 from doublealg.formatting import format_algebroid_lines
 from support import (
@@ -71,12 +79,16 @@ from support import (
     leibniz_bracket_sections,
     perturbations,
     random_bracket,
+    scaled_change_frames,
     schouten_jacobiator,
     summed_compatibility_defect,
     summed_schouten,
     sweep_doubles,
+    tt_pair,
 )
 from test_double_derived import count_calls
+from test_matched_gate import gate_pairs
+from test_structural_diagnostics import DOUBLES
 
 # --- the scattering differential against the gathering one
 
@@ -157,6 +169,32 @@ def test_change_frames_rejects_an_invertible_matrix_that_is_no_signed_permutatio
     assert linalg.is_invertible(matrix)
     with pytest.raises(ValueError, match="signed permutation"):
         change_frames(L, matrix, L.frames)
+
+
+def test_change_frames_equals_the_scaling_frame_change_where_the_product_calls_it(monkeypatch):
+    """Every frame change of the dual pairs over the core dual and of the
+    semidirects equals `support.scaled_change_frames`."""
+    calls = Counter()
+
+    def checked(module):
+        def change(L, matrix, names):
+            got = change_frames(L, matrix, names)
+            assert got == scaled_change_frames(L, matrix, names)
+            calls[module] += 1
+            return got
+
+        return change
+
+    monkeypatch.setattr(doublela, "change_frames", checked("doublela"))
+    monkeypatch.setattr(matched, "change_frames", checked("matched"))
+    doubles = [*DOUBLES.values(), *(build_cotangent_double(*tt_pair(n)) for n in range(1, 9))]
+    for dla in doubles:
+        dual_pair_over_core_dual(dla)
+    pairs = gate_pairs()
+    for mp in pairs:
+        matched.build_semidirects(mp)
+    assert calls == {"doublela": len(doubles), "matched": 2 * len(pairs)}
+    assert len(doubles) >= 125 and len(pairs) >= 1000
 
 
 def failing_items(report):

@@ -14,6 +14,7 @@ two must give equal charts.
 
 import random
 from collections import Counter
+from dataclasses import fields
 
 from doublealg.algebroid import PoissonChart, VectorField, check_algebroid, dual_poisson, random_polynomial
 from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
@@ -193,13 +194,20 @@ def test_apply_matches_the_dense_scan_on_the_anchor_fields_of_the_corpus():
 
 
 def test_the_walked_components_are_not_part_of_the_value():
-    chart = Chart(("x", "y"))
+    chart, twin = Chart(("x", "y")), Chart(("x", "y"))
     comps = [Polynomial.zero(chart), Polynomial.coordinate(chart, "x")]
-    walked, fresh = VectorField(chart, comps), VectorField(chart, comps)
-    walked.apply(Polynomial.coordinate(chart, "y"))
-    assert "_nonzero" in vars(walked) and "_nonzero" not in vars(fresh)
-    assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
-    assert len(walked._nonzero) == 1
+    built = VectorField(chart, comps)
+    trusted = VectorField._from_components(chart, tuple(comps))
+    on_twin = VectorField(twin, [Polynomial.zero(twin), Polynomial.coordinate(twin, "x")])
+    assert [f.name for f in fields(VectorField)] == ["chart", "components"]
+    for field in built, trusted, on_twin:
+        assert set(vars(field)) == {"chart", "components", "_nonzero"}
+        assert [(dict(terms), shift, unit) for terms, shift, unit in field._nonzero] == [
+            ({chart._units[0]: 1}, chart._shifts[1], chart._units[1])
+        ]
+        assert field == built and hash(field) == hash(built) and repr(field) == repr(built)
+    assert built._nonzero is not trusted._nonzero
+    assert {built: 1}[on_twin] == 1
 
 
 # --- dual_poisson without the antisymmetry check

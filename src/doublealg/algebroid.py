@@ -306,6 +306,7 @@ class LieAlgebroid:
     increasing g, for every frame pair; the diagonal is empty and the b < a
     half is the negation of the a < b half.  A Lie algebra is the case of
     the point chart, `Chart(())`, with constant structure functions.
+    `LieAlgebroid(...)` validates its input; `_from_store` trusts derived data.
     """
 
     chart: Chart
@@ -334,10 +335,13 @@ class LieAlgebroid:
             raise ChartMismatch("anchor entry on another chart")
         if brackets and _off_chart(chart, brackets.values()):
             raise ChartMismatch("structure function on another chart")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "nonzero_structure", table)
+        set_fields(self, chart, frames, anchor, table)
+
+    @classmethod
+    def _from_store(cls, chart: Chart, frames, anchor, nonzero_structure: Structure) -> "LieAlgebroid":
+        """Trusted constructor: distinct frame names off the chart, a tuple
+        of rank x dim anchor rows on `chart`, and a store of `pair_store`."""
+        return set_fields(object.__new__(cls), chart, frames, anchor, nonzero_structure)
 
     @property
     def rank(self) -> int:
@@ -396,24 +400,39 @@ class LieAlgebroid:
         return Multisection.from_vector(self.rank, comps)
 
 
+def set_fields(obj, *fields):
+    """`obj`, a frozen dataclass instance, with its fields set in order."""
+    for name, value in zip(obj.__dataclass_fields__, fields):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def structure_table(
     rank: int, brackets: Mapping[Tuple[int, int], Sequence[Polynomial]] | None
 ) -> Structure:
     """The sparse store `LieAlgebroid.nonzero_structure` of `rank` frames
     whose brackets are given on pairs a < b as full component vectors."""
-    table: List[List[Tuple[Tuple[int, Polynomial], ...]]] = [[()] * rank for _ in range(rank)]
-    for (a, b), comps in (brackets or {}).items():
+    brackets = brackets or {}
+    for (a, b), comps in brackets.items():
         if a == b:
             raise ValueError("bracket(e_a, e_a) must be omitted (it is 0)")
         if a > b:
             raise ValueError("provide brackets with a < b only")
         if len(comps) != rank:
             raise ValueError("bracket value has wrong rank")
-        entry = tuple((g, p) for g, p in enumerate(comps) if p)
+    return pair_store(rank, {pair: dict(enumerate(comps)) for pair, comps in brackets.items()})
+
+
+def pair_store(rank: int, pairs: Mapping[Tuple[int, int], Mapping[int, Polynomial]]) -> Structure:
+    """The sparse store of `rank` frames from the components g -> c^g_{ab}
+    of pairs a < b: nonzero ones sorted by g, the b < a half negated."""
+    table: List[List[Tuple[Tuple[int, Polynomial], ...]]] = [[()] * rank for _ in range(rank)]
+    for (a, b), comps in pairs.items():
+        entry = tuple(sorted([(g, p) for g, p in comps.items() if p]))
         if entry:
             table[a][b] = entry
-            table[b][a] = tuple((g, -p) for g, p in entry)
-    return tuple(tuple(row) for row in table)
+            table[b][a] = tuple([(g, -p) for g, p in entry])
+    return tuple(map(tuple, table))
 
 
 def tangent_algebroid(chart: Chart) -> LieAlgebroid:
@@ -1037,20 +1056,23 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
     rank, frames, names = L.rank, L.frames, L.chart.names
     coords = [Polynomial.coordinate(L.chart, name) for name in names]
 
-    @functools.cache
+    # D(e_a, e_b) on pairs a < b, computed once; a cached closure calling
+    # itself would be a reference cycle, kept until the collector runs
+    upper: Dict[Tuple[int, int], Dict[Index, Polynomial]] = {}
+
     def frames_at(a: int, b: int) -> Dict[Index, Polynomial]:
-        if a == b:
-            return {}
-        if a > b:
-            return {idx: -p for idx, p in frames_at(b, a).items()}
-        return frame_defect(L, Lstar, a, b)
+        if (a, b) not in upper:
+            upper[a, b] = frame_defect(L, Lstar, a, b)
+        return upper[a, b]
 
     @functools.cache
     def functions_at(a: int, i: int) -> Dict[Index, Polynomial]:
         return function_defect(L, Lstar, a, i)
 
     def scaled_at(a: int, b: int, i: int) -> Dict[Index, Polynomial]:
-        acc = {idx: coords[i] * p for idx, p in frames_at(a, b).items()}
+        # D is antisymmetric, so D(e_a, e_b) = -D(e_b, e_a) and D(e_a, e_a) = 0
+        coord = coords[i] if a < b else -coords[i]
+        acc = {idx: coord * p for idx, p in frames_at(min(a, b), max(a, b)).items()} if a != b else {}
         for (k,), p in functions_at(a, i).items():
             _add_wedge(acc, k, b, p)
         return acc
@@ -1114,7 +1136,8 @@ def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Coefficient]], new_
     p(m) is s_m times new frame m.  Hence the new anchor of frame j is
     s_j a_{p(j)} and the new structure functions are
     c'^m_{ab} = s_a s_b s_m c^{p(m)}_{p(a) p(b)}.  Raises `ValueError` on
-    any other matrix; every frame change the package makes is of this kind.
+    any other matrix (the package makes no other frame change) and unless
+    `new_names` holds one distinct name per frame, off the chart.
     """
     r = L.rank
     perm: List[int] = []
@@ -1127,19 +1150,18 @@ def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Coefficient]], new_
         signs.append(column[0][1])
     if len(perm) != r or len(set(perm)) != r:
         raise ValueError("frame change must be a signed permutation matrix")
-    anchor = [L.anchor[p] if s == 1 else tuple(-entry for entry in L.anchor[p]) for p, s in zip(perm, signs)]
+    new_names = tuple(new_names)
+    if len(new_names) != r or len(set(new_names)) != r or set(new_names) & set(L.chart.names):
+        raise ValueError("frame change needs one distinct new name per frame, off the chart")
+    anchor = tuple(L.anchor[p] if s == 1 else tuple(-e for e in L.anchor[p]) for p, s in zip(perm, signs))
     new_index = {p: m for m, p in enumerate(perm)}
-    zero = Polynomial.zero(L.chart)
-    brackets = {}
+    pairs = {}
     for a, b in itertools.combinations(range(r), 2):
         old = L.nonzero_structure[perm[a]][perm[b]]
         if old:
-            vec = [zero] * r
-            for p, coeff in old:
-                m = new_index[p]
-                vec[m] = coeff if signs[a] * signs[b] * signs[m] == 1 else -coeff
-            brackets[(a, b)] = vec
-    return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)
+            moved = ((new_index[p], coeff) for p, coeff in old)
+            pairs[a, b] = {m: c if signs[a] * signs[b] * signs[m] == 1 else -c for m, c in moved}
+    return LieAlgebroid._from_store(L.chart, new_names, anchor, pair_store(r, pairs))
 
 
 def lie_algebra_to_algebroid(g: LieAlgebroid) -> LieAlgebroid:

@@ -32,6 +32,7 @@ from .algebroid import (
     coadjoint,
     fibre_coordinate,
     gradient,
+    pair_store,
     require_valid,
     unique_names,
 )
@@ -149,9 +150,10 @@ def check_double(dla: DoubleLieAlgebroid, seed: int = 7, max_degree: int = 2) ->
     items.extend(hor_rep.items)
     if not (vert_rep.ok and hor_rep.ok):
         return CheckReport(tuple(items))
-    # check_lavb has decided both algebroid axiom checks of the pair: e_v is
-    # vertical.induced_dual, and dual is horizontal.induced_dual after an
-    # invertible constant frame change, which preserves the axioms.
+    # check_lavb has decided both algebroid axiom checks of the pair on the
+    # induced duals it builds: e_v is vertical.induced_dual, and dual is
+    # horizontal.induced_dual after an invertible constant frame change,
+    # which preserves the axioms.
     e_v, dual = dla.dual_pair
     bial = CheckReport(
         (passed("side"), passed("dual_side"))
@@ -180,20 +182,21 @@ def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
     summed over the stored entries of d_A and d_B and of the derivation
     rows they select.  On a double, `dual_poisson` of
     this algebroid is the Poisson structure that the induced dual pair puts
-    on the core dual (Mackenzie & Xu 1994).
+    on the core dual (Mackenzie & Xu 1994).  A core frame named like a
+    coordinate gets apostrophes (`unique_names`).
     """
     v, h = dla.vertical, dla.horizontal
     base, rc = dla.chart, len(dla.core_frames)
     zero = Polynomial.zero(base)
-    anchor = [[zero] * base.dim for _ in range(rc)]
+    anchor = [(zero,) * base.dim] * rc
     for (g, a), c in v.core_anchor:
-        anchor[g] = [f + c * p if p else f for f, p in zip(anchor[g], dla.side_a.anchor[a])]
-    brackets: Dict[Tuple[int, int], List[Polynomial]] = {}
+        anchor[g] = tuple([f + c * p if p else f for f, p in zip(anchor[g], dla.side_a.anchor[a])])
+    pairs: Dict[Tuple[int, int], Dict[int, Polynomial]] = {}
 
     def add(g1: int, g2: int, d: int, term: Polynomial) -> None:
         if g1 < g2:
-            vec = brackets.setdefault((g1, g2), [zero] * rc)
-            vec[d] = vec[d] + term
+            comps = pairs.setdefault((g1, g2), {})
+            comps[d] = comps.get(d, zero) + term
 
     for (g1, a), c in v.core_anchor:
         for (g2, d), p in h.core_derivations[a]:
@@ -201,7 +204,8 @@ def core_algebroid(dla: DoubleLieAlgebroid) -> LieAlgebroid:
     for (g2, b), c in h.core_anchor:
         for (g1, d), p in v.core_derivations[b]:
             add(g1, g2, d, -(c * p))
-    return LieAlgebroid(base, dla.core_frames, anchor, brackets)
+    frames = unique_names(dla.core_frames, base.names)
+    return LieAlgebroid._from_store(base, frames, tuple(anchor), pair_store(rc, pairs))
 
 
 def structural_diagnostics(dla: DoubleLieAlgebroid) -> CheckReport:
@@ -298,22 +302,23 @@ def _cotangent_lavb(
     are differentiated (`gradient`).
     """
     nonzero = side.nonzero_structure
-    core_ders = [
-        {(gamma, i): d for gamma, entry in enumerate(row) for i, d in gradient(entry)}
+    core_ders = tuple(
+        tuple(((gamma, i), d) for gamma, entry in enumerate(row) for i, d in gradient(entry))
         for row in side.anchor
-    ]
-    core_anchor = {
-        (gamma, a): -entry if sign == 1 else entry
+    )
+    core_anchor = sorted(
+        ((gamma, a), -entry if sign == 1 else entry)
         for a, row in enumerate(side.anchor)
         for gamma, entry in enumerate(row)
         if entry
-    }
-    twist = {
-        (b1, b2): {(a, i): d if sign == 1 else -d for a, coeff in nonzero[b1][b2] for i, d in gradient(coeff)}
-        for b1, b2 in itertools.combinations(range(side.rank), 2)
-        if nonzero[b1][b2]
-    }
-    return LAVBundle(side, bundle_frames, core_frames, coadjoint(side), core_ders, core_anchor, twist)
+    )
+    twist = []
+    for b1, b2 in itertools.combinations(range(side.rank), 2):
+        mat = tuple(((a, i), d if sign == 1 else -d) for a, coeff in nonzero[b1][b2] for i, d in gradient(coeff))
+        if mat:
+            twist.append(((b1, b2), mat))
+    data = (coadjoint(side), core_ders, tuple(core_anchor), tuple(twist))
+    return LAVBundle._from_stored(side, bundle_frames, core_frames, *data)
 
 
 def build_cotangent_double(L: LieAlgebroid, Lstar: LieAlgebroid) -> DoubleLieAlgebroid:

@@ -17,6 +17,8 @@ matrices and LA-vector bundle builder that the sparse matrix store
 replaced (`dense`, `dense_data`, `dense_dual_data`), the scan over every
 component of a vector field that `VectorField.apply` replaced
 (`dense_apply`), the
+LA-vector bundle check that decided `generators` on the total algebroid
+before the induced dual (`reference_check_lavb`), the
 Drinfel'd double read off the cobracket images that the point-pair
 store of a bialgebra replaced (`image_drinfeld_double`, `format_wedge`),
 the core algebroid read off every core Poisson entry, the sums that
@@ -1449,6 +1451,22 @@ def lavb_corpus():
         if name.startswith(("t2m_double.pass", "tangent_cotangent_pair")):
             out += perturbations(name, v, seed)
     return out
+
+
+def reference_check_lavb(v: LAVBundle) -> CheckReport:
+    """`lavb.check_lavb` as it was before it decided on the induced dual:
+    `generators` on the total algebroid, and `induced_dual` read off it on
+    a pass, checked only when it fails."""
+    items: List[CheckItem] = []
+    side_rep = check_algebroid(v.side)
+    items.append(side_rep.as_item("side"))
+    items.append(passed("base_fields"))
+    if side_rep.ok:
+        total_rep = check_algebroid(v.total)
+        items.append(total_rep.as_item("generators"))
+        induced_rep = total_rep if total_rep.ok else check_algebroid(v.induced_dual)
+        items.append(induced_rep.as_item("induced_dual"))
+    return CheckReport(tuple(items))
 
 
 def gl(n):

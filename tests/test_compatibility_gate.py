@@ -15,6 +15,7 @@ import catalog
 from doublealg import algebroid
 from doublealg.algebroid import check_bialgebroid, check_compatibility, first_jacobiator
 from doublealg.doublela import build_cotangent_double, check_double
+from doublealg.exact import Chart, Polynomial
 from doublealg.liealg import BialgebraError, drinfeld_double
 from doublealg.model import parse_model
 from support import (
@@ -96,6 +97,34 @@ def test_reports_equal_the_section_calculus_oracle():
     assert failures["frames"] >= 500
     assert failures["scaled"] >= 150 and failures["function_pairs"] >= 150
     assert failures["symmetric_part"] >= 100
+
+
+def on_line(g):
+    """The Lie algebra `g` as an algebroid with zero anchor on a line."""
+    line = Chart(("x",))
+    zero = Polynomial.zero(line)
+    brackets = {}
+    for a, row in enumerate(g.nonzero_structure):
+        for b in range(a + 1, g.rank):
+            if row[b]:
+                vec = brackets[a, b] = [zero] * g.rank
+                for k, c in row[b]:
+                    vec[k] = c.lift(line)
+    return algebroid.LieAlgebroid(line, g.frames, [[zero]] * g.rank, brackets)
+
+
+def test_scaled_read_off_the_frame_defects_alone_equals_the_oracle():
+    """Seeded bialgebras on a line with zero anchors: `function_pairs` and
+    `symmetric_part` pass, so a failing `scaled` item is x times a frame
+    defect, whose sign its witness shows."""
+    read_off = 0
+    for b in gate_corpus()[:60]:
+        L, Lstar = on_line(b.algebra), on_line(b.dual)
+        report = check_compatibility(L, Lstar)
+        assert report == section_check_compatibility(L, Lstar)
+        items = {item.check_id: item.ok for item in report.items}
+        read_off += not items["frames"] and items["function_pairs"] and not items["scaled"]
+    assert read_off >= 10
 
 
 def test_other_seeds_and_degrees_equal_the_oracle():

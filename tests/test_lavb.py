@@ -1,9 +1,17 @@
 """LA-vector bundles: the tangent-prolongation example, the induced dual
 algebroid, generator brackets, reciprocity and the Poisson-route cross-check.
 
-`check_lavb` reports `induced_dual` without a check when `generators`
-passes, by duality; the full `check_algebroid` of the induced dual stays
-here as its oracle, on a corpus with failing bundles.
+`check_lavb` decides both `generators` and `induced_dual` on the induced
+dual when it passes, by duality, and checks the total algebroid only when
+it fails; the full `check_algebroid` of both stays here as its oracle, on
+a corpus with failing bundles, and the check that decided on the total
+algebroid first, `support.reference_check_lavb`, as its differential
+gate.  Duality holds in both directions because `dual_lavb` is an
+involution up to frame names, which is checked on the same bundles.
+
+Every algebroid and bundle the package derives is built by a trusted
+constructor; each equals, with equal hash and repr, what the validating
+constructor builds from its stored data.
 
 Every matrix of the generator data holds only its nonzero entries, and
 the twist is stored once; the dense builder they replaced,
@@ -23,6 +31,7 @@ import pytest
 
 from doublealg import lavb
 from doublealg.algebroid import (
+    LieAlgebroid,
     bracket_sections,
     change_frames,
     check_algebroid,
@@ -30,7 +39,7 @@ from doublealg.algebroid import (
     fibre_coordinate,
     tangent_algebroid,
 )
-from doublealg.doublela import assemble_vacant_double, build_cotangent_double
+from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial
 from doublealg.lavb import (
     LAVBundle,
@@ -53,10 +62,13 @@ from support import (
     dense_structure,
     frame_bracket,
     frame_section,
+    ladder_doubles,
     lavb_corpus,
     parse_polynomial,
+    perturbations,
     poisson_bracket,
     rebuilt,
+    reference_check_lavb,
     rename,
     tangent_lavb,
     tt_pair,
@@ -283,13 +295,14 @@ class TestImpliedInducedDual:
         failing = {n.rsplit(":", 1)[1] for n, v in LAVB_CORPUS if not check_lavb(v).ok}
         assert failing == {"twist", "core_anchor", "anchor_derivation", "core_derivation"}
 
-    def test_passing_bundle_checks_side_and_total_only(self, monkeypatch):
+    def test_passing_bundle_checks_side_and_induced_dual_only(self, monkeypatch):
         seen = []
         real = lavb.check_algebroid
         monkeypatch.setattr(lavb, "check_algebroid", lambda L: seen.append(L) or real(L))
         v = parse_model((MODELS / "t2m_double.pass").read_text()).doubles["T2M"].vertical
         assert check_lavb(v).ok
-        assert seen == [v.side, v.total]
+        assert seen == [v.side, v.induced_dual]
+        assert "total" not in vars(v)
 
 
 class TestCrossModuleRepresentationCheck:
@@ -400,6 +413,14 @@ def dense_oracle(side, data, built):
     )
 
 
+def assert_as_validated(built, validated, label):
+    """`built`, by a trusted constructor, equals `validated`, by the
+    validating one, with equal hash and repr."""
+    assert built == validated, label
+    assert hash(built) == hash(validated), label
+    assert repr(built) == repr(validated), label
+
+
 class TestSparseTwistGate:
     def test_corpus_has_twists_and_failing_bundles(self):
         bundles = [v for _, v in GATE[:DIAGNOSTICS_BUNDLES]]
@@ -409,9 +430,115 @@ class TestSparseTwistGate:
 
     def test_total_and_induced_dual_match_the_dense_builder(self):
         for name, v in GATE:
-            assert v.total == dense_oracle(v.side, dense_data(v), v.total), name
-            assert v.induced_dual == dense_oracle(v.side, dense_dual_data(v), v.induced_dual), name
+            assert_as_validated(v.total, dense_oracle(v.side, dense_data(v), v.total), name)
+            assert_as_validated(v.induced_dual, dense_oracle(v.side, dense_dual_data(v), v.induced_dual), name)
 
     def test_tt8_stores_no_twist(self):
         for _, v in GATE[-16:]:
             assert v.twist == () and dual_lavb(v).twist == ()
+
+
+# --- generators are decided on the induced dual
+
+FAILING_KINDS = ("twist", "core_anchor", "anchor_derivation", "core_derivation")
+
+
+def differential_corpus():
+    """`LAVB_CORPUS`, the bundles of `GATE` (the diagnostics doubles, the
+    vacant doubles of `gate_pairs()` and tt1..tt8), the duals of the tt
+    bundles, and seeded perturbations of every diagnostics bundle."""
+    out = LAVB_CORPUS + GATE
+    out += [(f"{name}:dual", dual_lavb(v)) for name, v in GATE[-16:]]
+    for seed, (name, v) in enumerate(GATE[:DIAGNOSTICS_BUNDLES]):
+        out += perturbations(name, v, seed)
+    return out
+
+
+DIFFERENTIAL = differential_corpus()
+
+
+class TestInducedDualDecides:
+    def test_reports_equal_the_reference_check(self):
+        for name, v in DIFFERENTIAL:
+            assert check_lavb(v) == reference_check_lavb(v), name
+
+    def test_corpus_fails_generators_of_every_kind(self):
+        failing = Counter(
+            name.rsplit(":", 1)[1]
+            for name, v in DIFFERENTIAL
+            if not check_lavb(v).ok and name.endswith(FAILING_KINDS)
+        )
+        assert set(failing) == set(FAILING_KINDS) and min(failing.values()) >= 20, failing
+
+    def test_dual_lavb_is_an_involution_up_to_frame_names(self):
+        for name, v in DIFFERENTIAL:
+            w = dual_lavb(dual_lavb(v))
+            assert (w.bundle_rank, w.core_rank) == (v.bundle_rank, v.core_rank), name
+            assert w.side == v.side, name
+            assert w.anchor_derivations == v.anchor_derivations, name
+            assert w.core_derivations == v.core_derivations, name
+            assert w.core_anchor == v.core_anchor, name
+            assert w.twist == v.twist, name
+
+
+def validated_algebroid(L):
+    """`L` rebuilt by the validating constructor from its frames, anchor
+    and dense brackets."""
+    structure = dense_structure(L)
+    brackets = {
+        (a, b): structure[a][b] for a, b in itertools.combinations(range(L.rank), 2) if any(structure[a][b])
+    }
+    return LieAlgebroid(L.chart, L.frames, L.anchor, brackets)
+
+
+def validated_bundle(v):
+    """`v` rebuilt by the validating constructor from its stored data."""
+    return LAVBundle(
+        v.side, v.bundle_frames, v.core_frames, v.anchor_derivations, v.core_derivations, v.core_anchor, dict(v.twist)
+    )
+
+
+class TestTrustedConstructors:
+    """The algebroids of the `GATE` bundles are compared with the dense
+    builder by `TestSparseTwistGate`."""
+
+    def test_derived_bundles_and_their_algebroids(self):
+        for name, v in DIFFERENTIAL:
+            dual = dual_lavb(v)
+            assert_as_validated(dual, validated_bundle(dual), name)
+        gate = {id(v) for _, v in GATE}
+        for name, v in DIFFERENTIAL:
+            if id(v) not in gate:
+                for L in (v.total, v.induced_dual):
+                    assert_as_validated(L, validated_algebroid(L), name)
+
+    def test_cotangent_bundles_dual_pairs_and_cores(self):
+        doubles = list(DOUBLES.items()) + ladder_doubles()
+        doubles += [(f"vacant{k}", assemble_vacant_double(mp)) for k, mp in enumerate(gate_pairs())]
+        doubles += [(f"tt{n}", build_cotangent_double(*tt_pair(n))) for n in range(1, 9)]
+        for name, dla in doubles:
+            for v in (dla.vertical, dla.horizontal):
+                assert_as_validated(v, validated_bundle(v), name)
+            for L in (*dla.dual_pair, dla.core):
+                assert_as_validated(L, validated_algebroid(L), name)
+
+
+class TestNamesOnTheChart:
+    """A core frame named like a coordinate, or a side frame named like the
+    fibre coordinate xi_<core frame> of an induced dual, gets apostrophes
+    in the algebroids built from the bundle, so that the double is decided
+    as it is under fresh names."""
+
+    T2M = (MODELS / "t2m_double.pass").read_text()
+
+    @pytest.mark.parametrize("old,new", [("c1", "x"), ("b1", "xi_c1")])
+    def test_double_is_decided_as_under_fresh_names(self, old, new):
+        dla = parse_model(self.T2M.replace(old, new)).doubles["T2M"]
+        assert check_double(dla) == check_double(parse_model(self.T2M).doubles["T2M"])
+        assert dla.vertical.total == validated_algebroid(dla.vertical.total)
+        assert dla.core == validated_algebroid(dla.core)
+
+    def test_core_frame_on_the_chart_gets_an_apostrophe(self):
+        dla = parse_model(self.T2M.replace("c1", "x")).doubles["T2M"]
+        assert dla.core.frames == ("x'",) and dla.vertical.total.frames == ("b1", "x'")
+        assert dla.horizontal.induced_dual.chart.names == ("x", "xi_x")

@@ -437,6 +437,65 @@ def test_the_trusted_constructor_guard_sees_a_reader():
     assert kernel_reads(tree, LAYOUT_NAMES) == set()
 
 
+# Model-file input goes through the validating constructors; the trusted
+# ones are for the structures the package derives itself.
+DERIVED_CONSTRUCTORS = {"_from_store", "_from_stored"}
+
+
+def test_model_input_never_meets_the_derived_structure_constructors():
+    readers = {module: kernel_reads(tree, DERIVED_CONSTRUCTORS) for module, tree in package_trees()}
+    assert readers["model"] == readers["parsing"] == set()
+    assert readers["lavb"] == readers["doublela"] == DERIVED_CONSTRUCTORS
+
+
+def _is_cache(decorator):
+    """Whether a decorator is `functools.cache` or `lru_cache`, called or not."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in {"cache", "lru_cache"}
+
+
+def self_calling_cached_closures(tree):
+    """The cache-decorated functions nested in a function of `tree` that
+    call themselves.  Such a closure holds its own cache wrapper in a cell,
+    a reference cycle that keeps what it cached and what it closes over
+    alive until the cyclic collector runs."""
+    out = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, ast.FunctionDef):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, ast.FunctionDef):
+                continue
+            calls = {n.func.id for n in ast.walk(inner) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            if inner.name in calls and any(map(_is_cache, inner.decorator_list)):
+                out.add(inner.name)
+    return out
+
+
+def test_no_cached_closure_calls_itself():
+    found = {module: names for module, tree in package_trees() if (names := self_calling_cached_closures(tree))}
+    assert found == {}
+
+
+def test_the_cycle_guard_sees_a_self_calling_cached_closure():
+    """Nested cached functions that call themselves are reported; a cached
+    one that does not, an uncached recursive one and a cached recursive
+    module-level function are not."""
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "def outer(n):\n"
+        "    @functools.cache\n    def loop(k):\n        return loop(k - 1) if k else 0\n"
+        "    @lru_cache(maxsize=None)\n    def spin(k):\n        return spin(k)\n"
+        "    @functools.cache\n    def leaf(k):\n        return k\n"
+        "    def plain(k):\n        return plain(k - 1) if k else leaf(k)\n"
+        "    return loop(n) + spin(n) + plain(n)\n"
+        "@functools.cache\ndef top(k):\n    return top(k - 1) if k else 0\n"
+    )
+    assert self_calling_cached_closures(tree) == {"loop", "spin"}
+
+
 def test_readme_library_snippet_runs():
     """The documented API still imports and its assertions hold."""
     exec(compile(library_snippet(), "README.md:Library", "exec"), {})

@@ -171,6 +171,13 @@ def test_change_frames_rejects_an_invertible_matrix_that_is_no_signed_permutatio
         change_frames(L, matrix, L.frames)
 
 
+@pytest.mark.parametrize("names", [("e1", "e2"), ("e1", "e1", "e2"), ("e1", "x", "e2")])
+def test_change_frames_rejects_new_names_that_repeat_miss_a_frame_or_name_a_coordinate(names):
+    L = random_bracket(random.Random(0), ("e1", "e2", "e3"))
+    with pytest.raises(ValueError, match="one distinct new name per frame, off the chart"):
+        change_frames(L, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], names)
+
+
 def test_change_frames_equals_the_scaling_frame_change_where_the_product_calls_it(monkeypatch):
     """Every frame change of the dual pairs over the core dual and of the
     semidirects equals `support.scaled_change_frames`."""

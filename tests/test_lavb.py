@@ -446,9 +446,12 @@ FAILING_KINDS = ("twist", "core_anchor", "anchor_derivation", "core_derivation")
 def differential_corpus():
     """`LAVB_CORPUS`, the bundles of `GATE` (the diagnostics doubles, the
     vacant doubles of `gate_pairs()` and tt1..tt8), the duals of the tt
-    bundles, and seeded perturbations of every diagnostics bundle."""
+    bundles, the bundles of the ladder rungs, and seeded perturbations of
+    every diagnostics bundle."""
     out = LAVB_CORPUS + GATE
     out += [(f"{name}:dual", dual_lavb(v)) for name, v in GATE[-16:]]
+    for name, dla in ladder_doubles():
+        out += [(f"{name}:vertical", dla.vertical), (f"{name}:horizontal", dla.horizontal)]
     for seed, (name, v) in enumerate(GATE[:DIAGNOSTICS_BUNDLES]):
         out += perturbations(name, v, seed)
     return out
@@ -494,7 +497,8 @@ def validated_algebroid(L):
 def validated_bundle(v):
     """`v` rebuilt by the validating constructor from its stored data."""
     return LAVBundle(
-        v.side, v.bundle_frames, v.core_frames, v.anchor_derivations, v.core_derivations, v.core_anchor, dict(v.twist)
+        v.side, v.bundle_frames, v.core_frames, v.anchor_derivations, v.core_derivations, v.core_anchor,
+        dict(v.twist),
     )
 
 

@@ -467,7 +467,7 @@ def self_calling_cached_closures(tree):
         for inner in ast.walk(outer):
             if inner is outer or not isinstance(inner, ast.FunctionDef):
                 continue
-            calls = {n.func.id for n in ast.walk(inner) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            calls = {n.func.id for n in ast.walk(inner) if isinstance(n, ast.Call) and hasattr(n.func, "id")}
             if inner.name in calls and any(map(_is_cache, inner.decorator_list)):
                 out.add(inner.name)
     return out

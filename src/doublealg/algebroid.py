@@ -57,24 +57,11 @@ class VectorField:
     components: Tuple[Polynomial, ...]
 
     def __init__(self, chart: Chart, components: Sequence[Polynomial]):
+        """One component per coordinate, all on `chart`, as in the checked
+        anchor rows and the computed defects the package builds fields from.
+        `_nonzero`, the (terms, shift, unit) of each nonzero X^i that `apply`
+        walks, is no field: it stays out of `==`, `hash` and `repr`."""
         components = tuple(components)
-        if len(components) != chart.dim:
-            raise ValueError("component count does not match chart dimension")
-        if _off_chart(chart, (components,)):
-            raise ChartMismatch("vector field component on wrong chart")
-        self._store(chart, components)
-
-    @classmethod
-    def _from_components(cls, chart: Chart, components: Tuple[Polynomial, ...]) -> "VectorField":
-        """Trusted constructor: one component per coordinate, all on `chart`."""
-        field = object.__new__(cls)
-        field._store(chart, components)
-        return field
-
-    def _store(self, chart: Chart, components: Tuple[Polynomial, ...]) -> None:
-        """Set both fields and `_nonzero`, the (terms, shift, unit) of each
-        nonzero X^i that `apply` walks; it is no field, so it stays out of
-        `==`, `hash` and `repr`."""
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "components", components)
         parts = zip(components, chart._shifts, chart._units)
@@ -130,61 +117,28 @@ class Multisection:
     a single ()-indexed function.  The same representation serves forms
     (indices then refer to the dual frame).
 
-    `Multisection(rank, degree, components)` validates every index, for
-    witnesses and input from outside the kernel; the kernel's own results
-    (`+`, `-`, `scale`, `zero`, `from_vector`,
-    `bracket_sections`, `differential` and `schouten`) are built by
-    `Multisection._from_components`, which trusts them.
+    Every multisection is one the package computed, so the constructor
+    trusts `components` to map strictly increasing index tuples of length
+    `degree` below `rank` to polynomials on one chart; it drops zero
+    components and sorts the rest by index.
     """
 
     rank: int
     degree: int
     components: Tuple[Tuple[Index, Polynomial], ...]
 
-    def __init__(self, rank: int, degree: int, components: Mapping[Index, Polynomial] | None = None):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        cleaned: Dict[Index, Polynomial] = {}
-        if components:
-            for idx, poly in components.items():
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise ValueError(f"index {idx} has wrong length for degree {degree}")
-                if any(not (0 <= i < rank) for i in idx):
-                    raise ValueError(f"index {idx} out of range for rank {rank}")
-                if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-                    raise ValueError(f"index {idx} not strictly increasing")
-                if poly:
-                    cleaned[idx] = cleaned[idx] + poly if idx in cleaned else poly
+    def __init__(self, rank: int, degree: int, components: Mapping[Index, Polynomial]):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(
-            self, "components", tuple(sorted(((i, p) for i, p in cleaned.items() if p), key=lambda t: t[0]))
-        )
-
-    @classmethod
-    def _from_components(cls, rank: int, degree: int, acc: Mapping[Index, Polynomial]) -> "Multisection":
-        """Trusted constructor for results of the operations below.
-
-        `acc` must map strictly increasing index tuples of length `degree`
-        with entries below `rank` to polynomials on one chart; zero
-        components are dropped and the rest sorted by index.  Input from
-        outside the kernel goes through `Multisection(rank, degree,
-        components)`.
-        """
-        ms = object.__new__(cls)
-        object.__setattr__(ms, "rank", rank)
-        object.__setattr__(ms, "degree", degree)
-        object.__setattr__(ms, "components", tuple(sorted((i, p) for i, p in acc.items() if p)))
-        return ms
+        object.__setattr__(self, "components", tuple(sorted((i, p) for i, p in components.items() if p)))
 
     @staticmethod
     def zero(rank: int, degree: int) -> "Multisection":
-        return Multisection._from_components(rank, degree, {})
+        return Multisection(rank, degree, {})
 
     @staticmethod
     def from_vector(rank: int, comps: Sequence[Polynomial]) -> "Multisection":
-        return Multisection._from_components(rank, 1, {(i,): p for i, p in enumerate(comps)})
+        return Multisection(rank, 1, {(i,): p for i, p in enumerate(comps)})
 
     def vector(self, chart: Chart) -> Tuple[Polynomial, ...]:
         if self.degree != 1:
@@ -202,7 +156,7 @@ class Multisection:
         acc = dict(self.components)
         for idx, poly in other.components:
             acc[idx] = acc[idx] + poly if idx in acc else poly
-        return Multisection._from_components(self.rank, self.degree, acc)
+        return Multisection(self.rank, self.degree, acc)
 
     def __sub__(self, other: "Multisection") -> "Multisection":
         if (self.rank, self.degree) != (other.rank, other.degree):
@@ -212,13 +166,13 @@ class Multisection:
         acc = dict(self.components)
         for idx, poly in other.components:
             acc[idx] = acc[idx] - poly if idx in acc else -poly
-        return Multisection._from_components(self.rank, self.degree, acc)
+        return Multisection(self.rank, self.degree, acc)
 
     def scale(self, value) -> "Multisection":
         c = rat(value)
         if c == 1:
             return self
-        return Multisection._from_components(self.rank, self.degree, {i: p.scale(c) for i, p in self.components})
+        return Multisection(self.rank, self.degree, {i: p.scale(c) for i, p in self.components})
 
     @property
     def is_zero(self) -> bool:
@@ -351,10 +305,7 @@ class LieAlgebroid:
     def anchor_fields(self) -> Tuple[VectorField, ...]:
         """The anchors a(e_alpha) as vector fields, built once, on first
         read: the constructor checked the chart of every entry."""
-        return tuple(VectorField._from_components(self.chart, row) for row in self.anchor)
-
-    def anchor_field(self, alpha: int) -> VectorField:
-        return self.anchor_fields[alpha]
+        return tuple(VectorField(self.chart, row) for row in self.anchor)
 
     @functools.cached_property
     def brackets_by_gamma(self) -> Tuple[Tuple[Tuple[int, int, Polynomial], ...], ...]:
@@ -474,7 +425,7 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
         if poly.chart is not chart and poly.chart.names != chart.names:
             raise ChartMismatch(f"charts differ: {chart} vs {poly.chart}")
     if not x.components or not y.components:
-        return Multisection._from_components(L.rank, 1, {})
+        return Multisection(L.rank, 1, {})
     accs: Dict[int, Dict[int, Coefficient]] = {}
     limit = chart._limit
     for (a,), fa in x.components:
@@ -522,7 +473,7 @@ def bracket_sections(L: LieAlgebroid, x: Multisection, y: Multisection) -> Multi
                         if exp >= limit:
                             raise DegreeOverflow
                         acc[exp] = get(exp, 0) + scaled * c2
-    return Multisection._from_components(
+    return Multisection(
         L.rank, 1, {(k,): Polynomial._from_terms(chart, acc) for k, acc in accs.items()}
     )
 
@@ -589,7 +540,7 @@ def _decide_axioms(L: LieAlgebroid) -> CheckReport:
     for a, b in itertools.combinations(range(L.rank), 2):
         defect = anchor_defect(L.nonzero_structure, L.anchor_fields, a, b)
         if any(defect):
-            field = VectorField._from_components(L.chart, defect)
+            field = VectorField(L.chart, defect)
             witness = f"pair ({L.frames[a]}, {L.frames[b]}): a([.,.]) - [a(.), a(.)] = {field}"
             break
     items.append(failed("anchor_morphism", witness) if witness else passed("anchor_morphism"))
@@ -663,7 +614,7 @@ def differential(L: LieAlgebroid, omega: Multisection) -> Multisection:
             if c:
                 term = c * poly
                 acc[target] = acc[target] + term if target in acc else term
-    return Multisection._from_components(L.rank, omega.degree + 1, acc)
+    return Multisection(L.rank, omega.degree + 1, acc)
 
 
 def schouten(L: LieAlgebroid, p: Multisection, q: Multisection) -> Multisection:
@@ -690,13 +641,13 @@ def schouten(L: LieAlgebroid, p: Multisection, q: Multisection) -> Multisection:
         one = Polynomial.constant(L.chart, 1)
         tails: Dict[Index, Multisection] = {}
         for idx, poly in q.components:
-            head = Multisection._from_components(L.rank, 1, {(idx[0],): poly})
+            head = Multisection(L.rank, 1, {(idx[0],): poly})
             tail = tails.get(idx[1:])
             if tail is None:
-                tail = tails[idx[1:]] = Multisection._from_components(L.rank, dq - 1, {idx[1:]: one})
+                tail = tails[idx[1:]] = Multisection(L.rank, dq - 1, {idx[1:]: one})
             _wedge_into(acc, schouten(L, p, head), tail, 1)
             _wedge_into(acc, head, schouten(L, p, tail), sign)
-        return Multisection._from_components(L.rank, out_degree, acc)
+        return Multisection(L.rank, out_degree, acc)
     swap_sign = (-1) ** (((dp - 1) * (dq - 1) + 1) % 2)
     return schouten(L, q, p).scale(swap_sign)
 

@@ -17,7 +17,8 @@ double` and `build vacant` when `check_matched` passes (the paper's two
 correspondences, see `doublela.passing_double_report`); otherwise they run
 `check_double` and report its items and witnesses.  A cobracket whose dual
 bracket fails Jacobi is a failed entry of `check bialgebroid` and `build
-cotangent-double`, not an error.
+cotangent-double`, not an error; so is a frame name shared by the two
+halves of a structure that a build verb or `check manin` assembles.
 Exit codes: 0 all checks pass, 1 a check failed (witness in the report),
 2 usage or parse error.  The environment variable DOUBLEALG_MAX_DEGREE caps
 the degree of randomized property-oracle sections (default 2, at most
@@ -210,12 +211,21 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
             rep = matched.check_matched(mp)
             results.extend(rep.prefixed(f"bowtie.{name}.matched").items)
             if rep.ok:
-                bow = tuple(format_algebroid_lines(f"{name}_bowtie", matched.assemble_bowtie(mp)))
+                try:
+                    bowtie = matched.assemble_bowtie(mp)
+                except matched.MatchedPairError as exc:
+                    results.append(CheckItem(f"bowtie.{name}", False, str(exc)))
+                    continue
+                bow = tuple(format_algebroid_lines(f"{name}_bowtie", bowtie))
                 results.append(CheckItem(f"bowtie.{name}", True, detail=bow))
 
     elif (verb, kind) in (("build", "double"), ("build", "vacant")):
         for name, mp in model.matched_pairs.items():
-            dla = doublela.assemble_vacant_double(mp)
+            try:
+                dla = doublela.assemble_vacant_double(mp)
+            except matched.MatchedPairError as exc:
+                results.append(CheckItem(f"vacant.{name}", False, str(exc)))
+                continue
             rep = _vacant_report(mp, dla, seed, max_degree)
             results.extend(_double_items(f"vacant.{name}", dla, rep, lambda: _diagonal(name, mp)))
 
@@ -232,7 +242,11 @@ def run(verb: str, kind: str, model: ModelFile, input_digest: str, seed: int, ma
 
     elif (verb, kind) == ("build", "semidirects"):
         for name, mp in model.matched_pairs.items():
-            semidirect, opposite = matched.build_semidirects(mp)
+            try:
+                semidirect, opposite = matched.build_semidirects(mp)
+            except matched.MatchedPairError as exc:
+                results.append(CheckItem(f"semidirects.{name}", False, str(exc)))
+                continue
             for tag, L in (("dual_action", semidirect), ("opposite", opposite)):
                 rep = alg.check_algebroid(L)
                 results.extend(rep.prefixed(f"semidirects.{name}.{tag}").items)

@@ -45,7 +45,7 @@ def format_algebroid_lines(name: str, L: LieAlgebroid) -> List[str]:
     lines.append(f"base = [{', '.join(L.chart.names)}]")
     lines.append(f"frame = [{', '.join(L.frames)}]")
     for alpha in range(L.rank):
-        field = L.anchor_field(alpha)
+        field = L.anchor_fields[alpha]
         if not field.is_zero:
             lines.append(f"anchor({L.frames[alpha]}) = {format_vector_field(field)}")
     return lines + _bracket_lines(L)

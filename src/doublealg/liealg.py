@@ -53,26 +53,19 @@ def LieAlgebra(
     brackets: Mapping[Tuple[int, int], Sequence] | None = None,
     basis_names: Sequence[str] | None = None,
 ) -> LieAlgebroid:
-    """The Lie algebra with [e_i, e_j] = brackets[(i, j)], a vector of dim
-    rationals or point-chart polynomials, as the algebroid over the point
-    `Chart(())` it is.  Omitted pairs are zero; a pair given as (j, i) with
-    j > i gives [e_i, e_j] its negative.  The basis defaults to e1..en."""
+    """The Lie algebra with [e_i, e_j] = brackets[(i, j)] on pairs i < j, a
+    vector of dim rationals or point-chart polynomials, as the algebroid
+    over the point `Chart(())` it is.  Omitted pairs are zero; the pairs
+    are checked by `structure_table`, as for every algebroid.  The basis
+    defaults to e1..en."""
     names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
     if len(names) != dim or len(set(names)) != dim:
         raise ValueError("basis names must be distinct and match dim")
     point = Chart(())
-    table: Dict[Tuple[int, int], List[Polynomial]] = {}
-    for (i, j), vec in (brackets or {}).items():
-        if i == j:
-            raise ValueError("bracket(e_i, e_i) must be omitted (it is 0)")
-        if len(vec) != dim:
-            raise ValueError("bracket value has wrong dimension")
-        vec = [c if isinstance(c, Polynomial) else Polynomial.constant(point, c) for c in vec]
-        if i > j:
-            i, j, vec = j, i, [-c for c in vec]
-        if (i, j) in table:
-            vec = [a + c for a, c in zip(table[(i, j)], vec)]
-        table[(i, j)] = vec
+    table = {
+        pair: [c if isinstance(c, Polynomial) else Polynomial.constant(point, c) for c in vec]
+        for pair, vec in (brackets or {}).items()
+    }
     return LieAlgebroid(point, names, [()] * dim, table)
 
 
@@ -129,8 +122,8 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
     `check_algebroid` on each side and the `frames` family of
     `check_compatibility`: there d_* = -delta, so the cocycle defect
     delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i) is minus
-    `frame_defect` on (e_i, e_j).  Raises `ValueError` when a dual
-    basis name <name>_d is already a basis name.  The double is then the
+    `frame_defect` on (e_i, e_j).  Also raises `BialgebraError` when a
+    dual basis name <name>_d is already a basis name.  The double is then the
     bowtie of the coadjoint matched pair: the mixed bracket
     -ad*_{eps^j} e_i + ad*_{e_i} eps^j is the one above, since the g*
     structure constant of eps^i at (j, k) is delta^{jk}_i.
@@ -151,7 +144,7 @@ def drinfeld_double(b: Bialgebra) -> LieAlgebroid:
             )
     clash = next((name for name in dual.frames if name in names), None)
     if clash is not None:
-        raise ValueError(f"dual basis name {clash!r} is already a basis name")
+        raise BialgebraError(f"dual basis name {clash!r} is already a basis name")
     return assemble_bowtie(MatchedPair(g, dual, coadjoint(g), coadjoint(dual)))
 
 

@@ -51,7 +51,7 @@ from .verdicts import CheckItem, CheckReport, failed, passed
 
 
 class MatchedPairError(ValueError):
-    """Actions read off a vacant double are not a matched pair."""
+    """Actions read off a vacant double are not matched, or A and B share frames."""
 
 
 @dataclass(frozen=True)
@@ -178,15 +178,23 @@ def check_matched(mp: MatchedPair) -> CheckReport:
     for a, s in itertools.product(in_a, in_b):
         defect = anchor_defect(nonzero, fields, a, s)
         if any(defect):
-            field = VectorField._from_components(mp.chart, tuple(-p for p in defect))
+            field = VectorField(mp.chart, tuple(-p for p in defect))
             witness = f"identity 3 at ({names[a]}, {names[s]}): defect = {field}"
             break
     items.append(failed("identity_3", witness) if witness else passed("identity_3"))
     return CheckReport(tuple(items))
 
 
+def _require_distinct_frames(mp: MatchedPair) -> None:
+    """Raise `MatchedPairError` naming the frames that A and B share."""
+    shared = [name for name in mp.algebroid_a.frames if name in mp.algebroid_b.frames]
+    if shared:
+        raise MatchedPairError(f"A and B share frame names: {', '.join(shared)}")
+
+
 def assemble_bowtie(mp: MatchedPair) -> LieAlgebroid:
     """The candidate algebroid on A + B (no validity gating)."""
+    _require_distinct_frames(mp)
     a_alg, b_alg = mp.algebroid_a, mp.algebroid_b
     return LieAlgebroid(
         mp.chart, a_alg.frames + b_alg.frames, a_alg.anchor + b_alg.anchor, _bowtie_brackets(mp)
@@ -198,6 +206,7 @@ def vacant_lavbundles(mp: MatchedPair) -> Tuple[LAVBundle, LAVBundle]:
     `mp` (no validity gating): D -> A over side B with anchor derivations
     sigma, and D -> B over side A with anchor derivations rho; the core is
     zero."""
+    _require_distinct_frames(mp)
 
     def vacant(side: LieAlgebroid, bundle_frames: Sequence[str], rep: Tuple[Matrix, ...]) -> LAVBundle:
         return LAVBundle(side, bundle_frames, (), rep, [()] * side.rank, [], {})

@@ -255,8 +255,8 @@ def anchor_bracket_compat(delta: LAVBundle, domain: LAVBundle, label: str) -> Ch
                 for k, val in enumerate(target_bracket(p, q)):
                     if val:
                         rhs[k] = rhs[k] + u_coeffs[p] * v_coeffs[q] * val
-        anchor_i = dom_alg.anchor_field(i)
-        anchor_j = dom_alg.anchor_field(j)
+        anchor_i = dom_alg.anchor_fields[i]
+        anchor_j = dom_alg.anchor_fields[j]
         for k in range(2 * ra):
             rhs[k] = rhs[k] + anchor_i.apply(v_coeffs[k]) - anchor_j.apply(u_coeffs[k])
         for k in range(2 * ra):

@@ -530,7 +530,7 @@ def dense_generator_algebroid(side, data, fibre_names, core_names):
     anchor_rows = []
     for beta in range(rb):
         d = anchor_derivations[beta]
-        row = [c.lift(chart) for c in side.anchor_field(beta).components]
+        row = [c.lift(chart) for c in side.anchor_fields[beta].components]
         for a in range(ra):
             entry = zero
             for b in range(ra):
@@ -686,7 +686,7 @@ def image_drinfeld_double(b: ImageBialgebra) -> LieAlgebroid:
             )
     clash = next((name for name in dual_names if name in names), None)
     if clash is not None:
-        raise ValueError(f"dual basis name {clash!r} is already a basis name")
+        raise BialgebraError(f"dual basis name {clash!r} is already a basis name")
 
     def entries():
         for offset, side in ((0, g), (n, dual)):
@@ -777,7 +777,7 @@ def anchor_of(L: LieAlgebroid, x: Multisection) -> VectorField:
         if coeff.chart is not chart and coeff.chart.names != chart.names:
             raise ChartMismatch(f"charts differ: {chart} vs {coeff.chart}")
     comps = tuple(Polynomial._from_terms(chart, acc) for acc in L._anchor_sums(x))
-    return VectorField._from_components(chart, comps)
+    return VectorField(chart, comps)
 
 
 def anchor_of_sum(L: LieAlgebroid, x: Multisection) -> VectorField:
@@ -786,7 +786,7 @@ def anchor_of_sum(L: LieAlgebroid, x: Multisection) -> VectorField:
     out = zero_field(L.chart)
     for alpha, coeff in enumerate(x.vector(L.chart)):
         if coeff:
-            out = add_fields(out, scale_field(L.anchor_field(alpha), coeff))
+            out = add_fields(out, scale_field(L.anchor_fields[alpha], coeff))
     return out
 
 
@@ -1065,7 +1065,7 @@ def wedge(x: Multisection, y: Multisection) -> Multisection:
         raise ValueError("rank mismatch")
     acc: Dict[Tuple[int, ...], Polynomial] = {}
     _wedge_into(acc, x, y, 1)
-    return Multisection._from_components(x.rank, x.degree + y.degree, acc)
+    return Multisection(x.rank, x.degree + y.degree, acc)
 
 
 def frame_bracket(L: LieAlgebroid, a: int, b: int) -> Multisection:
@@ -1144,7 +1144,7 @@ def of_section(rep, acting: LieAlgebroid, section: Multisection):
     out = zero_field(acting.chart), ()
     for alpha, coeff in enumerate(section.vector(acting.chart)):
         if coeff:
-            term = scale_field(acting.anchor_field(alpha), coeff), scale_derivation(rep[alpha], coeff)
+            term = scale_field(acting.anchor_fields[alpha], coeff), scale_derivation(rep[alpha], coeff)
             out = add_derivations(out, term)
     return out
 
@@ -1160,7 +1160,7 @@ def check_representation(acting: LieAlgebroid, rep, label: str, rank: int) -> Ch
     witness = None
     for a, b in itertools.combinations(range(acting.rank), 2):
         commuted = derivation_commutator(
-            (acting.anchor_field(a), rep[a]), (acting.anchor_field(b), rep[b]), rank
+            (acting.anchor_fields[a], rep[a]), (acting.anchor_fields[b], rep[b]), rank
         )
         if commuted != of_section(rep, acting, frame_bracket(acting, a, b)):
             witness = f"flatness fails on ({acting.frames[a]}, {acting.frames[b]})"
@@ -1186,12 +1186,12 @@ def derivation_identity(
         for t1, t2 in itertools.combinations(range(target.rank), 2):
             y1, y2 = frame_section(target, t1), frame_section(target, t2)
             v1, v2 = y1.vector(chart), y2.vector(chart)
-            d = acting.anchor_field(alpha), act[alpha]
+            d = acting.anchor_fields[alpha], act[alpha]
             lhs = apply_derivation(*d, frame_bracket(target, t1, t2).vector(chart))
             rhs = bracket_sections(target, target.section(apply_derivation(*d, v1)), y2)
             rhs = rhs + bracket_sections(target, y1, target.section(apply_derivation(*d, v2)))
-            back_2 = apply_derivation(target.anchor_field(t2), back[t2], x)
-            back_1 = apply_derivation(target.anchor_field(t1), back[t1], x)
+            back_2 = apply_derivation(target.anchor_fields[t2], back[t2], x)
+            back_1 = apply_derivation(target.anchor_fields[t1], back[t1], x)
             back_2 = of_section(act, acting, acting.section(back_2))
             back_1 = of_section(act, acting, acting.section(back_1))
             rhs = rhs + target.section(apply_derivation(*back_2, v1))
@@ -1228,10 +1228,10 @@ def section_check_matched(mp: MatchedPair) -> CheckReport:
     for alpha, beta in itertools.product(range(a_alg.rank), range(b_alg.rank)):
         x = frame_section(a_alg, alpha).vector(a_alg.chart)
         y = frame_section(b_alg, beta).vector(b_alg.chart)
-        sigma_x = apply_derivation(b_alg.anchor_field(beta), mp.sigma[beta], x)
-        rho_y = apply_derivation(a_alg.anchor_field(alpha), mp.rho[alpha], y)
+        sigma_x = apply_derivation(b_alg.anchor_fields[beta], mp.sigma[beta], x)
+        rho_y = apply_derivation(a_alg.anchor_fields[alpha], mp.rho[alpha], y)
         lhs = difference(anchor_of(a_alg, a_alg.section(sigma_x)), anchor_of(b_alg, b_alg.section(rho_y)))
-        defect = difference(lhs, commutator(b_alg.anchor_field(beta), a_alg.anchor_field(alpha)))
+        defect = difference(lhs, commutator(b_alg.anchor_fields[beta], a_alg.anchor_fields[alpha]))
         if not defect.is_zero:
             witness = (
                 f"identity 3 at ({a_alg.frames[alpha]}, {b_alg.frames[beta]}): "
@@ -1256,9 +1256,9 @@ def applied_core_poisson(dla) -> PoissonChart:
         for w in range(size):
             entry = Polynomial.zero(chart)
             for i in range(e_v.rank):
-                left = e_v.anchor_field(i).apply(coords[u])
+                left = e_v.anchor_fields[i].apply(coords[u])
                 if left:
-                    right = dual.anchor_field(i).apply(coords[w])
+                    right = dual.anchor_fields[i].apply(coords[w])
                     if right:
                         entry = entry + left * right
             matrix[u][w] = entry
@@ -1632,7 +1632,7 @@ def gather_differential(L, omega):
         for i, frame in enumerate(target):
             rest = target[:i] + target[i + 1 :]
             part = component_general(omega, rest, L.chart)
-            term = L.anchor_field(frame).apply(part)
+            term = L.anchor_fields[frame].apply(part)
             total = total + (term if i % 2 == 0 else -term)
         for i, j in itertools.combinations(range(k + 1), 2):
             rest = tuple(t for pos, t in enumerate(target) if pos not in (i, j))
@@ -1656,7 +1656,7 @@ def frame_loop_check_algebroid(L: LieAlgebroid) -> CheckReport:
     witness = None
     for a, b in itertools.combinations(range(L.rank), 2):
         lhs = anchor_of(L, frame_bracket(L, a, b))
-        defect = difference(lhs, commutator(L.anchor_field(a), L.anchor_field(b)))
+        defect = difference(lhs, commutator(L.anchor_fields[a], L.anchor_fields[b]))
         if not defect.is_zero:
             witness = (
                 f"pair ({L.frames[a]}, {L.frames[b]}): a([.,.]) - [a(.), a(.)] = {defect}"
@@ -1894,7 +1894,7 @@ def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, ma
 
 def function(rank: int, poly: Polynomial) -> Multisection:
     """The function `poly` as a degree-0 multisection."""
-    return Multisection._from_components(rank, 0, {(): poly})
+    return Multisection(rank, 0, {(): poly})
 
 
 def component_general(ms: Multisection, idx: Tuple[int, ...], chart: Chart) -> Polynomial:

@@ -177,7 +177,7 @@ def test_criterion_3_induced_dual_of_tangent_prolongation():
     for i in range(induced.rank):
         for coord in induced.chart.names:
             lhs = poisson_bracket(pois, ell[i], Polynomial.coordinate(big, coord))
-            rhs = induced.anchor_field(i).apply(
+            rhs = induced.anchor_fields[i].apply(
                 Polynomial.coordinate(induced.chart, coord)
             ).lift(big)
             assert lhs == rhs

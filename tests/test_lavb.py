@@ -259,7 +259,7 @@ def assert_dual_poisson_route(v):
     for i in range(induced.rank):
         for name in induced.chart.names:
             lhs = poisson_bracket(pois, ell[i], Polynomial.coordinate(big, name))
-            rhs = induced.anchor_field(i).apply(Polynomial.coordinate(induced.chart, name))
+            rhs = induced.anchor_fields[i].apply(Polynomial.coordinate(induced.chart, name))
             assert lhs == rhs.lift(big)
 
 

@@ -184,9 +184,9 @@ class TestBowtie:
             for j in range(mp.algebroid_b.rank):
                 x = frame_section(mp.algebroid_a, i).vector(mp.chart)
                 y = frame_section(mp.algebroid_b, j).vector(mp.chart)
-                sigma_x = apply_derivation(mp.algebroid_b.anchor_field(j), mp.sigma[j], x)
+                sigma_x = apply_derivation(mp.algebroid_b.anchor_fields[j], mp.sigma[j], x)
                 expected = tuple(-p for p in sigma_x) + tuple(
-                    apply_derivation(mp.algebroid_a.anchor_field(i), mp.rho[i], y)
+                    apply_derivation(mp.algebroid_a.anchor_fields[i], mp.rho[i], y)
                 )
                 assert dense_structure(bow)[i][ra + j] == expected
 
@@ -282,11 +282,11 @@ def semidirect_tables(mp):
         return (zero,) * k
 
     def sigma_dual(j, p):  # sigma*_{Y_j} phi_p along phi_1 .. phi_ra
-        field = b_alg.anchor_field(j)
+        field = b_alg.anchor_fields[j]
         return tuple(-apply_derivation(field, mp.sigma[j], unit(chart, ra, c))[p] for c in range(ra))
 
     def rho_dual(i, q):  # rho*_{X_i} psi_q along psi_1 .. psi_rb
-        field = a_alg.anchor_field(i)
+        field = a_alg.anchor_fields[i]
         return tuple(-apply_derivation(field, mp.rho[i], unit(chart, rb, d))[q] for d in range(rb))
 
     # A* + B: anchor (phi + Y) -> b(Y);

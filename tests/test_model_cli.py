@@ -780,30 +780,51 @@ class TestHostileNumbers:
 
 class TestSharedFrameNames:
     """A matched pair whose two algebroids share a frame name lays out
-    neither a vacant double nor a direct sum: every build verb exits 2."""
+    neither a vacant double nor a direct sum: every build verb fails that
+    pair's entry, naming the shared frames, and exits 1."""
 
     TEXT = (
         "[chart M]\ncoords = [x]\n\n"
         "[algebroid TM]\nbase = M\nframe = [v1]\nanchor(v1) = d/dx\n\n"
         "[matched_pair self]\nA = TM\nB = TM\n"
     )
+    MATCHED = [
+        f"result bowtie.self.matched.{item}: pass"
+        for item in (
+            "algebroid_A",
+            "algebroid_B",
+            "rho.base_fields",
+            "rho.flat",
+            "sigma.base_fields",
+            "sigma.flat",
+            "identity_1",
+            "identity_2",
+            "identity_3",
+        )
+    ]
 
     @pytest.mark.parametrize(
-        "kind,message",
+        "kind,entry",
         [
-            ("semidirects", "side, bundle and core frame names must be distinct"),
-            ("double", "side, bundle and core frame names must be distinct"),
-            ("bowtie", "frame names must be distinct"),
+            ("semidirects", "semidirects.self"),
+            ("double", "vacant.self"),
+            ("vacant", "vacant.self"),
+            ("bowtie", "bowtie.self"),
         ],
     )
-    def test_build_exits_two(self, tmp_path, capsys, kind, message):
+    def test_build_fails_the_entry(self, tmp_path, capsys, kind, entry):
         path = tmp_path / "m.model"
         path.write_text(self.TEXT)
         code = main(["build", kind, str(path)])
         captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"doublealg: error: {message}\n"
+        assert code == 1
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[4:] == (self.MATCHED if kind == "bowtie" else []) + [
+            f"result {entry}: FAIL",
+            "  witness: A and B share frame names: v1",
+            "summary: fail",
+        ]
 
 
 def test_extract_matched_reports_unmatched_actions(tmp_path, capsys):
@@ -976,19 +997,23 @@ class TestTwistOrientation:
         assert zero.total == none.total
 
 
-def test_dual_name_taken_by_a_basis_name_exits_two(tmp_path, capsys):
-    """`build drinfeld` and `check manin` name the dual basis name that the
-    basis already holds."""
+def test_dual_name_taken_by_a_basis_name_fails_the_double(tmp_path, capsys):
+    """`build drinfeld` and `check manin` fail the double's entry, naming
+    the dual basis name that the basis already holds, and exit 1."""
     path = tmp_path / "m.model"
     path.write_text(
         "[lie_algebra g]\ndim = 2\nbasis = [a, a_d]\nbracket(a, a_d) = a_d\n\n"
         "[cobracket d]\nalgebra = g\ndelta(a_d) = a ^ a_d\n"
     )
-    for verb, kind in (("check", "manin"), ("build", "drinfeld")):
-        assert main([verb, kind, str(path)]) == 2
+    for verb, kind, entry in (("check", "manin", "manin.d.double"), ("build", "drinfeld", "drinfeld.d")):
+        assert main([verb, kind, str(path)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "doublealg: error: dual basis name 'a_d' is already a basis name\n"
+        assert captured.err == ""
+        assert captured.out.splitlines()[4:] == [
+            f"result {entry}: FAIL",
+            "  witness: dual basis name 'a_d' is already a basis name",
+            "summary: fail",
+        ]
 
 
 def test_a_chart_holding_xi_of_a_core_frame_keeps_its_double(tmp_path, capsys):

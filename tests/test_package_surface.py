@@ -448,6 +448,56 @@ def test_model_input_never_meets_the_derived_structure_constructors():
     assert readers["lavb"] == readers["doublela"] == DERIVED_CONSTRUCTORS
 
 
+# `VectorField` and `Multisection` trust their components: the package
+# builds them only from anchor rows that `LieAlgebroid` checked and from
+# values it computed.  The modules that read outside input never call them,
+# and no class keeps a second constructor `_from_components` beside them.
+TRUSTING_CONSTRUCTORS = {"VectorField", "Multisection"}
+
+
+def constructor_calls(tree, names):
+    """The names of `names` that `tree` calls, as a name or an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                out.add(name)
+    return out
+
+
+def classes_defining(tree, method):
+    """The classes of `tree` that define `method`."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == method for item in node.body)
+    }
+
+
+def test_outside_input_never_meets_the_trusting_constructors():
+    calls = {module: constructor_calls(tree, TRUSTING_CONSTRUCTORS) for module, tree in package_trees()}
+    assert calls["model"] == calls["parsing"] == set()
+    assert calls["algebroid"] == TRUSTING_CONSTRUCTORS
+    twins = {module: classes_defining(tree, "_from_components") for module, tree in package_trees()}
+    assert {module: found for module, found in twins.items() if found} == {}
+
+
+def test_the_trusting_constructor_guard_sees_a_call_and_a_twin():
+    tree = ast.parse(
+        "from . import algebroid\n"
+        "from .algebroid import Multisection\n"
+        "class Field:\n"
+        "    @classmethod\n    def _from_components(cls, chart, comps):\n"
+        "        return algebroid.VectorField(chart, comps)\n"
+        "def zero():\n    return Multisection(1, 0, {})\n"
+    )
+    assert constructor_calls(tree, TRUSTING_CONSTRUCTORS) == TRUSTING_CONSTRUCTORS
+    assert classes_defining(tree, "_from_components") == {"Field"}
+
+
 def _is_cache(decorator):
     """Whether a decorator is `functools.cache` or `lru_cache`, called or not."""
     node = decorator.func if isinstance(decorator, ast.Call) else decorator

@@ -445,10 +445,10 @@ solvable8 check manin text 0 c6279110ba8ee591f3e7baad26869633b2986ffab865c049557
 solvable8 check manin json 0 b6733714f360520f03319e5bd79f168c236cc64b180820d8b36e65603afb197c
 solvable8 build drinfeld text 0 df6732128566f63191e7f042587ed367facfdd2a877d20956dbd0ffb7240f357
 solvable8 build drinfeld json 0 5563605e456fa7f9ea5e592a3548ceb555cb1df6337428cceeeed84a35b7051b
-collision check manin text 2 0e002b09e926718f2772c2b50f4362b41292fc537a888f1c0794e1e1f8fddcd4
-collision check manin json 2 0e002b09e926718f2772c2b50f4362b41292fc537a888f1c0794e1e1f8fddcd4
-collision build drinfeld text 2 0e002b09e926718f2772c2b50f4362b41292fc537a888f1c0794e1e1f8fddcd4
-collision build drinfeld json 2 0e002b09e926718f2772c2b50f4362b41292fc537a888f1c0794e1e1f8fddcd4
+collision check manin text 1 8b54bbd9bb647bd88cd1e7503946fff038fa04a7de6caff42d31f976fff66b5e
+collision check manin json 1 17be95e734b41f56663513c08ce8d9314abacd1023b19d7ebabaf976edf91ffa
+collision build drinfeld text 1 dc11ac1e65b6b661f370ba896295f3be82efcf5a0a556925638905ef79b0e46c
+collision build drinfeld json 1 f12605f0b12cb5ca5f3779c205920072b8e1b0bb5c7b43f4749ea78ba03469a7
 so3_lie_poisson build cotangent-double text 0 9c45a0b155f14bf59d19a01df789e39226f3816ea9bf672a73b9cac11b84b91b
 so3_lie_poisson build cotangent-double json 0 529763843b6b57318f143fc8fa23083a5826c23f2aa0dc276a588d240f1cef85
 co_jacobi check manin text 1 c4a86f4dc46f7a5831476e6119c96ca39ae2e4d305aa62ced9dd38503f411d28

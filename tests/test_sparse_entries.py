@@ -197,16 +197,16 @@ def test_the_walked_components_are_not_part_of_the_value():
     chart, twin = Chart(("x", "y")), Chart(("x", "y"))
     comps = [Polynomial.zero(chart), Polynomial.coordinate(chart, "x")]
     built = VectorField(chart, comps)
-    trusted = VectorField._from_components(chart, tuple(comps))
+    from_tuple = VectorField(chart, tuple(comps))
     on_twin = VectorField(twin, [Polynomial.zero(twin), Polynomial.coordinate(twin, "x")])
     assert [f.name for f in fields(VectorField)] == ["chart", "components"]
-    for field in built, trusted, on_twin:
+    for field in built, from_tuple, on_twin:
         assert set(vars(field)) == {"chart", "components", "_nonzero"}
         assert [(dict(terms), shift, unit) for terms, shift, unit in field._nonzero] == [
             ({chart._units[0]: 1}, chart._shifts[1], chart._units[1])
         ]
         assert field == built and hash(field) == hash(built) and repr(field) == repr(built)
-    assert built._nonzero is not trusted._nonzero
+    assert built._nonzero is not from_tuple._nonzero
     assert {built: 1}[on_twin] == 1
 
 

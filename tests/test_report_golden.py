@@ -15,7 +15,8 @@ the so(3)* Lie-Poisson dual pair, a double with a core whose stated
 diagnostics lines are then pinned through the CLI, and `check bialgebroid`,
 `build cotangent-double`, `check manin` and `build drinfeld` on a cobracket
 that fails co-Jacobi beside a valid dual pair (`support.CO_JACOBI_MODEL`),
-`check matched` on pairs failing `sigma.flat`, `identity_1` and
+`check matched`, `build bowtie`, `build double`, `build vacant` and
+`build semidirects` on pairs failing `sigma.flat`, `identity_1` and
 `identity_2` and on a pair whose A and B name their frames alike, and
 `build cotangent-double` on a chart that already holds `xi_dx` and `xi_dy`
 and on one that already holds `u_v1`.  Reports that print proper
@@ -413,7 +414,10 @@ dual_of = TM
 # The matched_* cases were recorded while `check_matched` still decided
 # flatness and the three identities through derivation commutators and
 # brackets of sections, so they show that reading them off the bowtie's
-# structure equations changed no byte.
+# structure equations changed no byte.  Their `build bowtie`, `build double`,
+# `build vacant` and `build semidirects` cases were recorded while the
+# bowtie's brackets were still written as dense vectors, once by
+# `check_matched` and again by `assemble_bowtie`.
 # The xi_chart case exited 2 with `chart coordinates not distinct` until
 # the cotangent double refused core frame names whose fibre coordinate is
 # already on the chart; it was recorded with that fix.  Likewise the
@@ -479,6 +483,38 @@ matched_identity_2 check matched text 1 5c1e4222bd74858b0ca8c4272f43eb9b699ff454
 matched_identity_2 check matched json 1 47741c5fecb278048e61ec1a9534db361cd4dd2dd68fc4b7fa0291fc7fab0a68
 matched_same_frame check matched text 1 e17c43727042a0e3bb75e1f12214e19a3a97a562f537be28a616fa9b22275ba4
 matched_same_frame check matched json 1 c3a6e8e50dc2527b72e1c4a3a62b2627e23591f9f3cc274d5362a167839d5e1f
+matched_sigma_flat build bowtie text 1 ce78c69aa643cd260bcbbd91e74a90fa8ab5f20ffb27ddabbbb52b35eace2e31
+matched_sigma_flat build bowtie json 1 76c7391309233db35b67d1360a25751bd3195d666c95f2a1ff8212652f98a5ed
+matched_sigma_flat build double text 1 7a21714f723bfdf797cbb50066a0df9909913e8e82f1d68f38b812b6402d37a7
+matched_sigma_flat build double json 1 837b5bf228f8cdcfeea280cf2f1e034c561dcf4ef178651b37d940979f6d18fe
+matched_sigma_flat build vacant text 1 e14e640ad993cf91968b789b51826d136f68202498ee275dce41665354ab23bf
+matched_sigma_flat build vacant json 1 e334de6e89dba408ed176a75a1da282586d40d03a24cbc6e0ba7c5c05e4493b1
+matched_sigma_flat build semidirects text 1 4295c2a22110ad424634c8821720b47ec1df1bb3c2530935775423a6b40bcf76
+matched_sigma_flat build semidirects json 1 468e7015b856632668da71a9b3f9644895abddc643d4fdab712abbf2a7f1a376
+matched_identity_1 build bowtie text 1 7f8886ab37a2f435f18be6bc05e205ffb16371d5734debd0824461b9dd79c2bf
+matched_identity_1 build bowtie json 1 2ab389760809896b1602e6be654d9abcf352c00dab796d4ece07ce024b963c84
+matched_identity_1 build double text 1 69835fa8453275a7567b552778846e5de73311143c45843e55e66d469489097d
+matched_identity_1 build double json 1 b81213680d9eaffa6746184dae90550cf32333aae6d8682a6c26b9c364d2f6be
+matched_identity_1 build vacant text 1 6f880d16b0f2df3a52c9716c26e838d2a56f88eba2e793a7278fcb45c9934955
+matched_identity_1 build vacant json 1 29ec1d53b14f124f0d6917a53cacac6047b38312cc449b0e9ea28b3318d946cb
+matched_identity_1 build semidirects text 0 9c93ea2a7e66e6ad6c250733176d7b513e7eae1cefdb2181c2328ccd16f49462
+matched_identity_1 build semidirects json 0 72cc0c5999f8b475dd0c5cafcfbfee8735fcd1bfe245f08b7581e39531304206
+matched_identity_2 build bowtie text 1 c2b0e8775ff6ece533dd0ab675de31458525651ec25e4c4b7852b8976ece4ace
+matched_identity_2 build bowtie json 1 81a2a31abfdd01ebf25ac89b289cf01eff8554cb57844611425759d84e0a7620
+matched_identity_2 build double text 1 5843ee37a47d03411c5a59cb96ed48629fcdd1f3dd3eb09a2a2876a8e4dc4d8f
+matched_identity_2 build double json 1 25f7698566c2894cd2f92afcc3885afc970f18bb7614140b023d8467fd27276e
+matched_identity_2 build vacant text 1 a570e7ae8ed407b017eb5ad52810e380d417aa8d6432add4de54d84b8eafc4b7
+matched_identity_2 build vacant json 1 d20a92c7184a662c610debbfe1c3f1a5ae1d8984b8ba8d73a92d6bfb181eda1a
+matched_identity_2 build semidirects text 0 3db672a8b54beff9a2076a1319c5a9eb8f9c6ed77808a094271b69edd8eb7ea3
+matched_identity_2 build semidirects json 0 7d1b4d8ef21b10bd22f5825150b930ea0bf1ae03c8735c39084bdff2870ebc33
+matched_same_frame build bowtie text 1 4d2f8f50289b9ecddde1da79ddcb524c1fe7325ea546f030c40fa9937c4a0a0a
+matched_same_frame build bowtie json 1 28221e489ed55e806da08ea758a721875aa902cfbd80c75266785439a75e83b4
+matched_same_frame build double text 1 680e817a84e873c4c1ac47ce4a12d5509f68a4aa01d171224b908e06d6a819cf
+matched_same_frame build double json 1 4c8d5df377da5d4c8664ef93bebc10e37fd732f54b615862d7c5f2f097d43823
+matched_same_frame build vacant text 1 e13e4ef02c355f92b38d57ec6a4fe39ae7cd67757e8b1b9271ffb73924eac5b9
+matched_same_frame build vacant json 1 c637680ad4ed5eb50205457f51e7e60d1976ede032910688e01a99562f242804
+matched_same_frame build semidirects text 1 1724e3ec3b39ee45a275d96ba56f928dd12bad8b3e086a0490c7a7dea4fff332
+matched_same_frame build semidirects json 1 3c37557874b7ab5d929aeaceeb915407bb72fa18bffbeeb30bad59569fd08679
 xi_chart build cotangent-double text 0 e46684a8cd576e40fad1e4176509cbf8ab2511b0c8b551a34aef3ed4c049321b
 xi_chart build cotangent-double json 0 1b497926400ad5818d0d91c693f1cd233051b041d41e9b49d07abf02031bb49d
 u_chart build cotangent-double text 0 272117c35a85dd996a94167555d84109107ec600b97a05cc3c4f7664d2791c82

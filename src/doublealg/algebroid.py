@@ -260,7 +260,8 @@ class LieAlgebroid:
     increasing g, for every frame pair; the diagonal is empty and the b < a
     half is the negation of the a < b half.  A Lie algebra is the case of
     the point chart, `Chart(())`, with constant structure functions.
-    `LieAlgebroid(...)` validates its input; `_from_store` trusts derived data.
+    `LieAlgebroid(...)` validates outside input (model files, `LieAlgebra`,
+    tangent and cotangent algebroids); `_from_store` trusts derived data.
     """
 
     chart: Chart
@@ -284,11 +285,19 @@ class LieAlgebroid:
         anchor = tuple(tuple(row) for row in anchor)
         if len(anchor) != r or any(len(row) != n for row in anchor):
             raise ValueError("anchor must be rank x dim")
-        table = structure_table(r, brackets)
+        brackets = brackets or {}
+        for (a, b), comps in brackets.items():
+            if a == b:
+                raise ValueError("bracket(e_a, e_a) must be omitted (it is 0)")
+            if a > b:
+                raise ValueError("provide brackets with a < b only")
+            if len(comps) != r:
+                raise ValueError("bracket value has wrong rank")
         if _off_chart(chart, anchor):
             raise ChartMismatch("anchor entry on another chart")
-        if brackets and _off_chart(chart, brackets.values()):
+        if _off_chart(chart, brackets.values()):
             raise ChartMismatch("structure function on another chart")
+        table = pair_store(r, {pair: dict(enumerate(comps)) for pair, comps in brackets.items()})
         set_fields(self, chart, frames, anchor, table)
 
     @classmethod
@@ -356,22 +365,6 @@ def set_fields(obj, *fields):
     for name, value in zip(obj.__dataclass_fields__, fields):
         object.__setattr__(obj, name, value)
     return obj
-
-
-def structure_table(
-    rank: int, brackets: Mapping[Tuple[int, int], Sequence[Polynomial]] | None
-) -> Structure:
-    """The sparse store `LieAlgebroid.nonzero_structure` of `rank` frames
-    whose brackets are given on pairs a < b as full component vectors."""
-    brackets = brackets or {}
-    for (a, b), comps in brackets.items():
-        if a == b:
-            raise ValueError("bracket(e_a, e_a) must be omitted (it is 0)")
-        if a > b:
-            raise ValueError("provide brackets with a < b only")
-        if len(comps) != rank:
-            raise ValueError("bracket value has wrong rank")
-    return pair_store(rank, {pair: dict(enumerate(comps)) for pair, comps in brackets.items()})
 
 
 def pair_store(rank: int, pairs: Mapping[Tuple[int, int], Mapping[int, Polynomial]]) -> Structure:

@@ -56,8 +56,8 @@ def LieAlgebra(
     """The Lie algebra with [e_i, e_j] = brackets[(i, j)] on pairs i < j, a
     vector of dim rationals or point-chart polynomials, as the algebroid
     over the point `Chart(())` it is.  Omitted pairs are zero; the pairs
-    are checked by `structure_table`, as for every algebroid.  The basis
-    defaults to e1..en."""
+    are checked by the validating `LieAlgebroid(...)`.  The basis defaults
+    to e1..en."""
     names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
     if len(names) != dim or len(set(names)) != dim:
         raise ValueError("basis names must be distinct and match dim")

@@ -37,13 +37,15 @@ from .algebroid import (
     LieAlgebroid,
     Matrix,
     Multisection,
+    Structure,
     VectorField,
+    _off_chart,
     anchor_defect,
     change_frames,
     check_algebroid,
     jacobiator,
+    pair_store,
     sparse_matrix,
-    structure_table,
 )
 from .exact import Chart, ChartMismatch, Polynomial
 from .lavb import LAVBundle
@@ -71,6 +73,8 @@ class MatchedPair:
             raise ValueError("rho needs one derivation per A-frame")
         if len(sigma) != rb:
             raise ValueError("sigma needs one derivation per B-frame")
+        if _off_chart(self.chart, ([p for _, p in m] for m in rho + sigma)):
+            raise ChartMismatch("derivation entry on another chart")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "sigma", sigma)
 
@@ -78,30 +82,25 @@ class MatchedPair:
     def chart(self) -> Chart:
         return self.algebroid_a.chart
 
-
-def _bowtie_brackets(mp: MatchedPair) -> Dict[Tuple[int, int], List[Polynomial]]:
-    """The brackets of the bowtie on pairs a < b of the frames of A, then B:
-    those of A and of B, and [e_i, f_j] = -sigma_j(e_i) + rho_i(f_j), read
-    off the stored entries of row i of sigma_j and row j of rho_i."""
-    a_alg, b_alg = mp.algebroid_a, mp.algebroid_b
-    ra, rb = a_alg.rank, b_alg.rank
-    zero = Polynomial.zero(mp.chart)
-    brackets: Dict[Tuple[int, int], List[Polynomial]] = {}
-
-    def vector(pair: Tuple[int, int]) -> List[Polynomial]:
-        return brackets.setdefault(pair, [zero] * (ra + rb))
-
-    for offset, side in ((0, a_alg), (ra, b_alg)):
-        for i, j in itertools.combinations(range(side.rank), 2):
-            for g, coeff in side.nonzero_structure[i][j]:
-                vector((offset + i, offset + j))[offset + g] = coeff
-    for j, sigma_j in enumerate(mp.sigma):
-        for (i, k), p in sigma_j:
-            vector((i, ra + j))[k] = -p
-    for i, rho_i in enumerate(mp.rho):
-        for (j, k), p in rho_i:
-            vector((i, ra + j))[ra + k] = p
-    return brackets
+    @functools.cached_property
+    def bowtie_structure(self) -> Structure:
+        """The store of the bowtie on the frames of A, then B, written once:
+        the brackets of A and of B, and [e_i, f_j] = -sigma_j(e_i) + rho_i(f_j),
+        read off the stored entries of row i of sigma_j and row j of rho_i."""
+        ra = self.algebroid_a.rank
+        pairs: Dict[Tuple[int, int], Dict[int, Polynomial]] = {}
+        for offset, side in ((0, self.algebroid_a), (ra, self.algebroid_b)):
+            for i, row in enumerate(side.nonzero_structure):
+                for j in range(i + 1, side.rank):
+                    if row[j]:
+                        pairs[offset + i, offset + j] = {offset + g: coeff for g, coeff in row[j]}
+        for j, sigma_j in enumerate(self.sigma):
+            for (i, k), p in sigma_j:
+                pairs.setdefault((i, ra + j), {})[k] = -p
+        for i, rho_i in enumerate(self.rho):
+            for (j, k), p in rho_i:
+                pairs.setdefault((i, ra + j), {})[ra + k] = p
+        return pair_store(ra + self.algebroid_b.rank, pairs)
 
 
 def check_matched(mp: MatchedPair) -> CheckReport:
@@ -123,15 +122,15 @@ def check_matched(mp: MatchedPair) -> CheckReport:
         identity_3 at (a, s)  a(sigma_Y X) - b(rho_X Y) - [b(Y), a(X)], minus
                               the anchor defect at (e_a, f_s).
 
-    The bowtie stays a table, so A and B may share frame names.  The
-    algebroid and representation items are reported first, and the
-    identities are checked only once they all pass.
+    They are read off `mp.bowtie_structure`, which stays a store, so A and
+    B may share frame names.  The algebroid and representation items are
+    reported first, and the identities are checked only once they all pass.
     """
     a_alg, b_alg = mp.algebroid_a, mp.algebroid_b
     ra = a_alg.rank
     in_a, in_b = range(ra), range(ra, ra + b_alg.rank)
     names = a_alg.frames + b_alg.frames
-    nonzero = structure_table(len(names), _bowtie_brackets(mp))
+    nonzero = mp.bowtie_structure
     fields = a_alg.anchor_fields + b_alg.anchor_fields
     jac = functools.cache(lambda a, b, c: jacobiator(nonzero, fields, a, b, c))
 
@@ -193,11 +192,13 @@ def _require_distinct_frames(mp: MatchedPair) -> None:
 
 
 def assemble_bowtie(mp: MatchedPair) -> LieAlgebroid:
-    """The candidate algebroid on A + B (no validity gating)."""
+    """The candidate algebroid on A + B (no validity gating): the store
+    `mp.bowtie_structure`, which `check_matched` reads too, wrapped once A
+    and B name their frames apart."""
     _require_distinct_frames(mp)
     a_alg, b_alg = mp.algebroid_a, mp.algebroid_b
-    return LieAlgebroid(
-        mp.chart, a_alg.frames + b_alg.frames, a_alg.anchor + b_alg.anchor, _bowtie_brackets(mp)
+    return LieAlgebroid._from_store(
+        mp.chart, a_alg.frames + b_alg.frames, a_alg.anchor + b_alg.anchor, mp.bowtie_structure
     )
 
 
@@ -205,11 +206,12 @@ def vacant_lavbundles(mp: MatchedPair) -> Tuple[LAVBundle, LAVBundle]:
     """The vertical and horizontal LA-vector bundles of the vacant double of
     `mp` (no validity gating): D -> A over side B with anchor derivations
     sigma, and D -> B over side A with anchor derivations rho; the core is
-    zero."""
+    zero.  The actions are stored already and A and B name their frames
+    apart, so the bundles take the trusted constructor."""
     _require_distinct_frames(mp)
 
     def vacant(side: LieAlgebroid, bundle_frames: Sequence[str], rep: Tuple[Matrix, ...]) -> LAVBundle:
-        return LAVBundle(side, bundle_frames, (), rep, [()] * side.rank, [], {})
+        return LAVBundle._from_stored(side, bundle_frames, (), rep, ((),) * side.rank, (), ())
 
     return (
         vacant(mp.algebroid_b, mp.algebroid_a.frames, mp.sigma),

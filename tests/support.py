@@ -6,7 +6,9 @@ images they were built from (`ImageBialgebra`), a model text with a
 cobracket failing co-Jacobi, random brackets, the oracles kept from
 replaced production code (the matched-pair checks, among them the check
 of a pair through derivation commutators and brackets of sections with
-the operator algebra it needs, the gathering Cartan differential, the
+the operator algebra it needs, the bowtie's brackets written as dense
+vectors and the store filled from them (`dense_bowtie_brackets`,
+`dense_bowtie_store`), the gathering Cartan differential, the
 frame-loop algebroid check, the core Poisson structure through anchor
 fields, the frame change by any invertible matrix and the signed
 permutation frame change that rescaled through `Polynomial.scale`
@@ -1240,6 +1242,46 @@ def section_check_matched(mp: MatchedPair) -> CheckReport:
             break
     items.append(failed("identity_3", witness) if witness else passed("identity_3"))
     return CheckReport(tuple(items))
+
+
+def dense_bowtie_brackets(mp: MatchedPair) -> Dict[Tuple[int, int], List[Polynomial]]:
+    """The brackets of the bowtie on pairs a < b of the frames of A, then B,
+    as full (ra + rb)-vectors: those of A and of B, and
+    [e_i, f_j] = -sigma_j(e_i) + rho_i(f_j), read off the stored entries of
+    row i of sigma_j and row j of rho_i.  The writer that
+    `MatchedPair.bowtie_structure` replaced."""
+    a_alg, b_alg = mp.algebroid_a, mp.algebroid_b
+    ra, rb = a_alg.rank, b_alg.rank
+    zero = Polynomial.zero(mp.chart)
+    brackets: Dict[Tuple[int, int], List[Polynomial]] = {}
+
+    def vector(pair: Tuple[int, int]) -> List[Polynomial]:
+        return brackets.setdefault(pair, [zero] * (ra + rb))
+
+    for offset, side in ((0, a_alg), (ra, b_alg)):
+        for i, j in itertools.combinations(range(side.rank), 2):
+            for g, coeff in side.nonzero_structure[i][j]:
+                vector((offset + i, offset + j))[offset + g] = coeff
+    for j, sigma_j in enumerate(mp.sigma):
+        for (i, k), p in sigma_j:
+            vector((i, ra + j))[k] = -p
+    for i, rho_i in enumerate(mp.rho):
+        for (j, k), p in rho_i:
+            vector((i, ra + j))[ra + k] = p
+    return brackets
+
+
+def dense_bowtie_store(mp: MatchedPair):
+    """The store `dense_bowtie_brackets` filled: per pair a < b its nonzero
+    components (g, c^g_{ab}) in increasing g, negated at (b, a)."""
+    rank = mp.algebroid_a.rank + mp.algebroid_b.rank
+    table = [[()] * rank for _ in range(rank)]
+    for (a, b), comps in dense_bowtie_brackets(mp).items():
+        entry = tuple((g, p) for g, p in enumerate(comps) if p)
+        if entry:
+            table[a][b] = entry
+            table[b][a] = tuple((g, -p) for g, p in entry)
+    return tuple(map(tuple, table))
 
 
 def applied_core_poisson(dla) -> PoissonChart:

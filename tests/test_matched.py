@@ -13,7 +13,7 @@ from doublealg.algebroid import (
     contragredient,
     tangent_algebroid,
 )
-from doublealg.exact import Chart, Polynomial
+from doublealg.exact import Chart, ChartMismatch, Polynomial
 from doublealg.liealg import drinfeld_double
 from doublealg.matched import (
     MatchedPair,
@@ -107,6 +107,14 @@ class TestShapeErrors:
         with pytest.raises(ValueError) as err:
             MatchedPair(self.PAIR.algebroid_a, self.PAIR.algebroid_b, rho, sigma)
         assert str(err.value) == text
+
+    def test_derivation_entry_on_another_chart_is_refused(self):
+        """The bowtie is built from the stored entries without a second
+        check, so the pair refuses an entry off its chart."""
+        foreign = Polynomial.coordinate(Chart(("t",)), "t")
+        rho = [(((0, 0), foreign),), ()]
+        with pytest.raises(ChartMismatch, match="derivation entry on another chart"):
+            MatchedPair(self.PAIR.algebroid_a, self.PAIR.algebroid_b, rho, self.PAIR.sigma)
 
 
 def bowtie(mp: MatchedPair) -> LieAlgebroid:

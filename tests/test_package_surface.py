@@ -445,7 +445,58 @@ DERIVED_CONSTRUCTORS = {"_from_store", "_from_stored"}
 def test_model_input_never_meets_the_derived_structure_constructors():
     readers = {module: kernel_reads(tree, DERIVED_CONSTRUCTORS) for module, tree in package_trees()}
     assert readers["model"] == readers["parsing"] == set()
-    assert readers["lavb"] == readers["doublela"] == DERIVED_CONSTRUCTORS
+    assert readers["lavb"] == readers["doublela"] == readers["matched"] == DERIVED_CONSTRUCTORS
+
+
+# The validating constructors of algebroids and LA-vector bundles serve
+# outside input only: the model file, `LieAlgebra` and the tangent and
+# cotangent algebroids of a chart and of a Poisson chart.  Every structure
+# the package derives, the bowtie and the vacant double's bundles among
+# them, goes through `_from_store` and `_from_stored`.
+VALIDATING_CONSTRUCTORS = {"LieAlgebroid", "LAVBundle"}
+VALIDATING_CALLERS = {
+    ("algebroid", "cotangent_algebroid", "LieAlgebroid"),
+    ("algebroid", "tangent_algebroid", "LieAlgebroid"),
+    ("liealg", "LieAlgebra", "LieAlgebroid"),
+    ("model", "parse_model", "LAVBundle"),
+    ("model", "parse_model", "LieAlgebroid"),
+}
+
+
+def calling_definitions(trees, names):
+    """(module, top-level definition, name) for each name of `names` that a
+    top-level definition of `trees`, (module, tree) pairs, calls."""
+    return {
+        (module, defined, name)
+        for module, tree in trees
+        for statement in tree.body
+        for defined in defined_names(statement)
+        for name in constructor_calls(statement, names)
+    }
+
+
+def test_only_outside_input_meets_the_validating_constructors():
+    assert calling_definitions(package_trees(), VALIDATING_CONSTRUCTORS) == VALIDATING_CALLERS
+
+
+def test_the_validating_constructor_guard_sees_each_caller():
+    """A call in a function body, in a method and in a nested helper is
+    reported under its top-level definition; the trusted constructors and
+    a mere reference are not calls of the validating ones."""
+    tree = ast.parse(
+        "from .algebroid import LieAlgebroid\n"
+        "from .lavb import LAVBundle\n"
+        "def direct(chart):\n    return LieAlgebroid(chart, (), ())\n"
+        "class Pair:\n"
+        "    def bundle(self, side):\n"
+        "        def vacant():\n            return LAVBundle(side, (), (), (), (), ())\n"
+        "        return vacant()\n"
+        "def trusted(chart, store):\n    return LieAlgebroid._from_store(chart, (), (), store)\n"
+        "def named():\n    return LieAlgebroid\n"
+    )
+    assert calling_definitions([("m", tree)], VALIDATING_CONSTRUCTORS) == {
+        ("m", "direct", "LieAlgebroid"), ("m", "Pair", "LAVBundle")
+    }
 
 
 # `VectorField` and `Multisection` trust their components: the package

@@ -1072,40 +1072,48 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
 # frame changes and bridges to the finite-dimensional layer
 
 
+def permute_frames(L: LieAlgebroid, columns: Sequence[Tuple[int, int]], new_names: Sequence[str]) -> LieAlgebroid:
+    """Relabel and re-sign the frames by a signed permutation (trusted).
+
+    `columns[j] = (p(j), s_j)`, s_j = +-1, makes new frame j equal to
+    s_j e_{p(j)}: its anchor is s_j a_{p(j)}, and c'^m_{ab} =
+    s_a s_b s_m c^{p(m)}_{p(a) p(b)} is written from the stored nonzero
+    pairs only.  The columns name each old frame once; `new_names` are
+    distinct and off the chart."""
+    anchor = tuple(L.anchor[p] if s == 1 else tuple(-e for e in L.anchor[p]) for p, s in columns)
+    index, sign = [0] * L.rank, [1] * L.rank  # old frame p(m) is sign[p(m)] times new frame m
+    for m, (p, s) in enumerate(columns):
+        index[p], sign[p] = m, s
+    pairs = {}
+    for i, row in enumerate(L.nonzero_structure):
+        for j, old in enumerate(row):
+            if old and index[i] < index[j]:
+                s = sign[i] * sign[j]
+                pairs[index[i], index[j]] = {index[g]: c if s * sign[g] == 1 else -c for g, c in old}
+    return LieAlgebroid._from_store(L.chart, tuple(new_names), anchor, pair_store(L.rank, pairs))
+
+
 def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Coefficient]], new_names: Sequence[str]) -> LieAlgebroid:
-    """Relabel and re-sign the frames by a signed permutation matrix.
+    """`permute_frames` by an outside signed permutation matrix.
 
     Column j of `matrix` is new frame j in old frames; its one nonzero entry
-    s_j = +-1 sits in row p(j), so new frame j is s_j e_{p(j)} and old frame
-    p(m) is s_m times new frame m.  Hence the new anchor of frame j is
-    s_j a_{p(j)} and the new structure functions are
-    c'^m_{ab} = s_a s_b s_m c^{p(m)}_{p(a) p(b)}.  Raises `ValueError` on
-    any other matrix (the package makes no other frame change) and unless
-    `new_names` holds one distinct name per frame, off the chart.
+    s_j = +-1 sits in row p(j), so new frame j is s_j e_{p(j)}.  Raises
+    `ValueError` on any other matrix and unless `new_names` holds one
+    distinct name per frame, off the chart.
     """
     r = L.rank
-    perm: List[int] = []
-    signs: List[Coefficient] = []
+    columns: List[Tuple[int, int]] = []
     for j in range(r):
         column = [(i, rat(matrix[i][j])) for i in range(r) if matrix[i][j] != 0]
         if len(column) != 1 or abs(column[0][1]) != 1:
             break
-        perm.append(column[0][0])
-        signs.append(column[0][1])
-    if len(perm) != r or len(set(perm)) != r:
+        columns.append(column[0])
+    if len(columns) != r or len({p for p, _ in columns}) != r:
         raise ValueError("frame change must be a signed permutation matrix")
     new_names = tuple(new_names)
     if len(new_names) != r or len(set(new_names)) != r or set(new_names) & set(L.chart.names):
         raise ValueError("frame change needs one distinct new name per frame, off the chart")
-    anchor = tuple(L.anchor[p] if s == 1 else tuple(-e for e in L.anchor[p]) for p, s in zip(perm, signs))
-    new_index = {p: m for m, p in enumerate(perm)}
-    pairs = {}
-    for a, b in itertools.combinations(range(r), 2):
-        old = L.nonzero_structure[perm[a]][perm[b]]
-        if old:
-            moved = ((new_index[p], coeff) for p, coeff in old)
-            pairs[a, b] = {m: c if signs[a] * signs[b] * signs[m] == 1 else -c for m, c in moved}
-    return LieAlgebroid._from_store(L.chart, new_names, anchor, pair_store(r, pairs))
+    return permute_frames(L, columns, new_names)
 
 
 def lie_algebra_to_algebroid(g: LieAlgebroid) -> LieAlgebroid:

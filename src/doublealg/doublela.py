@@ -27,12 +27,12 @@ from typing import Dict, List, Tuple
 
 from .algebroid import (
     LieAlgebroid,
-    change_frames,
     check_compatibility,
     coadjoint,
     fibre_coordinate,
     gradient,
     pair_store,
+    permute_frames,
     require_valid,
     unique_names,
 )
@@ -116,27 +116,20 @@ def dual_pair_over_core_dual(
     sends a transposed-linear frame to the matching core frame of the other
     induced algebroid (+1) and a core frame to the matching transposed
     linear frame with a minus sign; the second algebroid is rewritten in
-    those dual frames so the standard bialgebroid check applies.
+    those dual frames, a signed permutation of its own that
+    `permute_frames` applies, so the standard bialgebroid check applies.
     """
     e_v = dla.vertical.induced_dual
     e_h = dla.horizontal.induced_dual
     ra = dla.side_a.rank
     rb = dla.side_b.rank
-    size = ra + rb
-    matrix = [[0] * size for _ in range(size)]
-    names: List[str] = []
     # dual of transposed-linear frame beta (position beta in e_v) is the
-    # core frame psi_beta of e_h (position ra + beta), coefficient +1
-    for beta in range(rb):
-        matrix[ra + beta][beta] = 1
-        names.append(e_h.frames[ra + beta])
-    # dual of core frame a (position rb + a in e_v) is minus the transposed
+    # core frame psi_beta of e_h (position ra + beta), coefficient +1; dual
+    # of core frame a (position rb + a in e_v) is minus the transposed
     # linear frame eta_a of e_h (position a)
-    for a in range(ra):
-        matrix[a][rb + a] = -1
-        names.append(f"{e_h.frames[a]}_op")
-    names = list(unique_names(names, e_h.chart.names))
-    dual = change_frames(e_h, matrix, names)
+    columns = [(ra + beta, 1) for beta in range(rb)] + [(a, -1) for a in range(ra)]
+    names = [e_h.frames[p] if s == 1 else f"{e_h.frames[p]}_op" for p, s in columns]
+    dual = permute_frames(e_h, columns, unique_names(names, e_h.chart.names))
     return e_v, dual
 
 

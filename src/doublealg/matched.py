@@ -22,8 +22,8 @@ and the vacant double are built without validity gating, and the tests keep
 their own checks as oracles.  `vacant_lavbundles` assembles the two
 LA-vector bundles of that double.  Their induced duals over the zero core
 dual are the semidirect products on A* + B and A^op + B* (Mokri 1997), so
-`build_semidirects` reads them off by constant frame changes and writes
-out no anchor or bracket itself.
+`build_semidirects` reads them off by signed permutations of their frames
+and writes out no anchor or bracket itself.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from .algebroid import (
     VectorField,
     _off_chart,
     anchor_defect,
-    change_frames,
     check_algebroid,
     jacobiator,
     pair_store,
+    permute_frames,
     sparse_matrix,
 )
 from .exact import Chart, ChartMismatch, Polynomial
@@ -225,7 +225,8 @@ def build_semidirects(mp: MatchedPair) -> Tuple[LieAlgebroid, LieAlgebroid]:
     They are the two algebroids the vacant double of `mp` induces over its
     (zero) core dual: the induced dual of the vertical LA-vector bundle with
     the A* frames moved in front, and the induced dual of the horizontal
-    one with the A frames negated.  Only the representations need to be
+    one with the A frames negated, each a signed permutation of frames
+    that `permute_frames` applies.  Only the representations need to be
     valid; the matched-pair identities are not required.  First output:
     anchor (phi + Y) -> b(Y), bracket
     [phi1 + Y1, phi2 + Y2] = {sigma*_{Y1} phi2 - sigma*_{Y2} phi1} + [Y1, Y2].
@@ -234,17 +235,14 @@ def build_semidirects(mp: MatchedPair) -> Tuple[LieAlgebroid, LieAlgebroid]:
     """
     vertical, horizontal = vacant_lavbundles(mp)
     ra, rb = mp.algebroid_a.rank, mp.algebroid_b.rank
-    size = ra + rb
 
     # the vertical induced dual has frames B + A*; new frame k is old order[k]
     e_v = vertical.induced_dual
-    order = list(range(rb, size)) + list(range(rb))
-    reorder = [[int(i == order[k]) for k in range(size)] for i in range(size)]
-    semidirect = change_frames(e_v, reorder, [e_v.frames[k] for k in order])
+    order = list(range(rb, ra + rb)) + list(range(rb))
+    semidirect = permute_frames(e_v, [(k, 1) for k in order], [e_v.frames[k] for k in order])
 
     # the horizontal induced dual has frames A + B*
     e_h = horizontal.induced_dual
-    signs = [-1] * ra + [1] * rb
-    negate = [[signs[k] if i == k else 0 for k in range(size)] for i in range(size)]
-    opposite = change_frames(e_h, negate, e_h.frames)
+    negate = [(k, -1) for k in range(ra)] + [(ra + k, 1) for k in range(rb)]
+    opposite = permute_frames(e_h, negate, e_h.frames)
     return semidirect, opposite

@@ -1,6 +1,7 @@
 """Shared test helpers: coordinate renaming, the corpus of doubles and
 LA-vector bundles, with failing instances, and its dual pairs, the
-Lie-Poisson ladder, the dual pairs of the benchmark sweep's families and
+Lie-Poisson ladder, the standard Lie bialgebra on gl(n)
+(`standard_gl_bialgebra`), the dual pairs of the benchmark sweep's families and
 their cotangent doubles, seeded bialgebras that keep the cobracket
 images they were built from (`ImageBialgebra`), a model text with a
 cobracket failing co-Jacobi, random brackets, the oracles kept from
@@ -12,7 +13,10 @@ vectors and the store filled from them (`dense_bowtie_brackets`,
 frame-loop algebroid check, the core Poisson structure through anchor
 fields, the frame change by any invertible matrix and the signed
 permutation frame change that rescaled through `Polynomial.scale`
-(`scaled_change_frames`)), the chart layout that `Chart.__init__` builds,
+(`scaled_change_frames`), and the dual pair over the core dual and the
+semidirects that wrote each of their frame changes as a dense signed
+permutation matrix for `change_frames` (`matrix_dual_pair_over_core_dual`,
+`matrix_build_semidirects`)), the chart layout that `Chart.__init__` builds,
 by the formulas of the cached properties it replaced (`chart_layout`),
 the dense structure tables the sparse store replaced, the dense twist table,
 matrices and LA-vector bundle builder that the sparse matrix store
@@ -74,6 +78,7 @@ from doublealg.algebroid import (
     schouten,
     sparse_matrix,
     tangent_algebroid,
+    unique_names,
     _wedge_into,
 )
 from doublealg.doublela import (
@@ -109,6 +114,7 @@ from doublealg.matched import (
     assemble_bowtie,
     build_semidirects,
     check_matched,
+    vacant_lavbundles,
 )
 from doublealg.model import parse_model
 from doublealg.parsing import (
@@ -524,6 +530,12 @@ def dense_generator_algebroid(side, data, fibre_names, core_names):
     algebroid over `side` of the dense generator data `data` (a
     `dense_data` result), with a bracket vector for every pair (alpha,
     beta) and (beta, core gamma), zero vectors included."""
+    return LieAlgebroid(*dense_generator_input(side, data, fibre_names, core_names))
+
+
+def dense_generator_input(side, data, fibre_names, core_names):
+    """The (chart, frames, anchor, brackets) that `dense_generator_algebroid`
+    gives the validating constructor."""
     anchor_derivations, core_derivations, core_anchor, twist = data
     chart = side.chart.extend(fibre_names)
     n, ra, rb, rc = side.chart.dim, len(fibre_names), side.rank, len(core_names)
@@ -568,7 +580,7 @@ def dense_generator_algebroid(side, data, fibre_names, core_names):
                 if m:
                     vec[rb + delta] = m.lift(chart)
             brackets[(beta, rb + gamma)] = tuple(vec)
-    return LieAlgebroid(chart, side.frames + tuple(core_names), anchor_rows, brackets)
+    return chart, side.frames + tuple(core_names), anchor_rows, brackets
 
 
 def constants(g: LieAlgebroid):
@@ -1526,6 +1538,27 @@ def gl(n):
     return LieAlgebra(n * n, brackets)
 
 
+def standard_gl_bialgebra(n: int) -> ImageBialgebra:
+    """gl(n) with the coboundary cobracket delta(x) = ad_x r of the standard
+    r-matrix r = sum_{i<j} E_ij ^ E_ji, whose Schouten square is
+    ad-invariant: a Lie bialgebra."""
+    g = gl(n)
+    c = constants(g)
+    images = {}
+    for x in range(g.rank):
+        image: Dict[Tuple[int, int], Fraction] = {}
+        for i, j in itertools.combinations(range(n), 2):
+            u, v = n * i + j, n * j + i
+            # ad_x (e_u ^ e_v) = [x, e_u] ^ e_v + e_u ^ [x, e_v]
+            for k in range(g.rank):
+                for p, q, coeff in ((k, v, c[x][u][k]), (u, k, c[x][v][k])):
+                    if coeff and p != q:
+                        pair, coeff = ((p, q), coeff) if p < q else ((q, p), -coeff)
+                        image[pair] = image.get(pair, 0) + coeff
+        images[x] = {pair: coeff for pair, coeff in image.items() if coeff}
+    return bialgebra(g, images)
+
+
 SO3 = LieAlgebra(3, {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)})
 
 
@@ -1765,8 +1798,8 @@ def general_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
 def scaled_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
     """The signed-permutation frame change that rescaled every anchor entry,
     zeros included, and every moved structure function through
-    `Polynomial.scale(+-1)`; the oracle of `algebroid.change_frames`, which
-    keeps a +1 entry and negates a -1 one."""
+    `Polynomial.scale(+-1)`; the oracle of `algebroid.permute_frames`,
+    which keeps a +1 entry and negates a -1 one."""
     r = L.rank
     perm: List[int] = []
     signs: List[Coefficient] = []
@@ -1791,6 +1824,53 @@ def scaled_change_frames(L: LieAlgebroid, matrix, new_names) -> LieAlgebroid:
                 vec[m] = coeff.scale(signs[a] * signs[b] * signs[m])
             brackets[(a, b)] = vec
     return LieAlgebroid(L.chart, tuple(new_names), anchor, brackets)
+
+
+def signed_permutation_matrix(columns) -> List[List[int]]:
+    """The matrix that `columns`, as `algebroid.permute_frames` reads them,
+    describe: column j holds s at row p for columns[j] = (p, s)."""
+    matrix = [[0] * len(columns) for _ in columns]
+    for j, (p, s) in enumerate(columns):
+        matrix[p][j] = s
+    return matrix
+
+
+def matrix_dual_pair_over_core_dual(dla) -> Tuple[LieAlgebroid, LieAlgebroid]:
+    """`doublela.dual_pair_over_core_dual` as it wrote the duality
+    isomorphism: a dense (ra + rb)^2 signed permutation matrix that
+    `change_frames` scans back into columns."""
+    e_v = dla.vertical.induced_dual
+    e_h = dla.horizontal.induced_dual
+    ra = dla.side_a.rank
+    rb = dla.side_b.rank
+    size = ra + rb
+    matrix = [[0] * size for _ in range(size)]
+    names: List[str] = []
+    for beta in range(rb):
+        matrix[ra + beta][beta] = 1
+        names.append(e_h.frames[ra + beta])
+    for a in range(ra):
+        matrix[a][rb + a] = -1
+        names.append(f"{e_h.frames[a]}_op")
+    names = list(unique_names(names, e_h.chart.names))
+    return e_v, change_frames(e_h, matrix, names)
+
+
+def matrix_build_semidirects(mp: MatchedPair) -> Tuple[LieAlgebroid, LieAlgebroid]:
+    """`matched.build_semidirects` as it wrote its reorder and its negation:
+    dense (ra + rb)^2 matrices that `change_frames` scans back."""
+    vertical, horizontal = vacant_lavbundles(mp)
+    ra, rb = mp.algebroid_a.rank, mp.algebroid_b.rank
+    size = ra + rb
+    e_v = vertical.induced_dual
+    order = list(range(rb, size)) + list(range(rb))
+    reorder = [[int(i == order[k]) for k in range(size)] for i in range(size)]
+    semidirect = change_frames(e_v, reorder, [e_v.frames[k] for k in order])
+    e_h = horizontal.induced_dual
+    signs = [-1] * ra + [1] * rb
+    negate = [[signs[k] if i == k else 0 for k in range(size)] for i in range(size)]
+    opposite = change_frames(e_h, negate, e_h.frames)
+    return semidirect, opposite
 
 
 def chart_layout(chart: Chart) -> Dict[str, object]:

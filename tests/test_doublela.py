@@ -34,18 +34,26 @@ from doublealg.matched import (
     MatchedPair,
     MatchedPairError,
     assemble_bowtie,
+    build_semidirects,
     check_matched,
 )
 from diagnostics_oracle import oracle_diagnostics
 from dvb_model import dual_a, dual_b, pair
 from support import (
     assert_matched_decides_bowtie_and_double,
+    bialgebra,
     entries,
     check_cor_sdp,
     constants,
     dense_structure,
+    gl,
+    ladder_pair,
+    matrix_build_semidirects,
+    matrix_dual_pair_over_core_dual,
     scale_derivation,
+    standard_gl_bialgebra,
     tangent_lavb,
+    tt_pair,
 )
 
 
@@ -441,3 +449,55 @@ class TestDiagnosticsAreNotVacuous:
         assert "anchor_brackets_A" in failing
         assert "anchor_brackets_B" in failing
         assert "anchor_compat" in failing
+
+
+# --- the paper's two correspondences past tt8 and gl(3)*
+
+
+def large_dual_pair(name):
+    """gl(4)* and tt16, each with one failing perturbation that keeps both
+    sides valid algebroids: the anchor of T*M_pi set to zero, which leaves
+    the bundle of Lie algebras gl(4) over gl(4)*, and [w1, w2] = w3 on the
+    dual of tt16 (TM against a constant bracket c is a bialgebroid exactly
+    when c = 0)."""
+    base, _, perturbation = name.partition(":")
+    L, Lstar = ladder_pair(gl(4)) if base == "gl4" else tt_pair(16)
+    zero = Polynomial.zero(L.chart)
+    anchor, table, r = Lstar.anchor, dense_structure(Lstar), Lstar.rank
+    brackets = {(a, b): table[a][b] for a, b in itertools.combinations(range(r), 2)}
+    if perturbation == "zero_anchor":
+        anchor = [[zero] * L.chart.dim] * r
+    elif perturbation == "heisenberg":
+        brackets[0, 1] = [Polynomial.constant(L.chart, int(g == 2)) for g in range(r)]
+    return L, LieAlgebroid(L.chart, Lstar.frames, anchor, brackets)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("gl4", True), ("gl4:zero_anchor", False), ("tt16", True), ("tt16:heisenberg", False)],
+)
+def test_cotangent_double_criterion_past_tt8_and_gl3(name, expected):
+    """The duality theorem at ranks 32 and 16 of the dual pair over the core
+    dual, where `permute_frames` meets the dense matrix it replaced."""
+    L, Lstar = large_dual_pair(name)
+    dla = build_cotangent_double(L, Lstar)
+    assert check_bialgebroid(L, Lstar).ok is expected
+    assert check_double(dla).ok is expected
+    assert dual_pair_over_core_dual(dla) == matrix_dual_pair_over_core_dual(dla)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["gl3", "gl3:cocycle"])
+def test_vacant_double_criterion_on_a_gl3_coadjoint_pair(perturbed):
+    """The matched pair (g, g*, ad*, ad*) of the standard bialgebra on gl(3)
+    is matched, and so is its vacant double; adding E_11 ^ E_33 to
+    delta(E_13) keeps g* a Lie algebra and breaks the cocycle condition."""
+    b = standard_gl_bialgebra(3)
+    if perturbed:
+        images = {k: dict(image) for k, image in enumerate(b.cobracket.images)}
+        images[2][0, 8] = 1
+        b = bialgebra(b.algebra, images)
+    mp = catalog.coadjoint_pair(b)
+    dla = assemble_vacant_double(mp)
+    assert check_matched(mp).ok is check_double(dla).ok is not perturbed
+    assert build_semidirects(mp) == matrix_build_semidirects(mp)
+    assert dual_pair_over_core_dual(dla) == matrix_dual_pair_over_core_dual(dla)

@@ -347,17 +347,21 @@ def bundled_matched_pairs():
     ]
 
 
-SEMIDIRECT_CORPUS = bundled_matched_pairs() + [
-    catalog.coadjoint_pair(catalog.solvable2_bialgebra()),
-    catalog.coadjoint_pair(catalog.abelian_bialgebra()),
-    catalog.coadjoint_pair(catalog.heisenberg_noncocycle_bialgebra()),
-    catalog.abelian_matched_pair(2, 3),
-    catalog.line_action_pair(),
-    catalog.line_action_pair(sigma_coeff="x"),
-    catalog.line_action_pair(sigma_coeff="1"),
-    FAILING[0],  # sigma is not flat
-    name_clash_pair(),
-]
+def semidirect_corpus():
+    return bundled_matched_pairs() + [
+        catalog.coadjoint_pair(catalog.solvable2_bialgebra()),
+        catalog.coadjoint_pair(catalog.abelian_bialgebra()),
+        catalog.coadjoint_pair(catalog.heisenberg_noncocycle_bialgebra()),
+        catalog.abelian_matched_pair(2, 3),
+        catalog.line_action_pair(),
+        catalog.line_action_pair(sigma_coeff="x"),
+        catalog.line_action_pair(sigma_coeff="1"),
+        FAILING[0],  # sigma is not flat
+        name_clash_pair(),
+    ]
+
+
+SEMIDIRECT_CORPUS = semidirect_corpus()
 
 
 class TestSemidirects:

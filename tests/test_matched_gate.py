@@ -39,7 +39,7 @@ from support import (
     section_check_matched,
 )
 from test_double_derived import count_calls
-from test_matched import SEMIDIRECT_CORPUS
+from test_matched import semidirect_corpus
 
 ITEMS = (
     "algebroid_A",
@@ -124,7 +124,7 @@ def mirror(mp):
 def gate_pairs():
     """The bundled and catalog pairs, the coadjoint pairs of the 400 seeded
     bialgebras, 200 seeded random pairs, and the mirror of each."""
-    pairs = list(SEMIDIRECT_CORPUS)
+    pairs = semidirect_corpus()
     pairs += [catalog.coadjoint_pair(b) for b in gate_corpus()]
     pairs += random_pairs(200, seed=17)
     return tuple(pairs + [mirror(mp) for mp in pairs])

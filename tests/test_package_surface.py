@@ -32,6 +32,7 @@ PACKAGE = ROOT / "src" / "doublealg"
 # Names that no package code uses and that stay public for the harness or
 # the README.  Keep this short: each entry is a promise to outside callers.
 EXTERNAL_ONLY = {
+    "algebroid.change_frames",
     "algebroid.cotangent_algebroid",
     "algebroid.lie_algebra_to_algebroid",
     "algebroid.tangent_algebroid",
@@ -288,6 +289,43 @@ def test_every_public_definition_is_used_by_the_product():
 def test_only_the_listed_names_are_kept_for_outside_callers():
     outside_only = public_definitions() - package_references()
     assert set(dotted(outside_only)) == EXTERNAL_ONLY
+
+
+def module_attribute_reads(tree):
+    """Every `module.name` that `tree` reads as an attribute of a plain name,
+    as "module.name"."""
+    return {
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+
+
+def test_each_outside_only_name_has_a_harness_caller():
+    """Each name kept for outside callers is read as `algebroid.<name>` by a
+    harness file, so the change that drops its last harness call fails
+    here until it deletes the name."""
+    files = (ROOT / "perfbench").glob("*.py")
+    reads = set().union(*(module_attribute_reads(ast.parse(path.read_text())) for path in files))
+    assert sorted(EXTERNAL_ONLY - reads) == []
+
+
+def test_the_outside_caller_guard_sees_only_qualified_reads():
+    """A read through the module counts; an imported name, a string and a
+    comment do not."""
+    tree = ast.parse(
+        "from doublealg import algebroid\n"
+        "from doublealg.algebroid import tangent_algebroid\n"
+        "# algebroid.lie_algebra_to_algebroid\n"
+        "def rung(chart):\n"
+        "    note = 'algebroid.cotangent_algebroid'\n"
+        "    return algebroid.change_frames(tangent_algebroid(chart), [[1]], ('v',))\n"
+    )
+    assert sorted(EXTERNAL_ONLY - module_attribute_reads(tree)) == [
+        "algebroid.cotangent_algebroid",
+        "algebroid.lie_algebra_to_algebroid",
+        "algebroid.tangent_algebroid",
+    ]
 
 
 def test_the_guard_sees_an_unused_definition():

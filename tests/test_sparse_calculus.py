@@ -23,11 +23,15 @@ as its oracle, compared report for report, witnesses included; a second
 call on the same algebroid returns the report decided by the first.  The
 gl(3)* rung, whose 18-coordinate, rank-18 total algebroids no benchmark
 workload reaches, is pinned by the sha256 of its report lines.
-`change_frames` relabels and re-signs frames by a signed permutation; the
-frame change by any invertible matrix, through its inverse, is kept in
-`support.general_change_frames` as its oracle, and the frame change that
-rescaled every entry through `Polynomial.scale` in
-`support.scaled_change_frames`.
+`permute_frames` relabels and re-signs frames by a signed permutation,
+given as columns (p, s), and `change_frames` reads one off an outside
+matrix; the frame change by any invertible matrix, through its inverse, is
+kept in `support.general_change_frames` as its oracle, and the frame change
+that rescaled every entry through `Polynomial.scale` in
+`support.scaled_change_frames`.  The product's frame changes are compared
+with the dense matrices they replaced
+(`support.matrix_dual_pair_over_core_dual`,
+`support.matrix_build_semidirects`).
 """
 
 import hashlib
@@ -51,6 +55,7 @@ from doublealg.algebroid import (
     check_algebroid,
     cotangent_algebroid,
     differential,
+    permute_frames,
     random_polynomial,
     random_section,
     schouten,
@@ -77,10 +82,13 @@ from support import (
     ladder_doubles,
     ladder_pair,
     leibniz_bracket_sections,
+    matrix_build_semidirects,
+    matrix_dual_pair_over_core_dual,
     perturbations,
     random_bracket,
     scaled_change_frames,
     schouten_jacobiator,
+    signed_permutation_matrix,
     summed_compatibility_defect,
     summed_schouten,
     sweep_doubles,
@@ -178,28 +186,30 @@ def test_change_frames_rejects_new_names_that_repeat_miss_a_frame_or_name_a_coor
         change_frames(L, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], names)
 
 
-def test_change_frames_equals_the_scaling_frame_change_where_the_product_calls_it(monkeypatch):
+def test_permute_frames_equals_the_scaling_frame_change_where_the_product_calls_it(monkeypatch):
     """Every frame change of the dual pairs over the core dual and of the
-    semidirects equals `support.scaled_change_frames`."""
+    semidirects equals `support.scaled_change_frames` on the matrix its
+    columns describe, and each dual pair and pair of semidirects equals the
+    one built from dense matrices through `change_frames`."""
     calls = Counter()
 
     def checked(module):
-        def change(L, matrix, names):
-            got = change_frames(L, matrix, names)
-            assert got == scaled_change_frames(L, matrix, names)
+        def permute(L, columns, names):
+            got = permute_frames(L, columns, names)
+            assert got == scaled_change_frames(L, signed_permutation_matrix(columns), names)
             calls[module] += 1
             return got
 
-        return change
+        return permute
 
-    monkeypatch.setattr(doublela, "change_frames", checked("doublela"))
-    monkeypatch.setattr(matched, "change_frames", checked("matched"))
+    monkeypatch.setattr(doublela, "permute_frames", checked("doublela"))
+    monkeypatch.setattr(matched, "permute_frames", checked("matched"))
     doubles = [*DOUBLES.values(), *(build_cotangent_double(*tt_pair(n)) for n in range(1, 9))]
     for dla in doubles:
-        dual_pair_over_core_dual(dla)
+        assert dual_pair_over_core_dual(dla) == matrix_dual_pair_over_core_dual(dla)
     pairs = gate_pairs()
     for mp in pairs:
-        matched.build_semidirects(mp)
+        assert matched.build_semidirects(mp) == matrix_build_semidirects(mp)
     assert calls == {"doublela": len(doubles), "matched": 2 * len(pairs)}
     assert len(doubles) >= 125 and len(pairs) >= 1000
 

@@ -146,18 +146,6 @@ class Multisection:
         table, zero = dict(self.components), Polynomial.zero(chart)
         return tuple(table.get((i,), zero) for i in range(self.rank))
 
-    def __add__(self, other: "Multisection") -> "Multisection":
-        if (self.rank, self.degree) != (other.rank, other.degree):
-            raise ValueError("rank/degree mismatch")
-        if not other.components:
-            return self
-        if not self.components:
-            return other
-        acc = dict(self.components)
-        for idx, poly in other.components:
-            acc[idx] = acc[idx] + poly if idx in acc else poly
-        return Multisection(self.rank, self.degree, acc)
-
     def __sub__(self, other: "Multisection") -> "Multisection":
         if (self.rank, self.degree) != (other.rank, other.degree):
             raise ValueError("rank/degree mismatch")

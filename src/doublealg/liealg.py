@@ -90,12 +90,14 @@ def cobracket_dual(g: LieAlgebroid, images: Mapping[int, Wedge]) -> LieAlgebroid
     """g*, unchecked, from the cobracket delta(e_k) = images[k] of g: the
     transpose of delta under the determinant pairing,
     [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k.  Its basis is <name>_d;
-    the checks it goes to report a co-Jacobi failure."""
+    the checks it goes to report a co-Jacobi failure.  A key (j, i) with
+    j > i is the wedge eps^j ^ eps^i = -eps^i ^ eps^j."""
     n = g.rank
     brackets: Dict[Tuple[int, int], List[Coefficient]] = {}
     for k, image in images.items():
-        for pair, c in image.items():
-            brackets.setdefault(pair, [0] * n)[k] += rat(c)
+        for (i, j), c in image.items():
+            pair, sign = ((j, i), -1) if i > j else ((i, j), 1)
+            brackets.setdefault(pair, [0] * n)[k] += sign * rat(c)
     return LieAlgebra(n, brackets, [f"{name}_d" for name in g.frames])
 
 

@@ -47,14 +47,13 @@ def point_pair(b: Bialgebra) -> Tuple[LieAlgebroid, LieAlgebroid]:
     return b.algebra, b.dual
 
 
-def coadjoint_rho_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
-    """Action of e_i on the dual basis: rho_{e_i}(eps^j) = -sum_k c^j_{ik} eps^k.
+def coadjoint_rho_matrix(c, i: int) -> List[List[Fraction]]:
+    """Action of e_i on the dual basis: rho_{e_i}(eps^j) = -sum_k c^j_{ik} eps^k,
+    for the structure constants c = `support.constants(g)`.
 
     Returned as matrix[j][k] = coefficient of eps^k in rho_{e_i}(eps^j).
     """
-    from support import constants  # support imports this module
-
-    n, c = b.dim, constants(b.algebra)
+    n = len(c)
     return [[-c[i][k][j] for k in range(n)] for j in range(n)]
 
 
@@ -69,12 +68,13 @@ def coadjoint_sigma_matrix(b: Bialgebra, i: int) -> List[List[Fraction]]:
 def coadjoint_pair(b: Bialgebra) -> MatchedPair:
     """The mutual coadjoint actions of a bialgebra as a matched pair at a point."""
     chart = Chart(())
-    from support import entries  # support imports this module
+    from support import constants, entries  # support imports this module
 
     def action(matrix):
         return entries([[Polynomial.constant(chart, c) for c in row] for row in matrix])
 
-    rho = [action(coadjoint_rho_matrix(b, i)) for i in range(b.dim)]
+    c = constants(b.algebra)
+    rho = [action(coadjoint_rho_matrix(c, i)) for i in range(b.dim)]
     sigma = [action(coadjoint_sigma_matrix(b, i)) for i in range(b.dim)]
     return MatchedPair(b.algebra, b.dual, rho, sigma)
 

@@ -1,55 +1,31 @@
-"""Shared test helpers: coordinate renaming, the corpus of doubles and
-LA-vector bundles, with failing instances, and its dual pairs, the
-Lie-Poisson ladder, the standard Lie bialgebra on gl(n)
-(`standard_gl_bialgebra`), the dual pairs of the benchmark sweep's families and
-their cotangent doubles, seeded bialgebras that keep the cobracket
-images they were built from (`ImageBialgebra`), a model text with a
-cobracket failing co-Jacobi, random brackets, the oracles kept from
-replaced production code (the matched-pair checks, among them the check
-of a pair through derivation commutators and brackets of sections with
-the operator algebra it needs, the bowtie's brackets written as dense
-vectors and the store filled from them (`dense_bowtie_brackets`,
-`dense_bowtie_store`), the gathering Cartan differential, the
-frame-loop algebroid check, the core Poisson structure through anchor
-fields, the frame change by any invertible matrix and the signed
-permutation frame change that rescaled through `Polynomial.scale`
-(`scaled_change_frames`), and the dual pair over the core dual and the
-semidirects that wrote each of their frame changes as a dense signed
-permutation matrix for `change_frames` (`matrix_dual_pair_over_core_dual`,
-`matrix_build_semidirects`)), the chart layout that `Chart.__init__` builds,
-by the formulas of the cached properties it replaced (`chart_layout`),
-the dense structure tables the sparse store replaced, the dense twist table,
-matrices and LA-vector bundle builder that the sparse matrix store
-replaced (`dense`, `dense_data`, `dense_dual_data`), the scan over every
-component of a vector field that `VectorField.apply` replaced
-(`dense_apply`), the
-LA-vector bundle check that decided `generators` on the total algebroid
-before the induced dual (`reference_check_lavb`), the
-Drinfel'd double read off the cobracket images that the point-pair
-store of a bialgebra replaced (`image_drinfeld_double`, `format_wedge`),
-the core algebroid read off every core Poisson entry, the sums that
-`VectorField.apply`, `anchor_of` and `bracket_sections`
-fuse into one pass (`leibniz_bracket_sections`), the running sums the
-parser's frame combinations and vector fields replaced (`summed_atoms`),
-the Schouten square of a bivector that the cyclic sums of
-`PoissonChart.jacobiator` replaced (`bivector`, `schouten_jacobiator`),
-the Schouten recursion that sums one wedge at a time, on functions too
-(`summed_schouten`, `summed_compatibility_defect`, `function`,
-`component_general`) and the wedge product of multisections it needs (`wedge`),
-and the constructions only the tests use (scalar polynomials in the model
-grammar, the tangent prolongation), the `Fraction`-only reference
-polynomial the exact kernel is compared with, and the kernel that keyed
-each term by its exponent tuple before exponents were packed
-(`TuplePolynomial`, `tuple_apply`), the term loop and readers that
-multiplied a `Polynomial` for each parsed factor (`reference_parse_terms`
-and its readers), and the affine change of base coordinates
-(`change_coordinates`, `substitute`)."""
+"""Shared test helpers, in three kinds.
+
+The gate corpora: each built once per session by a cached builder
+(`diagnostics_doubles`, `tt_doubles`, `matched_gate_pairs`,
+`vacant_gate_doubles`, `gate_doubles`), so that every gate reading one
+shares its objects and the structures they derive; `count_calls`; and the
+corpora they draw on: bundled and catalog doubles with seeded
+perturbations, the Lie-Poisson ladder, the dual pairs of the benchmark
+sweep, `tt_pair`, seeded bialgebras that keep their cobracket images
+(`ImageBialgebra`) and random brackets.
+
+The oracles: code that the package replaced, kept to be compared with the
+code that replaced it; each docstring says what it replaced, and
+CHANGES.md records when.
+
+Constructions only the tests use: model texts (`CO_JACOBI_MODEL`,
+`POISSON_PAIR_MODEL`), coordinate renaming, scalar polynomials
+in the model grammar, the tangent prolongation, the standard Lie
+bialgebra on gl(n), the `Fraction`-only reference polynomial and the sum
+of multisections (`add_sections`)."""
 
 import functools
 import itertools
 import pathlib
 import random
 import struct
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -82,6 +58,7 @@ from doublealg.algebroid import (
     _wedge_into,
 )
 from doublealg.doublela import (
+    DoubleLieAlgebroid,
     DoubleMismatch,
     assemble_vacant_double,
     build_cotangent_double,
@@ -1073,6 +1050,19 @@ def scale_section(x: Multisection, f: Polynomial) -> Multisection:
     return Multisection(x.rank, x.degree, {i: f * p for i, p in x.components})
 
 
+def add_sections(*terms: Multisection) -> Multisection:
+    """The sum of multisections of one rank and degree, which only the
+    oracles take: the package has no `+` on multisections."""
+    rank, degree = terms[0].rank, terms[0].degree
+    acc: Dict[Tuple[int, ...], Polynomial] = {}
+    for x in terms:
+        if (x.rank, x.degree) != (rank, degree):
+            raise ValueError("rank/degree mismatch")
+        for idx, poly in x.components:
+            acc[idx] = acc[idx] + poly if idx in acc else poly
+    return Multisection(rank, degree, acc)
+
+
 def wedge(x: Multisection, y: Multisection) -> Multisection:
     """X ^ Y, through the accumulator that `algebroid.schouten` wedges into."""
     if x.rank != y.rank:
@@ -1202,13 +1192,15 @@ def derivation_identity(
             v1, v2 = y1.vector(chart), y2.vector(chart)
             d = acting.anchor_fields[alpha], act[alpha]
             lhs = apply_derivation(*d, frame_bracket(target, t1, t2).vector(chart))
-            rhs = bracket_sections(target, target.section(apply_derivation(*d, v1)), y2)
-            rhs = rhs + bracket_sections(target, y1, target.section(apply_derivation(*d, v2)))
             back_2 = apply_derivation(target.anchor_fields[t2], back[t2], x)
             back_1 = apply_derivation(target.anchor_fields[t1], back[t1], x)
             back_2 = of_section(act, acting, acting.section(back_2))
             back_1 = of_section(act, acting, acting.section(back_1))
-            rhs = rhs + target.section(apply_derivation(*back_2, v1))
+            rhs = add_sections(
+                bracket_sections(target, target.section(apply_derivation(*d, v1)), y2),
+                bracket_sections(target, y1, target.section(apply_derivation(*d, v2))),
+                target.section(apply_derivation(*back_2, v1)),
+            )
             rhs = rhs - target.section(apply_derivation(*back_1, v2))
             defect = target.section(lhs) - rhs
             if not defect.is_zero:
@@ -1691,6 +1683,202 @@ def random_bracket(rng, frames):
     return LieAlgebroid(XY, frames, anchor, brackets)
 
 
+# --- the gate corpora: each is built once per session and shared by every
+# gate that reads it, so the structures a double or an LA-vector bundle
+# derives on first use (`total`, `induced_dual`, `dual_pair`, `core`) are
+# derived once.  A test that counts calls or checks laziness builds fresh
+# objects instead.
+
+
+def count_calls(monkeypatch, targets):
+    """Count calls of the functions and methods `targets` names, on their
+    owner and wherever a package module binds them."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("doublealg.")]
+    for owner, name in targets:
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        for module in modules:
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@functools.cache
+def diagnostics_parts():
+    """The structural-diagnostics gate in three parts of (name, double):
+    every corpus double, each followed by the doubles in which one of its
+    LA-vector bundles is replaced by a seeded perturbation, then the ladder
+    rungs; the cored corpus doubles with both core anchors scaled by 2 and
+    by -1; the cotangent doubles of the benchmark sweep's families at seeds
+    501-508 and of the gl(3)* rung."""
+    corpus = double_corpus()
+    perturbed = []
+    for seed, (name, dla) in enumerate(corpus):
+        perturbed.append((name, dla))
+        for label, v in perturbations(f"{name}:vertical", dla.vertical, seed):
+            perturbed.append((label, DoubleLieAlgebroid(v, dla.horizontal)))
+        for label, h in perturbations(f"{name}:horizontal", dla.horizontal, seed):
+            perturbed.append((label, DoubleLieAlgebroid(dla.vertical, h)))
+
+    def scale_core(v, factor):
+        return rebuilt(v, core_anchor={k: entry.scale(factor) for k, entry in v.core_anchor})
+
+    scaled = [
+        (f"{name}:core_anchors*{k}", DoubleLieAlgebroid(scale_core(dla.vertical, k), scale_core(dla.horizontal, k)))
+        for name, dla in corpus
+        if dla.core_frames
+        for k in (2, -1)
+    ]
+    sweep = sweep_doubles(range(501, 509)) + [("gl3", build_cotangent_double(*ladder_pair(gl(3))))]
+    return tuple(perturbed + ladder_doubles()), tuple(scaled), tuple(sweep)
+
+
+@functools.cache
+def diagnostics_doubles():
+    """The 125 doubles of `diagnostics_parts()`, in order."""
+    return sum(diagnostics_parts(), ())
+
+
+@functools.cache
+def tt_doubles():
+    """The cotangent doubles of `tt_pair(n)` for n = 1..8, named tt<n>."""
+    return tuple((f"tt{n}", build_cotangent_double(*tt_pair(n))) for n in range(1, 9))
+
+
+def scaled_sigma_pair(mp: MatchedPair, factor: int) -> MatchedPair:
+    scale = Polynomial.constant(mp.chart, factor)
+    return MatchedPair(mp.algebroid_a, mp.algebroid_b, mp.rho, [scale_derivation(d, scale) for d in mp.sigma])
+
+
+def name_clash_pair():
+    """A matched pair where the dual frame names of A clash with a B-frame
+    and those of B with a chart coordinate, so both get an apostrophe."""
+    chart = Chart(["x", "b_d"])
+    zero, one = Polynomial.zero(chart), Polynomial.constant(chart, 1)
+    a_alg = LieAlgebroid(chart, ("a",), [[one, zero]], {})
+    b_alg = LieAlgebroid(chart, ("a_d", "b"), [[zero, zero], [zero, zero]], {})
+    x = Polynomial.coordinate(chart, "x")
+    rho = [entries([[zero, x], [one, zero]])]
+    sigma = [entries([[zero]])] * 2
+    return MatchedPair(a_alg, b_alg, rho, sigma)
+
+
+def semidirect_corpus():
+    """The bundled matched pairs and catalog pairs of both verdicts, one
+    whose sigma is not flat and `name_clash_pair()`, built afresh."""
+    bundled = [
+        mp for path in sorted(MODELS.glob("*")) for mp in parse_model(path.read_text()).matched_pairs.values()
+    ]
+    return bundled + [
+        catalog.coadjoint_pair(catalog.solvable2_bialgebra()),
+        catalog.coadjoint_pair(catalog.abelian_bialgebra()),
+        catalog.coadjoint_pair(catalog.heisenberg_noncocycle_bialgebra()),
+        catalog.abelian_matched_pair(2, 3),
+        catalog.line_action_pair(),
+        catalog.line_action_pair(sigma_coeff="x"),
+        catalog.line_action_pair(sigma_coeff="1"),
+        scaled_sigma_pair(catalog.coadjoint_pair(catalog.solvable2_bialgebra()), 2),  # sigma is not flat
+        name_clash_pair(),
+    ]
+
+
+def sparse_polynomial(rng, chart, zero_share):
+    """Zero with probability `zero_share`, else a random polynomial of
+    degree <= 1."""
+    if rng.random() < zero_share:
+        return Polynomial.zero(chart)
+    return random_polynomial(rng, chart, 1)
+
+
+def random_side(rng, chart, rank, prefix):
+    """A rank-`rank` algebroid on `chart`: a constant bracket over the zero
+    anchor, coordinate fields with zero bracket, a cotangent algebroid on
+    (x, y), or a random anchor and bracket that mostly fails the axioms."""
+    frames = tuple(f"{prefix}{i + 1}" for i in range(rank))
+    zero = Polynomial.zero(chart)
+    kind = rng.choice(("constant", "constant", "coordinate", "cotangent", "random"))
+    if kind == "cotangent" and chart == XY and rank == 2:
+        return cotangent(random_polynomial(rng, XY, 2), frames)
+    if kind == "coordinate" and rank <= chart.dim:
+        anchor = [
+            [Polynomial.constant(chart, int(i == j)) for j in range(chart.dim)] for i in range(rank)
+        ]
+        return LieAlgebroid(chart, frames, anchor, {})
+    if kind == "random":
+        anchor = [[sparse_polynomial(rng, chart, 0.5) for _ in range(chart.dim)] for _ in range(rank)]
+        brackets = {
+            (a, b): [sparse_polynomial(rng, chart, 0.5) for _ in range(rank)]
+            for a in range(rank)
+            for b in range(a + 1, rank)
+        }
+        return LieAlgebroid(chart, frames, anchor, brackets)
+    # a constant bracket: any one on rank <= 2 is a Lie algebra, and on
+    # rank 3 the bracket [e1, e2] = c e3 alone is one
+    brackets = {}
+    if rank == 2:
+        brackets[(0, 1)] = [Polynomial.constant(chart, rng.randint(-1, 1)) for _ in range(2)]
+    elif rank == 3:
+        brackets[(0, 1)] = [zero, zero, Polynomial.constant(chart, rng.randint(-1, 1))]
+    return LieAlgebroid(chart, frames, [[zero] * chart.dim for _ in range(rank)], brackets)
+
+
+def random_representation(rng, acting, target_rank):
+    """One sparse random derivation matrix per frame of `acting`."""
+    chart = acting.chart
+    zero_share = rng.choice((1.0, 0.8, 0.5))
+    def row():
+        return [sparse_polynomial(rng, chart, zero_share) for _ in range(target_rank)]
+
+    return [entries([row() for _ in range(target_rank)]) for _ in range(acting.rank)]
+
+
+def random_pairs(count, seed):
+    """Seeded pairs on (x) and on (x, y) with ranks 1-3."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        chart = Chart(("x",)) if k % 2 else XY
+        a = random_side(rng, chart, rng.randint(1, 3), "a")
+        b = random_side(rng, chart, rng.randint(1, 3), "b")
+        rho = random_representation(rng, a, b.rank)
+        sigma = random_representation(rng, b, a.rank)
+        out.append(MatchedPair(a, b, rho, sigma))
+    return out
+
+
+@functools.cache
+def matched_gate_pairs():
+    """The 1224 pairs of the matched-pair gate: `semidirect_corpus()`, the
+    coadjoint pairs of the 400 seeded bialgebras, 200 seeded random pairs,
+    and the mirror of each."""
+    pairs = semidirect_corpus()
+    pairs += [catalog.coadjoint_pair(b) for b in gate_corpus()]
+    pairs += random_pairs(200, seed=17)
+    mirrors = [MatchedPair(mp.algebroid_b, mp.algebroid_a, mp.sigma, mp.rho) for mp in pairs]
+    return tuple(pairs + mirrors)
+
+
+@functools.cache
+def vacant_gate_doubles():
+    """The vacant double of each pair of `matched_gate_pairs()`, in order,
+    named vacant<k>."""
+    return tuple((f"vacant{k}", assemble_vacant_double(mp)) for k, mp in enumerate(matched_gate_pairs()))
+
+
+@functools.cache
+def gate_doubles():
+    """The diagnostics doubles, the vacant gate doubles and the tt doubles,
+    in that order: the doubles whose derived structures the gates compare
+    with their dense oracles."""
+    return diagnostics_doubles() + vacant_gate_doubles() + tt_doubles()
+
+
 def gather_differential(L, omega):
     """The Cartan differential gathered over every (k+1)-subset of frames,
     each component looked up with its sign: the oracle for the scattering
@@ -1741,9 +1929,11 @@ def frame_loop_check_algebroid(L: LieAlgebroid) -> CheckReport:
 
     witness = None
     for a, b, c in itertools.combinations(range(L.rank), 3):
-        jac = bracket_sections(L, frame_bracket(L, a, b), frame_section(L, c))
-        jac = jac + bracket_sections(L, frame_bracket(L, b, c), frame_section(L, a))
-        jac = jac + bracket_sections(L, frame_bracket(L, c, a), frame_section(L, b))
+        jac = add_sections(
+            bracket_sections(L, frame_bracket(L, a, b), frame_section(L, c)),
+            bracket_sections(L, frame_bracket(L, b, c), frame_section(L, a)),
+            bracket_sections(L, frame_bracket(L, c, a), frame_section(L, b)),
+        )
         if not jac.is_zero:
             witness = (
                 f"triple ({L.frames[a]}, {L.frames[b]}, {L.frames[c]}): "
@@ -1958,7 +2148,9 @@ def section_check_compatibility(L: LieAlgebroid, Lstar: LieAlgebroid, seed=7, ma
         return summed_compatibility_defect(L, Lstar, frame_section(L, a), functions[i])
 
     def scaled_defect(a, b, i):
-        return scale_section(frame_defect(a, b), coords[i]) + wedge(function_defect(a, i), frame_section(L, b))
+        return add_sections(
+            scale_section(frame_defect(a, b), coords[i]), wedge(function_defect(a, i), frame_section(L, b))
+        )
 
     def random_defects():
         rng = random.Random(seed if seed >= 0 else str(seed))
@@ -2050,8 +2242,11 @@ def summed_schouten(L: LieAlgebroid, p: Multisection, q: Multisection) -> Multis
         for idx, poly in q.components:
             head = Multisection(L.rank, 1, {(idx[0],): poly})
             tail = Multisection(L.rank, dq - 1, {idx[1:]: one})
-            result = result + wedge(summed_schouten(L, p, head), tail)
-            result = result + wedge(head, summed_schouten(L, p, tail)).scale(sign)
+            result = add_sections(
+                result,
+                wedge(summed_schouten(L, p, head), tail),
+                wedge(head, summed_schouten(L, p, tail)).scale(sign),
+            )
         return result
     swap_sign = (-1) ** (((dp - 1) * (dq - 1) + 1) % 2)
     return summed_schouten(L, q, p).scale(swap_sign)

@@ -44,6 +44,7 @@ from diagnostics_oracle import oracle_diagnostics
 from dvb_model import cotangent_dvb, dual_a, dual_b, element, pair, r_map, tangent_dvb, z_iso
 from manin_oracle import bracket, check_paired, jacobi_report, paired_double
 from support import (
+    add_sections,
     check_cor_sdp,
     entries,
     frame_bracket,
@@ -400,7 +401,7 @@ def test_criterion_9_calculus_property_suites():
                 lhs = bracket(L, p, bracket(L, q, r))
                 rhs = bracket(L, bracket(L, p, q), r)
                 sign = Fraction(-1) ** (((dp - 1) * (dq - 1)) % 2)
-                rhs = rhs + bracket(L, q, bracket(L, p, r)).scale(sign)
+                rhs = add_sections(rhs, bracket(L, q, bracket(L, p, r)).scale(sign))
                 assert lhs == rhs
                 count += 1
 

@@ -22,6 +22,7 @@ from support import (
     POISSON_PAIR_MODEL,
     SO3,
     corpus_dual_pairs,
+    count_calls,
     double_corpus,
     gate_corpus,
     gl,
@@ -32,7 +33,6 @@ from support import (
     sweep_pairs,
     tt_pair,
 )
-from test_double_derived import count_calls
 
 FAMILIES = ("frames", "scaled", "function_pairs", "symmetric_part")
 SECTION_CALCULUS = (
@@ -63,7 +63,7 @@ def jacobi_failing_pairs(count, seed):
 
 
 @functools.cache
-def gate_pairs():
+def dual_gate_pairs():
     """The corpus dual pairs, the sweep pairs at seeds 1-8 and the dual
     pairs of their cotangent doubles, the 400 seeded bialgebras as point
     pairs, the so(3)*, gl(2)* and gl(3)* rungs, `tt<n>` for n <= 4 and the
@@ -82,7 +82,7 @@ def gate_pairs():
 
 
 def test_reports_equal_the_section_calculus_oracle():
-    pairs = gate_pairs()
+    pairs = dual_gate_pairs()
     assert len(pairs) >= 1000
     failures = Counter()
     for name, (L, Lstar) in pairs:
@@ -129,7 +129,7 @@ def test_scaled_read_off_the_frame_defects_alone_equals_the_oracle():
 
 def test_other_seeds_and_degrees_equal_the_oracle():
     """The `random` family draws its trials from `seed` and `max_degree`."""
-    for name, (L, Lstar) in gate_pairs()[::25]:
+    for name, (L, Lstar) in dual_gate_pairs()[::25]:
         for seed, max_degree in ((0, 1), (11, 3)):
             expected = section_check_compatibility(L, Lstar, seed, max_degree)
             assert check_compatibility(L, Lstar, seed, max_degree) == expected, name
@@ -143,7 +143,7 @@ def passing_doubles():
 
 
 def test_a_passing_check_makes_no_section_calculus_call(monkeypatch):
-    pairs = [pair for _, pair in gate_pairs() if check_bialgebroid(*pair).ok]
+    pairs = [pair for _, pair in dual_gate_pairs() if check_bialgebroid(*pair).ok]
     doubles = passing_doubles()
     assert len(pairs) >= 300 and len(doubles) >= 6
     for dla in doubles:

@@ -18,7 +18,6 @@ import contextlib
 import gc
 import io
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -50,6 +49,7 @@ from support import (
     XY,
     constant_bundle,
     corpus_dual_pairs,
+    count_calls,
     dense_structure,
     cotangent,
     double_corpus,
@@ -140,25 +140,6 @@ COUNTED = (
     (doublela, "core_algebroid"),
     (algebroid, "check_algebroid"),
 )
-
-
-def count_calls(monkeypatch, targets):
-    """Count calls of the functions and methods `targets` names, on their
-    owner and wherever a package module binds them."""
-    counts = Counter()
-    modules = [m for name, m in sys.modules.items() if name.startswith("doublealg.")]
-    for owner, name in targets:
-        fn = getattr(owner, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-        for module in modules:
-            if vars(module).get(name) is fn:
-                monkeypatch.setattr(module, name, counted)
-    return counts
 
 
 @pytest.fixture

@@ -21,15 +21,16 @@ from doublealg.matched import check_matched
 from support import (
     SO3,
     corpus_dual_pairs,
+    count_calls,
     double_corpus,
     gate_corpus,
     gl,
     ladder_pair,
+    matched_gate_pairs,
     sweep_pairs,
     tt_pair,
+    vacant_gate_doubles,
 )
-from test_double_derived import count_calls
-from test_matched_gate import gate_pairs as matched_gate_pairs
 
 SEED, MAX_DEGREE = 7, 2
 
@@ -76,8 +77,7 @@ def test_cotangent_route_equals_check_double():
 
 def test_vacant_route_equals_check_double():
     tally = Counter()
-    for k, mp in enumerate(matched_gate_pairs()):
-        dla = assemble_vacant_double(mp)
+    for mp, (k, dla) in zip(matched_gate_pairs(), vacant_gate_doubles()):
         expected = outcome(check_double, dla, SEED, MAX_DEGREE)
         assert outcome(cli._vacant_report, mp, dla, SEED, MAX_DEGREE) == expected, k
         assert expected[0] == "report" and expected[1].ok == check_matched(mp).ok, k

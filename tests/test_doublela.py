@@ -455,13 +455,13 @@ class TestDiagnosticsAreNotVacuous:
 
 
 def large_dual_pair(name):
-    """gl(4)* and tt16, each with one failing perturbation that keeps both
+    """gl(4)* and tt<n>, each with one failing perturbation that keeps both
     sides valid algebroids: the anchor of T*M_pi set to zero, which leaves
     the bundle of Lie algebras gl(4) over gl(4)*, and [w1, w2] = w3 on the
-    dual of tt16 (TM against a constant bracket c is a bialgebroid exactly
+    dual of tt<n> (TM against a constant bracket c is a bialgebroid exactly
     when c = 0)."""
     base, _, perturbation = name.partition(":")
-    L, Lstar = ladder_pair(gl(4)) if base == "gl4" else tt_pair(16)
+    L, Lstar = ladder_pair(gl(4)) if base == "gl4" else tt_pair(int(base[2:]))
     zero = Polynomial.zero(L.chart)
     anchor, table, r = Lstar.anchor, dense_structure(Lstar), Lstar.rank
     brackets = {(a, b): table[a][b] for a, b in itertools.combinations(range(r), 2)}
@@ -474,11 +474,19 @@ def large_dual_pair(name):
 
 @pytest.mark.parametrize(
     "name, expected",
-    [("gl4", True), ("gl4:zero_anchor", False), ("tt16", True), ("tt16:heisenberg", False)],
+    [
+        ("gl4", True),
+        ("gl4:zero_anchor", False),
+        ("tt16", True),
+        ("tt16:heisenberg", False),
+        ("tt32", True),
+        ("tt32:heisenberg", False),
+    ],
 )
 def test_cotangent_double_criterion_past_tt8_and_gl3(name, expected):
-    """The duality theorem at ranks 32 and 16 of the dual pair over the core
-    dual, where `permute_frames` meets the dense matrix it replaced."""
+    """The duality theorem where the dual pair over the core dual has rank
+    32 (gl(4)*, tt16) and 64 (tt32), and `permute_frames` meets the dense
+    matrix it replaced."""
     L, Lstar = large_dual_pair(name)
     dla = build_cotangent_double(L, Lstar)
     assert check_bialgebroid(L, Lstar).ok is expected

@@ -29,12 +29,12 @@ from support import (
     FractionPolynomial,
     TuplePolynomial,
     chart_layout,
+    count_calls,
     ladder_pair,
     parse_polynomial,
     rename,
     tuple_apply,
 )
-from test_double_derived import count_calls
 
 XY = Chart(["x", "y"])
 POINT = Chart([])

@@ -39,7 +39,7 @@ from doublealg.algebroid import (
     fibre_coordinate,
     tangent_algebroid,
 )
-from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
+from doublealg.doublela import check_double
 from doublealg.exact import Chart, Polynomial
 from doublealg.lavb import (
     LAVBundle,
@@ -60,8 +60,10 @@ from support import (
     dense_dual_data,
     dense_generator_algebroid,
     dense_structure,
+    diagnostics_doubles,
     frame_bracket,
     frame_section,
+    gate_doubles,
     ladder_doubles,
     lavb_corpus,
     parse_polynomial,
@@ -71,11 +73,8 @@ from support import (
     reference_check_lavb,
     rename,
     tangent_lavb,
-    tt_pair,
     zero_derivation,
 )
-from test_matched_gate import gate_pairs
-from test_structural_diagnostics import DOUBLES
 
 LINE = Chart(["x"])
 TA = tangent_lavb(LINE, ["f"])
@@ -387,22 +386,12 @@ class TestTwistStore:
         assert [pair for pair, _ in w.twist] == sorted(pairs)
 
 
-def gate_bundles():
-    """Both LA-vector bundles of every structural-diagnostics double, of the
-    vacant double of every matched pair of `gate_pairs()` and of the
-    cotangent doubles of `tt_pair(n)` for n = 1..8."""
-    doubles = list(DOUBLES.items())
-    doubles += [(f"vacant{k}", assemble_vacant_double(mp)) for k, mp in enumerate(gate_pairs())]
-    doubles += [(f"tt{n}", build_cotangent_double(*tt_pair(n))) for n in range(1, 9)]
-    return [
-        (f"{name}:{side}", getattr(dla, side))
-        for name, dla in doubles
-        for side in ("vertical", "horizontal")
-    ]
-
-
-GATE = gate_bundles()
-DIAGNOSTICS_BUNDLES = 2 * len(DOUBLES)
+# both LA-vector bundles of every double of `support.gate_doubles()`: the
+# structural-diagnostics doubles, the vacant doubles of the matched-pair
+# gate and the cotangent doubles of tt1..tt8
+SIDES = ("vertical", "horizontal")
+GATE = [(f"{name}:{side}", getattr(dla, side)) for name, dla in gate_doubles() for side in SIDES]
+DIAGNOSTICS_BUNDLES = 2 * len(diagnostics_doubles())
 
 
 def dense_oracle(side, data, built):
@@ -445,7 +434,7 @@ FAILING_KINDS = ("twist", "core_anchor", "anchor_derivation", "core_derivation")
 
 def differential_corpus():
     """`LAVB_CORPUS`, the bundles of `GATE` (the diagnostics doubles, the
-    vacant doubles of `gate_pairs()` and tt1..tt8), the duals of the tt
+    vacant doubles of the matched-pair gate and tt1..tt8), the duals of the tt
     bundles, the bundles of the ladder rungs, and seeded perturbations of
     every diagnostics bundle."""
     out = LAVB_CORPUS + GATE
@@ -517,10 +506,7 @@ class TestTrustedConstructors:
                     assert_as_validated(L, validated_algebroid(L), name)
 
     def test_cotangent_bundles_dual_pairs_and_cores(self):
-        doubles = list(DOUBLES.items()) + ladder_doubles()
-        doubles += [(f"vacant{k}", assemble_vacant_double(mp)) for k, mp in enumerate(gate_pairs())]
-        doubles += [(f"tt{n}", build_cotangent_double(*tt_pair(n))) for n in range(1, 9)]
-        for name, dla in doubles:
+        for name, dla in gate_doubles():
             for v in (dla.vertical, dla.horizontal):
                 assert_as_validated(v, validated_bundle(v), name)
             for L in (*dla.dual_pair, dla.core):

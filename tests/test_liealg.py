@@ -31,6 +31,7 @@ from doublealg.liealg import (
     BialgebraError,
     LieAlgebra,
     check_manin,
+    cobracket_dual,
     drinfeld_double,
 )
 from doublealg.matched import MatchedPair, check_matched
@@ -662,6 +663,14 @@ class TestPointPairStore:
             c = constants(b.dual)
             for i, j, k in itertools.product(range(b.dim), repeat=3):
                 assert c[i][j][k] == component(b.cobracket, k, i, j)
+
+    def test_cobracket_dual_reads_a_reversed_wedge_with_the_opposite_sign(self):
+        """e2 ^ e1 given as the key (1, 0) is -(e1 ^ e2), as `support.Cobracket`
+        reads it; a wedge of a basis vector with itself is refused."""
+        g = LieAlgebra(2, {(0, 1): (0, 1)})
+        assert cobracket_dual(g, {1: {(1, 0): -1}}) == cobracket_dual(g, {1: {(0, 1): 1}})
+        with pytest.raises(ValueError, match=r"bracket\(e_a, e_a\) must be omitted"):
+            cobracket_dual(g, {1: {(1, 1): 1}})
 
 
 class TestCoadjointCorrespondence:

@@ -2,7 +2,6 @@
 products on the duals, and the equivalence with the bialgebroid route."""
 
 import itertools
-import pathlib
 
 import pytest
 
@@ -22,7 +21,6 @@ from doublealg.matched import (
     build_semidirects,
     check_matched,
 )
-from doublealg.model import parse_model
 from support import (
     apply_derivation,
     check_cor_sdp,
@@ -32,19 +30,11 @@ from support import (
     dense_structure,
     entries,
     frame_section,
-    scale_derivation,
+    name_clash_pair,
+    scaled_sigma_pair,
+    semidirect_corpus,
     zero_derivation,
 )
-
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
-
-
-def scaled_sigma_pair(mp: MatchedPair, factor: int) -> MatchedPair:
-    chart = mp.chart
-    scale = Polynomial.constant(chart, factor)
-    sigma = [scale_derivation(d, scale) for d in mp.sigma]
-    return MatchedPair(mp.algebroid_a, mp.algebroid_b, mp.rho, sigma)
-
 
 PASSING = [
     catalog.abelian_matched_pair(),
@@ -324,41 +314,6 @@ def semidirect_tables(mp):
         brackets[(ra + p, ra + q)] = zeros(ra + rb)
     opposite = (frames, anchor, brackets)
     return semidirect, opposite
-
-
-def name_clash_pair():
-    """A matched pair where the dual frame names of A clash with a B-frame
-    and those of B with a chart coordinate, so both get an apostrophe."""
-    chart = Chart(["x", "b_d"])
-    zero, one = Polynomial.zero(chart), Polynomial.constant(chart, 1)
-    a_alg = LieAlgebroid(chart, ("a",), [[one, zero]], {})
-    b_alg = LieAlgebroid(chart, ("a_d", "b"), [[zero, zero], [zero, zero]], {})
-    x = Polynomial.coordinate(chart, "x")
-    rho = [entries([[zero, x], [one, zero]])]
-    sigma = [entries([[zero]])] * 2
-    return MatchedPair(a_alg, b_alg, rho, sigma)
-
-
-def bundled_matched_pairs():
-    return [
-        mp
-        for path in sorted(MODELS.glob("*"))
-        for mp in parse_model(path.read_text()).matched_pairs.values()
-    ]
-
-
-def semidirect_corpus():
-    return bundled_matched_pairs() + [
-        catalog.coadjoint_pair(catalog.solvable2_bialgebra()),
-        catalog.coadjoint_pair(catalog.abelian_bialgebra()),
-        catalog.coadjoint_pair(catalog.heisenberg_noncocycle_bialgebra()),
-        catalog.abelian_matched_pair(2, 3),
-        catalog.line_action_pair(),
-        catalog.line_action_pair(sigma_coeff="x"),
-        catalog.line_action_pair(sigma_coeff="1"),
-        FAILING[0],  # sigma is not flat
-        name_clash_pair(),
-    ]
 
 
 SEMIDIRECT_CORPUS = semidirect_corpus()

@@ -73,6 +73,8 @@ from doublealg.formatting import format_algebroid_lines
 from support import (
     SO3,
     XY,
+    count_calls,
+    diagnostics_doubles,
     double_corpus,
     frame_loop_check_algebroid,
     function,
@@ -82,6 +84,7 @@ from support import (
     ladder_doubles,
     ladder_pair,
     leibniz_bracket_sections,
+    matched_gate_pairs,
     matrix_build_semidirects,
     matrix_dual_pair_over_core_dual,
     perturbations,
@@ -92,11 +95,8 @@ from support import (
     summed_compatibility_defect,
     summed_schouten,
     sweep_doubles,
-    tt_pair,
+    tt_doubles,
 )
-from test_double_derived import count_calls
-from test_matched_gate import gate_pairs
-from test_structural_diagnostics import DOUBLES
 
 # --- the scattering differential against the gathering one
 
@@ -204,10 +204,10 @@ def test_permute_frames_equals_the_scaling_frame_change_where_the_product_calls_
 
     monkeypatch.setattr(doublela, "permute_frames", checked("doublela"))
     monkeypatch.setattr(matched, "permute_frames", checked("matched"))
-    doubles = [*DOUBLES.values(), *(build_cotangent_double(*tt_pair(n)) for n in range(1, 9))]
+    doubles = [dla for _, dla in diagnostics_doubles() + tt_doubles()]
     for dla in doubles:
         assert dual_pair_over_core_dual(dla) == matrix_dual_pair_over_core_dual(dla)
-    pairs = gate_pairs()
+    pairs = matched_gate_pairs()
     for mp in pairs:
         assert matched.build_semidirects(mp) == matrix_build_semidirects(mp)
     assert calls == {"doublela": len(doubles), "matched": 2 * len(pairs)}

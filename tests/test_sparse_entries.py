@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import fields
 
 from doublealg.algebroid import PoissonChart, VectorField, check_algebroid, dual_poisson, random_polynomial
-from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
+from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Chart, ChartMismatch, DegreeOverflow, Polynomial
 from doublealg.lavb import dual_lavb
 from doublealg.model import parse_model
@@ -25,17 +25,17 @@ from support import (
     MODELS,
     SO3,
     dense_apply,
+    diagnostics_doubles,
+    gate_doubles,
     gl,
     ladder_doubles,
     ladder_pair,
+    matched_gate_pairs,
     random_bracket,
     sweep_pairs,
+    tt_doubles,
     tt_pair,
 )
-from test_matched_gate import gate_pairs
-from test_structural_diagnostics import DOUBLES
-
-TT = [(f"tt{n}", build_cotangent_double(*tt_pair(n))) for n in range(1, 9)]
 
 
 # --- the stored matrices
@@ -55,27 +55,24 @@ def assert_stored_form(matrix, label):
 
 
 def store_corpus():
-    """The LA-vector bundles of the 125 diagnostics doubles, of the
-    cotangent doubles of tt1..tt8 and of the vacant doubles of the matched
-    pairs of `gate_pairs()`, with their duals."""
-    doubles = list(DOUBLES.items()) + TT
-    doubles += [(f"vacant{k}", assemble_vacant_double(mp)) for k, mp in enumerate(gate_pairs())]
-    bundles = [
-        (f"{name}:{side}", getattr(dla, side)) for name, dla in doubles for side in ("vertical", "horizontal")
-    ]
+    """The LA-vector bundles of the 125 diagnostics doubles, of the vacant
+    doubles of the matched-pair gate and of the cotangent doubles of
+    tt1..tt8, with their duals."""
+    sides = ("vertical", "horizontal")
+    bundles = [(f"{name}:{side}", getattr(dla, side)) for name, dla in gate_doubles() for side in sides]
     return bundles + [(f"{name}:dual", dual_lavb(v)) for name, v in bundles]
 
 
 def test_every_stored_entry_is_nonzero_and_in_order():
     bundles = store_corpus()
-    assert len(bundles) == 4 * (125 + 8 + len(gate_pairs()))
+    assert len(bundles) == 4 * (125 + 8 + len(matched_gate_pairs()))
     entries = Counter()
     for name, v in bundles:
         for matrix in stored_matrices(v):
             assert_stored_form(matrix, name)
             entries["stored"] += len(matrix)
         entries["bundles with a derivation"] += any(v.anchor_derivations + v.core_derivations)
-    for k, mp in enumerate(gate_pairs()):
+    for k, mp in enumerate(matched_gate_pairs()):
         for matrix in mp.rho + mp.sigma:
             assert_stored_form(matrix, k)
     # the gate is not vacuous: most bundles store some derivation entry
@@ -225,11 +222,11 @@ def test_dual_poisson_equals_the_validating_constructor():
         assert_dual_poisson_is_validated(g)
         for L in ladder_pair(g):
             assert_dual_poisson_is_validated(L)
-    for name, dla in DOUBLES.items():
+    for name, dla in diagnostics_doubles():
         if dla.core_frames and check_double(dla).ok:
             assert_dual_poisson_is_validated(dla.core)
             cores += 1
-    for name, dla in TT:
+    for name, dla in tt_doubles():
         for L in (*tt_pair(int(name[2:])), dla.core):
             assert_dual_poisson_is_validated(L)
     assert cores >= 20

@@ -34,7 +34,7 @@ from doublealg.algebroid import (
     sparse_matrix,
     unique_names,
 )
-from doublealg.doublela import assemble_vacant_double, build_cotangent_double, check_double
+from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial
 from doublealg.liealg import BialgebraError, drinfeld_double
 from doublealg.matched import assemble_bowtie
@@ -49,14 +49,13 @@ from support import (
     dense_structure,
     entries,
     gate_corpus,
-    ladder_doubles,
+    gate_doubles,
+    matched_gate_pairs,
     random_bracket,
+    random_pairs,
+    semidirect_corpus,
     sweep_pairs,
-    tt_pair,
 )
-from test_matched import semidirect_corpus
-from test_matched_gate import gate_pairs, random_pairs
-from test_structural_diagnostics import DOUBLES
 
 # the explicit corpus: its size and how many of its algebroids fail
 # `check_algebroid` (the hooked corpus it replaced held 1007, 473 failing)
@@ -201,14 +200,11 @@ def double_algebroids(dla):
 
 
 def derived_algebroids():
-    """The derived algebroids of the diagnostics doubles, the vacant doubles
-    of the matched-pair gate, tt1..tt8 and the ladder doubles, and the
-    bowties of the matched-pair gate, each with its dense input."""
-    doubles = [*DOUBLES.values(), *(assemble_vacant_double(mp) for mp in gate_pairs())]
-    doubles += [build_cotangent_double(*tt_pair(n)) for n in range(1, 9)]
-    doubles += [dla for _, dla in ladder_doubles()]
-    out = [item for dla in doubles for item in double_algebroids(dla)]
-    for mp in gate_pairs():
+    """The derived algebroids of the diagnostics doubles (the ladder rungs
+    among them), the vacant doubles of the matched-pair gate and tt1..tt8,
+    and the bowties of the matched-pair gate, each with its dense input."""
+    out = [item for _, dla in gate_doubles() for item in double_algebroids(dla)]
+    for mp in matched_gate_pairs():
         a, b = mp.algebroid_a, mp.algebroid_b
         given = mp.chart, a.frames + b.frames, a.anchor + b.anchor, dense_bowtie_brackets(mp)
         out.append((assemble_bowtie(mp), given))
@@ -223,7 +219,7 @@ def explicit_corpus():
     `change_frames`; a derived one's from the dense writer, whose input the
     validating constructor must turn into the same algebroid."""
     outside, built = recorded(outside_algebroids)
-    outside += [L for mp in gate_pairs() for L in (mp.algebroid_a, mp.algebroid_b)]
+    outside += [L for mp in matched_gate_pairs() for L in (mp.algebroid_a, mp.algebroid_b)]
     inputs, corpus = {}, {}
     for L, brackets in built:
         inputs.setdefault(L, brackets)

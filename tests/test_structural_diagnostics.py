@@ -31,7 +31,6 @@ from diagnostics_oracle import oracle_diagnostics
 from doublealg.doublela import (
     DoubleLieAlgebroid,
     DoubleMismatch,
-    build_cotangent_double,
     check_double,
     core_algebroid,
     structural_diagnostics,
@@ -43,54 +42,19 @@ from support import (
     applied_core_poisson,
     dense,
     dense_core_algebroid,
+    diagnostics_doubles,
+    diagnostics_parts,
     double_corpus,
     entries,
-    gl,
-    ladder_doubles,
-    ladder_pair,
     perturbations,
-    rebuilt,
     parse_polynomial,
-    sweep_doubles,
-    tt_pair,
+    tt_doubles,
 )
 
-
-# --- the corpus: bundled and catalog doubles, their perturbations, the ladder
-
-
-def diagnostics_corpus():
-    """Every corpus double, the doubles in which one of its LA-vector
-    bundles is replaced by a seeded perturbation, and the ladder rungs."""
-    out = []
-    for seed, (name, dla) in enumerate(double_corpus()):
-        out.append((name, dla))
-        for label, v in perturbations(f"{name}:vertical", dla.vertical, seed):
-            out.append((label, DoubleLieAlgebroid(v, dla.horizontal)))
-        for label, h in perturbations(f"{name}:horizontal", dla.horizontal, seed):
-            out.append((label, DoubleLieAlgebroid(dla.vertical, h)))
-    return out + ladder_doubles()
-
-
-def scaled_core_anchors(dla, factor):
-    """`dla` with both core anchors multiplied by `factor`."""
-
-    def scaled(v):
-        entries = {k: entry.scale(factor) for k, entry in v.core_anchor}
-        return rebuilt(v, core_anchor=entries)
-
-    return DoubleLieAlgebroid(scaled(dla.vertical), scaled(dla.horizontal))
-
-
-CORPUS = diagnostics_corpus()
-SCALED = [
-    (f"{name}:core_anchors*{factor}", scaled_core_anchors(dla, factor))
-    for name, dla in double_corpus()
-    if dla.core_frames
-    for factor in (2, -1)
-]
-SWEEP = sweep_doubles(range(501, 509)) + [("gl3", build_cotangent_double(*ladder_pair(gl(3))))]
-DOUBLES = dict(CORPUS + SCALED + SWEEP)
+# the corpus: bundled and catalog doubles, their perturbations, the ladder,
+# scaled core anchors and the sweep (`support.diagnostics_parts`)
+CORPUS, SCALED, SWEEP = diagnostics_parts()
+DOUBLES = dict(diagnostics_doubles())
 
 
 @functools.cache
@@ -162,8 +126,7 @@ def test_induced_core_anchor_is_the_composite_by_construction():
 
 # --- the core algebroid read off the generator data and off the core dual
 
-TT = {f"tt{n}": build_cotangent_double(*tt_pair(n)) for n in range(1, 9)}
-CORE_GATE = {**DOUBLES, **TT}
+CORE_GATE = DOUBLES | dict(tt_doubles())
 
 
 @functools.cache

@@ -14,16 +14,21 @@ import pytest
 
 from doublealg.doublela import (
     DoubleLieAlgebroid,
-    assemble_vacant_double,
     build_cotangent_double,
     check_double,
     core_algebroid,
     matched_from_vacant,
 )
 from doublealg.matched import MatchedPair, MatchedPairError, check_matched
-from support import corpus_dual_pairs, sweep_pairs, tt_pair
-from test_matched_gate import gate_pairs
-from test_structural_diagnostics import DOUBLES, TT
+from support import (
+    corpus_dual_pairs,
+    diagnostics_doubles,
+    matched_gate_pairs,
+    sweep_pairs,
+    tt_doubles,
+    tt_pair,
+    vacant_gate_doubles,
+)
 
 
 def transposed(dla: DoubleLieAlgebroid) -> DoubleLieAlgebroid:
@@ -32,7 +37,7 @@ def transposed(dla: DoubleLieAlgebroid) -> DoubleLieAlgebroid:
 
 def test_transposing_a_double_keeps_its_verdict():
     verdicts = []
-    for name, dla in {**DOUBLES, **TT}.items():
+    for name, dla in diagnostics_doubles() + tt_doubles():
         ok = check_double(dla).ok
         assert check_double(transposed(dla)).ok == ok, name
         verdicts.append(ok)
@@ -44,7 +49,7 @@ def test_transposing_a_double_keeps_its_verdict():
 
 def test_transposing_a_passing_double_keeps_its_core():
     passing = 0
-    for name, dla in {**DOUBLES, **TT}.items():
+    for name, dla in diagnostics_doubles() + tt_doubles():
         if dla.core_frames and check_double(dla).ok:
             assert core_algebroid(dla) == core_algebroid(transposed(dla)), name
             passing += 1
@@ -54,8 +59,7 @@ def test_transposing_a_passing_double_keeps_its_core():
 
 def test_transposing_a_vacant_double_swaps_its_actions():
     passing = failing = 0
-    for k, mp in enumerate(gate_pairs()):
-        dla = assemble_vacant_double(mp)
+    for mp, (k, dla) in zip(matched_gate_pairs(), vacant_gate_doubles()):
         ok = check_double(dla).ok
         flipped = transposed(dla)
         assert check_double(flipped).ok == ok, k
@@ -74,7 +78,8 @@ def test_transposing_a_vacant_double_swaps_its_actions():
 
 
 def test_reversing_a_dual_pair_keeps_its_cotangent_verdict():
-    forward = [(name, pair) for name, pair in corpus_dual_pairs(DOUBLES.items()) if not name.endswith(":reversed")]
+    pairs = corpus_dual_pairs(diagnostics_doubles())
+    forward = [(name, pair) for name, pair in pairs if not name.endswith(":reversed")]
     tt = [(f"tt{n}", tt_pair(n)) for n in range(1, 9)]
     pairs = forward + sweep_pairs(range(1, 9)) + tt
     verdicts = []

@@ -21,6 +21,15 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .exact import _MASK, Chart, ChartMismatch, Coefficient, DegreeOverflow, Polynomial, rat
+from .sparsity import (
+    Sparsity,
+    anchor_pairs,
+    bits,
+    bracket_partners,
+    bracket_triples,
+    build_sparsity,
+    function_coordinates,
+)
 from .verdicts import CheckItem, CheckReport, failed, passed
 
 Index = Tuple[int, ...]
@@ -316,6 +325,13 @@ class LieAlgebroid:
         return tuple(tuple(row) for row in out)
 
     @functools.cached_property
+    def sparsity(self) -> Sparsity:
+        """The sparsity pattern of the anchor and the structure functions,
+        built once, on first read; like `anchor_fields` it stays out of
+        `==`, `hash` and `repr`, and dies with the algebroid."""
+        return build_sparsity(self)
+
+    @functools.cached_property
     def _axiom_report(self) -> CheckReport:
         """The report of `check_algebroid`, decided once per object."""
         return _decide_axioms(self)
@@ -500,7 +516,15 @@ def check_algebroid(L: LieAlgebroid) -> CheckReport:
 
     the cyclic sum running over (a, b, c), (b, c, a), (c, a, b).  Both
     defects are function-linear by the Leibniz rule, so frame-level
-    vanishing decides the axioms for all polynomial sections.  Only the
+    vanishing decides the axioms for all polynomial sections.  A tuple
+    whose defect these equations prove exactly zero from `L.sparsity` is
+    skipped: a pair (a, b) with c_ab = 0 where neither a_a nor a_b points
+    along a coordinate that the other's entries depend on, so that both
+    a_a(a_b^i) and a_b(a_a^i) vanish (`sparsity.anchor_pairs`), and a
+    triple none of whose pairs has a nonzero bracket, since every term
+    carries one (`first_jacobiator`).  The rest are visited in
+    `itertools.combinations` order, as the full loops (kept in the tests
+    as the oracle) visit them, so the first failure is the same.  Only the
     first failing pair or triple of each item builds its witness, the
     same vector field or multisection the frame loop through
     `bracket_sections` computes (kept in the tests as the oracle).  The
@@ -518,7 +542,7 @@ def _decide_axioms(L: LieAlgebroid) -> CheckReport:
     """The anchor-morphism and Jacobi items of `check_algebroid`."""
     items: List[CheckItem] = []
     witness = None
-    for a, b in itertools.combinations(range(L.rank), 2):
+    for a, b in anchor_pairs(L):
         defect = anchor_defect(L.nonzero_structure, L.anchor_fields, a, b)
         if any(defect):
             field = VectorField(L.chart, defect)
@@ -541,8 +565,10 @@ def _decide_axioms(L: LieAlgebroid) -> CheckReport:
 def first_jacobiator(L: LieAlgebroid) -> Tuple[Index, Multisection] | None:
     """The first frame triple a < b < c, in `itertools.combinations` order,
     whose Jacobiator is nonzero, with that Jacobiator; None when Jacobi
-    holds."""
-    for a, b, c in itertools.combinations(range(L.rank), 3):
+    holds.  Every term of Jac(e_a, e_b, e_c) carries c_ab, c_bc or c_ca,
+    so only the triples with a nonzero bracket on one of their pairs are
+    decided (`sparsity.bracket_triples`); the others are exactly zero."""
+    for a, b, c in bracket_triples(L):
         jac = jacobiator(L.nonzero_structure, L.anchor_fields, a, b, c)
         if any(jac.values()):
             return (a, b, c), Multisection(L.rank, 1, {(k,): poly for k, poly in jac.items()})
@@ -863,15 +889,26 @@ def frame_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, b: int) -> Dict[I
 
 def function_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, i: int) -> Dict[Index, Polynomial]:
     """D(e_a, x_i) by the second formula of `check_compatibility`, as the
-    components of a section on (k,); some may be zero."""
+    components of a section on (k,); some may be zero.
+
+    Only the nonzero terms are computed: sigma_m(rho^i_a) for the m whose
+    anchor points along a coordinate that rho^i_a depends on, and the
+    terms of sigma^{mi} for the m of column i of Lstar's anchor
+    (`Sparsity.columns`); the others are exactly zero."""
     acc: Dict[Index, Polynomial] = {}
-    field, entry = L.anchor_fields[a], L.anchor[a][i]
-    for m, (sigma, row) in enumerate(zip(Lstar.anchor_fields, Lstar.anchor)):
-        _accumulate(acc, (m,), sigma.apply(entry))
-        if row[i]:
-            _accumulate(acc, (m,), -field.apply(row[i]))
-            for k, c in L.nonzero_structure[a][m]:
-                _accumulate(acc, (k,), -(row[i] * c))
+    entry, star = L.anchor[a][i], Lstar.sparsity
+    if entry:
+        movers = 0  # the frames m whose anchor points along a coordinate of rho^i_a
+        for j in bits(entry.variables()):
+            movers |= star.along[j]
+        for m in bits(movers):
+            _accumulate(acc, (m,), Lstar.anchor_fields[m].apply(entry))
+    field, directions, row = L.anchor_fields[a], L.sparsity.directions[a], L.nonzero_structure[a]
+    for m, sigma, depends in star.columns[i]:
+        if depends & directions:
+            _accumulate(acc, (m,), -field.apply(sigma))
+        for k, c in row[m]:
+            _accumulate(acc, (k,), -(sigma * c))
     for p, q, g in Lstar.brackets_by_gamma[a]:
         _accumulate(acc, (p,), g * L.anchor[q][i])
         _accumulate(acc, (q,), -(g * L.anchor[p][i]))
@@ -880,16 +917,17 @@ def function_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, i: int) -> Dic
 
 def anchor_products(L: LieAlgebroid, Lstar: LieAlgebroid) -> List[List[Polynomial]]:
     """M[u][w] = sum_m rho^u_m sigma^{mw}, with rho^u_m = L.anchor[m][u]
-    and sigma^{mw} = Lstar.anchor[m][w], summed over nonzero entries: the
-    bracket {x_u, x_w} of the coordinates that a dual pair induces on its
-    base, whose symmetric part is S(x_u, x_w) = M[u][w] + M[w][u]."""
+    and sigma^{mw} = Lstar.anchor[m][w], summed over the nonzero entries of
+    each row (`Sparsity.rows`): the bracket {x_u, x_w} of the coordinates
+    that a dual pair induces on its base, whose symmetric part is
+    S(x_u, x_w) = M[u][w] + M[w][u]."""
     n = L.chart.dim
     matrix = [[Polynomial.zero(L.chart)] * n for _ in range(n)]
-    for left, right in zip(L.anchor, Lstar.anchor):
-        for u, a in enumerate(left):
-            for w, b in enumerate(right):
-                if a and b:
-                    matrix[u][w] = matrix[u][w] + a * b
+    for left, right in zip(L.sparsity.rows, Lstar.sparsity.rows):
+        for u, p, _ in left:
+            out = matrix[u]
+            for w, q, _ in right:
+                out[w] = out[w] + p * q
     return matrix
 
 
@@ -928,7 +966,17 @@ def check_compatibility(
     These are `frame_defect`, `function_defect` and the symmetric part of
     `anchor_products`; only a
     failing entry becomes a `Multisection`, the witness the section
-    calculus writes (kept in the tests as the oracle).  `scaled` is read
+    calculus writes (kept in the tests as the oracle).  Every term of
+    D(e_a, e_b) carries c_ab, Theta_a or Theta_b, so a frame pair with
+    c_ab = 0 whose frames are not brackets of Lstar (gamma_a = gamma_b = 0)
+    is skipped.  A (frame, coordinate) pair is skipped when each term of
+    D(e_a, x_i) vanishes by the patterns (`sparsity.function_coordinates`):
+    rho^i_a depends on no coordinate that an anchor of Lstar points along,
+    no sigma^{ki} depends on one that rho_a points along, no sigma^{mi} is
+    nonzero for an m with c_am != 0, and gamma_a has no pair (p, q) with
+    rho^i_p or rho^i_q nonzero.  The pairs decided keep the order of the
+    full loops (kept in the tests as the oracle), so each witness is the
+    same.  `scaled` is read
     off the first two by the Leibniz rule D(X, fY) = f D(X, Y) + D(X, f) ^ Y
     (Jacobi is not needed), so it passes unread when both pass.  These four
     are `compatibility_families`.  `random` draws seeded section pairs of
@@ -983,10 +1031,22 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
 
     They are yielded one at a time, so a caller that asks only whether all
     of them pass stops at the first failure.  Once all four pass, so does
-    `random`, and the pair is compatible.
+    `random`, and the pair is compatible.  Each family visits its cases in
+    the order of the full loops and skips only those whose defect the
+    sparsity patterns prove zero, so every item and witness is the one the
+    full loops give.
     """
     rank, frames, names = L.rank, L.frames, L.chart.names
     coords = [Polynomial.coordinate(L.chart, name) for name in names]
+    # the frames b with D(e_a, e_b) possibly nonzero: c_ab != 0, or
+    # Theta_a or Theta_b != 0, that is a bracket of Lstar with value e_a or
+    # e_b; every term carries one of them
+    every = (1 << rank) - 1
+    targets = sum(1 << g for g, pairs in enumerate(Lstar.brackets_by_gamma) if pairs)
+    partners = [
+        every if targets >> a & 1 else bracketed | targets
+        for a, bracketed in enumerate(bracket_partners(L.nonzero_structure))
+    ]
 
     # D(e_a, e_b) on pairs a < b, computed once; a cached closure calling
     # itself would be a reference cycle, kept until the collector runs
@@ -994,12 +1054,12 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
 
     def frames_at(a: int, b: int) -> Dict[Index, Polynomial]:
         if (a, b) not in upper:
-            upper[a, b] = frame_defect(L, Lstar, a, b)
+            upper[a, b] = frame_defect(L, Lstar, a, b) if partners[a] >> b & 1 else {}
         return upper[a, b]
 
     @functools.cache
     def functions_at(a: int, i: int) -> Dict[Index, Polynomial]:
-        return function_defect(L, Lstar, a, i)
+        return function_defect(L, Lstar, a, i) if reached[a] >> i & 1 else {}
 
     def scaled_at(a: int, b: int, i: int) -> Dict[Index, Polynomial]:
         # D is antisymmetric, so D(e_a, e_b) = -D(e_b, e_a) and D(e_a, e_a) = 0
@@ -1015,10 +1075,13 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
         frames,
         (
             (f"pair ({frames[a]}, {frames[b]}): ", frames_at(a, b))
-            for a, b in itertools.combinations(range(rank), 2)
+            for a in range(rank)
+            for b in bits(partners[a] & -2 << a)
         ),
     )
     yield frame_item
+    # the coordinates i with D(e_a, x_i) possibly nonzero, per frame a
+    reached = [function_coordinates(L, Lstar, a) for a in range(rank)] if names else [0] * rank
     function_item = _first_nonzero(
         "function_pairs",
         1,
@@ -1026,12 +1089,13 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
         (
             (f"pair ({frames[a]}, {names[i]}): ", functions_at(a, i))
             for a in range(rank)
-            for i in range(len(names))
+            for i in bits(reached[a])
         ),
     )
     if frame_item.ok and function_item.ok:
         yield passed("scaled")
     else:
+        # D(e_a, x_i * e_b) = x_i D(e_a, e_b) + D(e_a, x_i) ^ e_b
         yield _first_nonzero(
             "scaled",
             2,
@@ -1039,7 +1103,7 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
             (
                 (f"pair ({frames[a]}, {names[i]} * {frames[b]}): ", scaled_at(a, b, i))
                 for a, b in itertools.product(range(rank), repeat=2)
-                for i in range(len(names))
+                for i in (range(len(names)) if a != b and partners[a] >> b & 1 else bits(reached[a]))
             ),
         )
     yield function_item

@@ -331,6 +331,20 @@ class Polynomial:
 
     # --- calculus -----------------------------------------------------
 
+    def variables(self) -> int:
+        """The coordinates this polynomial depends on, bit i for x^i: field
+        i of the OR of its packed exponents is nonzero exactly when some
+        term holds x^i."""
+        packed = 0
+        for exp in self.coeffs:
+            packed |= exp
+        mask = 0
+        if packed:
+            for i, shift in enumerate(self.chart._shifts):
+                if packed >> shift & _MASK:
+                    mask |= 1 << i
+        return mask
+
     def partial(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to a chart coordinate."""
         chart = self.chart

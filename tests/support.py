@@ -38,6 +38,7 @@ from doublealg.algebroid import (
     Multisection,
     PoissonChart,
     VectorField,
+    anchor_defect,
     bracket_sections,
     change_frames,
     check_algebroid,
@@ -49,12 +50,16 @@ from doublealg.algebroid import (
     fibre_coordinate,
     first_jacobiator,
     frame_defect,
+    jacobiator,
     random_polynomial,
     random_section,
     schouten,
     sparse_matrix,
     tangent_algebroid,
     unique_names,
+    _accumulate,
+    _add_wedge,
+    _first_nonzero,
     _wedge_into,
 )
 from doublealg.doublela import (
@@ -2262,3 +2267,110 @@ def summed_compatibility_defect(
         - summed_schouten(L, d_star(x), y)
         - summed_schouten(L, x, d_star(y))
     )
+
+
+# --- the dense frame loops that the output-sensitive checkers replaced
+
+
+def full_decide_axioms(L: LieAlgebroid) -> CheckReport:
+    """The anchor-morphism and Jacobi items of `check_algebroid`, decided on
+    every frame pair and every frame triple: the oracle of
+    `algebroid._decide_axioms`, which skips the tuples that the sparsity
+    pattern proves zero."""
+    items: List[CheckItem] = []
+    witness = None
+    for a, b in itertools.combinations(range(L.rank), 2):
+        defect = anchor_defect(L.nonzero_structure, L.anchor_fields, a, b)
+        if any(defect):
+            field = VectorField(L.chart, defect)
+            witness = f"pair ({L.frames[a]}, {L.frames[b]}): a([.,.]) - [a(.), a(.)] = {field}"
+            break
+    items.append(failed("anchor_morphism", witness) if witness else passed("anchor_morphism"))
+    witness = None
+    for a, b, c in itertools.combinations(range(L.rank), 3):
+        jac = jacobiator(L.nonzero_structure, L.anchor_fields, a, b, c)
+        if any(jac.values()):
+            section = Multisection(L.rank, 1, {(k,): poly for k, poly in jac.items()})
+            witness = (
+                f"triple ({L.frames[a]}, {L.frames[b]}, {L.frames[c]}): "
+                f"jacobiator = {section.format(L.frames)}"
+            )
+            break
+    items.append(failed("jacobi", witness) if witness else passed("jacobi"))
+    return CheckReport(tuple(items))
+
+
+def full_function_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, i: int) -> Dict:
+    """`algebroid.function_defect` walking every row of Lstar's anchor."""
+    acc: Dict = {}
+    field, entry = L.anchor_fields[a], L.anchor[a][i]
+    for m, (sigma, row) in enumerate(zip(Lstar.anchor_fields, Lstar.anchor)):
+        _accumulate(acc, (m,), sigma.apply(entry))
+        if row[i]:
+            _accumulate(acc, (m,), -field.apply(row[i]))
+            for k, c in L.nonzero_structure[a][m]:
+                _accumulate(acc, (k,), -(row[i] * c))
+    for p, q, g in Lstar.brackets_by_gamma[a]:
+        _accumulate(acc, (p,), g * L.anchor[q][i])
+        _accumulate(acc, (q,), -(g * L.anchor[p][i]))
+    return acc
+
+
+def full_anchor_products(L: LieAlgebroid, Lstar: LieAlgebroid) -> List[List[Polynomial]]:
+    """`algebroid.anchor_products` on every entry of both anchors."""
+    n = L.chart.dim
+    matrix = [[Polynomial.zero(L.chart)] * n for _ in range(n)]
+    for left, right in zip(L.anchor, Lstar.anchor):
+        for u, a in enumerate(left):
+            for w, b in enumerate(right):
+                if a and b:
+                    matrix[u][w] = matrix[u][w] + a * b
+    return matrix
+
+
+def full_compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Tuple[CheckItem, ...]:
+    """The items of `algebroid.compatibility_families`, decided on every
+    frame pair, (frame, coordinate) pair and (frame, coordinate, frame)
+    case: its oracle, which skips the cases that the sparsity patterns
+    prove zero."""
+    rank, frames, names = L.rank, L.frames, L.chart.names
+    coords = [Polynomial.coordinate(L.chart, name) for name in names]
+    pairs = {(a, b): frame_defect(L, Lstar, a, b) for a, b in itertools.combinations(range(rank), 2)}
+    functions = {(a, i): full_function_defect(L, Lstar, a, i) for a in range(rank) for i in range(len(names))}
+
+    def scaled_at(a: int, b: int, i: int) -> Dict:
+        coord = coords[i] if a < b else -coords[i]
+        acc = {idx: coord * p for idx, p in pairs[min(a, b), max(a, b)].items()} if a != b else {}
+        for (k,), p in functions[a, i].items():
+            _add_wedge(acc, k, b, p)
+        return acc
+
+    frame_item = _first_nonzero(
+        "frames", 2, frames, ((f"pair ({frames[a]}, {frames[b]}): ", acc) for (a, b), acc in pairs.items())
+    )
+    function_item = _first_nonzero(
+        "function_pairs",
+        1,
+        frames,
+        ((f"pair ({frames[a]}, {names[i]}): ", acc) for (a, i), acc in functions.items()),
+    )
+    scaled_item = passed("scaled") if frame_item.ok and function_item.ok else _first_nonzero(
+        "scaled",
+        2,
+        frames,
+        (
+            (f"pair ({frames[a]}, {names[i]} * {frames[b]}): ", scaled_at(a, b, i))
+            for a, b in itertools.product(range(rank), repeat=2)
+            for i in range(len(names))
+        ),
+    )
+    products = full_anchor_products(L, Lstar)
+    symmetric_item = passed("symmetric_part")
+    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+        value = products[i][j] + products[j][i]
+        if value:
+            symmetric_item = failed(
+                "symmetric_part", f"functions ({names[i]}, {names[j]}): a(d_*f)(g) + a(d_*g)(f) = {value}"
+            )
+            break
+    return frame_item, scaled_item, function_item, symmetric_item

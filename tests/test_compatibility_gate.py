@@ -13,7 +13,12 @@ from collections import Counter
 
 import catalog
 from doublealg import algebroid
-from doublealg.algebroid import check_bialgebroid, check_compatibility, first_jacobiator
+from doublealg.algebroid import (
+    check_bialgebroid,
+    check_compatibility,
+    compatibility_families,
+    first_jacobiator,
+)
 from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Chart, Polynomial
 from doublealg.liealg import BialgebraError, drinfeld_double
@@ -24,6 +29,7 @@ from support import (
     corpus_dual_pairs,
     count_calls,
     double_corpus,
+    full_compatibility_families,
     gate_corpus,
     gl,
     ladder_pair,
@@ -97,6 +103,15 @@ def test_reports_equal_the_section_calculus_oracle():
     assert failures["frames"] >= 500
     assert failures["scaled"] >= 150 and failures["function_pairs"] >= 150
     assert failures["symmetric_part"] >= 100
+
+
+def test_families_equal_the_full_loops():
+    """`compatibility_families` decides only the frame pairs and (frame,
+    coordinate) pairs that the sparsity patterns do not prove zero; on
+    every pair its items, witnesses included, are those of the full
+    loops."""
+    for name, (L, Lstar) in dual_gate_pairs():
+        assert tuple(compatibility_families(L, Lstar)) == full_compatibility_families(L, Lstar), name
 
 
 def on_line(g):

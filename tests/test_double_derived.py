@@ -18,6 +18,7 @@ import contextlib
 import gc
 import io
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -61,6 +62,7 @@ from support import (
     random_bracket,
     rename,
     scale_section,
+    tt_pair,
 )
 
 
@@ -197,6 +199,25 @@ def test_passing_check_double_leaves_no_cycle(pair):
         if enabled:
             gc.enable()
     assert left["Chart"] and not {"function", "_lru_cache_wrapper", "LieAlgebroid"} & set(left), left
+
+
+def test_dual_pair_dies_with_its_double():
+    """Nothing keeps the algebroids of a decided double alive, the sparsity
+    patterns stored on them included: with the cyclic collector off,
+    dropping the double of `tt8` frees its dual pair over the core dual."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        dla = build_cotangent_double(*tt_pair(8))
+        assert check_double(dla).ok
+        refs = [weakref.ref(side) for side in dla.dual_pair]
+        assert all(ref() is not None for ref in refs)
+        del dla
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_structural_diagnostics_computes_nothing(monkeypatch):

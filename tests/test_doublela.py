@@ -8,11 +8,17 @@ from fractions import Fraction
 import pytest
 
 import catalog
+from doublealg import doublela
 from doublealg.algebroid import (
+    InvalidAlgebroid,
     LieAlgebroid,
+    NotPoisson,
+    PoissonChart,
     change_frames,
     check_algebroid,
     check_bialgebroid,
+    cotangent_algebroid,
+    dual_poisson,
     tangent_algebroid,
 )
 from doublealg.doublela import (
@@ -481,17 +487,46 @@ def large_dual_pair(name):
         ("tt16:heisenberg", False),
         ("tt32", True),
         ("tt32:heisenberg", False),
+        ("tt64", True),
+        ("tt64:heisenberg", False),
     ],
 )
 def test_cotangent_double_criterion_past_tt8_and_gl3(name, expected):
     """The duality theorem where the dual pair over the core dual has rank
-    32 (gl(4)*, tt16) and 64 (tt32), and `permute_frames` meets the dense
-    matrix it replaced."""
+    32 (gl(4)*, tt16), 64 (tt32) and 128 (tt64), and `permute_frames` meets
+    the dense matrix it replaced."""
     L, Lstar = large_dual_pair(name)
     dla = build_cotangent_double(L, Lstar)
     assert check_bialgebroid(L, Lstar).ok is expected
     assert check_double(dla).ok is expected
     assert dual_pair_over_core_dual(dla) == matrix_dual_pair_over_core_dual(dla)
+
+
+def test_cotangent_double_criterion_on_a_perturbed_poisson_coefficient(monkeypatch):
+    """Doubling the Lie-Poisson entry pi^{E11 E12} = xi_E12 on gl(4)* breaks
+    [pi, pi] = 0.  `cotangent_algebroid` refuses pi', and T*M_pi', written
+    through the validating `LieAlgebroid(...)`, is no Lie algebroid, so
+    both verdicts of the duality theorem fail: `check_bialgebroid` of
+    (TM, T*M_pi') and `check_double` of its cotangent double, built past
+    the validity check of `build_cotangent_double`."""
+    pi = dual_poisson(gl(4))
+    matrix = [list(row) for row in pi.matrix]
+    matrix[0][1], matrix[1][0] = matrix[0][1].scale(2), matrix[1][0].scale(2)
+    perturbed = PoissonChart(pi.chart, matrix)
+    with pytest.raises(NotPoisson):
+        cotangent_algebroid(perturbed)
+    names = pi.chart.names
+    brackets = {
+        (i, j): [matrix[i][j].partial(name) for name in names]
+        for i, j in itertools.combinations(range(len(names)), 2)
+    }
+    L = tangent_algebroid(pi.chart)
+    Lstar = LieAlgebroid(pi.chart, tuple(f"d{name}" for name in names), matrix, brackets)
+    assert check_bialgebroid(L, Lstar).ok is False
+    with pytest.raises(InvalidAlgebroid):
+        build_cotangent_double(L, Lstar)
+    monkeypatch.setattr(doublela, "require_valid", lambda L, label: None)
+    assert check_double(build_cotangent_double(L, Lstar)).ok is False
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["gl3", "gl3:cocycle"])

@@ -635,6 +635,34 @@ def test_the_cycle_guard_sees_a_self_calling_cached_closure():
     assert self_calling_cached_closures(tree) == {"loop", "spin"}
 
 
+def id_calls(tree):
+    """The lines of `tree` that call the builtin `id`.  A cache keyed by
+    `id` outlives the objects it keys, and keeps them alive when it holds
+    them; derived data is stored on its object instead (`LieAlgebroid.sparsity`)."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    }
+
+
+def test_no_module_calls_id():
+    found = {module: lines for module, tree in package_trees() if (lines := id_calls(tree))}
+    assert found == {}
+
+
+def test_the_id_guard_sees_a_call():
+    """A call of `id` is reported; a method or attribute named `id` and a
+    name `id` that is read without a call are not."""
+    tree = ast.parse(
+        "_CACHE = {}\n"
+        "def pattern(L):\n"
+        "    key = id(L)\n"
+        "    return _CACHE.setdefault(key, L.id()) or L.id or id\n"
+    )
+    assert id_calls(tree) == {3}
+
+
 def test_readme_library_snippet_runs():
     """The documented API still imports and its assertions hold."""
     exec(compile(library_snippet(), "README.md:Library", "exec"), {})

@@ -48,6 +48,7 @@ from support import (
     dense_generator_input,
     dense_structure,
     entries,
+    full_decide_axioms,
     gate_corpus,
     gate_doubles,
     matched_gate_pairs,
@@ -251,6 +252,14 @@ def test_sparse_store_equals_the_dense_table():
         assert [list(row) for row in L.brackets_by_gamma] == by_gamma
         verdicts[check_algebroid(L).ok] += 1
     assert (sum(verdicts.values()), verdicts[False]) == (CORPUS_SIZE, CORPUS_FAILING)
+
+
+def test_axioms_equal_the_full_frame_loops():
+    """`check_algebroid` decides only the frame pairs and triples that the
+    sparsity pattern does not prove zero; on every algebroid of the corpus
+    its report, witnesses included, is the one of the full loops."""
+    for L, _ in explicit_corpus():
+        assert check_algebroid(L) == full_decide_axioms(L), L.frames
 
 
 def test_coadjoint_is_the_contragredient_of_the_adjoint():

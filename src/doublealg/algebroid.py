@@ -25,9 +25,9 @@ from .sparsity import (
     Sparsity,
     anchor_pairs,
     bits,
-    bracket_partners,
     bracket_triples,
     build_sparsity,
+    frame_partners,
     function_coordinates,
 )
 from .verdicts import CheckItem, CheckReport, failed, passed
@@ -232,11 +232,15 @@ MatrixInput = Dict[Tuple[int, int], Polynomial] | Matrix  # what the constructor
 def sparse_matrix(matrix: MatrixInput, rows: int, cols: int, message: str) -> Matrix:
     """The stored form of a rows x cols matrix given as (row, col) -> entry
     items or dict, zeros allowed; `ValueError(message)` for an index
-    outside it."""
+    outside it, and a `ValueError` naming an entry given twice."""
     items = tuple(matrix.items() if isinstance(matrix, dict) else matrix)
     if any(not (0 <= i < rows and 0 <= j < cols) for (i, j), _ in items):
         raise ValueError(message)
-    return tuple(sorted([item for item in items if item[1]]))
+    items = sorted(items, key=lambda item: item[0])
+    for (key, _), (following, _) in zip(items, items[1:]):
+        if key == following:
+            raise ValueError(f"matrix entry {key} is given twice")
+    return tuple([item for item in items if item[1]])
 
 
 def contragredient(matrix: Matrix) -> Matrix:
@@ -288,6 +292,8 @@ class LieAlgebroid:
                 raise ValueError("bracket(e_a, e_a) must be omitted (it is 0)")
             if a > b:
                 raise ValueError("provide brackets with a < b only")
+            if a < 0 or b >= r:
+                raise ValueError(f"bracket pair {(a, b)} is not a < b among {r} frames")
             if len(comps) != r:
                 raise ValueError("bracket value has wrong rank")
         if _off_chart(chart, anchor):
@@ -312,17 +318,6 @@ class LieAlgebroid:
         """The anchors a(e_alpha) as vector fields, built once, on first
         read: the constructor checked the chart of every entry."""
         return tuple(VectorField(self.chart, row) for row in self.anchor)
-
-    @functools.cached_property
-    def brackets_by_gamma(self) -> Tuple[Tuple[Tuple[int, int, Polynomial], ...], ...]:
-        """For each frame gamma, the nonzero c^gamma_{ab} with a < b as
-        (a, b, c^gamma_{ab}), built once."""
-        out: List[List[Tuple[int, int, Polynomial]]] = [[] for _ in range(self.rank)]
-        for a, row in enumerate(self.nonzero_structure):
-            for b in range(a + 1, self.rank):
-                for gamma, coeff in row[b]:
-                    out[gamma].append((a, b, coeff))
-        return tuple(tuple(row) for row in out)
 
     @functools.cached_property
     def sparsity(self) -> Sparsity:
@@ -594,6 +589,7 @@ def differential(L: LieAlgebroid, omega: Multisection) -> Multisection:
     if omega.rank != L.rank:
         raise ValueError("form rank does not match algebroid")
     acc: Dict[Index, Polynomial] = {}
+    by_gamma = L.sparsity.brackets_by_gamma
     for idx, poly in omega.components:
         for f, field in enumerate(L.anchor_fields):
             pos = bisect.bisect_left(idx, f)
@@ -607,7 +603,7 @@ def differential(L: LieAlgebroid, omega: Multisection) -> Multisection:
         coeffs: Dict[Index, Polynomial] = {}
         for p, gamma in enumerate(idx):
             rest = idx[:p] + idx[p + 1 :]
-            for a, b, c in L.brackets_by_gamma[gamma]:
+            for a, b, c in by_gamma[gamma]:
                 if a in rest or b in rest:
                     continue
                 i = bisect.bisect_left(rest, a)
@@ -756,9 +752,9 @@ def dual_poisson(L: LieAlgebroid) -> PoissonChart:
 
 
 def gradient(p: Polynomial) -> List[Tuple[int, Polynomial]]:
-    """The nonzero (i, dp/dx^i); a constant, whose one packed exponent is 0, has none."""
-    partials = map(p.partial, p.chart.names) if any(p.coeffs) else ()
-    return [(i, d) for i, d in enumerate(partials) if d]
+    """The nonzero (i, dp/dx^i): those along the coordinates p depends on."""
+    names = p.chart.names
+    return [(i, p.partial(names[i])) for i in bits(p.variables())]
 
 
 def cotangent_algebroid(P: PoissonChart) -> LieAlgebroid:
@@ -863,7 +859,7 @@ def _add_theta_bracket(
     Theta_y = d_* e_y = -sum_{p<q} gamma^{pq}_y e_p ^ e_q, by the Leibniz
     rule [e_x, g e_p ^ e_q] = a_x(g) e_p ^ e_q + g c_xp ^ e_q + g e_p ^ c_xq."""
     field, row = L.anchor_fields[x], L.nonzero_structure[x]
-    for p, q, g in Lstar.brackets_by_gamma[y]:
+    for p, q, g in Lstar.sparsity.brackets_by_gamma[y]:
         terms = [(p, q, field.apply(g))]
         terms += [(k, q, g * c) for k, c in row[p]]
         terms += [(p, k, g * c) for k, c in row[q]]
@@ -880,7 +876,7 @@ def frame_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, b: int) -> Dict[I
         for m, field in enumerate(Lstar.anchor_fields):
             if m != k:
                 _add_wedge(acc, m, k, field.apply(c))
-        for p, q, g in Lstar.brackets_by_gamma[k]:
+        for p, q, g in Lstar.sparsity.brackets_by_gamma[k]:
             _add_wedge(acc, q, p, c * g)
     _add_theta_bracket(acc, L, Lstar, b, a, False)
     _add_theta_bracket(acc, L, Lstar, a, b, True)
@@ -909,7 +905,7 @@ def function_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, i: int) -> Dic
             _accumulate(acc, (m,), -field.apply(sigma))
         for k, c in row[m]:
             _accumulate(acc, (k,), -(sigma * c))
-    for p, q, g in Lstar.brackets_by_gamma[a]:
+    for p, q, g in star.brackets_by_gamma[a]:
         _accumulate(acc, (p,), g * L.anchor[q][i])
         _accumulate(acc, (q,), -(g * L.anchor[p][i]))
     return acc
@@ -964,19 +960,18 @@ def check_compatibility(
         S(x_i, x_j) = sum_m (sigma^{mi} rho^j_m + sigma^{mj} rho^i_m).
 
     These are `frame_defect`, `function_defect` and the symmetric part of
-    `anchor_products`; only a
-    failing entry becomes a `Multisection`, the witness the section
-    calculus writes (kept in the tests as the oracle).  Every term of
-    D(e_a, e_b) carries c_ab, Theta_a or Theta_b, so a frame pair with
-    c_ab = 0 whose frames are not brackets of Lstar (gamma_a = gamma_b = 0)
-    is skipped.  A (frame, coordinate) pair is skipped when each term of
-    D(e_a, x_i) vanishes by the patterns (`sparsity.function_coordinates`):
-    rho^i_a depends on no coordinate that an anchor of Lstar points along,
-    no sigma^{ki} depends on one that rho_a points along, no sigma^{mi} is
-    nonzero for an m with c_am != 0, and gamma_a has no pair (p, q) with
-    rho^i_p or rho^i_q nonzero.  The pairs decided keep the order of the
-    full loops (kept in the tests as the oracle), so each witness is the
-    same.  `scaled` is read
+    `anchor_products`; only a failing entry becomes a `Multisection`, the
+    witness the section calculus writes (kept in the tests as the oracle).
+    Every term of D(e_a, e_b) carries c_ab, Theta_a or Theta_b, so a frame
+    pair with c_ab = 0 whose frames are not brackets of Lstar (gamma_a =
+    gamma_b = 0) is skipped (`sparsity.frame_partners`).  A (frame,
+    coordinate) pair is skipped when each term of D(e_a, x_i) vanishes by
+    the patterns (`sparsity.function_coordinates`): rho^i_a depends on no
+    coordinate that an anchor of Lstar points along, no sigma^{ki} depends
+    on one that rho_a points along, no sigma^{mi} is nonzero for an m with
+    c_am != 0, and gamma_a has no pair (p, q) with rho^i_p or rho^i_q
+    nonzero.  The pairs decided keep the order of the full loops (kept in
+    the tests as the oracle), so each witness is the same.  `scaled` is read
     off the first two by the Leibniz rule D(X, fY) = f D(X, Y) + D(X, f) ^ Y
     (Jacobi is not needed), so it passes unread when both pass.  These four
     are `compatibility_families`.  `random` draws seeded section pairs of
@@ -1033,29 +1028,17 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
     of them pass stops at the first failure.  Once all four pass, so does
     `random`, and the pair is compatible.  Each family visits its cases in
     the order of the full loops and skips only those whose defect the
-    sparsity patterns prove zero, so every item and witness is the one the
+    sparsity patterns prove zero (`sparsity.frame_partners` and
+    `function_coordinates`), so every item and witness is the one the
     full loops give.
     """
     rank, frames, names = L.rank, L.frames, L.chart.names
     coords = [Polynomial.coordinate(L.chart, name) for name in names]
-    # the frames b with D(e_a, e_b) possibly nonzero: c_ab != 0, or
-    # Theta_a or Theta_b != 0, that is a bracket of Lstar with value e_a or
-    # e_b; every term carries one of them
-    every = (1 << rank) - 1
-    targets = sum(1 << g for g, pairs in enumerate(Lstar.brackets_by_gamma) if pairs)
-    partners = [
-        every if targets >> a & 1 else bracketed | targets
-        for a, bracketed in enumerate(bracket_partners(L.nonzero_structure))
-    ]
+    partners = frame_partners(L, Lstar)
 
-    # D(e_a, e_b) on pairs a < b, computed once; a cached closure calling
-    # itself would be a reference cycle, kept until the collector runs
-    upper: Dict[Tuple[int, int], Dict[Index, Polynomial]] = {}
-
+    @functools.cache
     def frames_at(a: int, b: int) -> Dict[Index, Polynomial]:
-        if (a, b) not in upper:
-            upper[a, b] = frame_defect(L, Lstar, a, b) if partners[a] >> b & 1 else {}
-        return upper[a, b]
+        return frame_defect(L, Lstar, a, b) if partners[a] >> b & 1 else {}
 
     @functools.cache
     def functions_at(a: int, i: int) -> Dict[Index, Polynomial]:
@@ -1081,7 +1064,7 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
     )
     yield frame_item
     # the coordinates i with D(e_a, x_i) possibly nonzero, per frame a
-    reached = [function_coordinates(L, Lstar, a) for a in range(rank)] if names else [0] * rank
+    reached = [function_coordinates(L, Lstar, a) for a in range(rank)]
     function_item = _first_nonzero(
         "function_pairs",
         1,
@@ -1154,6 +1137,8 @@ def change_frames(L: LieAlgebroid, matrix: Sequence[Sequence[Coefficient]], new_
     distinct name per frame, off the chart.
     """
     r = L.rank
+    if len(matrix) != r or any(len(row) != r for row in matrix):
+        raise ValueError("frame change must be a signed permutation matrix")
     columns: List[Tuple[int, int]] = []
     for j in range(r):
         column = [(i, rat(matrix[i][j])) for i in range(r) if matrix[i][j] != 0]

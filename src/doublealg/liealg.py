@@ -91,10 +91,14 @@ def cobracket_dual(g: LieAlgebroid, images: Mapping[int, Wedge]) -> LieAlgebroid
     transpose of delta under the determinant pairing,
     [eps^i, eps^j]_* = sum_k delta^{ij}_k eps^k.  Its basis is <name>_d;
     the checks it goes to report a co-Jacobi failure.  A key (j, i) with
-    j > i is the wedge eps^j ^ eps^i = -eps^i ^ eps^j."""
+    j > i is the wedge eps^j ^ eps^i = -eps^i ^ eps^j; an index outside
+    the basis raises `ValueError`."""
     n = g.rank
     brackets: Dict[Tuple[int, int], List[Coefficient]] = {}
     for k, image in images.items():
+        outside = [x for x in (k, *itertools.chain(*image)) if not 0 <= x < n]
+        if outside:
+            raise ValueError(f"cobracket index {outside[0]} is outside the basis of {n}")
         for (i, j), c in image.items():
             pair, sign = ((j, i), -1) if i > j else ((i, j), 1)
             brackets.setdefault(pair, [0] * n)[k] += sign * rat(c)

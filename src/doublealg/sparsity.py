@@ -4,10 +4,14 @@ The checkers of `algebroid` decide the structure equations frame tuple by
 frame tuple.  Most tuples of the sparse algebroids that cotangent doubles
 induce are proved zero by which anchor entries and structure functions
 are nonzero and which coordinates each anchor entry depends on: a
-`Sparsity`, built once per algebroid as `LieAlgebroid.sparsity`.  The
-walks here yield only the tuples it leaves, in the order of the full
-loops, so the first nonzero tuple, and with it every witness, is the one
-the full loops find.
+`Sparsity`, built once per algebroid as `LieAlgebroid.sparsity` in the
+one walk of its anchor rows and its store of structure functions.  Every
+rule that skips a frame tuple is here: `anchor_pairs` and
+`bracket_triples` for the axioms, `frame_partners` and
+`function_coordinates` for the compatibility families.  Each yields only
+the tuples the patterns leave, in the order of the full loops, so the
+first nonzero tuple, and with it every witness, is the one the full loops
+find.
 
 Masks are ints: bit i of a coordinate mask stands for x^i, bit alpha of a
 frame mask for e_alpha.
@@ -21,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, List, NamedTuple, Tuple
 from .exact import Polynomial
 
 if TYPE_CHECKING:
-    from .algebroid import LieAlgebroid, Structure
+    from .algebroid import LieAlgebroid
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -46,17 +50,19 @@ class Sparsity(NamedTuple):
     feeds: Tuple[int, ...]  # per coordinate j: the coordinates i with some a^i_alpha depending on x^j
     spread: int  # the coordinates along which some anchor points
     bracketed: Tuple[int, ...]  # per frame a: the frames b with c_ab != 0
+    # per frame gamma: the nonzero c^gamma_ab with a < b as (a, b, c^gamma_ab)
+    brackets_by_gamma: Tuple[Tuple[Tuple[int, int, Polynomial], ...], ...]
 
 
 def build_sparsity(L: LieAlgebroid) -> Sparsity:
     """The pattern of `L`, in one walk over its anchor rows and store."""
     n = L.chart.dim
     rows, columns = [], [[] for _ in range(n)]
-    directions, depends = [], []
-    along, feeds = [0] * n, [0] * n
+    directions, depends, bracketed = [], [], []
+    along, feeds, by_gamma = [0] * n, [0] * n, [[] for _ in L.frames]
     spread = 0
-    for alpha, anchor_row in enumerate(L.anchor):
-        row, direction, depend = [], 0, 0
+    for alpha, (anchor_row, store_row) in enumerate(zip(L.anchor, L.nonzero_structure)):
+        row, direction, depend, partners = [], 0, 0, 0
         for i, p in enumerate(anchor_row):
             if p.coeffs:
                 on = p.variables()
@@ -65,12 +71,18 @@ def build_sparsity(L: LieAlgebroid) -> Sparsity:
                 direction |= 1 << i
                 depend |= on
                 along[i] |= 1 << alpha
-                if on:
-                    for j in bits(on):
-                        feeds[j] |= 1 << i
+                for j in bits(on):
+                    feeds[j] |= 1 << i
+        for b, entry in enumerate(store_row):
+            if entry:
+                partners |= 1 << b
+                if b > alpha:
+                    for gamma, coeff in entry:
+                        by_gamma[gamma].append((alpha, b, coeff))
         rows.append(tuple(row))
         directions.append(direction)
         depends.append(depend)
+        bracketed.append(partners)
         spread |= direction
     return Sparsity(
         tuple(rows),
@@ -80,20 +92,9 @@ def build_sparsity(L: LieAlgebroid) -> Sparsity:
         tuple(along),
         tuple(feeds),
         spread,
-        tuple(bracket_partners(L.nonzero_structure)),
+        tuple(bracketed),
+        tuple(map(tuple, by_gamma)),
     )
-
-
-def bracket_partners(nonzero: Structure) -> List[int]:
-    """Per frame a of the store `nonzero`, the frames b with c_ab != 0."""
-    out = []
-    for row in nonzero:
-        partners = 0
-        for b, entry in enumerate(row):
-            if entry:
-                partners |= 1 << b
-        out.append(partners)
-    return out
 
 
 def anchor_pairs(L: LieAlgebroid) -> Iterable[Tuple[int, int]]:
@@ -118,13 +119,13 @@ def anchor_pairs(L: LieAlgebroid) -> Iterable[Tuple[int, int]]:
 def bracket_triples(L: LieAlgebroid) -> Iterator[Tuple[int, int, int]]:
     """The frame triples a < b < c, in `itertools.combinations` order, with
     a nonzero bracket on one of their pairs: the triples whose Jacobiator
-    may be nonzero.  After one walk over the store, each b walked yields a
+    may be nonzero.  Read off `Sparsity.bracketed`, each b walked yields a
     triple unless it is the last frame, so the walk costs about one step
     per triple, at most P * rank for P nonzero pairs."""
     rank = L.rank
     if rank < 3:
         return
-    bracketed = bracket_partners(L.nonzero_structure)
+    bracketed = L.sparsity.bracketed
     every = (1 << rank) - 1
     # the frames bracketed with a frame above them: none exactly when no
     # bracket is nonzero
@@ -138,6 +139,16 @@ def bracket_triples(L: LieAlgebroid) -> Iterator[Tuple[int, int, int]]:
             third = every if above >> b & 1 else partners | bracketed[b]
             for c in bits(third & -2 << b):
                 yield a, b, c
+
+
+def frame_partners(L: LieAlgebroid, Lstar: LieAlgebroid) -> List[int]:
+    """Per frame a, the frames b with D(e_a, e_b) possibly nonzero: every
+    term of the first formula of `algebroid.check_compatibility` carries
+    c_ab, Theta_a or Theta_b, so b is left when c_ab != 0 or e_a or e_b is
+    a value of a bracket of Lstar."""
+    every = (1 << L.rank) - 1
+    targets = sum(1 << g for g, pairs in enumerate(Lstar.sparsity.brackets_by_gamma) if pairs)
+    return [every if targets >> a & 1 else partners | targets for a, partners in enumerate(L.sparsity.bracketed)]
 
 
 def function_coordinates(L: LieAlgebroid, Lstar: LieAlgebroid, a: int) -> int:
@@ -157,6 +168,6 @@ def function_coordinates(L: LieAlgebroid, Lstar: LieAlgebroid, a: int) -> int:
         coordinates |= star.feeds[j]
     for m in bits(mine.bracketed[a]):
         coordinates |= star.directions[m]
-    for p, q, _ in Lstar.brackets_by_gamma[a]:
+    for p, q, _ in star.brackets_by_gamma[a]:
         coordinates |= mine.directions[p] | mine.directions[q]
     return coordinates

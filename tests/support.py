@@ -2301,7 +2301,8 @@ def full_decide_axioms(L: LieAlgebroid) -> CheckReport:
 
 
 def full_function_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, i: int) -> Dict:
-    """`algebroid.function_defect` walking every row of Lstar's anchor."""
+    """`algebroid.function_defect` walking every row of Lstar's anchor and
+    every bracket of Lstar, without its sparsity pattern."""
     acc: Dict = {}
     field, entry = L.anchor_fields[a], L.anchor[a][i]
     for m, (sigma, row) in enumerate(zip(Lstar.anchor_fields, Lstar.anchor)):
@@ -2310,9 +2311,11 @@ def full_function_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, i: int) -
             _accumulate(acc, (m,), -field.apply(row[i]))
             for k, c in L.nonzero_structure[a][m]:
                 _accumulate(acc, (k,), -(row[i] * c))
-    for p, q, g in Lstar.brackets_by_gamma[a]:
-        _accumulate(acc, (p,), g * L.anchor[q][i])
-        _accumulate(acc, (q,), -(g * L.anchor[p][i]))
+    for p, q in itertools.combinations(range(Lstar.rank), 2):
+        for gamma, g in Lstar.nonzero_structure[p][q]:
+            if gamma == a:
+                _accumulate(acc, (p,), g * L.anchor[q][i])
+                _accumulate(acc, (q,), -(g * L.anchor[p][i]))
     return acc
 
 

@@ -114,6 +114,29 @@ class TestValidatingBoundary:
         with pytest.raises(ChartMismatch, match="structure function on another chart"):
             LieAlgebroid(x, ("e", "f"), [[zero], [zero]], {(0, 1): [Polynomial.coordinate(y, "y"), zero]})
 
+    @pytest.mark.parametrize(
+        "pair, entry, message",
+        [
+            ((-1, 1), "1", "bracket pair (-1, 1) is not a < b among 2 frames"),
+            ((0, 5), "x", "bracket pair (0, 5) is not a < b among 2 frames"),
+            ((0, 5), "0", "bracket pair (0, 5) is not a < b among 2 frames"),
+            ((1, 1), "1", "bracket(e_a, e_a) must be omitted (it is 0)"),
+            ((1, 0), "1", "provide brackets with a < b only"),
+        ],
+    )
+    def test_algebroid_rejects_a_bracket_pair_out_of_range(self, pair, entry, message):
+        """Like the twist pairs of `LAVBundle`, a pair outside 0 <= a < b <
+        rank is refused by name, with a zero entry too."""
+        zero = Polynomial.zero(XY)
+        with pytest.raises(ValueError) as err:
+            LieAlgebroid(XY, ("e", "f"), [[zero, zero]] * 2, {pair: [P(entry), zero]})
+        assert str(err.value) == message
+
+    def test_lie_algebra_rejects_a_bracket_pair_out_of_range(self):
+        with pytest.raises(ValueError) as err:
+            LieAlgebra(2, {(-2, 1): (1, 0)})
+        assert str(err.value) == "bracket pair (-2, 1) is not a < b among 2 frames"
+
     def test_algebroid_rejects_an_anchor_entry_on_another_chart(self):
         x, y = Chart(["x"]), Chart(["y"])
         with pytest.raises(ChartMismatch, match="anchor entry on another chart"):

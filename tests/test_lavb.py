@@ -174,9 +174,10 @@ class TestShapeErrors:
     """The constructor's shape errors, pinned by text.  Each bad input
     gives zero matrices of rank 2, where TA has rank 1, with every entry
     written out: a stored zero matrix has no entry, so only given entries
-    have a shape to get wrong."""
+    have a shape to get wrong.  `TWICE` gives the entry (0, 0) twice."""
 
     WIDE = [zero_derivation(LINE, 2)] * TA.side.rank
+    TWICE = [(((0, 0), Polynomial.constant(LINE, 1)), ((0, 0), Polynomial.constant(LINE, 2)))] * TA.side.rank
     COUNT = "need one anchor and one core derivation per side frame"
 
     @pytest.mark.parametrize(
@@ -186,6 +187,7 @@ class TestShapeErrors:
             (TA.anchor_derivations, TA.core_derivations * 2, COUNT),
             (WIDE, TA.core_derivations, "anchor derivation rank mismatch"),
             (TA.anchor_derivations, WIDE, "core derivation rank mismatch"),
+            (TWICE, TA.core_derivations, "matrix entry (0, 0) is given twice"),
         ],
     )
     def test_derivation_shape_errors_are_pinned(self, anchor_ders, core_ders, text):

@@ -672,6 +672,24 @@ class TestPointPairStore:
         with pytest.raises(ValueError, match=r"bracket\(e_a, e_a\) must be omitted"):
             cobracket_dual(g, {1: {(1, 1): 1}})
 
+    @pytest.mark.parametrize(
+        "images, index",
+        [
+            ({-1: {(0, 1): 1}}, -1),
+            ({2: {(0, 1): 1}}, 2),
+            ({1: {(0, 2): 1}}, 2),
+            ({0: {(-1, 1): 1}}, -1),
+        ],
+    )
+    def test_cobracket_dual_rejects_an_index_outside_the_basis(self, images, index):
+        """An image index or a wedge index outside e_0..e_{n-1} is refused
+        in cobracket terms, not read from the end of the basis or passed on
+        to the bracket check."""
+        g = LieAlgebra(2, {(0, 1): (0, 1)})
+        with pytest.raises(ValueError) as err:
+            cobracket_dual(g, images)
+        assert str(err.value) == f"cobracket index {index} is outside the basis of 2"
+
 
 class TestCoadjointCorrespondence:
     """The Drinfel'd double g + g* is the bowtie of the coadjoint matched

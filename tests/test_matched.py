@@ -79,10 +79,11 @@ class TestShapeErrors:
     """The constructor's shape errors, pinned by text, on a pair with ranks
     2 and 1.  Each bad input gives zero matrices of rank 3 with every entry
     written out: a stored zero matrix has no entry, so only given entries
-    have a shape to get wrong."""
+    have a shape to get wrong.  `TWICE` gives the entry (0, 0) twice."""
 
     PAIR = catalog.abelian_matched_pair(2, 1)
     WIDE = zero_derivation(PAIR.chart, 3)
+    TWICE = (((0, 0), Polynomial.constant(PAIR.chart, 1)), ((0, 0), Polynomial.constant(PAIR.chart, 2)))
 
     @pytest.mark.parametrize(
         "rho, sigma, text",
@@ -91,6 +92,7 @@ class TestShapeErrors:
             (PAIR.rho, PAIR.sigma * 2, "sigma needs one derivation per B-frame"),
             ([WIDE] * 2, PAIR.sigma, "rho derivations must act on B"),
             (PAIR.rho, [WIDE], "sigma derivations must act on A"),
+            ([TWICE] * 2, PAIR.sigma, "matrix entry (0, 0) is given twice"),
         ],
     )
     def test_derivation_shape_errors_are_pinned(self, rho, sigma, text):

@@ -179,6 +179,23 @@ def test_change_frames_rejects_an_invertible_matrix_that_is_no_signed_permutatio
         change_frames(L, matrix, L.frames)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1]],
+        [[1, 0], [0]],
+        [[1, 0, 0], [0, 1, 0]],
+        [[1, 0], [0, 1], [0, 0]],
+    ],
+)
+def test_change_frames_rejects_a_matrix_that_is_not_rank_by_rank(matrix):
+    """On rank 2 a matrix of another shape, ragged rows among them, is no
+    signed permutation of the frames, even where its first 2 x 2 block is."""
+    L = random_bracket(random.Random(0), ("e1", "e2"))
+    with pytest.raises(ValueError, match="signed permutation"):
+        change_frames(L, matrix, L.frames)
+
+
 @pytest.mark.parametrize("names", [("e1", "e2"), ("e1", "e1", "e2"), ("e1", "x", "e2")])
 def test_change_frames_rejects_new_names_that_repeat_miss_a_frame_or_name_a_coordinate(names):
     L = random_bracket(random.Random(0), ("e1", "e2", "e3"))

@@ -13,7 +13,8 @@ core and dual pair of the diagnostics, vacant, tt and ladder doubles, and
 the bowties of the matched-pair gate), each with the dense brackets of the
 writer its store replaced.  Each is compared with that table: the store
 expands to it, stores no zero, has an empty diagonal and stores at (b, a)
-the negation of (a, b); `brackets_by_gamma` reads the same entries.
+the negation of (a, b); the by-value index of its sparsity pattern,
+`Sparsity.brackets_by_gamma`, reads the same entries.
 """
 
 import functools
@@ -249,7 +250,7 @@ def test_sparse_store_equals_the_dense_table():
             [(a, b, p) for a, b in itertools.combinations(range(L.rank), 2) for g, p in store[a][b] if g == gamma]
             for gamma in range(L.rank)
         ]
-        assert [list(row) for row in L.brackets_by_gamma] == by_gamma
+        assert [list(row) for row in L.sparsity.brackets_by_gamma] == by_gamma
         verdicts[check_algebroid(L).ok] += 1
     assert (sum(verdicts.values()), verdicts[False]) == (CORPUS_SIZE, CORPUS_FAILING)
 

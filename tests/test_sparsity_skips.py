@@ -12,12 +12,16 @@ dual pairs of the diagnostics and vacant gate doubles, on tt1..tt16 and on
 the ladder rungs with gl(3)* and gl(4)*, and on perturbations of tt16
 whose first failing tuple comes late in frame order, where a skip that
 drops a nonzero tuple moves the witness.  A count guard pins how many
-tuples `check_double` decides.
+tuples `check_double` decides, and another that it builds one pattern
+per algebroid.  Each skip rule made too aggressive, one at a time, moves
+a report of those perturbations away from the full loops.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
-from doublealg import algebroid
+from doublealg import algebroid, sparsity
 from doublealg.algebroid import LieAlgebroid, check_algebroid, check_bialgebroid, compatibility_families
 from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Polynomial
@@ -181,3 +185,67 @@ def test_check_double_decides_only_the_tuples_the_pattern_leaves(monkeypatch, na
     counts = count_calls(monkeypatch, DEFECTS)
     assert check_double(dla).ok
     assert counts == expected
+
+
+def test_check_double_builds_one_pattern_per_algebroid(monkeypatch):
+    """Building and checking the cotangent double of so(3)* builds the
+    sparsity pattern of each algebroid it decides once: the two sides, the
+    two induced duals and the frame-changed dual of the dual pair."""
+    counts = count_calls(monkeypatch, [(sparsity, "build_sparsity")])
+    dla = build_cotangent_double(*named_pair("so3"))
+    assert check_double(dla).ok
+    built = {id(side): side for b in (dla.vertical, dla.horizontal) for side in (b.side, b.induced_dual, b.total)}
+    built.update((id(side), side) for side in dla.dual_pair)
+    patterned = [side for side in built.values() if "sparsity" in vars(side)]
+    assert counts["build_sparsity"] == len(patterned) == 5
+
+
+# --- each skip rule made too aggressive is caught by the full loops
+
+
+def blind(L):
+    """`L` as the skip rules read it, with no bracket indexed by value."""
+    return SimpleNamespace(sparsity=L.sparsity._replace(brackets_by_gamma=((),) * L.rank))
+
+
+def partners_without_targets(L, Lstar):
+    """The `frames` rule without the pairs left for a bracket of Lstar."""
+    return sparsity.frame_partners(L, blind(Lstar))
+
+
+def triples_without_outer_brackets(L):
+    """`bracket_triples` without the triples bracketed only on (a, c)."""
+    bracketed = L.sparsity.bracketed
+    return (
+        (a, b, c)
+        for a, b, c in sparsity.bracket_triples(L)
+        if bracketed[a] >> b & 1 or bracketed[b] >> c & 1
+    )
+
+
+def coordinates_without_gamma(L, Lstar, a):
+    """`function_coordinates` without its gamma^{pq}_a term."""
+    return sparsity.function_coordinates(L, blind(Lstar), a)
+
+
+MUTANTS = {
+    "frame_partners": partners_without_targets,
+    "bracket_triples": triples_without_outer_brackets,
+    "function_coordinates": coordinates_without_gamma,
+}
+
+
+def equals_the_full_loops(L, Lstar):
+    """Whether both axiom reports, decided afresh, and the compatibility
+    families of (L, Lstar), both ways round, equal the full loops."""
+    return all(algebroid._decide_axioms(side) == full_decide_axioms(side) for side in (L, Lstar)) and all(
+        tuple(compatibility_families(*pair)) == full_compatibility_families(*pair) for pair in ((L, Lstar), (Lstar, L))
+    )
+
+
+@pytest.mark.parametrize("rule", list(MUTANTS))
+def test_a_too_aggressive_skip_rule_moves_a_report(monkeypatch, rule):
+    pairs = [late_perturbation(kind) for kind in LATE]
+    assert all(equals_the_full_loops(*pair) for pair in pairs)
+    monkeypatch.setattr(algebroid, rule, MUTANTS[rule])
+    assert not all(equals_the_full_loops(*pair) for pair in pairs)

@@ -29,6 +29,7 @@ from .sparsity import (
     build_sparsity,
     frame_partners,
     function_coordinates,
+    movers,
 )
 from .verdicts import CheckItem, CheckReport, failed, passed
 
@@ -68,14 +69,27 @@ class VectorField:
     def __init__(self, chart: Chart, components: Sequence[Polynomial]):
         """One component per coordinate, all on `chart`, as in the checked
         anchor rows and the computed defects the package builds fields from.
-        `_nonzero`, the (terms, shift, unit) of each nonzero X^i that `apply`
-        walks, is no field: it stays out of `==`, `hash` and `repr`."""
+        Three facts of one walk over the components are no fields, so they
+        stay out of `==`, `hash` and `repr`: `_nonzero`, the (terms, shift,
+        unit) of each nonzero X^i that `apply` walks; `_directions`, the
+        mask of the coordinates i with X^i != 0; and `_variables`, per
+        coordinate i the mask of the coordinates X^i depends on
+        (`Polynomial.variables`, 0 where X^i = 0).  X(f) is zero when f
+        depends on no coordinate in `_directions`."""
         components = tuple(components)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "components", components)
-        parts = zip(components, chart._shifts, chart._units)
-        walk = tuple([(comp.coeffs.items(), shift, unit) for comp, shift, unit in parts if comp.coeffs])
-        object.__setattr__(self, "_nonzero", walk)
+        walk, variables, directions = [], [], 0
+        for i, (comp, shift, unit) in enumerate(zip(components, chart._shifts, chart._units)):
+            if comp.coeffs:
+                walk.append((comp.coeffs.items(), shift, unit))
+                variables.append(comp.variables())
+                directions |= 1 << i
+            else:
+                variables.append(0)
+        object.__setattr__(self, "_nonzero", tuple(walk))
+        object.__setattr__(self, "_directions", directions)
+        object.__setattr__(self, "_variables", tuple(variables))
 
     def apply(self, f: Polynomial) -> Polynomial:
         """X(f) = sum_i X^i df/dx^i over the nonzero X^i, into one map."""
@@ -475,11 +489,26 @@ def anchor_defect(
 ) -> Tuple[Polynomial, ...]:
     """a([e_a, e_b]) - [a_a, a_b] per coordinate, the first structure
     equation of `check_algebroid`, for the sparse store `nonzero` and the
-    anchors `fields` of a frame."""
+    anchors `fields` of a frame.
+
+    Only the terms that the coordinate masks of the fields
+    (`VectorField._directions` and `_variables`) leave are computed:
+    a_b(a_a^i) where a_a^i depends on a coordinate that a_b points along,
+    a_a(a_b^i) likewise, and c^g_ab a_g^i where a_g^i != 0.  The others
+    are exactly zero, and the rest are summed in the order of the full
+    sum, so every entry is the one the full sum gives."""
     fa, fb = fields[a], fields[b]
-    defect = [fb.apply(pa) - fa.apply(pb) for pa, pb in zip(fa.components, fb.components)]
+    defect = [fa.chart._zero] * len(fa.components)
+    for i in bits(fa._directions):
+        if fa._variables[i] & fb._directions:
+            defect[i] = fb.apply(fa.components[i])
+    for i in bits(fb._directions):
+        if fb._variables[i] & fa._directions:
+            defect[i] = defect[i] - fa.apply(fb.components[i])
     for g, coeff in nonzero[a][b]:
-        defect = [d + coeff * p if p else d for d, p in zip(defect, fields[g].components)]
+        field = fields[g]
+        for i in bits(field._directions):
+            defect[i] = defect[i] + coeff * field.components[i]
     return tuple(defect)
 
 
@@ -524,7 +553,13 @@ def check_algebroid(L: LieAlgebroid) -> CheckReport:
     same vector field or multisection the frame loop through
     `bracket_sections` computes (kept in the tests as the oracle).  The
     two defects are `anchor_defect` and `jacobiator`, which
-    `matched.check_matched` also reads on the bowtie of a pair.
+    `matched.check_matched` also reads on the bowtie of a pair.  Inside a
+    decided pair, `anchor_defect` computes a_b(a_a^i) only when a_a^i
+    depends on a coordinate that a_b points along, a_a(a_b^i) likewise,
+    and c^g_ab a_g^i only where a_g^i != 0; it reads the coordinate masks
+    that the anchor fields hold, so no pattern is built for it below three
+    frames or over a point.  The terms it skips are exactly zero (the
+    dense defect is kept in the tests as the oracle).
 
     The algebroid is immutable, so the report is decided once per object
     and stored on it (`LieAlgebroid._axiom_report`, outside `==`, `hash`
@@ -870,13 +905,17 @@ def _add_theta_bracket(
 
 def frame_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, b: int) -> Dict[Index, Polynomial]:
     """D(e_a, e_b) by the first formula of `check_compatibility`, as the
-    components of a bivector on increasing frame pairs; some may be zero."""
+    components of a bivector on increasing frame pairs; some may be zero.
+
+    sigma_m(c^k_ab) is computed only for the frames m of Lstar whose
+    anchor points along a coordinate that c^k_ab depends on
+    (`sparsity.movers`); for the others it is exactly zero."""
     acc: Dict[Index, Polynomial] = {}
+    star = Lstar.sparsity
     for k, c in L.nonzero_structure[a][b]:
-        for m, field in enumerate(Lstar.anchor_fields):
-            if m != k:
-                _add_wedge(acc, m, k, field.apply(c))
-        for p, q, g in Lstar.sparsity.brackets_by_gamma[k]:
+        for m in bits(movers(star, c.variables()) & ~(1 << k)):
+            _add_wedge(acc, m, k, Lstar.anchor_fields[m].apply(c))
+        for p, q, g in star.brackets_by_gamma[k]:
             _add_wedge(acc, q, p, c * g)
     _add_theta_bracket(acc, L, Lstar, b, a, False)
     _add_theta_bracket(acc, L, Lstar, a, b, True)
@@ -888,20 +927,16 @@ def function_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, i: int) -> Dic
     components of a section on (k,); some may be zero.
 
     Only the nonzero terms are computed: sigma_m(rho^i_a) for the m whose
-    anchor points along a coordinate that rho^i_a depends on, and the
+    anchor points along a coordinate that rho^i_a depends on
+    (`sparsity.movers` of the mask `VectorField._variables`), and the
     terms of sigma^{mi} for the m of column i of Lstar's anchor
     (`Sparsity.columns`); the others are exactly zero."""
     acc: Dict[Index, Polynomial] = {}
-    entry, star = L.anchor[a][i], Lstar.sparsity
-    if entry:
-        movers = 0  # the frames m whose anchor points along a coordinate of rho^i_a
-        for j in bits(entry.variables()):
-            movers |= star.along[j]
-        for m in bits(movers):
-            _accumulate(acc, (m,), Lstar.anchor_fields[m].apply(entry))
-    field, directions, row = L.anchor_fields[a], L.sparsity.directions[a], L.nonzero_structure[a]
+    field, star, row = L.anchor_fields[a], Lstar.sparsity, L.nonzero_structure[a]
+    for m in bits(movers(star, field._variables[i])):
+        _accumulate(acc, (m,), Lstar.anchor_fields[m].apply(field.components[i]))
     for m, sigma, depends in star.columns[i]:
-        if depends & directions:
+        if depends & field._directions:
             _accumulate(acc, (m,), -field.apply(sigma))
         for k, c in row[m]:
             _accumulate(acc, (k,), -(sigma * c))

@@ -11,7 +11,9 @@ rule that skips a frame tuple is here: `anchor_pairs` and
 `function_coordinates` for the compatibility families.  Each yields only
 the tuples the patterns leave, in the order of the full loops, so the
 first nonzero tuple, and with it every witness, is the one the full loops
-find.
+find.  Inside a decided tuple, `movers` leaves only the anchors that can
+differentiate a given function; the per-entry coordinate masks it and
+`algebroid.anchor_defect` read are held by `algebroid.VectorField`.
 
 Masks are ints: bit i of a coordinate mask stands for x^i, bit alpha of a
 frame mask for e_alpha.
@@ -55,24 +57,24 @@ class Sparsity(NamedTuple):
 
 
 def build_sparsity(L: LieAlgebroid) -> Sparsity:
-    """The pattern of `L`, in one walk over its anchor rows and store."""
+    """The pattern of `L`, in one walk over its anchor rows and store.  The
+    coordinate masks of each anchor entry are read off `L.anchor_fields`,
+    which holds them for `algebroid.anchor_defect` too."""
     n = L.chart.dim
     rows, columns = [], [[] for _ in range(n)]
     directions, depends, bracketed = [], [], []
     along, feeds, by_gamma = [0] * n, [0] * n, [[] for _ in L.frames]
     spread = 0
-    for alpha, (anchor_row, store_row) in enumerate(zip(L.anchor, L.nonzero_structure)):
-        row, direction, depend, partners = [], 0, 0, 0
-        for i, p in enumerate(anchor_row):
-            if p.coeffs:
-                on = p.variables()
-                row.append((i, p, on))
-                columns[i].append((alpha, p, on))
-                direction |= 1 << i
-                depend |= on
-                along[i] |= 1 << alpha
-                for j in bits(on):
-                    feeds[j] |= 1 << i
+    for alpha, (field, store_row) in enumerate(zip(L.anchor_fields, L.nonzero_structure)):
+        row, direction, depend, partners = [], field._directions, 0, 0
+        for i in bits(direction):
+            p, on = field.components[i], field._variables[i]
+            row.append((i, p, on))
+            columns[i].append((alpha, p, on))
+            depend |= on
+            along[i] |= 1 << alpha
+            for j in bits(on):
+                feeds[j] |= 1 << i
         for b, entry in enumerate(store_row):
             if entry:
                 partners |= 1 << b
@@ -95,6 +97,16 @@ def build_sparsity(L: LieAlgebroid) -> Sparsity:
         tuple(bracketed),
         tuple(map(tuple, by_gamma)),
     )
+
+
+def movers(pattern: Sparsity, coordinates: int) -> int:
+    """The frames whose anchor points along one of `coordinates`: for a
+    function f that depends on exactly those coordinates, the frames m
+    with a_m(f) possibly nonzero."""
+    frames = 0
+    for j in bits(coordinates):
+        frames |= pattern.along[j]
+    return frames
 
 
 def anchor_pairs(L: LieAlgebroid) -> Iterable[Tuple[int, int]]:

@@ -13,12 +13,10 @@ from doublealg.algebroid import (
     InvalidAlgebroid,
     LieAlgebroid,
     NotPoisson,
-    PoissonChart,
     change_frames,
     check_algebroid,
     check_bialgebroid,
     cotangent_algebroid,
-    dual_poisson,
     tangent_algebroid,
 )
 from doublealg.doublela import (
@@ -53,13 +51,13 @@ from support import (
     constants,
     dense_structure,
     gl,
-    ladder_pair,
+    large_dual_pair,
     matrix_build_semidirects,
     matrix_dual_pair_over_core_dual,
     scale_derivation,
     standard_gl_bialgebra,
+    perturbed_poisson,
     tangent_lavb,
-    tt_pair,
 )
 
 
@@ -460,29 +458,13 @@ class TestDiagnosticsAreNotVacuous:
 # --- the paper's two correspondences past tt8 and gl(3)*
 
 
-def large_dual_pair(name):
-    """gl(4)* and tt<n>, each with one failing perturbation that keeps both
-    sides valid algebroids: the anchor of T*M_pi set to zero, which leaves
-    the bundle of Lie algebras gl(4) over gl(4)*, and [w1, w2] = w3 on the
-    dual of tt<n> (TM against a constant bracket c is a bialgebroid exactly
-    when c = 0)."""
-    base, _, perturbation = name.partition(":")
-    L, Lstar = ladder_pair(gl(4)) if base == "gl4" else tt_pair(int(base[2:]))
-    zero = Polynomial.zero(L.chart)
-    anchor, table, r = Lstar.anchor, dense_structure(Lstar), Lstar.rank
-    brackets = {(a, b): table[a][b] for a, b in itertools.combinations(range(r), 2)}
-    if perturbation == "zero_anchor":
-        anchor = [[zero] * L.chart.dim] * r
-    elif perturbation == "heisenberg":
-        brackets[0, 1] = [Polynomial.constant(L.chart, int(g == 2)) for g in range(r)]
-    return L, LieAlgebroid(L.chart, Lstar.frames, anchor, brackets)
-
-
 @pytest.mark.parametrize(
     "name, expected",
     [
         ("gl4", True),
         ("gl4:zero_anchor", False),
+        ("gl5", True),
+        ("gl5:zero_anchor", False),
         ("tt16", True),
         ("tt16:heisenberg", False),
         ("tt32", True),
@@ -493,8 +475,8 @@ def large_dual_pair(name):
 )
 def test_cotangent_double_criterion_past_tt8_and_gl3(name, expected):
     """The duality theorem where the dual pair over the core dual has rank
-    32 (gl(4)*, tt16), 64 (tt32) and 128 (tt64), and `permute_frames` meets
-    the dense matrix it replaced."""
+    32 (gl(4)*, tt16), 50 (gl(5)*), 64 (tt32) and 128 (tt64), and
+    `permute_frames` meets the dense matrix it replaced."""
     L, Lstar = large_dual_pair(name)
     dla = build_cotangent_double(L, Lstar)
     assert check_bialgebroid(L, Lstar).ok is expected
@@ -509,19 +491,9 @@ def test_cotangent_double_criterion_on_a_perturbed_poisson_coefficient(monkeypat
     both verdicts of the duality theorem fail: `check_bialgebroid` of
     (TM, T*M_pi') and `check_double` of its cotangent double, built past
     the validity check of `build_cotangent_double`."""
-    pi = dual_poisson(gl(4))
-    matrix = [list(row) for row in pi.matrix]
-    matrix[0][1], matrix[1][0] = matrix[0][1].scale(2), matrix[1][0].scale(2)
-    perturbed = PoissonChart(pi.chart, matrix)
     with pytest.raises(NotPoisson):
-        cotangent_algebroid(perturbed)
-    names = pi.chart.names
-    brackets = {
-        (i, j): [matrix[i][j].partial(name) for name in names]
-        for i, j in itertools.combinations(range(len(names)), 2)
-    }
-    L = tangent_algebroid(pi.chart)
-    Lstar = LieAlgebroid(pi.chart, tuple(f"d{name}" for name in names), matrix, brackets)
+        cotangent_algebroid(perturbed_poisson(gl(4)))
+    L, Lstar = large_dual_pair("gl4:poisson")
     assert check_bialgebroid(L, Lstar).ok is False
     with pytest.raises(InvalidAlgebroid):
         build_cotangent_double(L, Lstar)

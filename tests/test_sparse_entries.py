@@ -177,6 +177,8 @@ def corpus_algebroids():
 
 
 def test_apply_matches_the_dense_scan_on_the_anchor_fields_of_the_corpus():
+    """`apply` equals the dense scan, and the coordinate masks that
+    `anchor_defect` reads equal `Polynomial.variables` of each entry."""
     fields = 0
     for L in corpus_algebroids():
         chart = L.chart
@@ -186,6 +188,8 @@ def test_apply_matches_the_dense_scan_on_the_anchor_fields_of_the_corpus():
         polys += [p for row in L.nonzero_structure for entry in row for _, p in entry]
         for field in L.anchor_fields:
             assert_apply_matches_dense(field, polys)
+            assert field._variables == tuple(comp.variables() for comp in field.components)
+            assert field._directions == sum(1 << i for i, comp in enumerate(field.components) if comp)
             fields += 1
     assert fields >= 400
 
@@ -198,11 +202,18 @@ def test_the_walked_components_are_not_part_of_the_value():
     on_twin = VectorField(twin, [Polynomial.zero(twin), Polynomial.coordinate(twin, "x")])
     assert [f.name for f in fields(VectorField)] == ["chart", "components"]
     for field in built, from_tuple, on_twin:
-        assert set(vars(field)) == {"chart", "components", "_nonzero"}
+        assert set(vars(field)) == {"chart", "components", "_nonzero", "_directions", "_variables"}
         assert [(dict(terms), shift, unit) for terms, shift, unit in field._nonzero] == [
             ({chart._units[0]: 1}, chart._shifts[1], chart._units[1])
         ]
+        # X^y = x: the field points along y, and its y entry depends on x
+        assert (field._directions, field._variables) == (0b10, (0, 0b01))
         assert field == built and hash(field) == hash(built) and repr(field) == repr(built)
+    # the masks stay out of the value: fields equal as values compare equal
+    # whatever their masks hold
+    object.__setattr__(from_tuple, "_variables", (0, 0))
+    object.__setattr__(from_tuple, "_directions", 0)
+    assert from_tuple == built and hash(from_tuple) == hash(built) and repr(from_tuple) == repr(built)
     assert built._nonzero is not from_tuple._nonzero
     assert {built: 1}[on_twin] == 1
 

@@ -15,25 +15,45 @@ drops a nonzero tuple moves the witness.  A count guard pins how many
 tuples `check_double` decides, and another that it builds one pattern
 per algebroid.  Each skip rule made too aggressive, one at a time, moves
 a report of those perturbations away from the full loops.
+
+Inside a decided tuple, `anchor_defect` and `frame_defect` compute only
+the terms that the coordinate masks of the anchors leave.  Their dense
+forms, `support.full_anchor_defect` and `support.full_frame_defect`, are
+the oracles of a second gate: `check_algebroid`, `check_bialgebroid`,
+`check_double` and `check_matched` give the same reports through either,
+on the gl(3)*-gl(5)* rungs and their perturbations, the diagnostics
+doubles, the matched-pair gate and the late perturbations of tt16.  A
+count guard pins how many anchors `check_double` applies, and each entry
+rule made too aggressive is caught as the tuple rules are.
 """
 
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import pytest
 
-from doublealg import algebroid, sparsity
-from doublealg.algebroid import LieAlgebroid, check_algebroid, check_bialgebroid, compatibility_families
+from doublealg import algebroid, doublela, sparsity
+from doublealg.algebroid import (
+    LieAlgebroid,
+    VectorField,
+    check_algebroid,
+    check_bialgebroid,
+    compatibility_families,
+)
 from doublealg.doublela import build_cotangent_double, check_double
 from doublealg.exact import Polynomial
+from doublealg.matched import check_matched
 from support import (
     SO3,
     corpus_dual_pairs,
     count_calls,
+    dense_defects,
     diagnostics_doubles,
     full_compatibility_families,
     full_decide_axioms,
     gl,
     ladder_pair,
+    large_dual_pair,
+    matched_gate_pairs,
     tt_pair,
     vacant_gate_doubles,
 )
@@ -95,7 +115,9 @@ def late_perturbation(kind):
 
     `anchor_pair`: a(w15) = d/dx16 and a(w16) = x16 d/dx16, so the anchor
     morphism fails first on the last pair, (w15, w16), whose bracket is
-    empty.  `jacobi_triple`: [w14, w16] = w1 and [w1, w15] = w2 with the
+    empty; `mirrored_anchor_pair` swaps the two anchors, so that the
+    nonzero term of the defect is a_b(a_a^16) instead of a_a(a_b^16).
+    `jacobi_triple`: [w14, w16] = w1 and [w1, w15] = w2 with the
     zero anchor, so Jacobi fails first on the last triple, (w14, w15, w16),
     whose only nonzero bracket is that of (w14, w16).  The other three
     keep the dual a Lie algebroid: `frames_pair`, [w15, w16] = x16 w15,
@@ -117,6 +139,8 @@ def late_perturbation(kind):
     brackets = {}
     if kind == "anchor_pair":
         anchor[14][15], anchor[15][15] = one, x(16)
+    elif kind == "mirrored_anchor_pair":
+        anchor[14][15], anchor[15][15] = x(16), one
     elif kind == "jacobi_triple":
         brackets[13, 15], brackets[0, 14] = frame(1), frame(2)
     elif kind == "frames_pair":
@@ -141,6 +165,7 @@ def reports(kind):
 
 LATE = {
     "anchor_pair": ("dual_side", "pair (w15, w16): "),
+    "mirrored_anchor_pair": ("dual_side", "pair (w15, w16): "),
     "jacobi_triple": ("dual_side", "triple (w14, w15, w16): "),
     "frames_pair": ("frames", "pair (del_x15, del_x16): "),
     "function_pair": ("function_pairs", "pair (del_x15, x14): "),
@@ -167,6 +192,66 @@ def test_late_failures_equal_the_full_loops(monkeypatch, kind):
     assert all(not report.ok for report in found[1:])
 
 
+# --- the entry-level skips against the dense defects
+
+
+def rung_reports(name):
+    """`check_algebroid` of both sides and `check_bialgebroid` of the pair
+    `support.large_dual_pair(name)`, and `check_double` of its cotangent
+    double, built past the validity check for the `poisson` perturbation,
+    whose dual is no Lie algebroid."""
+    L, Lstar = large_dual_pair(name)
+    out = [check_algebroid(L), check_algebroid(Lstar), check_bialgebroid(L, Lstar)]
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(doublela, "require_valid", lambda L, label: None)
+        dla = build_cotangent_double(L, Lstar)
+    return out + [check_double(dla)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gl_rungs_equal_the_dense_defects(monkeypatch, n):
+    """gl(n)*, its zero anchor and its doubled Poisson coefficient: every
+    report equals the one the dense defects give, witnesses included."""
+    names = [f"gl{n}", f"gl{n}:zero_anchor", f"gl{n}:poisson"]
+    found = [rung_reports(name) for name in names]
+    with monkeypatch.context() as patched:
+        dense_defects(patched)
+        expected = [rung_reports(name) for name in names]
+    assert found == expected
+    assert [[report.ok for report in reports] for reports in found] == [
+        [True] * 4,
+        [True, True, False, False],
+        [True, False, False, False],
+    ]
+
+
+def test_gate_corpora_equal_the_dense_defects(monkeypatch):
+    """`check_double` of the 125 diagnostics doubles, `check_bialgebroid`
+    of their dual pairs both ways round, `check_matched` of the 1224
+    matched-pair gate pairs, and the reports of the late perturbations of
+    tt16, each equal to the one the dense defects give."""
+    doubles = [dla for _, dla in diagnostics_doubles()]
+    pairs = [pair for _, pair in corpus_dual_pairs(diagnostics_doubles())]
+    matched = matched_gate_pairs()
+
+    def decide():
+        return (
+            [check_double(dla) for dla in doubles],
+            [check_bialgebroid(*pair) for pair in pairs],
+            [check_matched(mp) for mp in matched],
+            [reports(kind) for kind in LATE],
+        )
+
+    found = decide()
+    with monkeypatch.context() as patched:
+        dense_defects(patched)
+        expected = decide()
+    for got, want in zip(found, expected):
+        assert got == want
+    # the gate is not vacuous: each corpus fails often
+    assert [sum(not report.ok for report in reports) for reports in found[:3]] == [73, 94, 814]
+
+
 # --- how many tuples `check_double` decides
 
 
@@ -185,6 +270,18 @@ def test_check_double_decides_only_the_tuples_the_pattern_leaves(monkeypatch, na
     counts = count_calls(monkeypatch, DEFECTS)
     assert check_double(dla).ok
     assert counts == expected
+
+
+def test_check_double_applies_only_the_anchors_the_masks_leave(monkeypatch):
+    """`check_double` on the so(3)* cotangent double applies an anchor 90
+    times: 36 in `anchor_defect`, 36 in `jacobiator` and 18 in
+    `function_defect`, none in `frame_defect`.  Without the entry-level
+    skips it applied one 243 times (144 in `anchor_defect` and 45 in
+    `frame_defect`)."""
+    dla = build_cotangent_double(*named_pair("so3"))
+    counts = count_calls(monkeypatch, [(VectorField, "apply")])
+    assert check_double(dla).ok
+    assert counts["apply"] == 90
 
 
 def test_check_double_builds_one_pattern_per_algebroid(monkeypatch):
@@ -228,10 +325,47 @@ def coordinates_without_gamma(L, Lstar, a):
     return sparsity.function_coordinates(L, blind(Lstar), a)
 
 
+def anchor_defect_by_one_half(kept):
+    """`anchor_defect` with one half of its symmetric mask test: at each
+    coordinate i, both a_b(a_a^i) and a_a(a_b^i) are computed only when
+    the entry of frame a (`kept` 0) or of frame b (`kept` 1) depends on a
+    coordinate that the other anchor points along."""
+
+    def anchor_defect(nonzero, fields, a, b):
+        fa, fb = fields[a], fields[b]
+        own, other = (fa, fb)[kept], (fb, fa)[kept]
+        defect = []
+        for i, (pa, pb) in enumerate(zip(fa.components, fb.components)):
+            entry = fb.apply(pa) - fa.apply(pb) if own._variables[i] & other._directions else fa.chart._zero
+            for g, coeff in nonzero[a][b]:
+                entry = entry + coeff * fields[g].components[i]
+            defect.append(entry)
+        return tuple(defect)
+
+    return anchor_defect
+
+
+def movers_but_the_lowest(pattern, coordinates):
+    """`movers` without its lowest frame."""
+    frames = sparsity.movers(pattern, coordinates)
+    return frames & frames - 1
+
+
+def dropping_a_mover(defect):
+    """The defect function `defect` of `algebroid`, reading
+    `movers_but_the_lowest` for `movers`, so that only its own call of
+    the rule is too aggressive."""
+    return FunctionType(defect.__code__, {**vars(algebroid), "movers": movers_but_the_lowest})
+
+
 MUTANTS = {
     "frame_partners": partners_without_targets,
     "bracket_triples": triples_without_outer_brackets,
     "function_coordinates": coordinates_without_gamma,
+    "anchor_defect:a": anchor_defect_by_one_half(0),
+    "anchor_defect:b": anchor_defect_by_one_half(1),
+    "frame_defect": dropping_a_mover(algebroid.frame_defect),
+    "function_defect": dropping_a_mover(algebroid.function_defect),
 }
 
 
@@ -247,5 +381,5 @@ def equals_the_full_loops(L, Lstar):
 def test_a_too_aggressive_skip_rule_moves_a_report(monkeypatch, rule):
     pairs = [late_perturbation(kind) for kind in LATE]
     assert all(equals_the_full_loops(*pair) for pair in pairs)
-    monkeypatch.setattr(algebroid, rule, MUTANTS[rule])
+    monkeypatch.setattr(algebroid, rule.partition(":")[0], MUTANTS[rule])
     assert not all(equals_the_full_loops(*pair) for pair in pairs)

@@ -516,16 +516,22 @@ def jacobiator(
     nonzero: Structure, fields: Sequence[VectorField], a: int, b: int, c: int
 ) -> Dict[int, Polynomial]:
     """Jac(e_a, e_b, e_c) by the second structure equation of
-    `check_algebroid`, as components by frame; some may be zero."""
+    `check_algebroid`, as components by frame; some may be zero.
+
+    a_z(c^g_xy) is computed only when c^g_xy depends on a coordinate that
+    a_z points along; otherwise it is exactly zero (the dense form is kept
+    in the tests as the oracle)."""
     jac: Dict[int, Polynomial] = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        field = fields[z]
         for g, coeff in nonzero[x][y]:
             for k, other in nonzero[g][z]:
                 term = coeff * other
                 jac[k] = jac[k] + term if k in jac else term
-            term = fields[z].apply(coeff)
-            if term:
-                jac[g] = jac[g] - term if g in jac else -term
+            if coeff.variables() & field._directions:
+                term = field.apply(coeff)
+                if term:
+                    jac[g] = jac[g] - term if g in jac else -term
     return jac
 
 
@@ -551,15 +557,19 @@ def check_algebroid(L: LieAlgebroid) -> CheckReport:
     as the oracle) visit them, so the first failure is the same.  Only the
     first failing pair or triple of each item builds its witness, the
     same vector field or multisection the frame loop through
-    `bracket_sections` computes (kept in the tests as the oracle).  The
-    two defects are `anchor_defect` and `jacobiator`, which
+    `bracket_sections` computes (kept in the tests as the oracle), and
+    writes it out only when the witness is read (`verdicts`).  The two
+    defects are `anchor_defect` and `jacobiator`, which
     `matched.check_matched` also reads on the bowtie of a pair.  Inside a
     decided pair, `anchor_defect` computes a_b(a_a^i) only when a_a^i
     depends on a coordinate that a_b points along, a_a(a_b^i) likewise,
     and c^g_ab a_g^i only where a_g^i != 0; it reads the coordinate masks
     that the anchor fields hold, so no pattern is built for it below three
-    frames or over a point.  The terms it skips are exactly zero (the
-    dense defect is kept in the tests as the oracle).
+    frames or over a point.  Inside a decided triple, `jacobiator` applies
+    a_z to c^g_xy only when c^g_xy depends on a coordinate that a_z points
+    along, reading the mask of c^g_xy per call.  The terms either skips
+    are exactly zero (the dense defects are kept in the tests as the
+    oracles).
 
     The algebroid is immutable, so the report is decided once per object
     and stored on it (`LieAlgebroid._axiom_report`, outside `==`, `hash`
@@ -575,21 +585,31 @@ def _decide_axioms(L: LieAlgebroid) -> CheckReport:
     for a, b in anchor_pairs(L):
         defect = anchor_defect(L.nonzero_structure, L.anchor_fields, a, b)
         if any(defect):
-            field = VectorField(L.chart, defect)
-            witness = f"pair ({L.frames[a]}, {L.frames[b]}): a([.,.]) - [a(.), a(.)] = {field}"
+            witness = functools.partial(
+                "pair ({}, {}): a([.,.]) - [a(.), a(.)] = {}".format,
+                L.frames[a],
+                L.frames[b],
+                VectorField(L.chart, defect),
+            )
             break
     items.append(failed("anchor_morphism", witness) if witness else passed("anchor_morphism"))
 
     found = first_jacobiator(L)
-    witness = None
     if found:
         (a, b, c), section = found
-        witness = (
-            f"triple ({L.frames[a]}, {L.frames[b]}, {L.frames[c]}): "
-            f"jacobiator = {section.format(L.frames)}"
-        )
-    items.append(failed("jacobi", witness) if witness else passed("jacobi"))
+        labels = (L.frames[a], L.frames[b], L.frames[c])
+        template = "triple ({}, {}, {}): jacobiator = {}"
+        items.append(failed("jacobi", functools.partial(section_witness, template, labels, section, L.frames)))
+    else:
+        items.append(passed("jacobi"))
     return CheckReport(tuple(items))
+
+
+def section_witness(template: str, labels: Sequence[object], section: Multisection, frames: Sequence[str]) -> str:
+    """`template` filled with `labels`, then with `section` written over
+    `frames`: the text of a witness that names a section, which a checker
+    hands to `verdicts.failed` unrendered."""
+    return template.format(*labels, section.format(frames))
 
 
 def first_jacobiator(L: LieAlgebroid) -> Tuple[Index, Multisection] | None:
@@ -1014,7 +1034,10 @@ def check_compatibility(
     one of the other four families fails: once they all pass, every trial
     defect is zero, so `random` is reported as passed without drawing.  The
     tests keep the trial loop on every pair as its oracle.  Each family
-    reports its first nonzero defect.
+    reports its first nonzero defect.  The verdicts, and the multisections
+    a failure names (the defect, and the trial's X and Y), are computed
+    here; their text is written only when the item's `witness` is read
+    (`verdicts`).
     """
     items = list(compatibility_families(L, Lstar))
 
@@ -1027,8 +1050,7 @@ def check_compatibility(
             y = random_section(rng, L, max_degree)
             defect = compatibility_defect(L, Lstar, x, y)
             if defect.components:
-                where = f"random trial {trial}: X = {x.format(L.frames)}, Y = {y.format(L.frames)}, "
-                return failed("random", f"{where}defect = {defect.format(L.frames)}")
+                return failed("random", functools.partial(_trial_witness, trial, x, y, defect, L.frames))
         return passed("random")
 
     # D is antisymmetric, D(X, gY) = g D(X, Y) + D(X, g) ^ Y, D(e_a, g) =
@@ -1044,14 +1066,24 @@ def check_compatibility(
     return CheckReport(tuple(items))
 
 
-def _first_nonzero(check_id: str, degree: int, frames: Tuple[str, ...], cases) -> CheckItem:
-    """`check_id` failed at the first (where, components) case of `cases`
-    with a nonzero component, as a degree-`degree` multisection witness;
-    passed when there is none."""
-    for where, components in cases:
+def _trial_witness(trial: int, x: Multisection, y: Multisection, defect: Multisection, frames: Sequence[str]) -> str:
+    return (
+        f"random trial {trial}: X = {x.format(frames)}, Y = {y.format(frames)}, "
+        f"defect = {defect.format(frames)}"
+    )
+
+
+def _first_nonzero(check_id: str, degree: int, frames: Tuple[str, ...], where: str, cases) -> CheckItem:
+    """`check_id` failed at the first (labels, components) case of `cases`
+    with a nonzero component, as a degree-`degree` multisection witness
+    placed by `where` filled with the labels; passed when there is none.
+    The multisection is built at once and written when the witness is
+    read."""
+    for labels, components in cases:
         if any(components.values()):
-            witness = Multisection(len(frames), degree, components).format(frames)
-            return failed(check_id, f"{where}defect = {witness}")
+            section = Multisection(len(frames), degree, components)
+            template = where + "defect = {}"
+            return failed(check_id, functools.partial(section_witness, template, labels, section, frames))
     return passed(check_id)
 
 
@@ -1091,8 +1123,9 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
         "frames",
         2,
         frames,
+        "pair ({}, {}): ",
         (
-            (f"pair ({frames[a]}, {frames[b]}): ", frames_at(a, b))
+            ((frames[a], frames[b]), frames_at(a, b))
             for a in range(rank)
             for b in bits(partners[a] & -2 << a)
         ),
@@ -1104,8 +1137,9 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
         "function_pairs",
         1,
         frames,
+        "pair ({}, {}): ",
         (
-            (f"pair ({frames[a]}, {names[i]}): ", functions_at(a, i))
+            ((frames[a], names[i]), functions_at(a, i))
             for a in range(rank)
             for i in bits(reached[a])
         ),
@@ -1118,8 +1152,9 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
             "scaled",
             2,
             frames,
+            "pair ({}, {} * {}): ",
             (
-                (f"pair ({frames[a]}, {names[i]} * {frames[b]}): ", scaled_at(a, b, i))
+                ((frames[a], names[i], frames[b]), scaled_at(a, b, i))
                 for a, b in itertools.product(range(rank), repeat=2)
                 for i in (range(len(names)) if a != b and partners[a] >> b & 1 else bits(reached[a]))
             ),
@@ -1130,10 +1165,8 @@ def compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Iterator[Che
     for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
         value = products[i][j] + products[j][i]
         if value:
-            yield failed(
-                "symmetric_part",
-                f"functions ({names[i]}, {names[j]}): a(d_*f)(g) + a(d_*g)(f) = {value}",
-            )
+            template = "functions ({}, {}): a(d_*f)(g) + a(d_*g)(f) = {}"
+            yield failed("symmetric_part", functools.partial(template.format, names[i], names[j], value))
             return
     yield passed("symmetric_part")
 

@@ -359,10 +359,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         report = run(args.verb, args.kind, model, digest(data), args.seed, max_degree)
+        # the witnesses are written here, when the report reads them
+        out = emit_report(report, args.format)
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"doublealg: error: {exc}\n")
         return 2
-    sys.stdout.buffer.write(emit_report(report, args.format))
+    sys.stdout.buffer.write(out)
     return 0 if report.ok else 1
 
 

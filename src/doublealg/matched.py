@@ -45,6 +45,7 @@ from .algebroid import (
     jacobiator,
     pair_store,
     permute_frames,
+    section_witness,
     sparse_matrix,
 )
 from .exact import Chart, ChartMismatch, Polynomial
@@ -144,7 +145,8 @@ def check_matched(mp: MatchedPair) -> CheckReport:
             if any(anchor_defect(nonzero, fields, x, y)) or any(
                 minus_part((x, y, z), other) for z in other
             ):
-                return failed(f"{label}.flat", f"flatness fails on ({names[x]}, {names[y]})")
+                witness = functools.partial("flatness fails on ({}, {})".format, names[x], names[y])
+                return failed(f"{label}.flat", witness)
         return passed(f"{label}.flat")
 
     def identity(number: int, acting: range, target: range) -> CheckItem:
@@ -152,11 +154,15 @@ def check_matched(mp: MatchedPair) -> CheckReport:
             for y1, y2 in itertools.combinations(target, 2):
                 defect = minus_part((x, y1, y2), target)
                 if defect:
-                    section = Multisection(len(target), 1, defect)
                     return failed(
                         f"identity_{number}",
-                        f"identity {number} at ({names[x]}; {names[y1]}, {names[y2]}): "
-                        f"defect = {section.format(names[target.start : target.stop])}",
+                        functools.partial(
+                            section_witness,
+                            "identity {} at ({}; {}, {}): defect = {}",
+                            (number, names[x], names[y1], names[y2]),
+                            Multisection(len(target), 1, defect),
+                            names[target.start : target.stop],
+                        ),
                     )
         return passed(f"identity_{number}")
 
@@ -178,7 +184,7 @@ def check_matched(mp: MatchedPair) -> CheckReport:
         defect = anchor_defect(nonzero, fields, a, s)
         if any(defect):
             field = VectorField(mp.chart, tuple(-p for p in defect))
-            witness = f"identity 3 at ({names[a]}, {names[s]}): defect = {field}"
+            witness = functools.partial("identity 3 at ({}, {}): defect = {}".format, names[a], names[s], field)
             break
     items.append(failed("identity_3", witness) if witness else passed("identity_3"))
     return CheckReport(tuple(items))

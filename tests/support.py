@@ -3,11 +3,11 @@
 The gate corpora: each built once per session by a cached builder
 (`diagnostics_doubles`, `tt_doubles`, `matched_gate_pairs`,
 `vacant_gate_doubles`, `gate_doubles`), so that every gate reading one
-shares its objects and the structures they derive; `count_calls`; and the
-corpora they draw on: bundled and catalog doubles with seeded
-perturbations, the Lie-Poisson ladder, the dual pairs of the benchmark
-sweep, `tt_pair`, seeded bialgebras that keep their cobracket images
-(`ImageBialgebra`) and random brackets.
+shares its objects and the structures they derive; `count_calls` and
+`count_entries`; and the corpora they draw on: bundled and catalog
+doubles with seeded perturbations, the Lie-Poisson ladder, the dual pairs
+of the benchmark sweep, `tt_pair`, seeded bialgebras that keep their
+cobracket images (`ImageBialgebra`) and random brackets.
 
 The oracles: code that the package replaced, kept to be compared with the
 code that replaced it; each docstring says what it replaced, and
@@ -49,7 +49,6 @@ from doublealg.algebroid import (
     fibre_coordinate,
     first_jacobiator,
     frame_defect,
-    jacobiator,
     random_polynomial,
     random_section,
     schouten,
@@ -1521,6 +1520,22 @@ def reference_check_lavb(v: LAVBundle) -> CheckReport:
     return CheckReport(tuple(items))
 
 
+def eager_check_lavb(v: LAVBundle) -> CheckReport:
+    """`lavb.check_lavb` as it was before it read `generators` off the
+    induced dual: the total algebroid decided whenever the induced dual
+    fails, for the `generators` item and its witness."""
+    items: List[CheckItem] = []
+    side_rep = check_algebroid(v.side)
+    items.append(side_rep.as_item("side"))
+    items.append(passed("base_fields"))
+    if side_rep.ok:
+        induced_rep = check_algebroid(v.induced_dual)
+        total_rep = induced_rep if induced_rep.ok else check_algebroid(v.total)
+        items.append(total_rep.as_item("generators"))
+        items.append(induced_rep.as_item("induced_dual"))
+    return CheckReport(tuple(items))
+
+
 def gl(n):
     """gl(n) on E_11, E_12, ..., E_nn with [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
     basis = [(i, j) for i in range(n) for j in range(n)]
@@ -1751,6 +1766,26 @@ def count_calls(monkeypatch, targets):
         for module in modules:
             if vars(module).get(name) is fn:
                 monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def count_entries(names, run):
+    """Count the entries into the package functions named `names`, nested
+    functions included, while `run()` runs: a profile hook sees each call
+    of a Python function, but not a call that a cache answers."""
+    counts = Counter()
+    package = str(pathlib.Path(sys.modules["doublealg"].__file__).parent)
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in names and code.co_filename.startswith(package):
+            counts[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
     return counts
 
 
@@ -2339,13 +2374,31 @@ def full_frame_defect(L: LieAlgebroid, Lstar: LieAlgebroid, a: int, b: int) -> D
     return acc
 
 
+def full_jacobiator(nonzero, fields: Sequence[VectorField], a: int, b: int, c: int) -> Dict[int, Polynomial]:
+    """`algebroid.jacobiator` applying a_z to every c^g_xy: its oracle,
+    which applies a_z only when c^g_xy depends on a coordinate that a_z
+    points along."""
+    jac: Dict[int, Polynomial] = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for g, coeff in nonzero[x][y]:
+            for k, other in nonzero[g][z]:
+                term = coeff * other
+                jac[k] = jac[k] + term if k in jac else term
+            term = fields[z].apply(coeff)
+            if term:
+                jac[g] = jac[g] - term if g in jac else -term
+    return jac
+
+
 def dense_defects(monkeypatch) -> None:
-    """Make the package decide through `full_anchor_defect` and
-    `full_frame_defect` wherever a package module binds the defects, and
-    decide every algebroid afresh (`algebroid._decide_axioms`) instead of
-    reading the report stored on it, which the package path decided."""
+    """Make the package decide through `full_anchor_defect`,
+    `full_jacobiator` and `full_frame_defect` wherever a package module
+    binds the defects, and decide every algebroid afresh
+    (`algebroid._decide_axioms`) instead of reading the report stored on
+    it, which the package path decided."""
     dense = {
         "anchor_defect": full_anchor_defect,
+        "jacobiator": full_jacobiator,
         "frame_defect": full_frame_defect,
         "check_algebroid": _decide_axioms,
     }
@@ -2359,8 +2412,9 @@ def dense_defects(monkeypatch) -> None:
 def full_decide_axioms(L: LieAlgebroid) -> CheckReport:
     """The anchor-morphism and Jacobi items of `check_algebroid`, decided on
     every frame pair, through the dense `full_anchor_defect`, and on every
-    frame triple: the oracle of `algebroid._decide_axioms`, which skips the
-    tuples that the sparsity pattern proves zero."""
+    frame triple, through the dense `full_jacobiator`: the oracle of
+    `algebroid._decide_axioms`, which skips the tuples that the sparsity
+    pattern proves zero."""
     items: List[CheckItem] = []
     witness = None
     for a, b in itertools.combinations(range(L.rank), 2):
@@ -2372,7 +2426,7 @@ def full_decide_axioms(L: LieAlgebroid) -> CheckReport:
     items.append(failed("anchor_morphism", witness) if witness else passed("anchor_morphism"))
     witness = None
     for a, b, c in itertools.combinations(range(L.rank), 3):
-        jac = jacobiator(L.nonzero_structure, L.anchor_fields, a, b, c)
+        jac = full_jacobiator(L.nonzero_structure, L.anchor_fields, a, b, c)
         if any(jac.values()):
             section = Multisection(L.rank, 1, {(k,): poly for k, poly in jac.items()})
             witness = (
@@ -2434,20 +2488,22 @@ def full_compatibility_families(L: LieAlgebroid, Lstar: LieAlgebroid) -> Tuple[C
         return acc
 
     frame_item = _first_nonzero(
-        "frames", 2, frames, ((f"pair ({frames[a]}, {frames[b]}): ", acc) for (a, b), acc in pairs.items())
+        "frames", 2, frames, "pair ({}, {}): ", (((frames[a], frames[b]), acc) for (a, b), acc in pairs.items())
     )
     function_item = _first_nonzero(
         "function_pairs",
         1,
         frames,
-        ((f"pair ({frames[a]}, {names[i]}): ", acc) for (a, i), acc in functions.items()),
+        "pair ({}, {}): ",
+        (((frames[a], names[i]), acc) for (a, i), acc in functions.items()),
     )
     scaled_item = passed("scaled") if frame_item.ok and function_item.ok else _first_nonzero(
         "scaled",
         2,
         frames,
+        "pair ({}, {} * {}): ",
         (
-            (f"pair ({frames[a]}, {names[i]} * {frames[b]}): ", scaled_at(a, b, i))
+            ((frames[a], names[i], frames[b]), scaled_at(a, b, i))
             for a, b in itertools.product(range(rank), repeat=2)
             for i in range(len(names))
         ),

@@ -249,6 +249,9 @@ class TestTrustedResults:
 
         with mock.patch.object(Multisection, "format", recording):
             report = check_compatibility(L, random_bracket(random.Random(seed), L.frames))
+            # a witness is written only when it is read
+            for item in report.items:
+                item.witness
         families = ("frames", "scaled", "function_pairs")
         assert len(formatted) >= sum(not item.ok for item in report.items if item.check_id in families)
         for result in results + formatted:

@@ -2,11 +2,12 @@
 algebroid, generator brackets, reciprocity and the Poisson-route cross-check.
 
 `check_lavb` decides both `generators` and `induced_dual` on the induced
-dual when it passes, by duality, and checks the total algebroid only when
-it fails; the full `check_algebroid` of both stays here as its oracle, on
-a corpus with failing bundles, and the check that decided on the total
-algebroid first, `support.reference_check_lavb`, as its differential
-gate.  Duality holds in both directions because `dual_lavb` is an
+dual, by duality, and builds the total algebroid only when the witness of
+a failing `generators` item is read; the full `check_algebroid` of both
+stays here as its oracle, on a corpus with failing bundles, and the checks
+that decided on the total algebroid, first (`support.reference_check_lavb`)
+or whenever the induced dual failed (`support.eager_check_lavb`), as its
+differential gates.  Duality holds in both directions because `dual_lavb` is an
 involution up to frame names, which is checked on the same bundles.
 
 Every algebroid and bundle the package derives is built by a trusted
@@ -61,6 +62,7 @@ from support import (
     dense_generator_algebroid,
     dense_structure,
     diagnostics_doubles,
+    eager_check_lavb,
     frame_bracket,
     frame_section,
     gate_doubles,
@@ -73,6 +75,7 @@ from support import (
     reference_check_lavb,
     rename,
     tangent_lavb,
+    vacant_gate_doubles,
     zero_derivation,
 )
 
@@ -534,3 +537,52 @@ class TestNamesOnTheChart:
         dla = parse_model(self.T2M.replace("c1", "x")).doubles["T2M"]
         assert dla.core.frames == ("x'",) and dla.vertical.total.frames == ("b1", "x'")
         assert dla.horizontal.induced_dual.chart.names == ("x", "xi_x")
+
+
+# --- `generators` takes its verdict from the induced dual
+
+
+def model_bundles():
+    """Every [lavb] block of the bundled models."""
+    return [
+        (f"{path.name}:{name}", v)
+        for path in sorted(MODELS.glob("*"))
+        for name, v in parse_model(path.read_text()).lavbs.items()
+    ]
+
+
+class TestGeneratorsReadOffTheInducedDual:
+    """`check_lavb` reads the verdict of `generators` off `induced_dual` and
+    builds the total algebroid only when the `generators` witness is read.
+    `support.eager_check_lavb`, which decided the total algebroid whenever
+    the induced dual failed, is its oracle: every report, witnesses read,
+    is the same, and the total algebroid and the induced dual pass or fail
+    together."""
+
+    @pytest.mark.parametrize(
+        "corpus, expected",
+        [
+            ("diagnostics", (250, 26, 26)),
+            ("vacant", (2448, 1048, 208)),
+            # no [lavb] block of a bundled model fails; the golden models
+            # generated in `test_report_golden` hold none
+            ("models", (6, 0, 0)),
+        ],
+    )
+    def test_reports_equal_the_eager_check(self, corpus, expected):
+        """Each corpus gives its number of bundles, of failing reports and
+        of failing `generators` items."""
+        if corpus == "models":
+            bundles = model_bundles()
+        else:
+            doubles = diagnostics_doubles() if corpus == "diagnostics" else vacant_gate_doubles()
+            bundles = [(f"{name}:{side}", getattr(dla, side)) for name, dla in doubles for side in SIDES]
+        failing = generators = 0
+        for name, v in bundles:
+            report = check_lavb(v)
+            assert report == eager_check_lavb(v), name
+            if report.items[0].ok:
+                assert check_algebroid(v.total).ok == check_algebroid(v.induced_dual).ok, name
+                generators += not report.items[2].ok
+            failing += not report.ok
+        assert (len(bundles), failing, generators) == expected

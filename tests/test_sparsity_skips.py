@@ -16,17 +16,20 @@ tuples `check_double` decides, and another that it builds one pattern
 per algebroid.  Each skip rule made too aggressive, one at a time, moves
 a report of those perturbations away from the full loops.
 
-Inside a decided tuple, `anchor_defect` and `frame_defect` compute only
-the terms that the coordinate masks of the anchors leave.  Their dense
-forms, `support.full_anchor_defect` and `support.full_frame_defect`, are
-the oracles of a second gate: `check_algebroid`, `check_bialgebroid`,
-`check_double` and `check_matched` give the same reports through either,
+Inside a decided tuple, `anchor_defect`, `jacobiator` and `frame_defect`
+compute only the terms that the coordinate masks of the anchors leave.
+Their dense forms, `support.full_anchor_defect`, `support.full_jacobiator`
+and `support.full_frame_defect`, are the oracles of a second gate:
+`check_algebroid`, `check_bialgebroid`, `check_double` and
+`check_matched` give the same reports through either,
 on the gl(3)*-gl(5)* rungs and their perturbations, the diagnostics
 doubles, the matched-pair gate and the late perturbations of tt16.  A
 count guard pins how many anchors `check_double` applies, and each entry
 rule made too aggressive is caught as the tuple rules are.
 """
 
+import functools
+import operator
 from types import FunctionType, SimpleNamespace
 
 import pytest
@@ -38,14 +41,18 @@ from doublealg.algebroid import (
     check_algebroid,
     check_bialgebroid,
     compatibility_families,
+    tangent_algebroid,
 )
 from doublealg.doublela import build_cotangent_double, check_double
-from doublealg.exact import Polynomial
+from doublealg.exact import Chart, Polynomial
+from doublealg.liealg import LieAlgebra
 from doublealg.matched import check_matched
+from doublealg.verdicts import CheckItem
 from support import (
     SO3,
     corpus_dual_pairs,
     count_calls,
+    count_entries,
     dense_defects,
     diagnostics_doubles,
     full_compatibility_families,
@@ -119,8 +126,10 @@ def late_perturbation(kind):
     nonzero term of the defect is a_b(a_a^16) instead of a_a(a_b^16).
     `jacobi_triple`: [w14, w16] = w1 and [w1, w15] = w2 with the
     zero anchor, so Jacobi fails first on the last triple, (w14, w15, w16),
-    whose only nonzero bracket is that of (w14, w16).  The other three
-    keep the dual a Lie algebroid: `frames_pair`, [w15, w16] = x16 w15,
+    whose only nonzero bracket is that of (w14, w16).
+    `anchored_bracket`: a(w14) = d/dx16 and [w15, w16] = x16 w1, so Jacobi
+    fails on (w14, w15, w16) alone, by the one term a_14(c^1_{15,16}) = 1.
+    The other three keep the dual a Lie algebroid: `frames_pair`, [w15, w16] = x16 w15,
     fails `frames` first on (del_x15, del_x16); `function_pair`, a(w16) =
     x15 d/dx14, fails `function_pairs` first on (del_x15, x14) through the
     column of x14, which no row of the same index holds; `last_bracket`,
@@ -143,6 +152,8 @@ def late_perturbation(kind):
         anchor[14][15], anchor[15][15] = x(16), one
     elif kind == "jacobi_triple":
         brackets[13, 15], brackets[0, 14] = frame(1), frame(2)
+    elif kind == "anchored_bracket":
+        anchor[13][15], brackets[14, 15] = one, frame(1, x(16))
     elif kind == "frames_pair":
         brackets[14, 15] = frame(15, x(16))
     elif kind == "function_pair":
@@ -167,6 +178,7 @@ LATE = {
     "anchor_pair": ("dual_side", "pair (w15, w16): "),
     "mirrored_anchor_pair": ("dual_side", "pair (w15, w16): "),
     "jacobi_triple": ("dual_side", "triple (w14, w15, w16): "),
+    "anchored_bracket": ("dual_side", "triple (w14, w15, w16): "),
     "frames_pair": ("frames", "pair (del_x15, del_x16): "),
     "function_pair": ("function_pairs", "pair (del_x15, x14): "),
     "last_bracket": ("function_pairs", "pair (del_x1, x15): "),
@@ -273,15 +285,16 @@ def test_check_double_decides_only_the_tuples_the_pattern_leaves(monkeypatch, na
 
 
 def test_check_double_applies_only_the_anchors_the_masks_leave(monkeypatch):
-    """`check_double` on the so(3)* cotangent double applies an anchor 90
-    times: 36 in `anchor_defect`, 36 in `jacobiator` and 18 in
-    `function_defect`, none in `frame_defect`.  Without the entry-level
-    skips it applied one 243 times (144 in `anchor_defect` and 45 in
+    """`check_double` on the so(3)* cotangent double applies an anchor 54
+    times: 36 in `anchor_defect` and 18 in `function_defect`, none in
+    `frame_defect` or `jacobiator`: every structure function that
+    `jacobiator` meets there is constant.  Without the entry-level skips
+    it applied one 243 times (144 in `anchor_defect`, 36 in `jacobiator` and 45 in
     `frame_defect`)."""
     dla = build_cotangent_double(*named_pair("so3"))
     counts = count_calls(monkeypatch, [(VectorField, "apply")])
     assert check_double(dla).ok
-    assert counts["apply"] == 90
+    assert counts["apply"] == 54
 
 
 def test_check_double_builds_one_pattern_per_algebroid(monkeypatch):
@@ -295,6 +308,72 @@ def test_check_double_builds_one_pattern_per_algebroid(monkeypatch):
     built.update((id(side), side) for side in dla.dual_pair)
     patterned = [side for side in built.values() if "sparsity" in vars(side)]
     assert counts["build_sparsity"] == len(patterned) == 5
+
+
+# --- work-count pins: each skip rule made less aggressive decides more
+
+
+DECIDED = ("anchor_defect", "jacobiator", "frame_defect", "function_defect", "scaled_at")
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # with their rank tests at four frames, `anchor_pairs` leaves 18
+        # anchor pairs and `bracket_triples` 19 triples
+        ("so3", {"anchor_defect": 15, "jacobiator": 20, "frame_defect": 9, "function_defect": 18}),
+        # `bracket_triples` reading `above >> b | 1` gives 814 triples
+        ("gl3", {"anchor_defect": 153, "jacobiator": 715, "frame_defect": 63, "function_defect": 126}),
+        ("tt16", {}),
+    ],
+)
+def test_building_and_checking_a_double_decides_a_pinned_number_of_tuples(name, expected):
+    """The tuples that `build_cotangent_double` and `check_double` decide
+    together on fresh objects, so that the axioms of both sides, which
+    the build decides, are counted too."""
+    assert count_entries(DECIDED, lambda: check_double(build_cotangent_double(*named_pair(name)))) == expected
+
+
+def test_a_rank_three_algebroid_decides_a_pinned_number_of_tuples():
+    """Below three frames `anchor_pairs` leaves the one pair and
+    `bracket_triples` none, without a pattern; at three frames both read
+    it.  TM on (x, y, z) has no pair to decide (three with the rank test
+    at four), and so(3) its one triple (none with the rank test at four,
+    which would pass the algebra [e1, e2] = e1, [e1, e3] = e2, whose
+    Jacobiator is e2)."""
+    tm = tangent_algebroid(Chart(("x", "y", "z")))
+    assert count_entries(DECIDED, lambda: algebroid._decide_axioms(tm)) == {}
+    assert count_entries(DECIDED, lambda: algebroid._decide_axioms(SO3)) == {"jacobiator": 1}
+    broken = LieAlgebra(3, {(0, 1): (1, 0, 0), (0, 2): (0, 1, 0)})
+    assert algebroid._decide_axioms(broken).items[1] == CheckItem(
+        "jacobi", False, "triple (e1, e2, e3): jacobiator = (1) e2"
+    )
+
+
+# the less aggressive mutants each case kills: `function_coordinates` with
+# `depends | star.spread` (function_pair: 15 function defects and 225 scaled
+# cases), `frames_at` with `partners[a] >> b | 1` (function_pair: a frame
+# defect), `functions_at` with `reached[a] >> i | 1` (frames_pair: 239
+# function defects), and the `scaled` loop with `partners[a] >> b | 1` or
+# `a != b or ...` (frames_pair: 3375 scaled cases; last_bracket: 15 with `or`)
+LATE_DECIDED = {
+    "anchor_pair": {"anchor_defect": 1},
+    "mirrored_anchor_pair": {"anchor_defect": 1},
+    "jacobi_triple": {"anchor_defect": 2, "jacobiator": 28},
+    "anchored_bracket": {"anchor_defect": 1, "jacobiator": 14},
+    "frames_pair": {"anchor_defect": 1, "jacobiator": 14, "frame_defect": 15, "function_defect": 1, "scaled_at": 239},
+    "function_pair": {"function_defect": 1, "scaled_at": 1},
+    "last_bracket": {"anchor_defect": 1, "jacobiator": 14, "frame_defect": 15, "function_defect": 1, "scaled_at": 1},
+}
+
+
+@pytest.mark.parametrize("kind", list(LATE))
+def test_a_late_failure_decides_a_pinned_number_of_cases(kind):
+    """`check_bialgebroid` of each late perturbation of tt16; `scaled_at`
+    is the case of the `scaled` family, run only when `frames` or
+    `function_pairs` fails."""
+    L, Lstar = late_perturbation(kind)
+    assert count_entries(DECIDED, lambda: check_bialgebroid(L, Lstar)) == LATE_DECIDED[kind]
 
 
 # --- each skip rule made too aggressive is caught by the full loops
@@ -345,6 +424,20 @@ def anchor_defect_by_one_half(kept):
     return anchor_defect
 
 
+def jacobiator_by_dependence(jacobiator):
+    """`jacobiator` testing c^g_xy against the coordinates that the entries
+    of a_z depend on, instead of those that a_z points along."""
+
+    def mutant(nonzero, fields, a, b, c):
+        swapped = [
+            SimpleNamespace(_directions=functools.reduce(operator.or_, f._variables, 0), apply=f.apply)
+            for f in fields
+        ]
+        return jacobiator(nonzero, swapped, a, b, c)
+
+    return mutant
+
+
 def movers_but_the_lowest(pattern, coordinates):
     """`movers` without its lowest frame."""
     frames = sparsity.movers(pattern, coordinates)
@@ -364,6 +457,7 @@ MUTANTS = {
     "function_coordinates": coordinates_without_gamma,
     "anchor_defect:a": anchor_defect_by_one_half(0),
     "anchor_defect:b": anchor_defect_by_one_half(1),
+    "jacobiator": jacobiator_by_dependence(algebroid.jacobiator),
     "frame_defect": dropping_a_mover(algebroid.frame_defect),
     "function_defect": dropping_a_mover(algebroid.function_defect),
 }
